@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-diff check crashtest fuzz vet fmt repro artifacts obs-smoke cache-smoke flat-smoke serve-smoke shard-smoke policy-smoke compact-smoke clean
+.PHONY: all build test race bench bench-json bench-diff bench-rig bench-repo check crashtest fuzz vet fmt repro artifacts obs-smoke cache-smoke flat-smoke serve-smoke shard-smoke policy-smoke compact-smoke clean
 
 all: build test
 
@@ -20,8 +20,9 @@ race:
 # race detector (the parallel analysis engine and the lock-free metrics in
 # internal/obs must stay race-clean — `race` covers ./... including
 # internal/obs and the kv.Instrument decorator), a wide crash-recovery
-# sweep, and the end-to-end network serving smoke.
-check: build vet race crashtest serve-smoke shard-smoke policy-smoke compact-smoke
+# sweep, the end-to-end network serving smoke, and the repo benchmark's own
+# vet + tests (a nested module `./...` never enters).
+check: build vet race crashtest bench-rig serve-smoke shard-smoke policy-smoke compact-smoke
 
 # Crash-recovery fault injection: hundreds of seeded workload/crash-point
 # replays through the injectable VFS, verified against an in-memory model.
@@ -46,6 +47,21 @@ bench-json:
 # latency-percentile delta rows for benchmarks that report them.
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff BENCH_9.json BENCH_10.json
+
+# The repo benchmark (BENCHMARK.json, benchmark/) is its own Go module, so
+# `go vet ./...` and `go test ./...` at the root skip it; this keeps the rig
+# compiling against the packages it measures.
+bench-rig:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
+# One run of one repo-benchmark workload, as the driver runs it:
+#   make bench-repo WORKLOAD=blockbatch_wal_lsm SEED=1 [TRACE=1]
+# TRACE=1 adds the traced pass and prints the per-layer metrics.
+WORKLOAD ?= blockbatch_wal_lsm
+SEED ?= 1
+TRACE ?= 0
+bench-repo:
+	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 10 --trace $(TRACE)
 
 # Short fuzz passes over the binary decoders.
 fuzz:

@@ -196,15 +196,20 @@ func main() {
 		st.TombstonesLive, st.CompactionCount)
 	// Stall share and debt peak make compaction-scheduler regressions
 	// visible in the plain summary, without a Prometheus scrape.
-	stallShare := 0.0
-	if ns := elapsed.Nanoseconds(); ns > 0 {
-		stallShare = 100 * float64(st.WriteStallNanos) / float64(ns)
+	wallShare := func(nanos uint64) float64 {
+		if elapsed <= 0 {
+			return 0
+		}
+		return 100 * float64(nanos) / float64(elapsed.Nanoseconds())
 	}
 	fmt.Printf("write stalls: %d (%.1f%% of wall time stalled)   compaction debt peak: %.1f MiB\n",
-		st.WriteStalls, stallShare, float64(st.CompactionDebtPeak)/(1<<20))
+		st.WriteStalls, wallShare(st.WriteStallNanos), float64(st.CompactionDebtPeak)/(1<<20))
 	fmt.Printf("compaction concurrency: max %d in flight, %d sub-compactions, %.2fs with >=2 overlapped\n",
 		st.MaxConcurrentCompactions, st.SubCompactions,
 		time.Duration(st.CompactionParallelNanos).Seconds())
+	// The durable write path's device cost; all zero with the WAL off.
+	fmt.Printf("wal syncs: %d (%.1f%% of wall time inside the barrier)   manifest writes: %d\n",
+		st.WALSyncs, wallShare(st.WALSyncNanos), st.ManifestWrites)
 	fmt.Printf("io retries: %d   degraded: %d\n",
 		st.IORetries, st.Degraded)
 	if hs, ok := raw.(*hybrid.Store); ok {

@@ -178,6 +178,9 @@ func RegisterStatsMetrics(r *obs.Registry, sp StatsProvider, labels ...string) {
 		{"write_stall_nanos", func(s Stats) float64 { return float64(s.WriteStallNanos) }},
 		{"io_retries", func(s Stats) float64 { return float64(s.IORetries) }},
 		{"degraded", func(s Stats) float64 { return float64(s.Degraded) }},
+		{"wal_syncs", func(s Stats) float64 { return float64(s.WALSyncs) }},
+		{"wal_sync_nanos", func(s Stats) float64 { return float64(s.WALSyncNanos) }},
+		{"manifest_writes", func(s Stats) float64 { return float64(s.ManifestWrites) }},
 		{"block_cache_hits", func(s Stats) float64 { return float64(s.BlockCacheHits) }},
 		{"block_cache_misses", func(s Stats) float64 { return float64(s.BlockCacheMisses) }},
 		{"block_cache_evictions", func(s Stats) float64 { return float64(s.BlockCacheEvictions) }},

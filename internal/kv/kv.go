@@ -139,6 +139,13 @@ type Stats struct {
 	IORetries uint64 // transient I/O faults absorbed by retry-with-backoff
 	Degraded  uint64 // 1 once the store latched into read-only degraded mode
 
+	// The durable write path's device cost. WALSyncs over committed batches
+	// is syncs-per-commit; WALSyncNanos over wall time is the share of the
+	// run a writer spent inside the barrier.
+	WALSyncs       uint64 // durability barriers issued on the write-ahead log
+	WALSyncNanos   uint64 // total nanoseconds spent inside those barriers
+	ManifestWrites uint64 // manifest snapshots written (flush/compaction installs)
+
 	BlockCacheHits        uint64 // demand-paged block reads served from the cache
 	BlockCacheMisses      uint64 // block reads that went to the storage layer
 	BlockCacheEvictions   uint64 // blocks pushed out by the cache byte budget
@@ -190,6 +197,9 @@ func (s *Stats) MergePhysical(o Stats) {
 	s.WriteStallNanos += o.WriteStallNanos
 	s.IORetries += o.IORetries
 	s.Degraded += o.Degraded
+	s.WALSyncs += o.WALSyncs
+	s.WALSyncNanos += o.WALSyncNanos
+	s.ManifestWrites += o.ManifestWrites
 	s.BlockCacheHits += o.BlockCacheHits
 	s.BlockCacheMisses += o.BlockCacheMisses
 	s.BlockCacheEvictions += o.BlockCacheEvictions

@@ -72,6 +72,14 @@ type Config struct {
 	// window where concurrent-compaction durability bugs would live.
 	// Ignored by the flat backend.
 	CompactionWorkers int
+	// SyncLatency makes every durability barrier of the doomed run cost
+	// this long (faultfs.WithSyncLatency beneath the fault plan). The LSM
+	// syncs its WAL and writes its manifest with the version lock released;
+	// with free syncs those windows are a few instructions wide and a crash
+	// point almost never lands while another writer, a flush install or a
+	// compaction install is inside one. Stretching the barrier holds the
+	// windows open.
+	SyncLatency time.Duration
 }
 
 // op is one modelled mutation.
@@ -126,7 +134,7 @@ func Run(cfg Config, fail func(format string, args ...any)) Result {
 	// the end; both phases of the space matter.
 	plan.CrashAfterWrites = 1 + seedRng.Int63n(300)
 
-	db, err := openBackend(cfg, faultfs.Inject(mem, plan))
+	db, err := openBackend(cfg, faultfs.Inject(faultfs.WithSyncLatency(mem, cfg.SyncLatency), plan))
 	if err != nil {
 		// The crash point can land inside Open itself; with nothing
 		// acknowledged, any recoverable state is consistent.
@@ -219,7 +227,7 @@ func runSharded(cfg Config, fail func(format string, args ...any)) Result {
 	var db *shard.Router
 	children := make([]kv.Store, n)
 	for i := range children {
-		child, err := openBackend(cfg, faultfs.Inject(mems[i], plans[i]))
+		child, err := openBackend(cfg, faultfs.Inject(faultfs.WithSyncLatency(mems[i], cfg.SyncLatency), plans[i]))
 		if err != nil {
 			// The victim's crash point can land inside its Open; with
 			// nothing acknowledged anywhere, any recoverable state is

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // seedCount returns how many seeds the suite sweeps. ETHKV_CRASHTEST_SEEDS
@@ -85,6 +86,26 @@ func configFor(seed int64) Config {
 		cfg.ReadTransientProb = 0.02
 	}
 	return cfg
+}
+
+// TestCrashRecoverySyncLatencySeeds is the commit-pipeline row, over seeds
+// of its own on top of the main sweep's matrix (cache budgets and fault mixes
+// still rotate through configFor): four writers, four compaction workers,
+// and a modeled sync cost, so the crash lands while WAL syncs and manifest
+// writes — both issued with the version lock released — are in flight.
+func TestCrashRecoverySyncLatencySeeds(t *testing.T) {
+	n := seedCount(t, 60) / 5
+	for seed := int64(1301); seed < 1301+int64(n); seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%04d", seed), func(t *testing.T) {
+			t.Parallel()
+			cfg := configFor(seed)
+			cfg.Workers = 4
+			cfg.CompactionWorkers = 4
+			cfg.SyncLatency = 200 * time.Microsecond
+			Run(cfg, t.Fatalf)
+		})
+	}
 }
 
 // TestCrashRecoveryDeterministic replays single-writer seeds twice and

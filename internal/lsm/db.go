@@ -4,12 +4,22 @@
 // Architecture: writes land in a WAL and a skiplist memtable; full memtables
 // rotate into an immutable queue that background jobs flush to level-0
 // SSTables and compact into non-overlapping runs on L1+ with exponentially
-// growing level capacities — Put/Delete never block on table I/O, they only
-// stall when the flush queue is full (write-stall backpressure, counted in
-// Stats). Deletes write tombstones that survive until they compact into the
-// bottom level — exactly the cost model the paper's Finding 5 critiques. The
-// store tracks logical vs physical I/O so experiments can report write/read
-// amplification.
+// growing level capacities. Deletes write tombstones that survive until they
+// compact into the bottom level — exactly the cost model the paper's
+// Finding 5 critiques. The store tracks logical vs physical I/O so
+// experiments can report write/read amplification.
+//
+// Every mutation — Put, Delete, a batch — goes through one commit pipeline
+// (DB.commit): the WAL record is encoded before any lock is taken, appended
+// (and, for a batch, synced) under the commit mutex alone, and only then
+// applied to the memtable. Writers are serialised with each other — one
+// batch, one WAL record, one barrier; there is no cross-writer group commit —
+// but never with readers or background installs: db.mu is held exclusively
+// only to swap pointers (memtable rotation, table install), never across
+// file I/O. Writers wait for the device on their own syncs and on WAL
+// rotation, and stall when the flush queue or L0 is full (write-stall
+// backpressure, counted in Stats). DESIGN.md §18 has the lock order and the
+// durability invariants.
 //
 // Background work runs on a compaction scheduler (see maybeScheduleLocked):
 // flushes and compactions occupy separate jobs so a long merge never blocks
@@ -175,13 +185,26 @@ type flushTask struct {
 
 // DB is the LSM store. It implements kv.Store and kv.StatsProvider.
 type DB struct {
-	mu     sync.RWMutex
-	cond   *sync.Cond // signalled by the background worker; L is &mu
-	opts   Options
-	dir    string
-	fs     faultfs.FS // all durable I/O goes through this seam
-	wal    *wal       // active log, paired with mem
-	walSeq uint64     // generation of the active log
+	// commitMu is the write-pipeline mutex: Put, Delete, batch commits,
+	// Flush, Drain, CompactAll and Close hold it end to end, so exactly one
+	// of them appends to the WAL, applies to the memtable, or rotates at a
+	// time (Drain latches draining under mu first, to release a writer
+	// stalled inside). Lock order: commitMu → mu → {openMu, manifestMu}.
+	commitMu sync.Mutex
+	// mu guards the version: mem/imm/levels and the scheduler state. It is
+	// held exclusively only to swap pointers, never across file I/O.
+	mu   sync.RWMutex
+	cond *sync.Cond // signalled by the background worker; L is &mu
+	opts Options
+	dir  string
+	fs   faultfs.FS // all durable I/O goes through this seam
+	// wal is the active log, paired with mem. Guarded by commitMu alone:
+	// only the commit pipeline touches it, and it syncs with mu released.
+	wal *wal
+	// walSeq (generation of the active log), mem, memSeq and closed are
+	// written with commitMu and mu both held, so either lock suffices to
+	// read them.
+	walSeq uint64
 	mem    *memtable
 	memSeq int64 // memtable generation, perturbs the skiplist seed
 	// imm holds frozen memtables awaiting flush, oldest first. The read
@@ -237,6 +260,14 @@ type DB struct {
 	// background compaction — outside db.mu, proving readers stay live.
 	compactionHook func()
 
+	// manifestSeq numbers the manifest snapshots encoded under mu, in
+	// install order. manifestMu serialises the snapshot writes, which happen
+	// with mu released; manifestDurable (guarded by manifestMu) is the
+	// newest snapshot known to be on disk.
+	manifestSeq     uint64
+	manifestMu      sync.Mutex
+	manifestDurable uint64
+
 	// I/O counters. Atomics: Get mutates them under the read lock, which
 	// many readers hold concurrently.
 	stats dbStats
@@ -251,6 +282,8 @@ type dbStats struct {
 	flushCount                            atomic.Uint64
 	writeStalls, writeStallNanos          atomic.Uint64
 	ioRetries, degraded                   atomic.Uint64
+	walSyncs, walSyncNanos                atomic.Uint64
+	manifestWrites                        atomic.Uint64
 	bloomNegatives, bloomFalsePositives   atomic.Uint64
 	subCompactions                        atomic.Uint64
 	compactionParallelNanos               atomic.Uint64
@@ -292,7 +325,7 @@ func Open(dir string, opts Options) (*DB, error) {
 			return nil, err
 		}
 		db.walSeq = 1
-		w, err := openWAL(db.fs, db.walFile(db.walSeq), db.retryIO)
+		w, err := db.openWALGen(db.walSeq)
 		if err != nil {
 			return nil, err
 		}
@@ -336,8 +369,16 @@ func (db *DB) setDegradedLocked(err error) {
 	db.cond.Broadcast() // release stalled writers
 }
 
+// degrade is setDegradedLocked for the commit pipeline, which runs its file
+// I/O with db.mu released.
+func (db *DB) degrade(err error) {
+	db.mu.Lock()
+	db.setDegradedLocked(err)
+	db.mu.Unlock()
+}
+
 // writeGateLocked is the common admission check for Put/Delete/batch
-// commits. Called with db.mu held.
+// commits. Called with db.mu held (shared suffices).
 func (db *DB) writeGateLocked() error {
 	if db.closed {
 		return kv.ErrClosed
@@ -364,28 +405,57 @@ func (db *DB) writeTableRetrying(num uint64, level int, ents []entry) (tableMeta
 	return meta, err
 }
 
+// openWALGen opens generation seq of the log for appending, wired to the
+// store's retry policy and barrier counters.
+func (db *DB) openWALGen(seq uint64) (*wal, error) {
+	w, err := openWAL(db.fs, db.walFile(seq), db.retryIO)
+	if err != nil {
+		return nil, err
+	}
+	w.stats = &db.stats
+	return w, nil
+}
+
+// removeFile deletes path under the retry policy; an already-absent file
+// is success.
+func (db *DB) removeFile(path string) error {
+	return db.retryIO(func() error {
+		err := db.fs.Remove(path)
+		if errors.Is(err, os.ErrNotExist) {
+			return nil
+		}
+		return err
+	})
+}
+
 // recoverWALs replays every log left by the previous run into the memtable
 // (oldest generation first), synchronously flushes the recovered state to
-// L0, and deletes the stale logs.
+// L0, and deletes the stale logs. Every filesystem call runs under retryIO,
+// like its steady-state counterparts: a replay interrupted by a transient
+// fault restarts that log from the top, which is harmless because replaying
+// a prefix twice leaves the same memtable as replaying it once.
 func (db *DB) recoverWALs() error {
-	paths := []string{db.legacyWALPath()}
-	seqs, err := db.walSeqsOnDisk()
-	if err != nil {
+	var seqs []uint64
+	if err := db.retryIO(func() error {
+		var err error
+		seqs, err = db.walSeqsOnDisk()
+		return err
+	}); err != nil {
 		return err
 	}
-	for _, seq := range seqs {
-		paths = append(paths, db.walFile(seq))
-	}
+	// The replayed slices alias the record buffer; the memtable keeps what
+	// it is handed, so copy.
 	replay := func(op byte, key, value []byte) error {
 		if op == walOpDelete {
-			db.mem.del(key)
+			db.mem.del(append([]byte(nil), key...))
 		} else {
-			db.mem.put(key, value)
+			db.mem.put(append([]byte(nil), key...), append([]byte(nil), value...))
 		}
 		return nil
 	}
-	for _, p := range paths {
-		if err := replayWAL(db.fs, p, replay); err != nil {
+	for _, seq := range seqs {
+		path := db.walFile(seq)
+		if err := db.retryIO(func() error { return replayWAL(db.fs, path, replay) }); err != nil {
 			return err
 		}
 	}
@@ -400,12 +470,12 @@ func (db *DB) recoverWALs() error {
 		db.levels[0] = append(db.levels[0], meta)
 		db.memSeq++
 		db.mem = newMemtable(db.opts.Seed + db.memSeq)
-		if err := db.saveManifest(); err != nil {
+		if err := db.commitManifest(db.snapshotManifestLocked()); err != nil {
 			return err
 		}
 	}
-	for _, p := range paths {
-		if err := db.fs.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
+	for _, seq := range seqs {
+		if err := db.removeFile(db.walFile(seq)); err != nil {
 			return err
 		}
 	}
@@ -432,8 +502,7 @@ func (db *DB) walSeqsOnDisk() ([]uint64, error) {
 func (db *DB) walFile(seq uint64) string {
 	return filepath.Join(db.dir, fmt.Sprintf("wal-%06d.log", seq))
 }
-func (db *DB) legacyWALPath() string { return filepath.Join(db.dir, "wal.log") }
-func (db *DB) manifestPath() string  { return filepath.Join(db.dir, "MANIFEST") }
+func (db *DB) manifestPath() string { return filepath.Join(db.dir, "MANIFEST") }
 
 // activeWALPath returns the path of the log currently receiving records;
 // crash-recovery tests truncate it to simulate torn writes.
@@ -513,10 +582,12 @@ func (db *DB) noteDebtLocked() uint64 {
 }
 
 // runFlushJob drains the immutable memtable queue, oldest first: write L0
-// table, install, save manifest, retire the flushed WAL generation. Table
-// I/O happens with db.mu released so readers and writers proceed
-// concurrently; only the installs take the exclusive lock. One instance
-// runs at a time (db.flushing).
+// table, install, save manifest, retire the flushed WAL generation. All
+// file I/O — the table and the manifest alike — happens with db.mu released
+// so readers and writers proceed concurrently; only the install (a pointer
+// swap plus the manifest snapshot encode) takes the exclusive lock. One
+// instance runs at a time (db.flushing), and it stays in flight until the
+// manifest naming its last table is durable — what settleLocked waits for.
 func (db *DB) runFlushJob() {
 	defer db.bgWG.Done()
 	db.mu.Lock()
@@ -534,29 +605,24 @@ func (db *DB) runFlushJob() {
 		db.stats.flushCount.Add(1)
 		db.levels[0] = append(db.levels[0], meta)
 		db.imm = db.imm[1:]
-		if err := db.saveManifest(); err != nil {
+		snap := db.snapshotManifestLocked()
+		// The queue has room again: release stalled writers now, not a
+		// manifest sync later.
+		db.cond.Broadcast()
+		db.mu.Unlock()
+		err = db.commitManifest(snap)
+		if err == nil && task.walSeq != 0 {
+			// Only now — with a manifest naming the table durable — is the
+			// generation's log obsolete; until then a crash recovers the
+			// flushed writes from it. A failed removal is NOT ignorable: a
+			// stale generation would replay on the next open, so a log we
+			// cannot retire is a storage failure like any other.
+			err = db.removeFile(db.walFile(task.walSeq))
+		}
+		db.mu.Lock()
+		if err != nil {
 			db.failLocked(err)
 			break
-		}
-		db.cond.Broadcast()
-		if task.walSeq != 0 {
-			// The flushed state is durable in the SSTable; its log is
-			// obsolete. A failed removal is NOT ignorable: a stale
-			// generation would replay on the next open, so a log we
-			// cannot retire is a storage failure like any other.
-			db.mu.Unlock()
-			rerr := db.retryIO(func() error {
-				err := db.fs.Remove(db.walFile(task.walSeq))
-				if errors.Is(err, os.ErrNotExist) {
-					return nil
-				}
-				return err
-			})
-			db.mu.Lock()
-			if rerr != nil {
-				db.failLocked(rerr)
-				break
-			}
 		}
 	}
 	db.flushing = false
@@ -609,7 +675,10 @@ func (db *DB) finishCompactionLocked(id int, plan compactionPlan) {
 }
 
 // runCompactionJob executes one planned compaction on a pool goroutine:
-// merge with the lock released, then install + manifest save under db.mu.
+// merge with the lock released, install under db.mu, then save the manifest
+// with the lock released again. The job keeps its claims and its in-flight
+// count until the manifest is durable, and only then deletes its inputs: a
+// crash before that point reopens on a manifest that still names them.
 func (db *DB) runCompactionJob(id int, plan compactionPlan) {
 	defer db.bgWG.Done()
 	db.mu.Lock()
@@ -633,8 +702,15 @@ func (db *DB) runCompactionJob(id int, plan compactionPlan) {
 		return
 	}
 	obsolete := db.installCompactionLocked(plan, newMetas, readBytes)
+	snap := db.snapshotManifestLocked()
+	db.cond.Broadcast() // L0 shrank: release writers stalled on it
+	db.mu.Unlock()
+
+	err = db.commitManifest(snap)
+
+	db.mu.Lock()
 	db.finishCompactionLocked(id, plan)
-	if err := db.saveManifest(); err != nil {
+	if err != nil {
 		db.failLocked(err)
 		db.cond.Broadcast()
 		db.mu.Unlock()
@@ -652,57 +728,94 @@ func (db *DB) runCompactionJob(id int, plan compactionPlan) {
 // shutdown is bounded by the merges already running, not by the full
 // compaction debt. The latch persists: a subsequent Close settles promptly
 // and the next Open picks the remaining debt back up.
+//
+// The latch is set before queueing on commitMu: a writer parked in the L0
+// write stop holds commitMu, and draining is what releases it, so a bounded
+// shutdown does not first wait out a compaction backlog.
 func (db *DB) Drain() error {
 	db.mu.Lock()
-	defer db.mu.Unlock()
+	if !db.closed {
+		db.draining = true
+		db.cond.Broadcast()
+	}
+	db.mu.Unlock()
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
 	if db.closed {
 		return kv.ErrClosed
 	}
-	db.draining = true
-	return db.settleLocked()
+	return db.settle()
 }
 
 // Put implements kv.Writer.
 func (db *DB) Put(key, value []byte) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.writeGateLocked(); err != nil {
-		return err
-	}
-	if db.wal != nil {
-		n, err := db.wal.appendRecord(walOpPut, key, value)
-		if err != nil {
-			db.setDegradedLocked(err)
-			return err
-		}
-		db.stats.physicalBytesWrite.Add(uint64(n))
-	}
-	db.mem.put(key, value)
-	db.stats.puts.Add(1)
-	db.stats.logicalBytesWritten.Add(uint64(len(key) + len(value)))
-	return db.maybeRotateLocked()
+	op := [1]batchOp{{key: append([]byte(nil), key...), value: append([]byte(nil), value...)}}
+	return db.commit(op[:], false)
 }
 
 // Delete implements kv.Writer: it writes a tombstone.
 func (db *DB) Delete(key []byte) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.writeGateLocked(); err != nil {
+	op := [1]batchOp{{key: append([]byte(nil), key...), delete: true}}
+	return db.commit(op[:], false)
+}
+
+// commit is the one write path: every Put, Delete and batch goes through
+// it. A batch is logged as one group record and synced before it is
+// acknowledged; a single op (batch false, len(ops) == 1) is logged as a
+// plain record and stays buffered. The memtable takes ownership of the ops'
+// key and value slices, which the caller has already made private.
+//
+// The order is encode → append → sync → apply → acknowledge: the record is
+// built before any lock is taken, and a write is never visible before it is
+// durable nor acknowledged before it is visible. Only commitMu is held
+// across the file I/O: readers, flush installs and compaction installs all
+// proceed while a writer waits for the device.
+func (db *DB) commit(ops []batchOp, batch bool) error {
+	var rec []byte
+	if !db.opts.DisableWAL {
+		if batch {
+			rec = encodeGroup(ops)
+		} else {
+			rec = encodeRecord(ops[0])
+		}
+	}
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	db.mu.RLock()
+	err := db.writeGateLocked()
+	db.mu.RUnlock()
+	if err != nil {
 		return err
 	}
 	if db.wal != nil {
-		n, err := db.wal.appendRecord(walOpDelete, key, nil)
+		err := db.wal.append(rec)
+		if err == nil && batch {
+			err = db.wal.sync()
+		}
 		if err != nil {
-			db.setDegradedLocked(err)
+			db.degrade(err)
 			return err
 		}
-		db.stats.physicalBytesWrite.Add(uint64(n))
+		db.stats.physicalBytesWrite.Add(uint64(len(rec)))
 	}
-	db.mem.del(key)
-	db.stats.deletes.Add(1)
-	db.stats.tombstonesLive.Add(1)
-	db.stats.logicalBytesWritten.Add(uint64(len(key)))
-	return db.maybeRotateLocked()
+	// One memtable lock acquisition for the whole batch: a reader holds only
+	// db.mu shared, so this is what keeps a batch all-or-nothing to Get.
+	db.mem.apply(ops)
+	var puts, deletes, logical uint64
+	for _, op := range ops {
+		if op.delete {
+			deletes++
+			logical += uint64(len(op.key))
+		} else {
+			puts++
+			logical += uint64(len(op.key) + len(op.value))
+		}
+	}
+	db.stats.puts.Add(puts)
+	db.stats.deletes.Add(deletes)
+	db.stats.tombstonesLive.Add(deletes)
+	db.stats.logicalBytesWritten.Add(logical)
+	return db.maybeRotate()
 }
 
 // Get implements kv.Reader.
@@ -809,103 +922,121 @@ func (db *DB) reader(meta tableMeta) (*tableReader, error) {
 	return t, nil
 }
 
-// maybeRotateLocked rotates a full memtable into the flush queue, stalling
-// first if the queue is at capacity. Called with db.mu held.
-func (db *DB) maybeRotateLocked() error {
+// maybeRotate rotates a full memtable into the flush queue, stalling first
+// if the queue is at capacity. Called with commitMu held.
+func (db *DB) maybeRotate() error {
 	if db.mem.size() < db.opts.MemtableBytes {
 		return nil
 	}
-	if len(db.imm) >= db.opts.MaxImmutableMemtables {
-		db.stats.writeStalls.Add(1)
-		start := time.Now()
-		for len(db.imm) >= db.opts.MaxImmutableMemtables &&
-			db.bgErr == nil && db.degradedErr == nil && !db.closed {
-			db.maybeScheduleLocked()
-			db.cond.Wait()
-		}
-		db.stats.writeStallNanos.Add(uint64(time.Since(start)))
-		if db.degradedErr != nil {
-			return kv.ErrDegraded
-		}
-		if db.bgErr != nil {
-			return db.bgErr
-		}
-		if db.closed {
-			return kv.ErrClosed
-		}
+	db.mu.Lock()
+	err := db.waitForRoomLocked()
+	db.mu.Unlock()
+	if err != nil {
+		return err
 	}
+	// Only commitMu holders append to the flush queue, so the room just
+	// waited for is still there.
+	return db.rotate()
+}
+
+// waitForRoomLocked is the write-stall backpressure: it blocks until the
+// flush queue can take one more memtable, then until L0 is below its stop
+// trigger, counting one stall per cause. Flushes only shrink the queue while
+// this writer holds commitMu, so the room found first is still there after
+// the second wait. Close, Flush and CompactAll queue on commitMu behind a
+// stalled writer (background work ends the stall); Drain releases an L0 stop
+// itself. Called with db.mu held (and released while waiting).
+func (db *DB) waitForRoomLocked() error {
+	queueFull := func() bool { return len(db.imm) >= db.opts.MaxImmutableMemtables }
 	// L0 write stop: an overfull L0 means ingest has outrun compaction;
 	// stalling here bounds the debt a fast writer can defer (and keeps L0
 	// point-read fan-out bounded). Skipped while draining — shutdown
 	// suppresses the very compactions that would clear the stall.
-	if stop := db.opts.L0StallTrigger; stop > 0 && len(db.levels[0]) >= stop && !db.draining {
+	l0Full := func() bool {
+		stop := db.opts.L0StallTrigger
+		return stop > 0 && len(db.levels[0]) >= stop && !db.draining
+	}
+	for _, stalled := range [...]func() bool{queueFull, l0Full} {
+		if !stalled() {
+			continue
+		}
 		db.stats.writeStalls.Add(1)
 		start := time.Now()
-		for len(db.levels[0]) >= stop && !db.draining &&
-			db.bgErr == nil && db.degradedErr == nil && !db.closed {
+		for stalled() && db.bgErr == nil && db.degradedErr == nil {
 			db.maybeScheduleLocked()
 			db.cond.Wait()
 		}
 		db.stats.writeStallNanos.Add(uint64(time.Since(start)))
-		if db.degradedErr != nil {
-			return kv.ErrDegraded
-		}
-		if db.bgErr != nil {
-			return db.bgErr
-		}
-		if db.closed {
-			return kv.ErrClosed
+		if err := db.writeGateLocked(); err != nil {
+			return err
 		}
 	}
-	return db.rotateLocked()
+	return nil
 }
 
-// rotateLocked freezes the current memtable into the flush queue, starts a
-// fresh WAL generation for its successor, and schedules a flush job.
-func (db *DB) rotateLocked() error {
+// rotate freezes the current memtable into the flush queue, starts a fresh
+// WAL generation for its successor, and schedules a flush job. Called with
+// commitMu held and db.mu released: the log is sealed and its successor
+// opened first, and db.mu is taken only to swap the pointers.
+func (db *DB) rotate() error {
 	if db.mem.count() == 0 {
 		return nil
 	}
-	task := flushTask{mem: db.mem}
+	var next *wal
 	if db.wal != nil {
-		// close syncs first: generation N must be fully durable before
-		// generation N+1 opens, or a crash in the gap could surface
-		// later-synced writes while losing earlier ones (a hole in the
-		// op sequence, not a prefix). A failure here is a permanent loss
-		// of the write path — degrade rather than limp on with a log in
-		// an unknown state.
-		if err := db.wal.close(); err != nil {
-			db.wal = nil
-			db.setDegradedLocked(err)
-			return err
+		// close syncs first (unless the last record already was): generation
+		// N must be fully durable before generation N+1 opens, or a crash in
+		// the gap could surface later-synced writes while losing earlier ones
+		// (a hole in the op sequence, not a prefix). A failure here is a
+		// permanent loss of the write path — degrade rather than limp on
+		// with a log in an unknown state.
+		err := db.wal.close()
+		if err == nil {
+			next, err = db.openWALGen(db.walSeq + 1)
 		}
-		task.walSeq = db.walSeq
-		db.walSeq++
-		w, err := openWAL(db.fs, db.walFile(db.walSeq), db.retryIO)
 		if err != nil {
 			db.wal = nil
-			db.setDegradedLocked(err)
+			db.degrade(err)
 			return err
 		}
-		db.wal = w
+		db.wal = next
+	}
+	db.mu.Lock()
+	task := flushTask{mem: db.mem}
+	if next != nil {
+		task.walSeq = db.walSeq
+		db.walSeq++
 	}
 	db.imm = append(db.imm, task)
 	db.memSeq++
 	db.mem = newMemtable(db.opts.Seed + db.memSeq)
 	db.maybeScheduleLocked()
+	db.mu.Unlock()
 	return nil
 }
 
-// settleLocked rotates any pending writes into the flush queue and waits
-// for the scheduler to drain every flush, every in-flight job, and all due
-// compaction work. Called with db.mu held.
-func (db *DB) settleLocked() error {
-	if db.degradedErr != nil {
+// settle rotates any pending writes into the flush queue and waits for the
+// background work to drain (settleLocked). Called with commitMu held.
+func (db *DB) settle() error {
+	db.mu.RLock()
+	degraded := db.degradedErr != nil
+	db.mu.RUnlock()
+	if degraded {
 		return kv.ErrDegraded
 	}
-	if err := db.rotateLocked(); err != nil {
+	if err := db.rotate(); err != nil {
 		return err
 	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.settleLocked()
+}
+
+// settleLocked waits for the scheduler to drain every flush, every
+// in-flight job, and all due compaction work. A job stays in flight until
+// the manifest recording its install is durable, so a settled store's
+// on-disk state matches its in-memory version. Called with db.mu held.
+func (db *DB) settleLocked() error {
 	for db.bgErr == nil && db.degradedErr == nil &&
 		(len(db.imm) > 0 || db.inFlight > 0 || db.hasCompactionWorkLocked()) {
 		db.maybeScheduleLocked()
@@ -920,12 +1051,12 @@ func (db *DB) settleLocked() error {
 // Flush forces buffered writes to disk and waits for background work to
 // settle; exposed for tests and checkpoints.
 func (db *DB) Flush() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
 	if db.closed {
 		return kv.ErrClosed
 	}
-	return db.settleLocked()
+	return db.settle()
 }
 
 // unclaimedLocked reports whether no in-flight compaction owns table m.
@@ -1393,14 +1524,18 @@ func (db *DB) removeObsolete(obsolete []tableMeta) {
 // purging all droppable tombstones — the equivalent of Pebble's manual
 // whole-range compaction.
 func (db *DB) CompactAll() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
 	if db.closed {
 		return kv.ErrClosed
 	}
+	db.mu.Lock()
 	db.forceCompact = true
-	err := db.settleLocked()
+	db.mu.Unlock()
+	err := db.settle()
+	db.mu.Lock()
 	db.forceCompact = false
+	db.mu.Unlock()
 	return err
 }
 
@@ -1569,9 +1704,15 @@ func (it *errIterator) Error() error  { return it.err }
 // NewBatch implements kv.Batcher.
 func (db *DB) NewBatch() kv.Batch { return &dbBatch{db: db} }
 
-// dbBatch buffers writes and commits them under one lock acquisition with a
-// single framed WAL group record — group commit: one log emission and one
-// flush per batch, and crash recovery replays the batch all-or-nothing.
+// dbBatch buffers writes and commits them as one unit through DB.commit: a
+// single framed WAL group record and one durability barrier per batch, so
+// crash recovery replays the batch all-or-nothing, and one memtable lock
+// acquisition (memtable.apply), so a concurrent Get sees none of it or all
+// of it. Batches from different writers are not merged — each pays its own
+// barrier. Put and Delete take private copies of the caller's bytes once;
+// Write hands those same slices to the memtable, which only ever reads them,
+// so a batch may be written, replayed or reset afterwards without copying
+// again.
 type dbBatch struct {
 	db   *DB
 	ops  []batchOp
@@ -1604,33 +1745,7 @@ func (b *dbBatch) Write() error {
 	if len(b.ops) == 0 {
 		return nil
 	}
-	db := b.db
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.writeGateLocked(); err != nil {
-		return err
-	}
-	if db.wal != nil {
-		n, err := db.wal.appendGroup(b.ops)
-		if err != nil {
-			db.setDegradedLocked(err)
-			return err
-		}
-		db.stats.physicalBytesWrite.Add(uint64(n))
-	}
-	for _, op := range b.ops {
-		if op.delete {
-			db.mem.del(op.key)
-			db.stats.deletes.Add(1)
-			db.stats.tombstonesLive.Add(1)
-			db.stats.logicalBytesWritten.Add(uint64(len(op.key)))
-		} else {
-			db.mem.put(op.key, op.value)
-			db.stats.puts.Add(1)
-			db.stats.logicalBytesWritten.Add(uint64(len(op.key) + len(op.value)))
-		}
-	}
-	return db.maybeRotateLocked()
+	return b.db.commit(b.ops, true)
 }
 
 func (b *dbBatch) Reset() {
@@ -1670,6 +1785,9 @@ func (db *DB) Stats() kv.Stats {
 		WriteStalls:         db.stats.writeStalls.Load(),
 		WriteStallNanos:     db.stats.writeStallNanos.Load(),
 		IORetries:           db.stats.ioRetries.Load(),
+		WALSyncs:            db.stats.walSyncs.Load(),
+		WALSyncNanos:        db.stats.walSyncNanos.Load(),
+		ManifestWrites:      db.stats.manifestWrites.Load(),
 		Degraded:            db.stats.degraded.Load(),
 		BloomNegatives:      db.stats.bloomNegatives.Load(),
 		BloomFalsePositives: db.stats.bloomFalsePositives.Load(),
@@ -1711,12 +1829,13 @@ func (db *DB) LevelSizes() []struct {
 // Close flushes buffered writes, waits for background jobs to finish, and
 // releases resources.
 func (db *DB) Close() error {
-	db.mu.Lock()
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
 	if db.closed {
-		db.mu.Unlock()
 		return nil
 	}
-	err := db.settleLocked()
+	err := db.settle()
+	db.mu.Lock()
 	db.closed = true
 	db.cond.Broadcast()
 	db.mu.Unlock()
@@ -1742,9 +1861,18 @@ func (db *DB) Close() error {
 // Manifest format: version u32, next u64, then per table:
 // level uvarint | num uvarint | size uvarint | entries uvarint |
 // smallestLen uvarint | smallest | largestLen uvarint | largest.
-// saveManifest writes to a temp file and renames for atomicity.
+// The file is replaced by writing a temp file and renaming it over.
 
-func (db *DB) saveManifest() error {
+// manifestSnap is one encoded manifest: the version as of install seq.
+type manifestSnap struct {
+	seq  uint64
+	data []byte
+}
+
+// snapshotManifestLocked encodes the current version. Called with db.mu
+// held, right after an install, so snapshots are numbered in install order
+// and each one contains every install before it.
+func (db *DB) snapshotManifestLocked() manifestSnap {
 	var buf bytes.Buffer
 	var tmp [binary.MaxVarintLen64]byte
 	put := func(v uint64) { buf.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
@@ -1762,19 +1890,46 @@ func (db *DB) saveManifest() error {
 			buf.Write(m.largest)
 		}
 	}
+	db.manifestSeq++
+	return manifestSnap{seq: db.manifestSeq, data: buf.Bytes()}
+}
+
+// commitManifest returns once a manifest at least as new as snap is durable.
+// Called with db.mu released: the write, sync and rename happen behind
+// manifestMu only. Installers may arrive out of order; a snapshot that a
+// newer one has already superseded on disk is skipped, never written over
+// it. Until commitManifest returns, the caller must keep every file the
+// previous manifest needs — the flushed WAL generation, a compaction's
+// input tables.
+func (db *DB) commitManifest(snap manifestSnap) error {
+	db.manifestMu.Lock()
+	defer db.manifestMu.Unlock()
+	if snap.seq <= db.manifestDurable {
+		return nil
+	}
 	tmpPath := db.manifestPath() + ".tmp"
 	if err := db.retryIO(func() error {
-		return faultfs.WriteFileSync(db.fs, tmpPath, buf.Bytes())
+		return faultfs.WriteFileSync(db.fs, tmpPath, snap.data)
 	}); err != nil {
 		return err
 	}
-	return db.retryIO(func() error {
+	if err := db.retryIO(func() error {
 		return db.fs.Rename(tmpPath, db.manifestPath())
-	})
+	}); err != nil {
+		return err
+	}
+	db.manifestDurable = snap.seq
+	db.stats.manifestWrites.Add(1)
+	return nil
 }
 
 func (db *DB) loadManifest() error {
-	raw, err := db.fs.ReadFile(db.manifestPath())
+	var raw []byte
+	err := db.retryIO(func() error {
+		var err error
+		raw, err = db.fs.ReadFile(db.manifestPath())
+		return err
+	})
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}

@@ -39,7 +39,7 @@ func TestWALCloseSyncsBufferedRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.appendRecord(walOpPut, []byte("k"), []byte("v")); err != nil {
+	if err := w.append(encodeRecord(batchOp{key: []byte("k"), value: []byte("v")})); err != nil {
 		t.Fatal(err)
 	}
 	// No explicit sync: close() itself must be the durability barrier.
@@ -235,5 +235,101 @@ func TestTransientFaultsAbsorbedByRetry(t *testing.T) {
 		t.Fatal("Stats.IORetries = 0 with TransientProb = 0.25")
 	} else if s.Degraded != 0 {
 		t.Fatal("store degraded on purely transient faults")
+	}
+}
+
+// failOnceFS fails the first call of one filesystem operation with a
+// transient fault and then behaves normally: the smallest possible flaky
+// disk, aimed at a single call site.
+type failOnceFS struct {
+	faultfs.FS
+	op    string // "glob", "open", "readfile" or "remove"
+	fired bool
+}
+
+func (f *failOnceFS) fail(op, path string) error {
+	if f.op != op || f.fired {
+		return nil
+	}
+	f.fired = true
+	return &faultfs.FaultError{Op: op, Path: path, Transient: true}
+}
+
+func (f *failOnceFS) Glob(pattern string) ([]string, error) {
+	if err := f.fail("glob", pattern); err != nil {
+		return nil, err
+	}
+	return f.FS.Glob(pattern)
+}
+
+func (f *failOnceFS) Open(path string) (faultfs.File, error) {
+	if err := f.fail("open", path); err != nil {
+		return nil, err
+	}
+	return f.FS.Open(path)
+}
+
+func (f *failOnceFS) ReadFile(path string) ([]byte, error) {
+	if err := f.fail("readfile", path); err != nil {
+		return nil, err
+	}
+	return f.FS.ReadFile(path)
+}
+
+func (f *failOnceFS) Remove(path string) error {
+	if err := f.fail("remove", path); err != nil {
+		return err
+	}
+	return f.FS.Remove(path)
+}
+
+// TestRecoveryAbsorbsTransientFaults: Open's recovery calls — listing the
+// log generations, replaying one, reading the manifest, deleting a replayed
+// log — answer to the same retry policy as steady-state I/O. One transient
+// fault on any of them used to fail the whole Open.
+func TestRecoveryAbsorbsTransientFaults(t *testing.T) {
+	for _, op := range []string{"glob", "open", "readfile", "remove"} {
+		t.Run(op, func(t *testing.T) {
+			// A crashed store with a manifest, a table, and a live log.
+			m := faultfs.NewMemFS()
+			plan := faultfs.NewPlan(29)
+			db, err := Open("db", faultOpts(faultfs.Inject(m, plan)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range []string{"flushed", "logged"} {
+				b := db.NewBatch()
+				b.Put([]byte(key), []byte("v-"+key))
+				if err := b.Write(); err != nil {
+					t.Fatal(err)
+				}
+				if key == "flushed" {
+					if err := db.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			plan.TripCrash()
+			db.Close()
+			m.Crash(nil)
+
+			flaky := &failOnceFS{FS: m, op: op}
+			re, err := Open("db", faultOpts(flaky))
+			if err != nil {
+				t.Fatalf("Open with one transient %s fault: %v", op, err)
+			}
+			defer re.Close()
+			if !flaky.fired {
+				t.Fatalf("recovery never called %s", op)
+			}
+			if s := re.Stats(); s.IORetries == 0 {
+				t.Fatal("Stats.IORetries = 0: the fault was not absorbed by retryIO")
+			}
+			for _, key := range []string{"flushed", "logged"} {
+				if v, err := re.Get([]byte(key)); err != nil || string(v) != "v-"+key {
+					t.Fatalf("%s after recovery = %q, %v", key, v, err)
+				}
+			}
+		})
 	}
 }

@@ -38,18 +38,18 @@ func walBytes(f *testing.F, build func(w *wal)) []byte {
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(walBytes(f, func(w *wal) {
-		w.appendRecord(walOpPut, []byte("key"), []byte("value"))
-		w.appendRecord(walOpDelete, []byte("gone"), nil)
+		w.append(encodeRecord(batchOp{key: []byte("key"), value: []byte("value")}))
+		w.append(encodeRecord(batchOp{key: []byte("gone"), delete: true}))
 	}))
 	f.Add(walBytes(f, func(w *wal) {
-		w.appendGroup([]batchOp{
+		w.append(encodeGroup([]batchOp{
 			{key: []byte("a"), value: bytes.Repeat([]byte{1}, 300)},
 			{key: []byte("b"), delete: true},
-		})
+		}))
 	}))
 	// A record torn mid-payload and one with a flipped CRC byte.
 	whole := walBytes(f, func(w *wal) {
-		w.appendRecord(walOpPut, []byte("kk"), bytes.Repeat([]byte{2}, 64))
+		w.append(encodeRecord(batchOp{key: []byte("kk"), value: bytes.Repeat([]byte{2}, 64)}))
 	})
 	f.Add(whole[:len(whole)/2])
 	flipped := append([]byte(nil), whole...)

@@ -583,9 +583,9 @@ func TestWALRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.appendRecord(walOpPut, []byte("k1"), []byte("v1"))
-	w.appendRecord(walOpDelete, []byte("k2"), nil)
-	w.appendRecord(walOpPut, []byte("k3"), bytes.Repeat([]byte{7}, 1000))
+	w.append(encodeRecord(batchOp{key: []byte("k1"), value: []byte("v1")}))
+	w.append(encodeRecord(batchOp{key: []byte("k2"), delete: true}))
+	w.append(encodeRecord(batchOp{key: []byte("k3"), value: bytes.Repeat([]byte{7}, 1000)}))
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}

@@ -14,20 +14,30 @@ func newMemtable(seed int64) *memtable {
 	return &memtable{list: newSkiplist(seed)}
 }
 
-// put inserts a value. Copies are taken, so callers may reuse buffers.
+// put inserts a value. The memtable keeps key and value without copying:
+// callers hand over slices nothing will modify afterwards (the commit path
+// copies the caller's bytes once, before taking any lock).
 func (m *memtable) put(key, value []byte) {
-	k := append([]byte(nil), key...)
-	v := append([]byte(nil), value...)
 	m.mu.Lock()
-	m.list.set(k, v, false)
+	m.list.set(key, value, false)
 	m.mu.Unlock()
 }
 
-// del records a tombstone for key.
+// del records a tombstone for key, which it keeps like put does.
 func (m *memtable) del(key []byte) {
-	k := append([]byte(nil), key...)
 	m.mu.Lock()
-	m.list.set(k, nil, true)
+	m.list.set(key, nil, true)
+	m.mu.Unlock()
+}
+
+// apply inserts a whole batch under one lock acquisition, so a concurrent
+// get sees either none of the batch or all of it. It keeps the ops' key and
+// value slices like put does.
+func (m *memtable) apply(ops []batchOp) {
+	m.mu.Lock()
+	for _, op := range ops {
+		m.list.set(op.key, op.value, op.delete)
+	}
 	m.mu.Unlock()
 }
 

@@ -15,8 +15,12 @@ type source interface {
 	err() error
 }
 
-// memSource adapts a frozen skiplist iterator.
+// memSource adapts a skiplist iterator over a memtable that may still be
+// taking writes: the commit path inserts under the memtable's own lock, not
+// db.mu, so every step of the walk takes that lock shared. Nodes are never
+// unlinked, so the cursor stays valid between steps.
 type memSource struct {
+	mt  *memtable
 	it  *skipIterator
 	cur entry
 	ok  bool
@@ -24,20 +28,23 @@ type memSource struct {
 
 // newMemSource returns a source over mt's entries with key >= start.
 func newMemSource(mt *memtable, start []byte) *memSource {
+	s := &memSource{mt: mt, it: mt.list.iterator()}
 	mt.mu.RLock()
-	it := mt.list.iterator()
-	mt.mu.RUnlock()
-	s := &memSource{it: it}
 	if start != nil {
-		it.seekGE(start)
-		if it.valid() {
-			s.cur = entry{key: it.key(), value: it.value(), tombstone: it.tombstone()}
-			s.ok = true
-		}
-		return s
+		s.it.seekGE(start)
+	} else {
+		s.it.next()
 	}
-	s.advance()
+	s.load()
+	mt.mu.RUnlock()
 	return s
+}
+
+// load caches the entry under the cursor. Called with mt.mu held.
+func (s *memSource) load() {
+	if s.ok = s.it.valid(); s.ok {
+		s.cur = entry{key: s.it.key(), value: s.it.value(), tombstone: s.it.tombstone()}
+	}
 }
 
 func (s *memSource) peek() (entry, bool) { return s.cur, s.ok }
@@ -46,12 +53,10 @@ func (s *memSource) peek() (entry, bool) { return s.cur, s.ok }
 func (s *memSource) err() error { return nil }
 
 func (s *memSource) advance() {
-	if s.it.next() {
-		s.cur = entry{key: s.it.key(), value: s.it.value(), tombstone: s.it.tombstone()}
-		s.ok = true
-	} else {
-		s.ok = false
-	}
+	s.mt.mu.RLock()
+	s.it.next()
+	s.load()
+	s.mt.mu.RUnlock()
 }
 
 // tableSource adapts a tableIterator.

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"time"
 
 	"ethkv/internal/faultfs"
 )
@@ -36,6 +37,9 @@ const (
 	// walFlushThreshold bounds the record buffer before it is written
 	// through to the file.
 	walFlushThreshold = 1 << 16
+
+	// walHeaderLen is the crc32 + payloadLen prefix of every record.
+	walHeaderLen = 8
 )
 
 // errWALCorrupt marks a record that fails its checksum; replay treats it as
@@ -55,8 +59,14 @@ type retryFn func(op func() error) error
 type wal struct {
 	f     faultfs.File
 	buf   []byte // records not yet written to f
-	len   int64
 	retry retryFn
+	// dirty is set by every append and cleared by a successful sync: a
+	// clean log holds nothing a barrier could make more durable, so sync
+	// and close skip the device round trip.
+	dirty bool
+	// stats receives the barrier counters (WALSyncs/WALSyncNanos); nil in
+	// unit tests that build a bare log.
+	stats *dbStats
 }
 
 // openWAL opens (creating if needed) the log at path for appending.
@@ -69,73 +79,66 @@ func openWAL(fsys faultfs.FS, path string, retry retryFn) (*wal, error) {
 	}); err != nil {
 		return nil, err
 	}
-	size, err := f.Size()
-	if err != nil {
-		f.Close()
-		return nil, err
+	return &wal{f: f, retry: retry}, nil
+}
+
+// appendOp encodes one put/delete onto rec.
+func appendOp(rec []byte, op batchOp) []byte {
+	if op.delete {
+		rec = append(rec, walOpDelete)
+	} else {
+		rec = append(rec, walOpPut)
 	}
-	return &wal{f: f, retry: retry, len: size}, nil
-}
-
-// appendOp encodes one put/delete into payload.
-func appendOp(payload []byte, op byte, key, value []byte) []byte {
-	payload = append(payload, op)
-	payload = binary.AppendUvarint(payload, uint64(len(key)))
-	payload = append(payload, key...)
-	if op == walOpPut {
-		payload = binary.AppendUvarint(payload, uint64(len(value)))
-		payload = append(payload, value...)
+	rec = binary.AppendUvarint(rec, uint64(len(op.key)))
+	rec = append(rec, op.key...)
+	if !op.delete {
+		rec = binary.AppendUvarint(rec, uint64(len(op.value)))
+		rec = append(rec, op.value...)
 	}
-	return payload
+	return rec
 }
 
-// appendRecord writes one put/delete record. Returns bytes appended.
-func (l *wal) appendRecord(op byte, key, value []byte) (int, error) {
-	payload := make([]byte, 0, 1+2*binary.MaxVarintLen64+len(key)+len(value))
-	payload = appendOp(payload, op, key, value)
-	return l.appendPayload(payload)
+// frameRecord fills in the header reserved at the front of rec — checksum
+// and length of the payload that follows it — and returns rec.
+func frameRecord(rec []byte) []byte {
+	payload := rec[walHeaderLen:]
+	binary.LittleEndian.PutUint32(rec[0:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(rec[4:], uint32(len(payload)))
+	return rec
 }
 
-// appendGroup writes one batch as a single framed group record and syncs
-// the log — group commit: one WAL emission and one durability barrier per
-// batch instead of one per op. Returns bytes appended.
-func (l *wal) appendGroup(ops []batchOp) (int, error) {
-	size := 1 + binary.MaxVarintLen64
+// encodeRecord returns the framed log record of one put/delete. Encoding
+// needs no log state, so writers do it before taking any lock.
+func encodeRecord(op batchOp) []byte {
+	rec := make([]byte, walHeaderLen, walHeaderLen+1+2*binary.MaxVarintLen64+len(op.key)+len(op.value))
+	return frameRecord(appendOp(rec, op))
+}
+
+// encodeGroup returns the framed group record of one batch: a single
+// checksum over every op, so recovery replays the batch all-or-nothing.
+func encodeGroup(ops []batchOp) []byte {
+	size := walHeaderLen + 1 + binary.MaxVarintLen64
 	for _, op := range ops {
 		size += 1 + 2*binary.MaxVarintLen64 + len(op.key) + len(op.value)
 	}
-	payload := make([]byte, 0, size)
-	payload = append(payload, walOpGroup)
-	payload = binary.AppendUvarint(payload, uint64(len(ops)))
+	rec := make([]byte, walHeaderLen, size)
+	rec = append(rec, walOpGroup)
+	rec = binary.AppendUvarint(rec, uint64(len(ops)))
 	for _, op := range ops {
-		if op.delete {
-			payload = appendOp(payload, walOpDelete, op.key, nil)
-		} else {
-			payload = appendOp(payload, walOpPut, op.key, op.value)
-		}
+		rec = appendOp(rec, op)
 	}
-	n, err := l.appendPayload(payload)
-	if err != nil {
-		return n, err
-	}
-	return n, l.sync()
+	return frameRecord(rec)
 }
 
-// appendPayload frames payload with its checksum and length.
-func (l *wal) appendPayload(payload []byte) (int, error) {
-	var head [8]byte
-	binary.LittleEndian.PutUint32(head[0:], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint32(head[4:], uint32(len(payload)))
-	l.buf = append(l.buf, head[:]...)
-	l.buf = append(l.buf, payload...)
-	n := len(head) + len(payload)
-	l.len += int64(n)
+// append buffers one framed record (encodeRecord/encodeGroup). It is not
+// durable until the next sync.
+func (l *wal) append(rec []byte) error {
+	l.buf = append(l.buf, rec...)
+	l.dirty = true
 	if len(l.buf) >= walFlushThreshold {
-		if err := l.flushBuf(); err != nil {
-			return 0, err
-		}
+		return l.flushBuf()
 	}
-	return n, nil
+	return nil
 }
 
 // flushBuf writes the buffered records through to the file. Only a
@@ -157,12 +160,25 @@ func (l *wal) flushBuf() error {
 
 // sync is the durability barrier: buffered records are written through and
 // the file is synced. Records appended before a successful sync survive a
-// crash.
+// crash. A log with nothing appended since its last successful sync is
+// already durable and issues no barrier.
 func (l *wal) sync() error {
+	if !l.dirty {
+		return nil
+	}
 	if err := l.flushBuf(); err != nil {
 		return err
 	}
-	return l.retry(l.f.Sync)
+	start := time.Now()
+	err := l.retry(l.f.Sync)
+	if l.stats != nil {
+		l.stats.walSyncs.Add(1)
+		l.stats.walSyncNanos.Add(uint64(time.Since(start)))
+	}
+	if err == nil {
+		l.dirty = false
+	}
+	return err
 }
 
 // close makes the log durable and closes it. The sync-before-close is
@@ -177,9 +193,6 @@ func (l *wal) close() error {
 	}
 	return err
 }
-
-// size returns the logical length of the log in bytes.
-func (l *wal) size() int64 { return l.len }
 
 // replayWAL streams the durable records of the log at path into apply.
 func replayWAL(fsys faultfs.FS, path string, apply func(op byte, key, value []byte) error) error {
