@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-diff bench-rig bench-repo check crashtest fuzz vet fmt repro artifacts obs-smoke cache-smoke flat-smoke serve-smoke shard-smoke policy-smoke compact-smoke clean
+.PHONY: all build test race bench bench-rig bench-repo check crashtest determinism fuzz vet fmt repro artifacts obs-smoke cache-smoke flat-smoke serve-smoke shard-smoke policy-smoke compact-smoke clean
 
 all: build test
 
@@ -20,9 +20,10 @@ race:
 # race detector (the parallel analysis engine and the lock-free metrics in
 # internal/obs must stay race-clean — `race` covers ./... including
 # internal/obs and the kv.Instrument decorator), a wide crash-recovery
-# sweep, the end-to-end network serving smoke, and the repo benchmark's own
-# vet + tests (a nested module `./...` never enters).
-check: build vet race crashtest bench-rig serve-smoke shard-smoke policy-smoke compact-smoke
+# sweep, the LSM byte-identity and crash-determinism suites repeated, the
+# end-to-end network serving smoke, and the repo benchmark's own vet + tests
+# (a nested module `./...` never enters).
+check: build vet race crashtest determinism bench-rig serve-smoke shard-smoke policy-smoke compact-smoke
 
 # Crash-recovery fault injection: hundreds of seeded workload/crash-point
 # replays through the injectable VFS, verified against an in-memory model.
@@ -31,22 +32,16 @@ check: build vet race crashtest bench-rig serve-smoke shard-smoke policy-smoke c
 crashtest:
 	ETHKV_CRASHTEST_SEEDS=200 $(GO) test -race -run TestCrashRecovery ./internal/lsm/crashtest/
 
+# The suites that pin what background work may never change — sub-compaction
+# and worker-width byte identity, crash fingerprints — repeated under the race
+# detector: a scheduling-dependent divergence shows up in one run of twenty,
+# not in one.
+determinism:
+	$(GO) test -race -count=20 -run 'TestSubCompactionEquivalence|TestCompactionWorkerInvariance|TestCrashRecovery.*Deterministic' ./internal/lsm/...
+
 # Regenerate every table and figure once (E1-E13 of DESIGN.md).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run=NONE .
-
-# Machine-readable benchmark snapshot: runs the paper benchmarks once and
-# writes ns/op, B/op, allocs/op, and the custom metrics (latency
-# percentiles, served-ops/s, shard-scaling ops/s, policy-replay ops/s,
-# compaction-parallelism put op/s) to BENCH_10.json. (BENCH_1..BENCH_9 are
-# earlier snapshots; bench-diff compares across.)
-bench-json:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run=NONE . | $(GO) run ./cmd/benchjson -out BENCH_10.json
-
-# Per-benchmark ns/op movement between the recorded snapshots, including
-# latency-percentile delta rows for benchmarks that report them.
-bench-diff:
-	$(GO) run ./cmd/benchjson -diff BENCH_9.json BENCH_10.json
 
 # The repo benchmark (BENCHMARK.json, benchmark/) is its own Go module, so
 # `go vet ./...` and `go test ./...` at the root skip it; this keeps the rig

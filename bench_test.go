@@ -457,8 +457,7 @@ func BenchmarkPipelineImport(b *testing.B) {
 // BenchmarkStoreOpLatency replays the measured workload against the
 // instrumented LSM and reports per-op latency percentiles — the numbers the
 // paper's storage-design argument turns on (read cost under compaction,
-// write cost under stalls). The percentile units land in BENCH_4.json via
-// benchjson, which diffs any `*-p*-ns` metric across snapshots.
+// write cost under stalls), as `*-p*-ns` custom metrics.
 func BenchmarkStoreOpLatency(b *testing.B) {
 	bare, _ := sharedRuns(b)
 	var snap obs.Snapshot
@@ -830,7 +829,7 @@ func BenchmarkColdScan(b *testing.B) {
 // through the LSM and the flat store head-to-head — the workload-driven
 // comparison the paper's storage argument calls for (§V): same ops, same
 // order, different storage design. Amplification and physical-read counts
-// land in the benchmark metrics for bench-diff.
+// are reported as benchmark metrics.
 func BenchmarkReplayBackends(b *testing.B) {
 	bare, cached := sharedRuns(b)
 	for _, tr := range []struct {

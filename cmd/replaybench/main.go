@@ -202,8 +202,11 @@ func main() {
 		}
 		return 100 * float64(nanos) / float64(elapsed.Nanoseconds())
 	}
-	fmt.Printf("write stalls: %d (%.1f%% of wall time stalled)   compaction debt peak: %.1f MiB\n",
-		st.WriteStalls, wallShare(st.WriteStallNanos), float64(st.CompactionDebtPeak)/(1<<20))
+	fmt.Printf("write stalls: %d (%.1f%% of wall time stalled: %.1f%% flush queue, %.1f%% L0 stop; flush jobs %.1f%% in table writes, %.1f%% in manifest commits)   compaction debt peak: %.1f MiB\n",
+		st.WriteStalls, wallShare(st.WriteStallNanos),
+		wallShare(st.WriteStallQueueNanos), wallShare(st.WriteStallL0Nanos),
+		wallShare(st.FlushTableNanos), wallShare(st.ManifestNanos),
+		float64(st.CompactionDebtPeak)/(1<<20))
 	fmt.Printf("compaction concurrency: max %d in flight, %d sub-compactions, %.2fs with >=2 overlapped\n",
 		st.MaxConcurrentCompactions, st.SubCompactions,
 		time.Duration(st.CompactionParallelNanos).Seconds())

@@ -176,6 +176,10 @@ func RegisterStatsMetrics(r *obs.Registry, sp StatsProvider, labels ...string) {
 		{"flushes", func(s Stats) float64 { return float64(s.FlushCount) }},
 		{"write_stalls", func(s Stats) float64 { return float64(s.WriteStalls) }},
 		{"write_stall_nanos", func(s Stats) float64 { return float64(s.WriteStallNanos) }},
+		{"write_stall_queue_nanos", func(s Stats) float64 { return float64(s.WriteStallQueueNanos) }},
+		{"write_stall_l0_nanos", func(s Stats) float64 { return float64(s.WriteStallL0Nanos) }},
+		{"flush_table_nanos", func(s Stats) float64 { return float64(s.FlushTableNanos) }},
+		{"manifest_nanos", func(s Stats) float64 { return float64(s.ManifestNanos) }},
 		{"io_retries", func(s Stats) float64 { return float64(s.IORetries) }},
 		{"degraded", func(s Stats) float64 { return float64(s.Degraded) }},
 		{"wal_syncs", func(s Stats) float64 { return float64(s.WALSyncs) }},

@@ -133,8 +133,16 @@ type Stats struct {
 	TombstonesLive  uint64 // tombstones not yet purged by compaction
 
 	FlushCount      uint64 // memtable flushes to the storage layer
-	WriteStalls     uint64 // writes that blocked on backpressure (full flush queue)
+	WriteStalls     uint64 // writes that blocked on backpressure (full flush queue or L0 stop, one count per cause)
 	WriteStallNanos uint64 // total nanoseconds writers spent stalled
+	// WriteStallNanos by cause (the two sum to it), and where the flush job
+	// a queue-stalled writer waits for spends its time: writing the L0 table,
+	// and waiting for the manifest that names it to be durable (which queues
+	// behind compactions' manifest writes).
+	WriteStallQueueNanos uint64 // stalled on a full flush queue
+	WriteStallL0Nanos    uint64 // stalled on the L0 stop trigger
+	FlushTableNanos      uint64 // flush jobs: nanoseconds writing L0 tables
+	ManifestNanos        uint64 // flush jobs: nanoseconds committing the manifest
 
 	IORetries uint64 // transient I/O faults absorbed by retry-with-backoff
 	Degraded  uint64 // 1 once the store latched into read-only degraded mode
@@ -195,6 +203,10 @@ func (s *Stats) MergePhysical(o Stats) {
 	s.FlushCount += o.FlushCount
 	s.WriteStalls += o.WriteStalls
 	s.WriteStallNanos += o.WriteStallNanos
+	s.WriteStallQueueNanos += o.WriteStallQueueNanos
+	s.WriteStallL0Nanos += o.WriteStallL0Nanos
+	s.FlushTableNanos += o.FlushTableNanos
+	s.ManifestNanos += o.ManifestNanos
 	s.IORetries += o.IORetries
 	s.Degraded += o.Degraded
 	s.WALSyncs += o.WALSyncs

@@ -1,6 +1,10 @@
 package lsm
 
-import "ethkv/internal/keccak"
+import (
+	"encoding/binary"
+
+	"ethkv/internal/keccak"
+)
 
 // bloomFilter is a fixed-width Bloom filter attached to each SSTable to
 // short-circuit point lookups for absent keys. We use ~10 bits per key and
@@ -20,18 +24,16 @@ type bloomFilter struct {
 // bloomBitsPerKey controls the filter size; 10 gives ~1% false positives.
 const bloomBitsPerKey = 10
 
-// newBloomFilter sizes a filter for n expected keys. fast selects the
-// table format's probe hash and must match the format the filter is
-// serialized into.
-func newBloomFilter(n int, fast bool) *bloomFilter {
-	if n < 1 {
-		n = 1
-	}
+// bloomProbes is k, the probes per key (m/n * ln2 at 10 bits per key).
+const bloomProbes = 7
+
+// bloomBytes is the filter size for a table of n keys.
+func bloomBytes(n int) int {
 	nbits := n * bloomBitsPerKey
 	if nbits < 64 {
 		nbits = 64
 	}
-	return &bloomFilter{bits: make([]byte, (nbits+7)/8), k: 7, fast: fast}
+	return (nbits + 7) / 8
 }
 
 // bloomFromBytes wraps a serialized filter (as written by the sstable
@@ -58,22 +60,19 @@ func fastHash64(key []byte) uint64 {
 	return h
 }
 
-// hashPair derives two independent 32-bit hashes for double hashing,
-// using the filter's versioned probe hash.
-func (f *bloomFilter) hashPair(key []byte) (uint32, uint32) {
-	if f.fast {
-		h := fastHash64(key)
-		return uint32(h), uint32(h >> 32)
+// bloomHash is the table format's 64-bit probe hash of key: the low and high
+// halves are the two hashes of the double-hashing probe sequence.
+func bloomHash(key []byte, fast bool) uint64 {
+	if fast {
+		return fastHash64(key)
 	}
 	d := keccak.Hash256(key)
-	h1 := uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24
-	h2 := uint32(d[4]) | uint32(d[5])<<8 | uint32(d[6])<<16 | uint32(d[7])<<24
-	return h1, h2
+	return binary.LittleEndian.Uint64(d[:8])
 }
 
-// add inserts key into the filter.
-func (f *bloomFilter) add(key []byte) {
-	h1, h2 := f.hashPair(key)
+// addHash inserts the key whose bloomHash is h.
+func (f *bloomFilter) addHash(h uint64) {
+	h1, h2 := uint32(h), uint32(h>>32)
 	nbits := uint32(len(f.bits) * 8)
 	for i := 0; i < f.k; i++ {
 		pos := (h1 + uint32(i)*h2) % nbits
@@ -87,7 +86,8 @@ func (f *bloomFilter) mayContain(key []byte) bool {
 	if len(f.bits) == 0 {
 		return true
 	}
-	h1, h2 := f.hashPair(key)
+	h := bloomHash(key, f.fast)
+	h1, h2 := uint32(h), uint32(h>>32)
 	nbits := uint32(len(f.bits) * 8)
 	for i := 0; i < f.k; i++ {
 		pos := (h1 + uint32(i)*h2) % nbits

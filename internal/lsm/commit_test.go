@@ -511,7 +511,20 @@ func TestWriteStallsCountedPerCause(t *testing.T) {
 	if err := <-writer; err != nil {
 		t.Fatal(err)
 	}
-	if n := db.Stats().WriteStalls; n != 2 {
-		t.Fatalf("WriteStalls = %d, want 2", n)
+	st := db.Stats()
+	if st.WriteStalls != 2 {
+		t.Fatalf("WriteStalls = %d, want 2", st.WriteStalls)
+	}
+	// Each stall's time lands under its own cause, and the causes add up to
+	// the total; the flush job the first stall waited for reports where its
+	// time went.
+	if st.WriteStallQueueNanos == 0 || st.WriteStallL0Nanos == 0 ||
+		st.WriteStallQueueNanos+st.WriteStallL0Nanos != st.WriteStallNanos {
+		t.Fatalf("stall time: queue %d + L0 %d, total %d: want both nonzero and summing to the total",
+			st.WriteStallQueueNanos, st.WriteStallL0Nanos, st.WriteStallNanos)
+	}
+	if st.FlushTableNanos == 0 || st.ManifestNanos == 0 {
+		t.Fatalf("flush job time: table %d ns, manifest %d ns, want both nonzero",
+			st.FlushTableNanos, st.ManifestNanos)
 	}
 }

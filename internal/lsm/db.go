@@ -27,6 +27,20 @@
 // with per-table claims, large merges split into key-range sub-compactions,
 // and all jobs draw goroutines from a compaction.Pool that may be shared
 // across DB instances for a process-wide concurrency budget.
+//
+// Both kinds of job write tables through one streaming path: a flush walks
+// the frozen memtable's skiplist, a compaction pulls from a heap-ordered
+// mergeIterator over table sources reading through recycled readahead
+// buffers, and either feeds a tableWriter that encodes each entry once into
+// a pooled table image and writes it with a single create/write/sync/close.
+// Nothing materialises the entries in between — the background jobs share
+// the machine's cores with the writer, and every copy and allocation they
+// made was time the writer spent stalled (DESIGN.md §19).
+//
+// Files: db.go (options, commit pipeline, scheduler, read path, manifest),
+// compaction.go (planning, merge execution, install), tablewriter.go and
+// sstable.go (table format, writer, reader, iterator), merge.go (sources and
+// the k-way merge), memtable.go/skiplist.go, wal.go, blockcache.go.
 package lsm
 
 import (
@@ -280,7 +294,10 @@ type dbStats struct {
 	physicalBytesRead, physicalBytesWrite atomic.Uint64
 	compactionCount, tombstonesLive       atomic.Uint64
 	flushCount                            atomic.Uint64
-	writeStalls, writeStallNanos          atomic.Uint64
+	writeStalls                           atomic.Uint64
+	writeStallQueueNanos                  atomic.Uint64 // stalled on a full flush queue
+	writeStallL0Nanos                     atomic.Uint64 // stalled on the L0 stop trigger
+	flushTableNanos, manifestNanos        atomic.Uint64 // flush job: table write, manifest commit
 	ioRetries, degraded                   atomic.Uint64
 	walSyncs, walSyncNanos                atomic.Uint64
 	manifestWrites                        atomic.Uint64
@@ -392,17 +409,19 @@ func (db *DB) writeGateLocked() error {
 	return nil
 }
 
-// writeTableRetrying persists one SSTable with the retry policy applied to
-// the whole create-write-sync-close sequence (a failed attempt leaves no
-// partial durable state to clean up: Create truncates).
-func (db *DB) writeTableRetrying(num uint64, level int, ents []entry) (tableMeta, error) {
-	var meta tableMeta
-	err := db.retryIO(func() error {
-		var err error
-		meta, err = writeTable(db.fs, db.dir, num, level, ents)
-		return err
-	})
-	return meta, err
+// newTableWriter returns a writer for current-format tables on level, wired
+// to the store's filesystem and retry policy. dataBytes pre-sizes the image.
+func (db *DB) newTableWriter(level, dataBytes int) *tableWriter {
+	return newTableWriter(db.fs, db.dir, db.retryIO, level, tableFormatV2, dataBytes)
+}
+
+// flushMemtable writes every entry of mem, tombstones included, as L0 table
+// num. mem must no longer take writes.
+func (db *DB) flushMemtable(num uint64, mem *memtable) (tableMeta, error) {
+	w := db.newTableWriter(0, mem.size())
+	defer w.release()
+	mem.writeTo(w)
+	return w.finish(num)
 }
 
 // openWALGen opens generation seq of the log for appending, wired to the
@@ -461,7 +480,7 @@ func (db *DB) recoverWALs() error {
 	}
 	if db.mem.count() > 0 {
 		num := db.next.Add(1) - 1
-		meta, err := db.writeTableRetrying(num, 0, db.mem.entries())
+		meta, err := db.flushMemtable(num, db.mem)
 		if err != nil {
 			return err
 		}
@@ -595,7 +614,9 @@ func (db *DB) runFlushJob() {
 		task := db.imm[0]
 		num := db.next.Add(1) - 1
 		db.mu.Unlock()
-		meta, err := db.writeTableRetrying(num, 0, task.mem.entries())
+		start := time.Now()
+		meta, err := db.flushMemtable(num, task.mem)
+		db.stats.flushTableNanos.Add(uint64(time.Since(start)))
 		db.mu.Lock()
 		if err != nil {
 			db.failLocked(err)
@@ -610,7 +631,9 @@ func (db *DB) runFlushJob() {
 		// manifest sync later.
 		db.cond.Broadcast()
 		db.mu.Unlock()
+		start = time.Now()
 		err = db.commitManifest(snap)
+		db.stats.manifestNanos.Add(uint64(time.Since(start)))
 		if err == nil && task.walSeq != 0 {
 			// Only now — with a manifest naming the table durable — is the
 			// generation's log obsolete; until then a crash recovers the
@@ -956,17 +979,20 @@ func (db *DB) waitForRoomLocked() error {
 		stop := db.opts.L0StallTrigger
 		return stop > 0 && len(db.levels[0]) >= stop && !db.draining
 	}
-	for _, stalled := range [...]func() bool{queueFull, l0Full} {
-		if !stalled() {
+	for _, cause := range [...]struct {
+		stalled func() bool
+		nanos   *atomic.Uint64
+	}{{queueFull, &db.stats.writeStallQueueNanos}, {l0Full, &db.stats.writeStallL0Nanos}} {
+		if !cause.stalled() {
 			continue
 		}
 		db.stats.writeStalls.Add(1)
 		start := time.Now()
-		for stalled() && db.bgErr == nil && db.degradedErr == nil {
+		for cause.stalled() && db.bgErr == nil && db.degradedErr == nil {
 			db.maybeScheduleLocked()
 			db.cond.Wait()
 		}
-		db.stats.writeStallNanos.Add(uint64(time.Since(start)))
+		cause.nanos.Add(uint64(time.Since(start)))
 		if err := db.writeGateLocked(); err != nil {
 			return err
 		}
@@ -1104,420 +1130,6 @@ func (db *DB) hasCompactionWorkLocked() bool {
 		}
 	}
 	return false
-}
-
-// compactionPlan captures, under db.mu, everything a merge needs so the
-// merge itself can run with the lock released. The planned tables are
-// claimed until the job finishes, so no other job mutates or re-reads them
-// underneath the merge.
-type compactionPlan struct {
-	level, dst     int
-	srcMetas       []tableMeta // source-level tables joining the merge
-	dstIn          []tableMeta // destination tables joining the merge
-	lo, hi         []byte      // key span of srcMetas + dstIn (admission range)
-	dropTombstones bool
-}
-
-// maxCompactionSrcBytes bounds one job's source-run size (in units of
-// CompactionTableBytes) so an overflowing level drains in several
-// range-disjoint jobs that can proceed in parallel rather than one
-// monolithic merge.
-const maxCompactionSrcTables = 8
-
-// planNextCompactionLocked finds the next admissible compaction, scanning
-// levels most-urgent-first (L0, then shallow to deep).
-func (db *DB) planNextCompactionLocked() (compactionPlan, bool) {
-	for level := 0; level < len(db.levels)-1; level++ {
-		if !db.levelNeedsCompactionLocked(level) {
-			continue
-		}
-		if plan, ok := db.tryPlanLevelLocked(level); ok {
-			return plan, true
-		}
-	}
-	return compactionPlan{}, false
-}
-
-// tryPlanLevelLocked prepares a merge of (part of) level into level+1,
-// subject to the concurrency admission rules:
-//
-//   - Source tables must be unclaimed. L0 jobs take every unclaimed L0
-//     table (keeping recency order); Ln jobs take the first contiguous run
-//     of unclaimed tables, capped at maxCompactionSrcTables times the
-//     output table size.
-//   - Every destination table overlapping the source span must be
-//     unclaimed; they join the merge (dstIn).
-//   - Disjointness rule: the job's key span (sources + dstIn) must not
-//     overlap the span of any in-flight job that shares a level with it.
-//     Jobs on disjoint level pairs may overlap in keyspace; jobs touching a
-//     common level must be range-disjoint, which keeps installs commutative
-//     and prevents a deeper merge from re-exposing keys whose tombstones a
-//     shallower merge is concurrently dropping.
-func (db *DB) tryPlanLevelLocked(level int) (compactionPlan, bool) {
-	dst := level + 1
-	if dst >= len(db.levels) {
-		return compactionPlan{}, false
-	}
-	var src []tableMeta
-	if level == 0 {
-		for _, m := range db.levels[0] {
-			if db.unclaimedLocked(m) {
-				src = append(src, m)
-			}
-		}
-	} else {
-		maxBytes := int64(db.opts.CompactionTableBytes) * maxCompactionSrcTables
-		var run []tableMeta
-		var runBytes int64
-		for _, m := range db.levels[level] {
-			if !db.unclaimedLocked(m) {
-				if len(run) > 0 {
-					break
-				}
-				continue
-			}
-			run = append(run, m)
-			runBytes += m.size
-			if runBytes >= maxBytes {
-				break
-			}
-		}
-		src = run
-	}
-	if len(src) == 0 {
-		return compactionPlan{}, false
-	}
-	// Key span of the sources.
-	lo := src[0].smallest
-	hi := src[0].largest
-	for _, m := range src[1:] {
-		if bytes.Compare(m.smallest, lo) < 0 {
-			lo = m.smallest
-		}
-		if bytes.Compare(m.largest, hi) > 0 {
-			hi = m.largest
-		}
-	}
-	// Destination tables overlapping the source span join the merge; a
-	// claimed one means another job owns part of our key range on dst.
-	var dstIn []tableMeta
-	for _, m := range db.levels[dst] {
-		if bytes.Compare(m.largest, lo) < 0 || bytes.Compare(m.smallest, hi) > 0 {
-			continue
-		}
-		if !db.unclaimedLocked(m) {
-			return compactionPlan{}, false
-		}
-		dstIn = append(dstIn, m)
-		if bytes.Compare(m.smallest, lo) < 0 {
-			lo = m.smallest
-		}
-		if bytes.Compare(m.largest, hi) > 0 {
-			hi = m.largest
-		}
-	}
-	// Disjointness against every in-flight job sharing a level.
-	for _, j := range db.jobs {
-		sharesLevel := j.level == level || j.level == dst || j.dst == level || j.dst == dst
-		if sharesLevel && bytes.Compare(j.lo, hi) <= 0 && bytes.Compare(lo, j.hi) <= 0 {
-			return compactionPlan{}, false
-		}
-	}
-	return compactionPlan{
-		level:          level,
-		dst:            dst,
-		srcMetas:       src,
-		dstIn:          dstIn,
-		lo:             append([]byte(nil), lo...),
-		hi:             append([]byte(nil), hi...),
-		dropTombstones: db.bottomMostLocked(dst, lo, hi),
-	}, true
-}
-
-// runCompaction merges the planned tables into new non-overlapping tables
-// on the destination level. Runs WITHOUT db.mu: reads and writes proceed
-// concurrently with the merge I/O. Compacting into the bottom level drops
-// tombstones.
-//
-// Large inputs split into key-range sub-compactions. The split boundaries
-// are a pure function of the plan (subCompactionBounds), and every range
-// merge is independent and deterministic, so the concatenated outputs are
-// byte-for-byte identical whether the ranges run on one goroutine or many —
-// only the file numbers (assigned at write time) differ. The ranges fan out
-// across at most Options.CompactionWorkers goroutines.
-func (db *DB) runCompaction(plan compactionPlan, hook func()) (newMetas []tableMeta, readBytes int64, err error) {
-	if hook != nil {
-		hook()
-	}
-	bounds := db.subCompactionBounds(plan)
-	if len(bounds) == 0 {
-		return db.compactRange(plan, nil, nil)
-	}
-	ranges := len(bounds) + 1
-	db.stats.subCompactions.Add(uint64(ranges))
-	type rangeResult struct {
-		metas []tableMeta
-		read  int64
-		err   error
-	}
-	results := make([]rangeResult, ranges)
-	workers := db.opts.CompactionWorkers
-	if workers > ranges {
-		workers = ranges
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < ranges; i++ {
-		var lo, hi []byte
-		if i > 0 {
-			lo = bounds[i-1]
-		}
-		if i < len(bounds) {
-			hi = bounds[i]
-		}
-		wg.Add(1)
-		go func(i int, lo, hi []byte) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			r := &results[i]
-			r.metas, r.read, r.err = db.compactRange(plan, lo, hi)
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	for _, r := range results {
-		if r.err != nil {
-			return nil, 0, r.err
-		}
-		newMetas = append(newMetas, r.metas...)
-		readBytes += r.read
-	}
-	return newMetas, readBytes, nil
-}
-
-// subCompactionBounds returns the interior key boundaries splitting plan
-// into sub-compaction ranges: range i covers [bounds[i-1], bounds[i])
-// (unbounded at the ends). Empty means run unsplit. Boundaries are drawn
-// from the input tables' smallest keys — deterministic plan metadata —
-// never from worker count or timing.
-func (db *DB) subCompactionBounds(plan compactionPlan) [][]byte {
-	const maxSubCompactions = 16
-	span := db.opts.SubCompactionBytes
-	if span <= 0 {
-		return nil
-	}
-	inputs := make([]tableMeta, 0, len(plan.srcMetas)+len(plan.dstIn))
-	inputs = append(inputs, plan.srcMetas...)
-	inputs = append(inputs, plan.dstIn...)
-	var total int64
-	for _, m := range inputs {
-		total += m.size
-	}
-	want := int(total / span)
-	if want <= 1 {
-		return nil
-	}
-	if want > maxSubCompactions {
-		want = maxSubCompactions
-	}
-	// Candidate boundaries: distinct table start keys past the global
-	// minimum (a boundary at the minimum would make the first range empty).
-	starts := make([][]byte, 0, len(inputs))
-	for _, m := range inputs {
-		starts = append(starts, m.smallest)
-	}
-	sort.Slice(starts, func(i, j int) bool { return bytes.Compare(starts[i], starts[j]) < 0 })
-	var cands [][]byte
-	for i := 1; i < len(starts); i++ {
-		if !bytes.Equal(starts[i], starts[i-1]) {
-			cands = append(cands, starts[i])
-		}
-	}
-	if len(cands) == 0 {
-		return nil
-	}
-	if want > len(cands)+1 {
-		want = len(cands) + 1
-	}
-	// want ranges need want-1 boundaries, spaced evenly over the candidates.
-	var bounds [][]byte
-	for i := 1; i < want; i++ {
-		b := cands[i*len(cands)/want]
-		if len(bounds) > 0 && bytes.Equal(bounds[len(bounds)-1], b) {
-			continue
-		}
-		bounds = append(bounds, append([]byte(nil), b...))
-	}
-	return bounds
-}
-
-// compactRange merges the plan's inputs restricted to keys in [lo, hi) —
-// nil bounds are unbounded. Output tables cut at CompactionTableBytes and,
-// by construction, at the range boundary.
-func (db *DB) compactRange(plan compactionPlan, lo, hi []byte) (newMetas []tableMeta, readBytes int64, err error) {
-	// Build merge sources newest-first: L0 files are newest-last on disk,
-	// so reverse them; destination tables are oldest. Sources bypass the
-	// block cache (newTableSourceBypass): a merge streams every block of
-	// its inputs exactly once, and letting that walk touch the cache would
-	// wipe out the hot point-read set. References are held until the merge
-	// finishes so a concurrent removeObsolete cannot close files mid-read.
-	var (
-		sources []source
-		readers []*tableReader
-	)
-	defer func() {
-		for _, t := range readers {
-			t.unref()
-		}
-	}()
-	addSource := func(m tableMeta) error {
-		// Skip tables entirely outside the range: every key of a skipped
-		// table belongs to (and is read by) some other range's merge.
-		if hi != nil && bytes.Compare(m.smallest, hi) >= 0 {
-			return nil
-		}
-		if lo != nil && bytes.Compare(m.largest, lo) < 0 {
-			return nil
-		}
-		t, err := db.reader(m)
-		if err != nil {
-			return err
-		}
-		readers = append(readers, t)
-		sources = append(sources, newTableSourceBypass(t, lo))
-		return nil
-	}
-	for i := len(plan.srcMetas) - 1; i >= 0; i-- {
-		if err := addSource(plan.srcMetas[i]); err != nil {
-			return nil, 0, err
-		}
-	}
-	for _, m := range plan.dstIn {
-		if err := addSource(m); err != nil {
-			return nil, 0, err
-		}
-	}
-
-	merged := newMergeIterator(sources)
-	var (
-		out      []entry
-		outBytes int
-		maxOut   = db.opts.CompactionTableBytes
-	)
-	flushOut := func() error {
-		if len(out) == 0 {
-			return nil
-		}
-		num := db.next.Add(1) - 1
-		meta, err := db.writeTableRetrying(num, plan.dst, out)
-		if err != nil {
-			return err
-		}
-		db.stats.physicalBytesWrite.Add(uint64(meta.size))
-		newMetas = append(newMetas, meta)
-		out = out[:0]
-		outBytes = 0
-		return nil
-	}
-	for merged.next() {
-		e := merged.entry()
-		if hi != nil && bytes.Compare(e.key, hi) >= 0 {
-			break
-		}
-		if e.tombstone && plan.dropTombstones {
-			// Saturating decrement: compaction may drop tombstones
-			// recovered from disk that this process never counted.
-			for {
-				cur := db.stats.tombstonesLive.Load()
-				if cur == 0 || db.stats.tombstonesLive.CompareAndSwap(cur, cur-1) {
-					break
-				}
-			}
-			continue
-		}
-		// Copy: entries alias table data whose files we are about to delete.
-		out = append(out, entry{
-			key:       append([]byte(nil), e.key...),
-			value:     append([]byte(nil), e.value...),
-			tombstone: e.tombstone,
-		})
-		outBytes += len(e.key) + len(e.value)
-		if outBytes >= maxOut {
-			if err := flushOut(); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	// A corrupt input table must abort the compaction: writing out the
-	// partial merge would silently drop every entry past the bad block.
-	if err := merged.err(); err != nil {
-		return nil, 0, fmt.Errorf("compaction aborted: %w", err)
-	}
-	if err := flushOut(); err != nil {
-		return nil, 0, err
-	}
-	for _, s := range sources {
-		readBytes += int64(s.(*tableSource).bytesConsumed())
-	}
-	return newMetas, readBytes, nil
-}
-
-// installCompactionLocked swaps the merged tables into the version and
-// returns the tables made obsolete. Called with db.mu held. The edit is
-// incremental — exactly the job's inputs leave, its outputs enter — so the
-// installs of concurrent range-disjoint jobs commute.
-func (db *DB) installCompactionLocked(plan compactionPlan, newMetas []tableMeta, readBytes int64) []tableMeta {
-	db.stats.physicalBytesRead.Add(uint64(readBytes))
-	db.stats.compactionCount.Add(1)
-	db.levels[plan.level] = removeTables(db.levels[plan.level], plan.srcMetas)
-	newDst := append(removeTables(db.levels[plan.dst], plan.dstIn), newMetas...)
-	sort.Slice(newDst, func(i, j int) bool {
-		return bytes.Compare(newDst[i].smallest, newDst[j].smallest) < 0
-	})
-	db.levels[plan.dst] = newDst
-	return append(append([]tableMeta(nil), plan.srcMetas...), plan.dstIn...)
-}
-
-// removeTables returns level without the tables in gone, preserving order
-// (L0 recency order matters).
-func removeTables(level, gone []tableMeta) []tableMeta {
-	if len(gone) == 0 {
-		return level
-	}
-	goneNums := make(map[uint64]struct{}, len(gone))
-	for _, m := range gone {
-		goneNums[m.num] = struct{}{}
-	}
-	kept := make([]tableMeta, 0, len(level))
-	for _, m := range level {
-		if _, ok := goneNums[m.num]; !ok {
-			kept = append(kept, m)
-		}
-	}
-	return kept
-}
-
-// removeObsolete drops the open map's references and deletes the files of
-// compacted-away tables. Runs without db.mu: in-flight readers (gets,
-// scans, merges) hold their own references, so the last unref — not this
-// call — closes the handle and purges the table's cached blocks. Deleting
-// the file under a live handle is safe: the OS keeps unlinked files
-// readable through open descriptors, and MemFS read handles snapshot.
-func (db *DB) removeObsolete(obsolete []tableMeta) {
-	for _, m := range obsolete {
-		db.openMu.Lock()
-		t, ok := db.open[m.num]
-		if ok {
-			delete(db.open, m.num)
-		}
-		db.openMu.Unlock()
-		if ok {
-			t.unref()
-		}
-		// Best-effort: an orphaned table is dead weight, not a hazard — the
-		// manifest no longer references it, so recovery never reads it.
-		db.fs.Remove(tablePath(db.dir, m.num))
-	}
 }
 
 // CompactAll forces every level's data down to the bottom of the tree,
@@ -1666,17 +1278,19 @@ func (it *dbIterator) Next() bool {
 func (it *dbIterator) Key() []byte   { return it.key }
 func (it *dbIterator) Value() []byte { return it.value }
 
-// Release drops the iterator's table references (idempotent); files a
-// compaction obsoleted mid-scan close here on the last reference. The
-// scan's disk fetches land in the physical-read counter here — block-cache
-// hits cost zero, so a fully cached scan adds nothing.
+// Release ends the scan, recycles its readahead buffers and drops the
+// iterator's table references (idempotent); files a compaction obsoleted
+// mid-scan close here on the last reference. The scan's disk fetches land in
+// the physical-read counter here — block-cache hits cost zero, so a fully
+// cached scan adds nothing.
 func (it *dbIterator) Release() {
 	if !it.released {
-		it.released = true
+		it.released, it.done = true, true
 		var read uint64
 		for _, s := range it.merged.sources {
 			if ts, ok := s.(*tableSource); ok {
 				read += uint64(ts.bytesConsumed())
+				ts.close()
 			}
 		}
 		it.db.stats.physicalBytesRead.Add(read)
@@ -1783,7 +1397,6 @@ func (db *DB) Stats() kv.Stats {
 		TombstonesLive:      db.stats.tombstonesLive.Load(),
 		FlushCount:          db.stats.flushCount.Load(),
 		WriteStalls:         db.stats.writeStalls.Load(),
-		WriteStallNanos:     db.stats.writeStallNanos.Load(),
 		IORetries:           db.stats.ioRetries.Load(),
 		WALSyncs:            db.stats.walSyncs.Load(),
 		WALSyncNanos:        db.stats.walSyncNanos.Load(),
@@ -1796,7 +1409,12 @@ func (db *DB) Stats() kv.Stats {
 		CompactionParallelNanos:  db.stats.compactionParallelNanos.Load(),
 		MaxConcurrentCompactions: db.stats.maxConcurrentCompactions.Load(),
 		CompactionDebtPeak:       db.stats.compactionDebtPeak.Load(),
+		WriteStallQueueNanos:     db.stats.writeStallQueueNanos.Load(),
+		WriteStallL0Nanos:        db.stats.writeStallL0Nanos.Load(),
+		FlushTableNanos:          db.stats.flushTableNanos.Load(),
+		ManifestNanos:            db.stats.manifestNanos.Load(),
 	}
+	s.WriteStallNanos = s.WriteStallQueueNanos + s.WriteStallL0Nanos
 	if db.cache != nil {
 		s.BlockCacheHits = db.cache.hits.Load()
 		s.BlockCacheMisses = db.cache.misses.Load()

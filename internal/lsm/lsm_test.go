@@ -122,9 +122,9 @@ func TestBloomFilter(t *testing.T) {
 	// Both probe hashes must hold the filter contract: the fast v2 hash and
 	// the keccak v1 hash old tables still carry.
 	for _, fast := range []bool{true, false} {
-		f := newBloomFilter(1000, fast)
+		f := bloomFromBytes(make([]byte, bloomBytes(1000)), bloomProbes, fast)
 		for i := 0; i < 1000; i++ {
-			f.add([]byte(fmt.Sprintf("key-%d", i)))
+			f.addHash(bloomHash([]byte(fmt.Sprintf("key-%d", i)), fast))
 		}
 		for i := 0; i < 1000; i++ {
 			if !f.mayContain([]byte(fmt.Sprintf("key-%d", i))) {

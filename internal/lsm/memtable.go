@@ -4,7 +4,7 @@ import "sync"
 
 // memtable is the mutable in-memory write buffer of the LSM tree. Writes go
 // to a skiplist; once the footprint exceeds the flush threshold the table is
-// frozen and drained to an SSTable.
+// frozen and streamed into an SSTable (writeTo).
 type memtable struct {
 	mu   sync.RWMutex
 	list *skiplist
@@ -62,17 +62,15 @@ func (m *memtable) count() int {
 	return m.list.length
 }
 
-// entries returns all entries in key order. The returned slices alias the
-// memtable's internal buffers; callers must not mutate them. Safe because a
-// memtable is frozen (no further writes) before entries is used for flush.
-func (m *memtable) entries() []entry {
+// writeTo adds every entry, tombstones included, to w in key order —
+// straight off the skiplist, whose keys and values w copies into its image.
+// The lock is shared with readers; a memtable being flushed takes no writes.
+func (m *memtable) writeTo(w *tableWriter) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]entry, 0, m.list.length)
 	for it := m.list.iterator(); it.next(); {
-		out = append(out, entry{key: it.key(), value: it.value(), tombstone: it.tombstone()})
+		w.add(it.key(), it.value(), it.tombstone())
 	}
-	return out
 }
 
 // entry is one key-value record flowing between LSM components.

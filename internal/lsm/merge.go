@@ -6,7 +6,9 @@ import "bytes"
 // table). Sources are ordered by recency: source 0 shadows source 1, etc.
 type source interface {
 	// peek returns the current entry without advancing. ok=false means
-	// exhausted — or failed; callers distinguish via err.
+	// exhausted — or failed; callers distinguish via err. The entry's key
+	// and value stay intact until the source's second-next advance (table
+	// sources recycle their readahead buffers after that).
 	peek() (entry, bool)
 	// advance moves past the current entry.
 	advance()
@@ -93,18 +95,50 @@ func (s *tableSource) advance() {
 // bytesConsumed reports block bytes this source has touched.
 func (s *tableSource) bytesConsumed() int { return s.it.read }
 
+// close ends the walk and recycles its readahead buffers; entries obtained
+// from the source must no longer be read.
+func (s *tableSource) close() {
+	s.it.close()
+	s.ok = false
+}
+
 // mergeIterator merges sources by key, resolving duplicates in favour of
 // the lowest-indexed (newest) source. Tombstones are surfaced as entries
 // with tombstone=true; callers decide whether to skip or keep them.
+//
+// It is a binary min-heap of source indexes ordered by (head key, index),
+// with every live source's head entry cached in heads: an output entry costs
+// one advance per source holding that key plus O(log k) key compares, not a
+// pass over all k sources. The entry handed out was its source's head one
+// advance ago, which is why sources keep an entry intact across the advance
+// that follows it (see source).
 type mergeIterator struct {
 	sources []source
+	heads   []entry // heads[i] is source i's current entry while i is in heap
+	heap    []int   // live source indexes, min (key, index) at heap[0]
 	cur     entry
-	ok      bool
 	failed  error
 }
 
 func newMergeIterator(sources []source) *mergeIterator {
-	return &mergeIterator{sources: sources}
+	m := &mergeIterator{
+		sources: sources,
+		heads:   make([]entry, len(sources)),
+		heap:    make([]int, 0, len(sources)),
+	}
+	for i, s := range sources {
+		e, ok := s.peek()
+		if ok {
+			m.heads[i] = e
+			m.heap = append(m.heap, i)
+		} else if err := s.err(); err != nil && m.failed == nil {
+			m.failed = err
+		}
+	}
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.siftDown(i)
+	}
+	return m
 }
 
 // err reports the first source failure the merge encountered. A truncated
@@ -112,44 +146,66 @@ func newMergeIterator(sources []source) *mergeIterator {
 // sources' entries would present a silently incomplete view.
 func (m *mergeIterator) err() error { return m.failed }
 
+// less orders heap slots by head key, ties by source index (newest first).
+func (m *mergeIterator) less(a, b int) bool {
+	sa, sb := m.heap[a], m.heap[b]
+	if c := bytes.Compare(m.heads[sa].key, m.heads[sb].key); c != 0 {
+		return c < 0
+	}
+	return sa < sb
+}
+
+func (m *mergeIterator) siftDown(i int) {
+	for {
+		least := i
+		if l := 2*i + 1; l < len(m.heap) && m.less(l, least) {
+			least = l
+		}
+		if r := 2*i + 2; r < len(m.heap) && m.less(r, least) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		m.heap[i], m.heap[least] = m.heap[least], m.heap[i]
+		i = least
+	}
+}
+
+// advanceTop moves the source at the top of the heap past its head and
+// restores heap order, dropping the source once exhausted. A source that
+// stopped on an error latches it: the entry being assembled is still
+// returned (it precedes the damage), the next call to next fails.
+func (m *mergeIterator) advanceTop() {
+	i := m.heap[0]
+	s := m.sources[i]
+	s.advance()
+	if e, ok := s.peek(); ok {
+		m.heads[i] = e
+	} else {
+		if err := s.err(); err != nil && m.failed == nil {
+			m.failed = err
+		}
+		last := len(m.heap) - 1
+		m.heap[0] = m.heap[last]
+		m.heap = m.heap[:last]
+	}
+	m.siftDown(0)
+}
+
 // next advances to the next distinct key and reports availability.
 func (m *mergeIterator) next() bool {
-	if m.failed != nil {
-		m.ok = false
+	if m.failed != nil || len(m.heap) == 0 {
 		return false
 	}
-	// Find the smallest key among sources; ties resolved by source order.
-	best := -1
-	var bestEnt entry
-	for i, s := range m.sources {
-		e, ok := s.peek()
-		if !ok {
-			if err := s.err(); err != nil {
-				m.failed = err
-				m.ok = false
-				return false
-			}
-			continue
-		}
-		if best == -1 || bytes.Compare(e.key, bestEnt.key) < 0 {
-			best, bestEnt = i, e
-		}
+	// The top is the newest source holding the smallest key. Consume it and
+	// every older duplicate of that key; equal keys surface in source order,
+	// so the first failure latched is the lowest-indexed source's.
+	m.cur = m.heads[m.heap[0]]
+	m.advanceTop()
+	for len(m.heap) > 0 && bytes.Equal(m.heads[m.heap[0]].key, m.cur.key) {
+		m.advanceTop()
 	}
-	if best == -1 {
-		m.ok = false
-		return false
-	}
-	// Consume the winner and every older duplicate of the same key.
-	for _, s := range m.sources {
-		for {
-			e, ok := s.peek()
-			if !ok || !bytes.Equal(e.key, bestEnt.key) {
-				break
-			}
-			s.advance()
-		}
-	}
-	m.cur, m.ok = bestEnt, true
 	return true
 }
 

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"ethkv/internal/faultfs"
@@ -51,8 +52,8 @@ const (
 	readaheadBytes = 256 << 10
 )
 
-// Table formats accepted by the reader; the writer emits v2. Tests use
-// writeTableFormat to produce v1 images with the real writer code.
+// Table formats accepted by the reader; the store's tableWriters emit v2.
+// Tests select v1 to produce legacy images with the real writer code.
 const (
 	tableFormatV1 = 1
 	tableFormatV2 = 2
@@ -75,108 +76,6 @@ type tableMeta struct {
 // tablePath names the SSTable file for number num inside dir.
 func tablePath(dir string, num uint64) string {
 	return fmt.Sprintf("%s/%06d.sst", dir, num)
-}
-
-// writeTable persists sorted entries to an SSTable file (current format)
-// and returns its metadata. Entries must be strictly ascending by key. The
-// file is synced before writeTable returns — table installs (and the WAL
-// deletions that follow them) may only happen once the table is
-// crash-durable — and write, sync, and close errors all propagate.
-func writeTable(fsys faultfs.FS, dir string, num uint64, level int, ents []entry) (tableMeta, error) {
-	return writeTableFormat(fsys, dir, num, level, ents, tableFormatV2)
-}
-
-// writeTableFormat is writeTable with an explicit format selector, so
-// compatibility tests can produce v1 images through the real writer.
-func writeTableFormat(fsys faultfs.FS, dir string, num uint64, level int, ents []entry, format int) (tableMeta, error) {
-	if len(ents) == 0 {
-		return tableMeta{}, errors.New("lsm: refusing to write empty table")
-	}
-	withCRC := format >= tableFormatV2
-	var (
-		buf      bytes.Buffer
-		block    bytes.Buffer
-		indexBuf bytes.Buffer
-		lastKey  []byte
-		blockOff uint64
-		scratch  [binary.MaxVarintLen64]byte
-		putUvar  = func(dst *bytes.Buffer, v uint64) { dst.Write(scratch[:binary.PutUvarint(scratch[:], v)]) }
-		// appendSection writes payload (plus the v2 checksum trailer) to buf
-		// and returns the stored extent length.
-		appendSection = func(payload []byte) uint64 {
-			buf.Write(payload)
-			if !withCRC {
-				return uint64(len(payload))
-			}
-			var crc [blockCRCSize]byte
-			binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-			buf.Write(crc[:])
-			return uint64(len(payload) + blockCRCSize)
-		}
-		flushBlok = func() {
-			if block.Len() == 0 {
-				return
-			}
-			extent := appendSection(block.Bytes())
-			putUvar(&indexBuf, uint64(len(lastKey)))
-			indexBuf.Write(lastKey)
-			putUvar(&indexBuf, blockOff)
-			putUvar(&indexBuf, extent)
-			blockOff += extent
-			block.Reset()
-		}
-	)
-	bloom := newBloomFilter(len(ents), withCRC)
-	for _, e := range ents {
-		flags := byte(0)
-		if e.tombstone {
-			flags = 1
-		}
-		block.WriteByte(flags)
-		putUvar(&block, uint64(len(e.key)))
-		block.Write(e.key)
-		putUvar(&block, uint64(len(e.value)))
-		block.Write(e.value)
-		lastKey = e.key
-		bloom.add(e.key)
-		if block.Len() >= targetBlock {
-			flushBlok()
-		}
-	}
-	flushBlok()
-
-	indexOff := uint64(buf.Len())
-	indexLen := appendSection(indexBuf.Bytes())
-	bloomOff := uint64(buf.Len())
-	bloomLen := appendSection(bloom.bits)
-
-	magic := uint64(tableMagicV2)
-	if !withCRC {
-		magic = tableMagicV1
-	}
-	var footer [footerSize]byte
-	binary.LittleEndian.PutUint64(footer[0:], indexOff)
-	binary.LittleEndian.PutUint64(footer[8:], indexLen)
-	binary.LittleEndian.PutUint64(footer[16:], bloomOff)
-	binary.LittleEndian.PutUint64(footer[24:], bloomLen)
-	binary.LittleEndian.PutUint32(footer[32:], uint32(bloom.k))
-	binary.LittleEndian.PutUint64(footer[36:], uint64(len(ents)))
-	binary.LittleEndian.PutUint32(footer[44:], crc32.ChecksumIEEE(footer[:44]))
-	binary.LittleEndian.PutUint64(footer[48:], magic)
-	buf.Write(footer[:])
-
-	path := tablePath(dir, num)
-	if err := faultfs.WriteFileSync(fsys, path, buf.Bytes()); err != nil {
-		return tableMeta{}, err
-	}
-	return tableMeta{
-		num:      num,
-		level:    level,
-		size:     int64(buf.Len()),
-		smallest: append([]byte(nil), ents[0].key...),
-		largest:  append([]byte(nil), ents[len(ents)-1].key...),
-		entries:  uint64(len(ents)),
-	}, nil
 }
 
 // indexEntry locates one data block's stored extent (payload plus the v2
@@ -534,11 +433,18 @@ func walkBlock(block []byte, yield func(entry) bool) error {
 }
 
 // tableIterator walks the full table in key order, including tombstones.
-// Blocks stream through a private readahead buffer — one ReadAt covers a
-// run of contiguous extents — which is never inserted into the shared
+// Blocks stream through private readahead buffers — one ReadAt covers a
+// run of contiguous extents — which are never inserted into the shared
 // cache: a sequential scan must not evict the point-read working set
 // (scan resistance). Cached blocks are still used when present
 // (checkCache); the compaction bypass walk skips the cache entirely.
+//
+// Buffer lifetime: successive spans alternate between two buffers that the
+// iterator takes from a process-wide pool once and reuses, so an entry's key
+// and value (views into its span) stay intact across the next advance and
+// may be overwritten by the one after — long enough for a merge to hand out
+// a source's head while it already holds the following one. close hands the
+// buffers back; every entry the iterator yielded is dead from then on.
 // Damaged checksums or block framing latch err and end the walk: a scan
 // over a corrupt table yields a clean prefix and a non-nil error, never a
 // silently truncated result.
@@ -553,9 +459,32 @@ type tableIterator struct {
 	err        error // first corruption or I/O failure encountered
 	checkCache bool
 
-	ra      []byte // private readahead buffer of raw contiguous extents
-	raFirst int    // block index of the first extent in ra
-	raCount int    // extents held in ra
+	ra      []byte     // current readahead span of raw contiguous extents
+	raFirst int        // block index of the first extent in ra
+	raCount int        // extents held in ra
+	raBufs  [2]*[]byte // the two pooled span buffers; ra is a prefix of one
+	raNext  int        // which of raBufs the next span fills
+}
+
+// spanBufferPool recycles readahead span buffers, readaheadBytes each,
+// across iterators: a compaction opens one iterator per input table, and
+// allocating (and zeroing) fresh spans for each was a tenth of its CPU.
+var spanBufferPool = sync.Pool{New: func() any {
+	buf := make([]byte, readaheadBytes)
+	return &buf
+}}
+
+// close returns the span buffers to the pool and ends the walk. Optional —
+// an iterator dropped without it just leaves its buffers to the collector.
+func (it *tableIterator) close() {
+	for i, buf := range it.raBufs {
+		if buf != nil {
+			spanBufferPool.Put(buf)
+			it.raBufs[i] = nil
+		}
+	}
+	it.ra, it.raCount, it.block, it.valid = nil, 0, nil, false
+	it.blockIdx = len(it.t.index)
 }
 
 // iterator returns a fresh cache-aware iterator positioned before the
@@ -662,8 +591,8 @@ func (it *tableIterator) loadBlock(i int) ([]byte, error) {
 }
 
 // fetchSpan reads one readahead span of contiguous block extents starting
-// at block i into the iterator's private buffer: one positional read
-// serves many subsequent blocks.
+// at block i into the span buffer not holding the current span: one
+// positional read serves many subsequent blocks.
 func (it *tableIterator) fetchSpan(i int) error {
 	t := it.t
 	start := t.index[i].offset
@@ -674,10 +603,19 @@ func (it *tableIterator) fetchSpan(i int) error {
 		total += t.index[end].length
 		end++
 	}
-	buf := make([]byte, total)
+	var buf []byte
+	if total > readaheadBytes {
+		buf = make([]byte, total) // one block larger than a whole span
+	} else {
+		if it.raBufs[it.raNext] == nil {
+			it.raBufs[it.raNext] = spanBufferPool.Get().(*[]byte)
+		}
+		buf = (*it.raBufs[it.raNext])[:total]
+	}
 	if err := t.readAt(buf, int64(start)); err != nil {
 		return err
 	}
+	it.raNext ^= 1
 	it.ra, it.raFirst, it.raCount = buf, i, end-i
 	it.read += int(total)
 	return nil

@@ -1,0 +1,187 @@
+package lsm
+
+import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"sync"
+
+	"ethkv/internal/faultfs"
+)
+
+// tableWriter streams sorted entries into SSTable files (layout in
+// sstable.go). add encodes an entry once, straight into the table image;
+// finish closes the last block, appends index, bloom and footer, and writes
+// the file with one Create/Write/Sync/Close. Flush feeds it from the frozen
+// memtable's skiplist and compaction from the merge iterator, so no entry
+// slice, per-entry copy or intermediate block buffer sits between the source
+// and the image.
+//
+// The bloom filter's size depends on the entry count, which is unknown until
+// the table is cut, so add only records each key's 64-bit probe hash and
+// finish builds the filter — directly inside the image.
+//
+// One writer produces any number of tables in sequence (finish resets it);
+// its buffers come from a process-wide pool and go back on release.
+type tableWriter struct {
+	fsys    faultfs.FS
+	dir     string
+	retry   retryFn
+	level   int
+	withCRC bool // format v2: section checksums, fast bloom hash
+
+	*tableBuffers
+	blockOff   int // image offset where the open data block starts
+	lastKeyOff int // image offset of the newest entry's key
+	lastKeyLen int
+	smallest   []byte
+}
+
+// tableBuffers is the reusable memory of a tableWriter.
+type tableBuffers struct {
+	img    []byte   // table image: finished blocks plus the open one
+	index  []byte   // index block payload
+	hashes []uint64 // bloom probe hash of every entry so far
+}
+
+var tableBufferPool = sync.Pool{New: func() any { return new(tableBuffers) }}
+
+// newTableWriter returns a writer for tables on level. dataBytes is the
+// caller's estimate of one table's key+value bytes; the image is pre-sized
+// from it so a table is encoded without regrowth. retry wraps the file I/O
+// of finish and nothing else.
+func newTableWriter(fsys faultfs.FS, dir string, retry retryFn, level, format, dataBytes int) *tableWriter {
+	w := &tableWriter{
+		fsys: fsys, dir: dir, retry: retry, level: level,
+		withCRC:      format >= tableFormatV2,
+		tableBuffers: tableBufferPool.Get().(*tableBuffers),
+	}
+	// Framing, block trailers, index and bloom add ~10% to small-entry
+	// tables; a short guess only costs an append regrowth.
+	if want := dataBytes + dataBytes/8 + 4<<10; cap(w.img) < want {
+		w.img = make([]byte, 0, want)
+	}
+	w.reset()
+	return w
+}
+
+// release returns the writer's buffers to the pool. The writer must not be
+// used afterwards.
+func (w *tableWriter) release() {
+	tableBufferPool.Put(w.tableBuffers)
+	w.tableBuffers = nil
+}
+
+func (w *tableWriter) reset() {
+	w.img, w.index, w.hashes = w.img[:0], w.index[:0], w.hashes[:0]
+	w.blockOff, w.smallest = 0, nil
+}
+
+// entries reports how many entries the open table holds.
+func (w *tableWriter) entries() int { return len(w.hashes) }
+
+// add appends one entry. Keys must arrive strictly ascending. The writer
+// keeps no reference to key or value.
+func (w *tableWriter) add(key, value []byte, tombstone bool) {
+	if len(w.hashes) == 0 {
+		w.smallest = append([]byte(nil), key...)
+	}
+	var flags byte
+	if tombstone {
+		flags = 1
+	}
+	img := append(w.img, flags)
+	img = binary.AppendUvarint(img, uint64(len(key)))
+	w.lastKeyOff, w.lastKeyLen = len(img), len(key)
+	img = append(img, key...)
+	img = binary.AppendUvarint(img, uint64(len(value)))
+	w.img = append(img, value...)
+	w.hashes = append(w.hashes, bloomHash(key, w.withCRC))
+	if len(w.img)-w.blockOff >= targetBlock {
+		w.closeBlock()
+	}
+}
+
+// closeSection seals the section that started at image offset start with the
+// v2 checksum trailer and returns its stored extent length.
+func (w *tableWriter) closeSection(start int) uint64 {
+	if w.withCRC {
+		w.img = binary.LittleEndian.AppendUint32(w.img, crc32.ChecksumIEEE(w.img[start:]))
+	}
+	return uint64(len(w.img) - start)
+}
+
+// closeBlock seals the open data block, if any, and records it in the index
+// under the last key added.
+func (w *tableWriter) closeBlock() {
+	if len(w.img) == w.blockOff {
+		return
+	}
+	off := w.blockOff
+	extent := w.closeSection(off)
+	w.index = binary.AppendUvarint(w.index, uint64(w.lastKeyLen))
+	w.index = append(w.index, w.img[w.lastKeyOff:w.lastKeyOff+w.lastKeyLen]...)
+	w.index = binary.AppendUvarint(w.index, uint64(off))
+	w.index = binary.AppendUvarint(w.index, extent)
+	w.blockOff = len(w.img)
+}
+
+// finish completes the open table as file number num, persists it and resets
+// the writer for the next table. The file is synced before finish returns —
+// table installs (and the WAL deletions that follow them) may only happen
+// once the table is crash-durable — and write, sync and close errors all
+// propagate. The image is encoded exactly once: a transient fault retries
+// only the create-write-sync-close sequence (a failed attempt leaves no
+// partial durable state to clean up: Create truncates).
+func (w *tableWriter) finish(num uint64) (tableMeta, error) {
+	n := len(w.hashes)
+	if n == 0 {
+		return tableMeta{}, errors.New("lsm: refusing to write empty table")
+	}
+	w.closeBlock()
+
+	indexOff := len(w.img)
+	w.img = append(w.img, w.index...)
+	indexLen := w.closeSection(indexOff)
+
+	// The pooled image holds stale bytes past its length: append zeroes for
+	// the filter, then set bits in place.
+	bloomOff := len(w.img)
+	w.img = append(w.img, make([]byte, bloomBytes(n))...)
+	bloom := bloomFromBytes(w.img[bloomOff:], bloomProbes, w.withCRC)
+	for _, h := range w.hashes {
+		bloom.addHash(h)
+	}
+	bloomLen := w.closeSection(bloomOff)
+
+	magic := uint64(tableMagicV2)
+	if !w.withCRC {
+		magic = tableMagicV1
+	}
+	var footer [footerSize]byte
+	binary.LittleEndian.PutUint64(footer[0:], uint64(indexOff))
+	binary.LittleEndian.PutUint64(footer[8:], indexLen)
+	binary.LittleEndian.PutUint64(footer[16:], uint64(bloomOff))
+	binary.LittleEndian.PutUint64(footer[24:], bloomLen)
+	binary.LittleEndian.PutUint32(footer[32:], bloomProbes)
+	binary.LittleEndian.PutUint64(footer[36:], uint64(n))
+	binary.LittleEndian.PutUint32(footer[44:], crc32.ChecksumIEEE(footer[:44]))
+	binary.LittleEndian.PutUint64(footer[48:], magic)
+	w.img = append(w.img, footer[:]...)
+
+	meta := tableMeta{
+		num:      num,
+		level:    w.level,
+		size:     int64(len(w.img)),
+		smallest: w.smallest,
+		largest:  append([]byte(nil), w.img[w.lastKeyOff:w.lastKeyOff+w.lastKeyLen]...),
+		entries:  uint64(n),
+	}
+	path := tablePath(w.dir, num)
+	err := w.retry(func() error { return faultfs.WriteFileSync(w.fsys, path, w.img) })
+	w.reset()
+	if err != nil {
+		return tableMeta{}, err
+	}
+	return meta, nil
+}
