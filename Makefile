@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-rig bench-repo check crashtest determinism fuzz vet fmt repro artifacts obs-smoke cache-smoke flat-smoke serve-smoke shard-smoke policy-smoke compact-smoke clean
+.PHONY: all build test race bench bench-kernels bench-kernels-once bench-rig bench-repo check crashtest determinism fuzz vet fmt repro artifacts obs-smoke cache-smoke flat-smoke serve-smoke shard-smoke policy-smoke compact-smoke clean
 
 all: build test
 
@@ -21,9 +21,10 @@ race:
 # internal/obs must stay race-clean — `race` covers ./... including
 # internal/obs and the kv.Instrument decorator), a wide crash-recovery
 # sweep, the LSM byte-identity and crash-determinism suites repeated, the
-# end-to-end network serving smoke, and the repo benchmark's own vet + tests
-# (a nested module `./...` never enters).
-check: build vet race crashtest determinism bench-rig serve-smoke shard-smoke policy-smoke compact-smoke
+# end-to-end network serving smoke, the repo benchmark's own vet + tests
+# (a nested module `./...` never enters), and one iteration of every LSM
+# kernel benchmark (`go test` compiles benchmarks but never runs them).
+check: build vet race crashtest determinism bench-rig bench-kernels-once serve-smoke shard-smoke policy-smoke compact-smoke
 
 # Crash-recovery fault injection: hundreds of seeded workload/crash-point
 # replays through the injectable VFS, verified against an in-memory model.
@@ -48,6 +49,18 @@ bench:
 # compiling against the packages it measures.
 bench-rig:
 	cd benchmark && $(GO) vet . && $(GO) test .
+
+# The LSM's kernel micro-benchmarks (internal/lsm/kernel_bench_test.go): the
+# background write path's merge, table write and range compaction, and the
+# point-read path's cached Get and block search, on MemFS. -cpu 1,2 because
+# what the read kernels measure is largely what two readers cost each other.
+KERNELS = MergeIterator|TableWrite|CompactRange|GetCached|BlockSearch
+bench-kernels:
+	$(GO) test -run NONE -bench '$(KERNELS)' -cpu 1,2 -benchmem ./internal/lsm
+
+# The same, one iteration each: keeps them compiling and running.
+bench-kernels-once:
+	$(GO) test -run NONE -bench '$(KERNELS)' -benchtime 1x ./internal/lsm
 
 # One run of one repo-benchmark workload, as the driver runs it:
 #   make bench-repo WORKLOAD=blockbatch_wal_lsm SEED=1 [TRACE=1]

@@ -456,7 +456,9 @@ func (s *Store) Has(key []byte) (bool, error) {
 
 // Get implements kv.Reader: index lookup plus exactly one ReadAt of the
 // record extent, whose crc is verified before the value is returned. A
-// missing key costs zero disk reads.
+// missing key costs zero disk reads. The value is a view of the record buffer
+// this call allocated — private to the caller, clipped so an append cannot
+// reach the checksum bytes behind it — not a second copy.
 func (s *Store) Get(key []byte) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -482,9 +484,7 @@ func (s *Store) Get(key []byte) ([]byte, error) {
 		return nil, fmt.Errorf("flatstore: record at offset %d for key %x: %w", ref.off, key, errCorrupt)
 	}
 	s.stats.logicalBytesRead.Add(uint64(len(r.value)))
-	out := make([]byte, len(r.value))
-	copy(out, r.value)
-	return out, nil
+	return r.value[:len(r.value):len(r.value)], nil
 }
 
 // NewIterator implements kv.Iterable: a sorted snapshot of the matching
@@ -560,7 +560,7 @@ func (it *flatIterator) Next() bool {
 		return false
 	}
 	it.key = []byte(cur.key)
-	it.val = append([]byte(nil), r.value...)
+	it.val = r.value[:len(r.value):len(r.value)] // buf is this step's alone
 	it.s.stats.logicalBytesRead.Add(uint64(len(r.value)))
 	return true
 }

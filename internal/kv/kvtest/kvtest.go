@@ -129,6 +129,57 @@ func testValueIsolation(t *testing.T, factory Factory) {
 	if string(v) != "mutable" {
 		t.Fatalf("store aliased caller's buffer: %q", v)
 	}
+	s.Delete([]byte("k"))
+
+	// The read side: whatever Get and an iterator hand out is the caller's
+	// to scribble on and to append to. Enough data that small-buffer
+	// configurations serve part of it from their files and caches, and a
+	// flush where the store has one, so shared cache payloads and read
+	// buffers are what is being handed out.
+	want := map[string]string{}
+	for i := 0; i < 96; i++ {
+		k := fmt.Sprintf("iso-%03d", i)
+		want[k] = fmt.Sprintf("value-%03d-%s", i, bytes.Repeat([]byte{byte('a' + i%26)}, 90))
+		if err := s.Put([]byte(k), []byte(want[k])); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	if f, ok := s.(interface{ Flush() error }); ok {
+		if err := f.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+	}
+	scribble := func(b []byte) {
+		for i := range b {
+			b[i] ^= 0xFF
+		}
+		_ = append(b, "appended past the end"...)
+	}
+	for pass := 0; pass < 3; pass++ {
+		for k, wv := range want {
+			v, err := s.Get([]byte(k))
+			if err != nil || string(v) != wv {
+				t.Fatalf("pass %d: Get(%s) = %q, %v after earlier results were modified", pass, k, v, err)
+			}
+			scribble(v)
+		}
+		it := s.NewIterator([]byte("iso-"), nil)
+		n := 0
+		for it.Next() {
+			k, v := it.Key(), it.Value()
+			if wv, ok := want[string(k)]; !ok || string(v) != wv {
+				t.Fatalf("pass %d: scan yielded %q = %q after earlier results were modified", pass, k, v)
+			}
+			n++
+			scribble(k)
+			scribble(v)
+		}
+		err := it.Error()
+		it.Release()
+		if err != nil || n != len(want) {
+			t.Fatalf("pass %d: scan yielded %d of %d pairs, err %v", pass, n, len(want), err)
+		}
+	}
 }
 
 func testBatch(t *testing.T, factory Factory) {

@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
@@ -9,10 +8,17 @@ import (
 // blockCache is the DB-wide cache behind demand-paged SSTable reads: point
 // lookups fetch single 4 KiB data blocks through it instead of keeping
 // whole tables resident. It is sharded to keep lock hold times short under
-// concurrent readers — each shard is an independent LRU list with its own
-// mutex and a slice of the total byte budget, and a key's shard is fixed by
-// a hash of (table number, block index), so two readers of different
+// concurrent readers — each shard is an independent second-chance queue with
+// its own mutex and a slice of the total byte budget, and a key's shard is
+// fixed by a hash of (table number, block index), so two readers of different
 // blocks rarely contend.
+//
+// Replacement is second chance (a FIFO queue whose entries carry a
+// referenced flag), not LRU: a hit sets the flag only when it is clear, so a
+// hit on a warm block writes nothing but the shard's hit count — under the
+// lock it already holds — and the block's cache lines stay shared between
+// the cores reading it. Eviction pays instead: it skips, once, every entry
+// referenced since it last came round.
 //
 // What the cache deliberately does NOT hold: iterator readahead spans
 // (scans stream through private buffers so one sequential walk cannot
@@ -27,11 +33,7 @@ import (
 type blockCache struct {
 	shardCap int64 // byte budget per shard
 	shards   [cacheShardCount]cacheShard
-
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
-	pinned    atomic.Int64 // index+bloom bytes held by open tableReaders
+	pinned   atomic.Int64 // index+bloom bytes held by open tableReaders
 }
 
 const cacheShardCount = 16
@@ -41,16 +43,24 @@ type cacheKey struct {
 	block int
 }
 
+// cacheShard is one lock's worth of the cache. Entries sit on a circular
+// doubly-linked queue threaded through them, with head as its sentinel:
+// head.next is the newest arrival, head.prev the next eviction candidate.
+// The counters are plain fields under mu — every get and put holds it anyway.
 type cacheShard struct {
 	mu    sync.Mutex
-	lru   *list.List // front = most recently used
-	table map[cacheKey]*list.Element
+	head  cacheEntry
+	table map[cacheKey]*cacheEntry
 	bytes int64
+
+	hits, misses, evictions uint64
 }
 
 type cacheEntry struct {
-	key  cacheKey
-	data []byte
+	key        cacheKey
+	blk        *block
+	referenced bool // hit since it was queued or last passed over
+	prev, next *cacheEntry
 }
 
 // newBlockCache sizes a cache for capacity total bytes; capacity <= 0
@@ -61,10 +71,23 @@ func newBlockCache(capacity int64) *blockCache {
 	}
 	c := &blockCache{shardCap: (capacity + cacheShardCount - 1) / cacheShardCount}
 	for i := range c.shards {
-		c.shards[i].lru = list.New()
-		c.shards[i].table = make(map[cacheKey]*list.Element)
+		s := &c.shards[i]
+		s.head.prev, s.head.next = &s.head, &s.head
+		s.table = make(map[cacheKey]*cacheEntry)
 	}
 	return c
+}
+
+// pushFront queues e as the newest entry.
+func (s *cacheShard) pushFront(e *cacheEntry) {
+	e.prev, e.next = &s.head, s.head.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// unlink takes e off the queue.
+func (s *cacheShard) unlink(e *cacheEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
 }
 
 // shard maps a key to its home shard via a mixed multiplicative hash:
@@ -76,61 +99,66 @@ func (c *blockCache) shard(k cacheKey) *cacheShard {
 	return &c.shards[h%cacheShardCount]
 }
 
-// get returns block's cached payload and promotes it to most recently
-// used. The returned slice is shared and must be treated as read-only.
-func (c *blockCache) get(table uint64, block int) ([]byte, bool) {
+// get returns the cached block and marks it referenced, counting one hit or
+// one miss. The block is shared and read-only.
+func (c *blockCache) get(table uint64, blockIdx int) (*block, bool) {
 	if c == nil {
 		return nil, false
 	}
-	k := cacheKey{table: table, block: block}
+	k := cacheKey{table: table, block: blockIdx}
 	s := c.shard(k)
 	s.mu.Lock()
-	el, ok := s.table[k]
+	e, ok := s.table[k]
 	if !ok {
+		s.misses++
 		s.mu.Unlock()
-		c.misses.Add(1)
 		return nil, false
 	}
-	s.lru.MoveToFront(el)
-	data := el.Value.(*cacheEntry).data
+	s.hits++
+	if !e.referenced {
+		e.referenced = true
+	}
+	blk := e.blk
 	s.mu.Unlock()
-	c.hits.Add(1)
-	return data, true
+	return blk, true
 }
 
-// put inserts (or refreshes) a block payload and evicts from the cold end
-// until the shard is back under budget. A single block larger than a whole
-// shard is kept as the shard's only entry rather than thrashed — the
+// put inserts (or refreshes) a block, charging its payload and offset index
+// to the shard, and evicts until the shard is back under budget: the oldest
+// entry goes unless it was referenced since it was last considered, in which
+// case it is requeued with the flag cleared. A single block larger than a
+// whole shard is kept as the shard's only entry rather than thrashed — the
 // overshoot is bounded by one block per shard.
-func (c *blockCache) put(table uint64, block int, data []byte) {
+func (c *blockCache) put(table uint64, blockIdx int, blk *block) {
 	if c == nil {
 		return
 	}
-	k := cacheKey{table: table, block: block}
+	k := cacheKey{table: table, block: blockIdx}
 	s := c.shard(k)
-	var evicted uint64
 	s.mu.Lock()
-	if el, ok := s.table[k]; ok {
-		ent := el.Value.(*cacheEntry)
-		s.bytes += int64(len(data)) - int64(len(ent.data))
-		ent.data = data
-		s.lru.MoveToFront(el)
+	if e, ok := s.table[k]; ok {
+		s.bytes += blk.size() - e.blk.size()
+		e.blk = blk
 	} else {
-		s.table[k] = s.lru.PushFront(&cacheEntry{key: k, data: data})
-		s.bytes += int64(len(data))
+		e := &cacheEntry{key: k, blk: blk}
+		s.table[k] = e
+		s.pushFront(e)
+		s.bytes += blk.size()
 	}
-	for s.bytes > c.shardCap && s.lru.Len() > 1 {
-		back := s.lru.Back()
-		ent := back.Value.(*cacheEntry)
-		s.lru.Remove(back)
-		delete(s.table, ent.key)
-		s.bytes -= int64(len(ent.data))
-		evicted++
+	for s.bytes > c.shardCap && len(s.table) > 1 {
+		e := s.head.prev
+		s.unlink(e)
+		if e.referenced || e.key == k {
+			// Second chance; the block just inserted is never its own victim.
+			e.referenced = false
+			s.pushFront(e)
+			continue
+		}
+		delete(s.table, e.key)
+		s.bytes -= e.blk.size()
+		s.evictions++
 	}
 	s.mu.Unlock()
-	if evicted > 0 {
-		c.evictions.Add(evicted)
-	}
 }
 
 // dropTable invalidates every cached block of one table — called when the
@@ -144,10 +172,10 @@ func (c *blockCache) dropTable(table uint64) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for k, el := range s.table {
+		for k, e := range s.table {
 			if k.table == table {
-				s.bytes -= int64(len(el.Value.(*cacheEntry).data))
-				s.lru.Remove(el)
+				s.bytes -= e.blk.size()
+				s.unlink(e)
 				delete(s.table, k)
 			}
 		}
@@ -156,12 +184,28 @@ func (c *blockCache) dropTable(table uint64) {
 }
 
 // addPinned accounts index/bloom bytes pinned by an open tableReader
-// (negative on release). Pinned bytes sit outside the LRU budget.
+// (negative on release). Pinned bytes sit outside the cache budget.
 func (c *blockCache) addPinned(n int64) {
 	if c == nil {
 		return
 	}
 	c.pinned.Add(n)
+}
+
+// counters sums the shards' hit, miss and eviction counts.
+func (c *blockCache) counters() (hits, misses, evictions uint64) {
+	if c == nil {
+		return 0, 0, 0
+	}
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		hits += s.hits
+		misses += s.misses
+		evictions += s.evictions
+		s.mu.Unlock()
+	}
+	return hits, misses, evictions
 }
 
 // usedBytes reports the bytes currently held across all shards.

@@ -12,26 +12,33 @@ import (
 	"ethkv/internal/kv"
 )
 
+// rawBlock wraps payload as an unindexed block: enough for the cache, which
+// only stores blocks and charges their size.
+func rawBlock(payload []byte) *block { return &block{data: payload} }
+
 func TestBlockCacheBasics(t *testing.T) {
 	c := newBlockCache(64 << 10)
 	if _, ok := c.get(1, 0); ok {
 		t.Fatal("hit on empty cache")
 	}
-	blk := []byte("block-zero-payload")
+	blk := rawBlock([]byte("block-zero-payload"))
 	c.put(1, 0, blk)
 	got, ok := c.get(1, 0)
-	if !ok || !bytes.Equal(got, blk) {
-		t.Fatalf("get = %q, %v", got, ok)
+	if !ok || got != blk {
+		t.Fatalf("get = %v, %v", got, ok)
 	}
-	if h, m := c.hits.Load(), c.misses.Load(); h != 1 || m != 1 {
+	if h, m, _ := c.counters(); h != 1 || m != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1/1", h, m)
 	}
 	c.dropTable(1)
 	if _, ok := c.get(1, 0); ok {
 		t.Fatal("hit after dropTable")
 	}
-	if c.evictions.Load() != 0 {
+	if _, _, ev := c.counters(); ev != 0 {
 		t.Fatal("dropTable counted as eviction")
+	}
+	if c.usedBytes() != 0 {
+		t.Fatalf("usedBytes %d after dropTable", c.usedBytes())
 	}
 }
 
@@ -40,7 +47,7 @@ func TestBlockCacheNilIsInert(t *testing.T) {
 	if c := newBlockCache(0); c != nil {
 		t.Fatal("zero capacity should disable the cache")
 	}
-	c.put(1, 0, []byte("x"))
+	c.put(1, 0, rawBlock([]byte("x")))
 	if _, ok := c.get(1, 0); ok {
 		t.Fatal("nil cache returned a hit")
 	}
@@ -49,21 +56,28 @@ func TestBlockCacheNilIsInert(t *testing.T) {
 	if c.usedBytes() != 0 || c.capacityBytes() != 0 || c.pinnedBytes() != 0 {
 		t.Fatal("nil cache reports nonzero sizes")
 	}
+	if h, m, ev := c.counters(); h != 0 || m != 0 || ev != 0 {
+		t.Fatal("nil cache reports nonzero counters")
+	}
 }
 
 // TestBlockCacheBudgetBound inserts 4x the cache capacity in blocks smaller
-// than one shard's share and checks the byte budget holds throughout.
+// than one shard's share and checks the byte budget holds throughout — with
+// the offset index counted: each block here carries 16 offsets (64 bytes).
 func TestBlockCacheBudgetBound(t *testing.T) {
 	capacity := int64(1 << 20)
 	c := newBlockCache(capacity)
-	blk := make([]byte, 4<<10)
+	blk := &block{data: make([]byte, 4<<10), offsets: make([]uint32, 16)}
+	if blk.size() != 4<<10+64 {
+		t.Fatalf("block charged %d bytes, want payload + 4 per offset", blk.size())
+	}
 	for i := 0; i < 1024; i++ {
 		c.put(uint64(i%8), i, blk)
 		if used := c.usedBytes(); used > capacity {
 			t.Fatalf("insert %d: usedBytes %d exceeds capacity %d", i, used, capacity)
 		}
 	}
-	if c.evictions.Load() == 0 {
+	if _, _, ev := c.counters(); ev == 0 {
 		t.Fatal("4x overcommit evicted nothing")
 	}
 }
@@ -73,14 +87,147 @@ func TestBlockCacheBudgetBound(t *testing.T) {
 // bounded even when the budget is absurdly small.
 func TestBlockCacheOversizedEntries(t *testing.T) {
 	c := newBlockCache(4 << 10) // 256 B/shard, far below one block
-	blk := make([]byte, 4<<10)
+	blk := rawBlock(make([]byte, 4<<10))
 	for i := 0; i < 256; i++ {
 		c.put(uint64(i), 0, blk)
+		if _, ok := c.get(uint64(i), 0); !ok {
+			t.Fatalf("block %d evicted by its own insert", i)
+		}
 	}
-	bound := int64(cacheShardCount) * int64(len(blk))
+	bound := int64(cacheShardCount) * blk.size()
 	if used := c.usedBytes(); used > bound {
 		t.Fatalf("usedBytes %d exceeds oversized bound %d", used, bound)
 	}
+}
+
+// sameShardBlocks returns n block indexes of table 1 that share a cache
+// shard, so a test can fill one shard deterministically.
+func sameShardBlocks(c *blockCache, n int) []int {
+	home := c.shard(cacheKey{table: 1, block: 0})
+	var idx []int
+	for b := 0; len(idx) < n; b++ {
+		if c.shard(cacheKey{table: 1, block: b}) == home {
+			idx = append(idx, b)
+		}
+	}
+	return idx
+}
+
+// TestBlockCacheSecondChance pins the replacement policy: eviction takes the
+// oldest entry that has not been hit since it was queued or last passed
+// over; a hit buys an entry exactly one pass, and writes nothing once the
+// flag is set.
+func TestBlockCacheSecondChance(t *testing.T) {
+	const blockBytes = 1 << 10
+	c := newBlockCache(cacheShardCount * 3 * blockBytes) // three blocks per shard
+	idx := sameShardBlocks(c, 6)
+	put := func(i int) { c.put(1, idx[i], rawBlock(make([]byte, blockBytes))) }
+	cached := func(i int) bool {
+		s := c.shard(cacheKey{table: 1, block: idx[i]})
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		_, ok := s.table[cacheKey{table: 1, block: idx[i]}]
+		return ok
+	}
+	put(0)
+	put(1)
+	put(2)
+	// Hit the oldest twice: the second hit finds the flag already set.
+	c.get(1, idx[0])
+	c.get(1, idx[0])
+	put(3) // over budget: 0 is referenced and passed over, 1 goes
+	if !cached(0) || cached(1) || !cached(2) || !cached(3) {
+		t.Fatalf("after first eviction: cached = %v %v %v %v, want 0, 2, 3",
+			cached(0), cached(1), cached(2), cached(3))
+	}
+	// 0 spent its chance: with no further hit it is now behind 2 and 3 only
+	// in age, and goes after them in queue order — 2 first.
+	put(4)
+	if !cached(0) || cached(2) || !cached(3) || !cached(4) {
+		t.Fatalf("after second eviction: cached = %v %v %v %v, want 0, 3, 4",
+			cached(0), cached(2), cached(3), cached(4))
+	}
+	put(5)
+	if cached(3) || !cached(0) || !cached(4) || !cached(5) {
+		t.Fatalf("after third eviction: cached = %v %v %v %v, want 0, 4, 5",
+			cached(3), cached(0), cached(4), cached(5))
+	}
+	// Unreferenced since it was requeued, 0 is now the oldest and goes.
+	put(1)
+	if cached(0) {
+		t.Fatal("entry kept after its second chance was spent")
+	}
+	if _, _, ev := c.counters(); ev != 4 {
+		t.Fatalf("evictions = %d, want 4", ev)
+	}
+}
+
+// TestBlockCacheCountsOncePerLookup checks the meaning of the hit and miss
+// counters, which lsm.block_cache_hit_rate and lsm.phys_reads_per_get are
+// computed from: every block lookup counts exactly one hit or one miss,
+// whether it comes from a point read or a cache-aware scan, and an insert
+// counts neither.
+func TestBlockCacheCountsOncePerLookup(t *testing.T) {
+	c := newBlockCache(1 << 20)
+	var hits, misses uint64
+	check := func(what string) {
+		t.Helper()
+		if h, m, _ := c.counters(); h != hits || m != misses {
+			t.Fatalf("%s: hits=%d misses=%d, want %d/%d", what, h, m, hits, misses)
+		}
+	}
+	c.get(1, 0)
+	misses++
+	check("cold get")
+	c.put(1, 0, rawBlock([]byte("payload")))
+	check("put")
+	for i := 0; i < 3; i++ {
+		c.get(1, 0)
+		hits++
+	}
+	check("warm gets")
+
+	// Through a table: 3 data blocks, each point read looks up one block.
+	m := faultfs.NewMemFS()
+	var ents []entry
+	for i := 0; i < 150; i++ {
+		ents = append(ents, entry{key: []byte(fmt.Sprintf("key-%04d", i)), value: make([]byte, 64)})
+	}
+	meta, err := writeTable(m, "d", 7, 0, ents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := openTable(m, "d", meta, c, noRetry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.unref()
+	if len(r.index) != 3 {
+		t.Fatalf("table has %d blocks, want 3", len(r.index))
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, e := range ents {
+			if _, found, _, _, err := r.probe(e.key); err != nil || !found {
+				t.Fatalf("probe(%q): found=%v err=%v", e.key, found, err)
+			}
+		}
+	}
+	misses += 3                     // first touch of each block
+	hits += uint64(2*len(ents)) - 3 // every other lookup
+	check("point reads")
+	// A bloom negative never reaches the cache.
+	if _, found, _, _, _ := r.probe([]byte("absent")); found {
+		t.Fatal("absent key found")
+	}
+	check("bloom negative")
+	// A cache-aware scan looks each block up once; the bypass walk never.
+	for it := r.iterator(nil); it.next(); {
+	}
+	hits += 3
+	check("cached scan")
+	for it := r.iteratorOpts(nil, false); it.next(); {
+	}
+	check("bypass scan")
 }
 
 // TestTableFormatV1Compat writes a table in the legacy un-checksummed v1
@@ -101,7 +248,7 @@ func TestTableFormatV1Compat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := openTable(faultfs.OS, dir, meta, nil, nil, noRetry)
+			r, err := openTable(faultfs.OS, dir, meta, nil, noRetry)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +257,7 @@ func TestTableFormatV1Compat(t *testing.T) {
 				t.Fatalf("hasCRC = %v for format %d", r.hasCRC, format)
 			}
 			for _, e := range ents {
-				v, found, deleted, _, err := r.get(e.key)
+				v, found, deleted, _, err := r.probe(e.key)
 				if err != nil || !found || deleted || !bytes.Equal(v, e.value) {
 					t.Fatalf("get(%q) = %q found=%v deleted=%v err=%v", e.key, v, found, deleted, err)
 				}

@@ -80,13 +80,12 @@ func (f *bloomFilter) addHash(h uint64) {
 	}
 }
 
-// mayContain reports whether key might be in the set (false positives
-// possible, false negatives impossible).
-func (f *bloomFilter) mayContain(key []byte) bool {
+// mayContainHash reports whether the key whose bloomHash is h might be in
+// the set (false positives possible, false negatives impossible).
+func (f *bloomFilter) mayContainHash(h uint64) bool {
 	if len(f.bits) == 0 {
 		return true
 	}
-	h := bloomHash(key, f.fast)
 	h1, h2 := uint32(h), uint32(h>>32)
 	nbits := uint32(len(f.bits) * 8)
 	for i := 0; i < f.k; i++ {

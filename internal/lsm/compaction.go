@@ -266,7 +266,7 @@ func (db *DB) compactRange(plan compactionPlan, lo, hi []byte) (newMetas []table
 	// block cache (newTableSourceBypass): a merge streams every block of
 	// its inputs exactly once, and letting that walk touch the cache would
 	// wipe out the hot point-read set. References are held until the merge
-	// finishes so a concurrent removeObsolete cannot close files mid-read.
+	// finishes so a concurrent retireTables cannot close files mid-read.
 	var (
 		sources []source
 		readers []*tableReader
@@ -288,7 +288,7 @@ func (db *DB) compactRange(plan compactionPlan, lo, hi []byte) (newMetas []table
 		if lo != nil && bytes.Compare(m.largest, lo) < 0 {
 			return nil
 		}
-		t, err := db.reader(m)
+		t, err := db.acquire(&m)
 		if err != nil {
 			return err
 		}
@@ -371,7 +371,7 @@ func (db *DB) compactRange(plan compactionPlan, lo, hi []byte) (newMetas []table
 // incremental — exactly the job's inputs leave, its outputs enter — so the
 // installs of concurrent range-disjoint jobs commute.
 func (db *DB) installCompactionLocked(plan compactionPlan, newMetas []tableMeta, readBytes int64) []tableMeta {
-	db.stats.physicalBytesRead.Add(uint64(readBytes))
+	db.stats.reads.addPhysical(uint64(readBytes))
 	db.stats.compactionCount.Add(1)
 	db.levels[plan.level] = removeTables(db.levels[plan.level], plan.srcMetas)
 	newDst := append(removeTables(db.levels[plan.dst], plan.dstIn), newMetas...)
@@ -401,25 +401,21 @@ func removeTables(level, gone []tableMeta) []tableMeta {
 	return kept
 }
 
-// removeObsolete drops the open map's references and deletes the files of
-// compacted-away tables. Runs without db.mu: in-flight readers (gets,
-// scans, merges) hold their own references, so the last unref — not this
-// call — closes the handle and purges the table's cached blocks. Deleting
-// the file under a live handle is safe: the OS keeps unlinked files
-// readable through open descriptors, and MemFS read handles snapshot.
-func (db *DB) removeObsolete(obsolete []tableMeta) {
+// retireTables drops the version's reader references for tables a compaction
+// replaced and, when unlink is set, deletes their files. Runs without db.mu,
+// after the install that took them out of db.levels: point reads that began
+// before it have finished, scans and merges still on these tables hold their
+// own references, so the last unref — not this call — closes the file and
+// purges the table's cached blocks. Deleting the file under a live reader is
+// safe: the OS keeps unlinked files readable through open descriptors, and
+// MemFS read handles snapshot.
+func (db *DB) retireTables(obsolete []tableMeta, unlink bool) {
 	for _, m := range obsolete {
-		db.openMu.Lock()
-		t, ok := db.open[m.num]
-		if ok {
-			delete(db.open, m.num)
+		m.h.release()
+		if unlink {
+			// Best-effort: an orphaned table is dead weight, not a hazard — the
+			// manifest no longer references it, so recovery never reads it.
+			db.fs.Remove(tablePath(db.dir, m.num))
 		}
-		db.openMu.Unlock()
-		if ok {
-			t.unref()
-		}
-		// Best-effort: an orphaned table is dead weight, not a hazard — the
-		// manifest no longer references it, so recovery never reads it.
-		db.fs.Remove(tablePath(db.dir, m.num))
 	}
 }

@@ -89,11 +89,11 @@ func TestTableIteratorCorruptBlock(t *testing.T) {
 	}
 
 	// Point lookup landing in the corrupt block errors too.
-	if _, _, _, _, err := r.get(badKey); !errors.Is(err, errTableCorrupt) {
+	if _, _, _, _, err := r.probe(badKey); !errors.Is(err, errTableCorrupt) {
 		t.Fatalf("get in corrupt block = %v, want errTableCorrupt", err)
 	}
 	// Lookups served by the intact first block still succeed.
-	v, found, _, _, err := r.get(ents[0].key)
+	v, found, _, _, err := r.probe(ents[0].key)
 	if err != nil || !found || !bytes.Equal(v, ents[0].value) {
 		t.Fatalf("get in intact block = %q, %v, %v", v, found, err)
 	}
@@ -223,7 +223,7 @@ func TestCompactionAbortsOnCorruptInput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db := &DB{dir: "d", fs: m, opts: Options{FS: m}.withDefaults(), open: map[uint64]*tableReader{}}
+	db := &DB{dir: "d", fs: m, opts: Options{FS: m}.withDefaults()}
 	db.next.Store(2)
 	_, _, err = db.runCompaction(compactionPlan{
 		level:    0,
@@ -297,7 +297,7 @@ func TestIteratorPrunesNonOverlappingTables(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen so the reader cache is cold: db.open then counts exactly the
+	// Reopen so every reader is cold: openTables then counts exactly the
 	// tables a scan had to touch.
 	db, err = Open(dir, opts)
 	if err != nil {
@@ -326,9 +326,7 @@ func TestIteratorPrunesNonOverlappingTables(t *testing.T) {
 		t.Fatalf("prefix scan returned %d keys, want 1500", n)
 	}
 
-	db.openMu.Lock()
-	opened := len(db.open)
-	db.openMu.Unlock()
+	opened := db.openTables()
 	if opened >= totalTables {
 		t.Fatalf("prefix scan opened %d of %d tables; upper-bound pruning is not working",
 			opened, totalTables)

@@ -37,10 +37,20 @@
 // the machine's cores with the writer, and every copy and allocation they
 // made was time the writer spent stalled (DESIGN.md §19).
 //
+// Point reads (DB.lookup, behind Get and Has) hold db.mu shared and nothing
+// else of the store's: the version's level entries carry their tables'
+// readers, so no lookup structure or reference count is shared between
+// readers; a cached block is binary-searched over entry offsets derived when
+// it was read; a cache hit leaves the cache as it found it but for a count;
+// and the read's own counters are summed on its stack and published once, to
+// a stripe picked by the key's hash. What two readers on two cores still
+// write in common is db.mu's reader count (DESIGN.md §20).
+//
 // Files: db.go (options, commit pipeline, scheduler, read path, manifest),
-// compaction.go (planning, merge execution, install), tablewriter.go and
-// sstable.go (table format, writer, reader, iterator), merge.go (sources and
-// the k-way merge), memtable.go/skiplist.go, wal.go, blockcache.go.
+// compaction.go (planning, merge execution, install), tablewriter.go,
+// sstable.go and block.go (table format, writer, reader, iterator, block
+// search), merge.go (sources and the k-way merge), memtable.go/skiplist.go,
+// wal.go, blockcache.go.
 package lsm
 
 import (
@@ -203,7 +213,8 @@ type DB struct {
 	// Flush, Drain, CompactAll and Close hold it end to end, so exactly one
 	// of them appends to the WAL, applies to the memtable, or rotates at a
 	// time (Drain latches draining under mu first, to release a writer
-	// stalled inside). Lock order: commitMu → mu → {openMu, manifestMu}.
+	// stalled inside). Lock order: commitMu → mu → {a table handle's mu,
+	// manifestMu}.
 	commitMu sync.Mutex
 	// mu guards the version: mem/imm/levels and the scheduler state. It is
 	// held exclusively only to swap pointers, never across file I/O.
@@ -223,14 +234,12 @@ type DB struct {
 	memSeq int64 // memtable generation, perturbs the skiplist seed
 	// imm holds frozen memtables awaiting flush, oldest first. The read
 	// path consults them newest-first between mem and L0.
-	imm    []flushTask
+	imm []flushTask
+	// levels is the version: per level, the live tables, each carrying the
+	// handle of its lazily opened reader (tableHandle). A table leaves it
+	// only under mu held exclusively, which is what lets Get and Has — who
+	// hold mu shared throughout — use those readers without references.
 	levels [][]tableMeta
-	// open caches tableReaders. Guarded by openMu, not mu: Get (holding
-	// only the read lock) opens tables lazily, and concurrent readers must
-	// not race on the map. The map holds one reference per reader; every
-	// consumer takes its own via db.reader and unrefs when done.
-	openMu sync.Mutex
-	open   map[uint64]*tableReader
 	// cache is the DB-wide sharded block cache all demand-paged table
 	// reads go through; nil when Options.BlockCacheBytes is negative.
 	cache  *blockCache
@@ -282,31 +291,68 @@ type DB struct {
 	manifestMu      sync.Mutex
 	manifestDurable uint64
 
-	// I/O counters. Atomics: Get mutates them under the read lock, which
-	// many readers hold concurrently.
+	// I/O counters, all atomics: the write pipeline, the background jobs and
+	// any number of readers update them concurrently.
 	stats dbStats
 }
 
 // dbStats mirrors kv.Stats with atomic fields.
 type dbStats struct {
-	gets, puts, deletes, scans            atomic.Uint64
-	logicalBytesRead, logicalBytesWritten atomic.Uint64
-	physicalBytesRead, physicalBytesWrite atomic.Uint64
-	compactionCount, tombstonesLive       atomic.Uint64
-	flushCount                            atomic.Uint64
-	writeStalls                           atomic.Uint64
-	writeStallQueueNanos                  atomic.Uint64 // stalled on a full flush queue
-	writeStallL0Nanos                     atomic.Uint64 // stalled on the L0 stop trigger
-	flushTableNanos, manifestNanos        atomic.Uint64 // flush job: table write, manifest commit
-	ioRetries, degraded                   atomic.Uint64
-	walSyncs, walSyncNanos                atomic.Uint64
-	manifestWrites                        atomic.Uint64
-	bloomNegatives, bloomFalsePositives   atomic.Uint64
-	subCompactions                        atomic.Uint64
-	compactionParallelNanos               atomic.Uint64
-	maxConcurrentCompactions              atomic.Uint64
-	compactionDebtPeak                    atomic.Uint64
+	reads                           readStats
+	puts, deletes, scans            atomic.Uint64
+	logicalBytesWritten             atomic.Uint64
+	physicalBytesWrite              atomic.Uint64
+	compactionCount, tombstonesLive atomic.Uint64
+	flushCount                      atomic.Uint64
+	writeStalls                     atomic.Uint64
+	writeStallQueueNanos            atomic.Uint64 // stalled on a full flush queue
+	writeStallL0Nanos               atomic.Uint64 // stalled on the L0 stop trigger
+	flushTableNanos, manifestNanos  atomic.Uint64 // flush job: table write, manifest commit
+	ioRetries, degraded             atomic.Uint64
+	walSyncs, walSyncNanos          atomic.Uint64
+	manifestWrites                  atomic.Uint64
+	subCompactions                  atomic.Uint64
+	compactionParallelNanos         atomic.Uint64
+	maxConcurrentCompactions        atomic.Uint64
+	compactionDebtPeak              atomic.Uint64
 }
+
+// readStats holds the counters point reads feed, striped so that concurrent
+// readers do not pass one cache line back and forth on every Get: a read
+// publishes into the stripe its key hash picks, each stripe is padded out to
+// its own pair of cache lines, and Stats sums them.
+type readStats [readStripes]readStripe
+
+const readStripes = 16
+
+type readStripe struct {
+	gets, logicalBytes, physicalBytes   atomic.Uint64
+	bloomNegatives, bloomFalsePositives atomic.Uint64
+	_                                   [128 - 5*8]byte
+}
+
+// publish adds one point read to the stripe hash picks. Most of a cached
+// read's counts are zero, and a zero is not worth a locked add.
+func (r *readStats) publish(hash uint64, logicalBytes int, rc *readCounts) {
+	s := &r[hash%readStripes]
+	s.gets.Add(1)
+	if logicalBytes != 0 {
+		s.logicalBytes.Add(uint64(logicalBytes))
+	}
+	if rc.physicalBytes != 0 {
+		s.physicalBytes.Add(uint64(rc.physicalBytes))
+	}
+	if rc.bloomNegatives != 0 {
+		s.bloomNegatives.Add(uint64(rc.bloomNegatives))
+	}
+	if rc.bloomFalsePositives != 0 {
+		s.bloomFalsePositives.Add(uint64(rc.bloomFalsePositives))
+	}
+}
+
+// addPhysical accounts table bytes read outside point reads (scans,
+// compactions).
+func (r *readStats) addPhysical(n uint64) { r[0].physicalBytes.Add(n) }
 
 var _ kv.Store = (*DB)(nil)
 var _ kv.StatsProvider = (*DB)(nil)
@@ -320,7 +366,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		fs:      opts.FS,
 		mem:     newMemtable(opts.Seed),
 		levels:  make([][]tableMeta, opts.MaxLevels),
-		open:    make(map[uint64]*tableReader),
 		cache:   newBlockCache(opts.BlockCacheBytes),
 		claimed: make(map[uint64]struct{}),
 		jobs:    make(map[int]compactJob),
@@ -735,14 +780,14 @@ func (db *DB) runCompactionJob(id int, plan compactionPlan) {
 	db.finishCompactionLocked(id, plan)
 	if err != nil {
 		db.failLocked(err)
-		db.cond.Broadcast()
-		db.mu.Unlock()
-		return
+	} else {
+		db.maybeScheduleLocked()
 	}
-	db.maybeScheduleLocked()
 	db.cond.Broadcast()
 	db.mu.Unlock()
-	db.removeObsolete(obsolete)
+	// The inputs left the version at the install either way; their files go
+	// only once a manifest without them is durable.
+	db.retireTables(obsolete, err == nil)
 }
 
 // Drain latches the store into draining mode — no new compactions are
@@ -843,33 +888,69 @@ func (db *DB) commit(ops []batchOp, batch bool) error {
 
 // Get implements kv.Reader.
 func (db *DB) Get(key []byte) ([]byte, error) {
+	v, err := db.lookup(key)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), v...), nil
+}
+
+// Has implements kv.Reader: Get's lookup without the copy of the value.
+func (db *DB) Has(key []byte) (bool, error) {
+	_, err := db.lookup(key)
+	if errors.Is(err, kv.ErrNotFound) {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+// lookup is the point-read path shared by Get and Has: find the newest entry
+// for key, account the read, and return the live value — a read-only view of
+// memtable or block-cache memory, valid for as long as the caller holds it —
+// or kv.ErrNotFound.
+//
+// A read of cached data writes shared memory a fixed number of times however
+// many tables it probes: db.mu's reader count (in and out), one block-cache
+// shard lock per block searched, and its stripe of the read counters. The
+// memtables cost nothing while empty or frozen, and the tables' readers come
+// with the version (DESIGN.md §20).
+func (db *DB) lookup(key []byte) ([]byte, error) {
+	hash := fastHash64(key)
+	var rc readCounts
 	db.mu.RLock()
-	defer db.mu.RUnlock()
 	if db.closed {
+		db.mu.RUnlock()
 		return nil, kv.ErrClosed
 	}
-	db.stats.gets.Add(1)
-	// Memtable, then frozen memtables newest-first.
-	if v, found, deleted := db.mem.get(key); found {
-		return db.finishGet(v, deleted)
+	v, found, deleted, err := db.searchLocked(key, hash, &rc)
+	db.mu.RUnlock()
+	if err == nil && (!found || deleted) {
+		v, err = nil, kv.ErrNotFound
+	}
+	db.stats.reads.publish(hash, len(v), &rc)
+	return v, err
+}
+
+// searchLocked consults the memtable, the frozen memtables newest-first, L0
+// newest-first (its files may overlap), then the one candidate table of each
+// deeper level, and stops at the first entry for key, live or tombstone.
+// Called with db.mu held shared — which is also what keeps every table of
+// db.levels, and so its reader, from being retired underneath it.
+func (db *DB) searchLocked(key []byte, hash uint64, rc *readCounts) (v []byte, found, deleted bool, err error) {
+	if v, found, deleted = db.mem.get(key); found {
+		return v, found, deleted, nil
 	}
 	for i := len(db.imm) - 1; i >= 0; i-- {
-		if v, found, deleted := db.imm[i].mem.get(key); found {
-			return db.finishGet(v, deleted)
+		if v, found, deleted = db.imm[i].mem.getFrozen(key); found {
+			return v, found, deleted, nil
 		}
 	}
-	// L0 newest-first (files may overlap).
 	l0 := db.levels[0]
 	for i := len(l0) - 1; i >= 0; i-- {
-		v, found, deleted, err := db.tableGet(l0[i], key)
-		if err != nil {
-			return nil, err
-		}
-		if found {
-			return db.finishGet(v, deleted)
+		if v, found, deleted, err = db.tableGet(&l0[i], key, hash, rc); found || err != nil {
+			return v, found, deleted, err
 		}
 	}
-	// Deeper levels: at most one candidate file per level.
 	for level := 1; level < len(db.levels); level++ {
 		metas := db.levels[level]
 		i := sort.Search(len(metas), func(i int) bool {
@@ -878,71 +959,20 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 		if i == len(metas) || bytes.Compare(metas[i].smallest, key) > 0 {
 			continue
 		}
-		v, found, deleted, err := db.tableGet(metas[i], key)
-		if err != nil {
-			return nil, err
-		}
-		if found {
-			return db.finishGet(v, deleted)
+		if v, found, deleted, err = db.tableGet(&metas[i], key, hash, rc); found || err != nil {
+			return v, found, deleted, err
 		}
 	}
-	return nil, kv.ErrNotFound
+	return nil, false, false, nil
 }
 
-// tableGet performs one table probe with reference bracketing and physical
-// I/O accounting. The value is safe to use after unref: block payloads are
-// heap slices, not views of a mapped file.
-func (db *DB) tableGet(meta tableMeta, key []byte) (v []byte, found, deleted bool, err error) {
-	t, err := db.reader(meta)
+// tableGet probes one table of the version. Called with db.mu held.
+func (db *DB) tableGet(m *tableMeta, key []byte, hash uint64, rc *readCounts) (v []byte, found, deleted bool, err error) {
+	t, err := db.table(m)
 	if err != nil {
 		return nil, false, false, err
 	}
-	v, found, deleted, br, err := t.get(key)
-	t.unref()
-	db.stats.physicalBytesRead.Add(uint64(br))
-	return v, found, deleted, err
-}
-
-// finishGet translates an internal lookup result and accounts logical I/O.
-func (db *DB) finishGet(v []byte, deleted bool) ([]byte, error) {
-	if deleted {
-		return nil, kv.ErrNotFound
-	}
-	db.stats.logicalBytesRead.Add(uint64(len(v)))
-	return append([]byte(nil), v...), nil
-}
-
-// Has implements kv.Reader.
-func (db *DB) Has(key []byte) (bool, error) {
-	_, err := db.Get(key)
-	if errors.Is(err, kv.ErrNotFound) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// reader returns (opening if needed) the cached tableReader for meta, with
-// a reference taken for the caller — who must unref when done with it. The
-// open map holds its own reference until removeObsolete or Close drops it.
-func (db *DB) reader(meta tableMeta) (*tableReader, error) {
-	db.openMu.Lock()
-	defer db.openMu.Unlock()
-	if t, ok := db.open[meta.num]; ok {
-		t.ref()
-		return t, nil
-	}
-	// openTable applies retryIO to each individual read itself, so
-	// transient faults are absorbed without reopening from scratch.
-	t, err := openTable(db.fs, db.dir, meta, db.cache, &db.stats, db.retryIO)
-	if err != nil {
-		return nil, err
-	}
-	db.open[meta.num] = t
-	t.ref()
-	return t, nil
+	return t.get(key, hash, rc)
 }
 
 // maybeRotate rotates a full memtable into the flush queue, stalling first
@@ -1182,6 +1212,9 @@ func prefixSuccessor(prefix []byte) []byte {
 func (db *DB) NewIterator(prefix, start []byte) kv.Iterator {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	if db.closed {
+		return &errIterator{err: kv.ErrClosed}
+	}
 	db.stats.scans.Add(1)
 	lower := append(append([]byte(nil), prefix...), start...)
 	// Exclusive upper bound: a table whose smallest key is at or past the
@@ -1205,32 +1238,30 @@ func (db *DB) NewIterator(prefix, start []byte) kv.Iterator {
 	for i := len(db.imm) - 1; i >= 0; i-- {
 		sources = append(sources, newMemSource(db.imm[i].mem, lower))
 	}
-	l0 := db.levels[0]
-	for i := len(l0) - 1; i >= 0; i-- {
-		m := l0[i]
+	addTable := func(m *tableMeta) error {
 		if bytes.Compare(m.largest, lower) < 0 ||
 			(upper != nil && bytes.Compare(m.smallest, upper) >= 0) {
-			continue
+			return nil
 		}
-		t, err := db.reader(m)
+		t, err := db.acquire(m)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		readers = append(readers, t)
 		sources = append(sources, newTableSource(t, lower))
+		return nil
+	}
+	l0 := db.levels[0]
+	for i := len(l0) - 1; i >= 0; i-- {
+		if err := addTable(&l0[i]); err != nil {
+			return fail(err)
+		}
 	}
 	for level := 1; level < len(db.levels); level++ {
-		for _, m := range db.levels[level] {
-			if bytes.Compare(m.largest, lower) < 0 ||
-				(upper != nil && bytes.Compare(m.smallest, upper) >= 0) {
-				continue
-			}
-			t, err := db.reader(m)
-			if err != nil {
+		for i := range db.levels[level] {
+			if err := addTable(&db.levels[level][i]); err != nil {
 				return fail(err)
 			}
-			readers = append(readers, t)
-			sources = append(sources, newTableSource(t, lower))
 		}
 	}
 	return &dbIterator{
@@ -1293,7 +1324,7 @@ func (it *dbIterator) Release() {
 				ts.close()
 			}
 		}
-		it.db.stats.physicalBytesRead.Add(read)
+		it.db.stats.reads.addPhysical(read)
 	}
 	for _, t := range it.readers {
 		t.unref()
@@ -1385,13 +1416,10 @@ func (b *dbBatch) Replay(w kv.Writer) error {
 // Stats implements kv.StatsProvider.
 func (db *DB) Stats() kv.Stats {
 	s := kv.Stats{
-		Gets:                db.stats.gets.Load(),
 		Puts:                db.stats.puts.Load(),
 		Deletes:             db.stats.deletes.Load(),
 		Scans:               db.stats.scans.Load(),
-		LogicalBytesRead:    db.stats.logicalBytesRead.Load(),
 		LogicalBytesWritten: db.stats.logicalBytesWritten.Load(),
-		PhysicalBytesRead:   db.stats.physicalBytesRead.Load(),
 		PhysicalBytesWrite:  db.stats.physicalBytesWrite.Load(),
 		CompactionCount:     db.stats.compactionCount.Load(),
 		TombstonesLive:      db.stats.tombstonesLive.Load(),
@@ -1402,8 +1430,6 @@ func (db *DB) Stats() kv.Stats {
 		WALSyncNanos:        db.stats.walSyncNanos.Load(),
 		ManifestWrites:      db.stats.manifestWrites.Load(),
 		Degraded:            db.stats.degraded.Load(),
-		BloomNegatives:      db.stats.bloomNegatives.Load(),
-		BloomFalsePositives: db.stats.bloomFalsePositives.Load(),
 		SubCompactions:      db.stats.subCompactions.Load(),
 
 		CompactionParallelNanos:  db.stats.compactionParallelNanos.Load(),
@@ -1415,12 +1441,16 @@ func (db *DB) Stats() kv.Stats {
 		ManifestNanos:            db.stats.manifestNanos.Load(),
 	}
 	s.WriteStallNanos = s.WriteStallQueueNanos + s.WriteStallL0Nanos
-	if db.cache != nil {
-		s.BlockCacheHits = db.cache.hits.Load()
-		s.BlockCacheMisses = db.cache.misses.Load()
-		s.BlockCacheEvictions = db.cache.evictions.Load()
-		s.BlockCachePinnedBytes = uint64(db.cache.pinnedBytes())
+	for i := range db.stats.reads {
+		r := &db.stats.reads[i]
+		s.Gets += r.gets.Load()
+		s.LogicalBytesRead += r.logicalBytes.Load()
+		s.PhysicalBytesRead += r.physicalBytes.Load()
+		s.BloomNegatives += r.bloomNegatives.Load()
+		s.BloomFalsePositives += r.bloomFalsePositives.Load()
 	}
+	s.BlockCacheHits, s.BlockCacheMisses, s.BlockCacheEvictions = db.cache.counters()
+	s.BlockCachePinnedBytes = uint64(db.cache.pinnedBytes())
 	return s
 }
 
@@ -1460,14 +1490,14 @@ func (db *DB) Close() error {
 	// settleLocked left no runnable work; wait out the job tails (obsolete
 	// file removal runs after the install broadcast).
 	db.bgWG.Wait()
-	// Drop the open map's table references; outstanding iterators keep
-	// theirs and the handles close on their Release.
-	db.openMu.Lock()
-	for num, t := range db.open {
-		delete(db.open, num)
-		t.unref()
+	// Drop the version's table references — closed is set, so no read finds
+	// its way to them any more; outstanding iterators keep theirs and the
+	// files close on their Release.
+	for _, metas := range db.levels {
+		for _, m := range metas {
+			m.h.release()
+		}
 	}
-	db.openMu.Unlock()
 	if db.wal != nil {
 		if werr := db.wal.close(); err == nil {
 			err = werr
@@ -1611,6 +1641,7 @@ func (db *DB) loadManifest() error {
 		db.levels[level] = append(db.levels[level], tableMeta{
 			num: num, level: int(level), size: int64(size),
 			entries: entries, smallest: smallest, largest: largest,
+			h: new(tableHandle),
 		})
 	}
 	return nil

@@ -125,8 +125,8 @@ func FuzzSSTableOpen(f *testing.F) {
 			}
 		}
 		// Point lookups on arbitrary keys must also be panic-free.
-		r.get([]byte("alpha"))
-		r.get([]byte{})
+		r.probe([]byte("alpha"))
+		r.probe([]byte{})
 	})
 }
 
@@ -253,7 +253,7 @@ func FuzzBlockRead(f *testing.F) {
 		}
 		// Point reads: correct value or errTableCorrupt, nothing else.
 		for _, e := range ents {
-			v, found, deleted, _, err := r.get(e.key)
+			v, found, deleted, _, err := r.probe(e.key)
 			if err != nil {
 				if !errors.Is(err, errTableCorrupt) {
 					t.Fatalf("get(%q): unexpected error %v", e.key, err)

@@ -3,18 +3,22 @@ package lsm
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"ethkv/internal/faultfs"
+	"ethkv/internal/kv"
 )
 
-// Micro-benchmarks of the background write path's three kernels — k-way
-// merge, table encode+write, and a whole range compaction — on faultfs.MemFS,
-// so they time CPU and allocation, not a device. They use only what the
-// slice-based writer's tests used too (writeTable, newMergeIterator,
-// compactRange), so the same file — less the tableSource.close calls —
-// measures the commit before the streaming path; CHANGES.md records both
-// sides.
+// Micro-benchmarks of the LSM's kernels on faultfs.MemFS, so they time CPU,
+// allocation and cache-line traffic, not a device: the background write
+// path's three (k-way merge, table encode+write, a whole range compaction)
+// and the point-read path's two (a Get on fully cached data, the search of
+// one block). `make bench-kernels` runs them at -cpu 1,2; `make check` runs
+// each once so they cannot rot. The write-path ones use only what the
+// slice-based writer's tests used too, and BenchmarkGetCached only the
+// store's exported calls, so the same functions measure earlier commits;
+// CHANGES.md records both sides.
 
 // benchEntries returns n ascending entries whose keys are drawn from
 // [0, n*stride) with the given stride offset, ~100 bytes each — the trace's
@@ -65,7 +69,7 @@ func BenchmarkMergeIterator(b *testing.B) {
 			m, metas, total := benchTables(b, k, 40000/k, 0)
 			readers := make([]*tableReader, k)
 			for i, meta := range metas {
-				r, err := openTable(m, "d", meta, nil, nil, noRetry)
+				r, err := openTable(m, "d", meta, nil, noRetry)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -113,7 +117,7 @@ func BenchmarkTableWrite(b *testing.B) {
 // L1 run — the factory geometry's commonest job — and writes the result.
 func BenchmarkCompactRange(b *testing.B) {
 	m, metas, total := benchTables(b, 4, 2600, 0)
-	db := &DB{dir: "d", fs: m, opts: Options{FS: m}.withDefaults(), open: map[uint64]*tableReader{}}
+	db := &DB{dir: "d", fs: m, opts: Options{FS: m}.withDefaults()}
 	db.next.Store(100)
 	plan := compactionPlan{level: 0, dst: 1, srcMetas: metas}
 	b.SetBytes(int64(total))
@@ -130,4 +134,109 @@ func BenchmarkCompactRange(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkGetCached times DB.Get from every P at once on a store whose
+// blocks are all cached — the state readscan_stack_local runs in — so what is
+// left is the path itself: locks, counters, filter probes, block search. The
+// store has the factory geometry (256 KiB memtables, 1 MiB L1) and is read
+// as the preload left it, L0 tables included, so a Get probes more than one
+// table. hit draws present keys; absent draws keys that sort between present
+// ones, which reach the filters of every overlapping table. The difference
+// between -cpu 1 and -cpu 2 is what the readers cost each other.
+func BenchmarkGetCached(b *testing.B) {
+	const n = 120000
+	m := faultfs.NewMemFS()
+	db, err := Open("db", Options{
+		FS: m, DisableWAL: true,
+		MemtableBytes: 256 << 10, LevelBaseBytes: 1 << 20,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	rng := rand.New(rand.NewSource(1))
+	present := make([][]byte, n)
+	absent := make([][]byte, n)
+	for i := range present {
+		present[i] = []byte(fmt.Sprintf("key-%032x", rng.Uint64()))
+		absent[i] = append(append([]byte(nil), present[i]...), '+')
+		v := make([]byte, 40+rng.Intn(50))
+		rng.Read(v)
+		if err := db.Put(present[i], v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range present { // fill the cache
+		if _, err := db.Get(k); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, mode := range []struct {
+		name string
+		keys [][]byte
+		want error
+	}{{"hit", present, nil}, {"absent", absent, kv.ErrNotFound}} {
+		b.Run(mode.name, func(b *testing.B) {
+			var seed atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				rng := rand.New(rand.NewSource(seed.Add(1)))
+				for pb.Next() {
+					if _, err := db.Get(mode.keys[rng.Intn(n)]); err != mode.want {
+						b.Errorf("Get: %v, want %v", err, mode.want)
+						return
+					}
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkBlockSearch times the lookup of one key in one 4 KiB block of
+// trace-sized pairs: binary is the indexed search point reads use
+// (block.search, index already built, as on a cache hit), linear the
+// decode-and-compare walk they used before.
+func BenchmarkBlockSearch(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	ents, _ := benchEntries(rng, 64, 1, 0)
+	n := 0
+	for size := 0; size < targetBlock; n++ { // the writer's cut rule
+		size += len(ents[n].key) + len(ents[n].value) + 3
+	}
+	payload := encodeBlock(ents[:n])
+	keys := make([][]byte, n)
+	for i, j := range rng.Perm(n) { // not in block order: no help from the branch predictor
+		keys[i] = ents[j].key
+	}
+	blk, err := parseBlock(payload)
+	if err != nil || len(blk.offsets) != n {
+		b.Fatalf("parseBlock: %d entries of %d, err %v", len(blk.offsets), n, err)
+	}
+	var sink int
+	b.Run("binary", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			v, found, _ := blk.search(keys[i%len(keys)])
+			if !found {
+				b.Fatal("key not found")
+			}
+			sink += len(v)
+		}
+	})
+	b.Run("linear", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			v, found, _, err := linearSearch(payload, keys[i%len(keys)])
+			if err != nil || !found {
+				b.Fatalf("linearSearch: found=%v err=%v", found, err)
+			}
+			sink += len(v)
+		}
+	})
+	_ = sink
 }

@@ -160,13 +160,13 @@ func TestSSTableRoundTrip(t *testing.T) {
 	if string(meta.smallest) != "key-0000" || string(meta.largest) != "key-0499" {
 		t.Fatalf("bounds %q..%q", meta.smallest, meta.largest)
 	}
-	r, err := openTable(faultfs.OS, dir, meta, nil, nil, noRetry)
+	r, err := openTable(faultfs.OS, dir, meta, nil, noRetry)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.unref()
 	for i, e := range ents {
-		v, found, deleted, _, err := r.get(e.key)
+		v, found, deleted, _, err := r.probe(e.key)
 		if err != nil {
 			t.Fatalf("entry %d: %v", i, err)
 		}
@@ -177,7 +177,7 @@ func TestSSTableRoundTrip(t *testing.T) {
 			t.Fatalf("entry %d mismatch", i)
 		}
 	}
-	if _, found, _, _, _ := r.get([]byte("nope")); found {
+	if _, found, _, _, _ := r.probe([]byte("nope")); found {
 		t.Fatal("found absent key")
 	}
 	// Full iteration returns everything in order.
@@ -214,7 +214,7 @@ func TestSSTableCorruption(t *testing.T) {
 	raw, _ := os.ReadFile(path)
 	raw[len(raw)-1] ^= 0xff // corrupt magic
 	os.WriteFile(path, raw, 0o644)
-	if _, err := openTable(faultfs.OS, dir, meta, nil, nil, noRetry); !errors.Is(err, errTableCorrupt) {
+	if _, err := openTable(faultfs.OS, dir, meta, nil, noRetry); !errors.Is(err, errTableCorrupt) {
 		t.Fatalf("want corrupt error, got %v", err)
 	}
 }
@@ -551,12 +551,24 @@ func TestDBTombstoneDropAtBottom(t *testing.T) {
 
 func TestDBClosed(t *testing.T) {
 	db := openTestDB(t, smallOpts())
+	for i := 0; i < 200; i++ { // enough to leave tables behind
+		db.Put([]byte(fmt.Sprintf("key-%04d", i)), bytes.Repeat([]byte{1}, 100))
+	}
 	db.Close()
 	if err := db.Put([]byte("k"), nil); !errors.Is(err, kv.ErrClosed) {
 		t.Errorf("Put after close: %v", err)
 	}
 	if _, err := db.Get([]byte("k")); !errors.Is(err, kv.ErrClosed) {
 		t.Errorf("Get after close: %v", err)
+	}
+	// A scan after close must not reopen the tables Close released.
+	it := db.NewIterator(nil, nil)
+	if it.Next() || !errors.Is(it.Error(), kv.ErrClosed) {
+		t.Errorf("iterator after close: err %v", it.Error())
+	}
+	it.Release()
+	if n := db.openTables(); n != 0 {
+		t.Errorf("%d table readers open after close", n)
 	}
 	// Double close is fine.
 	if err := db.Close(); err != nil {
@@ -961,5 +973,49 @@ func TestLSMBatchAccounting(t *testing.T) {
 	b.Reset()
 	if b.ValueSize() != 0 {
 		t.Fatal("Reset")
+	}
+}
+
+// TestHasSharesLookupWithoutCopy: Has answers from the same lookup as Get —
+// memtable, tombstones, tables, closed store — counts as a read like one, but
+// never copies the value out: on a cached table entry it allocates nothing.
+func TestHasSharesLookupWithoutCopy(t *testing.T) {
+	opts := smallOpts()
+	opts.DisableWAL = true
+	db := openTestDB(t, opts)
+	big := bytes.Repeat([]byte("v"), 8<<10)
+	if err := db.Put([]byte("on-disk"), big); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put([]byte("deleted-on-disk"), big); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	db.Put([]byte("in-mem"), []byte("x"))
+	db.Delete([]byte("deleted-on-disk"))
+	for key, want := range map[string]bool{
+		"on-disk": true, "in-mem": true, "deleted-on-disk": false, "absent": false,
+	} {
+		if ok, err := db.Has([]byte(key)); err != nil || ok != want {
+			t.Fatalf("Has(%s) = %v, %v, want %v", key, ok, err, want)
+		}
+	}
+	before := db.Stats()
+	key := []byte("on-disk")
+	if allocs := testing.AllocsPerRun(200, func() { db.Has(key) }); allocs != 0 {
+		t.Fatalf("Has on a cached 8 KiB value allocates %.0f times per call", allocs)
+	}
+	after := db.Stats()
+	if n := after.Gets - before.Gets; n != 201 { // AllocsPerRun warms up once
+		t.Fatalf("Has counted %d reads for 201 calls", n)
+	}
+	if n := after.LogicalBytesRead - before.LogicalBytesRead; n != 201*uint64(len(big)) {
+		t.Fatalf("Has accounted %d logical bytes, want %d", n, 201*len(big))
+	}
+	db.Close()
+	if _, err := db.Has(key); err != kv.ErrClosed {
+		t.Fatalf("Has on a closed store: %v", err)
 	}
 }

@@ -1,6 +1,9 @@
 package lsm
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // memtable is the mutable in-memory write buffer of the LSM tree. Writes go
 // to a skiplist; once the footprint exceeds the flush threshold the table is
@@ -8,6 +11,9 @@ import "sync"
 type memtable struct {
 	mu   sync.RWMutex
 	list *skiplist
+	// n mirrors list.length, stored under mu by every mutation before it
+	// unlocks, so a reader can rule out an empty memtable without the lock.
+	n atomic.Int64
 }
 
 func newMemtable(seed int64) *memtable {
@@ -20,6 +26,7 @@ func newMemtable(seed int64) *memtable {
 func (m *memtable) put(key, value []byte) {
 	m.mu.Lock()
 	m.list.set(key, value, false)
+	m.n.Store(int64(m.list.length))
 	m.mu.Unlock()
 }
 
@@ -27,6 +34,7 @@ func (m *memtable) put(key, value []byte) {
 func (m *memtable) del(key []byte) {
 	m.mu.Lock()
 	m.list.set(key, nil, true)
+	m.n.Store(int64(m.list.length))
 	m.mu.Unlock()
 }
 
@@ -38,13 +46,27 @@ func (m *memtable) apply(ops []batchOp) {
 	for _, op := range ops {
 		m.list.set(op.key, op.value, op.delete)
 	}
+	m.n.Store(int64(m.list.length))
 	m.mu.Unlock()
 }
 
-// get looks up key. found reports any entry (live or tombstone).
+// get looks up key. found reports any entry (live or tombstone). An empty
+// memtable answers from the count alone: seeing zero orders the read before
+// whatever batch is being applied, seeing more waits for the lock and finds
+// the batch whole.
 func (m *memtable) get(key []byte) (value []byte, found, deleted bool) {
+	if m.n.Load() == 0 {
+		return nil, false, false
+	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	return m.list.get(key)
+}
+
+// getFrozen is get for a memtable in the flush queue: rotation published it
+// under db.mu after its last write, and nothing writes it again, so a reader
+// holding db.mu needs no lock of the memtable's own.
+func (m *memtable) getFrozen(key []byte) (value []byte, found, deleted bool) {
 	return m.list.get(key)
 }
 
@@ -56,11 +78,7 @@ func (m *memtable) size() int {
 }
 
 // count returns the number of entries (including tombstones).
-func (m *memtable) count() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.list.length
-}
+func (m *memtable) count() int { return int(m.n.Load()) }
 
 // writeTo adds every entry, tombstones included, to w in key order —
 // straight off the skiplist, whose keys and values w copies into its image.

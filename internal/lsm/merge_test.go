@@ -196,7 +196,7 @@ func TestReadaheadReuseKeepsEntryValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := openTable(m, "d", meta, nil, nil, noRetry)
+	r, err := openTable(m, "d", meta, nil, noRetry)
 	if err != nil {
 		t.Fatal(err)
 	}

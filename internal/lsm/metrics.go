@@ -49,9 +49,7 @@ func (db *DB) RegisterMetrics(r *obs.Registry, labels ...string) {
 		return float64(db.compactInFlight)
 	})
 	r.GaugeFunc(obs.Name("ethkv_lsm_open_tables", labels...), func() float64 {
-		db.openMu.Lock()
-		defer db.openMu.Unlock()
-		return float64(len(db.open))
+		return float64(db.openTables())
 	})
 	r.GaugeFunc(obs.Name("ethkv_lsm_block_cache_bytes", labels...), func() float64 {
 		return float64(db.cache.usedBytes())
@@ -59,6 +57,21 @@ func (db *DB) RegisterMetrics(r *obs.Registry, labels ...string) {
 	r.GaugeFunc(obs.Name("ethkv_lsm_block_cache_capacity_bytes", labels...), func() float64 {
 		return float64(db.cache.capacityBytes())
 	})
+}
+
+// openTables counts the live tables whose reader has been opened.
+func (db *DB) openTables() int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	n := 0
+	for _, metas := range db.levels {
+		for _, m := range metas {
+			if m.h.r.Load() != nil {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // levelShape returns the table count and total bytes of one level.

@@ -33,7 +33,8 @@ import (
 // offset uvarint | length uvarint (length spans the stored extent,
 // including the v2 checksum trailer). Point lookups binary-search the
 // index by last key, fetch one data block — through the shared block cache
-// — and scan it linearly.
+// — and binary-search that too, over entry offsets derived when the block
+// was read (block.go); the offsets are memory only, never written.
 //
 // The footer is fixed-size and identical across formats:
 //
@@ -71,6 +72,69 @@ type tableMeta struct {
 	smallest []byte
 	largest  []byte
 	entries  uint64
+	// h is the table's reader handle, shared by every copy of the meta (the
+	// version's level entry, compaction plans, obsolete lists). Set by the
+	// table writer and the manifest loader.
+	h *tableHandle
+}
+
+// tableHandle holds a table's reader from its first use until the table is
+// retired: the version's level entries carry their readers, so a point read
+// finds one without a shared map or its lock.
+//
+// Lifetime. The handle owns one reference to the reader it opened and drops
+// it in release — called after the table has left db.levels (a compaction
+// retiring its inputs) or after the DB is marked closed. Both of those take
+// db.mu exclusively first, so a caller that found the table in db.levels
+// and still holds db.mu shared — Get, Has — uses the reader with no
+// reference of its own. Callers that outlive the lock (iterators,
+// compactions) take one with acquire, and the last unref, theirs or the
+// handle's, closes the file.
+type tableHandle struct {
+	mu sync.Mutex // serialises the first open, and open against release
+	r  atomic.Pointer[tableReader]
+}
+
+// table returns m's reader, opening it on first use. The caller holds db.mu
+// with m in db.levels, or owns m through a compaction claim.
+func (db *DB) table(m *tableMeta) (*tableReader, error) {
+	if t := m.h.r.Load(); t != nil {
+		return t, nil
+	}
+	m.h.mu.Lock()
+	defer m.h.mu.Unlock()
+	if t := m.h.r.Load(); t != nil {
+		return t, nil
+	}
+	// openTable applies retryIO to each individual read itself, so
+	// transient faults are absorbed without reopening from scratch.
+	t, err := openTable(db.fs, db.dir, *m, db.cache, db.retryIO)
+	if err != nil {
+		return nil, err
+	}
+	m.h.r.Store(t)
+	return t, nil
+}
+
+// acquire is table plus a reference for a caller that keeps the reader past
+// the lock or claim it was found under; the caller must unref.
+func (db *DB) acquire(m *tableMeta) (*tableReader, error) {
+	t, err := db.table(m)
+	if err != nil {
+		return nil, err
+	}
+	t.ref()
+	return t, nil
+}
+
+// release drops the handle's reference to its reader, if it opened one.
+func (h *tableHandle) release() {
+	h.mu.Lock()
+	t := h.r.Swap(nil)
+	h.mu.Unlock()
+	if t != nil {
+		t.unref()
+	}
 }
 
 // tablePath names the SSTable file for number num inside dir.
@@ -92,11 +156,12 @@ type indexEntry struct {
 // shared block cache, so a store much larger than memory stays readable
 // within the cache budget.
 //
-// Readers are reference-counted. The DB's open map holds one reference;
-// every in-flight consumer (Get, iterator, compaction) takes its own, so a
+// Readers are reference-counted. The table's handle in the version holds one
+// reference; iterators and compactions, which outlive db.mu, take their own
+// (tableHandle has the rule for point reads, which take none), so a
 // compaction deleting the file under a live scan is safe: the OS keeps
 // unlinked files readable through open descriptors (MemFS handles hold a
-// snapshot), and the last unref closes the handle and purges the table's
+// snapshot), and the last unref closes the file and purges the table's
 // cached blocks.
 type tableReader struct {
 	meta   tableMeta
@@ -107,7 +172,6 @@ type tableReader struct {
 	bloom  *bloomFilter
 	hasCRC bool // v2: per-section crc32 trailers
 	cache  *blockCache
-	stats  *dbStats // bloom effectiveness counters; nil for unit readers
 	retry  retryFn
 	pinned int64 // index+bloom bytes accounted against the cache
 	refs   atomic.Int32
@@ -137,7 +201,7 @@ func (t *tableReader) unref() {
 // index, and bloom sections (the only parts read eagerly). Individual
 // reads go through retry so transient faults are absorbed by the store's
 // backoff policy.
-func openTable(fsys faultfs.FS, dir string, meta tableMeta, cache *blockCache, stats *dbStats, retry retryFn) (*tableReader, error) {
+func openTable(fsys faultfs.FS, dir string, meta tableMeta, cache *blockCache, retry retryFn) (*tableReader, error) {
 	if retry == nil {
 		retry = passRetry
 	}
@@ -159,7 +223,7 @@ func openTable(fsys faultfs.FS, dir string, meta tableMeta, cache *blockCache, s
 		f.Close()
 		return nil, err
 	}
-	t, err := openTableReader(f, f.Close, size, meta, cache, stats, retry)
+	t, err := openTableReader(f, f.Close, size, meta, cache, retry)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -171,17 +235,17 @@ func openTable(fsys faultfs.FS, dir string, meta tableMeta, cache *blockCache, s
 // byte-backed constructor fuzz targets and corruption tests use. No cache,
 // no retry policy.
 func newTableReader(data []byte, meta tableMeta) (*tableReader, error) {
-	return openTableReader(bytes.NewReader(data), nil, int64(len(data)), meta, nil, nil, passRetry)
+	return openTableReader(bytes.NewReader(data), nil, int64(len(data)), meta, nil, passRetry)
 }
 
 // openTableReader validates an SSTable through its positional-read source
 // and builds a reader. Every structural field is bounds-checked before
 // use: arbitrary (fuzzed, torn, bit-flipped) input must produce
 // errTableCorrupt, never a panic or an out-of-range access.
-func openTableReader(src io.ReaderAt, closer func() error, size int64, meta tableMeta, cache *blockCache, stats *dbStats, retry retryFn) (*tableReader, error) {
+func openTableReader(src io.ReaderAt, closer func() error, size int64, meta tableMeta, cache *blockCache, retry retryFn) (*tableReader, error) {
 	t := &tableReader{
 		meta: meta, src: src, closer: closer, size: size,
-		cache: cache, stats: stats, retry: retry,
+		cache: cache, retry: retry,
 	}
 	if size < footerSize {
 		return nil, fmt.Errorf("%w: file shorter than footer", errTableCorrupt)
@@ -289,30 +353,30 @@ func (t *tableReader) blockPayload(extent []byte, blockIdx int) ([]byte, error) 
 	return payload, nil
 }
 
-// readBlock returns the payload of data block i. useCache selects the
-// shared-cache path (point reads): a hit costs no I/O, a miss fetches the
-// extent and inserts the verified payload. diskBytes reports the bytes
+// block returns data block i ready for searching, through the shared cache:
+// a hit costs no I/O; a miss fetches the extent, verifies its checksum,
+// indexes its entries (parseBlock — damaged framing fails here, and nothing
+// damaged is ever cached) and inserts it. diskBytes reports the bytes
 // actually fetched from the file — 0 on a cache hit — so physical-read
 // accounting reflects true I/O, not logical block touches.
-func (t *tableReader) readBlock(i int, useCache bool) (payload []byte, diskBytes int, err error) {
-	if useCache {
-		if b, ok := t.cache.get(t.meta.num, i); ok {
-			return b, 0, nil
-		}
+func (t *tableReader) block(i int) (blk *block, diskBytes int, err error) {
+	if cached, ok := t.cache.get(t.meta.num, i); ok {
+		return cached, 0, nil
 	}
-	blk := t.index[i]
-	buf := make([]byte, blk.length)
-	if err := t.readAt(buf, int64(blk.offset)); err != nil {
+	ext := t.index[i]
+	buf := make([]byte, ext.length)
+	if err := t.readAt(buf, int64(ext.offset)); err != nil {
 		return nil, 0, err
 	}
-	payload, err = t.blockPayload(buf, i)
+	payload, err := t.blockPayload(buf, i)
 	if err != nil {
-		return nil, int(blk.length), err
+		return nil, int(ext.length), err
 	}
-	if useCache {
-		t.cache.put(t.meta.num, i, payload)
+	if blk, err = parseBlock(payload); err != nil {
+		return nil, int(ext.length), fmt.Errorf("%w: table %06d block at %d", err, t.meta.num, ext.offset)
 	}
-	return payload, int(blk.length), nil
+	t.cache.put(t.meta.num, i, blk)
+	return blk, int(ext.length), nil
 }
 
 // parseIndex decodes the index block. dataLimit is the exclusive upper
@@ -359,77 +423,49 @@ func parseIndex(raw []byte, dataLimit uint64, withCRC bool) ([]indexEntry, error
 	return index, nil
 }
 
-// get looks up key. bytesRead reports bytes fetched from disk (0 when the
-// block was cached), so the DB accounts physical read I/O. A block whose
-// checksum or framing is damaged surfaces errTableCorrupt — a corrupt
-// block must not masquerade as key-not-found. Bloom effectiveness is
-// counted on the way: negatives that skip the table entirely, and false
-// positives where the filter passed but the block held no match.
-func (t *tableReader) get(key []byte) (value []byte, found, deleted bool, bytesRead int, err error) {
-	if !t.bloom.mayContain(key) {
-		if t.stats != nil {
-			t.stats.bloomNegatives.Add(1)
-		}
-		return nil, false, false, 0, nil
+// readCounts is what one point read adds to the store's read-side counters.
+// It is accumulated on the reader's stack across however many tables the
+// read probes and published once (readStats.publish), so probing a table
+// writes no shared counter.
+type readCounts struct {
+	physicalBytes       int // fetched from table files; 0 when every block was cached
+	bloomNegatives      int // tables the filter ruled out
+	bloomFalsePositives int // tables the filter let through that held no match
+}
+
+// get looks up key, whose fastHash64 is hash (computed once per read, not
+// per table; legacy v1 filters hash the key their own way). A block whose
+// checksum or framing is damaged surfaces errTableCorrupt — a corrupt block
+// must not masquerade as key-not-found. rc takes the disk bytes fetched and
+// the bloom filter's effectiveness: negatives that skip the table entirely,
+// false positives where the filter passed but the block held no match. The
+// value is a view of the block, shared and read-only.
+func (t *tableReader) get(key []byte, hash uint64, rc *readCounts) (value []byte, found, deleted bool, err error) {
+	if !t.bloom.fast {
+		hash = bloomHash(key, false)
+	}
+	if !t.bloom.mayContainHash(hash) {
+		rc.bloomNegatives++
+		return nil, false, false, nil
 	}
 	// Binary search the first block whose last key >= key.
 	i := sort.Search(len(t.index), func(i int) bool {
 		return bytes.Compare(t.index[i].lastKey, key) >= 0
 	})
 	if i == len(t.index) {
-		if t.stats != nil {
-			t.stats.bloomFalsePositives.Add(1)
-		}
-		return nil, false, false, 0, nil
+		rc.bloomFalsePositives++
+		return nil, false, false, nil
 	}
-	block, bytesRead, err := t.readBlock(i, true)
+	blk, diskBytes, err := t.block(i)
+	rc.physicalBytes += diskBytes
 	if err != nil {
-		return nil, false, false, bytesRead, err
+		return nil, false, false, err
 	}
-	err = walkBlock(block, func(ent entry) bool {
-		c := bytes.Compare(ent.key, key)
-		if c == 0 {
-			value, found, deleted = ent.value, true, ent.tombstone
-			return false
-		}
-		return c < 0
-	})
-	if err != nil {
-		err = fmt.Errorf("%w: table %06d block at %d", err, t.meta.num, t.index[i].offset)
-		return nil, false, false, bytesRead, err
+	value, found, deleted = blk.search(key)
+	if !found {
+		rc.bloomFalsePositives++
 	}
-	if !found && t.stats != nil {
-		t.stats.bloomFalsePositives.Add(1)
-	}
-	return value, found, deleted, bytesRead, err
-}
-
-// walkBlock yields the entries of one data block in order until yield
-// returns false. Damaged framing returns errTableCorrupt; corrupt lengths
-// must never index past the block.
-func walkBlock(block []byte, yield func(entry) bool) error {
-	for len(block) > 0 {
-		flags := block[0]
-		block = block[1:]
-		klen, n := binary.Uvarint(block)
-		if n <= 0 || uint64(len(block)-n) < klen {
-			return fmt.Errorf("%w: entry key framing", errTableCorrupt)
-		}
-		block = block[n:]
-		key := block[:klen]
-		block = block[klen:]
-		vlen, n := binary.Uvarint(block)
-		if n <= 0 || uint64(len(block)-n) < vlen {
-			return fmt.Errorf("%w: entry value framing", errTableCorrupt)
-		}
-		block = block[n:]
-		value := block[:vlen]
-		block = block[vlen:]
-		if !yield(entry{key: key, value: value, tombstone: flags&1 != 0}) {
-			return nil
-		}
-	}
-	return nil
+	return value, found, deleted, nil
 }
 
 // tableIterator walks the full table in key order, including tombstones.
@@ -576,7 +612,7 @@ func (it *tableIterator) loadBlock(i int) ([]byte, error) {
 	t := it.t
 	if it.checkCache {
 		if b, ok := t.cache.get(t.meta.num, i); ok {
-			return b, nil
+			return b.data, nil
 		}
 	}
 	if i < it.raFirst || i >= it.raFirst+it.raCount {

@@ -176,6 +176,7 @@ func (w *tableWriter) finish(num uint64) (tableMeta, error) {
 		smallest: w.smallest,
 		largest:  append([]byte(nil), w.img[w.lastKeyOff:w.lastKeyOff+w.lastKeyLen]...),
 		entries:  uint64(n),
+		h:        new(tableHandle),
 	}
 	path := tablePath(w.dir, num)
 	err := w.retry(func() error { return faultfs.WriteFileSync(w.fsys, path, w.img) })

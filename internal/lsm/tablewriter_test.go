@@ -35,6 +35,48 @@ func writeTableFormat(fsys faultfs.FS, dir string, num uint64, level int, ents [
 }
 
 // goldenKey is a fixed-width ascending key: 8-byte big-endian counter.
+// probe is a point lookup on one table as a DB read would make it, for tests
+// that drive a reader directly; bytesRead is what it fetched from the file.
+func (t *tableReader) probe(key []byte) (value []byte, found, deleted bool, bytesRead int, err error) {
+	var rc readCounts
+	value, found, deleted, err = t.get(key, fastHash64(key), &rc)
+	return value, found, deleted, rc.physicalBytes, err
+}
+
+// mayContain hashes key the filter's own way and probes it.
+func (f *bloomFilter) mayContain(key []byte) bool {
+	return f.mayContainHash(bloomHash(key, f.fast))
+}
+
+// walkBlock yields the entries of one data block in order until yield
+// returns false — the linear decoder point reads used before blocks were
+// indexed (block.go), kept as the reference the binary search is checked
+// against. Damaged framing returns errTableCorrupt.
+func walkBlock(block []byte, yield func(entry) bool) error {
+	for len(block) > 0 {
+		flags := block[0]
+		block = block[1:]
+		klen, n := binary.Uvarint(block)
+		if n <= 0 || uint64(len(block)-n) < klen {
+			return fmt.Errorf("%w: entry key framing", errTableCorrupt)
+		}
+		block = block[n:]
+		key := block[:klen]
+		block = block[klen:]
+		vlen, n := binary.Uvarint(block)
+		if n <= 0 || uint64(len(block)-n) < vlen {
+			return fmt.Errorf("%w: entry value framing", errTableCorrupt)
+		}
+		block = block[n:]
+		value := block[:vlen]
+		block = block[vlen:]
+		if !yield(entry{key: key, value: value, tombstone: flags&1 != 0}) {
+			return nil
+		}
+	}
+	return nil
+}
+
 func goldenKey(i int) []byte {
 	k := make([]byte, 8)
 	binary.BigEndian.PutUint64(k, uint64(i))
