@@ -33,12 +33,13 @@ check: build vet race crashtest determinism bench-rig bench-kernels-once serve-s
 crashtest:
 	ETHKV_CRASHTEST_SEEDS=200 $(GO) test -race -run TestCrashRecovery ./internal/lsm/crashtest/
 
-# The suites that pin what background work may never change — sub-compaction
-# and worker-width byte identity, crash fingerprints — repeated under the race
-# detector: a scheduling-dependent divergence shows up in one run of twenty,
-# not in one.
+# The suites that pin what scheduling may never change — sub-compaction and
+# worker-width byte identity, crash fingerprints, and the commit pipeline's
+# apply-order-is-log-order and barrier-watermark rules — repeated under the
+# race detector: a scheduling-dependent divergence shows up in one run of
+# twenty, not in one.
 determinism:
-	$(GO) test -race -count=20 -run 'TestSubCompactionEquivalence|TestCompactionWorkerInvariance|TestCrashRecovery.*Deterministic' ./internal/lsm/...
+	$(GO) test -race -count=20 -run 'TestSubCompactionEquivalence|TestCompactionWorkerInvariance|TestCrashRecovery.*Deterministic|TestApplyOrderIsLogOrder|TestBarrierSharedByWatermark' ./internal/lsm/...
 
 # Regenerate every table and figure once (E1-E13 of DESIGN.md).
 bench:
@@ -51,10 +52,12 @@ bench-rig:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
 # The LSM's kernel micro-benchmarks (internal/lsm/kernel_bench_test.go): the
-# background write path's merge, table write and range compaction, and the
-# point-read path's cached Get and block search, on MemFS. -cpu 1,2 because
-# what the read kernels measure is largely what two readers cost each other.
-KERNELS = MergeIterator|TableWrite|CompactRange|GetCached|BlockSearch
+# background write path's merge, table write and range compaction, the
+# point-read path's cached Get and block search, on MemFS, and the durable
+# commit path's barrier sharing under 1, 2 and 8 writers over 200 µs syncs.
+# -cpu 1,2 because what the read kernels measure is largely what two readers
+# cost each other.
+KERNELS = MergeIterator|TableWrite|CompactRange|GetCached|BlockSearch|CommitParallel
 bench-kernels:
 	$(GO) test -run NONE -bench '$(KERNELS)' -cpu 1,2 -benchmem ./internal/lsm
 

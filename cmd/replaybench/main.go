@@ -211,8 +211,8 @@ func main() {
 		st.MaxConcurrentCompactions, st.SubCompactions,
 		time.Duration(st.CompactionParallelNanos).Seconds())
 	// The durable write path's device cost; all zero with the WAL off.
-	fmt.Printf("wal syncs: %d (%.1f%% of wall time inside the barrier)   manifest writes: %d\n",
-		st.WALSyncs, wallShare(st.WALSyncNanos), st.ManifestWrites)
+	fmt.Printf("wal syncs: %d (%.1f%% of wall time inside the barrier; %d commits shared another's)   manifest writes: %d\n",
+		st.WALSyncs, wallShare(st.WALSyncNanos), st.WALSharedCommits, st.ManifestWrites)
 	fmt.Printf("io retries: %d   degraded: %d\n",
 		st.IORetries, st.Degraded)
 	if hs, ok := raw.(*hybrid.Store); ok {

@@ -240,16 +240,19 @@ func (s *Store) NewBatch() kv.Batch {
 	return &routedBatch{store: s}
 }
 
-// Flush forces buffered writes down on every backend that supports it.
+// Flush forces buffered writes down on every backend that supports it,
+// returning the first error after attempting all: one route's failure must
+// not leave the others' writes buffered.
 func (s *Store) Flush() error {
+	var first error
 	for _, b := range s.backends {
 		if f, ok := b.Store.(interface{ Flush() error }); ok {
-			if err := f.Flush(); err != nil {
-				return fmt.Errorf("route %s: %w", b.Name, err)
+			if err := f.Flush(); err != nil && first == nil {
+				first = fmt.Errorf("route %s: flush: %w", b.Name, err)
 			}
 		}
 	}
-	return nil
+	return first
 }
 
 // Drain implements kv.Drainer by draining every backend that supports it,

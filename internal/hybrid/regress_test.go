@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -275,5 +276,62 @@ func TestScanTruncatedPrefixSeesAllRoutes(t *testing.T) {
 	// A class-qualified prefix still sees its class.
 	if n := count([]byte("c")); n != 2 {
 		t.Fatalf("scan(%q) saw %d keys, want 2 hash-routed keys", "c", n)
+	}
+}
+
+// flushStub is a backend whose Flush is counted and fails on demand.
+type flushStub struct {
+	kv.Store
+	err     error
+	flushes int
+}
+
+func (f *flushStub) Flush() error {
+	f.flushes++
+	return f.err
+}
+
+// TestFlushAttemptsEveryRoute is the regression test for Flush giving up at
+// the first failing route, which left the later backends' writes buffered —
+// unlike Drain and Close, which attempt all and report the first error.
+func TestFlushAttemptsEveryRoute(t *testing.T) {
+	errA, errB := fmt.Errorf("route a is down"), fmt.Errorf("route b is down")
+	for _, tc := range []struct {
+		name  string
+		errs  [3]error
+		want  error  // the cause Flush must wrap; nil for success
+		route string // the route Flush must name
+	}{
+		{name: "all succeed"},
+		{name: "first fails", errs: [3]error{errA, nil, nil}, want: errA, route: "a"},
+		{name: "middle fails", errs: [3]error{nil, errB, nil}, want: errB, route: "b"},
+		{name: "two fail, first wins", errs: [3]error{errA, errB, nil}, want: errA, route: "a"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stubs := make([]*flushStub, 3)
+			backends := make([]Backend, 3)
+			for i := range stubs {
+				stubs[i] = &flushStub{Store: kv.NewMemStore(), err: tc.errs[i]}
+				backends[i] = Backend{Name: string(rune('a' + i)), Store: stubs[i]}
+			}
+			// A route without a Flush of its own is skipped, not an error.
+			backends = append(backends, Backend{Name: "plain", Store: kv.NewMemStore()})
+			s, err := NewRouted(backends, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = s.Flush()
+			if !errors.Is(err, tc.want) || (tc.want == nil) != (err == nil) {
+				t.Fatalf("Flush = %v, want cause %v", err, tc.want)
+			}
+			if err != nil && !strings.Contains(err.Error(), "route "+tc.route+":") {
+				t.Fatalf("Flush = %q, want it to name route %s", err, tc.route)
+			}
+			for i, stub := range stubs {
+				if stub.flushes != 1 {
+					t.Fatalf("route %s flushed %d times, want once whatever the others did", backends[i].Name, stub.flushes)
+				}
+			}
+		})
 	}
 }

@@ -184,6 +184,7 @@ func RegisterStatsMetrics(r *obs.Registry, sp StatsProvider, labels ...string) {
 		{"degraded", func(s Stats) float64 { return float64(s.Degraded) }},
 		{"wal_syncs", func(s Stats) float64 { return float64(s.WALSyncs) }},
 		{"wal_sync_nanos", func(s Stats) float64 { return float64(s.WALSyncNanos) }},
+		{"wal_shared_commits", func(s Stats) float64 { return float64(s.WALSharedCommits) }},
 		{"manifest_writes", func(s Stats) float64 { return float64(s.ManifestWrites) }},
 		{"block_cache_hits", func(s Stats) float64 { return float64(s.BlockCacheHits) }},
 		{"block_cache_misses", func(s Stats) float64 { return float64(s.BlockCacheMisses) }},

@@ -148,11 +148,13 @@ type Stats struct {
 	Degraded  uint64 // 1 once the store latched into read-only degraded mode
 
 	// The durable write path's device cost. WALSyncs over committed batches
-	// is syncs-per-commit; WALSyncNanos over wall time is the share of the
-	// run a writer spent inside the barrier.
-	WALSyncs       uint64 // durability barriers issued on the write-ahead log
-	WALSyncNanos   uint64 // total nanoseconds spent inside those barriers
-	ManifestWrites uint64 // manifest snapshots written (flush/compaction installs)
+	// is syncs-per-commit — below 1 when concurrent writers share barriers,
+	// which WALSharedCommits counts from the other side; WALSyncNanos over
+	// wall time is the share of the run the log spent inside a barrier.
+	WALSyncs         uint64 // durability barriers issued on the write-ahead log
+	WALSyncNanos     uint64 // total nanoseconds spent inside those barriers
+	WALSharedCommits uint64 // batch commits made durable by another writer's barrier
+	ManifestWrites   uint64 // manifest snapshots written (flush/compaction installs)
 
 	BlockCacheHits        uint64 // demand-paged block reads served from the cache
 	BlockCacheMisses      uint64 // block reads that went to the storage layer
@@ -211,6 +213,7 @@ func (s *Stats) MergePhysical(o Stats) {
 	s.Degraded += o.Degraded
 	s.WALSyncs += o.WALSyncs
 	s.WALSyncNanos += o.WALSyncNanos
+	s.WALSharedCommits += o.WALSharedCommits
 	s.ManifestWrites += o.ManifestWrites
 	s.BlockCacheHits += o.BlockCacheHits
 	s.BlockCacheMisses += o.BlockCacheMisses

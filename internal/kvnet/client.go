@@ -591,7 +591,7 @@ func (cc *clientConn) redial() *session {
 func (cc *clientConn) sendLoop(sess *session, held *call) (*call, error) {
 	c := cc.client
 	o := c.opts
-	bw := bufio.NewWriterSize(sess.nc, 256<<10)
+	bw := newFrameWriter(sess.nc)
 	for {
 		// Session dead: hand the un-shipped op back to the supervisor.
 		select {

@@ -325,7 +325,7 @@ func (s *Server) serveConn(c net.Conn) {
 	writer.Add(1)
 	go func() {
 		defer writer.Done()
-		bw := bufio.NewWriterSize(c, 256<<10)
+		bw := newFrameWriter(c)
 		for body := range out {
 			m.bytesOut.Add(uint64(len(body)))
 			if err := writeFrame(bw, body); err != nil {

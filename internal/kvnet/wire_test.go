@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -341,4 +342,113 @@ func FuzzServerRequestDecode(f *testing.F) {
 		}
 		srv.releaseConnIters(st)
 	})
+}
+
+// writeCounter counts the Write calls that reach it — on a socket, the write
+// syscalls.
+type writeCounter struct {
+	io.Writer
+	writes atomic.Int64
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes.Add(1)
+	return w.Writer.Write(p)
+}
+
+// TestFrameLeavesInOneWrite pins what DESIGN.md §14 says of the frame path:
+// writeFrame's header and body Writes meet in the frame writer's buffer, so a
+// flush hands the connection one Write however many frames it carries. (Only
+// a frame that overflows the buffer is split, and then by size, not at the
+// header.)
+func TestFrameLeavesInOneWrite(t *testing.T) {
+	var wire bytes.Buffer
+	conn := &writeCounter{Writer: &wire}
+	bw := newFrameWriter(conn)
+	flushes := int64(0)
+	for _, frames := range [][][]byte{
+		{[]byte("one small frame")},
+		{bytes.Repeat([]byte{1}, 100<<10)}, // a 100 KiB write batch
+		{[]byte("three"), []byte("folded"), []byte("responses")},
+		{bytes.Repeat([]byte{2}, frameWriterBytes-frameHeaderLen)}, // the largest that fits
+	} {
+		for _, body := range frames {
+			if err := writeFrame(bw, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := conn.writes.Load(); n != flushes {
+			t.Fatalf("%d Writes reached the connection before the flush, want %d", n, flushes)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		flushes++
+		if n := conn.writes.Load(); n != flushes {
+			t.Fatalf("flush %d of %d frames: %d Writes on the connection so far, want one per flush", flushes, len(frames), n)
+		}
+		for _, body := range frames {
+			got, err := readFrame(&wire, DefaultMaxFrameBytes)
+			if err != nil || !bytes.Equal(got, body) {
+				t.Fatalf("frame did not survive the trip: %d bytes, %v", len(got), err)
+			}
+		}
+	}
+}
+
+// countingListener hands the server connections whose Writes are counted.
+type countingListener struct {
+	net.Listener
+	conn chan *writeCounter
+}
+
+type countedConn struct {
+	net.Conn
+	w *writeCounter
+}
+
+func (c countedConn) Write(p []byte) (int, error) { return c.w.Write(p) }
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	w := &writeCounter{Writer: c}
+	l.conn <- w
+	return countedConn{Conn: c, w: w}, nil
+}
+
+// TestServedResponseIsOneConnWrite: end to end, a closed-loop client's every
+// call costs the server's connection exactly one Write — the response frame,
+// header and body together.
+func TestServedResponseIsOneConnWrite(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &countingListener{Listener: ln, conn: make(chan *writeCounter, 1)}
+	srv := NewServer(kv.NewMemStore(), silentOpts())
+	go srv.Serve(counted)
+	defer srv.Close()
+	c := dialT(t, ln.Addr().String(), ClientOptions{})
+	defer c.Close()
+	conn := <-counted.conn
+
+	if err := c.Put([]byte("k"), bytes.Repeat([]byte("v"), 4096)); err != nil {
+		t.Fatal(err)
+	}
+	const calls = 100
+	before, framesBefore := conn.writes.Load(), c.NetStats().FramesSent
+	for i := 0; i < calls; i++ {
+		if _, err := c.Get([]byte("k")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if frames := c.NetStats().FramesSent - framesBefore; frames != calls {
+		t.Fatalf("%d sequential Gets shipped %d request frames, want one each", calls, frames)
+	}
+	if writes := conn.writes.Load() - before; writes != calls {
+		t.Fatalf("%d response frames cost the server's connection %d Writes, want one each", calls, writes)
+	}
 }

@@ -1,23 +1,89 @@
 package lsm
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"ethkv/internal/kv"
 )
 
-// commit is the one write path: every Put, Delete and batch goes through
-// it. A batch is logged as one group record and synced before it is
-// acknowledged; a single op (batch false, len(ops) == 1) is logged as a
-// plain record and stays buffered. The memtable takes ownership of the ops'
-// key and value slices, which the caller has already made private.
+// The write path (DESIGN.md §18). Every mutation — Put, Delete, a batch —
+// goes through DB.commit, in three stages:
 //
-// The order is encode → append → sync → apply → acknowledge: the record is
-// built before any lock is taken, and a write is never visible before it is
-// durable nor acknowledged before it is visible. Only commitMu is held
-// across the file I/O: readers, flush installs and compaction installs all
-// proceed while a writer waits for the device.
+//  1. under commitMu, for microseconds: admission, rotation if the memtable
+//     is full, append of the already-encoded record to the active log, and a
+//     ticket — the commit's place in log order;
+//  2. under no DB lock: the durability barrier (wal.syncTo), which a commit
+//     shares with every record that reached the file before the barrier was
+//     issued — single ops skip this stage, their records stay buffered;
+//  3. in ticket order (turnstile): apply to the memtable, count, retire the
+//     ticket.
+//
+// So one writer's barrier overlaps its neighbours' appends and applies, and
+// the memtable still takes records in exactly the order the log — and so a
+// replay — has them. Whatever freezes the memtable or retires its log
+// (rotation, Flush, Drain, CompactAll, Close) first holds commitMu and waits
+// for the pipeline to empty: every ticket issued has retired, so every record
+// in the generation's log is in the generation's memtable.
+
+// turnstile lets commits through stage 3 one at a time, in ticket order.
+// Tickets are issued under commitMu (DB.tickets); serving is the ticket whose
+// turn it is, so serving == DB.tickets means the pipeline is empty. A commit
+// that finds its turn already come — a lone writer always does — passes on
+// one atomic load and retires on one atomic store; the mutex and condition
+// are for commits that must queue.
+type turnstile struct {
+	serving atomic.Uint64
+	waiting atomic.Int32 // goroutines in, or about to enter, wait's slow path
+	mu      sync.Mutex
+	cond    sync.Cond // L is &mu (Open)
+}
+
+// wait returns when it is ticket's turn. Waiting for the next ticket to be
+// issued, with commitMu held so that it cannot be, waits for an empty
+// pipeline.
+func (t *turnstile) wait(ticket uint64) {
+	if t.serving.Load() == ticket {
+		return
+	}
+	// Announce before checking again: retire either sees the announcement and
+	// broadcasts, or stored serving before it and the check below sees that.
+	t.waiting.Add(1)
+	t.mu.Lock()
+	for t.serving.Load() != ticket {
+		t.cond.Wait()
+	}
+	t.mu.Unlock()
+	t.waiting.Add(-1)
+}
+
+// retire ends ticket's turn and starts the next one's.
+func (t *turnstile) retire(ticket uint64) {
+	t.serving.Store(ticket + 1)
+	if t.waiting.Load() != 0 {
+		t.mu.Lock()
+		t.cond.Broadcast()
+		t.mu.Unlock()
+	}
+}
+
+// commit is the one write path. A batch is logged as one group record and
+// covered by a barrier before it is acknowledged; a single op (batch false,
+// len(ops) == 1) is logged as a plain record and stays buffered. The memtable
+// takes ownership of the ops' key and value slices, which the caller has
+// already made private.
+//
+// The order for each commit is encode → append → barrier → apply →
+// acknowledge: the record is built before any lock is taken, and a write is
+// never visible before it is durable nor acknowledged before it is visible.
+// No DB lock is held across the barrier or the apply.
+//
+// Every ticket retires, in order, whatever happened to its commit. The first
+// commit in ticket order whose append or barrier failed degrades the store
+// and returns that error; it and every commit behind it leave the memtable
+// alone — their records follow a hole in the log — and the ones behind return
+// kv.ErrDegraded.
 func (db *DB) commit(ops []batchOp, batch bool) error {
 	var rec []byte
 	if !db.opts.DisableWAL {
@@ -27,28 +93,6 @@ func (db *DB) commit(ops []batchOp, batch bool) error {
 			rec = encodeRecord(ops[0])
 		}
 	}
-	db.commitMu.Lock()
-	defer db.commitMu.Unlock()
-	db.mu.RLock()
-	err := db.writeGateLocked()
-	db.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	if db.wal != nil {
-		err := db.wal.append(rec)
-		if err == nil && batch {
-			err = db.wal.sync()
-		}
-		if err != nil {
-			db.degrade(err)
-			return err
-		}
-		db.stats.physicalBytesWrite.Add(uint64(len(rec)))
-	}
-	// One memtable lock acquisition for the whole batch: a reader holds only
-	// db.mu shared, so this is what keeps a batch all-or-nothing to Get.
-	db.mem.apply(ops)
 	var puts, deletes, logical uint64
 	for _, op := range ops {
 		if op.delete {
@@ -59,21 +103,78 @@ func (db *DB) commit(ops []batchOp, batch bool) error {
 			logical += uint64(len(op.key) + len(op.value))
 		}
 	}
-	db.stats.puts.Add(puts)
-	db.stats.deletes.Add(deletes)
-	db.stats.tombstonesLive.Add(deletes)
-	db.stats.logicalBytesWritten.Add(logical)
-	return db.maybeRotate()
+
+	// Stage 1: a place in the log.
+	db.commitMu.Lock()
+	db.mu.RLock()
+	err := db.writeGateLocked()
+	db.mu.RUnlock()
+	if err == nil {
+		err = db.maybeRotate()
+	}
+	if err != nil {
+		db.commitMu.Unlock()
+		return err
+	}
+	ticket := db.tickets
+	db.tickets++
+	// The pair this record belongs to. Neither is replaced before the ticket
+	// retires.
+	log, mem := db.wal, db.mem
+	var lsn int64
+	if log != nil {
+		lsn, err = log.append(rec)
+	}
+	db.commitMu.Unlock()
+
+	// Stage 2: the barrier — this commit's own, or a neighbour's.
+	if err == nil && log != nil && batch {
+		var shared bool
+		if shared, err = log.syncTo(lsn); shared {
+			db.stats.walSharedCommits.Add(1)
+		}
+	}
+
+	// Stage 3: into the memtable, in log order.
+	db.turn.wait(ticket)
+	switch {
+	case db.commitErr != nil:
+		err = kv.ErrDegraded
+	case err != nil:
+		db.commitErr = err
+		db.degrade(err)
+	default:
+		// One memtable lock acquisition for the whole batch: a reader holds
+		// only db.mu shared, so this is what keeps a batch all-or-nothing to
+		// Get.
+		mem.apply(ops)
+		if log != nil {
+			db.stats.physicalBytesWrite.Add(uint64(len(rec)))
+		}
+		db.stats.puts.Add(puts)
+		db.stats.deletes.Add(deletes)
+		db.stats.tombstonesLive.Add(deletes)
+		db.stats.logicalBytesWritten.Add(logical)
+	}
+	db.turn.retire(ticket)
+	return err
 }
 
-// maybeRotate rotates a full memtable into the flush queue, stalling first
-// if the queue is at capacity. Called with commitMu held.
+// maybeRotate rotates a full memtable into the flush queue: it waits for the
+// commits in flight to reach that memtable, then stalls if the queue is at
+// capacity. Called with commitMu held, before the caller's own append — for a
+// lone writer, the instant after its previous commit.
 func (db *DB) maybeRotate() error {
 	if db.mem.size() < db.opts.MemtableBytes {
 		return nil
 	}
+	db.turn.wait(db.tickets)
 	db.mu.Lock()
-	err := db.waitForRoomLocked()
+	// Again: one of the commits just waited for may have degraded the store.
+	err := db.writeGateLocked()
+	if err == nil {
+		err = db.waitForRoomLocked()
+	}
 	db.mu.Unlock()
 	if err != nil {
 		return err
@@ -123,8 +224,8 @@ func (db *DB) waitForRoomLocked() error {
 
 // rotate freezes the current memtable into the flush queue, starts a fresh
 // WAL generation for its successor, and schedules a flush job. Called with
-// commitMu held and db.mu released: the log is sealed and its successor
-// opened first, and db.mu is taken only to swap the pointers.
+// commitMu held, the pipeline empty and db.mu released: the log is sealed and
+// its successor opened first, and db.mu is taken only to swap the pointers.
 func (db *DB) rotate() error {
 	if db.mem.count() == 0 {
 		return nil
@@ -162,9 +263,11 @@ func (db *DB) rotate() error {
 	return nil
 }
 
-// settle rotates any pending writes into the flush queue and waits for the
-// background work to drain (settleLocked). Called with commitMu held.
+// settle waits for the commits in flight to finish, rotates any pending
+// writes into the flush queue and waits for the background work to drain
+// (settleLocked). Called with commitMu held.
 func (db *DB) settle() error {
+	db.turn.wait(db.tickets)
 	db.mu.RLock()
 	degraded := db.degradedErr != nil
 	db.mu.RUnlock()

@@ -1,12 +1,15 @@
 package lsm
 
-// Tests for the commit pipeline's lock structure (DESIGN.md §18): device
+// Tests for the commit pipeline (DESIGN.md §18). Its lock structure: device
 // syncs happen with db.mu released, the WAL skips barriers it does not need,
 // and manifest writes happen outside the lock without ever letting a file
-// go before the manifest that stops needing it is durable. All of them are
-// event-driven: a filesystem wrapper parks a chosen Sync until the test lets
-// it go, so "while the sync is in flight" is a state the test holds, not a
-// window it hopes to hit.
+// go before the manifest that stops needing it is durable. Its three stages:
+// commits append in log order under commitMu alone, share WAL barriers by
+// start-of-sync watermark, and reach the memtable in ticket order, with
+// rotation, Flush and Close waiting for the pipeline to empty. All of them
+// are event-driven: a filesystem wrapper parks a chosen Sync until the test
+// lets it go, so "while the sync is in flight" is a state the test holds, not
+// a window it hopes to hit.
 
 import (
 	"bytes"
@@ -16,6 +19,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -526,5 +530,459 @@ func TestWriteStallsCountedPerCause(t *testing.T) {
 	if st.FlushTableNanos == 0 || st.ManifestNanos == 0 {
 		t.Fatalf("flush job time: table %d ns, manifest %d ns, want both nonzero",
 			st.FlushTableNanos, st.ManifestNanos)
+	}
+}
+
+// pipelineOpts is faultOpts with a memtable no test batch fills, so that a
+// commit's stage 1 never waits on a rotation the test did not ask for.
+func pipelineOpts(fsys faultfs.FS) Options {
+	o := faultOpts(fsys)
+	o.MemtableBytes = 1 << 20
+	return o
+}
+
+// goBatch commits one single-key batch on its own goroutine.
+func goBatch(db *DB, key, value string) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		b := db.NewBatch()
+		b.Put([]byte(key), []byte(value))
+		done <- b.Write()
+	}()
+	return done
+}
+
+// spinUntil polls cond, yielding in between, and fails the test if it does
+// not come true.
+func spinUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	for !cond() {
+		select {
+		case <-deadline:
+			t.Fatalf("timed out waiting until %s", what)
+		default:
+			runtime.Gosched()
+		}
+	}
+}
+
+// awaitTickets waits until n commits have appended their record and taken a
+// ticket. It looks under commitMu, and only ever tries the lock: a commit
+// that sat on commitMu while it waited for a barrier or for its turn would
+// starve the look and fail the test.
+func awaitTickets(t *testing.T, db *DB, n uint64) {
+	t.Helper()
+	spinUntil(t, fmt.Sprintf("%d commits hold a ticket with commitMu free", n), func() bool {
+		if !db.commitMu.TryLock() {
+			return false
+		}
+		defer db.commitMu.Unlock()
+		return db.tickets >= n
+	})
+}
+
+func mustReturn(t *testing.T, what string, done <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not return", what)
+		return nil
+	}
+}
+
+// mustAllSucceed waits for every named commit and fails on the first error.
+func mustAllSucceed(t *testing.T, commits map[string]<-chan error) {
+	t.Helper()
+	for what, done := range commits {
+		if err := mustReturn(t, what, done); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+}
+
+func mustGet(t *testing.T, db *DB, key, want string) {
+	t.Helper()
+	if v, err := db.Get([]byte(key)); err != nil || string(v) != want {
+		t.Fatalf("Get(%q) = %q, %v; want %q", key, v, err, want)
+	}
+}
+
+// TestCommitAppendsWhileNeighbourSyncs: with writer A inside its WAL sync,
+// writer B's record reaches the log and B waits for the barrier holding no DB
+// lock — a third commit takes its ticket too — while nothing of B is visible
+// yet and A's barrier does not vouch for it.
+func TestCommitAppendsWhileNeighbourSyncs(t *testing.T) {
+	fs := newParkFS(faultfs.NewMemFS())
+	db, err := Open("db", pipelineOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	defer fs.arm(nil)
+
+	fs.arm(hasSuffix(".log"))
+	a := goBatch(db, "a", "1")
+	syncA := fs.next(t, ".log")
+	db.wal.mu.Lock()
+	lsnA := db.wal.appended
+	db.wal.mu.Unlock()
+
+	b := goBatch(db, "b", "2")
+	awaitTickets(t, db, 2)
+	put := make(chan error, 1)
+	go func() { put <- db.Put([]byte("c"), []byte("3")) }()
+	awaitTickets(t, db, 3)
+
+	db.wal.mu.Lock()
+	appended, synced, syncing := db.wal.appended, db.wal.synced, db.wal.syncing
+	db.wal.mu.Unlock()
+	if !syncing || synced != 0 || appended <= lsnA {
+		t.Fatalf("log with A's sync parked: appended %d (A's record ends at %d), synced %d, syncing %v; want B's record appended behind an in-flight barrier",
+			appended, lsnA, synced, syncing)
+	}
+	for _, key := range []string{"a", "b", "c"} {
+		if _, err := db.Get([]byte(key)); !errors.Is(err, kv.ErrNotFound) {
+			t.Fatalf("Get(%q) with A's sync parked = %v, want ErrNotFound (visible before durable)", key, err)
+		}
+	}
+	select {
+	case err := <-b:
+		t.Fatalf("B returned (%v) on a barrier issued before its record was appended", err)
+	case err := <-put:
+		t.Fatalf("a Put behind two unapplied batches returned (%v) out of log order", err)
+	default:
+	}
+
+	fs.arm(nil)
+	close(syncA.release)
+	mustAllSucceed(t, map[string]<-chan error{"A": a, "B": b, "the Put": put})
+	mustGet(t, db, "a", "1")
+	mustGet(t, db, "b", "2")
+	mustGet(t, db, "c", "3")
+}
+
+// TestBarrierSharedByWatermark: a barrier vouches for exactly the records the
+// file held when its Sync was issued. Two commits appended while an earlier
+// barrier is in flight go out on one barrier between them; a commit appended
+// after a barrier was issued pays for its own, even though the in-memory
+// filesystem's Sync would have swept it up.
+func TestBarrierSharedByWatermark(t *testing.T) {
+	t.Run("appended before the barrier was issued", func(t *testing.T) {
+		fs := newParkFS(faultfs.NewMemFS())
+		db, err := Open("db", pipelineOpts(fs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		defer fs.arm(nil)
+
+		fs.arm(hasSuffix(".log"))
+		z := goBatch(db, "z", "0")
+		syncZ := fs.next(t, ".log")
+		fs.arm(nil)
+		a := goBatch(db, "a", "1")
+		b := goBatch(db, "b", "2")
+		awaitTickets(t, db, 3)
+		close(syncZ.release)
+		mustAllSucceed(t, map[string]<-chan error{"Z": z, "A": a, "B": b})
+		if st := db.Stats(); st.WALSyncs != 2 || st.WALSharedCommits != 1 || fs.syncCount(".log") != 2 {
+			t.Fatalf("three commits, two of them appended during the first's barrier: WALSyncs=%d WALSharedCommits=%d (%d Syncs reached the file), want 2 and 1",
+				st.WALSyncs, st.WALSharedCommits, fs.syncCount(".log"))
+		}
+	})
+	t.Run("appended after the barrier was issued", func(t *testing.T) {
+		fs := newParkFS(faultfs.NewMemFS())
+		db, err := Open("db", pipelineOpts(fs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		defer fs.arm(nil)
+
+		fs.arm(hasSuffix(".log"))
+		a := goBatch(db, "a", "1")
+		syncA := fs.next(t, ".log")
+		fs.arm(nil)
+		b := goBatch(db, "b", "2")
+		awaitTickets(t, db, 2)
+		close(syncA.release)
+		mustAllSucceed(t, map[string]<-chan error{"A": a, "B": b})
+		if st := db.Stats(); st.WALSyncs != 2 || st.WALSharedCommits != 0 {
+			t.Fatalf("B appended after A's Sync was issued: WALSyncs=%d WALSharedCommits=%d, want 2 and 0 (the watermark is start-of-sync)",
+				st.WALSyncs, st.WALSharedCommits)
+		}
+	})
+}
+
+// crashAndReopen cuts the power under db and reopens what survived.
+func crashAndReopen(t *testing.T, db *DB, mem *faultfs.MemFS, plan *faultfs.Plan) *DB {
+	t.Helper()
+	plan.TripCrash()
+	db.Close() // the dead process's close; its I/O all fails
+	mem.Crash(plan.TornTail())
+	re, err := Open("db", faultOpts(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { re.Close() })
+	return re
+}
+
+// TestApplyOrderIsLogOrder: writers that share a key must leave the memtable
+// holding what a replay of the log would. The crash sweep cannot see this —
+// its writers own disjoint keys.
+func TestApplyOrderIsLogOrder(t *testing.T) {
+	// The later record's writer is ready first: a single Put has no barrier
+	// to wait for, so it reaches the memtable's door while the batch logged
+	// ahead of it is still syncing.
+	t.Run("put behind a syncing batch", func(t *testing.T) {
+		mem := faultfs.NewMemFS()
+		plan := faultfs.NewPlan(29)
+		fs := newParkFS(faultfs.Inject(mem, plan))
+		db, err := Open("db", pipelineOpts(fs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fs.arm(nil)
+
+		fs.arm(hasSuffix(".log"))
+		a := goBatch(db, "k", "first")
+		syncA := fs.next(t, ".log")
+		fs.arm(nil)
+		put := make(chan error, 1)
+		go func() { put <- db.Put([]byte("k"), []byte("second")) }()
+		spinUntil(t, "the Put queues for its turn", func() bool { return db.turn.waiting.Load() == 1 })
+		close(syncA.release)
+		if err := mustReturn(t, "A", a); err != nil {
+			t.Fatal(err)
+		}
+		if err := mustReturn(t, "the Put", put); err != nil {
+			t.Fatal(err)
+		}
+		if v, found, _ := db.mem.get([]byte("k")); !found || string(v) != "second" {
+			t.Fatalf("memtable holds %q for k, want the later log record", v)
+		}
+		mustGet(t, db, "k", "second")
+		// A later barrier carries the buffered Put to the device with it.
+		if err := mustReturn(t, "the closing batch", goBatch(db, "end", "")); err != nil {
+			t.Fatal(err)
+		}
+		mustGet(t, crashAndReopen(t, db, mem, plan), "k", "second")
+	})
+	// Two batches wait out an earlier barrier together; whichever wakes
+	// first leads the next one and is first to the memtable's door. Over the
+	// rounds both orders occur, and the later record must win in each.
+	t.Run("two batches woken in either order", func(t *testing.T) {
+		mem := faultfs.NewMemFS()
+		plan := faultfs.NewPlan(31)
+		fs := newParkFS(faultfs.Inject(mem, plan))
+		db, err := Open("db", pipelineOpts(fs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fs.arm(nil)
+
+		const rounds = 64
+		key := func(i int) string { return fmt.Sprintf("k-%02d", i) }
+		for i := 0; i < rounds; i++ {
+			fs.arm(hasSuffix(".log"))
+			z := goBatch(db, "z", "")
+			syncZ := fs.next(t, ".log")
+			fs.arm(nil)
+			a := goBatch(db, key(i), "first")
+			awaitTickets(t, db, uint64(3*i+2))
+			b := goBatch(db, key(i), "second")
+			awaitTickets(t, db, uint64(3*i+3))
+			close(syncZ.release)
+			mustAllSucceed(t, map[string]<-chan error{"Z": z, "A": a, "B": b})
+			mustGet(t, db, key(i), "second")
+		}
+		re := crashAndReopen(t, db, mem, plan)
+		for i := 0; i < rounds; i++ {
+			mustGet(t, re, key(i), "second")
+		}
+	})
+}
+
+// TestFailedBarrierRetiresItsTicket: a sync that fails for good must not
+// strand the commits queued behind it — on the barrier or at the turnstile.
+// The failed commit returns the fault, the queued ones kv.ErrDegraded, none
+// of them reaches the memtable, and Close still returns.
+func TestFailedBarrierRetiresItsTicket(t *testing.T) {
+	plan := faultfs.NewPlan(37)
+	fs := newParkFS(faultfs.Inject(faultfs.NewMemFS(), plan))
+	db, err := Open("db", pipelineOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.arm(nil)
+
+	fs.arm(hasSuffix(".log"))
+	a := goBatch(db, "a", "1")
+	syncA := fs.next(t, ".log")
+	fs.arm(nil)
+	b := goBatch(db, "b", "2")
+	awaitTickets(t, db, 2)
+	put := make(chan error, 1)
+	go func() { put <- db.Put([]byte("c"), []byte("3")) }()
+	awaitTickets(t, db, 3)
+
+	plan.SetFailWritesAfter(1) // every write-path call from here on fails, permanently
+	close(syncA.release)
+	if err := mustReturn(t, "A", a); err == nil || errors.Is(err, kv.ErrDegraded) || faultfs.IsTransient(err) {
+		t.Fatalf("A = %v, want the permanent fault its Sync hit", err)
+	}
+	for what, done := range map[string]<-chan error{"B (queued on the barrier)": b, "the Put (queued for its turn)": put} {
+		if err := mustReturn(t, what, done); !errors.Is(err, kv.ErrDegraded) {
+			t.Fatalf("%s = %v, want kv.ErrDegraded", what, err)
+		}
+	}
+	for _, key := range []string{"a", "b", "c"} {
+		if _, err := db.Get([]byte(key)); !errors.Is(err, kv.ErrNotFound) {
+			t.Fatalf("Get(%q) after the failed barrier = %v, want ErrNotFound (nothing applied)", key, err)
+		}
+	}
+	if st := db.Stats(); st.Degraded != 1 || st.Puts != 0 {
+		t.Fatalf("Stats after the failed barrier: Degraded=%d Puts=%d, want 1 and 0", st.Degraded, st.Puts)
+	}
+	if err := db.Put([]byte("d"), []byte("4")); !errors.Is(err, kv.ErrDegraded) {
+		t.Fatalf("Put on the degraded store = %v, want kv.ErrDegraded", err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- db.Close() }()
+	mustReturn(t, "Close", closed)
+	if db.turn.serving.Load() != 3 {
+		t.Fatalf("%d tickets retired, want all 3", db.turn.serving.Load())
+	}
+}
+
+// TestRotationWaitsForPipeline: a record appended to log generation g belongs
+// in memtable g, because g's log is deleted once g's table is durable. Here B
+// is appended to generation 1 and still syncing when the memtable fills and C
+// comes to rotate it. C must wait for B; if it froze the memtable without B,
+// "flush 1, delete log 1, power cut" would lose an acknowledged batch.
+func TestRotationWaitsForPipeline(t *testing.T) {
+	mem := faultfs.NewMemFS()
+	plan := faultfs.NewPlan(41)
+	fs := newParkFS(faultfs.Inject(mem, plan))
+	opts := faultOpts(fs)
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.arm(nil)
+
+	fs.arm(hasSuffix(".log"))
+	a := goBatch(db, "a", strings.Repeat("x", opts.MemtableBytes)) // fills the memtable on its own
+	syncA := fs.next(t, ".log")
+	b := goBatch(db, "b", "2")
+	awaitTickets(t, db, 2)
+	close(syncA.release)
+	if err := mustReturn(t, "A", a); err != nil {
+		t.Fatal(err)
+	}
+	syncB := fs.next(t, ".log") // A is applied, the memtable is full, B holds ticket 1
+	fs.arm(nil)
+
+	c := goBatch(db, "c", "3")
+	spinUntil(t, "C waits for the pipeline to empty", func() bool { return db.turn.waiting.Load() == 1 })
+	db.mu.RLock()
+	gen, frozen := db.walSeq, len(db.imm)
+	db.mu.RUnlock()
+	if gen != 1 || frozen != 0 {
+		t.Fatalf("with B appended to generation 1 and not yet applied: active generation %d, %d frozen memtables; want 1 and 0", gen, frozen)
+	}
+
+	close(syncB.release)
+	if err := mustReturn(t, "B", b); err != nil {
+		t.Fatal(err)
+	}
+	if err := mustReturn(t, "C", c); err != nil {
+		t.Fatal(err)
+	}
+	spinUntil(t, "generation 1 is flushed and its log removed", func() bool {
+		for _, p := range mem.Paths() {
+			if p == db.walFile(1) {
+				return false
+			}
+		}
+		return true
+	})
+	re := crashAndReopen(t, db, mem, plan)
+	mustGet(t, re, "b", "2")
+	mustGet(t, re, "c", "3")
+	if _, err := re.Get([]byte("a")); err != nil {
+		t.Fatalf("acknowledged batch a lost: %v", err)
+	}
+}
+
+// TestFlushAndCloseDrainPipeline races Flush, CompactAll and Close against
+// two batch writers (run under -race). Each returns at a pipeline-empty
+// point; after Close every ticket issued has retired, and every batch that
+// was acknowledged is there on reopen.
+func TestFlushAndCloseDrainPipeline(t *testing.T) {
+	mem := faultfs.NewMemFS()
+	db, err := Open("db", faultOpts(faultfs.WithSyncLatency(mem, 20*time.Microsecond)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers = 2
+	acked := make([][]string, writers)
+	var commits atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			val := bytes.Repeat([]byte{byte(w)}, 200)
+			for i := 0; ; i++ {
+				key := fmt.Sprintf("w%d-%05d", w, i)
+				b := db.NewBatch()
+				b.Put([]byte(key), val)
+				if err := b.Write(); err != nil {
+					if !errors.Is(err, kv.ErrClosed) {
+						t.Errorf("writer %d: %v", w, err)
+					}
+					return
+				}
+				acked[w] = append(acked[w], key)
+				commits.Add(1)
+			}
+		}()
+	}
+	for i := int64(1); i <= 20; i++ {
+		spinUntil(t, "the writers commit some more", func() bool { return commits.Load() >= 10*i })
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	db.commitMu.Lock()
+	issued := db.tickets
+	db.commitMu.Unlock()
+	if applied := db.turn.serving.Load(); applied != issued || issued == 0 {
+		t.Fatalf("after Close: %d tickets issued, %d retired", issued, applied)
+	}
+	re, err := Open("db", faultOpts(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for w := range acked {
+		for _, key := range acked[w] {
+			if _, err := re.Get([]byte(key)); err != nil {
+				t.Fatalf("acknowledged batch %q: %v", key, err)
+			}
+		}
 	}
 }

@@ -90,9 +90,11 @@ func configFor(seed int64) Config {
 
 // TestCrashRecoverySyncLatencySeeds is the commit-pipeline row, over seeds
 // of its own on top of the main sweep's matrix (cache budgets and fault mixes
-// still rotate through configFor): four writers, four compaction workers,
-// and a modeled sync cost, so the crash lands while WAL syncs and manifest
-// writes — both issued with the version lock released — are in flight.
+// still rotate through configFor — so every other seed adds transient write
+// faults): four writers, four compaction workers, and a modeled sync cost,
+// so the crash lands while WAL syncs and manifest writes — issued with no
+// store lock held — are in flight, with other writers' records appended
+// behind the barrier, queued on it, or waiting their turn at the memtable.
 func TestCrashRecoverySyncLatencySeeds(t *testing.T) {
 	n := seedCount(t, 60) / 5
 	for seed := int64(1301); seed < 1301+int64(n); seed++ {

@@ -10,16 +10,22 @@
 // experiments can report write/read amplification.
 //
 // Every mutation — Put, Delete, a batch — goes through one commit pipeline
-// (DB.commit): the WAL record is encoded before any lock is taken, appended
-// (and, for a batch, synced) under the commit mutex alone, and only then
-// applied to the memtable. Writers are serialised with each other — one
-// batch, one WAL record, one barrier; there is no cross-writer group commit —
-// but never with readers or background installs: db.mu is held exclusively
+// (DB.commit, commit.go) of three stages. The WAL record is encoded before
+// any lock is taken. Stage 1, under the commit mutex and for microseconds
+// only: admission, rotation of a full memtable, append to the log, a ticket.
+// Stage 2, under no DB lock: the durability barrier, which concurrent
+// writers share — one Sync is in flight per log, it vouches for the records
+// the file held when it was issued, and a writer one already covers skips
+// the device. Stage 3: apply to the memtable in ticket order, so apply order
+// is log order is replay order. One writer's barrier thus overlaps its
+// neighbours' appends and applies, while each write is still durable before
+// it is visible and visible before it is acknowledged. Writers never
+// serialise with readers or background installs: db.mu is held exclusively
 // only to swap pointers (memtable rotation, table install), never across
-// file I/O. Writers wait for the device on their own syncs and on WAL
-// rotation, and stall when the flush queue or L0 is full (write-stall
-// backpressure, counted in Stats). DESIGN.md §18 has the lock order and the
-// durability invariants.
+// file I/O. Rotation, Flush, Drain, CompactAll and Close act only once the
+// pipeline is empty. Writers stall when the flush queue or L0 is full
+// (write-stall backpressure, counted in Stats). DESIGN.md §18 has the lock
+// order, the stages, the failure rule and the durability invariants.
 //
 // Background work runs on a compaction scheduler (see maybeScheduleLocked):
 // flushes and compactions occupy separate jobs so a long merge never blocks
@@ -46,8 +52,9 @@
 // a stripe picked by the key's hash. What two readers on two cores still
 // write in common is db.mu's reader count (DESIGN.md §20).
 //
-// Files: db.go (options, commit pipeline, scheduler, read path, manifest),
-// compaction.go (planning, merge execution, install), tablewriter.go,
+// Files: db.go (options, scheduler, read path, manifest), commit.go (the
+// write path: stages, turnstile, rotation, stalls, settle), compaction.go
+// (planning, merge execution, install), tablewriter.go,
 // sstable.go and block.go (table format, writer, reader, iterator, block
 // search), merge.go (sources and the k-way merge), memtable.go/skiplist.go,
 // wal.go, blockcache.go.
@@ -209,13 +216,23 @@ type flushTask struct {
 
 // DB is the LSM store. It implements kv.Store and kv.StatsProvider.
 type DB struct {
-	// commitMu is the write-pipeline mutex: Put, Delete, batch commits,
-	// Flush, Drain, CompactAll and Close hold it end to end, so exactly one
-	// of them appends to the WAL, applies to the memtable, or rotates at a
-	// time (Drain latches draining under mu first, to release a writer
-	// stalled inside). Lock order: commitMu → mu → {a table handle's mu,
-	// manifestMu}.
+	// commitMu orders the log: a commit holds it to pass admission, rotate a
+	// full memtable, append its record and take a ticket — never across a
+	// WAL sync or a memtable apply (commit.go). Flush, Drain, CompactAll and
+	// Close hold it end to end, which stops new commits while they wait out
+	// the ones in flight (Drain latches draining under mu first, to release
+	// a writer stalled inside). Lock order: commitMu → mu → {a table
+	// handle's mu, manifestMu}; the log's own mutex and the turnstile's are
+	// leaves.
 	commitMu sync.Mutex
+	// tickets is the next commit ticket, guarded by commitMu; turn admits
+	// ticket holders to the memtable in that order. turn.serving == tickets
+	// is the pipeline-empty point at which mem and wal may be replaced.
+	tickets uint64
+	turn    turnstile
+	// commitErr latches the first failed append or barrier, in ticket order.
+	// Read and written only by the commit whose turn it is.
+	commitErr error
 	// mu guards the version: mem/imm/levels and the scheduler state. It is
 	// held exclusively only to swap pointers, never across file I/O.
 	mu   sync.RWMutex
@@ -223,8 +240,9 @@ type DB struct {
 	opts Options
 	dir  string
 	fs   faultfs.FS // all durable I/O goes through this seam
-	// wal is the active log, paired with mem. Guarded by commitMu alone:
-	// only the commit pipeline touches it, and it syncs with mu released.
+	// wal is the active log, paired with mem. The pointer is guarded by
+	// commitMu alone; a commit in flight keeps using the log it appended to,
+	// which synchronises itself.
 	wal *wal
 	// walSeq (generation of the active log), mem, memSeq and closed are
 	// written with commitMu and mu both held, so either lock suffices to
@@ -310,6 +328,7 @@ type dbStats struct {
 	flushTableNanos, manifestNanos  atomic.Uint64 // flush job: table write, manifest commit
 	ioRetries, degraded             atomic.Uint64
 	walSyncs, walSyncNanos          atomic.Uint64
+	walSharedCommits                atomic.Uint64 // batches durable on another writer's barrier
 	manifestWrites                  atomic.Uint64
 	subCompactions                  atomic.Uint64
 	compactionParallelNanos         atomic.Uint64
@@ -378,6 +397,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.cond = sync.NewCond(&db.mu)
+	db.turn.cond.L = &db.turn.mu
 	db.next.Store(1)
 	if err := db.loadManifest(); err != nil {
 		return nil, err
@@ -1162,14 +1182,14 @@ func (it *errIterator) Error() error  { return it.err }
 func (db *DB) NewBatch() kv.Batch { return &dbBatch{db: db} }
 
 // dbBatch buffers writes and commits them as one unit through DB.commit: a
-// single framed WAL group record and one durability barrier per batch, so
-// crash recovery replays the batch all-or-nothing, and one memtable lock
-// acquisition (memtable.apply), so a concurrent Get sees none of it or all
-// of it. Batches from different writers are not merged — each pays its own
-// barrier. Put and Delete take private copies of the caller's bytes once;
-// Write hands those same slices to the memtable, which only ever reads them,
-// so a batch may be written, replayed or reset afterwards without copying
-// again.
+// single framed WAL group record covered by a durability barrier before it
+// is acknowledged, so crash recovery replays the batch all-or-nothing, and
+// one memtable lock acquisition (memtable.apply), so a concurrent Get sees
+// none of it or all of it. Batches from different writers keep their own
+// records but may leave on one barrier. Put and Delete take private copies
+// of the caller's bytes once; Write hands those same slices to the memtable,
+// which only ever reads them, so a batch may be written, replayed or reset
+// afterwards without copying again.
 type dbBatch struct {
 	db   *DB
 	ops  []batchOp
@@ -1240,6 +1260,7 @@ func (db *DB) Stats() kv.Stats {
 		IORetries:           db.stats.ioRetries.Load(),
 		WALSyncs:            db.stats.walSyncs.Load(),
 		WALSyncNanos:        db.stats.walSyncNanos.Load(),
+		WALSharedCommits:    db.stats.walSharedCommits.Load(),
 		ManifestWrites:      db.stats.manifestWrites.Load(),
 		Degraded:            db.stats.degraded.Load(),
 		SubCompactions:      db.stats.subCompactions.Load(),

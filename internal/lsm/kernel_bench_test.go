@@ -3,8 +3,10 @@ package lsm
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ethkv/internal/faultfs"
 	"ethkv/internal/kv"
@@ -14,11 +16,13 @@ import (
 // allocation and cache-line traffic, not a device: the background write
 // path's three (k-way merge, table encode+write, a whole range compaction)
 // and the point-read path's two (a Get on fully cached data, the search of
-// one block). `make bench-kernels` runs them at -cpu 1,2; `make check` runs
-// each once so they cannot rot. The write-path ones use only what the
-// slice-based writer's tests used too, and BenchmarkGetCached only the
-// store's exported calls, so the same functions measure earlier commits;
-// CHANGES.md records both sides.
+// one block). BenchmarkCommitParallel is the exception: it times the durable
+// commit path against a modeled barrier, because what it measures is how many
+// commits one barrier carries. `make bench-kernels` runs them at -cpu 1,2;
+// `make check` runs each once so they cannot rot. The write-path ones use only
+// what the slice-based writer's tests used too, and BenchmarkGetCached and
+// BenchmarkCommitParallel only the store's exported calls, so the same
+// functions measure earlier commits; CHANGES.md records both sides.
 
 // benchEntries returns n ascending entries whose keys are drawn from
 // [0, n*stride) with the given stride offset, ~100 bytes each — the trace's
@@ -239,4 +243,54 @@ func BenchmarkBlockSearch(b *testing.B) {
 		}
 	})
 	_ = sink
+}
+
+// BenchmarkCommitParallel commits ~100 KiB batches (100 pairs of 1 KiB, so
+// the barrier and not the skiplist prices a commit) from 1, 2 and 8
+// closed-loop writers into a WAL-on store whose every Sync costs 200 µs. One
+// writer pays one barrier per commit; concurrent writers should ride each
+// other's (syncs/commit well under 1), and MB/s shows what that buys.
+func BenchmarkCommitParallel(b *testing.B) {
+	const pairs, valueBytes, keySets = 100, 1000, 64
+	for _, writers := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("%dwriters", writers), func(b *testing.B) {
+			fsys := faultfs.WithSyncLatency(faultfs.NewMemFS(), 200*time.Microsecond)
+			db, err := Open("db", Options{FS: fsys})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			value := make([]byte, valueBytes)
+			rand.New(rand.NewSource(1)).Read(value)
+			keys := make([][]byte, writers*keySets*pairs)
+			for i := range keys {
+				keys[i] = []byte(fmt.Sprintf("key-%020d", i))
+			}
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.SetBytes(pairs * int64(len(keys[0])+valueBytes))
+			syncsBefore := db.Stats().WALSyncs
+			b.ResetTimer()
+			for w := 0; w < writers; w++ {
+				mine := keys[w*keySets*pairs:][:keySets*pairs]
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for n := next.Add(1); n <= int64(b.N); n = next.Add(1) {
+						batch := db.NewBatch()
+						for _, key := range mine[int(n%keySets)*pairs:][:pairs] {
+							batch.Put(key, value)
+						}
+						if err := batch.Write(); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(db.Stats().WALSyncs-syncsBefore)/float64(b.N), "syncs/commit")
+		})
+	}
 }

@@ -215,9 +215,10 @@ func TestGetDuringTableRetirement(t *testing.T) {
 	if opened := db.openTables(); opened != live {
 		t.Fatalf("open-readers gauge %d, want the live table count %d", opened, live)
 	}
-	if handles := fsys.open.Load(); handles != int64(live) {
-		t.Fatalf("%d table file handles open for %d live tables: a retired table's handle leaked", handles, live)
-	}
+	// Flush returns once every install is durable; a compaction closes and
+	// unlinks its inputs just after that, so give the last one's tail time.
+	spinUntil(t, fmt.Sprintf("only the %d live tables' file handles are open (a retired table's handle leaked)", live),
+		func() bool { return fsys.open.Load() == int64(live) })
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"sync"
 	"time"
 
 	"ethkv/internal/faultfs"
@@ -50,23 +51,44 @@ var errWALCorrupt = errors.New("lsm: corrupt wal record")
 // retry-with-backoff policy for transient faults.
 type retryFn func(op func() error) error
 
-// wal is an append-only write-ahead log. Records accumulate in an internal
-// buffer that is written through on sync, close, or when it exceeds
-// walFlushThreshold. The buffer is record-aligned and only cleared after a
-// successful write, so a transiently failed flush (which has no effect on
-// the file) can be retried wholesale without tearing or duplicating
-// records.
+// wal is an append-only write-ahead log, shared by the stages of the commit
+// pipeline (commit.go): appends come one at a time, in log order, from
+// whoever holds the DB's commit mutex; barriers come from any number of
+// committed writers at once, with no DB lock held.
+//
+// Records accumulate in an internal buffer that is written through on a
+// barrier, on close, or when it exceeds walFlushThreshold. The buffer is
+// record-aligned and only cleared after a successful write, so a transiently
+// failed flush (which has no effect on the file) can be retried wholesale
+// without tearing or duplicating records.
+//
+// A position in the log — an LSN — is the count of bytes appended through
+// this handle up to and including a record. One barrier is in flight at a
+// time. It covers the bytes that had been handed to the file when its Sync
+// was issued, not the bytes there when it returned: what a device does with a
+// write that races its flush is its own business. A writer whose LSN a
+// completed barrier covers is durable without a device round trip of its own.
 type wal struct {
 	f     faultfs.File
-	buf   []byte // records not yet written to f
 	retry retryFn
-	// dirty is set by every append and cleared by a successful sync: a
-	// clean log holds nothing a barrier could make more durable, so sync
-	// and close skip the device round trip.
-	dirty bool
 	// stats receives the barrier counters (WALSyncs/WALSyncNanos); nil in
 	// unit tests that build a bare log.
 	stats *dbStats
+
+	// mu guards everything below. It is held across writes of the buffer to
+	// the file and never across a Sync.
+	mu   sync.Mutex
+	cond *sync.Cond // signalled when a barrier completes; L is &mu
+	buf  []byte     // records not yet written to f
+	// appended is the LSN of the newest record; synced the LSN the newest
+	// successful barrier covers. A log with synced == appended holds nothing
+	// a barrier could make more durable.
+	appended, synced int64
+	syncing          bool // a barrier is in flight
+	// err latches the first failed write or barrier. A log that failed once
+	// is in an unknown state: it takes no more records and issues no more
+	// barriers, and everyone waiting on one gets err.
+	err error
 }
 
 // openWAL opens (creating if needed) the log at path for appending.
@@ -79,7 +101,9 @@ func openWAL(fsys faultfs.FS, path string, retry retryFn) (*wal, error) {
 	}); err != nil {
 		return nil, err
 	}
-	return &wal{f: f, retry: retry}, nil
+	l := &wal{f: f, retry: retry}
+	l.cond = sync.NewCond(&l.mu)
+	return l, nil
 }
 
 // appendOp encodes one put/delete onto rec.
@@ -130,21 +154,29 @@ func encodeGroup(ops []batchOp) []byte {
 	return frameRecord(rec)
 }
 
-// append buffers one framed record (encodeRecord/encodeGroup). It is not
-// durable until the next sync.
-func (l *wal) append(rec []byte) error {
-	l.buf = append(l.buf, rec...)
-	l.dirty = true
-	if len(l.buf) >= walFlushThreshold {
-		return l.flushBuf()
+// append buffers one framed record (encodeRecord/encodeGroup) and returns
+// its LSN. The record is not durable until a barrier covers that LSN.
+func (l *wal) append(rec []byte) (lsn int64, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return 0, l.err
 	}
-	return nil
+	l.buf = append(l.buf, rec...)
+	l.appended += int64(len(rec))
+	if len(l.buf) >= walFlushThreshold {
+		if err := l.flushBufLocked(); err != nil {
+			l.err = err
+			return 0, err
+		}
+	}
+	return l.appended, nil
 }
 
-// flushBuf writes the buffered records through to the file. Only a
+// flushBufLocked writes the buffered records through to the file. Only a
 // successful write clears the buffer, so retries re-attempt the whole
-// record-aligned run.
-func (l *wal) flushBuf() error {
+// record-aligned run. Called with l.mu held.
+func (l *wal) flushBufLocked() error {
 	if len(l.buf) == 0 {
 		return nil
 	}
@@ -158,26 +190,62 @@ func (l *wal) flushBuf() error {
 	return nil
 }
 
-// sync is the durability barrier: buffered records are written through and
-// the file is synced. Records appended before a successful sync survive a
-// crash. A log with nothing appended since its last successful sync is
-// already durable and issues no barrier.
-func (l *wal) sync() error {
-	if !l.dirty {
-		return nil
+// syncTo returns once every record up to lsn is durable. If a completed
+// barrier already covers lsn it returns at once, and if one is in flight it
+// waits for that one first; shared reports that the caller never went to the
+// device itself. Otherwise the caller leads a barrier of its own: everything
+// appended so far is written through and the file is synced, on behalf of
+// every record in it.
+func (l *wal) syncTo(lsn int64) (shared bool, err error) {
+	l.mu.Lock()
+	for {
+		if l.synced >= lsn {
+			l.mu.Unlock()
+			return true, nil
+		}
+		if l.err != nil {
+			l.mu.Unlock()
+			return false, l.err
+		}
+		if !l.syncing {
+			break
+		}
+		l.cond.Wait()
 	}
-	if err := l.flushBuf(); err != nil {
-		return err
-	}
-	start := time.Now()
-	err := l.retry(l.f.Sync)
-	if l.stats != nil {
-		l.stats.walSyncs.Add(1)
-		l.stats.walSyncNanos.Add(uint64(time.Since(start)))
-	}
+	l.syncing = true
+	err = l.flushBufLocked()
+	// The barrier's watermark: what the file holds before Sync is issued. A
+	// record appended from here on may reach the file while the device is
+	// flushing, and is not this barrier's to vouch for.
+	mark := l.appended
+	l.mu.Unlock()
 	if err == nil {
-		l.dirty = false
+		start := time.Now()
+		err = l.retry(l.f.Sync)
+		if l.stats != nil {
+			l.stats.walSyncs.Add(1)
+			l.stats.walSyncNanos.Add(uint64(time.Since(start)))
+		}
 	}
+	l.mu.Lock()
+	l.syncing = false
+	if err != nil {
+		l.err = err
+	} else {
+		l.synced = mark
+	}
+	l.cond.Broadcast()
+	l.mu.Unlock()
+	return false, err
+}
+
+// sync makes every record appended so far durable. A log with nothing
+// appended since its last successful barrier issues none.
+func (l *wal) sync() error {
+	l.mu.Lock()
+	lsn := l.appended
+	l.mu.Unlock()
+	_, err := l.syncTo(lsn)
 	return err
 }
 
