@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-kernels bench-kernels-once bench-rig bench-repo check crashtest determinism fuzz vet fmt repro artifacts obs-smoke cache-smoke flat-smoke serve-smoke shard-smoke policy-smoke compact-smoke clean
+.PHONY: all build test race bench bench-kernels bench-kernels-once bench-rig bench-repo check crashtest determinism fuzz vet fmt repro artifacts obs-smoke cache-smoke serve-smoke clean
 
 all: build test
 
@@ -22,9 +22,12 @@ race:
 # internal/obs and the kv.Instrument decorator), a wide crash-recovery
 # sweep, the LSM byte-identity and crash-determinism suites repeated, the
 # end-to-end network serving smoke, the repo benchmark's own vet + tests
-# (a nested module `./...` never enters), and one iteration of every LSM
-# kernel benchmark (`go test` compiles benchmarks but never runs them).
-check: build vet race crashtest determinism bench-rig bench-kernels-once serve-smoke shard-smoke policy-smoke compact-smoke
+# (a nested module `./...` never enters), and one iteration of every kernel
+# benchmark (`go test` compiles benchmarks but never runs them). Census
+# equivalence across backend, policy, shard count and compaction width is a
+# Go test, so `race` covers it: TestCensusInvariantAcrossCompositions in
+# internal/backends.
+check: build vet race crashtest determinism bench-rig bench-kernels-once serve-smoke
 
 # Crash-recovery fault injection: hundreds of seeded workload/crash-point
 # replays through the injectable VFS, verified against an in-memory model.
@@ -61,9 +64,11 @@ KERNELS = MergeIterator|TableWrite|CompactRange|GetCached|BlockSearch|CommitPara
 bench-kernels:
 	$(GO) test -run NONE -bench '$(KERNELS)' -cpu 1,2 -benchmem ./internal/lsm
 
-# The same, one iteration each: keeps them compiling and running.
+# The same, one iteration each, plus the fan-out core's merged scan: keeps
+# them compiling and running.
 bench-kernels-once:
 	$(GO) test -run NONE -bench '$(KERNELS)' -benchtime 1x ./internal/lsm
+	$(GO) test -run NONE -bench FanoutMerge -benchtime 1x ./internal/fanout
 
 # One run of one repo-benchmark workload, as the driver runs it:
 #   make bench-repo WORKLOAD=blockbatch_wal_lsm SEED=1 [TRACE=1]
@@ -130,78 +135,6 @@ obs-smoke:
 	done; \
 	echo "obs-smoke: FAILED (series never appeared)"; \
 	cat $(OBS_SMOKE_DIR)/replay.log; kill $$pid 2>/dev/null; exit 1
-
-# Flat-backend smoke test: collect a golden trace once, replay it through
-# the LSM and through the single-seek flat store, and require the two
-# post-state census files (Table I + order-independent content digest) to
-# be byte-identical. Catches any divergence between the storage designs on
-# a real workload end-to-end.
-FLAT_SMOKE_DIR ?= /tmp/ethkv-flat-smoke
-flat-smoke:
-	rm -rf $(FLAT_SMOKE_DIR) && mkdir -p $(FLAT_SMOKE_DIR)
-	$(GO) run ./cmd/tracegen -dir $(FLAT_SMOKE_DIR)/traces -blocks 40 -mode bare \
-		-accounts 2000 -contracts 200 -tx 60
-	$(GO) build -o $(FLAT_SMOKE_DIR)/replaybench ./cmd/replaybench
-	$(FLAT_SMOKE_DIR)/replaybench -trace $(FLAT_SMOKE_DIR)/traces/BareTrace/BareTrace.bin \
-		-backend lsm -census $(FLAT_SMOKE_DIR)/census-lsm.txt
-	$(FLAT_SMOKE_DIR)/replaybench -trace $(FLAT_SMOKE_DIR)/traces/BareTrace/BareTrace.bin \
-		-backend flat -census $(FLAT_SMOKE_DIR)/census-flat.txt
-	cmp $(FLAT_SMOKE_DIR)/census-lsm.txt $(FLAT_SMOKE_DIR)/census-flat.txt \
-		&& echo "flat-smoke: census byte-identical across backends"
-
-# Policy-equivalence smoke test: collect a golden trace, replay it through
-# a plain LSM and through the census-derived per-class policy store
-# (-policy auto), and require the two post-state census files (Table I +
-# order-independent content digest) to be byte-identical. The derived
-# policy file itself lands in the smoke dir for inspection.
-POLICY_SMOKE_DIR ?= /tmp/ethkv-policy-smoke
-policy-smoke:
-	rm -rf $(POLICY_SMOKE_DIR) && mkdir -p $(POLICY_SMOKE_DIR)
-	$(GO) run ./cmd/tracegen -dir $(POLICY_SMOKE_DIR)/traces -blocks 40 -mode bare \
-		-accounts 2000 -contracts 200 -tx 60
-	$(GO) build -o $(POLICY_SMOKE_DIR)/replaybench ./cmd/replaybench
-	$(POLICY_SMOKE_DIR)/replaybench -trace $(POLICY_SMOKE_DIR)/traces/BareTrace/BareTrace.bin \
-		-backend lsm -census $(POLICY_SMOKE_DIR)/census-lsm.txt
-	$(POLICY_SMOKE_DIR)/replaybench -trace $(POLICY_SMOKE_DIR)/traces/BareTrace/BareTrace.bin \
-		-policy auto -policy-out $(POLICY_SMOKE_DIR)/policy.json \
-		-census $(POLICY_SMOKE_DIR)/census-policy.txt
-	cmp $(POLICY_SMOKE_DIR)/census-lsm.txt $(POLICY_SMOKE_DIR)/census-policy.txt \
-		&& echo "policy-smoke: census byte-identical under derived policy"
-
-# Shard-equivalence smoke test: replay one golden trace through a 1-shard
-# and an 8-shard configuration of the same backend and require the two
-# post-state census files (Table I + order-independent content digest) to
-# be byte-identical. Sharding must change performance, never results.
-SHARD_SMOKE_DIR ?= /tmp/ethkv-shard-smoke
-shard-smoke:
-	rm -rf $(SHARD_SMOKE_DIR) && mkdir -p $(SHARD_SMOKE_DIR)
-	$(GO) run ./cmd/tracegen -dir $(SHARD_SMOKE_DIR)/traces -blocks 40 -mode bare \
-		-accounts 2000 -contracts 200 -tx 60
-	$(GO) build -o $(SHARD_SMOKE_DIR)/replaybench ./cmd/replaybench
-	$(SHARD_SMOKE_DIR)/replaybench -trace $(SHARD_SMOKE_DIR)/traces/BareTrace/BareTrace.bin \
-		-backend lsm -shards 1 -census $(SHARD_SMOKE_DIR)/census-1.txt
-	$(SHARD_SMOKE_DIR)/replaybench -trace $(SHARD_SMOKE_DIR)/traces/BareTrace/BareTrace.bin \
-		-backend lsm -shards 8 -census $(SHARD_SMOKE_DIR)/census-8.txt
-	cmp $(SHARD_SMOKE_DIR)/census-1.txt $(SHARD_SMOKE_DIR)/census-8.txt \
-		&& echo "shard-smoke: census byte-identical at 1 and 8 shards"
-
-# Compaction-scheduler equivalence smoke test: replay one golden trace
-# through the LSM backend with the serial scheduler and with 8 concurrent
-# compaction workers, and require the two post-state census files (Table I
-# + order-independent content digest) to be byte-identical. Worker width is
-# a pure scheduling knob — it must never change what the store contains.
-COMPACT_SMOKE_DIR ?= /tmp/ethkv-compact-smoke
-compact-smoke:
-	rm -rf $(COMPACT_SMOKE_DIR) && mkdir -p $(COMPACT_SMOKE_DIR)
-	$(GO) run ./cmd/tracegen -dir $(COMPACT_SMOKE_DIR)/traces -blocks 40 -mode bare \
-		-accounts 2000 -contracts 200 -tx 60
-	$(GO) build -o $(COMPACT_SMOKE_DIR)/replaybench ./cmd/replaybench
-	$(COMPACT_SMOKE_DIR)/replaybench -trace $(COMPACT_SMOKE_DIR)/traces/BareTrace/BareTrace.bin \
-		-backend lsm -compaction-workers 1 -census $(COMPACT_SMOKE_DIR)/census-w1.txt
-	$(COMPACT_SMOKE_DIR)/replaybench -trace $(COMPACT_SMOKE_DIR)/traces/BareTrace/BareTrace.bin \
-		-backend lsm -compaction-workers 8 -census $(COMPACT_SMOKE_DIR)/census-w8.txt
-	cmp $(COMPACT_SMOKE_DIR)/census-w1.txt $(COMPACT_SMOKE_DIR)/census-w8.txt \
-		&& echo "compact-smoke: census byte-identical at 1 and 8 compaction workers"
 
 # Network serving smoke test: start a real kvserver, replay a generated
 # trace through the batching kvnet client (replaybench -serve), and assert

@@ -9,33 +9,21 @@
 package ethkv
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"ethkv/internal/analysis"
 	"ethkv/internal/backends"
 	"ethkv/internal/cache"
 	"ethkv/internal/chain"
-	"ethkv/internal/faultfs"
-	"ethkv/internal/flatstore"
-	"ethkv/internal/hashstore"
 	"ethkv/internal/hybrid"
 	"ethkv/internal/kv"
-	"ethkv/internal/kvnet"
 	"ethkv/internal/lab"
-	"ethkv/internal/logstore"
-	"ethkv/internal/lsm"
 	"ethkv/internal/obs"
-	"ethkv/internal/policy"
 	"ethkv/internal/rawdb"
 	"ethkv/internal/report"
-	"ethkv/internal/shard"
 	"ethkv/internal/trace"
 	"ethkv/internal/trie"
 )
@@ -322,44 +310,30 @@ func BenchmarkFigure7UpdateCorrFrequency(b *testing.B) {
 }
 
 // BenchmarkAblationHybridStore replays the measured workload against the
-// LSM-only baseline and the class-routed hybrid (E12, §V design claim).
+// LSM-only baseline and the class-routed hybrid (E12, §V design claim) — both
+// as the factory builds them, so E12 measures the composition users get.
 func BenchmarkAblationHybridStore(b *testing.B) {
 	bare, _ := sharedRuns(b)
+	replay := func(kind string) kv.Stats {
+		st, err := backends.Open(kind, b.TempDir(), backends.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer st.Close()
+		res, err := hybrid.Replay(st, bare.Ops)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res.Stats
+	}
 	b.ResetTimer()
 	var baseStats, hybStats struct {
 		physWrite, tombstones uint64
 	}
 	for i := 0; i < b.N; i++ {
-		dir := b.TempDir()
-		baseDB, err := lsm.Open(filepath.Join(dir, "base"), ablationLSMOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		baseRes, err := hybrid.Replay(baseDB, bare.Ops)
-		if err != nil {
-			b.Fatal(err)
-		}
-		baseDB.Close()
-
-		orderedDB, err := lsm.Open(filepath.Join(dir, "ordered"), ablationLSMOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		hashDB, err := hashstore.Open(filepath.Join(dir, "hash"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		hybStore := hybrid.New(orderedDB, logstore.New(), hashDB, nil)
-		hybRes, err := hybrid.Replay(hybStore, bare.Ops)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hybStore.Close()
-
-		baseStats.physWrite = baseRes.Stats.PhysicalBytesWrite
-		baseStats.tombstones = baseRes.Stats.TombstonesLive
-		hybStats.physWrite = hybRes.Stats.PhysicalBytesWrite
-		hybStats.tombstones = hybRes.Stats.TombstonesLive
+		base, hyb := replay("lsm"), replay("hybrid")
+		baseStats.physWrite, baseStats.tombstones = base.PhysicalBytesWrite, base.TombstonesLive
+		hybStats.physWrite, hybStats.tombstones = hyb.PhysicalBytesWrite, hyb.TombstonesLive
 	}
 	b.StopTimer()
 	printOnce("ablation-hybrid", func() {
@@ -464,7 +438,7 @@ func BenchmarkStoreOpLatency(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		registry := obs.NewRegistry()
-		db, err := lsm.Open(filepath.Join(b.TempDir(), "lsm"), ablationLSMOpts())
+		db, err := backends.Open("lsm", b.TempDir(), backends.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -520,19 +494,6 @@ func BenchmarkInstrumentOverhead(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// ablationLSMOpts tunes the LSM for the ablation replays: a small memtable
-// so flush and compaction costs actually materialize at replay scale (with
-// the default 4 MiB buffer the whole workload would sit in RAM and the LSM
-// would never pay its background I/O).
-func ablationLSMOpts() lsm.Options {
-	return lsm.Options{
-		DisableWAL:          true,
-		MemtableBytes:       256 << 10,
-		L0CompactionTrigger: 4,
-		LevelBaseBytes:      1 << 20,
 	}
 }
 
@@ -699,504 +660,5 @@ func BenchmarkSweepCacheBudget(b *testing.B) {
 	if len(results) > 1 {
 		b.ReportMetric(float64(results[0].reads), "reads-smallest-cache")
 		b.ReportMetric(float64(results[len(results)-1].reads), "reads-largest-cache")
-	}
-}
-
-// coldStore builds an on-disk store of the named backend whose data
-// footprint dwarfs the LSM's block-cache budget, then reopens it so no
-// block, memtable, index, or cache state is warm beyond what the backend
-// keeps resident by design (the flat store's whole point is its resident
-// index). Returns the reopened store and the sorted key list.
-func coldStore(b *testing.B, dir, backend string, cacheBytes int64) (kv.Store, [][]byte) {
-	b.Helper()
-	open := func() kv.Store {
-		switch backend {
-		case "lsm":
-			db, err := lsm.Open(dir, lsm.Options{
-				DisableWAL:          true,
-				MemtableBytes:       256 << 10,
-				L0CompactionTrigger: 4,
-				LevelBaseBytes:      1 << 20,
-				BlockCacheBytes:     cacheBytes,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return db
-		case "flat":
-			s, err := flatstore.Open(dir, flatstore.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return s
-		default:
-			b.Fatalf("unknown cold backend %q", backend)
-			return nil
-		}
-	}
-	db := open()
-	const n = 20000 // ~6 MiB of key+value data vs a 1 MiB cache
-	keys := make([][]byte, n)
-	val := make([]byte, 256)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("cold-%08d", i))
-		for j := range val {
-			val[j] = byte(i + j)
-		}
-		if err := db.Put(keys[i], val); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if flusher, ok := db.(interface{ Flush() error }); ok {
-		if err := flusher.Flush(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := db.Close(); err != nil {
-		b.Fatal(err)
-	}
-	db = open()
-	b.Cleanup(func() { db.Close() })
-	return db, keys
-}
-
-// BenchmarkPointReadCold measures cold point reads, LSM vs flat. The LSM
-// runs against a store far larger than its block cache, so most gets must
-// page a data block in from disk — the read path's floor rather than its
-// cached ceiling. The flat store answers every get with one positioned
-// read through its resident index, so the same workload is its steady
-// state, not its worst case.
-func BenchmarkPointReadCold(b *testing.B) {
-	for _, backend := range []string{"lsm", "flat"} {
-		b.Run("backend="+backend, func(b *testing.B) {
-			db, keys := coldStore(b, b.TempDir(), backend, 1<<20)
-			rng := uint64(0x243F6A8885A308D3)
-			before := db.(kv.StatsProvider).Stats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rng = rng*6364136223846793005 + 1442695040888963407
-				k := keys[rng%uint64(len(keys))]
-				if _, err := db.Get(k); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			st := db.(kv.StatsProvider).Stats()
-			switch backend {
-			case "lsm":
-				b.ReportMetric(100*st.BlockCacheHitRate(), "cache-hit-%")
-				b.ReportMetric(float64(st.BlockCacheEvictions), "evictions")
-			case "flat":
-				b.ReportMetric(float64(st.PhysicalReadOps-before.PhysicalReadOps)/float64(b.N), "disk-reads/get")
-			}
-		})
-	}
-}
-
-// BenchmarkColdScan measures a full-store ordered scan with the same
-// cold-start setup. The LSM streams blocks through its iterator readahead;
-// the flat store walks its sorted index snapshot and issues one positioned
-// read per record, so this is the flat design's worst case — the cost the
-// single-seek point-read win is traded against.
-func BenchmarkColdScan(b *testing.B) {
-	for _, backend := range []string{"lsm", "flat"} {
-		b.Run("backend="+backend, func(b *testing.B) {
-			db, keys := coldStore(b, b.TempDir(), backend, 1<<20)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				it := db.NewIterator(nil, nil)
-				n := 0
-				for it.Next() {
-					n++
-				}
-				err := it.Error()
-				it.Release()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n != len(keys) {
-					b.Fatalf("scan saw %d of %d keys", n, len(keys))
-				}
-			}
-			b.StopTimer()
-			st := db.(kv.StatsProvider).Stats()
-			b.ReportMetric(float64(st.PhysicalBytesRead)/float64(b.N), "disk-bytes/scan")
-		})
-	}
-}
-
-// BenchmarkReplayBackends replays the measured bare and cached traces
-// through the LSM and the flat store head-to-head — the workload-driven
-// comparison the paper's storage argument calls for (§V): same ops, same
-// order, different storage design. Amplification and physical-read counts
-// are reported as benchmark metrics.
-func BenchmarkReplayBackends(b *testing.B) {
-	bare, cached := sharedRuns(b)
-	for _, tr := range []struct {
-		name string
-		ops  []trace.Op
-	}{{"bare", bare.Ops}, {"cached", cached.Ops}} {
-		for _, backend := range []string{"lsm", "flat"} {
-			b.Run(fmt.Sprintf("trace=%s/backend=%s", tr.name, backend), func(b *testing.B) {
-				var st kv.Stats
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					dir := b.TempDir()
-					var store kv.Store
-					switch backend {
-					case "lsm":
-						db, err := lsm.Open(filepath.Join(dir, "lsm"), ablationLSMOpts())
-						if err != nil {
-							b.Fatal(err)
-						}
-						store = db
-					case "flat":
-						s, err := flatstore.Open(filepath.Join(dir, "flat"), flatstore.Options{})
-						if err != nil {
-							b.Fatal(err)
-						}
-						store = s
-					}
-					res, err := hybrid.Replay(store, tr.ops)
-					if err != nil {
-						b.Fatal(err)
-					}
-					st = res.Stats
-					if err := store.Close(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(st.WriteAmplification(), "write-amp")
-				b.ReportMetric(st.ReadAmplification(), "read-amp")
-				b.ReportMetric(float64(st.PhysicalReadOps), "phys-reads")
-			})
-		}
-	}
-}
-
-// BenchmarkServedThroughput measures the network serving layer end to end
-// (E14): N concurrent client goroutines issue point ops against an
-// in-process server over loopback. batched=true is the coalescing client
-// (frames carry up to 1024 ops, window-clocked batching, pipelined);
-// batched=false is the classic request/response baseline — one op per
-// frame, one frame in flight per connection — that a non-batching client
-// library would be. Both use the same two TCP connections. Reports served
-// op/s, achieved ops/frame, and the server-side put latency percentiles
-// from its own histograms.
-func BenchmarkServedThroughput(b *testing.B) {
-	const totalOps = 65536
-	for _, clients := range []int{1, 16, 256} {
-		for _, batched := range []bool{true, false} {
-			b.Run(fmt.Sprintf("clients=%d/batched=%v", clients, batched), func(b *testing.B) {
-				var opsPerSec, meanBatch float64
-				var snap obs.Snapshot
-				for i := 0; i < b.N; i++ {
-					registry := obs.NewRegistry()
-					srv := kvnet.NewServer(kv.NewMemStore(), kvnet.ServerOptions{
-						Registry: registry,
-						Logf:     func(string, ...any) {},
-					})
-					addr, err := srv.Listen("127.0.0.1:0")
-					if err != nil {
-						b.Fatal(err)
-					}
-					copts := kvnet.ClientOptions{Conns: 2, Window: 4}
-					if !batched {
-						copts.BatchMaxOps = 1
-						copts.Window = 1
-					}
-					c, err := kvnet.Dial(addr, copts)
-					if err != nil {
-						b.Fatal(err)
-					}
-
-					perClient := totalOps / clients
-					start := time.Now()
-					var wg sync.WaitGroup
-					errCh := make(chan error, clients)
-					for w := 0; w < clients; w++ {
-						wg.Add(1)
-						go func(w int) {
-							defer wg.Done()
-							var key [16]byte
-							val := make([]byte, 64)
-							for j := 0; j < perClient; j++ {
-								binary.LittleEndian.PutUint64(key[:8], uint64(w))
-								binary.LittleEndian.PutUint64(key[8:], uint64(j%512))
-								var err error
-								if j%2 == 0 {
-									err = c.Put(key[:], val)
-								} else {
-									_, err = c.Get(key[:])
-									if err == kv.ErrNotFound {
-										err = nil
-									}
-								}
-								if err != nil {
-									errCh <- err
-									return
-								}
-							}
-						}(w)
-					}
-					wg.Wait()
-					elapsed := time.Since(start)
-					select {
-					case err := <-errCh:
-						b.Fatal(err)
-					default:
-					}
-					done := float64(perClient * clients)
-					opsPerSec = done / elapsed.Seconds()
-					meanBatch = c.NetStats().MeanBatch()
-					snap = registry.Snapshot()
-					c.Close()
-					srv.Close()
-				}
-				b.ReportMetric(opsPerSec, "served-ops/s")
-				b.ReportMetric(meanBatch, "ops/frame")
-				if h, ok := snap.Histograms[obs.Name("ethkv_server_op_latency_ns", "op", "put")]; ok && h.Count > 0 {
-					b.ReportMetric(h.Quantile(0.50), "server-put-p50-ns")
-					b.ReportMetric(h.Quantile(0.99), "server-put-p99-ns")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkShardScale measures horizontal scaling of the shard router
-// (E15): the same concurrent point-op mix — 16 goroutines alternating puts
-// and gets over hash-spread keys — runs against lsm children at 1, 2, 4,
-// 8, and 16 shards, first on the local store and then through an
-// in-process kvserver, the serving path composed unchanged over the
-// sharded store. Each shard owns an independent memtable, WAL, and flush
-// pipeline, so on a multi-core host the op/s curve should rise past
-// shards=1 as writer contention divides by the shard count. Reports
-// achieved op/s and, where the router is in play, the hottest shard's op
-// share (hash routing should keep it near 100/shards).
-func BenchmarkShardScale(b *testing.B) {
-	const totalOps = 32768
-	const workers = 16
-	type pointStore interface {
-		Put(key, value []byte) error
-		Get(key []byte) ([]byte, error)
-	}
-	drive := func(b *testing.B, s pointStore) float64 {
-		b.Helper()
-		perWorker := totalOps / workers
-		start := time.Now()
-		var wg sync.WaitGroup
-		errCh := make(chan error, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var key [16]byte
-				val := make([]byte, 64)
-				for j := 0; j < perWorker; j++ {
-					binary.LittleEndian.PutUint64(key[:8], uint64(w))
-					binary.LittleEndian.PutUint64(key[8:], uint64(j))
-					var err error
-					if j%2 == 0 {
-						err = s.Put(key[:], val)
-					} else {
-						_, err = s.Get(key[:])
-						if err == kv.ErrNotFound {
-							err = nil
-						}
-					}
-					if err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		select {
-		case err := <-errCh:
-			b.Fatal(err)
-		default:
-		}
-		return float64(totalOps) / elapsed.Seconds()
-	}
-	for _, mode := range []string{"local", "served"} {
-		for _, shards := range []int{1, 2, 4, 8, 16} {
-			b.Run(fmt.Sprintf("mode=%s/shards=%d", mode, shards), func(b *testing.B) {
-				var opsPerSec, hotShare float64
-				for i := 0; i < b.N; i++ {
-					store, err := backends.Open("lsm", b.TempDir(), backends.Options{Shards: shards})
-					if err != nil {
-						b.Fatal(err)
-					}
-					switch mode {
-					case "local":
-						opsPerSec = drive(b, store)
-					case "served":
-						srv := kvnet.NewServer(store, kvnet.ServerOptions{Logf: func(string, ...any) {}})
-						addr, err := srv.Listen("127.0.0.1:0")
-						if err != nil {
-							b.Fatal(err)
-						}
-						c, err := kvnet.Dial(addr, kvnet.ClientOptions{Conns: 2, Window: 4})
-						if err != nil {
-							b.Fatal(err)
-						}
-						opsPerSec = drive(b, c)
-						c.Close()
-						srv.Close()
-					}
-					if r, ok := store.(*shard.Router); ok {
-						var total, max uint64
-						for _, st := range r.ShardStats() {
-							ops := st.Gets + st.Puts + st.Deletes
-							total += ops
-							if ops > max {
-								max = ops
-							}
-						}
-						if total > 0 {
-							hotShare = 100 * float64(max) / float64(total)
-						}
-					}
-					if err := store.Close(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(opsPerSec, "ops/s")
-				if hotShare > 0 {
-					b.ReportMetric(hotShare, "hot-shard-pct")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkPolicyReplay measures the census-driven policy store against
-// uniform single-backend baselines on the same mixed workload (E16): the
-// bare trace replays once through a plain LSM, once through the single-seek
-// flat store, and once through the hybrid store configured by the policy
-// derived from the trace's own census — the exact derivation that
-// `replaybench -policy auto` runs. The baselines are the two backends that
-// can serve the whole workload uniformly: hash and log are excluded
-// because hashstore scans are unordered (the workload's BlockHeader
-// iterations need key order, Finding 4) and logstore is not persistent —
-// the policy store may still use them for the classes where they are
-// safe, which is precisely its advantage. All stores go through the same
-// internal/backends factory, so the only variable is the routing. Reports
-// achieved replay op/s plus physical write/read amplification; BENCH diffs
-// then show whether per-class routing beats the best uniform choice.
-func BenchmarkPolicyReplay(b *testing.B) {
-	bare, _ := sharedRuns(b)
-	ops := bare.Ops
-	derived := policy.Derive(policy.CollectCensus(ops))
-	printOnce("policy", func() {
-		fmt.Printf("== derived storage policy (BareTrace census)\n%s\n", derived.Encode())
-	})
-	for _, backend := range []string{"lsm", "flat", "policy"} {
-		b.Run("backend="+backend, func(b *testing.B) {
-			var st kv.Stats
-			var opsPerSec float64
-			for i := 0; i < b.N; i++ {
-				kind := backend
-				var pol *policy.Policy
-				if backend == "policy" {
-					kind, pol = "hybrid", derived
-				}
-				store, err := backends.Open(kind, b.TempDir(), backends.Options{Policy: pol})
-				if err != nil {
-					b.Fatal(err)
-				}
-				start := time.Now()
-				res, err := hybrid.Replay(store, ops)
-				if err != nil {
-					b.Fatal(err)
-				}
-				opsPerSec = float64(len(ops)) / time.Since(start).Seconds()
-				st = res.Stats
-				if err := store.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(opsPerSec, "ops/s")
-			b.ReportMetric(st.WriteAmplification(), "write-amp")
-			b.ReportMetric(st.ReadAmplification(), "read-amp")
-		})
-	}
-}
-
-// BenchmarkCompactionParallel measures the concurrent compaction scheduler
-// head-on (E17): a tombstone-heavy write workload against an LSM sized so
-// compaction dominates — tiny memtables, a low L0 trigger, and a steady
-// delete stream feeding debt — run at compaction worker widths 1, 2, 4,
-// and 8. The store lives on an in-memory filesystem with a modeled 2ms
-// device sync latency, so the cost being scheduled is the durability
-// barrier each flushed or compacted table pays — the dominant cost on
-// real devices — rather than this host's CPU count. The timed window is
-// sustained throughput: ingest plus settling the compaction debt the
-// workload generated (a put-only window would let the serial scheduler
-// cheat by deferring every merge it owes; the L0 write stop bounds that
-// deferral). With one worker, flushes and merges serialize and every sync
-// is dead time under the write stop; with more, flushes run beside
-// range-disjoint merges and split merges fan sub-compactions across the
-// pool, overlapping the barriers. Reports sustained put op/s, the share
-// of wall time writers spent stalled, and the peak compactions in flight;
-// BENCH diffs track the headline speedup (workers=4 vs 1).
-func BenchmarkCompactionParallel(b *testing.B) {
-	const ops = 40000
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var opsPerSec, stallPct, maxConc float64
-			for i := 0; i < b.N; i++ {
-				db, err := lsm.Open("benchdb", lsm.Options{
-					FS:                    faultfs.WithSyncLatency(faultfs.NewMemFS(), 2*time.Millisecond),
-					MemtableBytes:         32 << 10,
-					MaxImmutableMemtables: 2,
-					L0CompactionTrigger:   2,
-					LevelBaseBytes:        64 << 10,
-					LevelMultiplier:       4,
-					MaxLevels:             5,
-					CompactionTableBytes:  16 << 10,
-					SubCompactionBytes:    32 << 10,
-					CompactionWorkers:     workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(42))
-				val := make([]byte, 128)
-				start := time.Now()
-				for j := 0; j < ops; j++ {
-					key := fmt.Sprintf("acct-%06d", rng.Intn(8000))
-					if j%3 == 2 {
-						err = db.Delete([]byte(key))
-					} else {
-						err = db.Put([]byte(key), val)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				// Settle: the run is not over until the debt it created is
-				// paid down to a steady-state tree.
-				if err := db.Flush(); err != nil {
-					b.Fatal(err)
-				}
-				elapsed := time.Since(start)
-				s := db.Stats()
-				opsPerSec = float64(ops) / elapsed.Seconds()
-				stallPct = 100 * float64(s.WriteStallNanos) / float64(elapsed.Nanoseconds())
-				maxConc = float64(s.MaxConcurrentCompactions)
-				if err := db.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(opsPerSec, "put-ops/s")
-			b.ReportMetric(stallPct, "stall-pct")
-			b.ReportMetric(maxConc, "max-conc")
-		})
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"ethkv/internal/chain"
 	"ethkv/internal/lab"
 	"ethkv/internal/obs"
-	"ethkv/internal/policy"
 	"ethkv/internal/rawdb"
 	"ethkv/internal/report"
 	"ethkv/internal/trace"
@@ -27,23 +26,19 @@ import (
 
 func main() {
 	var (
-		blocks    = flag.Int("blocks", 300, "blocks per trace")
-		accounts  = flag.Int("accounts", 20000, "pre-seeded EOA population")
-		contracts = flag.Int("contracts", 1500, "pre-seeded contract population")
-		tx        = flag.Int("tx", 150, "transactions per block")
-		seed      = flag.Int64("seed", 42, "workload RNG seed")
-		outDir    = flag.String("out", "", "also write the artifact-layout output tree to this directory")
-		workers   = flag.Int("import-workers", 0, "import pipeline fan-out (0 = ETHKV_IMPORT_WORKERS or GOMAXPROCS, 1 = sequential)")
-		backend   = flag.String("backend", "mem", "storage backend for both runs: "+backends.Kinds())
-		policyArg = flag.String("policy", "", "per-class storage policy JSON for the hybrid backend (implies -backend hybrid)")
-
-		blockCacheMB = flag.Int("block-cache-mb", 0, "LSM block cache budget in MiB (0 = store default, negative disables; -backend lsm only)")
-		metricsAddr  = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address during the run; empty disables")
-		shards       = flag.Int("shards", 1, "partition the backing store across this many child stores (1 = unsharded)")
-		shardMode    = flag.String("shard-mode", "hash", "shard partition function: hash or class")
-
-		compactionWorkers = flag.Int("compaction-workers", 0, "process-wide background compaction worker budget shared by every LSM instance (0 = store default, 1 = serial)")
+		blocks      = flag.Int("blocks", 300, "blocks per trace")
+		accounts    = flag.Int("accounts", 20000, "pre-seeded EOA population")
+		contracts   = flag.Int("contracts", 1500, "pre-seeded contract population")
+		tx          = flag.Int("tx", 150, "transactions per block")
+		seed        = flag.Int64("seed", 42, "workload RNG seed")
+		outDir      = flag.String("out", "", "also write the artifact-layout output tree to this directory")
+		workers     = flag.Int("import-workers", 0, "import pipeline fan-out (0 = ETHKV_IMPORT_WORKERS or GOMAXPROCS, 1 = sequential)")
+		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address during the run; empty disables")
+		storeFlags  = backends.RegisterFlags(flag.CommandLine, "mem")
 	)
+	flag.Lookup("backend").Usage = "storage backend for both runs: " + backends.Kinds()
+	flag.Lookup("block-cache-mb").Usage = "LSM block cache budget in MiB (0 = store default, negative disables; -backend lsm only)"
+	flag.Lookup("shards").Usage = "partition the backing store across this many child stores (1 = unsharded)"
 	flag.Parse()
 
 	var registry *obs.Registry
@@ -56,15 +51,13 @@ func main() {
 		fmt.Printf("metrics: http://%s/metrics   pprof: http://%s/debug/pprof/\n", addr, addr)
 	}
 
-	var pol *policy.Policy
-	if *policyArg != "" {
-		var err error
-		if pol, err = policy.Load(*policyArg); err != nil {
-			log.Fatal(err)
-		}
-		*backend = "hybrid"
+	backend, opts, err := storeFlags.Options()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if pol := opts.Policy; pol != nil {
 		fmt.Printf("policy: %d classes over %d routes from %s\n",
-			len(pol.Classes), len(pol.Routes), *policyArg)
+			len(pol.Classes), len(pol.Routes), storeFlags.Policy)
 	}
 
 	workload := chain.DefaultWorkload()
@@ -76,32 +69,26 @@ func main() {
 	start := time.Now()
 	fmt.Printf("== collecting traces: %d blocks, %d EOAs, %d contracts, %d tx/block\n",
 		*blocks, *accounts, *contracts, *tx)
-	cacheBytes := int64(*blockCacheMB)
-	if cacheBytes > 0 {
-		cacheBytes <<= 20
-	}
-	bare, cached, err := lab.RunBothConfigs(
-		lab.Config{Mode: lab.Bare, Blocks: *blocks, Workload: workload, ImportWorkers: *workers,
-			Backend: *backend, BlockCacheBytes: cacheBytes, Metrics: registry,
-			Shards: *shards, ShardMode: *shardMode, Policy: pol,
-			CompactionWorkers: *compactionWorkers},
-		lab.Config{Mode: lab.Cached, Blocks: *blocks, Workload: workload, ImportWorkers: *workers,
-			Backend: *backend, BlockCacheBytes: cacheBytes, Metrics: registry,
-			Shards: *shards, ShardMode: *shardMode, Policy: pol,
-			CompactionWorkers: *compactionWorkers})
+	cfg := lab.Config{Blocks: *blocks, Workload: workload, ImportWorkers: *workers,
+		Backend: backend, BlockCacheBytes: opts.BlockCacheBytes, Metrics: registry,
+		Shards: opts.Shards, ShardMode: opts.ShardMode, Policy: opts.Policy,
+		CompactionWorkers: opts.CompactionWorkers}
+	bareCfg, cachedCfg := cfg, cfg
+	bareCfg.Mode, cachedCfg.Mode = lab.Bare, lab.Cached
+	bare, cached, err := lab.RunBothConfigs(bareCfg, cachedCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("   BareTrace: %d ops   CacheTrace: %d ops   (%.1fs)\n",
 		len(bare.Ops), len(cached.Ops), time.Since(start).Seconds())
-	if *backend == "lsm" {
+	if backend == "lsm" {
 		for _, r := range []*lab.Result{bare, cached} {
 			st := r.KVStats
 			fmt.Printf("   %s lsm: block cache %d hits / %d misses (%.1f%% hit rate), bloom %d negatives / %d false positives\n",
 				r.Mode, st.BlockCacheHits, st.BlockCacheMisses, 100*st.BlockCacheHitRate(),
 				st.BloomNegatives, st.BloomFalsePositives)
 		}
-	} else if *backend == "flat" {
+	} else if backend == "flat" {
 		for _, r := range []*lab.Result{bare, cached} {
 			st := r.KVStats
 			fmt.Printf("   %s flat: %d gets, %d positioned reads (incl. scans), %.1f MiB live / %.1f MiB dead, %d compactions\n",

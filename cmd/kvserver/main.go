@@ -27,35 +27,26 @@ import (
 	"ethkv/internal/kv"
 	"ethkv/internal/kvnet"
 	"ethkv/internal/obs"
-	"ethkv/internal/policy"
 )
 
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:9420", "address to serve the kvnet protocol on")
-		backend      = flag.String("backend", "lsm", "storage backend: "+backends.Kinds())
 		dir          = flag.String("dir", "", "working directory (default: temp)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address; empty disables")
 		workers      = flag.Int("workers", 0, "request-executing goroutines per connection (0 = default)")
-		blockCacheMB = flag.Int("block-cache-mb", 0, "LSM block cache budget in MiB (0 = store default, negative disables)")
-		shards       = flag.Int("shards", 1, "partition the keyspace across this many child stores (1 = unsharded)")
-		shardMode    = flag.String("shard-mode", "hash", "shard partition function: hash or class")
-		policyPath   = flag.String("policy", "", "per-class storage policy JSON for the hybrid backend (implies -backend hybrid)")
-
-		compactionWorkers = flag.Int("compaction-workers", 0, "process-wide background compaction worker budget shared by every LSM instance (0 = store default, 1 = serial)")
-		drainTimeout      = flag.Duration("drain-timeout", 10*time.Second, "max time to wait for in-flight compactions to drain on shutdown before closing anyway")
+		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "max time to wait for in-flight compactions to drain on shutdown before closing anyway")
+		storeFlags   = backends.RegisterFlags(flag.CommandLine, "lsm")
 	)
 	flag.Parse()
 
-	var pol *policy.Policy
-	if *policyPath != "" {
-		var err error
-		if pol, err = policy.Load(*policyPath); err != nil {
-			log.Fatal(err)
-		}
-		*backend = "hybrid"
+	backend, opts, err := storeFlags.Options()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if pol := opts.Policy; pol != nil {
 		fmt.Printf("policy: %d classes over %d routes from %s\n",
-			len(pol.Classes), len(pol.Routes), *policyPath)
+			len(pol.Classes), len(pol.Routes), storeFlags.Policy)
 	}
 
 	workDir := *dir
@@ -77,21 +68,11 @@ func main() {
 		fmt.Printf("metrics: http://%s/metrics   pprof: http://%s/debug/pprof/\n", bound, bound)
 	}
 
-	cacheBytes := int64(*blockCacheMB)
-	if cacheBytes > 0 {
-		cacheBytes <<= 20
-	}
-	store, err := backends.Open(*backend, workDir, backends.Options{
-		BlockCacheBytes:   cacheBytes,
-		Shards:            *shards,
-		ShardMode:         *shardMode,
-		Policy:            pol,
-		CompactionWorkers: *compactionWorkers,
-	})
+	store, err := backends.Open(backend, workDir, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	store = kv.Instrument(store, registry, "store", *backend)
+	store = kv.Instrument(store, registry, "store", backend)
 	defer store.Close()
 
 	srv := kvnet.NewServer(store, kvnet.ServerOptions{
@@ -102,10 +83,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *shards > 1 {
-		fmt.Printf("kvserver: serving %s backend (%d %s-mode shards) on %s\n", *backend, *shards, *shardMode, bound)
+	if opts.Shards > 1 {
+		fmt.Printf("kvserver: serving %s backend (%d %s-mode shards) on %s\n", backend, opts.Shards, opts.ShardMode, bound)
 	} else {
-		fmt.Printf("kvserver: serving %s backend on %s\n", *backend, bound)
+		fmt.Printf("kvserver: serving %s backend on %s\n", backend, bound)
 	}
 
 	sig := make(chan os.Signal, 1)

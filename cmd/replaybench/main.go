@@ -22,8 +22,6 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -35,7 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"ethkv/internal/analysis"
 	"ethkv/internal/backends"
 	"ethkv/internal/hybrid"
 	"ethkv/internal/kv"
@@ -52,21 +49,16 @@ const progressChunk = 200_000
 
 func main() {
 	var (
-		tracePath         = flag.String("trace", "", "trace file to replay")
-		backend           = flag.String("backend", "lsm", "storage backend: "+backends.Kinds())
-		policyPath        = flag.String("policy", "", "per-class storage policy for the hybrid backend: a policy JSON file, or \"auto\" to derive one from the trace's census (implies -backend hybrid)")
-		policyOut         = flag.String("policy-out", "", "where -policy auto writes the derived policy (default: policy-derived.json next to the trace)")
-		dir               = flag.String("dir", "", "working directory (default: temp)")
-		censusPath        = flag.String("census", "", "after the replay, write a post-state census (Table I plus an order-independent content digest) to this file; byte-identical across backends iff the stores hold identical data")
-		metricsAddr       = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (e.g. 127.0.0.1:8321); empty disables")
-		metricsHold       = flag.Duration("metrics-hold", 0, "keep the metrics server up this long after the replay finishes (for scraping/profiling a finished run)")
-		blockCacheMB      = flag.Int("block-cache-mb", 0, "LSM block cache budget in MiB (0 = store default, negative disables; lsm/lazy/hybrid backends)")
-		duration          = flag.Duration("duration", 0, "stop replaying after this long, even mid-trace (0 = replay everything)")
-		shards            = flag.Int("shards", 1, "partition the keyspace across this many child stores (1 = unsharded)")
-		shardMode         = flag.String("shard-mode", "hash", "shard partition function: hash or class")
-		compactionWorkers = flag.Int("compaction-workers", 0, "process-wide background compaction worker budget shared by every LSM instance (0 = store default, 1 = serial)")
-		shardSweep        = flag.String("shard-sweep", "", "comma-separated shard counts (e.g. 1,2,4,8,16): replay the trace once per count with -sweep-workers concurrent workers and report the scaling curve")
-		sweepWorkers      = flag.Int("sweep-workers", 8, "concurrent replay workers per sweep point in -shard-sweep mode")
+		tracePath    = flag.String("trace", "", "trace file to replay")
+		policyOut    = flag.String("policy-out", "", "where -policy auto writes the derived policy (default: policy-derived.json next to the trace)")
+		dir          = flag.String("dir", "", "working directory (default: temp)")
+		censusPath   = flag.String("census", "", "after the replay, write a post-state census (Table I plus an order-independent content digest) to this file; byte-identical across backends iff the stores hold identical data")
+		metricsAddr  = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (e.g. 127.0.0.1:8321); empty disables")
+		metricsHold  = flag.Duration("metrics-hold", 0, "keep the metrics server up this long after the replay finishes (for scraping/profiling a finished run)")
+		duration     = flag.Duration("duration", 0, "stop replaying after this long, even mid-trace (0 = replay everything)")
+		shardSweep   = flag.String("shard-sweep", "", "comma-separated shard counts (e.g. 1,2,4,8,16): replay the trace once per count with -sweep-workers concurrent workers and report the scaling curve")
+		sweepWorkers = flag.Int("sweep-workers", 8, "concurrent replay workers per sweep point in -shard-sweep mode")
+		storeFlags   = backends.RegisterFlags(flag.CommandLine, "lsm")
 
 		serveAddr = flag.String("serve", "", "replay against a remote kvserver at this address instead of a local backend")
 		clients   = flag.Int("clients", 16, "concurrent replay workers in -serve mode")
@@ -74,11 +66,14 @@ func main() {
 		batchOps  = flag.Int("batch-ops", 0, "max point ops per coalesced frame in -serve mode (1 disables batching, 0 = client default)")
 		window    = flag.Int("window", 0, "max in-flight frames per connection in -serve mode (0 = client default)")
 	)
+	// This tool alone can derive the policy it runs under.
+	flag.Lookup("policy").Usage = "per-class storage policy for the hybrid backend: a policy JSON file, or \"auto\" to derive one from the trace's census (implies -backend hybrid)"
+	flag.Lookup("block-cache-mb").Usage = "LSM block cache budget in MiB (0 = store default, negative disables; lsm/lazy/hybrid backends)"
 	flag.Parse()
 	if *tracePath == "" {
 		log.Fatal("usage: replaybench -trace <file> [-backend <" + backends.Kinds() + "> | -policy <file|auto> | -serve <addr>]")
 	}
-	if *policyPath != "" && (*serveAddr != "" || *shardSweep != "") {
+	if storeFlags.Policy != "" && (*serveAddr != "" || *shardSweep != "") {
 		log.Fatal("-policy is a local single-store mode; it cannot combine with -serve or -shard-sweep")
 	}
 	if *serveAddr != "" {
@@ -102,12 +97,14 @@ func main() {
 		defer os.RemoveAll(workDir)
 	}
 
-	cacheBytesFor := func(mb int) int64 {
-		b := int64(mb)
-		if b > 0 {
-			b <<= 20
-		}
-		return b
+	// -policy auto is derived below, from the trace; a file is loaded here.
+	autoPolicy := storeFlags.Policy == "auto"
+	if autoPolicy {
+		storeFlags.Policy = ""
+	}
+	backend, opts, err := storeFlags.Options()
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	if *shardSweep != "" {
@@ -119,8 +116,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := runShardSweep(ops, *backend, workDir, *shardMode, counts,
-			*sweepWorkers, cacheBytesFor(*blockCacheMB), *compactionWorkers); err != nil {
+		if err := runShardSweep(ops, backend, workDir, opts, counts, *sweepWorkers); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -142,41 +138,27 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var pol *policy.Policy
-	if *policyPath != "" {
-		*backend = "hybrid"
-		if *policyPath == "auto" {
-			pol = policy.Derive(policy.CollectCensus(ops))
-			out := *policyOut
-			if out == "" {
-				out = filepath.Join(filepath.Dir(*tracePath), "policy-derived.json")
-			}
-			if err := pol.Save(out); err != nil {
-				log.Fatalf("policy: %v", err)
-			}
-			fmt.Printf("derived policy (%d classes over %d routes) written to %s\n",
-				len(pol.Classes), len(pol.Routes), out)
-		} else {
-			if pol, err = policy.Load(*policyPath); err != nil {
-				log.Fatal(err)
-			}
+	if autoPolicy {
+		backend, opts.Policy = "hybrid", policy.Derive(policy.CollectCensus(ops))
+		out := *policyOut
+		if out == "" {
+			out = filepath.Join(filepath.Dir(*tracePath), "policy-derived.json")
 		}
+		if err := opts.Policy.Save(out); err != nil {
+			log.Fatalf("policy: %v", err)
+		}
+		fmt.Printf("derived policy (%d classes over %d routes) written to %s\n",
+			len(opts.Policy.Classes), len(opts.Policy.Routes), out)
 	}
 
-	raw, err := backends.Open(*backend, workDir, backends.Options{
-		BlockCacheBytes:   cacheBytesFor(*blockCacheMB),
-		Shards:            *shards,
-		ShardMode:         *shardMode,
-		Policy:            pol,
-		CompactionWorkers: *compactionWorkers,
-	})
+	raw, err := backends.Open(backend, workDir, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// Instrument is a no-op when registry is nil.
-	store := kv.Instrument(raw, registry, "store", *backend)
+	store := kv.Instrument(raw, registry, "store", backend)
 	defer store.Close()
-	fmt.Printf("replaying %d ops against %s...\n", len(ops), *backend)
+	fmt.Printf("replaying %d ops against %s...\n", len(ops), backend)
 	start := time.Now()
 	res, err := replayWithProgress(store, ops, registry, start, *duration)
 	if err != nil {
@@ -238,7 +220,7 @@ func main() {
 		fmt.Printf("census written to %s\n", *censusPath)
 	}
 	if registry != nil {
-		printLatencySummary(registry, *backend)
+		printLatencySummary(registry, backend)
 		if *metricsHold > 0 {
 			fmt.Printf("holding metrics server for %s...\n", *metricsHold)
 			time.Sleep(*metricsHold)
@@ -411,43 +393,16 @@ func printLatencySummary(registry *obs.Registry, backend string) {
 	}
 }
 
-// writeCensus dumps the post-replay state: the per-class size census
-// (Table I) plus an order-independent digest over every key/value pair
-// (XOR of per-pair SHA-256, so unordered backends hash identically to
-// ordered ones). Two backends that replayed the same trace correctly
-// produce byte-identical census files.
+// writeCensus writes the post-replay census (report.WriteCensus) to path.
 func writeCensus(store kv.Store, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-
-	dist := analysis.CollectSizeDist(store)
-	report.WriteTable1(f, dist)
-
-	var digest [sha256.Size]byte
-	var pairs uint64
-	it := store.NewIterator(nil, nil)
-	defer it.Release()
-	var lenBuf [8]byte
-	for it.Next() {
-		h := sha256.New()
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(it.Key())))
-		h.Write(lenBuf[:])
-		h.Write(it.Key())
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(it.Value())))
-		h.Write(lenBuf[:])
-		h.Write(it.Value())
-		for i, b := range h.Sum(nil) {
-			digest[i] ^= b
-		}
-		pairs++
-	}
-	if err := it.Error(); err != nil {
+	if err := report.WriteCensus(f, store); err != nil {
 		return err
 	}
-	fmt.Fprintf(f, "pairs: %d\nstate digest: %x\n", pairs, digest)
 	return f.Close()
 }
 

@@ -52,12 +52,12 @@ func cpuTime() time.Duration {
 // -serve mode, so every worker stays in the same temporal region of the
 // workload). Each point reports throughput, CPU per op, and the per-shard
 // share of point ops so skew is visible next to the scaling it costs.
-func runShardSweep(ops []trace.Op, backend, workDir, mode string, counts []int, workers int, cacheBytes int64, compactionWorkers int) error {
+func runShardSweep(ops []trace.Op, backend, workDir string, opts backends.Options, counts []int, workers int) error {
 	if workers < 1 {
 		workers = 1
 	}
 	fmt.Printf("shard sweep: %d ops, backend=%s, mode=%s, workers=%d, counts=%v\n",
-		len(ops), backend, mode, workers, counts)
+		len(ops), backend, opts.ShardMode, workers, counts)
 
 	// Stripe once; the stripes are identical for every sweep point.
 	stripes := make([][]trace.Op, workers)
@@ -74,12 +74,8 @@ func runShardSweep(ops []trace.Op, backend, workDir, mode string, counts []int, 
 	var curve []point
 	for _, n := range counts {
 		dir := filepath.Join(workDir, fmt.Sprintf("sweep-%02d", n))
-		store, err := backends.Open(backend, dir, backends.Options{
-			BlockCacheBytes:   cacheBytes,
-			Shards:            n,
-			ShardMode:         mode,
-			CompactionWorkers: compactionWorkers,
-		})
+		opts.Shards = n
+		store, err := backends.Open(backend, dir, opts)
 		if err != nil {
 			return fmt.Errorf("shards=%d: %w", n, err)
 		}

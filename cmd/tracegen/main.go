@@ -28,7 +28,7 @@ func main() {
 		contracts  = flag.Int("contracts", 1500, "pre-seeded contract population")
 		txPerBlock = flag.Int("tx", 150, "transactions per block")
 		seed       = flag.Int64("seed", 42, "workload RNG seed")
-		backend    = flag.String("backend", "mem", "storage backend: mem, lsm, flat, hash, or log (persistent backends leave a census-able database)")
+		backend    = flag.String("backend", "mem", "storage backend: mem, lsm, flat, or hash (persistent backends leave a census-able database)")
 	)
 	flag.Parse()
 

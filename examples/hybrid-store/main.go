@@ -11,13 +11,10 @@ import (
 	"os"
 	"path/filepath"
 
+	"ethkv/internal/backends"
 	"ethkv/internal/chain"
-	"ethkv/internal/hashstore"
 	"ethkv/internal/hybrid"
-	"ethkv/internal/kv"
 	"ethkv/internal/lab"
-	"ethkv/internal/logstore"
-	"ethkv/internal/lsm"
 )
 
 func main() {
@@ -39,33 +36,25 @@ func main() {
 	}
 	defer os.RemoveAll(tmp)
 
+	// replay opens one factory-built store, replays the trace and closes it.
+	replay := func(kind string) *hybrid.ReplayResult {
+		st, err := backends.Open(kind, filepath.Join(tmp, kind), backends.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer st.Close()
+		r, err := hybrid.Replay(st, res.Ops)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r
+	}
 	// Baseline: everything on one LSM store (Geth's configuration).
-	baselineDB, err := lsm.Open(filepath.Join(tmp, "baseline"), ablationLSMOpts())
-	if err != nil {
-		log.Fatal(err)
-	}
-	baseline, err := hybrid.Replay(baselineDB, res.Ops)
-	if err != nil {
-		log.Fatal(err)
-	}
-	baselineDB.Close()
-
-	// Hybrid: scan classes on the LSM, lifecycle-delete classes on the log,
-	// world-state point reads on the hash store.
-	orderedDB, err := lsm.Open(filepath.Join(tmp, "ordered"), ablationLSMOpts())
-	if err != nil {
-		log.Fatal(err)
-	}
-	hashDB, err := hashstore.Open(filepath.Join(tmp, "hash"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	hybridStore := hybrid.New(orderedDB, logstore.New(), hashDB, nil)
-	hyb, err := hybrid.Replay(hybridStore, res.Ops)
-	if err != nil {
-		log.Fatal(err)
-	}
-	hybridStore.Close()
+	baseline := replay("lsm")
+	// Hybrid, under the factory's default policy: scan classes on the LSM,
+	// lifecycle-delete classes on the flat value log, world-state point
+	// reads on the hash store.
+	hyb := replay("hybrid")
 
 	fmt.Println("replaying the same measured workload against both designs:")
 	printRow := func(name string, r *hybrid.ReplayResult) {
@@ -81,18 +70,5 @@ func main() {
 	printRow("hybrid", hyb)
 
 	save := 1 - float64(hyb.Stats.PhysicalBytesWrite)/float64(baseline.Stats.PhysicalBytesWrite)
-	fmt.Printf("\nhybrid writes %.1f%% fewer physical bytes; %d tombstones avoided entirely\n",
-		save*100, baseline.Stats.TombstonesLive)
-	_ = kv.Stats{}
-}
-
-// ablationLSMOpts shrinks the memtable so LSM flush/compaction costs
-// materialize at example scale.
-func ablationLSMOpts() lsm.Options {
-	return lsm.Options{
-		DisableWAL:          true,
-		MemtableBytes:       256 << 10,
-		L0CompactionTrigger: 4,
-		LevelBaseBytes:      1 << 20,
-	}
+	fmt.Printf("\nhybrid writes %.1f%% fewer physical bytes\n", save*100)
 }

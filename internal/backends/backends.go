@@ -17,7 +17,6 @@ import (
 	"ethkv/internal/hashstore"
 	"ethkv/internal/hybrid"
 	"ethkv/internal/kv"
-	"ethkv/internal/logstore"
 	"ethkv/internal/lsm"
 	"ethkv/internal/policy"
 	"ethkv/internal/rawdb"
@@ -55,7 +54,7 @@ type Options struct {
 }
 
 // Kinds lists the recognised backend names, for usage strings.
-func Kinds() string { return "lsm, flat, hash, log, mem, lazy, or hybrid" }
+func Kinds() string { return "lsm, flat, hash, mem, lazy, or hybrid" }
 
 // Open constructs the requested store under dir. With opts.Shards > 1 the
 // store is a shard.Router over that many children of the same kind. Every
@@ -85,43 +84,18 @@ func Open(kind, dir string, opts Options) (kv.Store, error) {
 	return openOne(kind, dir, opts, pool)
 }
 
-// openOne constructs a single (unsharded) store of the requested kind.
+// openOne constructs a single (unsharded) store of the requested kind: the
+// kind as an option-less route. A single backend lives in dir/<kind> (the
+// lazy store's LSM in dir/lazy-lsm); a hybrid's routes sit directly in dir.
 func openOne(kind, dir string, opts Options, pool *compaction.Pool) (kv.Store, error) {
-	lsmOpts := lsm.Options{
-		DisableWAL:          true,
-		MemtableBytes:       256 << 10,
-		L0CompactionTrigger: 4,
-		LevelBaseBytes:      1 << 20,
-		BlockCacheBytes:     opts.BlockCacheBytes,
-		CompactionWorkers:   opts.CompactionWorkers,
-		Pool:                pool,
-	}
 	switch kind {
-	case "lsm":
-		return lsm.Open(filepath.Join(dir, "lsm"), lsmOpts)
-	case "flat":
-		return flatstore.Open(filepath.Join(dir, "flat"), flatstore.Options{})
-	case "hash":
-		return hashstore.Open(filepath.Join(dir, "hash"))
-	case "log":
-		return logstore.New(), nil
-	case "mem":
-		return kv.NewMemStore(), nil
-	case "lazy":
-		inner, err := lsm.Open(filepath.Join(dir, "lazy-lsm"), lsmOpts)
-		if err != nil {
-			return nil, err
-		}
-		return hybrid.NewLazyStore(inner), nil
 	case "hybrid":
-		p := opts.Policy
-		if p == nil {
-			p = DefaultHybridPolicy()
-		}
-		return openPolicyStore(dir, opts, p, pool)
+	case "lazy":
+		dir = filepath.Join(dir, "lazy-lsm")
 	default:
-		return nil, fmt.Errorf("unknown backend %q (want %s)", kind, Kinds())
+		dir = filepath.Join(dir, kind)
 	}
+	return openRoute(policy.Spec{Kind: kind}, dir, opts, pool)
 }
 
 // DefaultHybridPolicy mirrors hybrid.DefaultRouting as a policy: ordered
@@ -187,12 +161,14 @@ func openPolicyStore(dir string, opts Options, p *policy.Policy, pool *compactio
 	return s, nil
 }
 
-// openRoute opens one route's physical backend at dir, applying the
-// spec's option knobs. Unknown knobs are errors so a typo in a policy file
-// cannot silently fall back to defaults.
+// openRoute opens one backend of spec.Kind at dir, applying the spec's
+// option knobs — the one place a kind name becomes a store. Unknown knobs
+// are errors so a typo in a policy file cannot silently fall back to
+// defaults. (lazy and hybrid are factory kinds only: policy.Validate rejects
+// them as route kinds, so a policy cannot nest.)
 func openRoute(spec policy.Spec, dir string, opts Options, pool *compaction.Pool) (kv.Store, error) {
 	switch spec.Kind {
-	case "lsm":
+	case "lsm", "lazy":
 		o := lsm.Options{
 			DisableWAL:          true,
 			MemtableBytes:       256 << 10,
@@ -222,7 +198,11 @@ func openRoute(spec policy.Spec, dir string, opts Options, pool *compaction.Pool
 				return nil, fmt.Errorf("unknown lsm option %q", k)
 			}
 		}
-		return lsm.Open(dir, o)
+		db, err := lsm.Open(dir, o)
+		if err != nil || spec.Kind == "lsm" {
+			return db, err
+		}
+		return hybrid.NewLazyStore(db), nil
 	case "flat":
 		o := flatstore.Options{}
 		for k, v := range spec.Options {
@@ -239,17 +219,19 @@ func openRoute(spec policy.Spec, dir string, opts Options, pool *compaction.Pool
 			return nil, fmt.Errorf("hash backend takes no options")
 		}
 		return hashstore.Open(dir)
-	case "log":
-		if len(spec.Options) != 0 {
-			return nil, fmt.Errorf("log backend takes no options")
-		}
-		return logstore.New(), nil
 	case "mem":
 		if len(spec.Options) != 0 {
 			return nil, fmt.Errorf("mem backend takes no options")
 		}
 		return kv.NewMemStore(), nil
+	case "hybrid":
+		p := opts.Policy
+		if p == nil {
+			p = DefaultHybridPolicy()
+		}
+		return openPolicyStore(dir, opts, p, pool)
 	default:
-		return nil, fmt.Errorf("unknown backend kind %q", spec.Kind)
+		// Only a factory kind gets here: a policy's kinds were validated.
+		return nil, fmt.Errorf("unknown backend %q (want %s)", spec.Kind, Kinds())
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"ethkv/internal/kv"
 	"ethkv/internal/kv/kvtest"
+	"ethkv/internal/obs"
 	"ethkv/internal/policy"
 	"ethkv/internal/rawdb"
 )
@@ -175,5 +176,48 @@ func TestShardedPolicyHybrid(t *testing.T) {
 		if err != nil || len(v) != 1 || v[0] != byte(i) {
 			t.Fatalf("key %d after sharded reopen: %q, %v", i, v, err)
 		}
+	}
+}
+
+// TestShardedStoreExportsStoreMetrics: instrumenting the canonical
+// shard -> hybrid -> backends stack registers the store series of every
+// (shard, route) leaf — a sharded store used to register none — and what
+// they report adds up to the router's own merged counters.
+func TestShardedStoreExportsStoreMetrics(t *testing.T) {
+	raw, err := Open("hybrid", t.TempDir(), Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s := kv.Instrument(raw, reg, "store", "hybrid")
+	defer s.Close()
+
+	var h rawdb.Hash
+	for i := 0; i < 64; i++ {
+		h[0] = byte(i)
+		for _, key := range [][]byte{rawdb.TxLookupKey(h), rawdb.CodeKey(h), rawdb.SnapshotAccountKey(h)} {
+			if err := s.Put(key, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Get(key); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	gauges := reg.Snapshot().Gauges
+	var sum float64
+	for _, shard := range []string{"00", "01"} {
+		for route := range DefaultHybridPolicy().Routes {
+			name := obs.Name("ethkv_store_gets", "route", route, "shard", shard, "store", "hybrid")
+			v, ok := gauges[name]
+			if !ok {
+				t.Fatalf("no %s in the registry", name)
+			}
+			sum += v
+		}
+	}
+	if want := raw.(kv.StatsProvider).Stats().Gets; sum != float64(want) || want != 3*64 {
+		t.Fatalf("per-leaf ethkv_store_gets sum to %v, the router counts %d, want both %d", sum, want, 3*64)
 	}
 }

@@ -1,0 +1,67 @@
+package backends_test
+
+import (
+	"bytes"
+	"testing"
+
+	"ethkv/internal/backends"
+	"ethkv/internal/chain"
+	"ethkv/internal/hybrid"
+	"ethkv/internal/lab"
+	"ethkv/internal/policy"
+	"ethkv/internal/report"
+)
+
+// TestCensusInvariantAcrossCompositions replays one generated trace through
+// every way the factory composes a store and requires the post-state census
+// (Table I plus the order-independent content digest) to be byte-identical:
+// backend choice, policy routing, sharding and compaction width may change
+// performance, never what the store contains.
+func TestCensusInvariantAcrossCompositions(t *testing.T) {
+	workload := chain.DefaultWorkload()
+	workload.Accounts, workload.Contracts, workload.TxPerBlock = 2000, 200, 60
+	res, err := lab.Run(lab.Config{Mode: lab.Bare, Blocks: 40, Workload: workload, TraceBootstrap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived := policy.Derive(policy.CollectCensus(res.Ops))
+
+	cases := []struct {
+		name string
+		kind string
+		opts backends.Options
+	}{
+		{"lsm", "lsm", backends.Options{}},
+		{"flat", "flat", backends.Options{}},
+		{"hybrid default policy", "hybrid", backends.Options{}},
+		{"hybrid derived policy", "hybrid", backends.Options{Policy: derived}},
+		{"lsm 1 shard", "lsm", backends.Options{Shards: 1}},
+		{"lsm 8 hash shards", "lsm", backends.Options{Shards: 8}},
+		{"lsm 8 class shards", "lsm", backends.Options{Shards: 8, ShardMode: "class"}},
+		{"lsm 1 compaction worker", "lsm", backends.Options{CompactionWorkers: 1}},
+		{"lsm 8 compaction workers", "lsm", backends.Options{CompactionWorkers: 8}},
+	}
+	var want []byte
+	for _, tc := range cases {
+		st, err := backends.Open(tc.kind, t.TempDir(), tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, err := hybrid.Replay(st, res.Ops); err != nil {
+			t.Fatalf("%s: replay: %v", tc.name, err)
+		}
+		var census bytes.Buffer
+		if err := report.WriteCensus(&census, st); err != nil {
+			t.Fatalf("%s: census: %v", tc.name, err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatalf("%s: close: %v", tc.name, err)
+		}
+		if want == nil {
+			want = census.Bytes()
+			t.Logf("census under %s:\n%s", tc.name, want)
+		} else if !bytes.Equal(census.Bytes(), want) {
+			t.Errorf("census under %s differs from %s:\n%s", tc.name, cases[0].name, census.Bytes())
+		}
+	}
+}

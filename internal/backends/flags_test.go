@@ -1,0 +1,59 @@
+package backends
+
+import (
+	"flag"
+	"io"
+	"path/filepath"
+	"reflect"
+	"testing"
+)
+
+func parseFlags(t *testing.T, args ...string) *Flags {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f := RegisterFlags(fs, "lsm")
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func TestFlagsRoundTrip(t *testing.T) {
+	kind, opts, err := parseFlags(t).Options()
+	if err != nil || kind != "lsm" || !reflect.DeepEqual(opts, Options{Shards: 1, ShardMode: "hash"}) {
+		t.Fatalf("defaults = %q, %+v, %v", kind, opts, err)
+	}
+
+	kind, opts, err = parseFlags(t, "-backend", "flat", "-block-cache-mb", "4", "-shards", "8",
+		"-shard-mode", "class", "-compaction-workers", "3").Options()
+	want := Options{BlockCacheBytes: 4 << 20, Shards: 8, ShardMode: "class", CompactionWorkers: 3}
+	if err != nil || kind != "flat" || !reflect.DeepEqual(opts, want) {
+		t.Fatalf("got %q, %+v, %v; want flat, %+v", kind, opts, err, want)
+	}
+
+	// A negative cache budget means "disabled" and is not scaled.
+	if _, opts, _ := parseFlags(t, "-block-cache-mb", "-1").Options(); opts.BlockCacheBytes != -1 {
+		t.Fatalf("-block-cache-mb -1 became %d bytes", opts.BlockCacheBytes)
+	}
+}
+
+func TestFlagsPolicyImpliesHybrid(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.json")
+	if err := DefaultHybridPolicy().Save(path); err != nil {
+		t.Fatal(err)
+	}
+	kind, opts, err := parseFlags(t, "-backend", "lsm", "-policy", path).Options()
+	if err != nil || kind != "hybrid" || opts.Policy == nil || len(opts.Policy.Routes) != 3 {
+		t.Fatalf("-policy x.json gave %q, policy %+v, %v", kind, opts.Policy, err)
+	}
+	if _, _, err := parseFlags(t, "-policy", path+".missing").Options(); err == nil {
+		t.Fatal("a missing policy file was accepted")
+	}
+}
+
+func TestFlagsRejectUnknownShardMode(t *testing.T) {
+	if _, _, err := parseFlags(t, "-shard-mode", "range").Options(); err == nil {
+		t.Fatal("-shard-mode range was accepted")
+	}
+}

@@ -592,33 +592,10 @@ func (it *flatIterator) Error() error { return it.err }
 // NewBatch implements kv.Batcher.
 func (s *Store) NewBatch() kv.Batch { return &flatBatch{s: s} }
 
-type flatOp struct {
-	key, value []byte
-	delete     bool
-}
-
 type flatBatch struct {
-	s    *Store
-	ops  []flatOp
-	size int
+	kv.OpBatch
+	s *Store
 }
-
-func (b *flatBatch) Put(key, value []byte) error {
-	b.ops = append(b.ops, flatOp{
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-	})
-	b.size += len(key) + len(value)
-	return nil
-}
-
-func (b *flatBatch) Delete(key []byte) error {
-	b.ops = append(b.ops, flatOp{key: append([]byte(nil), key...), delete: true})
-	b.size += len(key)
-	return nil
-}
-
-func (b *flatBatch) ValueSize() int { return b.size }
 
 // Write commits the batch as one group record followed by a Sync — the
 // durability barrier that acks this batch and every record before it. A
@@ -630,17 +607,17 @@ func (b *flatBatch) Write() error {
 	if err := s.writeGateLocked(); err != nil {
 		return err
 	}
-	if len(b.ops) == 0 {
+	if len(b.Ops) == 0 {
 		return nil
 	}
 	var payload []byte
-	rel := make([]int, len(b.ops))
-	for i, op := range b.ops {
+	rel := make([]int, len(b.Ops))
+	for i, op := range b.Ops {
 		rel[i] = len(payload)
-		if op.delete {
-			payload = appendRecord(payload, kindTombstone, op.key, nil)
+		if op.Delete {
+			payload = appendRecord(payload, kindTombstone, op.Key, nil)
 		} else {
-			payload = appendRecord(payload, kindPut, op.key, op.value)
+			payload = appendRecord(payload, kindPut, op.Key, op.Value)
 		}
 	}
 	group := appendRecord(nil, kindGroup, payload, nil)
@@ -656,42 +633,25 @@ func (b *flatBatch) Write() error {
 		s.setDegradedLocked(err)
 		return err
 	}
-	for i, op := range b.ops {
-		if op.delete {
-			s.applyDeleteLocked(op.key)
+	for i, op := range b.Ops {
+		if op.Delete {
+			s.applyDeleteLocked(op.Key)
 			s.stats.deletes.Add(1)
-			s.stats.logicalBytesWritten.Add(uint64(len(op.key)))
+			s.stats.logicalBytesWritten.Add(uint64(len(op.Key)))
 			continue
 		}
 		subOff := off + int64(payloadStart) + int64(rel[i])
 		var subLen int
-		if i+1 < len(b.ops) {
+		if i+1 < len(b.Ops) {
 			subLen = rel[i+1] - rel[i]
 		} else {
 			subLen = len(payload) - rel[i]
 		}
-		s.applyPutLocked(op.key, entryRef{off: subOff, n: uint32(subLen), vlen: uint32(len(op.value))})
+		s.applyPutLocked(op.Key, entryRef{off: subOff, n: uint32(subLen), vlen: uint32(len(op.Value))})
 		s.stats.puts.Add(1)
-		s.stats.logicalBytesWritten.Add(uint64(len(op.key) + len(op.value)))
+		s.stats.logicalBytesWritten.Add(uint64(len(op.Key) + len(op.Value)))
 	}
 	s.maybeCompactLocked()
-	return nil
-}
-
-func (b *flatBatch) Reset() { b.ops, b.size = b.ops[:0], 0 }
-
-func (b *flatBatch) Replay(w kv.Writer) error {
-	for _, op := range b.ops {
-		var err error
-		if op.delete {
-			err = w.Delete(op.key)
-		} else {
-			err = w.Put(op.key, op.value)
-		}
-		if err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

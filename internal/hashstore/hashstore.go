@@ -544,65 +544,14 @@ func (it *unorderedIterator) Error() error { return it.err }
 // NewBatch implements kv.Batcher.
 func (s *Store) NewBatch() kv.Batch { return &batch{store: s} }
 
-type batchOp struct {
-	key, value []byte
-	delete     bool
-}
-
+// batch is the store's kv.Batch: ops apply one by one (each Put and Delete
+// is already a complete append), so a batch buys grouping, not atomicity.
 type batch struct {
+	kv.OpBatch
 	store *Store
-	ops   []batchOp
-	size  int
 }
 
-func (b *batch) Put(key, value []byte) error {
-	b.ops = append(b.ops, batchOp{
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-	})
-	b.size += len(key) + len(value)
-	return nil
-}
-
-func (b *batch) Delete(key []byte) error {
-	b.ops = append(b.ops, batchOp{key: append([]byte(nil), key...), delete: true})
-	b.size += len(key)
-	return nil
-}
-
-func (b *batch) ValueSize() int { return b.size }
-
-func (b *batch) Write() error {
-	for _, op := range b.ops {
-		var err error
-		if op.delete {
-			err = b.store.Delete(op.key)
-		} else {
-			err = b.store.Put(op.key, op.value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (b *batch) Reset() { b.ops, b.size = b.ops[:0], 0 }
-
-func (b *batch) Replay(w kv.Writer) error {
-	for _, op := range b.ops {
-		var err error
-		if op.delete {
-			err = w.Delete(op.key)
-		} else {
-			err = w.Put(op.key, op.value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (b *batch) Write() error { return b.Replay(b.store) }
 
 // Stats implements kv.StatsProvider.
 func (s *Store) Stats() kv.Stats {

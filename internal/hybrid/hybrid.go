@@ -12,24 +12,21 @@
 // the classic three-route layout of the paper (ordered LSM, append-only
 // log, hash store — Findings 3-5) remains available through New.
 //
-// Two cross-backend invariants the dispatcher maintains:
-//
-//   - Batches are split into one sub-batch per target backend and the
-//     sub-batches commit in backend order, so each backend sees a single
-//     atomic (group-committed) batch rather than a stream of single ops.
-//   - Scans merge every backend whose classes could match the requested
-//     prefix (rawdb.Class.MatchesScanPrefix), via the shard package's
-//     latching k-way merge, so a short or empty prefix cannot silently
-//     confine the scan to one route.
+// The dispatch machine itself — point dispatch, the split batch (one atomic
+// sub-batch per touched backend, committed in backend order), the merged
+// scan, lifecycle and stats fan-out — is internal/fanout's Core. This package
+// supplies the partition function (key class -> route) and the scan plan:
+// a scan visits every backend whose classes could match the requested prefix
+// (rawdb.Class.MatchesScanPrefix), so a short or empty prefix cannot
+// silently confine the scan to one route.
 package hybrid
 
 import (
 	"fmt"
 
+	"ethkv/internal/fanout"
 	"ethkv/internal/kv"
-	"ethkv/internal/obs"
 	"ethkv/internal/rawdb"
-	"ethkv/internal/shard"
 )
 
 // Route identifies one of the classic three routes (kept for the paper's
@@ -81,9 +78,11 @@ type Backend struct {
 	Store kv.Store
 }
 
-// Store is the class-routed hybrid store. It implements kv.Store: every
-// operation classifies its key and dispatches to the route's backend.
+// Store is the class-routed hybrid store: a fanout.Core (which supplies
+// every kv.Store method, Flush, Drain, Stats and RegisterMetrics) that
+// classifies each key and dispatches to its class's route.
 type Store struct {
+	*fanout.Core
 	backends []Backend
 	// routes is indexed by rawdb.Class: dispatch runs on every op, so the
 	// class -> backend map is flattened to an array lookup. Unrouted
@@ -134,6 +133,11 @@ func NewRouted(backends []Backend, routing map[rawdb.Class]int, def int) (*Store
 		r[c] = i
 		s.routes[c] = i
 	}
+	stores := make([]kv.Store, len(backends))
+	for i, b := range backends {
+		stores[i] = b.Store
+	}
+	s.Core = fanout.New("route", s.Backends(), stores, s.routeIndex, s.scanBackends)
 	return s, nil
 }
 
@@ -170,34 +174,20 @@ func (s *Store) Backends() []string {
 	return names
 }
 
-// routeIndex picks the backend index for a key.
+// routeIndex picks the backend index for a key — the Core's pick.
 func (s *Store) routeIndex(key []byte) int {
 	return s.routes[rawdb.Classify(key)]
 }
 
-// backend picks the store for a key.
-func (s *Store) backend(key []byte) kv.Store {
-	return s.backends[s.routeIndex(key)].Store
-}
-
-// Get implements kv.Reader.
-func (s *Store) Get(key []byte) ([]byte, error) { return s.backend(key).Get(key) }
-
-// Has implements kv.Reader.
-func (s *Store) Has(key []byte) (bool, error) { return s.backend(key).Has(key) }
-
-// Put implements kv.Writer.
-func (s *Store) Put(key, value []byte) error { return s.backend(key).Put(key, value) }
-
-// Delete implements kv.Writer.
-func (s *Store) Delete(key []byte) error { return s.backend(key).Delete(key) }
-
-// scanBackends returns, in backend order, the indices of every backend a
-// scan over prefix may need to visit: the default route (unrouted and
-// unknown-class keys can match any prefix) plus each route owning a class
-// whose keys could start with the prefix. Classifying the prefix itself
-// would be wrong — a one-byte prefix like "l" is ClassUnknown, yet every
-// TxLookup key starts with it.
+// scanBackends is the Core's plan. It returns, in backend order, the indices
+// of every backend a scan over prefix may need to visit: the default route
+// (unrouted and unknown-class keys can match any prefix) plus each route
+// owning a class whose keys could start with the prefix. Classifying the
+// prefix itself would be wrong — a one-byte prefix like "l" is ClassUnknown,
+// yet every TxLookup key starts with it. A class-specific prefix usually
+// leaves one candidate, whose (ordered) iterator the Core returns as is;
+// full-range scans trade order for completeness when an unordered backend is
+// merged in.
 func (s *Store) scanBackends(prefix []byte) []int {
 	include := make([]bool, len(s.backends))
 	include[s.def] = true
@@ -215,188 +205,12 @@ func (s *Store) scanBackends(prefix []byte) []int {
 	return out
 }
 
-// NewIterator implements kv.Iterable with a merged scan over every backend
-// whose classes can match the prefix (see scanBackends). With a single
-// candidate backend the child iterator is returned directly; otherwise the
-// children are k-way-merged with latched errors (shard.MergeIterators).
-// Order is only meaningful when every merged child is ordered; the
-// measured workload's scans are confined to ordered classes (Finding 4),
-// so class-specific prefixes keep their single ordered child and full-range
-// scans trade order for completeness.
-func (s *Store) NewIterator(prefix, start []byte) kv.Iterator {
-	idxs := s.scanBackends(prefix)
-	if len(idxs) == 1 {
-		return s.backends[idxs[0]].Store.NewIterator(prefix, start)
-	}
-	iters := make([]kv.Iterator, len(idxs))
-	for i, bi := range idxs {
-		iters[i] = s.backends[bi].Store.NewIterator(prefix, start)
-	}
-	return shard.MergeIterators(iters)
-}
-
-// NewBatch implements kv.Batcher with a routing batch.
-func (s *Store) NewBatch() kv.Batch {
-	return &routedBatch{store: s}
-}
-
-// Flush forces buffered writes down on every backend that supports it,
-// returning the first error after attempting all: one route's failure must
-// not leave the others' writes buffered.
-func (s *Store) Flush() error {
-	var first error
-	for _, b := range s.backends {
-		if f, ok := b.Store.(interface{ Flush() error }); ok {
-			if err := f.Flush(); err != nil && first == nil {
-				first = fmt.Errorf("route %s: flush: %w", b.Name, err)
-			}
-		}
-	}
-	return first
-}
-
-// Drain implements kv.Drainer by draining every backend that supports it,
-// returning the first error after attempting all.
-func (s *Store) Drain() error {
-	var first error
-	for _, b := range s.backends {
-		if err := kv.Drain(b.Store); err != nil && first == nil {
-			first = fmt.Errorf("route %s: drain: %w", b.Name, err)
-		}
-	}
-	return first
-}
-
-// Close closes every backend, returning the first error.
-func (s *Store) Close() error {
-	var first error
-	for _, b := range s.backends {
-		if err := b.Store.Close(); err != nil && first == nil {
-			first = fmt.Errorf("route %s: %w", b.Name, err)
-		}
-	}
-	return first
-}
-
-// Stats merges the backends' counters. kv.Stats.Merge carries every field —
-// including counters only some backends track (live/dead value-log bytes,
-// compaction rewrites, physical read ops) — so a new counter added to
-// kv.Stats can never be silently dropped from the merged view.
-func (s *Store) Stats() kv.Stats {
-	var out kv.Stats
-	for _, b := range s.backends {
-		if sp, ok := b.Store.(kv.StatsProvider); ok {
-			out.Merge(sp.Stats())
-		}
-	}
-	return out
-}
-
-// RegisterMetrics implements kv.MetricsRegistrar by delegating to each
-// backend that can export internals, labelling series with route=<name> so
-// the backends stay distinguishable on one registry.
-func (s *Store) RegisterMetrics(r *obs.Registry, labels ...string) {
-	if r == nil {
-		return
-	}
-	for _, b := range s.backends {
-		rl := append([]string{"route", b.Name}, labels...)
-		if reg, ok := b.Store.(kv.MetricsRegistrar); ok {
-			reg.RegisterMetrics(r, rl...)
-		} else if sp, ok := b.Store.(kv.StatsProvider); ok {
-			kv.RegisterStatsMetrics(r, sp, rl...)
-		}
-	}
-}
-
 // BackendStats returns per-route counters for ablation reporting, keyed by
 // route name.
 func (s *Store) BackendStats() map[string]kv.Stats {
 	out := make(map[string]kv.Stats, len(s.backends))
-	for _, b := range s.backends {
-		if sp, ok := b.Store.(kv.StatsProvider); ok {
-			out[b.Name] = sp.Stats()
-		}
+	for i, st := range s.ChildStats() {
+		out[s.backends[i].Name] = st
 	}
 	return out
-}
-
-// routedBatch groups batched ops into one sub-batch per target backend and
-// commits the sub-batches in backend (fixed route) order, mirroring
-// shard.Router's batch. Each backend therefore receives its share of the
-// hybrid batch as a single Batch.Write — one WAL group-commit record on an
-// LSM route, one atomic group record on a flat route — instead of the
-// per-op Put/Delete replay that would lose batch atomicity.
-type routedBatch struct {
-	store *Store
-	ops   []batchOp
-	size  int
-}
-
-type batchOp struct {
-	key, value []byte
-	delete     bool
-}
-
-func (b *routedBatch) Put(key, value []byte) error {
-	b.ops = append(b.ops, batchOp{
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-	})
-	b.size += len(key) + len(value)
-	return nil
-}
-
-func (b *routedBatch) Delete(key []byte) error {
-	b.ops = append(b.ops, batchOp{key: append([]byte(nil), key...), delete: true})
-	b.size += len(key)
-	return nil
-}
-
-func (b *routedBatch) ValueSize() int { return b.size }
-
-func (b *routedBatch) Write() error {
-	s := b.store
-	subs := make([]kv.Batch, len(s.backends))
-	for _, op := range b.ops {
-		i := s.routeIndex(op.key)
-		if subs[i] == nil {
-			subs[i] = s.backends[i].Store.NewBatch()
-		}
-		var err error
-		if op.delete {
-			err = subs[i].Delete(op.key)
-		} else {
-			err = subs[i].Put(op.key, op.value)
-		}
-		if err != nil {
-			return fmt.Errorf("route %s: %w", s.backends[i].Name, err)
-		}
-	}
-	for i, sub := range subs {
-		if sub == nil {
-			continue
-		}
-		if err := sub.Write(); err != nil {
-			return fmt.Errorf("route %s: %w", s.backends[i].Name, err)
-		}
-	}
-	return nil
-}
-
-func (b *routedBatch) Reset() { b.ops, b.size = b.ops[:0], 0 }
-
-func (b *routedBatch) Replay(w kv.Writer) error {
-	for _, op := range b.ops {
-		var err error
-		if op.delete {
-			err = w.Delete(op.key)
-		} else {
-			err = w.Put(op.key, op.value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

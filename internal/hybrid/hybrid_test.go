@@ -5,21 +5,25 @@ import (
 	"fmt"
 	"testing"
 
+	"ethkv/internal/flatstore"
 	"ethkv/internal/hashstore"
 	"ethkv/internal/kv"
-	"ethkv/internal/logstore"
 	"ethkv/internal/rawdb"
 	"ethkv/internal/trace"
 )
 
-// newTestStore builds a hybrid over memstore/log/hash backends.
+// newTestStore builds a hybrid over memstore/flat/hash backends.
 func newTestStore(t *testing.T) *Store {
 	t.Helper()
 	hs, err := hashstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(kv.NewMemStore(), logstore.New(), hs, nil)
+	fs, err := flatstore.Open(t.TempDir(), flatstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(kv.NewMemStore(), fs, hs, nil)
 	t.Cleanup(func() { s.Close() })
 	return s
 }
@@ -73,10 +77,6 @@ func TestDeleteRouting(t *testing.T) {
 	}
 	if _, err := s.Get(key); !errors.Is(err, kv.ErrNotFound) {
 		t.Fatalf("deleted key: %v", err)
-	}
-	// The log backend never writes tombstones.
-	if st := s.BackendStats()["log"]; st.TombstonesLive != 0 {
-		t.Fatal("log backend produced tombstones")
 	}
 }
 
@@ -190,50 +190,12 @@ func TestReplayMissingReadTolerated(t *testing.T) {
 	}
 }
 
-// TestHybridBeatsLSMOnDeletionWorkload is ablation E12 in miniature: on a
-// TxLookup-style insert-then-delete lifecycle, the hybrid's log route must
-// finish with zero tombstones, while an LSM would accumulate them.
-func TestHybridLogRouteNoTombstones(t *testing.T) {
-	s := newTestStore(t)
-	var ops []trace.Op
-	for i := 0; i < 2000; i++ {
-		ops = append(ops, trace.Op{
-			Type: trace.OpWrite, Class: rawdb.ClassTxLookup,
-			Key: rawdb.TxLookupKey(hash32(i)), ValueSize: 4,
-		})
-	}
-	for i := 0; i < 1000; i++ {
-		ops = append(ops, trace.Op{
-			Type: trace.OpDelete, Class: rawdb.ClassTxLookup,
-			Key: rawdb.TxLookupKey(hash32(i)),
-		})
-	}
-	res, err := Replay(s, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.TombstonesLive != 0 {
-		t.Fatalf("hybrid produced %d tombstones", res.Stats.TombstonesLive)
-	}
-	if res.Deletes != 1000 {
-		t.Fatalf("deletes = %d", res.Deletes)
-	}
-}
-
-func hash32(i int) rawdb.Hash {
-	var h rawdb.Hash
-	for j := 0; j < 4; j++ {
-		h[j] = byte(i >> (8 * j))
-	}
-	return h
-}
-
 func BenchmarkHybridPut(b *testing.B) {
 	hs, err := hashstore.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := New(kv.NewMemStore(), logstore.New(), hs, nil)
+	s := New(kv.NewMemStore(), kv.NewMemStore(), hs, nil)
 	defer s.Close()
 	val := make([]byte, 70)
 	var h rawdb.Hash

@@ -1,6 +1,8 @@
 package hybrid
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 
 	"ethkv/internal/kv"
@@ -95,83 +97,41 @@ func (s *LazyStore) Delete(key []byte) error {
 	return s.indexed.Delete(key)
 }
 
-// NewIterator merges staged and indexed entries. Staged entries surface in
-// unspecified order relative to the indexed ones; this store targets
-// scan-free classes (Finding 4), so ordered iteration is best-effort.
+// NewIterator promotes everything staged under the prefix, then scans the
+// indexed store. Staged entries surface in unspecified order relative to the
+// indexed ones; this store targets scan-free classes (Finding 4), so ordered
+// iteration is best-effort. A failed promotion leaves the pair staged — and
+// fails the scan, which would otherwise silently omit it.
 func (s *LazyStore) NewIterator(prefix, start []byte) kv.Iterator {
 	s.mu.Lock()
 	s.stats.Scans++
-	// Promote everything under the prefix so the indexed iterator sees it.
+	under := string(prefix)
 	for keyStr, v := range s.staging {
-		key := []byte(keyStr)
-		if len(key) >= len(prefix) && string(key[:len(prefix)]) == string(prefix) {
-			if err := s.indexed.Put(key, v); err == nil {
-				delete(s.staging, keyStr)
-				s.promotions++
-			}
+		if !strings.HasPrefix(keyStr, under) {
+			continue
 		}
+		if err := s.indexed.Put([]byte(keyStr), v); err != nil {
+			s.mu.Unlock()
+			return kv.ErrIterator(fmt.Errorf("lazystore: promote %x for scan: %w", keyStr, err))
+		}
+		delete(s.staging, keyStr)
+		s.promotions++
 	}
 	s.mu.Unlock()
 	return s.indexed.NewIterator(prefix, start)
 }
 
 // NewBatch implements kv.Batcher.
-func (s *LazyStore) NewBatch() kv.Batch { return &lazyBatch{store: s} }
+func (s *LazyStore) NewBatch() kv.Batch { return &stagedBatch{store: s} }
 
-type lazyBatch struct {
+// stagedBatch is the store's kv.Batch: staging is a map, so a batch is its
+// ops applied one by one.
+type stagedBatch struct {
+	kv.OpBatch
 	store *LazyStore
-	ops   []batchOp
-	size  int
 }
 
-func (b *lazyBatch) Put(key, value []byte) error {
-	b.ops = append(b.ops, batchOp{
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-	})
-	b.size += len(key) + len(value)
-	return nil
-}
-
-func (b *lazyBatch) Delete(key []byte) error {
-	b.ops = append(b.ops, batchOp{key: append([]byte(nil), key...), delete: true})
-	b.size += len(key)
-	return nil
-}
-
-func (b *lazyBatch) ValueSize() int { return b.size }
-
-func (b *lazyBatch) Write() error {
-	for _, op := range b.ops {
-		var err error
-		if op.delete {
-			err = b.store.Delete(op.key)
-		} else {
-			err = b.store.Put(op.key, op.value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (b *lazyBatch) Reset() { b.ops, b.size = b.ops[:0], 0 }
-
-func (b *lazyBatch) Replay(w kv.Writer) error {
-	for _, op := range b.ops {
-		var err error
-		if op.delete {
-			err = w.Delete(op.key)
-		} else {
-			err = w.Put(op.key, op.value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (b *stagedBatch) Write() error { return b.Replay(b.store) }
 
 // Promotions reports how many keys earned indexed-store insertion.
 func (s *LazyStore) Promotions() uint64 {

@@ -113,6 +113,53 @@ func TestLazyIteratorPromotesPrefix(t *testing.T) {
 	}
 }
 
+// failPutStore is an indexed tier whose next Put fails.
+type failPutStore struct {
+	kv.Store
+	err error
+}
+
+func (f *failPutStore) Put(key, value []byte) error {
+	if err := f.err; err != nil {
+		f.err = nil
+		return err
+	}
+	return f.Store.Put(key, value)
+}
+
+// TestLazyScanSurfacesFailedPromotion: a staged pair that cannot be promoted
+// stays staged, and the scan that would have omitted it fails instead of
+// looking complete; once the indexed tier recovers, the scan sees it.
+func TestLazyScanSurfacesFailedPromotion(t *testing.T) {
+	boom := errors.New("indexed tier is down")
+	s := NewLazyStore(&failPutStore{Store: kv.NewMemStore(), err: boom})
+	defer s.Close()
+	for i := 0; i < 3; i++ {
+		s.Put([]byte(fmt.Sprintf("p%d", i)), []byte("v"))
+	}
+	it := s.NewIterator([]byte("p"), nil)
+	if it.Next() {
+		t.Fatalf("scan yielded %q past a failed promotion", it.Key())
+	}
+	if err := it.Error(); !errors.Is(err, boom) {
+		t.Fatalf("Error() = %v, want the promotion failure", err)
+	}
+	it.Release()
+	if s.StagedCount() == 0 {
+		t.Fatal("the pair whose promotion failed is no longer staged")
+	}
+
+	it = s.NewIterator([]byte("p"), nil)
+	defer it.Release()
+	n := 0
+	for it.Next() {
+		n++
+	}
+	if err := it.Error(); err != nil || n != 3 {
+		t.Fatalf("scan after recovery saw %d keys (err %v), want 3", n, err)
+	}
+}
+
 func TestLazyBatch(t *testing.T) {
 	s, _ := newLazy(t)
 	b := s.NewBatch()

@@ -10,7 +10,6 @@ import (
 
 	"ethkv/internal/faultfs"
 	"ethkv/internal/kv"
-	"ethkv/internal/logstore"
 	"ethkv/internal/lsm"
 	"ethkv/internal/rawdb"
 )
@@ -143,7 +142,7 @@ func TestBatchSingleWALGroupCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(db, logstore.New(), kv.NewMemStore(), nil)
+	s := New(db, kv.NewMemStore(), kv.NewMemStore(), nil)
 	defer s.Close()
 
 	b := s.NewBatch()
@@ -182,7 +181,7 @@ func TestCrashBatchAtomicity(t *testing.T) {
 			}
 			t.Fatalf("seed %d: open: %v", seed, err)
 		}
-		s := New(db, logstore.New(), kv.NewMemStore(), nil)
+		s := New(db, kv.NewMemStore(), kv.NewMemStore(), nil)
 
 		key := func(batch, j int) []byte {
 			var h rawdb.Hash

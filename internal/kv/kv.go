@@ -114,6 +114,16 @@ func Drain(s Store) error {
 	return nil
 }
 
+// Flush pushes s's buffered writes down to its storage layer (the LSM's
+// memtable into a table, for one) if it buffers any — so that censuses and
+// amplification counters settle. Wrappers forward it to every child.
+func Flush(s Store) error {
+	if f, ok := s.(interface{ Flush() error }); ok {
+		return f.Flush()
+	}
+	return nil
+}
+
 // Stats holds cumulative I/O counters for a store. Logical counters track
 // the operations issued by the client; physical counters track the bytes the
 // backend actually moved (including compaction), which exposes write
@@ -402,39 +412,82 @@ func (it *sliceIterator) Value() []byte {
 func (it *sliceIterator) Release()     { it.keys, it.values = nil, nil }
 func (it *sliceIterator) Error() error { return nil }
 
-// batchOp is one pending batch operation.
-type batchOp struct {
-	key    []byte
-	value  []byte
-	delete bool
+// ErrIterator returns an iterator that yields nothing and reports err — how
+// a store says a scan could not be set up, through the Iterator API.
+func ErrIterator(err error) Iterator { return errIterator{err} }
+
+type errIterator struct{ err error }
+
+func (errIterator) Next() bool      { return false }
+func (errIterator) Key() []byte     { return nil }
+func (errIterator) Value() []byte   { return nil }
+func (errIterator) Release()        {}
+func (it errIterator) Error() error { return it.err }
+
+// Op is one buffered batch operation. Key and Value belong to the batch that
+// holds the Op: they are its own copies of what the caller passed in.
+type Op struct {
+	Key, Value []byte
+	Delete     bool
 }
 
-// memBatch is the Batch implementation shared by MemStore.
+// Apply performs the operation on w.
+func (op *Op) Apply(w Writer) error {
+	if op.Delete {
+		return w.Delete(op.Key)
+	}
+	return w.Put(op.Key, op.Value)
+}
+
+// OpBatch is the op-list half of a Batch, meant to be embedded: it buffers
+// puts and deletes in insertion order, copying each key and value exactly
+// once, and implements every Batch method except Write. The embedding store
+// supplies Write, which commits Ops however the store commits a batch; the
+// list stays intact afterwards, so a batch can be written, replayed or reset
+// in any order.
+type OpBatch struct {
+	Ops  []Op
+	size int
+}
+
+// Put implements Writer.
+func (b *OpBatch) Put(key, value []byte) error {
+	b.Ops = append(b.Ops, Op{
+		Key:   append([]byte(nil), key...),
+		Value: append([]byte(nil), value...),
+	})
+	b.size += len(key) + len(value)
+	return nil
+}
+
+// Delete implements Writer.
+func (b *OpBatch) Delete(key []byte) error {
+	b.Ops = append(b.Ops, Op{Key: append([]byte(nil), key...), Delete: true})
+	b.size += len(key)
+	return nil
+}
+
+// ValueSize implements Batch: key plus value bytes buffered so far.
+func (b *OpBatch) ValueSize() int { return b.size }
+
+// Reset implements Batch.
+func (b *OpBatch) Reset() { b.Ops, b.size = b.Ops[:0], 0 }
+
+// Replay implements Batch: the ops reach w in insertion order.
+func (b *OpBatch) Replay(w Writer) error {
+	for i := range b.Ops {
+		if err := b.Ops[i].Apply(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// memBatch is MemStore's Batch: the whole op list lands under one lock.
 type memBatch struct {
+	OpBatch
 	store *MemStore
-	ops   []batchOp
-	size  int
 }
-
-func (b *memBatch) Put(key, value []byte) error {
-	k := make([]byte, len(key))
-	copy(k, key)
-	v := make([]byte, len(value))
-	copy(v, value)
-	b.ops = append(b.ops, batchOp{key: k, value: v})
-	b.size += len(k) + len(v)
-	return nil
-}
-
-func (b *memBatch) Delete(key []byte) error {
-	k := make([]byte, len(key))
-	copy(k, key)
-	b.ops = append(b.ops, batchOp{key: k, delete: true})
-	b.size += len(k)
-	return nil
-}
-
-func (b *memBatch) ValueSize() int { return b.size }
 
 func (b *memBatch) Write() error {
 	b.store.mu.Lock()
@@ -442,31 +495,11 @@ func (b *memBatch) Write() error {
 	if b.store.closed {
 		return ErrClosed
 	}
-	for _, op := range b.ops {
-		if op.delete {
-			delete(b.store.data, string(op.key))
+	for _, op := range b.Ops {
+		if op.Delete {
+			delete(b.store.data, string(op.Key))
 		} else {
-			b.store.data[string(op.key)] = op.value
-		}
-	}
-	return nil
-}
-
-func (b *memBatch) Reset() {
-	b.ops = b.ops[:0]
-	b.size = 0
-}
-
-func (b *memBatch) Replay(w Writer) error {
-	for _, op := range b.ops {
-		var err error
-		if op.delete {
-			err = w.Delete(op.key)
-		} else {
-			err = w.Put(op.key, op.value)
-		}
-		if err != nil {
-			return err
+			b.store.data[string(op.Key)] = op.Value
 		}
 	}
 	return nil

@@ -9,7 +9,6 @@ import (
 	"ethkv/internal/hashstore"
 	"ethkv/internal/hybrid"
 	"ethkv/internal/kv"
-	"ethkv/internal/logstore"
 	"ethkv/internal/lsm"
 	"ethkv/internal/obs"
 	"ethkv/internal/trace"
@@ -273,21 +272,13 @@ func TestFlatStoreTinyCompactionConformance(t *testing.T) {
 	})
 }
 
-func TestLogStoreConformance(t *testing.T) {
-	Run(t, func(t *testing.T) kv.Store {
-		s := logstore.New()
-		t.Cleanup(func() { s.Close() })
-		return s
-	}, Options{OrderedScans: false})
-}
-
 func TestHybridConformance(t *testing.T) {
 	Run(t, func(t *testing.T) kv.Store {
 		hs, err := hashstore.Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := hybrid.New(kv.NewMemStore(), logstore.New(), hs, nil)
+		s := hybrid.New(kv.NewMemStore(), kv.NewMemStore(), hs, nil)
 		t.Cleanup(func() { s.Close() })
 		return s
 	}, Options{

@@ -1,6 +1,6 @@
 // Package kvtest provides a conformance suite for kv.Store
-// implementations. Every backend in this repository (memory, LSM, hash,
-// log, hybrid, lazy) runs the same contract checks, so behavioural
+// implementations. Every backend in this repository (memory, LSM, flat,
+// hash, hybrid, lazy) runs the same contract checks, so behavioural
 // divergence between store designs — the thing the ablations measure on
 // purpose — never includes accidental semantic differences.
 package kvtest
@@ -19,8 +19,8 @@ import (
 
 // Options tunes the suite for backends with relaxed guarantees.
 type Options struct {
-	// OrderedScans asserts iterators yield ascending keys. Hash- and
-	// log-structured stores intentionally do not maintain order.
+	// OrderedScans asserts iterators yield ascending keys. Hash-structured
+	// stores intentionally do not maintain order.
 	OrderedScans bool
 	// Reopen closes a store and reopens it on the same underlying state.
 	// Persistent backends set it to unlock the reopen-persistence check;
@@ -144,10 +144,8 @@ func testValueIsolation(t *testing.T, factory Factory) {
 			t.Fatalf("Put: %v", err)
 		}
 	}
-	if f, ok := s.(interface{ Flush() error }); ok {
-		if err := f.Flush(); err != nil {
-			t.Fatalf("Flush: %v", err)
-		}
+	if err := kv.Flush(s); err != nil {
+		t.Fatalf("Flush: %v", err)
 	}
 	scribble := func(b []byte) {
 		for i := range b {
@@ -519,4 +517,42 @@ func testRandomizedModel(t *testing.T, factory Factory) {
 			t.Fatalf("final Get(%s) = %q, %v; want %q", k, v, err, want)
 		}
 	}
+}
+
+// FailScans wraps s so that every scan of it stops with err after yielding
+// `after` pairs — the stub for checking that a wrapper latches and names a
+// child's mid-scan failure instead of serving a clean-looking short result.
+func FailScans(s kv.Store, after int, err error) kv.Store {
+	return &failScanStore{Store: s, after: after, err: err}
+}
+
+type failScanStore struct {
+	kv.Store
+	after int
+	err   error
+}
+
+func (s *failScanStore) NewIterator(prefix, start []byte) kv.Iterator {
+	return &failingIterator{Iterator: s.Store.NewIterator(prefix, start), left: s.after, err: s.err}
+}
+
+type failingIterator struct {
+	kv.Iterator
+	left int // pairs still to yield before failing
+	err  error
+}
+
+func (it *failingIterator) Next() bool {
+	if it.left == 0 {
+		return false
+	}
+	it.left--
+	return it.Iterator.Next()
+}
+
+func (it *failingIterator) Error() error {
+	if it.left == 0 {
+		return it.err
+	}
+	return it.Iterator.Error()
 }

@@ -875,67 +875,25 @@ func decodeOpsResponse(r *payloadReader, calls []*call) error {
 
 // netBatch implements kv.Batch; Write ships one atomic frame.
 type netBatch struct {
+	kv.OpBatch
 	client *Client
-	ops    []batchEntry
-	size   int
 }
-
-type batchEntry struct {
-	kind byte
-	key  []byte
-	val  []byte
-}
-
-func (b *netBatch) Put(key, value []byte) error {
-	b.ops = append(b.ops, batchEntry{
-		kind: kindPut,
-		key:  append([]byte(nil), key...),
-		val:  append([]byte(nil), value...),
-	})
-	b.size += len(key) + len(value)
-	return nil
-}
-
-func (b *netBatch) Delete(key []byte) error {
-	b.ops = append(b.ops, batchEntry{kind: kindDelete, key: append([]byte(nil), key...)})
-	b.size += len(key)
-	return nil
-}
-
-func (b *netBatch) ValueSize() int { return b.size }
 
 func (b *netBatch) Write() error {
-	payload := make([]byte, 0, b.size+16*len(b.ops)+8)
-	payload = appendUvarint(payload, uint64(len(b.ops)))
-	for _, e := range b.ops {
-		payload = append(payload, e.kind)
-		payload = appendBytes(payload, e.key)
-		if e.kind == kindPut {
-			payload = appendBytes(payload, e.val)
+	payload := make([]byte, 0, b.ValueSize()+16*len(b.Ops)+8)
+	payload = appendUvarint(payload, uint64(len(b.Ops)))
+	for _, op := range b.Ops {
+		if op.Delete {
+			payload = append(payload, kindDelete)
+			payload = appendBytes(payload, op.Key)
+			continue
 		}
+		payload = append(payload, kindPut)
+		payload = appendBytes(payload, op.Key)
+		payload = appendBytes(payload, op.Value)
 	}
 	_, err := b.client.doRequest(opAtomic, payload)
 	return err
-}
-
-func (b *netBatch) Reset() {
-	b.ops = b.ops[:0]
-	b.size = 0
-}
-
-func (b *netBatch) Replay(w kv.Writer) error {
-	for _, e := range b.ops {
-		var err error
-		if e.kind == kindDelete {
-			err = w.Delete(e.key)
-		} else {
-			err = w.Put(e.key, e.val)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // netIterator pages a server-side iterator. A server-side iterator error

@@ -50,9 +50,8 @@ type Config struct {
 	// Backend selects the store behind the run: "" or "mem" is the
 	// in-memory reference store, "lsm" the write-optimized LSM tree,
 	// "flat" the single-seek flat store, "hash" the hash-indexed segment
-	// store, "log" the compacting value log, "hybrid" the policy-driven
-	// class-routed store (see Policy). Persistent backends are slower and
-	// used for I/O-cost experiments.
+	// store, "hybrid" the policy-driven class-routed store (see Policy).
+	// Persistent backends are slower and used for I/O-cost experiments.
 	Backend string
 	// Policy configures the hybrid backend's routes (nil = the factory's
 	// built-in default). Ignored by other backends.
@@ -127,7 +126,7 @@ func Run(cfg Config) (*Result, error) {
 	// Backing store. A persistent run without a Dir keeps the trace in
 	// memory and puts only the store itself in a throwaway temp directory.
 	storeDir := cfg.Dir
-	if storeDir == "" && cfg.Backend != "" && cfg.Backend != "mem" && cfg.Backend != "log" {
+	if storeDir == "" && cfg.Backend != "" && cfg.Backend != "mem" {
 		tmp, err := os.MkdirTemp("", "ethkv-store-*")
 		if err != nil {
 			return nil, err
@@ -231,10 +230,8 @@ func Run(cfg Config) (*Result, error) {
 
 	// Settle the backing store before the census (LSM: flush the memtable
 	// so amplification counters include the final flush).
-	if flusher, ok := inner.(interface{ Flush() error }); ok {
-		if err := flusher.Flush(); err != nil {
-			return nil, err
-		}
+	if err := kv.Flush(inner); err != nil {
+		return nil, err
 	}
 
 	// Cache effectiveness lands in the registry after the pipeline has

@@ -84,7 +84,7 @@ func (t *turnstile) retire(ticket uint64) {
 // and returns that error; it and every commit behind it leave the memtable
 // alone — their records follow a hole in the log — and the ones behind return
 // kv.ErrDegraded.
-func (db *DB) commit(ops []batchOp, batch bool) error {
+func (db *DB) commit(ops []kv.Op, batch bool) error {
 	var rec []byte
 	if !db.opts.DisableWAL {
 		if batch {
@@ -95,12 +95,12 @@ func (db *DB) commit(ops []batchOp, batch bool) error {
 	}
 	var puts, deletes, logical uint64
 	for _, op := range ops {
-		if op.delete {
+		if op.Delete {
 			deletes++
-			logical += uint64(len(op.key))
+			logical += uint64(len(op.Key))
 		} else {
 			puts++
-			logical += uint64(len(op.key) + len(op.value))
+			logical += uint64(len(op.Key) + len(op.Value))
 		}
 	}
 

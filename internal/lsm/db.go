@@ -837,13 +837,13 @@ func (db *DB) Drain() error {
 
 // Put implements kv.Writer.
 func (db *DB) Put(key, value []byte) error {
-	op := [1]batchOp{{key: append([]byte(nil), key...), value: append([]byte(nil), value...)}}
+	op := [1]kv.Op{{Key: append([]byte(nil), key...), Value: append([]byte(nil), value...)}}
 	return db.commit(op[:], false)
 }
 
 // Delete implements kv.Writer: it writes a tombstone.
 func (db *DB) Delete(key []byte) error {
-	op := [1]batchOp{{key: append([]byte(nil), key...), delete: true}}
+	op := [1]kv.Op{{Key: append([]byte(nil), key...), Delete: true}}
 	return db.commit(op[:], false)
 }
 
@@ -1045,7 +1045,7 @@ func (db *DB) NewIterator(prefix, start []byte) kv.Iterator {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
-		return &errIterator{err: kv.ErrClosed}
+		return kv.ErrIterator(kv.ErrClosed)
 	}
 	db.stats.scans.Add(1)
 	lower := append(append([]byte(nil), prefix...), start...)
@@ -1064,7 +1064,7 @@ func (db *DB) NewIterator(prefix, start []byte) kv.Iterator {
 		for _, t := range readers {
 			t.unref()
 		}
-		return &errIterator{err: err}
+		return kv.ErrIterator(err)
 	}
 	sources = append(sources, newMemSource(db.mem, lower))
 	for i := len(db.imm) - 1; i >= 0; i-- {
@@ -1169,15 +1169,6 @@ func (it *dbIterator) Release() {
 // masquerading as a clean short result.
 func (it *dbIterator) Error() error { return it.merged.err() }
 
-// errIterator reports a construction failure through the Iterator API.
-type errIterator struct{ err error }
-
-func (it *errIterator) Next() bool    { return false }
-func (it *errIterator) Key() []byte   { return nil }
-func (it *errIterator) Value() []byte { return nil }
-func (it *errIterator) Release()      {}
-func (it *errIterator) Error() error  { return it.err }
-
 // NewBatch implements kv.Batcher.
 func (db *DB) NewBatch() kv.Batch { return &dbBatch{db: db} }
 
@@ -1191,58 +1182,15 @@ func (db *DB) NewBatch() kv.Batch { return &dbBatch{db: db} }
 // which only ever reads them, so a batch may be written, replayed or reset
 // afterwards without copying again.
 type dbBatch struct {
-	db   *DB
-	ops  []batchOp
-	size int
+	kv.OpBatch
+	db *DB
 }
-
-type batchOp struct {
-	key, value []byte
-	delete     bool
-}
-
-func (b *dbBatch) Put(key, value []byte) error {
-	b.ops = append(b.ops, batchOp{
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-	})
-	b.size += len(key) + len(value)
-	return nil
-}
-
-func (b *dbBatch) Delete(key []byte) error {
-	b.ops = append(b.ops, batchOp{key: append([]byte(nil), key...), delete: true})
-	b.size += len(key)
-	return nil
-}
-
-func (b *dbBatch) ValueSize() int { return b.size }
 
 func (b *dbBatch) Write() error {
-	if len(b.ops) == 0 {
+	if len(b.Ops) == 0 {
 		return nil
 	}
-	return b.db.commit(b.ops, true)
-}
-
-func (b *dbBatch) Reset() {
-	b.ops = b.ops[:0]
-	b.size = 0
-}
-
-func (b *dbBatch) Replay(w kv.Writer) error {
-	for _, op := range b.ops {
-		var err error
-		if op.delete {
-			err = w.Delete(op.key)
-		} else {
-			err = w.Put(op.key, op.value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return b.db.commit(b.Ops, true)
 }
 
 // Stats implements kv.StatsProvider.

@@ -39,7 +39,7 @@ func TestWALCloseSyncsBufferedRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.append(encodeRecord(batchOp{key: []byte("k"), value: []byte("v")})); err != nil {
+	if _, err := w.append(encodeRecord(kv.Op{Key: []byte("k"), Value: []byte("v")})); err != nil {
 		t.Fatal(err)
 	}
 	// No explicit sync: close() itself must be the durability barrier.

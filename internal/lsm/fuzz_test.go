@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"ethkv/internal/faultfs"
+	"ethkv/internal/kv"
 )
 
 // walBytes builds a well-formed log in memory for the seed corpus.
@@ -38,18 +39,18 @@ func walBytes(f *testing.F, build func(w *wal)) []byte {
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(walBytes(f, func(w *wal) {
-		w.append(encodeRecord(batchOp{key: []byte("key"), value: []byte("value")}))
-		w.append(encodeRecord(batchOp{key: []byte("gone"), delete: true}))
+		w.append(encodeRecord(kv.Op{Key: []byte("key"), Value: []byte("value")}))
+		w.append(encodeRecord(kv.Op{Key: []byte("gone"), Delete: true}))
 	}))
 	f.Add(walBytes(f, func(w *wal) {
-		w.append(encodeGroup([]batchOp{
-			{key: []byte("a"), value: bytes.Repeat([]byte{1}, 300)},
-			{key: []byte("b"), delete: true},
+		w.append(encodeGroup([]kv.Op{
+			{Key: []byte("a"), Value: bytes.Repeat([]byte{1}, 300)},
+			{Key: []byte("b"), Delete: true},
 		}))
 	}))
 	// A record torn mid-payload and one with a flipped CRC byte.
 	whole := walBytes(f, func(w *wal) {
-		w.append(encodeRecord(batchOp{key: []byte("kk"), value: bytes.Repeat([]byte{2}, 64)}))
+		w.append(encodeRecord(kv.Op{Key: []byte("kk"), Value: bytes.Repeat([]byte{2}, 64)}))
 	})
 	f.Add(whole[:len(whole)/2])
 	flipped := append([]byte(nil), whole...)

@@ -595,9 +595,9 @@ func TestWALRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.append(encodeRecord(batchOp{key: []byte("k1"), value: []byte("v1")}))
-	w.append(encodeRecord(batchOp{key: []byte("k2"), delete: true}))
-	w.append(encodeRecord(batchOp{key: []byte("k3"), value: bytes.Repeat([]byte{7}, 1000)}))
+	w.append(encodeRecord(kv.Op{Key: []byte("k1"), Value: []byte("v1")}))
+	w.append(encodeRecord(kv.Op{Key: []byte("k2"), Delete: true}))
+	w.append(encodeRecord(kv.Op{Key: []byte("k3"), Value: bytes.Repeat([]byte{7}, 1000)}))
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}

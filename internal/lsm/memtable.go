@@ -3,6 +3,8 @@ package lsm
 import (
 	"sync"
 	"sync/atomic"
+
+	"ethkv/internal/kv"
 )
 
 // memtable is the mutable in-memory write buffer of the LSM tree. Writes go
@@ -41,10 +43,10 @@ func (m *memtable) del(key []byte) {
 // apply inserts a whole batch under one lock acquisition, so a concurrent
 // get sees either none of the batch or all of it. It keeps the ops' key and
 // value slices like put does.
-func (m *memtable) apply(ops []batchOp) {
+func (m *memtable) apply(ops []kv.Op) {
 	m.mu.Lock()
 	for _, op := range ops {
-		m.list.set(op.key, op.value, op.delete)
+		m.list.set(op.Key, op.Value, op.Delete)
 	}
 	m.n.Store(int64(m.list.length))
 	m.mu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ethkv/internal/faultfs"
+	"ethkv/internal/kv"
 )
 
 // Write-ahead log format: a sequence of records, each
@@ -107,17 +108,17 @@ func openWAL(fsys faultfs.FS, path string, retry retryFn) (*wal, error) {
 }
 
 // appendOp encodes one put/delete onto rec.
-func appendOp(rec []byte, op batchOp) []byte {
-	if op.delete {
+func appendOp(rec []byte, op kv.Op) []byte {
+	if op.Delete {
 		rec = append(rec, walOpDelete)
 	} else {
 		rec = append(rec, walOpPut)
 	}
-	rec = binary.AppendUvarint(rec, uint64(len(op.key)))
-	rec = append(rec, op.key...)
-	if !op.delete {
-		rec = binary.AppendUvarint(rec, uint64(len(op.value)))
-		rec = append(rec, op.value...)
+	rec = binary.AppendUvarint(rec, uint64(len(op.Key)))
+	rec = append(rec, op.Key...)
+	if !op.Delete {
+		rec = binary.AppendUvarint(rec, uint64(len(op.Value)))
+		rec = append(rec, op.Value...)
 	}
 	return rec
 }
@@ -133,17 +134,17 @@ func frameRecord(rec []byte) []byte {
 
 // encodeRecord returns the framed log record of one put/delete. Encoding
 // needs no log state, so writers do it before taking any lock.
-func encodeRecord(op batchOp) []byte {
-	rec := make([]byte, walHeaderLen, walHeaderLen+1+2*binary.MaxVarintLen64+len(op.key)+len(op.value))
+func encodeRecord(op kv.Op) []byte {
+	rec := make([]byte, walHeaderLen, walHeaderLen+1+2*binary.MaxVarintLen64+len(op.Key)+len(op.Value))
 	return frameRecord(appendOp(rec, op))
 }
 
 // encodeGroup returns the framed group record of one batch: a single
 // checksum over every op, so recovery replays the batch all-or-nothing.
-func encodeGroup(ops []batchOp) []byte {
+func encodeGroup(ops []kv.Op) []byte {
 	size := walHeaderLen + 1 + binary.MaxVarintLen64
 	for _, op := range ops {
-		size += 1 + 2*binary.MaxVarintLen64 + len(op.key) + len(op.value)
+		size += 1 + 2*binary.MaxVarintLen64 + len(op.Key) + len(op.Value)
 	}
 	rec := make([]byte, walHeaderLen, size)
 	rec = append(rec, walOpGroup)

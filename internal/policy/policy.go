@@ -30,12 +30,12 @@ import (
 // Kinds a route may use; the same names internal/backends accepts for
 // single-backend stores.
 var validKinds = map[string]bool{
-	"lsm": true, "flat": true, "hash": true, "log": true, "mem": true,
+	"lsm": true, "flat": true, "hash": true, "mem": true,
 }
 
 // Spec configures one route's physical backend.
 type Spec struct {
-	// Kind is the backend kind: lsm, flat, hash, log, or mem.
+	// Kind is the backend kind: lsm, flat, hash, or mem.
 	Kind string `json:"kind"`
 	// Options are integer tuning knobs applied by internal/backends.
 	// lsm: memtable_kb, l0_compaction_trigger, level_base_kb,

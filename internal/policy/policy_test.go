@@ -169,6 +169,7 @@ func TestValidateErrors(t *testing.T) {
 	}{
 		{"missing default", func(p *Policy) { p.Default = "nope" }, "default route"},
 		{"unknown kind", func(p *Policy) { p.Routes["ordered"] = Spec{Kind: "btree"} }, "unknown kind"},
+		{"the removed log kind", func(p *Policy) { p.Routes["ordered"] = Spec{Kind: "log"} }, "unknown kind"},
 		{"bad route name", func(p *Policy) {
 			p.Routes["a/b"] = Spec{Kind: "lsm"}
 		}, "route name"},

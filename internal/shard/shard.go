@@ -19,30 +19,17 @@
 // instances over the same configuration always agree, which is what makes
 // reopening a sharded database from its per-shard directories sound.
 //
-// Semantics, relative to a single store:
-//
-//   - Point ops route to exactly one child.
-//   - Batches accumulate centrally and commit as per-shard sub-batches in
-//     ascending shard order. Each sub-batch is atomic within its shard; the
-//     cross-shard group is NOT atomic — a crash or error between commits
-//     can leave lower-numbered shards committed and higher-numbered ones
-//     not. Crash recovery therefore guarantees per-writer prefix
-//     consistency per shard (see internal/lsm/crashtest).
-//   - Scans merge the children's iterators exactly like the LSM's
-//     mergeIterator merges its levels, including the PR 4 error discipline:
-//     a child iterator that stops with a non-nil Error poisons the whole
-//     merged scan, because yielding the surviving shards' keys would
-//     present a silently incomplete view.
-//   - Stats aggregates every child's counters via kv.Stats.Merge, so a
-//     counter added to kv.Stats can never be silently dropped from the
-//     sharded view.
+// Everything else — point dispatch, the split batch and its per-shard
+// atomicity rule, the merged scan, lifecycle and stats fan-out — is
+// internal/fanout's Core with this package's partition function; the
+// semantics relative to a single store are stated once, there.
 package shard
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 
+	"ethkv/internal/fanout"
 	"ethkv/internal/kv"
 	"ethkv/internal/rawdb"
 )
@@ -84,40 +71,47 @@ type Options struct {
 }
 
 // Router implements kv.Store over N child stores by partitioning the
-// keyspace. All methods are safe for concurrent use if the children are.
+// keyspace: a fanout.Core (which supplies every kv.Store method, Flush,
+// Drain, Stats, RegisterMetrics and Child) whose pick is ShardOf. All
+// methods are safe for concurrent use if the children are.
 type Router struct {
-	children []kv.Store
-	mode     Mode
+	*fanout.Core
+	mode Mode
 }
 
 var _ kv.Store = (*Router)(nil)
 var _ kv.StatsProvider = (*Router)(nil)
+var _ kv.MetricsRegistrar = (*Router)(nil)
 
 // New assembles a router over children. At least one child is required; a
 // one-child router is a valid (if pointless) degenerate configuration that
 // the equivalence tests lean on.
 func New(children []kv.Store, opts Options) (*Router, error) {
-	if len(children) == 0 {
+	n := len(children)
+	if n == 0 {
 		return nil, fmt.Errorf("shard: need at least one child store")
 	}
-	cs := make([]kv.Store, len(children))
-	copy(cs, children)
-	return &Router{children: cs, mode: opts.Mode}, nil
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("%02d", i)
+	}
+	pick := func(key []byte) int { return shardOf(key, n, opts.Mode) }
+	core := fanout.New("shard", names, append([]kv.Store(nil), children...), pick, nil)
+	return &Router{Core: core, mode: opts.Mode}, nil
 }
 
 // Shards returns the shard count.
-func (r *Router) Shards() int { return len(r.children) }
+func (r *Router) Shards() int { return r.Len() }
 
 // Mode returns the partition mode.
 func (r *Router) Mode() Mode { return r.mode }
 
-// Child returns shard i's store, for tests and per-shard reporting.
-func (r *Router) Child(i int) kv.Store { return r.children[i] }
-
 // ShardOf returns the shard index owning key — the routing function.
-func (r *Router) ShardOf(key []byte) int {
-	return shardOf(key, len(r.children), r.mode)
-}
+func (r *Router) ShardOf(key []byte) int { return shardOf(key, r.Len(), r.mode) }
+
+// ShardStats returns each child's own counters (zero for children without
+// stats) — the per-shard load distribution the scale sweep reports.
+func (r *Router) ShardStats() []kv.Stats { return r.ChildStats() }
 
 // shardOf is the pure partition function: total (every key maps to exactly
 // one shard in [0, n)) and deterministic across router instances.
@@ -133,322 +127,4 @@ func shardOf(key []byte, n int, mode Mode) int {
 	h := fnv.New64a()
 	h.Write(key)
 	return int(h.Sum64() % uint64(n))
-}
-
-// Get implements kv.Reader.
-func (r *Router) Get(key []byte) ([]byte, error) {
-	return r.children[r.ShardOf(key)].Get(key)
-}
-
-// Has implements kv.Reader.
-func (r *Router) Has(key []byte) (bool, error) {
-	return r.children[r.ShardOf(key)].Has(key)
-}
-
-// Put implements kv.Writer.
-func (r *Router) Put(key, value []byte) error {
-	return r.children[r.ShardOf(key)].Put(key, value)
-}
-
-// Delete implements kv.Writer.
-func (r *Router) Delete(key []byte) error {
-	return r.children[r.ShardOf(key)].Delete(key)
-}
-
-// NewIterator implements kv.Iterable by merging every child's iterator.
-// With ordered children the merged stream is globally ordered (partitions
-// are disjoint, so no key appears twice); with unordered children the
-// merge still yields every entry exactly once, just unordered — same
-// contract as the child itself.
-func (r *Router) NewIterator(prefix, start []byte) kv.Iterator {
-	iters := make([]kv.Iterator, len(r.children))
-	for i, c := range r.children {
-		iters[i] = c.NewIterator(prefix, start)
-	}
-	return newMergedIterator(iters)
-}
-
-// NewBatch implements kv.Batcher.
-func (r *Router) NewBatch() kv.Batch {
-	return &shardBatch{router: r}
-}
-
-// Flush pushes buffered state down on every child that supports it (the
-// LSM memtable, for one), so censuses and amplification counters settle.
-func (r *Router) Flush() error {
-	var first error
-	for i, c := range r.children {
-		if f, ok := c.(interface{ Flush() error }); ok {
-			if err := f.Flush(); err != nil && first == nil {
-				first = fmt.Errorf("shard %d: flush: %w", i, err)
-			}
-		}
-	}
-	return first
-}
-
-// Drain implements kv.Drainer: every child stops scheduling new background
-// work and settles what is in flight. The first error wins but every child
-// drains regardless.
-func (r *Router) Drain() error {
-	var first error
-	for i, c := range r.children {
-		if err := kv.Drain(c); err != nil && first == nil {
-			first = fmt.Errorf("shard %d: drain: %w", i, err)
-		}
-	}
-	return first
-}
-
-// Close implements kv.Store, closing every child. The first error wins but
-// every child is closed regardless.
-func (r *Router) Close() error {
-	var first error
-	for i, c := range r.children {
-		if err := c.Close(); err != nil && first == nil {
-			first = fmt.Errorf("shard %d: close: %w", i, err)
-		}
-	}
-	return first
-}
-
-// Stats implements kv.StatsProvider by merging every child's counters via
-// kv.Stats.Merge. Children without stats contribute nothing.
-func (r *Router) Stats() kv.Stats {
-	var total kv.Stats
-	for _, c := range r.children {
-		if sp, ok := c.(kv.StatsProvider); ok {
-			total.Merge(sp.Stats())
-		}
-	}
-	return total
-}
-
-// ShardStats returns each child's own counters (zero for children without
-// stats) — the per-shard load distribution the scale sweep reports.
-func (r *Router) ShardStats() []kv.Stats {
-	out := make([]kv.Stats, len(r.children))
-	for i, c := range r.children {
-		if sp, ok := c.(kv.StatsProvider); ok {
-			out[i] = sp.Stats()
-		}
-	}
-	return out
-}
-
-// shardBatch implements kv.Batch. Ops accumulate centrally (preserving
-// insertion order for Replay); Write routes them into per-shard sub-batches
-// and commits those in ascending shard order. See the package comment for
-// the cross-shard atomicity discipline.
-type shardBatch struct {
-	router *Router
-	ops    []batchOp
-	size   int
-}
-
-type batchOp struct {
-	key, value []byte
-	delete     bool
-}
-
-func (b *shardBatch) Put(key, value []byte) error {
-	b.ops = append(b.ops, batchOp{
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-	})
-	b.size += len(key) + len(value)
-	return nil
-}
-
-func (b *shardBatch) Delete(key []byte) error {
-	b.ops = append(b.ops, batchOp{key: append([]byte(nil), key...), delete: true})
-	b.size += len(key)
-	return nil
-}
-
-func (b *shardBatch) ValueSize() int { return b.size }
-
-// Write commits the batch as per-shard sub-batches in ascending shard
-// order. Within a shard the sub-batch is atomic (the child's guarantee);
-// across shards commit order is deterministic so a failure at shard i
-// means shards < i committed and shards >= i did not — never an arbitrary
-// subset.
-func (b *shardBatch) Write() error {
-	r := b.router
-	subs := make([]kv.Batch, len(r.children))
-	for i := range b.ops {
-		op := &b.ops[i]
-		s := r.ShardOf(op.key)
-		if subs[s] == nil {
-			subs[s] = r.children[s].NewBatch()
-		}
-		var err error
-		if op.delete {
-			err = subs[s].Delete(op.key)
-		} else {
-			err = subs[s].Put(op.key, op.value)
-		}
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
-		}
-	}
-	for i, sub := range subs {
-		if sub == nil {
-			continue
-		}
-		if err := sub.Write(); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-func (b *shardBatch) Reset() {
-	b.ops = b.ops[:0]
-	b.size = 0
-}
-
-// Replay applies the ops to w in their original insertion order — not the
-// per-shard commit grouping — so a replayed batch is indistinguishable
-// from the caller's op sequence.
-func (b *shardBatch) Replay(w kv.Writer) error {
-	for i := range b.ops {
-		op := &b.ops[i]
-		var err error
-		if op.delete {
-			err = w.Delete(op.key)
-		} else {
-			err = w.Put(op.key, op.value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// mergedIterator k-way-merges the children's iterators, modeled on the
-// LSM's mergeIterator: smallest head key wins each round, and a child that
-// stops with a non-nil Error latches the whole merge (m.failed) rather
-// than truncating it. Unlike the LSM merge there is no shadowing — the
-// partition is disjoint — but equal keys are still consumed together so a
-// misbehaving child can never make the merge yield a key twice.
-type mergedIterator struct {
-	iters  []kv.Iterator
-	heads  []mergeHead
-	key    []byte
-	value  []byte
-	failed error
-	live   bool // a current entry is loaded
-}
-
-// mergeHead caches one child's current entry. Key/value are copied out of
-// the child because kv.Iterator buffers are only valid until its next
-// Next, and heads outlive arbitrarily many merged-Next calls.
-type mergeHead struct {
-	key, value []byte
-	valid      bool
-	exhausted  bool
-}
-
-func newMergedIterator(iters []kv.Iterator) *mergedIterator {
-	return &mergedIterator{iters: iters, heads: make([]mergeHead, len(iters))}
-}
-
-// MergeIterators k-way-merges arbitrary child iterators under the
-// mergedIterator contract above (latched errors, equal keys consumed
-// together). It exists so other routing layers — notably the hybrid
-// class-routed store — can reuse the machinery instead of re-deriving it.
-func MergeIterators(iters []kv.Iterator) kv.Iterator {
-	return newMergedIterator(iters)
-}
-
-// fill advances child i to its next entry if its head is empty.
-func (m *mergedIterator) fill(i int) {
-	h := &m.heads[i]
-	if h.valid || h.exhausted {
-		return
-	}
-	it := m.iters[i]
-	if it.Next() {
-		h.key = append(h.key[:0], it.Key()...)
-		h.value = append(h.value[:0], it.Value()...)
-		h.valid = true
-		return
-	}
-	h.exhausted = true
-	if err := it.Error(); err != nil && m.failed == nil {
-		// A failed child poisons the merge: its remaining keys are
-		// unknowable, so the surviving shards' view would be silently
-		// incomplete.
-		m.failed = fmt.Errorf("shard %d: %w", i, err)
-	}
-}
-
-func (m *mergedIterator) Next() bool {
-	m.live = false
-	if m.failed != nil {
-		return false
-	}
-	best := -1
-	for i := range m.heads {
-		m.fill(i)
-		if m.failed != nil {
-			return false
-		}
-		h := &m.heads[i]
-		if !h.valid {
-			continue
-		}
-		if best == -1 || bytes.Compare(h.key, m.heads[best].key) < 0 {
-			best = i
-		}
-	}
-	if best == -1 {
-		return false
-	}
-	m.key = m.heads[best].key
-	m.value = m.heads[best].value
-	// Consume the winner and any (anomalous) duplicates of the same key.
-	for i := range m.heads {
-		h := &m.heads[i]
-		if h.valid && bytes.Equal(h.key, m.key) {
-			h.valid = false
-		}
-	}
-	m.live = true
-	return true
-}
-
-func (m *mergedIterator) Key() []byte {
-	if !m.live {
-		return nil
-	}
-	return m.key
-}
-
-func (m *mergedIterator) Value() []byte {
-	if !m.live {
-		return nil
-	}
-	return m.value
-}
-
-// Error reports the latched merge failure, or any child error that
-// surfaced after release.
-func (m *mergedIterator) Error() error { return m.failed }
-
-func (m *mergedIterator) Release() {
-	for i, it := range m.iters {
-		if it == nil {
-			continue
-		}
-		it.Release()
-		if err := it.Error(); err != nil && m.failed == nil {
-			m.failed = fmt.Errorf("shard %d: %w", i, err)
-		}
-		m.iters[i] = nil
-	}
-	m.heads = nil
-	m.live = false
 }

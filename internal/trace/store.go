@@ -266,7 +266,7 @@ func (s *Store) NewIterator(prefix, start []byte) kv.Iterator {
 // commits, in batch order — matching Geth, which flushes batched writes at
 // the end of block verification.
 func (s *Store) NewBatch() kv.Batch {
-	return &tracedBatch{store: s, inner: s.inner.NewBatch()}
+	return &tracedBatch{store: s}
 }
 
 // Close implements kv.Store, flushing buffered ops first.
@@ -298,64 +298,20 @@ func (s *Store) Seq() uint64 {
 
 // tracedBatch defers tracing to commit time.
 type tracedBatch struct {
+	kv.OpBatch
 	store *Store
-	inner kv.Batch
-	ops   []batchedOp
-}
-
-type batchedOp struct {
-	key, value []byte
-	delete     bool
-}
-
-func (b *tracedBatch) Put(key, value []byte) error {
-	b.ops = append(b.ops, batchedOp{
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-	})
-	return nil
-}
-
-func (b *tracedBatch) Delete(key []byte) error {
-	b.ops = append(b.ops, batchedOp{key: append([]byte(nil), key...), delete: true})
-	return nil
-}
-
-func (b *tracedBatch) ValueSize() int {
-	total := 0
-	for _, op := range b.ops {
-		total += len(op.key) + len(op.value)
-	}
-	return total
 }
 
 // Write applies and traces the batched ops in order.
 func (b *tracedBatch) Write() error {
 	b.store.mu.Lock()
 	defer b.store.mu.Unlock()
-	for _, op := range b.ops {
+	for _, op := range b.Ops {
 		var err error
-		if op.delete {
-			err = b.store.deleteLocked(op.key)
+		if op.Delete {
+			err = b.store.deleteLocked(op.Key)
 		} else {
-			err = b.store.putLocked(op.key, op.value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (b *tracedBatch) Reset() { b.ops = b.ops[:0] }
-
-func (b *tracedBatch) Replay(w kv.Writer) error {
-	for _, op := range b.ops {
-		var err error
-		if op.delete {
-			err = w.Delete(op.key)
-		} else {
-			err = w.Put(op.key, op.value)
+			err = b.store.putLocked(op.Key, op.Value)
 		}
 		if err != nil {
 			return err
