@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"ethkv/internal/backends"
 	"ethkv/internal/chain"
 	"ethkv/internal/lab"
 )
@@ -28,7 +29,7 @@ func main() {
 		contracts  = flag.Int("contracts", 1500, "pre-seeded contract population")
 		txPerBlock = flag.Int("tx", 150, "transactions per block")
 		seed       = flag.Int64("seed", 42, "workload RNG seed")
-		backend    = flag.String("backend", "mem", "storage backend: mem, lsm, flat, or hash (persistent backends leave a census-able database)")
+		backend    = flag.String("backend", "mem", "storage backend: "+backends.Kinds()+" (persistent backends leave a census-able database)")
 	)
 	flag.Parse()
 

@@ -19,8 +19,8 @@
 //   - internal/trace: the binary trace format and the instrumented store
 //   - internal/chain + internal/state + internal/trie + internal/snapshot
 //   - internal/rawdb: the Geth-shaped storage stack
-//   - internal/lsm, internal/flatstore, internal/hashstore: the store
-//     designs the paper's §V compares
+//   - internal/lsm, internal/flatstore: the ordered store and the
+//     single-seek point store the paper's §V design pairs
 //   - internal/fanout, with internal/shard and internal/hybrid on top: one
 //     partition-function core composing those stores by key hash or by
 //     class policy; internal/backends builds every composition by name

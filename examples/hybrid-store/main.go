@@ -52,8 +52,8 @@ func main() {
 	// Baseline: everything on one LSM store (Geth's configuration).
 	baseline := replay("lsm")
 	// Hybrid, under the factory's default policy: scan classes on the LSM,
-	// lifecycle-delete classes on the flat value log, world-state point
-	// reads on the hash store.
+	// lifecycle-delete classes and world-state point reads on the
+	// single-seek flat store.
 	hyb := replay("hybrid")
 
 	fmt.Println("replaying the same measured workload against both designs:")

@@ -1,20 +1,23 @@
 // Package backends constructs the repo's storage backends by name. It is
 // the shared factory behind the replaybench load generator, the ethkvlab
 // pipeline, and the kvserver network front end, so a backend added here
-// becomes replayable and servable at once. The hybrid kind is
-// policy-driven: Options.Policy (or a built-in default mirroring
-// hybrid.DefaultRouting) names the routes, picks each route's backend kind
-// and tuning, and assigns classes to routes.
+// becomes replayable and servable at once. Every kind it opens scans in
+// ascending key order. The hybrid kind is policy-driven: Options.Policy (or
+// DefaultHybridPolicy, the paper's §V layout) names the routes, picks each
+// route's backend kind and tuning, and assigns classes to routes.
 package backends
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"ethkv/internal/compaction"
 	"ethkv/internal/flatstore"
-	"ethkv/internal/hashstore"
 	"ethkv/internal/hybrid"
 	"ethkv/internal/kv"
 	"ethkv/internal/lsm"
@@ -38,9 +41,9 @@ type Options struct {
 	// "class" (key-class routing that keeps a class's range scans
 	// shard-local).
 	ShardMode string
-	// Policy configures the hybrid kind's routes (nil = built-in default:
-	// ordered LSM + durable flat log + hash store, hybrid.DefaultRouting).
-	// Ignored by other kinds.
+	// Policy configures the hybrid kind's routes (nil =
+	// DefaultHybridPolicy: ordered LSM + single-seek flat store). Ignored by
+	// other kinds.
 	Policy *policy.Policy
 	// CompactionWorkers is the process-wide background concurrency budget
 	// for LSM-backed kinds (0 = default). One compaction.Pool of this size
@@ -54,7 +57,7 @@ type Options struct {
 }
 
 // Kinds lists the recognised backend names, for usage strings.
-func Kinds() string { return "lsm, flat, hash, mem, lazy, or hybrid" }
+func Kinds() string { return "lsm, flat, mem, lazy, or hybrid" }
 
 // Open constructs the requested store under dir. With opts.Shards > 1 the
 // store is a shard.Router over that many children of the same kind. Every
@@ -98,30 +101,39 @@ func openOne(kind, dir string, opts Options, pool *compaction.Pool) (kv.Store, e
 	return openRoute(policy.Spec{Kind: kind}, dir, opts, pool)
 }
 
-// DefaultHybridPolicy mirrors hybrid.DefaultRouting as a policy: ordered
-// LSM default, a durable flat store on the log route (append-only value
-// log — Finding 5's shape, but persistent across reopen), and the hash
-// store for point-read world state.
+// DefaultHybridPolicy is the paper's §V layout as a policy. The scan
+// classes (Finding 4) and every unrouted class stay on the ordered LSM. The
+// lifecycle-deleted classes (Finding 5) and the point-read world state
+// (Finding 3) go to the single-seek flat store, which appends every write
+// and answers a read with one access.
 func DefaultHybridPolicy() *policy.Policy {
-	p := &policy.Policy{
+	return &policy.Policy{
 		Default: "ordered",
 		Routes: map[string]policy.Spec{
 			"ordered": {Kind: "lsm"},
-			"log":     {Kind: "flat"},
-			"hash":    {Kind: "hash"},
+			"flat":    {Kind: "flat"},
 		},
-		Classes: make(map[string]string),
+		Classes: map[string]string{
+			"SnapshotAccount": "ordered",
+			"SnapshotStorage": "ordered",
+			"BlockHeader":     "ordered",
+			"TxLookup":        "flat",
+			"BlockBody":       "flat",
+			"BlockReceipts":   "flat",
+			"TrieNodeAccount": "flat",
+			"TrieNodeStorage": "flat",
+			"Code":            "flat",
+		},
 	}
-	for c, r := range hybrid.DefaultRouting() {
-		p.Classes[c.String()] = r.String()
-	}
-	return p
 }
 
 // openPolicyStore instantiates a policy as a hybrid.Store: one physical
 // backend per route, each under dir/<route>. Route names are sorted so the
 // backend (and therefore batch commit) order is deterministic across runs
-// and reopens.
+// and reopens. A subdirectory of dir that is not a route is refused: it
+// holds the keys of a route this policy lacks (a store written under another
+// derived policy, or a default hybrid from before the hash kind was
+// removed), and opening without it would hide them from Get and scans.
 func openPolicyStore(dir string, opts Options, p *policy.Policy, pool *compaction.Pool) (kv.Store, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -131,6 +143,16 @@ func openPolicyStore(dir string, opts Options, p *policy.Policy, pool *compactio
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	entries, err := os.ReadDir(dir)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
+	for _, e := range entries {
+		if _, ok := p.Routes[e.Name()]; e.IsDir() && !ok {
+			return nil, fmt.Errorf("hybrid: %s is not a route of the policy (routes: %s)",
+				filepath.Join(dir, e.Name()), strings.Join(names, ", "))
+		}
+	}
 
 	idx := make(map[string]int, len(names))
 	bks := make([]hybrid.Backend, 0, len(names))
@@ -214,11 +236,6 @@ func openRoute(spec policy.Spec, dir string, opts Options, pool *compaction.Pool
 			}
 		}
 		return flatstore.Open(dir, o)
-	case "hash":
-		if len(spec.Options) != 0 {
-			return nil, fmt.Errorf("hash backend takes no options")
-		}
-		return hashstore.Open(dir)
 	case "mem":
 		if len(spec.Options) != 0 {
 			return nil, fmt.Errorf("mem backend takes no options")

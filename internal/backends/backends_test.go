@@ -1,6 +1,7 @@
 package backends
 
 import (
+	"strings"
 	"testing"
 
 	"ethkv/internal/kv"
@@ -25,9 +26,6 @@ func TestHybridConformance(t *testing.T) {
 		t.Cleanup(func() { s.Close() })
 		return s
 	}, kvtest.Options{
-		// Conformance scan prefixes either stay on the ordered default
-		// route or merge in ordered/empty children, so order holds.
-		OrderedScans: true,
 		Reopen: func(t *testing.T, s kv.Store) kv.Store {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
@@ -77,7 +75,6 @@ func TestPolicyHybridConformance(t *testing.T) {
 		t.Cleanup(func() { s.Close() })
 		return s
 	}, kvtest.Options{
-		OrderedScans: true, // every route kind here scans in order
 		Reopen: func(t *testing.T, s kv.Store) kv.Store {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
@@ -90,7 +87,7 @@ func TestPolicyHybridConformance(t *testing.T) {
 // TestHybridClassKeysSurviveReopen is the targeted regression for the
 // durability bug: log-routed classes (TxLookup, BlockBody, BlockReceipts)
 // must survive a close/reopen cycle of the factory's hybrid kind, exactly
-// like ordered- and hash-routed classes.
+// like the ordered- and point-routed classes.
 func TestHybridClassKeysSurviveReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open("hybrid", dir, Options{})
@@ -100,13 +97,13 @@ func TestHybridClassKeysSurviveReopen(t *testing.T) {
 	var h rawdb.Hash
 	h[0] = 7
 	keys := map[string][]byte{
-		"TxLookup (log route)":      rawdb.TxLookupKey(h),
-		"BlockBody (log route)":     rawdb.BlockBodyKey(1, h),
-		"BlockReceipts (log route)": rawdb.BlockReceiptsKey(1, h),
-		"Code (hash route)":         rawdb.CodeKey(h),
-		"TrieNodeAccount (hash)":    rawdb.AccountTrieNodeKey([]byte{1, 2}),
-		"SnapshotAccount (ordered)": rawdb.SnapshotAccountKey(h),
-		"LastHeader (singleton)":    rawdb.LastHeaderKey(),
+		"TxLookup (flat route)":      rawdb.TxLookupKey(h),
+		"BlockBody (flat route)":     rawdb.BlockBodyKey(1, h),
+		"BlockReceipts (flat route)": rawdb.BlockReceiptsKey(1, h),
+		"Code (flat route)":          rawdb.CodeKey(h),
+		"TrieNodeAccount (flat)":     rawdb.AccountTrieNodeKey([]byte{1, 2}),
+		"SnapshotAccount (ordered)":  rawdb.SnapshotAccountKey(h),
+		"LastHeader (singleton)":     rawdb.LastHeaderKey(),
 	}
 	for name, key := range keys {
 		if err := s.Put(key, []byte(name)); err != nil {
@@ -131,6 +128,36 @@ func TestHybridClassKeysSurviveReopen(t *testing.T) {
 		if string(v) != name {
 			t.Errorf("%s corrupted on reopen: %q", name, v)
 		}
+	}
+}
+
+// TestReopenUnderOtherRoutesRefused is the regression for a reopen that
+// silently hid data: a hybrid opened only the routes its policy names, so
+// reopening a directory under a policy lacking one of its route directories
+// made every key stored there vanish from Get and scans. The open must fail
+// and name the stray directory.
+func TestReopenUnderOtherRoutesRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open("hybrid", dir, Options{Policy: testPolicy()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h rawdb.Hash
+	h[0] = 9
+	if err := s.Put(rawdb.TxLookupKey(h), []byte("v")); err != nil { // the lsm-compact route
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open("hybrid", dir, Options{Policy: DefaultHybridPolicy()})
+	if err == nil {
+		_, getErr := re.Get(rawdb.TxLookupKey(h))
+		re.Close()
+		t.Fatalf("reopen under a policy without route lsm-compact succeeded (Get: %v)", getErr)
+	}
+	if !strings.Contains(err.Error(), "lsm-compact") {
+		t.Fatalf("reopen error %q does not name the stray directory lsm-compact", err)
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 // every way the factory composes a store and requires the post-state census
 // (Table I plus the order-independent content digest) to be byte-identical:
 // backend choice, policy routing, sharding and compaction width may change
-// performance, never what the store contains.
+// performance, never what the store contains. Every composition must also
+// answer a full scan in strictly ascending key order, as kv.Iterator
+// promises.
 func TestCensusInvariantAcrossCompositions(t *testing.T) {
 	workload := chain.DefaultWorkload()
 	workload.Accounts, workload.Contracts, workload.TxPerBlock = 2000, 200, 60
@@ -49,6 +51,20 @@ func TestCensusInvariantAcrossCompositions(t *testing.T) {
 		}
 		if _, err := hybrid.Replay(st, res.Ops); err != nil {
 			t.Fatalf("%s: replay: %v", tc.name, err)
+		}
+		it := st.NewIterator(nil, nil)
+		var last []byte
+		steps, inversions := 0, 0
+		for ; it.Next(); steps++ {
+			if steps > 0 && bytes.Compare(it.Key(), last) <= 0 {
+				inversions++
+			}
+			last = append(last[:0], it.Key()...)
+		}
+		err = it.Error()
+		it.Release()
+		if err != nil || inversions != 0 {
+			t.Errorf("%s: full scan has %d of %d steps out of ascending order (err %v)", tc.name, inversions, steps, err)
 		}
 		var census bytes.Buffer
 		if err := report.WriteCensus(&census, st); err != nil {

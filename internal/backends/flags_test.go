@@ -44,7 +44,7 @@ func TestFlagsPolicyImpliesHybrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	kind, opts, err := parseFlags(t, "-backend", "lsm", "-policy", path).Options()
-	if err != nil || kind != "hybrid" || opts.Policy == nil || len(opts.Policy.Routes) != 3 {
+	if err != nil || kind != "hybrid" || opts.Policy == nil || len(opts.Policy.Routes) != 2 {
 		t.Fatalf("-policy x.json gave %q, policy %+v, %v", kind, opts.Policy, err)
 	}
 	if _, _, err := parseFlags(t, "-policy", path+".missing").Options(); err == nil {

@@ -45,7 +45,7 @@ func TestCoreConformance(t *testing.T) {
 		c := newCore(memChildren(3), byHash(3))
 		t.Cleanup(func() { c.Close() })
 		return c
-	}, kvtest.Options{OrderedScans: true})
+	}, kvtest.Options{})
 }
 
 type pair struct{ key, value string }
@@ -193,8 +193,9 @@ func TestMergeOverRecyclingChildren(t *testing.T) {
 	}
 }
 
-// TestMergeOverUnorderedChildren: children that scan in no key order (the
-// hash store) still yield every pair exactly once through the merge.
+// TestMergeOverUnorderedChildren: even children that break kv.Iterator's
+// ascending-order promise yield every pair exactly once through the merge —
+// a misbehaving child costs order, never data.
 func TestMergeOverUnorderedChildren(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const k = 4

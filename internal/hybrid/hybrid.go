@@ -7,10 +7,12 @@
 // The store is a generic dispatcher over N named backends: a routing table
 // maps each rawdb.Class to a backend index, and every operation classifies
 // its key and dispatches to the class's route. Keys of unrouted classes
-// (including ClassUnknown) go to the default route. internal/policy derives
-// routing tables plus per-backend configurations from a workload census;
-// the classic three-route layout of the paper (ordered LSM, append-only
-// log, hash store — Findings 3-5) remains available through New.
+// (including ClassUnknown) go to the default route. NewRouted is the only
+// constructor; the routing tables come from internal/policy, which derives
+// them plus per-backend configurations from a workload census, and the
+// paper's fixed layout (ordered LSM for scan classes, single-seek flat store
+// for the rest — Findings 3-5) is one such policy,
+// backends.DefaultHybridPolicy.
 //
 // The dispatch machine itself — point dispatch, the split batch (one atomic
 // sub-batch per touched backend, committed in backend order), the merged
@@ -28,49 +30,6 @@ import (
 	"ethkv/internal/kv"
 	"ethkv/internal/rawdb"
 )
-
-// Route identifies one of the classic three routes (kept for the paper's
-// fixed layout and as indices into New's backend order).
-type Route int
-
-// The three classic routes. Their numeric values double as backend indices
-// in stores assembled by New.
-const (
-	RouteOrdered Route = iota // LSM/B+-tree style ordered store
-	RouteLog                  // append-only log with batched deletion
-	RouteHash                 // hash store with in-place deletes
-)
-
-func (r Route) String() string {
-	switch r {
-	case RouteLog:
-		return "log"
-	case RouteHash:
-		return "hash"
-	default:
-		return "ordered"
-	}
-}
-
-// DefaultRouting maps every class per the paper's findings: scan classes
-// stay ordered (Finding 4), lifecycle-deleted classes ride the log
-// (Finding 5), point-read world state rides the hash store (Finding 3).
-func DefaultRouting() map[rawdb.Class]Route {
-	return map[rawdb.Class]Route{
-		// Scan classes stay ordered (Finding 4).
-		rawdb.ClassSnapshotAccount: RouteOrdered,
-		rawdb.ClassSnapshotStorage: RouteOrdered,
-		rawdb.ClassBlockHeader:     RouteOrdered,
-		// Lifecycle-deleted classes ride the log (Finding 5).
-		rawdb.ClassTxLookup:      RouteLog,
-		rawdb.ClassBlockBody:     RouteLog,
-		rawdb.ClassBlockReceipts: RouteLog,
-		// Point-read world state rides the hash store (Finding 3).
-		rawdb.ClassTrieNodeAccount: RouteHash,
-		rawdb.ClassTrieNodeStorage: RouteHash,
-		rawdb.ClassCode:            RouteHash,
-	}
-}
 
 // Backend is one named route of a hybrid store.
 type Backend struct {
@@ -141,30 +100,6 @@ func NewRouted(backends []Backend, routing map[rawdb.Class]int, def int) (*Store
 	return s, nil
 }
 
-// New assembles the classic three-route hybrid store (ordered/log/hash
-// backend order, ordered as the default route). routing may be nil for
-// DefaultRouting.
-func New(ordered, log, hash kv.Store, routing map[rawdb.Class]Route) *Store {
-	if routing == nil {
-		routing = DefaultRouting()
-	}
-	idx := make(map[rawdb.Class]int, len(routing))
-	for c, r := range routing {
-		idx[c] = int(r)
-	}
-	s, err := NewRouted([]Backend{
-		{Name: RouteOrdered.String(), Store: ordered},
-		{Name: RouteLog.String(), Store: log},
-		{Name: RouteHash.String(), Store: hash},
-	}, idx, int(RouteOrdered))
-	if err != nil {
-		// The three-route shape is valid by construction unless a backend
-		// is nil, which was always a caller bug.
-		panic(err)
-	}
-	return s
-}
-
 // Backends returns the route names in backend order.
 func (s *Store) Backends() []string {
 	names := make([]string, len(s.backends))
@@ -185,9 +120,8 @@ func (s *Store) routeIndex(key []byte) int {
 // owning a class whose keys could start with the prefix. Classifying the
 // prefix itself would be wrong — a one-byte prefix like "l" is ClassUnknown,
 // yet every TxLookup key starts with it. A class-specific prefix usually
-// leaves one candidate, whose (ordered) iterator the Core returns as is;
-// full-range scans trade order for completeness when an unordered backend is
-// merged in.
+// leaves one candidate, whose iterator the Core returns as is; otherwise the
+// Core merges the candidates in key order.
 func (s *Store) scanBackends(prefix []byte) []int {
 	include := make([]bool, len(s.backends))
 	include[s.def] = true

@@ -6,24 +6,50 @@ import (
 	"testing"
 
 	"ethkv/internal/flatstore"
-	"ethkv/internal/hashstore"
 	"ethkv/internal/kv"
 	"ethkv/internal/rawdb"
 	"ethkv/internal/trace"
 )
 
-// newTestStore builds a hybrid over memstore/flat/hash backends.
+// Backend indices of the test layout built by newRouted.
+const (
+	routeOrdered = iota // the default: scan classes and everything unrouted
+	routeLog            // TxLookup, BlockBody, BlockReceipts
+	routePoint          // trie nodes and code
+)
+
+// newRouted assembles a three-route hybrid over the given stores.
+func newRouted(tb testing.TB, ordered, log, point kv.Store) *Store {
+	tb.Helper()
+	s, err := NewRouted([]Backend{
+		{Name: "ordered", Store: ordered},
+		{Name: "log", Store: log},
+		{Name: "point", Store: point},
+	}, map[rawdb.Class]int{
+		rawdb.ClassTxLookup:        routeLog,
+		rawdb.ClassBlockBody:       routeLog,
+		rawdb.ClassBlockReceipts:   routeLog,
+		rawdb.ClassTrieNodeAccount: routePoint,
+		rawdb.ClassTrieNodeStorage: routePoint,
+		rawdb.ClassCode:            routePoint,
+	}, routeOrdered)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// newTestStore builds a hybrid over memstore/flat/flat backends.
 func newTestStore(t *testing.T) *Store {
 	t.Helper()
-	hs, err := hashstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	open := func() kv.Store {
+		fs, err := flatstore.Open(t.TempDir(), flatstore.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs
 	}
-	fs, err := flatstore.Open(t.TempDir(), flatstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(kv.NewMemStore(), fs, hs, nil)
+	s := newRouted(t, kv.NewMemStore(), open(), open())
 	t.Cleanup(func() { s.Close() })
 	return s
 }
@@ -41,9 +67,9 @@ func TestRoutingDispatch(t *testing.T) {
 	// One key per route.
 	orderedKey := rawdb.SnapshotAccountKey(hash(1)) // ordered
 	logKey := rawdb.TxLookupKey(hash(2))            // log
-	hashKey := rawdb.CodeKey(hash(3))               // hash
+	pointKey := rawdb.CodeKey(hash(3))              // point
 
-	for _, key := range [][]byte{orderedKey, logKey, hashKey} {
+	for _, key := range [][]byte{orderedKey, logKey, pointKey} {
 		if err := s.Put(key, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
@@ -53,18 +79,18 @@ func TestRoutingDispatch(t *testing.T) {
 		}
 	}
 	// Verify physical placement: ordered backend holds only the ordered key.
-	ordered := s.backends[RouteOrdered].Store
+	ordered := s.backends[routeOrdered].Store
 	if ok, _ := ordered.Has(orderedKey); !ok {
 		t.Fatal("ordered key not in ordered backend")
 	}
 	if ok, _ := ordered.Has(logKey); ok {
 		t.Fatal("log key leaked into ordered backend")
 	}
-	if ok, _ := s.backends[RouteLog].Store.Has(logKey); !ok {
+	if ok, _ := s.backends[routeLog].Store.Has(logKey); !ok {
 		t.Fatal("log key not in log backend")
 	}
-	if ok, _ := s.backends[RouteHash].Store.Has(hashKey); !ok {
-		t.Fatal("hash key not in hash backend")
+	if ok, _ := s.backends[routePoint].Store.Has(pointKey); !ok {
+		t.Fatal("point key not in point backend")
 	}
 }
 
@@ -138,21 +164,15 @@ func TestStatsMerge(t *testing.T) {
 		t.Fatalf("merged stats: %+v", st)
 	}
 	per := s.BackendStats()
-	if per["hash"].Puts != 1 || per["log"].Puts != 1 {
+	if per["point"].Puts != 1 || per["log"].Puts != 1 {
 		t.Fatalf("per-backend stats: %+v", per)
-	}
-}
-
-func TestRouteString(t *testing.T) {
-	if RouteOrdered.String() != "ordered" || RouteLog.String() != "log" || RouteHash.String() != "hash" {
-		t.Fatal("Route.String")
 	}
 }
 
 func TestReplay(t *testing.T) {
 	s := newTestStore(t)
 	var ops []trace.Op
-	// Write, read, delete a log-routed key; write a hash-routed key; scan.
+	// Write, read, delete a log-routed key; write a point-routed key; scan.
 	lk := rawdb.TxLookupKey(hash(1))
 	ck := rawdb.CodeKey(hash(2))
 	ops = append(ops,
@@ -191,11 +211,7 @@ func TestReplayMissingReadTolerated(t *testing.T) {
 }
 
 func BenchmarkHybridPut(b *testing.B) {
-	hs, err := hashstore.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := New(kv.NewMemStore(), kv.NewMemStore(), hs, nil)
+	s := newRouted(b, kv.NewMemStore(), kv.NewMemStore(), kv.NewMemStore())
 	defer s.Close()
 	val := make([]byte, 70)
 	var h rawdb.Hash

@@ -58,16 +58,16 @@ func TestBatchUsesPerBackendSubBatches(t *testing.T) {
 	mk := func(name string) kv.Store {
 		return &recordingStore{Store: kv.NewMemStore(), name: name, events: &events}
 	}
-	s := New(mk("ordered"), mk("log"), mk("hash"), nil)
+	s := newRouted(t, mk("ordered"), mk("log"), mk("point"))
 	defer s.Close()
 
 	b := s.NewBatch()
 	// Interleave routes so grouping (not op order) determines the commits.
-	b.Put(rawdb.CodeKey(hash(1)), []byte("h1"))            // hash
+	b.Put(rawdb.CodeKey(hash(1)), []byte("h1"))            // point
 	b.Put(rawdb.TxLookupKey(hash(2)), []byte("l1"))        // log
 	b.Put(rawdb.SnapshotAccountKey(hash(3)), []byte("o1")) // ordered
 	b.Put(rawdb.TxLookupKey(hash(4)), []byte("l2"))        // log
-	b.Delete(rawdb.CodeKey(hash(5)))                       // hash
+	b.Delete(rawdb.CodeKey(hash(5)))                       // point
 	if err := b.Write(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestBatchUsesPerBackendSubBatches(t *testing.T) {
 		}
 	}
 	// One commit per touched backend, in backend (fixed route) order.
-	want := []string{"ordered", "log", "hash"}
+	want := []string{"ordered", "log", "point"}
 	if len(commits) != len(want) {
 		t.Fatalf("commits = %v, want one per backend %v", commits, want)
 	}
@@ -142,7 +142,7 @@ func TestBatchSingleWALGroupCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(db, kv.NewMemStore(), kv.NewMemStore(), nil)
+	s := newRouted(t, db, kv.NewMemStore(), kv.NewMemStore())
 	defer s.Close()
 
 	b := s.NewBatch()
@@ -181,7 +181,7 @@ func TestCrashBatchAtomicity(t *testing.T) {
 			}
 			t.Fatalf("seed %d: open: %v", seed, err)
 		}
-		s := New(db, kv.NewMemStore(), kv.NewMemStore(), nil)
+		s := newRouted(t, db, kv.NewMemStore(), kv.NewMemStore())
 
 		key := func(batch, j int) []byte {
 			var h rawdb.Hash
@@ -238,7 +238,7 @@ func TestCrashBatchAtomicity(t *testing.T) {
 // iterator routing bug: a scan prefix shorter than any class prefix (or
 // empty) classifies as Unknown, and the old code therefore scanned only
 // the default backend. The merged iterator must surface log- and
-// hash-routed keys too.
+// point-routed keys too.
 func TestScanTruncatedPrefixSeesAllRoutes(t *testing.T) {
 	s := newTestStore(t)
 	for i := 0; i < 5; i++ {
@@ -248,7 +248,7 @@ func TestScanTruncatedPrefixSeesAllRoutes(t *testing.T) {
 		s.Put(rawdb.SnapshotAccountKey(hash(byte(i+1))), []byte("a")) // ordered, 'a'
 	}
 	for i := 0; i < 2; i++ {
-		s.Put(rawdb.CodeKey(hash(byte(i+1))), []byte("c")) // hash route, 'c'
+		s.Put(rawdb.CodeKey(hash(byte(i+1))), []byte("c")) // point route, 'c'
 	}
 
 	count := func(prefix []byte) int {
@@ -274,7 +274,7 @@ func TestScanTruncatedPrefixSeesAllRoutes(t *testing.T) {
 	}
 	// A class-qualified prefix still sees its class.
 	if n := count([]byte("c")); n != 2 {
-		t.Fatalf("scan(%q) saw %d keys, want 2 hash-routed keys", "c", n)
+		t.Fatalf("scan(%q) saw %d keys, want 2 point-routed keys", "c", n)
 	}
 }
 

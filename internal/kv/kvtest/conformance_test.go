@@ -6,11 +6,11 @@ import (
 	"testing"
 
 	"ethkv/internal/flatstore"
-	"ethkv/internal/hashstore"
 	"ethkv/internal/hybrid"
 	"ethkv/internal/kv"
 	"ethkv/internal/lsm"
 	"ethkv/internal/obs"
+	"ethkv/internal/rawdb"
 	"ethkv/internal/trace"
 )
 
@@ -40,7 +40,7 @@ func TestMemStoreConformance(t *testing.T) {
 		s := kv.NewMemStore()
 		t.Cleanup(func() { s.Close() })
 		return s
-	}, Options{OrderedScans: true})
+	}, Options{})
 }
 
 func TestLSMConformance(t *testing.T) {
@@ -59,7 +59,6 @@ func TestLSMConformance(t *testing.T) {
 		t.Cleanup(func() { db.Close() })
 		return db
 	}, Options{
-		OrderedScans: true,
 		Reopen: func(t *testing.T, s kv.Store) kv.Store {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
@@ -120,7 +119,6 @@ func TestLSMTinyBlockCacheConformance(t *testing.T) {
 		t.Cleanup(func() { db.Close() })
 		return db
 	}, Options{
-		OrderedScans: true,
 		Reopen: func(t *testing.T, s kv.Store) kv.Store {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
@@ -151,54 +149,7 @@ func TestLSMNoBlockCacheConformance(t *testing.T) {
 		}
 		t.Cleanup(func() { db.Close() })
 		return db
-	}, Options{OrderedScans: true})
-}
-
-func TestHashStoreConformance(t *testing.T) {
-	var lastDir string
-	Run(t, func(t *testing.T) kv.Store {
-		lastDir = t.TempDir()
-		s, err := hashstore.Open(lastDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s
-	}, Options{
-		OrderedScans: false,
-		Reopen: func(t *testing.T, s kv.Store) kv.Store {
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			hs, err := hashstore.Open(lastDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { hs.Close() })
-			return hs
-		},
-		CorruptScan: func(t *testing.T, s kv.Store) kv.Store {
-			// Close persists the active segment plus an INDEX snapshot whose
-			// locations are only extent-checked on load — record interiors
-			// are trusted until read. A 64-byte 0xFF run is longer than any
-			// record this suite writes, so at least one record's length
-			// varints are destroyed.
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			segs, err := filepath.Glob(filepath.Join(lastDir, "seg-*.dat"))
-			if err != nil || len(segs) == 0 {
-				t.Fatalf("no segments to corrupt (err=%v)", err)
-			}
-			stompBytes(t, segs[0], 1000, 64)
-			hs, err := hashstore.Open(lastDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { hs.Close() })
-			return hs
-		},
-	})
+	}, Options{})
 }
 
 func TestFlatStoreConformance(t *testing.T) {
@@ -212,7 +163,6 @@ func TestFlatStoreConformance(t *testing.T) {
 		t.Cleanup(func() { s.Close() })
 		return s
 	}, Options{
-		OrderedScans: true,
 		Reopen: func(t *testing.T, s kv.Store) kv.Store {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
@@ -257,7 +207,6 @@ func TestFlatStoreTinyCompactionConformance(t *testing.T) {
 		t.Cleanup(func() { s.Close() })
 		return s
 	}, Options{
-		OrderedScans: true,
 		Reopen: func(t *testing.T, s kv.Store) kv.Store {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
@@ -274,18 +223,16 @@ func TestFlatStoreTinyCompactionConformance(t *testing.T) {
 
 func TestHybridConformance(t *testing.T) {
 	Run(t, func(t *testing.T) kv.Store {
-		hs, err := hashstore.Open(t.TempDir())
+		s, err := hybrid.NewRouted([]hybrid.Backend{
+			{Name: "ordered", Store: kv.NewMemStore()},
+			{Name: "point", Store: kv.NewMemStore()},
+		}, map[rawdb.Class]int{rawdb.ClassCode: 1, rawdb.ClassTxLookup: 1}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := hybrid.New(kv.NewMemStore(), kv.NewMemStore(), hs, nil)
 		t.Cleanup(func() { s.Close() })
 		return s
-	}, Options{
-		// Conformance keys are schema-unknown and route to the ordered
-		// backend, so ordered scans hold.
-		OrderedScans: true,
-	})
+	}, Options{})
 }
 
 func TestLazyStoreConformance(t *testing.T) {
@@ -293,7 +240,7 @@ func TestLazyStoreConformance(t *testing.T) {
 		s := hybrid.NewLazyStore(kv.NewMemStore())
 		t.Cleanup(func() { s.Close() })
 		return s
-	}, Options{OrderedScans: true})
+	}, Options{})
 }
 
 func TestInstrumentedStoreConformance(t *testing.T) {
@@ -301,7 +248,7 @@ func TestInstrumentedStoreConformance(t *testing.T) {
 		s := kv.Instrument(kv.NewMemStore(), obs.NewRegistry(), "store", "mem")
 		t.Cleanup(func() { s.Close() })
 		return s
-	}, Options{OrderedScans: true})
+	}, Options{})
 }
 
 func TestTracedStoreConformance(t *testing.T) {
@@ -309,5 +256,5 @@ func TestTracedStoreConformance(t *testing.T) {
 		s := trace.WrapStore(kv.NewMemStore(), &trace.SliceSink{})
 		t.Cleanup(func() { s.Close() })
 		return s
-	}, Options{OrderedScans: true})
+	}, Options{})
 }

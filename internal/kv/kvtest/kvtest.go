@@ -1,6 +1,6 @@
 // Package kvtest provides a conformance suite for kv.Store
 // implementations. Every backend in this repository (memory, LSM, flat,
-// hash, hybrid, lazy) runs the same contract checks, so behavioural
+// hybrid, lazy) runs the same contract checks, so behavioural
 // divergence between store designs — the thing the ablations measure on
 // purpose — never includes accidental semantic differences.
 package kvtest
@@ -17,11 +17,8 @@ import (
 	"ethkv/internal/kv"
 )
 
-// Options tunes the suite for backends with relaxed guarantees.
+// Options unlocks the checks that need a backend's cooperation.
 type Options struct {
-	// OrderedScans asserts iterators yield ascending keys. Hash-structured
-	// stores intentionally do not maintain order.
-	OrderedScans bool
 	// Reopen closes a store and reopens it on the same underlying state.
 	// Persistent backends set it to unlock the reopen-persistence check;
 	// purely in-memory backends leave it nil.
@@ -46,8 +43,8 @@ func Run(t *testing.T, factory Factory, opts Options) {
 	t.Run("ValueIsolation", func(t *testing.T) { testValueIsolation(t, factory) })
 	t.Run("Batch", func(t *testing.T) { testBatch(t, factory) })
 	t.Run("BatchReset", func(t *testing.T) { testBatchReset(t, factory) })
-	t.Run("IteratorPrefix", func(t *testing.T) { testIteratorPrefix(t, factory, opts) })
-	t.Run("ScanAfterMixedOps", func(t *testing.T) { testScanAfterMixedOps(t, factory, opts) })
+	t.Run("IteratorPrefix", func(t *testing.T) { testIteratorPrefix(t, factory) })
+	t.Run("ScanAfterMixedOps", func(t *testing.T) { testScanAfterMixedOps(t, factory) })
 	t.Run("EmptyValueRoundTrip", func(t *testing.T) { testEmptyValueRoundTrip(t, factory) })
 	t.Run("ConcurrentReaders", func(t *testing.T) { testConcurrentReaders(t, factory) })
 	t.Run("RandomizedModel", func(t *testing.T) { testRandomizedModel(t, factory) })
@@ -232,7 +229,7 @@ func testBatchReset(t *testing.T, factory Factory) {
 	}
 }
 
-func testIteratorPrefix(t *testing.T, factory Factory, opts Options) {
+func testIteratorPrefix(t *testing.T, factory Factory) {
 	s := factory(t)
 	for i := 0; i < 20; i++ {
 		s.Put([]byte(fmt.Sprintf("p/%02d", i)), []byte{byte(i)})
@@ -248,7 +245,7 @@ func testIteratorPrefix(t *testing.T, factory Factory, opts Options) {
 		if !bytes.HasPrefix(key, []byte("p/")) {
 			t.Fatalf("iterator escaped prefix: %q", key)
 		}
-		if opts.OrderedScans && last != nil && bytes.Compare(key, last) <= 0 {
+		if last != nil && bytes.Compare(key, last) <= 0 {
 			t.Fatalf("keys not strictly ascending: %q after %q", key, last)
 		}
 		last = append(last[:0], key...)
@@ -263,10 +260,10 @@ func testIteratorPrefix(t *testing.T, factory Factory, opts Options) {
 }
 
 // testScanAfterMixedOps interleaves puts, overwrites, and deletes, then
-// checks a full scan returns exactly the live keys — in ascending order for
-// ordered backends. Deleted keys reappearing in a scan is the classic
+// checks a full scan returns exactly the live keys, in ascending order.
+// Deleted keys reappearing in a scan is the classic
 // tombstone-handling bug in merged iterators.
-func testScanAfterMixedOps(t *testing.T, factory Factory, opts Options) {
+func testScanAfterMixedOps(t *testing.T, factory Factory) {
 	s := factory(t)
 	model := map[string][]byte{}
 	rng := rand.New(rand.NewSource(42))
@@ -291,7 +288,7 @@ func testScanAfterMixedOps(t *testing.T, factory Factory, opts Options) {
 	var last []byte
 	for it.Next() {
 		k := append([]byte(nil), it.Key()...)
-		if opts.OrderedScans && last != nil && bytes.Compare(k, last) <= 0 {
+		if last != nil && bytes.Compare(k, last) <= 0 {
 			t.Fatalf("scan not strictly ascending: %q after %q", k, last)
 		}
 		last = k

@@ -56,7 +56,6 @@ func TestConformanceMemBackend(t *testing.T) {
 		t.Cleanup(func() { c.Close() })
 		return clientWithAddr{Client: c, t: t, addr: addr}
 	}, kvtest.Options{
-		OrderedScans: true,
 		Reopen: func(t *testing.T, s kv.Store) kv.Store {
 			cw := s.(clientWithAddr)
 			if err := cw.Close(); err != nil {
@@ -94,7 +93,7 @@ func TestConformanceLSMBackend(t *testing.T) {
 		c := dialT(t, addr, ClientOptions{Conns: 2, BatchMaxOps: 8, Window: 4})
 		t.Cleanup(func() { c.Close() })
 		return c
-	}, kvtest.Options{OrderedScans: true})
+	}, kvtest.Options{})
 }
 
 // TestConformanceUnbatched pins the batching-off configuration (one op per
@@ -106,7 +105,7 @@ func TestConformanceUnbatched(t *testing.T) {
 		c := dialT(t, addr, ClientOptions{BatchMaxOps: 1, Window: 16})
 		t.Cleanup(func() { c.Close() })
 		return c
-	}, kvtest.Options{OrderedScans: true})
+	}, kvtest.Options{})
 }
 
 // TestCoalescingHappens drives many concurrent writers through one client

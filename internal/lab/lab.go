@@ -47,10 +47,10 @@ type Config struct {
 	// Dir is the working directory for the store, freezer, and trace
 	// file. Empty = in-memory store, in-memory trace.
 	Dir string
-	// Backend selects the store behind the run: "" or "mem" is the
-	// in-memory reference store, "lsm" the write-optimized LSM tree,
-	// "flat" the single-seek flat store, "hash" the hash-indexed segment
-	// store, "hybrid" the policy-driven class-routed store (see Policy).
+	// Backend selects the store behind the run by backends.Kinds name: ""
+	// or "mem" is the in-memory reference store, "lsm" the write-optimized
+	// LSM tree, "flat" the single-seek flat store, "hybrid" the
+	// policy-driven class-routed store (see Policy).
 	// Persistent backends are slower and used for I/O-cost experiments.
 	Backend string
 	// Policy configures the hybrid backend's routes (nil = the factory's

@@ -293,8 +293,12 @@ func TestRotationSkipsRedundantSync(t *testing.T) {
 	if n := fs.syncCount(".log"); n != 2 {
 		t.Fatalf("%d WAL syncs after rotating a log with a buffered record, want 2", n)
 	}
-	// The same counts are readable from Stats: one manifest per install.
-	if s := db.Stats(); s.WALSyncs != 2 || s.ManifestWrites != s.FlushCount+s.CompactionCount {
+	// The same counts are readable from Stats. Every install snapshots a
+	// manifest, but one is written only if no newer snapshot reached disk
+	// first: installers reach commitManifest in any order, and a snapshot a
+	// later install already superseded is skipped. So installs bound the
+	// writes from above, not exactly.
+	if s := db.Stats(); s.WALSyncs != 2 || s.ManifestWrites < 1 || s.ManifestWrites > s.FlushCount+s.CompactionCount {
 		t.Fatalf("Stats: WALSyncs=%d ManifestWrites=%d with %d flushes + %d compactions",
 			s.WALSyncs, s.ManifestWrites, s.FlushCount, s.CompactionCount)
 	}

@@ -30,12 +30,12 @@ import (
 // Kinds a route may use; the same names internal/backends accepts for
 // single-backend stores.
 var validKinds = map[string]bool{
-	"lsm": true, "flat": true, "hash": true, "mem": true,
+	"lsm": true, "flat": true, "mem": true,
 }
 
 // Spec configures one route's physical backend.
 type Spec struct {
-	// Kind is the backend kind: lsm, flat, hash, or mem.
+	// Kind is the backend kind: lsm, flat, or mem.
 	Kind string `json:"kind"`
 	// Options are integer tuning knobs applied by internal/backends.
 	// lsm: memtable_kb, l0_compaction_trigger, level_base_kb,
@@ -308,29 +308,26 @@ const (
 	routeLSMCompact = "lsm-compact" // compaction-aggressive LSM
 	routeLSMCache   = "lsm-cache"   // big-block-cache LSM
 	routeFlat       = "flat"        // single-seek flat store
-	routeHash       = "hash"        // hash store: in-place rewrites/deletes, unordered
 )
 
 // Derive builds a policy from a census using the paper's per-class
 // measures. Rules, first match wins:
 //
-//  1. Any scans -> ordered LSM (scans need key order, Finding 4). Every
-//     later rule therefore only sees scan-free classes, which is what
-//     makes the unordered hash store a legal target below.
+//  1. Any scans -> ordered LSM (scans need key order, Finding 4).
 //  2. Delete ratio >= DeleteHeavyRatio -> tombstone-heavy lifecycle class
 //     (Finding 5). Bulky values (> SmallValueBytes) go to the
 //     compaction-aggressive LSM, where eager compaction actually reclaims
-//     space; small values carry negligible dead bytes and go to the hash
-//     store, whose in-place deletes purge without tombstones or
-//     compaction debt.
+//     space; small values carry negligible dead bytes and go to the flat
+//     store, which drops a deleted key's index entry at once and reclaims
+//     the dead bytes by generation compaction — no tombstone debt in an
+//     LSM.
 //  3. Read ratio >= ReadHotRatio -> point-read-hot (Finding 3). Small
 //     values (<= SmallValueBytes) that are rarely rewritten (update share
 //     < UpdateChurnRatio) go to the block-cache LSM — their blocks stay
-//     valid, so the cache keeps serving them. Rewrite-churny classes
-//     (update share >= UpdateChurnRatio) go to the hash store: updates
-//     land in place, reads stay single-seek, and hash order costs nothing
-//     on a class that never scans. Remaining read-hot classes (large,
-//     stable values) go to the single-seek flat store.
+//     valid, so the cache keeps serving them. Every other read-hot class
+//     (large values, or rewrite churn that would keep invalidating cached
+//     blocks) goes to the single-seek flat store, where a rewrite is one
+//     append.
 //  4. Write share >= WriteOnceRatio -> flat store (write-once append).
 //  5. Otherwise the class stays on the default ordered route.
 func Derive(census Census) *Policy {
@@ -370,21 +367,17 @@ func Derive(census Census) *Policy {
 			why = fmt.Sprintf("delete ratio %.1f%% ≥ %.0f%%, avg value %dB > %dB — bulky tombstone-heavy; compaction-aggressive LSM",
 				100*delRatio, 100*DeleteHeavyRatio, avg, SmallValueBytes)
 		case delRatio >= DeleteHeavyRatio:
-			route = use(routeHash)
-			why = fmt.Sprintf("delete ratio %.1f%% ≥ %.0f%%, avg value %dB ≤ %dB, no scans — hash store deletes in place, no tombstone debt",
+			route = use(routeFlat)
+			why = fmt.Sprintf("delete ratio %.1f%% ≥ %.0f%%, avg value %dB ≤ %dB — flat store drops deleted keys at once, no tombstone debt",
 				100*delRatio, 100*DeleteHeavyRatio, avg, SmallValueBytes)
 		case readRatio >= ReadHotRatio && avg <= SmallValueBytes && updRatio < UpdateChurnRatio:
 			route = use(routeLSMCache)
 			why = fmt.Sprintf("read ratio %.1f%% ≥ %.0f%%, avg value %dB ≤ %dB, update share %.1f%% < %.0f%% — hot stable small reads; block-cache LSM",
 				100*readRatio, 100*ReadHotRatio, avg, SmallValueBytes, 100*updRatio, 100*UpdateChurnRatio)
-		case readRatio >= ReadHotRatio && updRatio >= UpdateChurnRatio:
-			route = use(routeHash)
-			why = fmt.Sprintf("read ratio %.1f%% ≥ %.0f%% with update share %.1f%% ≥ %.0f%%, no scans — rewrite churn; hash store updates in place",
-				100*readRatio, 100*ReadHotRatio, 100*updRatio, 100*UpdateChurnRatio)
 		case readRatio >= ReadHotRatio:
 			route = use(routeFlat)
-			why = fmt.Sprintf("read ratio %.1f%% ≥ %.0f%%, avg value %dB > %dB — single-seek flat store",
-				100*readRatio, 100*ReadHotRatio, avg, SmallValueBytes)
+			why = fmt.Sprintf("read ratio %.1f%% ≥ %.0f%%, avg value %dB, update share %.1f%% — large or rewrite-churny; single-seek flat store",
+				100*readRatio, 100*ReadHotRatio, avg, 100*updRatio)
 		case writeRatio >= WriteOnceRatio:
 			route = use(routeFlat)
 			why = fmt.Sprintf("write share %.1f%% ≥ %.0f%% — write-once; append-only flat store",
@@ -418,8 +411,6 @@ func routeSpec(name string) Spec {
 		}}
 	case routeFlat:
 		return Spec{Kind: "flat"}
-	case routeHash:
-		return Spec{Kind: "hash"}
 	default:
 		return Spec{Kind: "lsm"}
 	}

@@ -51,11 +51,11 @@ func TestDeriveRules(t *testing.T) {
 		rawdb.ClassSnapshotAccount: census(50, 30, 0, 20, 5, 100),
 		// Rule 2a: delete-heavy bulky values -> compaction-aggressive LSM.
 		rawdb.ClassTxLookup: census(20, 40, 0, 40, 0, 4000),
-		// Rule 2b: delete-heavy small values -> in-place-delete hash store.
+		// Rule 2b: delete-heavy small values -> flat store.
 		rawdb.ClassStateID: census(20, 40, 0, 40, 0, 8),
 		// Rule 3a: read-hot stable small values -> block-cache LSM.
 		rawdb.ClassTrieNodeAccount: census(60, 40, 0, 0, 0, 120),
-		// Rule 3b: read-hot values with rewrite churn -> in-place hash store.
+		// Rule 3b: read-hot values with rewrite churn -> flat store.
 		rawdb.ClassTrieNodeStorage: census(60, 5, 35, 0, 0, 120),
 		// Rule 3c: read-hot large values -> flat store.
 		rawdb.ClassBlockReceipts: census(60, 40, 0, 0, 0, 9000),
@@ -71,9 +71,9 @@ func TestDeriveRules(t *testing.T) {
 	want := map[string]string{
 		"SnapshotAccount": "ordered",
 		"TxLookup":        "lsm-compact",
-		"StateID":         "hash",
+		"StateID":         "flat",
 		"TrieNodeAccount": "lsm-cache",
-		"TrieNodeStorage": "hash",
+		"TrieNodeStorage": "flat",
 		"BlockReceipts":   "flat",
 		"BlockBody":       "flat",
 		"Code":            "ordered",
@@ -170,6 +170,7 @@ func TestValidateErrors(t *testing.T) {
 		{"missing default", func(p *Policy) { p.Default = "nope" }, "default route"},
 		{"unknown kind", func(p *Policy) { p.Routes["ordered"] = Spec{Kind: "btree"} }, "unknown kind"},
 		{"the removed log kind", func(p *Policy) { p.Routes["ordered"] = Spec{Kind: "log"} }, "unknown kind"},
+		{"the removed hash kind", func(p *Policy) { p.Routes["ordered"] = Spec{Kind: "hash"} }, "unknown kind"},
 		{"bad route name", func(p *Policy) {
 			p.Routes["a/b"] = Spec{Kind: "lsm"}
 		}, "route name"},

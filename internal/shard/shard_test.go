@@ -71,7 +71,6 @@ func TestShardRouterLSMConformance(t *testing.T) {
 				t.Cleanup(func() { s.Close() })
 				return s
 			}, kvtest.Options{
-				OrderedScans: true,
 				Reopen: func(t *testing.T, s kv.Store) kv.Store {
 					return reopenRouter(t, s, "lsm", lastDir, shards)
 				},
@@ -127,7 +126,6 @@ func TestShardRouterFlatConformance(t *testing.T) {
 				t.Cleanup(func() { s.Close() })
 				return s
 			}, kvtest.Options{
-				OrderedScans: true,
 				Reopen: func(t *testing.T, s kv.Store) kv.Store {
 					return reopenRouter(t, s, "flat", lastDir, shards)
 				},
@@ -161,7 +159,7 @@ func TestShardRouterClassModeConformance(t *testing.T) {
 		}
 		t.Cleanup(func() { s.Close() })
 		return s
-	}, kvtest.Options{OrderedScans: true})
+	}, kvtest.Options{})
 }
 
 // applyWorkload drives a seeded mixed workload — single puts and deletes,
