@@ -1,7 +1,8 @@
-// The benchmark harness regenerates every table and figure in the paper's
-// evaluation (experiments E1-E13 of DESIGN.md). Each benchmark prints its
-// artifact once and times the analysis pass that produces it. The underlying
-// traces are collected once per process and shared.
+// The benchmark harness runs the paper's §V design ablations (experiments
+// E12-E13 of DESIGN.md), the parameter sweeps, and the store-latency
+// benchmarks. Each prints its result once. The underlying traces are
+// collected once per process and shared. Tables and figures E1-E11 come
+// from `ethkvlab` (report.WritePaper).
 //
 // Run all of it:
 //
@@ -10,7 +11,6 @@ package ethkv
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
@@ -23,14 +23,12 @@ import (
 	"ethkv/internal/lab"
 	"ethkv/internal/obs"
 	"ethkv/internal/rawdb"
-	"ethkv/internal/report"
 	"ethkv/internal/trace"
 	"ethkv/internal/trie"
 )
 
 // benchBlocks scales the shared pipeline run. The artifact's sampled traces
 // cover 1000 blocks; we default to 150 to keep `go test -bench=.` brisk.
-// Override with ETHKV_BENCH_BLOCKS.
 const benchBlocks = 150
 
 var (
@@ -66,247 +64,6 @@ func printOnce(key string, emit func()) {
 		printed[key] = true
 		emit()
 	}
-}
-
-// BenchmarkTable1ClassInventory regenerates Table I: the per-class pair
-// counts and mean key/value sizes of the post-sync store (E1).
-func BenchmarkTable1ClassInventory(b *testing.B) {
-	_, cached := sharedRuns(b)
-	b.ResetTimer()
-	var dist *analysis.SizeDist
-	for i := 0; i < b.N; i++ {
-		dist = cached.Store
-		_ = dist.DominantShare()
-		_ = dist.SingletonClasses()
-		_ = dist.Classes()
-	}
-	b.StopTimer()
-	printOnce("table1", func() {
-		fmt.Println("\n=== Table I (E1) ===")
-		report.WriteTable1(os.Stdout, dist)
-	})
-	b.ReportMetric(dist.DominantShare()*100, "dominant-share-%")
-	b.ReportMetric(float64(dist.SingletonClasses()), "singleton-classes")
-}
-
-// BenchmarkFigure2SizeDistribution regenerates Figure 2: the KV size
-// scatter series of the four world-state classes (E2).
-func BenchmarkFigure2SizeDistribution(b *testing.B) {
-	_, cached := sharedRuns(b)
-	classes := []rawdb.Class{
-		rawdb.ClassTrieNodeAccount, rawdb.ClassTrieNodeStorage,
-		rawdb.ClassSnapshotAccount, rawdb.ClassSnapshotStorage,
-	}
-	b.ResetTimer()
-	var points int
-	for i := 0; i < b.N; i++ {
-		points = 0
-		for _, class := range classes {
-			points += len(cached.Store.ValueSizeSeries(class))
-		}
-	}
-	b.StopTimer()
-	printOnce("figure2", func() {
-		fmt.Println("\n=== Figure 2 (E2) ===")
-		report.WriteFigure2(os.Stdout, cached.Store, classes)
-	})
-	b.ReportMetric(float64(points), "distinct-sizes")
-}
-
-// BenchmarkTable2OpDistCache regenerates Table II: the CacheTrace op mix (E3).
-func BenchmarkTable2OpDistCache(b *testing.B) {
-	_, cached := sharedRuns(b)
-	b.ResetTimer()
-	var dist *analysis.OpDist
-	for i := 0; i < b.N; i++ {
-		dist = analysis.CollectOpDistSlice(cached.Ops, nil)
-	}
-	b.StopTimer()
-	printOnce("table2", func() {
-		fmt.Println("\n=== Table II (E3) ===")
-		report.WriteOpTable(os.Stdout, "CacheTrace", dist)
-	})
-	b.ReportMetric(float64(dist.Total), "ops")
-}
-
-// BenchmarkTable3OpDistBare regenerates Table III: the BareTrace op mix (E4).
-func BenchmarkTable3OpDistBare(b *testing.B) {
-	bare, _ := sharedRuns(b)
-	b.ResetTimer()
-	var dist *analysis.OpDist
-	for i := 0; i < b.N; i++ {
-		dist = analysis.CollectOpDistSlice(bare.Ops, nil)
-	}
-	b.StopTimer()
-	printOnce("table3", func() {
-		fmt.Println("\n=== Table III (E4) ===")
-		report.WriteOpTable(os.Stdout, "BareTrace", dist)
-	})
-	b.ReportMetric(float64(dist.Total), "ops")
-}
-
-// BenchmarkTable4ReadRatios regenerates Table IV: per-class read ratios (E5).
-func BenchmarkTable4ReadRatios(b *testing.B) {
-	bare, cached := sharedRuns(b)
-	bareOps := analysis.CollectOpDistSlice(bare.Ops, nil)
-	cachedOps := analysis.CollectOpDistSlice(cached.Ops, nil)
-	b.ResetTimer()
-	var ta float64
-	for i := 0; i < b.N; i++ {
-		for _, class := range analysis.DefaultTrackedClasses() {
-			var pairs uint64
-			if cs := cached.Store.PerClass[class]; cs != nil {
-				pairs = cs.Pairs
-			}
-			r := cachedOps.ReadRatio(class, pairs)
-			if class == rawdb.ClassTrieNodeAccount {
-				ta = r
-			}
-		}
-	}
-	b.StopTimer()
-	printOnce("table4", func() {
-		fmt.Println("\n=== Table IV (E5) ===")
-		report.WriteTable4(os.Stdout, bareOps, cachedOps, bare.Store, cached.Store)
-	})
-	b.ReportMetric(ta*100, "TA-read-ratio-%")
-}
-
-// BenchmarkFigure3OpFrequency regenerates Figure 3: per-key operation
-// frequency distributions of the world-state classes (E6).
-func BenchmarkFigure3OpFrequency(b *testing.B) {
-	bare, cached := sharedRuns(b)
-	cachedOps := analysis.CollectOpDistSlice(cached.Ops, nil)
-	bareOps := analysis.CollectOpDistSlice(bare.Ops, nil)
-	b.ResetTimer()
-	var once float64
-	for i := 0; i < b.N; i++ {
-		for _, class := range analysis.DefaultTrackedClasses() {
-			if co := cachedOps.PerClass[class]; co != nil {
-				_ = analysis.FrequencyDistribution(co.ReadFreq)
-				once = analysis.ReadOnceShare(co.ReadFreq)
-			}
-		}
-	}
-	b.StopTimer()
-	printOnce("figure3", func() {
-		fmt.Println("\n=== Figure 3 (E6) ===")
-		report.WriteFigure3(os.Stdout, "CacheTrace", cachedOps)
-		report.WriteFigure3(os.Stdout, "BareTrace", bareOps)
-	})
-	b.ReportMetric(once*100, "read-once-%")
-}
-
-// BenchmarkFinding67CacheSnapshotEffect regenerates the Finding 6/7
-// comparison: read/write reductions and storage overhead (E7).
-func BenchmarkFinding67CacheSnapshotEffect(b *testing.B) {
-	bare, cached := sharedRuns(b)
-	bareOps := analysis.CollectOpDistSlice(bare.Ops, nil)
-	cachedOps := analysis.CollectOpDistSlice(cached.Ops, nil)
-	b.ResetTimer()
-	var cmp *analysis.TraceComparison
-	for i := 0; i < b.N; i++ {
-		cmp = analysis.Compare(bareOps, cachedOps, bare.Store, cached.Store)
-	}
-	b.StopTimer()
-	printOnce("finding67", func() {
-		fmt.Println("\n=== Findings 6-7 (E7) ===")
-		report.WriteComparison(os.Stdout, cmp)
-	})
-	b.ReportMetric(cmp.WorldStateReadReduction()*100, "ws-read-reduction-%")
-	b.ReportMetric(cmp.StorageOverhead()*100, "storage-overhead-%")
-}
-
-// BenchmarkFigure4ReadCorrelation regenerates Figure 4: distance-based read
-// correlations (E8). The timed section is the full correlation pass.
-func BenchmarkFigure4ReadCorrelation(b *testing.B) {
-	bare, cached := sharedRuns(b)
-	cfg := analysis.CorrConfig{Op: trace.OpRead}
-	b.ResetTimer()
-	var bareCorr *analysis.Correlator
-	for i := 0; i < b.N; i++ {
-		bareCorr = analysis.CollectCorrelationsSlice(bare.Ops, cfg)
-	}
-	b.StopTimer()
-	cachedCorr := analysis.CollectCorrelationsSlice(cached.Ops, cfg)
-	printOnce("figure4", func() {
-		fmt.Println("\n=== Figure 4 (E8) ===")
-		report.WriteCorrelationFigure(os.Stdout, "CacheTrace reads", cachedCorr, 3)
-		report.WriteCorrelationFigure(os.Stdout, "BareTrace reads", bareCorr, 3)
-	})
-	if top := bareCorr.TopPairs(0, 1, true); len(top) > 0 {
-		b.ReportMetric(float64(top[0].Counts[0]), "top-intra-d0")
-	}
-}
-
-// BenchmarkFigure5ReadCorrFrequency regenerates Figure 5: correlated-read
-// frequency distributions at d=0 and d=1024 (E9).
-func BenchmarkFigure5ReadCorrFrequency(b *testing.B) {
-	bare, cached := sharedRuns(b)
-	cfg := analysis.CorrConfig{Op: trace.OpRead}
-	bareCorr := analysis.CollectCorrelationsSlice(bare.Ops, cfg)
-	cachedCorr := analysis.CollectCorrelationsSlice(cached.Ops, cfg)
-	b.ResetTimer()
-	var maxFreq uint64
-	for i := 0; i < b.N; i++ {
-		for _, series := range bareCorr.TopPairs(0, 3, true) {
-			_ = bareCorr.FrequencyDistribution(0, series.Pair)
-			if f := bareCorr.MaxPairFrequency(0, series.Pair); f > maxFreq {
-				maxFreq = f
-			}
-		}
-	}
-	b.StopTimer()
-	printOnce("figure5", func() {
-		fmt.Println("\n=== Figure 5 (E9) ===")
-		report.WriteFrequencyFigure(os.Stdout, "CacheTrace", cachedCorr, 3)
-		report.WriteFrequencyFigure(os.Stdout, "BareTrace", bareCorr, 3)
-	})
-	b.ReportMetric(float64(maxFreq), "max-pair-freq-d0")
-}
-
-// BenchmarkFigure6UpdateCorrelation regenerates Figure 6: distance-based
-// update correlations (E10).
-func BenchmarkFigure6UpdateCorrelation(b *testing.B) {
-	bare, cached := sharedRuns(b)
-	cfg := analysis.CorrConfig{Op: trace.OpUpdate}
-	b.ResetTimer()
-	var cachedCorr *analysis.Correlator
-	for i := 0; i < b.N; i++ {
-		cachedCorr = analysis.CollectCorrelationsSlice(cached.Ops, cfg)
-	}
-	b.StopTimer()
-	bareCorr := analysis.CollectCorrelationsSlice(bare.Ops, cfg)
-	printOnce("figure6", func() {
-		fmt.Println("\n=== Figure 6 (E10) ===")
-		report.WriteCorrelationFigure(os.Stdout, "CacheTrace updates", cachedCorr, 3)
-		report.WriteCorrelationFigure(os.Stdout, "BareTrace updates", bareCorr, 3)
-	})
-	meta := analysis.MakeClassPair(rawdb.ClassLastFast, rawdb.ClassLastHeader)
-	b.ReportMetric(float64(cachedCorr.Counts(0, meta)), "meta-pair-d0")
-}
-
-// BenchmarkFigure7UpdateCorrFrequency regenerates Figure 7: intra-class
-// correlated-update frequency distributions (E11).
-func BenchmarkFigure7UpdateCorrFrequency(b *testing.B) {
-	bare, cached := sharedRuns(b)
-	cfg := analysis.CorrConfig{Op: trace.OpUpdate}
-	cachedCorr := analysis.CollectCorrelationsSlice(cached.Ops, cfg)
-	bareCorr := analysis.CollectCorrelationsSlice(bare.Ops, cfg)
-	tsPair := analysis.MakeClassPair(rawdb.ClassTrieNodeStorage, rawdb.ClassTrieNodeStorage)
-	b.ResetTimer()
-	var ts0 uint64
-	for i := 0; i < b.N; i++ {
-		ts0 = bareCorr.MaxPairFrequency(0, tsPair)
-		_ = bareCorr.FrequencyDistribution(0, tsPair)
-	}
-	b.StopTimer()
-	printOnce("figure7", func() {
-		fmt.Println("\n=== Figure 7 (E11) ===")
-		report.WriteFrequencyFigure(os.Stdout, "CacheTrace", cachedCorr, 3)
-		report.WriteFrequencyFigure(os.Stdout, "BareTrace", bareCorr, 3)
-	})
-	b.ReportMetric(float64(ts0), "TS-TS-max-freq-d0")
 }
 
 // BenchmarkAblationHybridStore replays the measured workload against the

@@ -1,17 +1,27 @@
-// Command ethkvlab is the one-shot reproduction driver: it collects both
-// traces over the same synthetic workload, runs every analysis of the
-// paper, and prints every table and figure plus the 11-findings checklist.
+// Command ethkvlab is the reproduction front end. With no subcommand it
+// collects both traces over the same synthetic workload, runs every analysis
+// of the paper, and prints every table and figure plus the 11-findings
+// checklist. The subcommands are the paper artifact's tools, one job each:
 //
-// Usage:
+//	ethkvlab -blocks 300 [-out artifacts]          the full report
+//	ethkvlab gen -dir traces -blocks 1000          trace files (the modified Geth client)
+//	ethkvlab opdist -trace T                       Tables II/III + Figure 3 (kvOpDistributionAnalysis.sh)
+//	ethkvlab corr -trace T -op read|update         Figures 4-7 (read/updateCorrelationAnalysis.sh)
+//	ethkvlab sizedist -backend lsm -db D           Table I + Figure 2 of gen's store (countKVSizeDistribution)
+//	ethkvlab stat -trace T                         a fast per-class summary of a trace
 //
-//	ethkvlab -blocks 300
+// `ethkvlab <subcommand> -h` lists a subcommand's flags.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"path/filepath"
+	"strings"
 	"time"
 
 	"ethkv/internal/analysis"
@@ -19,208 +29,175 @@ import (
 	"ethkv/internal/chain"
 	"ethkv/internal/lab"
 	"ethkv/internal/obs"
-	"ethkv/internal/rawdb"
 	"ethkv/internal/report"
 	"ethkv/internal/trace"
 )
 
+// A command declares its flags on fs and returns what runs once fs is
+// parsed.
+type command func(fs *flag.FlagSet) func(stdout io.Writer) error
+
+// commands maps subcommand names to commands; "" is the full report.
+var commands = map[string]command{
+	"":         reportCmd,
+	"gen":      genCmd,
+	"opdist":   opdistCmd,
+	"corr":     corrCmd,
+	"sizedist": sizedistCmd,
+	"stat":     statCmd,
+}
+
 func main() {
-	var (
-		blocks      = flag.Int("blocks", 300, "blocks per trace")
-		accounts    = flag.Int("accounts", 20000, "pre-seeded EOA population")
-		contracts   = flag.Int("contracts", 1500, "pre-seeded contract population")
-		tx          = flag.Int("tx", 150, "transactions per block")
-		seed        = flag.Int64("seed", 42, "workload RNG seed")
-		outDir      = flag.String("out", "", "also write the artifact-layout output tree to this directory")
-		workers     = flag.Int("import-workers", 0, "import pipeline fan-out (0 = ETHKV_IMPORT_WORKERS or GOMAXPROCS, 1 = sequential)")
-		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address during the run; empty disables")
-		storeFlags  = backends.RegisterFlags(flag.CommandLine, "mem")
-	)
-	flag.Lookup("backend").Usage = "storage backend for both runs: " + backends.Kinds()
-	flag.Lookup("block-cache-mb").Usage = "LSM block cache budget in MiB (0 = store default, negative disables; -backend lsm only)"
-	flag.Lookup("shards").Usage = "partition the backing store across this many child stores (1 = unsharded)"
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
-	var registry *obs.Registry
-	if *metricsAddr != "" {
-		registry = obs.NewRegistry()
-		addr, err := obs.Serve(*metricsAddr, registry)
+// run dispatches args to a subcommand (the report when args names none)
+// and writes its output to stdout.
+func run(args []string, stdout io.Writer) error {
+	name := ""
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		name, args = args[0], args[1:]
+	}
+	cmd, ok := commands[name]
+	if !ok {
+		return fmt.Errorf("unknown subcommand %q (want gen, opdist, corr, sizedist, stat, or none for the full report)", name)
+	}
+	fs := flag.NewFlagSet(strings.TrimSpace("ethkvlab "+name), flag.ContinueOnError)
+	exec := cmd(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return exec(stdout)
+}
+
+// workloadFlags are the synthetic-workload flags of the commands that
+// collect traces, over chain.DefaultWorkload.
+type workloadFlags struct {
+	blocks   int
+	workload chain.WorkloadConfig
+}
+
+func addWorkloadFlags(fs *flag.FlagSet, blocks int) *workloadFlags {
+	f := &workloadFlags{workload: chain.DefaultWorkload()}
+	w := &f.workload
+	fs.IntVar(&f.blocks, "blocks", blocks, "blocks per trace")
+	fs.IntVar(&w.Accounts, "accounts", w.Accounts, "pre-seeded EOA population")
+	fs.IntVar(&w.Contracts, "contracts", w.Contracts, "pre-seeded contract population")
+	fs.IntVar(&w.TxPerBlock, "tx", w.TxPerBlock, "transactions per block")
+	fs.Int64Var(&w.Seed, "seed", w.Seed, "workload RNG seed")
+	return f
+}
+
+// labConfig is the run the workload and store flags describe.
+func labConfig(wf *workloadFlags, sf *backends.Flags) (lab.Config, error) {
+	backend, opts, err := sf.Options()
+	return lab.Config{Blocks: wf.blocks, Workload: wf.workload, Backend: backend, Store: opts}, err
+}
+
+// traceCmd declares -trace for a single-trace analysis and returns the run
+// that hands pass the open trace and its file name.
+func traceCmd(fs *flag.FlagSet, pass func(w io.Writer, r *trace.Reader, name string) error) func(io.Writer) error {
+	path := fs.String("trace", "", "trace file to analyze (from ethkvlab gen)")
+	return func(stdout io.Writer) error {
+		if *path == "" {
+			return errors.New("-trace is required")
+		}
+		r, err := trace.OpenFile(*path)
 		if err != nil {
-			log.Fatalf("metrics server: %v", err)
+			return err
 		}
-		fmt.Printf("metrics: http://%s/metrics   pprof: http://%s/debug/pprof/\n", addr, addr)
+		defer r.Close()
+		return pass(stdout, r, filepath.Base(*path))
 	}
+}
 
-	backend, opts, err := storeFlags.Options()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if pol := opts.Policy; pol != nil {
-		fmt.Printf("policy: %d classes over %d routes from %s\n",
-			len(pol.Classes), len(pol.Routes), storeFlags.Policy)
-	}
+// reportCmd collects both traces and prints the paper's evaluation.
+func reportCmd(fs *flag.FlagSet) func(io.Writer) error {
+	wf := addWorkloadFlags(fs, 300)
+	sf := backends.RegisterFlags(fs, "mem")
+	outDir := fs.String("out", "", "also write the artifact-layout output tree to this directory")
+	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address during the run; empty disables")
+	return func(stdout io.Writer) error {
+		var registry *obs.Registry
+		if *metricsAddr != "" {
+			registry = obs.NewRegistry()
+			addr, err := obs.Serve(*metricsAddr, registry)
+			if err != nil {
+				return fmt.Errorf("metrics server: %w", err)
+			}
+			fmt.Fprintf(stdout, "metrics: http://%s/metrics   pprof: http://%s/debug/pprof/\n", addr, addr)
+		}
+		cfg, err := labConfig(wf, sf)
+		if err != nil {
+			return err
+		}
+		if pol := cfg.Store.Policy; pol != nil {
+			fmt.Fprintf(stdout, "policy: %d classes over %d routes from %s\n",
+				len(pol.Classes), len(pol.Routes), sf.Policy)
+		}
+		cfg.Metrics = registry
 
-	workload := chain.DefaultWorkload()
-	workload.Accounts = *accounts
-	workload.Contracts = *contracts
-	workload.TxPerBlock = *tx
-	workload.Seed = *seed
-
-	start := time.Now()
-	fmt.Printf("== collecting traces: %d blocks, %d EOAs, %d contracts, %d tx/block\n",
-		*blocks, *accounts, *contracts, *tx)
-	cfg := lab.Config{Blocks: *blocks, Workload: workload, ImportWorkers: *workers,
-		Backend: backend, BlockCacheBytes: opts.BlockCacheBytes, Metrics: registry,
-		Shards: opts.Shards, ShardMode: opts.ShardMode, Policy: opts.Policy,
-		CompactionWorkers: opts.CompactionWorkers}
-	bareCfg, cachedCfg := cfg, cfg
-	bareCfg.Mode, cachedCfg.Mode = lab.Bare, lab.Cached
-	bare, cached, err := lab.RunBothConfigs(bareCfg, cachedCfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("   BareTrace: %d ops   CacheTrace: %d ops   (%.1fs)\n",
-		len(bare.Ops), len(cached.Ops), time.Since(start).Seconds())
-	if backend == "lsm" {
+		start := time.Now()
+		fmt.Fprintf(stdout, "== collecting traces: %d blocks, %d EOAs, %d contracts, %d tx/block\n",
+			wf.blocks, wf.workload.Accounts, wf.workload.Contracts, wf.workload.TxPerBlock)
+		bareCfg, cachedCfg := cfg, cfg
+		bareCfg.Mode, cachedCfg.Mode = lab.Bare, lab.Cached
+		bare, cached, err := lab.RunBothConfigs(bareCfg, cachedCfg)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "   BareTrace: %d ops   CacheTrace: %d ops   (%.1fs)\n",
+			len(bare.Ops), len(cached.Ops), time.Since(start).Seconds())
 		for _, r := range []*lab.Result{bare, cached} {
 			st := r.KVStats
-			fmt.Printf("   %s lsm: block cache %d hits / %d misses (%.1f%% hit rate), bloom %d negatives / %d false positives\n",
-				r.Mode, st.BlockCacheHits, st.BlockCacheMisses, 100*st.BlockCacheHitRate(),
-				st.BloomNegatives, st.BloomFalsePositives)
+			switch cfg.Backend {
+			case "lsm":
+				fmt.Fprintf(stdout, "   %s lsm: block cache %d hits / %d misses (%.1f%% hit rate), bloom %d negatives / %d false positives\n",
+					r.Mode, st.BlockCacheHits, st.BlockCacheMisses, 100*st.BlockCacheHitRate(),
+					st.BloomNegatives, st.BloomFalsePositives)
+			case "flat":
+				fmt.Fprintf(stdout, "   %s flat: %d gets, %d positioned reads (incl. scans), %.1f MiB live / %.1f MiB dead, %d compactions\n",
+					r.Mode, st.Gets, st.PhysicalReadOps,
+					float64(st.LiveDataBytes)/(1<<20), float64(st.DeadDataBytes)/(1<<20),
+					st.CompactionCount)
+			}
 		}
-	} else if backend == "flat" {
-		for _, r := range []*lab.Result{bare, cached} {
-			st := r.KVStats
-			fmt.Printf("   %s flat: %d gets, %d positioned reads (incl. scans), %.1f MiB live / %.1f MiB dead, %d compactions\n",
-				r.Mode, st.Gets, st.PhysicalReadOps,
-				float64(st.LiveDataBytes)/(1<<20), float64(st.DeadDataBytes)/(1<<20),
-				st.CompactionCount)
+		fmt.Fprintln(stdout)
+		if registry != nil {
+			printOpLatencies(stdout, registry)
 		}
-	}
-	fmt.Println()
-	if registry != nil {
-		printOpLatencies(registry)
-	}
 
-	out := os.Stdout
-	// E1: Table I.
-	fmt.Fprintln(out, "== Table I: class inventory (CacheTrace store)")
-	report.WriteTable1(out, cached.Store)
-	fmt.Fprintln(out)
+		// One single-pass engine scan per trace feeds the op census and
+		// both correlation analyses, the report and the artifact tree.
+		in := analysis.BuildFindingsInput(cached.Ops, bare.Ops, cached.Store, bare.Store)
+		report.WritePaper(stdout, in)
 
-	// E2: Figure 2.
-	fmt.Fprintln(out, "== Figure 2: KV size distributions")
-	report.WriteFigure2(out, cached.Store, []rawdb.Class{
-		rawdb.ClassTrieNodeAccount, rawdb.ClassTrieNodeStorage,
-		rawdb.ClassSnapshotAccount, rawdb.ClassSnapshotStorage,
-	})
-	fmt.Fprintln(out)
-
-	// E3-E11 inputs: one single-pass engine scan per trace feeds the op
-	// census and both correlation analyses at once, and the two traces
-	// scan concurrently.
-	readCfg := analysis.CorrConfig{Op: trace.OpRead}
-	updCfg := analysis.CorrConfig{Op: trace.OpUpdate}
-	type scanResult struct {
-		dist *analysis.OpDist
-		read *analysis.Correlator
-		upd  *analysis.Correlator
-	}
-	scan := func(ops []trace.Op, dst *scanResult, done chan<- error) {
-		e := analysis.NewEngine(analysis.EngineConfig{})
-		hd := e.AddOpDist(nil)
-		hr := e.AddCorrelator(readCfg)
-		hu := e.AddCorrelator(updCfg)
-		if err := e.RunSlice(ops); err != nil {
-			done <- err
-			return
+		if *outDir != "" {
+			if err := lab.WriteArtifacts(filepath.Join(*outDir, "CacheTrace"),
+				in.CachedStore, in.CachedOps, in.CachedReadCorr, in.CachedUpdateCorr); err != nil {
+				return err
+			}
+			if err := lab.WriteArtifacts(filepath.Join(*outDir, "BareTrace"),
+				in.BareStore, in.BareOps, in.BareReadCorr, in.BareUpdateCorr); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "\nartifact output tree written to %s\n", *outDir)
 		}
-		dst.dist, dst.read, dst.upd = hd.Result(), hr.Result(), hu.Result()
-		done <- nil
+		fmt.Fprintf(stdout, "\ntotal runtime: %.1fs\n", time.Since(start).Seconds())
+		return nil
 	}
-	var cachedScan, bareScan scanResult
-	scanErrs := make(chan error, 2)
-	go scan(cached.Ops, &cachedScan, scanErrs)
-	go scan(bare.Ops, &bareScan, scanErrs)
-	for i := 0; i < 2; i++ {
-		if err := <-scanErrs; err != nil {
-			log.Fatal(err)
-		}
-	}
-	cachedOps, bareOps := cachedScan.dist, bareScan.dist
-
-	fmt.Fprintln(out, "== Table II: operation distribution (CacheTrace)")
-	report.WriteOpTable(out, "CacheTrace", cachedOps)
-	fmt.Fprintln(out)
-	fmt.Fprintln(out, "== Table III: operation distribution (BareTrace)")
-	report.WriteOpTable(out, "BareTrace", bareOps)
-	fmt.Fprintln(out)
-
-	// E5: Table IV.
-	fmt.Fprintln(out, "== Table IV: read ratios")
-	report.WriteTable4(out, bareOps, cachedOps, bare.Store, cached.Store)
-	fmt.Fprintln(out)
-
-	// E6: Figure 3.
-	fmt.Fprintln(out, "== Figure 3: per-key op frequency (world state)")
-	report.WriteFigure3(out, "CacheTrace", cachedOps)
-	report.WriteFigure3(out, "BareTrace", bareOps)
-	fmt.Fprintln(out)
-
-	// E7: cache/snapshot effect.
-	fmt.Fprintln(out, "== Findings 6-7: caching and snapshot acceleration effect")
-	cmp := analysis.Compare(bareOps, cachedOps, bare.Store, cached.Store)
-	report.WriteComparison(out, cmp)
-	fmt.Fprintln(out)
-
-	// E8/E9: read correlations.
-	cachedRead, bareRead := cachedScan.read, bareScan.read
-	fmt.Fprintln(out, "== Figure 4: read correlations")
-	report.WriteCorrelationFigure(out, "CacheTrace reads", cachedRead, 3)
-	report.WriteCorrelationFigure(out, "BareTrace reads", bareRead, 3)
-	fmt.Fprintln(out)
-	fmt.Fprintln(out, "== Figure 5: correlated-read frequency distributions")
-	report.WriteFrequencyFigure(out, "CacheTrace", cachedRead, 3)
-	report.WriteFrequencyFigure(out, "BareTrace", bareRead, 3)
-	fmt.Fprintln(out)
-
-	// E10/E11: update correlations.
-	cachedUpd, bareUpd := cachedScan.upd, bareScan.upd
-	fmt.Fprintln(out, "== Figure 6: update correlations")
-	report.WriteCorrelationFigure(out, "CacheTrace updates", cachedUpd, 3)
-	report.WriteCorrelationFigure(out, "BareTrace updates", bareUpd, 3)
-	fmt.Fprintln(out)
-	fmt.Fprintln(out, "== Figure 7: correlated-update frequency distributions")
-	report.WriteFrequencyFigure(out, "CacheTrace", cachedUpd, 3)
-	fmt.Fprintln(out)
-
-	// The findings checklist.
-	fmt.Fprintln(out, "== Findings checklist")
-	input := &analysis.FindingsInput{
-		CachedOps: cachedOps, BareOps: bareOps,
-		CachedStore: cached.Store, BareStore: bare.Store,
-		CachedReadCorr: cachedRead, BareReadCorr: bareRead,
-		CachedUpdateCorr: cachedUpd, BareUpdateCorr: bareUpd,
-	}
-	report.WriteFindings(out, analysis.CheckFindings(input))
-
-	if *outDir != "" {
-		if err := lab.WriteArtifacts(*outDir+"/CacheTrace", cached); err != nil {
-			log.Fatal(err)
-		}
-		if err := lab.WriteArtifacts(*outDir+"/BareTrace", bare); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nartifact output tree written to %s\n", *outDir)
-	}
-	fmt.Printf("\ntotal runtime: %.1fs\n", time.Since(start).Seconds())
 }
 
 // printOpLatencies summarizes per-op store latency percentiles for both
 // trace configurations from the shared registry.
-func printOpLatencies(registry *obs.Registry) {
+func printOpLatencies(w io.Writer, registry *obs.Registry) {
 	snap := registry.Snapshot()
-	fmt.Println("== store op latency percentiles")
+	fmt.Fprintln(w, "== store op latency percentiles")
 	for _, mode := range []string{lab.Bare.String(), lab.Cached.String()} {
 		for _, op := range []string{"get", "put", "delete", "has", "scan", "batch"} {
 			name := obs.Name("ethkv_op_latency_ns", "op", op, "trace", mode)
@@ -228,8 +205,137 @@ func printOpLatencies(registry *obs.Registry) {
 			if !ok || h.Count == 0 {
 				continue
 			}
-			fmt.Printf("   %-10s %-6s n=%-9d %s\n", mode, op, h.Count, obs.FormatQuantiles(h))
+			fmt.Fprintf(w, "   %-10s %-6s n=%-9d %s\n", mode, op, h.Count, obs.FormatQuantiles(h))
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
+}
+
+// genCmd collects CacheTrace/BareTrace files: it builds a genesis state and
+// imports synthetic blocks through the instrumented Geth-style storage
+// stack — the equivalent of running the paper's modified Geth client. A
+// persistent -backend leaves the store behind for sizedist.
+func genCmd(fs *flag.FlagSet) func(io.Writer) error {
+	wf := addWorkloadFlags(fs, 1000)
+	sf := backends.RegisterFlags(fs, "mem")
+	dir := fs.String("dir", "traces", "output directory: one <mode> subdirectory per trace")
+	mode := fs.String("mode", "both", "trace mode: bare, cached, or both")
+	return func(stdout io.Writer) error {
+		modes := map[string][]lab.Mode{
+			"bare":   {lab.Bare},
+			"cached": {lab.Cached},
+			"both":   {lab.Bare, lab.Cached},
+		}[*mode]
+		if modes == nil {
+			return fmt.Errorf("unknown -mode %q (want bare, cached, or both)", *mode)
+		}
+		cfg, err := labConfig(wf, sf)
+		if err != nil {
+			return err
+		}
+		for _, m := range modes {
+			fmt.Fprintf(stdout, "collecting %s: %d blocks, %d accounts, %d contracts...\n",
+				m, wf.blocks, wf.workload.Accounts, wf.workload.Contracts)
+			cfg.Mode, cfg.Dir = m, filepath.Join(*dir, m.String())
+			res, err := lab.Run(cfg)
+			if err != nil {
+				return fmt.Errorf("%s run failed: %w", m, err)
+			}
+			fmt.Fprintf(stdout, "  trace: %s\n", res.Path)
+			if cfg.Backend != "mem" {
+				fmt.Fprintf(stdout, "  store: %s\n", lab.StoreDir(cfg.Dir))
+			}
+			fmt.Fprintf(stdout, "  blocks=%d txs=%d frozen=%d store-pairs=%d\n",
+				res.Stats.Blocks, res.Stats.Txs, res.Stats.Frozen, res.Store.Total)
+		}
+		return nil
+	}
+}
+
+// opdistCmd prints a trace's per-class operation mix (Tables II/III) and the
+// per-key frequency summaries behind Figure 3.
+func opdistCmd(fs *flag.FlagSet) func(io.Writer) error {
+	return traceCmd(fs, func(w io.Writer, r *trace.Reader, name string) error {
+		dist, err := analysis.CollectOpDist(r, nil)
+		if err != nil {
+			return err
+		}
+		report.WriteOpTable(w, name, dist)
+		report.WriteFigure3(w, name, dist)
+		return nil
+	})
+}
+
+// corrCmd runs the distance-based correlation analysis over a trace: the
+// top class-pair correlated counts per distance (Figures 4/6) and the
+// per-key-pair frequency distributions at distances 0 and 1024 (5/7).
+func corrCmd(fs *flag.FlagSet) func(io.Writer) error {
+	op := fs.String("op", "read", "correlation stream: read or update")
+	topN := fs.Int("top", 3, "class pairs to report per panel")
+	return traceCmd(fs, func(w io.Writer, r *trace.Reader, name string) error {
+		cfg := analysis.CorrConfig{}
+		switch *op {
+		case "read":
+			cfg.Op = trace.OpRead
+		case "update":
+			cfg.Op = trace.OpUpdate
+		default:
+			return fmt.Errorf("unknown -op %q (want read or update)", *op)
+		}
+		corr, err := analysis.CollectCorrelations(r, cfg)
+		if err != nil {
+			return err
+		}
+		name += " (" + *op + ")"
+		report.WriteCorrelationFigure(w, name, corr, *topN)
+		report.WriteFrequencyFigure(w, name, corr, *topN)
+		return nil
+	})
+}
+
+// sizedistCmd censuses the store a persistent `gen` left behind and prints
+// the per-class pair counts and size distributions (Table I, Figure 2). The
+// store opens through the backend factory, so -backend (and -policy,
+// -shards) must be what gen ran with.
+func sizedistCmd(fs *flag.FlagSet) func(io.Writer) error {
+	db := fs.String("db", "", "store directory: the store: line gen printed")
+	sf := backends.RegisterFlags(fs, "lsm")
+	return func(stdout io.Writer) error {
+		if *db == "" {
+			return errors.New("-db is required")
+		}
+		// Opening a missing directory would create an empty store there.
+		if _, err := os.Stat(*db); err != nil {
+			return err
+		}
+		kind, opts, err := sf.Options()
+		if err != nil {
+			return err
+		}
+		store, err := backends.Open(kind, *db, opts)
+		if err != nil {
+			return err
+		}
+		defer store.Close()
+		dist := analysis.CollectSizeDist(store)
+		if dist.Total == 0 {
+			return fmt.Errorf("%s holds no %s store: pass the -backend gen ran with", *db, kind)
+		}
+		report.WriteTable1(stdout, dist)
+		report.WriteFigure2(stdout, dist, analysis.DefaultTrackedClasses())
+		return nil
+	}
+}
+
+// statCmd prints a fast single-pass summary of a trace: per-class op counts
+// and byte volumes, a first look before the heavier analyses.
+func statCmd(fs *flag.FlagSet) func(io.Writer) error {
+	return traceCmd(fs, func(w io.Writer, r *trace.Reader, _ string) error {
+		summary, err := trace.Summarize(r)
+		if err != nil {
+			return err
+		}
+		summary.Render(w)
+		return nil
+	})
 }

@@ -15,8 +15,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -30,31 +33,44 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	// The first signal starts the drain; a second one kills as usual.
+	context.AfterFunc(ctx, stop)
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run serves until ctx is done, then drains and closes the store.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("kvserver", flag.ContinueOnError)
 	var (
-		addr         = flag.String("addr", "127.0.0.1:9420", "address to serve the kvnet protocol on")
-		dir          = flag.String("dir", "", "working directory (default: temp)")
-		metricsAddr  = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address; empty disables")
-		workers      = flag.Int("workers", 0, "request-executing goroutines per connection (0 = default)")
-		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "max time to wait for in-flight compactions to drain on shutdown before closing anyway")
-		storeFlags   = backends.RegisterFlags(flag.CommandLine, "lsm")
+		addr         = fs.String("addr", "127.0.0.1:9420", "address to serve the kvnet protocol on")
+		dir          = fs.String("dir", "", "working directory (default: temp)")
+		metricsAddr  = fs.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address; empty disables")
+		workers      = fs.Int("workers", 0, "request-executing goroutines per connection (0 = default)")
+		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "max time to wait for in-flight compactions to drain on shutdown before closing anyway")
+		storeFlags   = backends.RegisterFlags(fs, "lsm")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	backend, opts, err := storeFlags.Options()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if pol := opts.Policy; pol != nil {
-		fmt.Printf("policy: %d classes over %d routes from %s\n",
+		fmt.Fprintf(stdout, "policy: %d classes over %d routes from %s\n",
 			len(pol.Classes), len(pol.Routes), storeFlags.Policy)
 	}
 
 	workDir := *dir
 	if workDir == "" {
-		var err error
 		workDir, err = os.MkdirTemp("", "kvserver-*")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer os.RemoveAll(workDir)
 	}
@@ -63,14 +79,14 @@ func main() {
 	if *metricsAddr != "" {
 		bound, err := obs.Serve(*metricsAddr, registry)
 		if err != nil {
-			log.Fatalf("metrics server: %v", err)
+			return fmt.Errorf("metrics server: %w", err)
 		}
-		fmt.Printf("metrics: http://%s/metrics   pprof: http://%s/debug/pprof/\n", bound, bound)
+		fmt.Fprintf(stdout, "metrics: http://%s/metrics   pprof: http://%s/debug/pprof/\n", bound, bound)
 	}
 
 	store, err := backends.Open(backend, workDir, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	store = kv.Instrument(store, registry, "store", backend)
 	defer store.Close()
@@ -81,18 +97,16 @@ func main() {
 	})
 	bound, err := srv.Listen(*addr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if opts.Shards > 1 {
-		fmt.Printf("kvserver: serving %s backend (%d %s-mode shards) on %s\n", backend, opts.Shards, opts.ShardMode, bound)
+		fmt.Fprintf(stdout, "kvserver: serving %s backend (%d %s-mode shards) on %s\n", backend, opts.Shards, opts.ShardMode, bound)
 	} else {
-		fmt.Printf("kvserver: serving %s backend on %s\n", backend, bound)
+		fmt.Fprintf(stdout, "kvserver: serving %s backend on %s\n", backend, bound)
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Println("kvserver: shutting down")
+	<-ctx.Done()
+	fmt.Fprintln(stdout, "kvserver: shutting down")
 	srv.Close()
 
 	// Drain before Close: stop scheduling new compactions and give the
@@ -105,11 +119,12 @@ func main() {
 	select {
 	case err := <-drained:
 		if err != nil {
-			fmt.Printf("kvserver: drain failed after %.2fs: %v\n", time.Since(start).Seconds(), err)
+			fmt.Fprintf(stdout, "kvserver: drain failed after %.2fs: %v\n", time.Since(start).Seconds(), err)
 		} else {
-			fmt.Printf("kvserver: drained in-flight compactions in %.2fs\n", time.Since(start).Seconds())
+			fmt.Fprintf(stdout, "kvserver: drained in-flight compactions in %.2fs\n", time.Since(start).Seconds())
 		}
 	case <-time.After(*drainTimeout):
-		fmt.Printf("kvserver: drain timed out after %s; closing with compactions still in flight\n", *drainTimeout)
+		fmt.Fprintf(stdout, "kvserver: drain timed out after %s; closing with compactions still in flight\n", *drainTimeout)
 	}
+	return nil
 }

@@ -1,0 +1,101 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"io"
+	"net/http"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+
+	"ethkv/internal/chain"
+	"ethkv/internal/lab"
+)
+
+// testTrace writes a generated BareTrace file and returns its path. It is
+// big enough (~3 MiB of writes) that the LSM flushes several tables during
+// the replay, so reads reach the block cache.
+func testTrace(t *testing.T) string {
+	t.Helper()
+	workload := chain.DefaultWorkload()
+	workload.Accounts, workload.Contracts, workload.TxPerBlock = 3000, 300, 80
+	res, err := lab.Run(lab.Config{Mode: lab.Bare, Blocks: 40, Workload: workload, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Path
+}
+
+// replay runs replaybench to completion and returns its stdout.
+func replay(t *testing.T, args ...string) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(context.Background(), append(args, "-dir", t.TempDir()), &out); err != nil {
+		t.Fatalf("replaybench %s: %v\n%s", strings.Join(args, " "), err, out.String())
+	}
+	return out.String()
+}
+
+// scrape fetches path from the diagnostics server a run announced in out.
+// The server outlives the run: it lives as long as the process.
+func scrape(t *testing.T, out, path string) string {
+	t.Helper()
+	m := regexp.MustCompile(`metrics: http://(\S+)/metrics`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no metrics address in output:\n%s", out)
+	}
+	resp, err := http.Get("http://" + m[1] + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s, %v", path, resp.Status, err)
+	}
+	return string(body)
+}
+
+// sample returns the value of one series (name plus labels) on /metrics.
+func sample(t *testing.T, metrics, series string) float64 {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(series) + ` (\S+)$`).FindStringSubmatch(metrics)
+	if m == nil {
+		t.Fatalf("no %s on /metrics", series)
+	}
+	v, err := strconv.ParseFloat(m[1], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestReplayServesMetrics: a replay with -metrics-addr exports the store's
+// per-op latency histograms on /metrics, serves the pprof index, and
+// prints the per-op percentile summary.
+func TestReplayServesMetrics(t *testing.T) {
+	out := replay(t, "-trace", testTrace(t), "-backend", "lsm", "-metrics-addr", "127.0.0.1:0")
+	if sample(t, scrape(t, out, "/metrics"), `ethkv_op_latency_ns_count{op="get",store="lsm"}`) == 0 {
+		t.Fatal("the get latency histogram recorded nothing")
+	}
+	scrape(t, out, "/debug/pprof/")
+	if !strings.Contains(out, "op latency percentiles:") {
+		t.Fatalf("no latency summary:\n%s", out)
+	}
+}
+
+// TestReplayBlockCacheBudget: -block-cache-mb reaches the LSM. A 4 MiB
+// cache serves hits, on /metrics and in the report; a negative budget
+// disables the cache, so the report has no block cache line.
+func TestReplayBlockCacheBudget(t *testing.T) {
+	path := testTrace(t)
+	on := replay(t, "-trace", path, "-block-cache-mb", "4", "-metrics-addr", "127.0.0.1:0")
+	if sample(t, scrape(t, on, "/metrics"), `ethkv_store_block_cache_hits{store="lsm"}`) == 0 {
+		t.Fatalf("the 4 MiB block cache served no hits:\n%s", on)
+	}
+	if off := replay(t, "-trace", path, "-block-cache-mb", "-1"); strings.Contains(off, "block cache:") {
+		t.Fatalf("a disabled block cache saw traffic:\n%s", off)
+	}
+}

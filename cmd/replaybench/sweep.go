@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -52,11 +53,11 @@ func cpuTime() time.Duration {
 // -serve mode, so every worker stays in the same temporal region of the
 // workload). Each point reports throughput, CPU per op, and the per-shard
 // share of point ops so skew is visible next to the scaling it costs.
-func runShardSweep(ops []trace.Op, backend, workDir string, opts backends.Options, counts []int, workers int) error {
+func runShardSweep(out io.Writer, ops []trace.Op, backend, workDir string, opts backends.Options, counts []int, workers int) error {
 	if workers < 1 {
 		workers = 1
 	}
-	fmt.Printf("shard sweep: %d ops, backend=%s, mode=%s, workers=%d, counts=%v\n",
+	fmt.Fprintf(out, "shard sweep: %d ops, backend=%s, mode=%s, workers=%d, counts=%v\n",
 		len(ops), backend, opts.ShardMode, workers, counts)
 
 	// Stripe once; the stripes are identical for every sweep point.
@@ -127,14 +128,14 @@ func runShardSweep(ops []trace.Op, backend, workDir string, opts backends.Option
 		}
 		curve = append(curve, p)
 
-		fmt.Printf("shards=%-2d  %9.0f op/s  %6.2f cpu_us/op  shard-ops=%s\n",
+		fmt.Fprintf(out, "shards=%-2d  %9.0f op/s  %6.2f cpu_us/op  shard-ops=%s\n",
 			n, p.opsPerS, p.cpuUsOp, formatShardShare(p.shardOps))
 	}
 
 	if len(curve) > 1 && curve[0].shards == 1 && curve[0].opsPerS > 0 {
-		fmt.Println("scaling vs 1 shard:")
+		fmt.Fprintln(out, "scaling vs 1 shard:")
 		for _, p := range curve[1:] {
-			fmt.Printf("  shards=%-2d  %.2fx\n", p.shards, p.opsPerS/curve[0].opsPerS)
+			fmt.Fprintf(out, "  shards=%-2d  %.2fx\n", p.shards, p.opsPerS/curve[0].opsPerS)
 		}
 	}
 	return nil

@@ -80,21 +80,13 @@ func CheckFindings(bare, cached *Result) []Finding {
 }
 
 // WriteReport renders the full report — every table and figure plus the
-// findings checklist — to w.
+// findings checklist — to w, scanning each trace once.
 func WriteReport(w io.Writer, bare, cached *Result) {
-	bareOps := analysis.CollectOpDistSlice(bare.Ops, nil)
-	cachedOps := analysis.CollectOpDistSlice(cached.Ops, nil)
-
-	report.WriteTable1(w, cached.Store)
-	report.WriteOpTable(w, "CacheTrace", cachedOps)
-	report.WriteOpTable(w, "BareTrace", bareOps)
-	report.WriteTable4(w, bareOps, cachedOps, bare.Store, cached.Store)
-	report.WriteComparison(w, analysis.Compare(bareOps, cachedOps, bare.Store, cached.Store))
-	report.WriteFindings(w, CheckFindings(bare, cached))
+	report.WritePaper(w, analysis.BuildFindingsInput(cached.Ops, bare.Ops, cached.Store, bare.Store))
 }
 
 // OpenTrace opens a trace file written by Collect with a Dir-configured
-// run or by cmd/tracegen, for streaming analysis.
+// run or by `ethkvlab gen`, for streaming analysis.
 func OpenTrace(path string) (*trace.Reader, error) {
 	return trace.OpenFile(path)
 }

@@ -28,7 +28,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	var buf bytes.Buffer
 	WriteReport(&buf, bare, cached)
 	out := buf.String()
-	for _, want := range []string{"TrieNodeStorage", "CacheTrace", "findings reproduce"} {
+	for _, want := range []string{"== Table I", "== Figure 2", "== Figure 5", "== Figure 7",
+		"TrieNodeStorage", "CacheTrace", "findings reproduce"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
 		}

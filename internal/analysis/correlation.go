@@ -431,8 +431,7 @@ func (c *Correlator) Distances() []int {
 func (c *Correlator) TrackedOps() uint64 { return c.pos }
 
 // CollectCorrelations streams a trace through a new correlator. The pass
-// runs on the parallel engine (DefaultWorkers shards; set
-// ETHKV_ANALYSIS_WORKERS to override).
+// runs on the parallel engine, sharded across GOMAXPROCS workers.
 func CollectCorrelations(r *trace.Reader, cfg CorrConfig) (*Correlator, error) {
 	e := NewEngine(EngineConfig{})
 	h := e.AddCorrelator(cfg)
@@ -443,15 +442,8 @@ func CollectCorrelations(r *trace.Reader, cfg CorrConfig) (*Correlator, error) {
 }
 
 // CollectCorrelationsSlice runs a correlation pass over in-memory ops,
-// sharded across DefaultWorkers when more than one CPU is available.
+// sharded across GOMAXPROCS workers.
 func CollectCorrelationsSlice(ops []trace.Op, cfg CorrConfig) *Correlator {
-	if DefaultWorkers() <= 1 {
-		c := NewCorrelator(cfg)
-		for _, op := range ops {
-			c.Observe(op)
-		}
-		return c
-	}
 	e := NewEngine(EngineConfig{})
 	h := e.AddCorrelator(cfg)
 	if err := e.RunSlice(ops); err != nil {

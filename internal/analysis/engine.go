@@ -21,9 +21,7 @@ package analysis
 
 import (
 	"io"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -34,7 +32,7 @@ import (
 // EngineConfig tunes a single-pass run.
 type EngineConfig struct {
 	// Workers is the shard/hash worker count per parallel collector.
-	// 0 = DefaultWorkers().
+	// 0 = GOMAXPROCS.
 	Workers int
 	// BatchSize is the fan-out granularity in ops. 0 = DefaultBatchSize.
 	BatchSize int
@@ -49,17 +47,6 @@ const tupleBatchSize = 512
 // parallelHashMin is the tracked-op count below which a batch is hashed
 // inline rather than striped across goroutines.
 const parallelHashMin = 256
-
-// DefaultWorkers returns the analysis worker count: ETHKV_ANALYSIS_WORKERS
-// when set to a positive integer, else GOMAXPROCS.
-func DefaultWorkers() int {
-	if s := os.Getenv("ETHKV_ANALYSIS_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // engineCollector is one fan-out target. process is called with batches in
 // stream order from a single goroutine; ops (and their keys) are only valid
@@ -80,7 +67,7 @@ type Engine struct {
 // NewEngine builds an empty engine.
 func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.Workers <= 0 {
-		cfg.Workers = DefaultWorkers()
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -247,12 +246,9 @@ func TestEngineFindingsEquivalence(t *testing.T) {
 }
 
 func TestCollectWrappersMatchSequential(t *testing.T) {
-	// The public Collect* entry points shard by DefaultWorkers; pin the
-	// worker count above 1 so the engine path runs even on 1-CPU machines.
-	t.Setenv("ETHKV_ANALYSIS_WORKERS", "4")
-	if DefaultWorkers() != 4 {
-		t.Fatalf("DefaultWorkers = %d with override", DefaultWorkers())
-	}
+	// The public Collect* entry points shard across GOMAXPROCS workers; pin
+	// it above 1 so the sharded path runs even on 1-CPU machines.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	ops := genOps(10000, 6)
 	requireSameOpDist(t, seqOpDist(ops, nil, 0), CollectOpDistSlice(ops, nil))
 	cfg := CorrConfig{Op: trace.OpUpdate, IncludeWrites: true}
@@ -271,16 +267,4 @@ func TestEngineEmptyAndTiny(t *testing.T) {
 		requireSameOpDist(t, seqOpDist(ops, nil, 0), hd.Result())
 		requireSameCorrelator(t, seqCorrelator(ops, CorrConfig{Op: trace.OpRead}), hc.Result())
 	}
-}
-
-func TestDefaultWorkersEnvOverride(t *testing.T) {
-	t.Setenv("ETHKV_ANALYSIS_WORKERS", "3")
-	if got := DefaultWorkers(); got != 3 {
-		t.Fatalf("DefaultWorkers = %d, want 3", got)
-	}
-	t.Setenv("ETHKV_ANALYSIS_WORKERS", "junk")
-	if got := DefaultWorkers(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("DefaultWorkers = %d, want GOMAXPROCS", got)
-	}
-	os.Unsetenv("ETHKV_ANALYSIS_WORKERS")
 }

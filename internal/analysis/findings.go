@@ -398,8 +398,8 @@ func classNames(classes []rawdb.Class) []string {
 // BuildFindingsInput assembles the checker input from in-memory traces.
 // Each trace is scanned exactly once: a single-pass engine fans the op
 // stream out to the census and both correlation passes, and the two traces
-// run concurrently. Intended for tests and examples; large runs stream
-// from trace files instead.
+// run concurrently. Its result feeds the whole paper report
+// (report.WritePaper) and the artifact tree (lab.WriteArtifacts).
 func BuildFindingsInput(cachedOps, bareOps []trace.Op,
 	cachedStore, bareStore *SizeDist) *FindingsInput {
 	readCfg := CorrConfig{Op: trace.OpRead}

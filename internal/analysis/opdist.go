@@ -126,8 +126,7 @@ func (d *OpDist) bump(freq map[string]uint32, key []byte) {
 }
 
 // CollectOpDist streams a trace reader through a new census in batched
-// reads, sharding the per-class counters across DefaultWorkers (set
-// ETHKV_ANALYSIS_WORKERS to override).
+// reads, sharding the per-class counters across GOMAXPROCS workers.
 func CollectOpDist(r *trace.Reader, trackClasses []rawdb.Class) (*OpDist, error) {
 	e := NewEngine(EngineConfig{})
 	h := e.AddOpDist(trackClasses)
@@ -138,15 +137,8 @@ func CollectOpDist(r *trace.Reader, trackClasses []rawdb.Class) (*OpDist, error)
 }
 
 // CollectOpDistSlice builds a census from in-memory ops, sharded across
-// DefaultWorkers when more than one CPU is available.
+// GOMAXPROCS workers.
 func CollectOpDistSlice(ops []trace.Op, trackClasses []rawdb.Class) *OpDist {
-	if DefaultWorkers() <= 1 {
-		d := NewOpDist(trackClasses)
-		for _, op := range ops {
-			d.Observe(op)
-		}
-		return d
-	}
 	e := NewEngine(EngineConfig{})
 	h := e.AddOpDist(trackClasses)
 	if err := e.RunSlice(ops); err != nil {

@@ -2,9 +2,7 @@ package chain
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 
 	"ethkv/internal/state"
 )
@@ -34,14 +32,9 @@ import (
 // (state.StateDB.CommitParallel), on top of the storage layer's async
 // flush/compaction.
 
-// DefaultImportWorkers returns the import pipeline's worker count:
-// ETHKV_IMPORT_WORKERS when set to a positive integer, else GOMAXPROCS.
+// DefaultImportWorkers returns the import pipeline's worker count,
+// GOMAXPROCS.
 func DefaultImportWorkers() int {
-	if s := os.Getenv("ETHKV_IMPORT_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
 	return runtime.GOMAXPROCS(0)
 }
 

@@ -119,18 +119,9 @@ func TestImportPipelinedSingleWorkerFallback(t *testing.T) {
 	}
 }
 
-// TestDefaultImportWorkers covers the knob parsing.
+// TestDefaultImportWorkers: the import width defaults to GOMAXPROCS.
 func TestDefaultImportWorkers(t *testing.T) {
-	t.Setenv("ETHKV_IMPORT_WORKERS", "3")
-	if got := DefaultImportWorkers(); got != 3 {
-		t.Fatalf("ETHKV_IMPORT_WORKERS=3 -> %d", got)
-	}
-	t.Setenv("ETHKV_IMPORT_WORKERS", "bogus")
 	if got := DefaultImportWorkers(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("bogus knob -> %d, want GOMAXPROCS", got)
-	}
-	t.Setenv("ETHKV_IMPORT_WORKERS", "")
-	if got := DefaultImportWorkers(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("unset knob -> %d, want GOMAXPROCS", got)
+		t.Fatalf("DefaultImportWorkers = %d, want GOMAXPROCS", got)
 	}
 }

@@ -28,15 +28,6 @@ type ClientOptions struct {
 	// a run of large values cannot push a frame past the server's limit.
 	// Default 1 MiB.
 	BatchMaxBytes int
-	// BatchLinger is the longest a sender waits to top up a non-full
-	// batch while at least one other frame is already in flight (the
-	// in-flight frame hides the wait). Closed-loop callers are clocked
-	// by the window itself — while it is saturated they pile into the
-	// queue and the next free slot ships them as one frame — so the
-	// default is 0 (no timer): a linger only helps open-loop workloads
-	// on pipes whose RTT dwarfs the timer. With nothing else in flight,
-	// ops ship immediately — a sequential caller never pays the linger.
-	BatchLinger time.Duration
 	// Window is the maximum number of in-flight frames per connection.
 	// Pipelining hides RTT; the coalescing sweet spot is small — each
 	// returning response releases the next, larger batch. Default 2.
@@ -590,7 +581,6 @@ func (cc *clientConn) redial() *session {
 // no timer sits on the hot path.
 func (cc *clientConn) sendLoop(sess *session, held *call) (*call, error) {
 	c := cc.client
-	o := c.opts
 	bw := newFrameWriter(sess.nc)
 	for {
 		// Session dead: hand the un-shipped op back to the supervisor.
@@ -633,59 +623,36 @@ func (cc *clientConn) sendLoop(sess *session, held *call) (*call, error) {
 			cc.ship(bw, sess, nil, first)
 			continue
 		}
-		batch := []*call{first}
-		size := pointOpSize(first)
-		var qClosed bool
-		held, batch, size, qClosed = cc.drain(batch, size)
-		// Optional linger for open-loop workloads: top the batch up as
-		// long as another frame is in flight to hide the wait.
-		if !qClosed && held == nil && o.BatchLinger > 0 &&
-			len(batch) < o.BatchMaxOps && size < o.BatchMaxBytes && len(sess.sem) > 1 {
-			timer := time.NewTimer(o.BatchLinger)
-		lingering:
-			for len(batch) < o.BatchMaxOps && size < o.BatchMaxBytes {
-				select {
-				case cl, ok := <-c.opq:
-					if !ok {
-						break lingering
-					}
-					if cl.opcode != 0 {
-						held = cl
-						break lingering
-					}
-					batch = append(batch, cl)
-					size += pointOpSize(cl)
-				case <-timer.C:
-					break lingering
-				}
-			}
-			timer.Stop()
-		}
+		var batch []*call
+		batch, held = cc.drain(first)
 		cc.ship(bw, sess, batch, nil)
 	}
 }
 
-// drain tops batch up from the queue without blocking, stopping at the
-// batch caps, a standalone call (returned as held), or queue closure.
-func (cc *clientConn) drain(batch []*call, size int) (held *call, _ []*call, _ int, qClosed bool) {
+// drain forms a batch from first plus whatever the queue holds, without
+// blocking, stopping at the batch caps, a standalone call (returned as
+// held), or queue closure.
+func (cc *clientConn) drain(first *call) (batch []*call, held *call) {
 	c := cc.client
 	o := c.opts
+	batch = []*call{first}
+	size := pointOpSize(first)
 	for len(batch) < o.BatchMaxOps && size < o.BatchMaxBytes {
 		select {
 		case cl, ok := <-c.opq:
 			if !ok {
-				return nil, batch, size, true
+				return batch, nil
 			}
 			if cl.opcode != 0 {
-				return cl, batch, size, false
+				return batch, cl
 			}
 			batch = append(batch, cl)
 			size += pointOpSize(cl)
 		default:
-			return nil, batch, size, false
+			return batch, nil
 		}
 	}
-	return nil, batch, size, false
+	return batch, nil
 }
 
 // pointOpSize estimates an op's encoded size for the byte cap.

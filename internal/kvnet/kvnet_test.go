@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"ethkv/internal/kv"
 	"ethkv/internal/kv/kvtest"
@@ -148,26 +147,6 @@ func TestCoalescingHappens(t *testing.T) {
 	}
 	if got := store.Len(); got != workers*perWorker {
 		t.Fatalf("store holds %d keys, want %d", got, workers*perWorker)
-	}
-}
-
-// TestSequentialLatencyNoLinger checks a lone sequential caller does not
-// pay the linger: 200 ops through a quiet client should complete far
-// faster than 200 × BatchLinger.
-func TestSequentialLatencyNoLinger(t *testing.T) {
-	store := kv.NewMemStore()
-	addr, _ := startServer(t, store, silentOpts())
-	c := dialT(t, addr, ClientOptions{BatchLinger: 50 * time.Millisecond})
-	defer c.Close()
-
-	start := time.Now()
-	for i := 0; i < 200; i++ {
-		if err := c.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("200 sequential ops took %v; linger is being charged to an idle pipe", elapsed)
 	}
 }
 

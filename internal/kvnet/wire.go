@@ -10,8 +10,7 @@
 // buffers aggregate up to ~1k ops into one frame, self-clocked by a
 // pipelined in-flight window: while the window is saturated, concurrent
 // callers pile into the op queue, and each freed slot ships the
-// accumulation as one frame. An optional linger timer can top batches up
-// further for open-loop workloads.
+// accumulation as one frame.
 //
 // Wire format. Every frame, in both directions, is:
 //

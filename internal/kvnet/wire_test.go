@@ -263,23 +263,29 @@ func TestClientSurfacesTruncatedResponse(t *testing.T) {
 }
 
 // TestClientRejectsShortBatchResponse has the fake server return a valid,
-// CRC-clean frame that answers only 2 of 3 coalesced ops. The client must
+// CRC-clean frame that answers only 1 of 2 coalesced ops. The client must
 // treat the count mismatch as a protocol error for the whole frame — the
 // wire-level version of the silent-scan-truncation bug PR 4 killed.
 func TestClientRejectsShortBatchResponse(t *testing.T) {
+	inFlight, release := make(chan struct{}), make(chan struct{})
 	addr := fakeServer(t, func(t *testing.T, nc net.Conn) {
-		for {
+		for first := true; ; first = false {
 			req, err := readFrame(nc, DefaultMaxFrameBytes)
 			if err != nil {
 				return
 			}
 			r := &payloadReader{b: req}
 			reqID := r.U64()
-			opcode := r.U8()
-			if opcode != opOps {
+			if r.U8() != opOps {
 				continue
 			}
 			n := r.Uvarint()
+			if first {
+				// Hold the window's only slot until the test has queued
+				// the next ops, so they ship together as one frame.
+				close(inFlight)
+				<-release
+			}
 			// Answer one fewer result than requested, all "not found".
 			resp := binary.LittleEndian.AppendUint64(nil, reqID)
 			resp = append(resp, statusOK)
@@ -294,34 +300,37 @@ func TestClientRejectsShortBatchResponse(t *testing.T) {
 			writeFrame(nc, resp)
 		}
 	})
-	// Force all three gets into one frame: saturate the window with a
-	// first op, queue the rest, then release.
-	c := dialT(t, addr, ClientOptions{Conns: 1, Window: 1, BatchLinger: 100 * time.Millisecond})
+	c := dialT(t, addr, ClientOptions{Conns: 1, Window: 1})
 	defer c.Close()
 
-	errs := make(chan error, 3)
-	for i := 0; i < 3; i++ {
-		go func(i int) {
-			_, err := c.Get([]byte(fmt.Sprintf("k%d", i)))
-			errs <- err
-		}(i)
+	calls := make([]*call, 3)
+	for i := range calls {
+		calls[i] = &call{kind: kindGet, key: []byte(fmt.Sprintf("k%d", i)), done: make(chan struct{})}
 	}
-	protoErrs := 0
-	for i := 0; i < 3; i++ {
-		err := <-errs
-		if errors.Is(err, ErrBadPayload) {
-			protoErrs++
-		} else if err == nil || errors.Is(err, kv.ErrNotFound) {
-			// Singleton frames (the ops that didn't coalesce) are
-			// answered correctly by the fake server when n==1.
-			continue
-		} else if !errors.Is(err, ErrBadPayload) && err != nil {
-			// Latched-protocol-error failures for later ops are fine.
-			continue
+	if err := c.enqueue(calls[0]); err != nil {
+		t.Fatal(err)
+	}
+	<-inFlight
+	for _, cl := range calls[1:] {
+		if err := c.enqueue(cl); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if protoErrs == 0 {
-		t.Fatal("short batch response was not surfaced as a protocol error")
+	close(release)
+	for i, cl := range calls {
+		select {
+		case <-cl.done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("op %d never completed", i)
+		}
+	}
+	if calls[0].err != nil || calls[0].found {
+		t.Fatalf("single-op frame: found=%v err=%v, want a clean miss", calls[0].found, calls[0].err)
+	}
+	for i, cl := range calls[1:] {
+		if !errors.Is(cl.err, ErrBadPayload) {
+			t.Fatalf("op %d of the short batch: %v, want ErrBadPayload", i+1, cl.err)
+		}
 	}
 }
 

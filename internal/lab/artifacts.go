@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"ethkv/internal/analysis"
-	"ethkv/internal/trace"
 )
 
 // WriteArtifacts renders the analysis outputs in the paper artifact's file
@@ -25,25 +24,23 @@ import (
 //	    <class>.txt                       "size count" rows per class
 //
 // Each size/frequency file holds "value count" rows, matching the formats
-// the artifact's analysis tools emit.
-func WriteArtifacts(dir string, res *Result) error {
-	ops := analysis.CollectOpDistSlice(res.Ops, nil)
-
+// the artifact's analysis tools emit. The inputs are one trace's store
+// census, op census, and read and update correlators, already collected.
+func WriteArtifacts(dir string, store *analysis.SizeDist, ops *analysis.OpDist, readCorr, updCorr *analysis.Correlator) error {
 	// KV size distribution: one file per class with "size count" rows.
 	sizeDir := filepath.Join(dir, "kvSizeDistribution")
 	if err := os.MkdirAll(sizeDir, 0o755); err != nil {
 		return err
 	}
-	for class, cs := range res.Store.PerClass {
+	for class := range store.PerClass {
 		var sb strings.Builder
-		for _, p := range res.Store.ValueSizeSeries(class) {
+		for _, p := range store.ValueSizeSeries(class) {
 			fmt.Fprintf(&sb, "%d %d\n", p.Size, p.Count)
 		}
 		name := filepath.Join(sizeDir, sanitize(class.String())+".txt")
 		if err := os.WriteFile(name, []byte(sb.String()), 0o644); err != nil {
 			return err
 		}
-		_ = cs
 	}
 
 	// Op distribution: per (class, op) frequency files.
@@ -74,13 +71,13 @@ func WriteArtifacts(dir string, res *Result) error {
 
 	// Correlation outputs, read and update.
 	for _, pass := range []struct {
-		sub string
-		op  trace.OpType
+		sub  string
+		corr *analysis.Correlator
 	}{
-		{"readCorrelationOutput", trace.OpRead},
-		{"updateCorrelationOutput", trace.OpUpdate},
+		{"readCorrelationOutput", readCorr},
+		{"updateCorrelationOutput", updCorr},
 	} {
-		corr := analysis.CollectCorrelationsSlice(res.Ops, analysis.CorrConfig{Op: pass.op})
+		corr := pass.corr
 		corrDir := filepath.Join(dir, pass.sub)
 		if err := os.MkdirAll(corrDir, 0o755); err != nil {
 			return err

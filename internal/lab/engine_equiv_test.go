@@ -60,7 +60,6 @@ func TestLabEngineEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := analysis.CorrConfig{Op: trace.OpRead, Distances: []int{0, 7, 100}, TrackPairsAt: []int{7}}
-	t.Setenv("ETHKV_ANALYSIS_WORKERS", "4")
 	for _, tc := range []struct {
 		mode string
 		ops  []trace.Op
@@ -72,9 +71,13 @@ func TestLabEngineEquivalence(t *testing.T) {
 			t.Fatalf("%s: empty trace", tc.mode)
 		}
 		wantD, wantC := seqAnalyze(tc.ops, cfg)
-		gotD := analysis.CollectOpDistSlice(tc.ops, nil)
-		gotC := analysis.CollectCorrelationsSlice(tc.ops, cfg)
-		requireSameAnalysis(t, tc.mode, wantD, gotD, wantC, gotC, cfg)
+		e := analysis.NewEngine(analysis.EngineConfig{Workers: 4})
+		hd := e.AddOpDist(nil)
+		hc := e.AddCorrelator(cfg)
+		if err := e.RunSlice(tc.ops); err != nil {
+			t.Fatal(err)
+		}
+		requireSameAnalysis(t, tc.mode, wantD, hd.Result(), wantC, hc.Result(), cfg)
 	}
 }
 
@@ -109,13 +112,12 @@ func TestLabEngineEquivalenceFile(t *testing.T) {
 	r.Close()
 
 	// Engine path: batched single-pass scan at 4 workers.
-	t.Setenv("ETHKV_ANALYSIS_WORKERS", "4")
 	r2, err := trace.OpenFile(res.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	e := analysis.NewEngine(analysis.EngineConfig{})
+	e := analysis.NewEngine(analysis.EngineConfig{Workers: 4})
 	hd := e.AddOpDist(nil)
 	hc := e.AddCorrelator(cfg)
 	if err := e.RunReader(r2); err != nil {

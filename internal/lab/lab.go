@@ -16,7 +16,6 @@ import (
 	"ethkv/internal/chain"
 	"ethkv/internal/kv"
 	"ethkv/internal/obs"
-	"ethkv/internal/policy"
 	"ethkv/internal/rawdb"
 	"ethkv/internal/trace"
 )
@@ -44,18 +43,21 @@ type Config struct {
 	Mode     Mode
 	Blocks   int
 	Workload chain.WorkloadConfig
-	// Dir is the working directory for the store, freezer, and trace
-	// file. Empty = in-memory store, in-memory trace.
+	// Dir is the working directory for the trace file, the freezer
+	// (Dir/ancient) and the store (StoreDir(Dir)). Empty = in-memory
+	// trace, throwaway store and freezer directories.
 	Dir string
 	// Backend selects the store behind the run by backends.Kinds name: ""
 	// or "mem" is the in-memory reference store, "lsm" the write-optimized
 	// LSM tree, "flat" the single-seek flat store, "hybrid" the
-	// policy-driven class-routed store (see Policy).
+	// policy-driven class-routed store (see backends.Options.Policy).
 	// Persistent backends are slower and used for I/O-cost experiments.
 	Backend string
-	// Policy configures the hybrid backend's routes (nil = the factory's
-	// built-in default). Ignored by other backends.
-	Policy *policy.Policy
+	// Store tunes the backend as backends.Open does: the LSM block cache,
+	// shards, the hybrid's policy, the compaction budget. None of it
+	// changes the trace or the census — only where pairs live and what the
+	// I/O costs.
+	Store backends.Options
 	// TraceBootstrap routes the genesis state build through the tracer,
 	// modelling the bulk state-download phase of snap synchronization
 	// (§II-A): the trace then opens with the write burst a snap-syncing
@@ -64,34 +66,16 @@ type Config struct {
 	TraceBootstrap bool
 	// Processor overrides the default processor configuration when set.
 	Processor *chain.ProcessorConfig
-	// ImportWorkers is the import pipeline's fan-out width. 0 defers to
-	// ETHKV_IMPORT_WORKERS / GOMAXPROCS (chain.DefaultImportWorkers); 1
-	// forces the plain sequential import loop. The emitted trace is
-	// byte-identical at every width.
+	// ImportWorkers is the import pipeline's fan-out width. 0 selects
+	// GOMAXPROCS (chain.DefaultImportWorkers); 1 forces the plain
+	// sequential import loop. The emitted trace is byte-identical at every
+	// width.
 	ImportWorkers int
-	// BlockCacheBytes sets the LSM block-cache byte budget for lsm-backend
-	// runs:
-	// 0 keeps the lsm.Options default, negative disables the cache. The
-	// cache only changes where block bytes are fetched from, so the trace
-	// and every analysis output are identical at any setting.
-	BlockCacheBytes int64
 	// Metrics, when set, instruments the backing store (per-op latency
 	// histograms, store gauges) and records post-run cache hit rates into
 	// the registry. Series carry a trace=<mode> label so the bare and
 	// cached runs of RunBothConfigs share one registry without colliding.
 	Metrics *obs.Registry
-	// Shards partitions the backing store across this many child stores of
-	// the same backend kind behind a shard.Router (0 or 1 = unsharded).
-	// Sharding changes where pairs live, never what the trace or census
-	// contains.
-	Shards int
-	// ShardMode selects the shard partition function: "hash" (default) or
-	// "class" (key-class routing; a class's range scans stay shard-local).
-	ShardMode string
-	// CompactionWorkers is the process-wide background compaction budget
-	// shared by every LSM instance of the run (0 = store default). Purely
-	// a scheduling knob: the trace and census are identical at any width.
-	CompactionWorkers int
 }
 
 // DefaultConfig returns a laptop-scale run mirroring the artifact's
@@ -125,8 +109,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 	// Backing store. A persistent run without a Dir keeps the trace in
 	// memory and puts only the store itself in a throwaway temp directory.
-	storeDir := cfg.Dir
-	if storeDir == "" && cfg.Backend != "" && cfg.Backend != "mem" {
+	var storeDir string
+	if cfg.Dir != "" {
+		storeDir = StoreDir(cfg.Dir)
+	} else if cfg.Backend != "" && cfg.Backend != "mem" {
 		tmp, err := os.MkdirTemp("", "ethkv-store-*")
 		if err != nil {
 			return nil, err
@@ -269,6 +255,11 @@ func Run(cfg Config) (*Result, error) {
 	return result, nil
 }
 
+// StoreDir is where a run with Config.Dir = dir keeps its store: a
+// subdirectory of its own, so the store's directory holds nothing else (a
+// hybrid store refuses subdirectories that are not its routes).
+func StoreDir(dir string) string { return filepath.Join(dir, "store") }
+
 // openBackend constructs the store named by backend under dir through the
 // shared internal/backends factory ("" = the in-memory reference store),
 // so every factory kind — including the policy-driven hybrid — is
@@ -278,13 +269,7 @@ func openBackend(cfg Config, dir string) (kv.Store, error) {
 	if kind == "" {
 		kind = "mem"
 	}
-	s, err := backends.Open(kind, dir, backends.Options{
-		BlockCacheBytes:   cfg.BlockCacheBytes,
-		Shards:            cfg.Shards,
-		ShardMode:         cfg.ShardMode,
-		Policy:            cfg.Policy,
-		CompactionWorkers: cfg.CompactionWorkers,
-	})
+	s, err := backends.Open(kind, dir, cfg.Store)
 	if err != nil {
 		return nil, fmt.Errorf("lab: %w", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ethkv/internal/analysis"
+	"ethkv/internal/backends"
 	"ethkv/internal/chain"
 	"ethkv/internal/rawdb"
 	"ethkv/internal/trace"
@@ -295,7 +296,10 @@ func TestWriteArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := WriteArtifacts(dir, res); err != nil {
+	ops := analysis.CollectOpDistSlice(res.Ops, nil)
+	read := analysis.CollectCorrelationsSlice(res.Ops, analysis.CorrConfig{Op: trace.OpRead})
+	upd := analysis.CollectCorrelationsSlice(res.Ops, analysis.CorrConfig{Op: trace.OpUpdate})
+	if err := WriteArtifacts(dir, res.Store, ops, read, upd); err != nil {
 		t.Fatal(err)
 	}
 	for _, sub := range []string{
@@ -381,7 +385,7 @@ func TestLSMCacheSizeInvariance(t *testing.T) {
 		t.Helper()
 		res, err := Run(Config{
 			Mode: Cached, Blocks: 5, Workload: testWorkload(),
-			Backend: "lsm", BlockCacheBytes: cacheBytes,
+			Backend: "lsm", Store: backends.Options{BlockCacheBytes: cacheBytes},
 		})
 		if err != nil {
 			t.Fatalf("cache=%d: %v", cacheBytes, err)
@@ -460,6 +464,22 @@ func TestBackendTraceAndCensusInvariance(t *testing.T) {
 		}
 		if !reflect.DeepEqual(ref.Store, other.Store) {
 			t.Fatalf("%s: store census diverged from reference", backend)
+		}
+	}
+}
+
+// TestRunHybridTwiceIntoOneDir: a second run into the same Dir reopens the
+// hybrid store the first left. The freezer and trace file sit beside the
+// store, never among the hybrid's route directories, which it refuses.
+func TestRunHybridTwiceIntoOneDir(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 2; i++ {
+		res, err := Run(Config{Mode: Cached, Blocks: 3, Workload: testWorkload(), Dir: dir, Backend: "hybrid"})
+		if err != nil {
+			t.Fatalf("run %d: %v", i+1, err)
+		}
+		if res.Store.Total == 0 {
+			t.Fatalf("run %d: empty store census", i+1)
 		}
 	}
 }

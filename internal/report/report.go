@@ -7,13 +7,65 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"ethkv/internal/analysis"
 	"ethkv/internal/kv"
 	"ethkv/internal/rawdb"
 )
+
+// WritePaper writes the paper's evaluation from one analysis of both
+// traces: Table I through Figure 7 (E1-E11 of DESIGN.md), then the
+// findings checklist.
+func WritePaper(w io.Writer, in *analysis.FindingsInput) {
+	fmt.Fprintln(w, "== Table I: class inventory (CacheTrace store)")
+	WriteTable1(w, in.CachedStore)
+	fmt.Fprintln(w)
+
+	fmt.Fprintln(w, "== Figure 2: KV size distributions")
+	WriteFigure2(w, in.CachedStore, analysis.DefaultTrackedClasses())
+	fmt.Fprintln(w)
+
+	fmt.Fprintln(w, "== Table II: operation distribution (CacheTrace)")
+	WriteOpTable(w, "CacheTrace", in.CachedOps)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "== Table III: operation distribution (BareTrace)")
+	WriteOpTable(w, "BareTrace", in.BareOps)
+	fmt.Fprintln(w)
+
+	fmt.Fprintln(w, "== Table IV: read ratios")
+	WriteTable4(w, in.BareOps, in.CachedOps, in.BareStore, in.CachedStore)
+	fmt.Fprintln(w)
+
+	fmt.Fprintln(w, "== Figure 3: per-key op frequency (world state)")
+	WriteFigure3(w, "CacheTrace", in.CachedOps)
+	WriteFigure3(w, "BareTrace", in.BareOps)
+	fmt.Fprintln(w)
+
+	fmt.Fprintln(w, "== Findings 6-7: caching and snapshot acceleration effect")
+	WriteComparison(w, analysis.Compare(in.BareOps, in.CachedOps, in.BareStore, in.CachedStore))
+	fmt.Fprintln(w)
+
+	fmt.Fprintln(w, "== Figure 4: read correlations")
+	WriteCorrelationFigure(w, "CacheTrace reads", in.CachedReadCorr, 3)
+	WriteCorrelationFigure(w, "BareTrace reads", in.BareReadCorr, 3)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "== Figure 5: correlated-read frequency distributions")
+	WriteFrequencyFigure(w, "CacheTrace", in.CachedReadCorr, 3)
+	WriteFrequencyFigure(w, "BareTrace", in.BareReadCorr, 3)
+	fmt.Fprintln(w)
+
+	fmt.Fprintln(w, "== Figure 6: update correlations")
+	WriteCorrelationFigure(w, "CacheTrace updates", in.CachedUpdateCorr, 3)
+	WriteCorrelationFigure(w, "BareTrace updates", in.BareUpdateCorr, 3)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "== Figure 7: correlated-update frequency distributions")
+	WriteFrequencyFigure(w, "CacheTrace", in.CachedUpdateCorr, 3)
+	fmt.Fprintln(w)
+
+	fmt.Fprintln(w, "== Findings checklist")
+	WriteFindings(w, analysis.CheckFindings(in))
+}
 
 // WriteCensus dumps a store's state: the per-class size census (Table I)
 // plus an order-independent digest over every key/value pair (XOR of
@@ -274,15 +326,5 @@ func sample[T any](points []T, n int) []T {
 			seen[idx] = true
 		}
 	}
-	return out
-}
-
-// SortedClasses returns classes sorted by name, for deterministic output.
-func SortedClasses(m map[rawdb.Class]struct{}) []rawdb.Class {
-	out := make([]rawdb.Class, 0, len(m))
-	for c := range m {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
 }

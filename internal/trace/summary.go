@@ -90,8 +90,13 @@ func (s *Summary) Render(w io.Writer) {
 	for c := range s.ByClass {
 		classes = append(classes, c)
 	}
+	// Busiest first; ties in class order, so the table is deterministic.
 	sort.Slice(classes, func(i, j int) bool {
-		return s.ByClass[classes[i]].Total() > s.ByClass[classes[j]].Total()
+		ti, tj := s.ByClass[classes[i]].Total(), s.ByClass[classes[j]].Total()
+		if ti != tj {
+			return ti > tj
+		}
+		return classes[i] < classes[j]
 	})
 	fmt.Fprintf(w, "%-22s %10s %10s %10s %10s %8s %12s\n",
 		"Class", "Reads", "Writes", "Updates", "Deletes", "Scans", "ValueBytes")

@@ -277,6 +277,14 @@ func TestSummaryRoundTrip(t *testing.T) {
 		!bytes.Contains(buf.Bytes(), []byte("total ops: 5")) {
 		t.Fatalf("summary rendering:\n%s", buf.String())
 	}
+	// Code and TxLookup tie at two ops: row order must not follow map order.
+	for i := 0; i < 20; i++ {
+		var again bytes.Buffer
+		s.Render(&again)
+		if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+			t.Fatalf("rendering is nondeterministic:\n%s\nvs\n%s", buf.String(), again.String())
+		}
+	}
 }
 
 func TestSummarizeFromFile(t *testing.T) {
