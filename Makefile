@@ -30,15 +30,18 @@ race:
 # the binaries (cmd/*/main_test.go, in-process on 127.0.0.1:0).
 check: build vet race crashtest determinism bench-rig bench-kernels-once
 
-# Crash-recovery fault injection: hundreds of seeded workload/crash-point
-# replays through the injectable VFS, verified against an in-memory model.
-# ETHKV_CRASHTEST_SEEDS widens the sweep; ETHKV_CRASHTEST_SEED replays one
-# failing seed.
+# Crash-recovery fault injection: internal/storetest's crash ending swept
+# over hundreds of seeds per row of its table — lsm, flat, sharded, hybrid and
+# shard->hybrid compositions on the injectable VFS, verified against the
+# workload's model (the sweeps are internal/lsm/crashtest's tests).
+# ETHKV_CRASHTEST_SEEDS widens every sweep; ETHKV_CRASHTEST_SEED replays one
+# seed of any of them.
 crashtest:
 	ETHKV_CRASHTEST_SEEDS=200 $(GO) test -race -run TestCrashRecovery ./internal/lsm/crashtest/
 
 # The suites that pin what scheduling may never change — sub-compaction and
-# worker-width byte identity, crash fingerprints, and the commit pipeline's
+# worker-width byte identity, crash fingerprints (internal/lsm/crashtest's
+# replays of storetest's crash ending), and the commit pipeline's
 # apply-order-is-log-order and barrier-watermark rules — repeated under the
 # race detector: a scheduling-dependent divergence shows up in one run of
 # twenty, not in one.

@@ -29,7 +29,7 @@ import (
 // Options tunes backend construction.
 type Options struct {
 	// BlockCacheBytes sets the LSM block-cache budget (0 = store default,
-	// negative disables; lsm/lazy/hybrid backends). With sharding, each
+	// negative disables; lsm and hybrid backends). With sharding, each
 	// shard gets the full budget.
 	BlockCacheBytes int64
 	// Shards partitions the keyspace across this many child stores of the
@@ -57,7 +57,7 @@ type Options struct {
 }
 
 // Kinds lists the recognised backend names, for usage strings.
-func Kinds() string { return "lsm, flat, mem, lazy, or hybrid" }
+func Kinds() string { return "lsm, flat, mem, or hybrid" }
 
 // Open constructs the requested store under dir. With opts.Shards > 1 the
 // store is a shard.Router over that many children of the same kind. Every
@@ -66,6 +66,16 @@ func Kinds() string { return "lsm, flat, mem, lazy, or hybrid" }
 // concurrency is budgeted process-wide rather than per instance.
 func Open(kind, dir string, opts Options) (kv.Store, error) {
 	pool := compaction.NewPool(opts.CompactionWorkers)
+	return Compose(kind, dir, opts, func(spec policy.Spec, dir string) (kv.Store, error) {
+		return openRoute(spec, dir, opts, pool)
+	})
+}
+
+// Compose builds kind under dir exactly as Open does — the shard router, a
+// hybrid's policy routes in their order and directories — but opens every
+// leaf store (the kind itself, or one policy route) with leaf. Open passes
+// the factory's own; the crash tests pass stores over injected filesystems.
+func Compose(kind, dir string, opts Options, leaf func(spec policy.Spec, dir string) (kv.Store, error)) (kv.Store, error) {
 	if opts.Shards > 1 {
 		mode, err := shard.ParseMode(opts.ShardMode)
 		if err != nil {
@@ -73,7 +83,7 @@ func Open(kind, dir string, opts Options) (kv.Store, error) {
 		}
 		children := make([]kv.Store, opts.Shards)
 		for i := range children {
-			child, err := openOne(kind, filepath.Join(dir, fmt.Sprintf("shard-%02d", i)), opts, pool)
+			child, err := openOne(kind, filepath.Join(dir, fmt.Sprintf("shard-%02d", i)), opts, leaf)
 			if err != nil {
 				for _, c := range children[:i] {
 					c.Close()
@@ -84,21 +94,21 @@ func Open(kind, dir string, opts Options) (kv.Store, error) {
 		}
 		return shard.New(children, shard.Options{Mode: mode})
 	}
-	return openOne(kind, dir, opts, pool)
+	return openOne(kind, dir, opts, leaf)
 }
 
 // openOne constructs a single (unsharded) store of the requested kind: the
-// kind as an option-less route. A single backend lives in dir/<kind> (the
-// lazy store's LSM in dir/lazy-lsm); a hybrid's routes sit directly in dir.
-func openOne(kind, dir string, opts Options, pool *compaction.Pool) (kv.Store, error) {
-	switch kind {
-	case "hybrid":
-	case "lazy":
-		dir = filepath.Join(dir, "lazy-lsm")
-	default:
-		dir = filepath.Join(dir, kind)
+// kind as an option-less route in dir/<kind>, or a hybrid whose routes sit
+// directly in dir.
+func openOne(kind, dir string, opts Options, leaf func(policy.Spec, string) (kv.Store, error)) (kv.Store, error) {
+	if kind != "hybrid" {
+		return leaf(policy.Spec{Kind: kind}, filepath.Join(dir, kind))
 	}
-	return openRoute(policy.Spec{Kind: kind}, dir, opts, pool)
+	p := opts.Policy
+	if p == nil {
+		p = DefaultHybridPolicy()
+	}
+	return openPolicyStore(dir, p, leaf)
 }
 
 // DefaultHybridPolicy is the paper's §V layout as a policy. The scan
@@ -134,7 +144,7 @@ func DefaultHybridPolicy() *policy.Policy {
 // holds the keys of a route this policy lacks (a store written under another
 // derived policy, or a default hybrid from before the hash kind was
 // removed), and opening without it would hide them from Get and scans.
-func openPolicyStore(dir string, opts Options, p *policy.Policy, pool *compaction.Pool) (kv.Store, error) {
+func openPolicyStore(dir string, p *policy.Policy, leaf func(policy.Spec, string) (kv.Store, error)) (kv.Store, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -162,7 +172,7 @@ func openPolicyStore(dir string, opts Options, p *policy.Policy, pool *compactio
 		}
 	}
 	for _, name := range names {
-		st, err := openRoute(p.Routes[name], filepath.Join(dir, name), opts, pool)
+		st, err := leaf(p.Routes[name], filepath.Join(dir, name))
 		if err != nil {
 			closeAll()
 			return nil, fmt.Errorf("route %s: %w", name, err)
@@ -186,11 +196,11 @@ func openPolicyStore(dir string, opts Options, p *policy.Policy, pool *compactio
 // openRoute opens one backend of spec.Kind at dir, applying the spec's
 // option knobs — the one place a kind name becomes a store. Unknown knobs
 // are errors so a typo in a policy file cannot silently fall back to
-// defaults. (lazy and hybrid are factory kinds only: policy.Validate rejects
-// them as route kinds, so a policy cannot nest.)
+// defaults. (hybrid is a factory kind only, composed around this: a policy
+// cannot nest.)
 func openRoute(spec policy.Spec, dir string, opts Options, pool *compaction.Pool) (kv.Store, error) {
 	switch spec.Kind {
-	case "lsm", "lazy":
+	case "lsm":
 		o := lsm.Options{
 			DisableWAL:          true,
 			MemtableBytes:       256 << 10,
@@ -220,11 +230,7 @@ func openRoute(spec policy.Spec, dir string, opts Options, pool *compaction.Pool
 				return nil, fmt.Errorf("unknown lsm option %q", k)
 			}
 		}
-		db, err := lsm.Open(dir, o)
-		if err != nil || spec.Kind == "lsm" {
-			return db, err
-		}
-		return hybrid.NewLazyStore(db), nil
+		return lsm.Open(dir, o)
 	case "flat":
 		o := flatstore.Options{}
 		for k, v := range spec.Options {
@@ -241,12 +247,6 @@ func openRoute(spec policy.Spec, dir string, opts Options, pool *compaction.Pool
 			return nil, fmt.Errorf("mem backend takes no options")
 		}
 		return kv.NewMemStore(), nil
-	case "hybrid":
-		p := opts.Policy
-		if p == nil {
-			p = DefaultHybridPolicy()
-		}
-		return openPolicyStore(dir, opts, p, pool)
 	default:
 		// Only a factory kind gets here: a policy's kinds were validated.
 		return nil, fmt.Errorf("unknown backend %q (want %s)", spec.Kind, Kinds())

@@ -1,87 +1,36 @@
-package backends
+package backends_test
 
 import (
 	"strings"
 	"testing"
 
+	"ethkv/internal/backends"
 	"ethkv/internal/kv"
-	"ethkv/internal/kv/kvtest"
 	"ethkv/internal/obs"
 	"ethkv/internal/policy"
 	"ethkv/internal/rawdb"
+	"ethkv/internal/storetest"
 )
 
-// TestHybridConformance runs the contract suite against the factory's
-// hybrid kind — including ReopenPersistence, the check that would have
-// caught the in-memory log route (log-routed classes vanishing on
-// reopen).
-func TestHybridConformance(t *testing.T) {
-	var lastDir string
-	kvtest.Run(t, func(t *testing.T) kv.Store {
-		lastDir = t.TempDir()
-		s, err := Open("hybrid", lastDir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s
-	}, kvtest.Options{
-		Reopen: func(t *testing.T, s kv.Store) kv.Store {
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			re, err := Open("hybrid", lastDir, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return re
-		},
-	})
-}
+// TestHybridConformance runs storetest's row for the factory's hybrid kind —
+// including the reopen ending, the check that would have caught the
+// in-memory log route (log-routed classes vanishing on reopen).
+func TestHybridConformance(t *testing.T)        { storetest.Run(t, "hybrid") }
+func TestPolicyHybridConformance(t *testing.T)  { storetest.Run(t, "hybrid/derived") }
+func TestShardedHybridConformance(t *testing.T) { storetest.Run(t, "shards=3/hybrid") }
 
-// testPolicy is a derived-shaped policy with every route on an ordered,
-// durable kind, exercising policy instantiation end to end.
-func testPolicy() *policy.Policy {
-	return &policy.Policy{
-		Default: "ordered",
-		Routes: map[string]policy.Spec{
-			"ordered": {Kind: "lsm"},
-			"lsm-compact": {Kind: "lsm", Options: map[string]int64{
-				"memtable_kb": 64, "l0_compaction_trigger": 2, "level_base_kb": 256,
-			}},
-			"flat": {Kind: "flat"},
-		},
-		Classes: map[string]string{
-			"TxLookup":      "lsm-compact",
-			"BlockBody":     "flat",
-			"BlockReceipts": "flat",
-			"Code":          "flat",
-		},
+// TestLazyKindRejected: the lazy kind kept its staged writes in memory, so a
+// key written and never read was gone after Close and reopen. It is not a
+// factory kind; hybrid.LazyStore stays Finding 3's in-memory ablation.
+func TestLazyKindRejected(t *testing.T) {
+	s, err := backends.Open("lazy", t.TempDir(), backends.Options{})
+	if err == nil {
+		s.Close()
+		t.Fatal(`Open("lazy") succeeded`)
 	}
-}
-
-func TestPolicyHybridConformance(t *testing.T) {
-	var lastDir string
-	open := func(t *testing.T, dir string) kv.Store {
-		s, err := Open("hybrid", dir, Options{Policy: testPolicy()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+	if !strings.Contains(err.Error(), "unknown backend") {
+		t.Fatalf(`Open("lazy") = %v, want an unknown-backend error`, err)
 	}
-	kvtest.Run(t, func(t *testing.T) kv.Store {
-		lastDir = t.TempDir()
-		s := open(t, lastDir)
-		t.Cleanup(func() { s.Close() })
-		return s
-	}, kvtest.Options{
-		Reopen: func(t *testing.T, s kv.Store) kv.Store {
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			return open(t, lastDir)
-		},
-	})
 }
 
 // TestHybridClassKeysSurviveReopen is the targeted regression for the
@@ -90,7 +39,7 @@ func TestPolicyHybridConformance(t *testing.T) {
 // like the ordered- and point-routed classes.
 func TestHybridClassKeysSurviveReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open("hybrid", dir, Options{})
+	s, err := backends.Open("hybrid", dir, backends.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +63,7 @@ func TestHybridClassKeysSurviveReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open("hybrid", dir, Options{})
+	re, err := backends.Open("hybrid", dir, backends.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +87,7 @@ func TestHybridClassKeysSurviveReopen(t *testing.T) {
 // and name the stray directory.
 func TestReopenUnderOtherRoutesRefused(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open("hybrid", dir, Options{Policy: testPolicy()})
+	s, err := backends.Open("hybrid", dir, backends.Options{Policy: storetest.DerivedPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +99,7 @@ func TestReopenUnderOtherRoutesRefused(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open("hybrid", dir, Options{Policy: DefaultHybridPolicy()})
+	re, err := backends.Open("hybrid", dir, backends.Options{Policy: backends.DefaultHybridPolicy()})
 	if err == nil {
 		_, getErr := re.Get(rawdb.TxLookupKey(h))
 		re.Close()
@@ -169,7 +118,7 @@ func TestPolicyUnknownOptionRejected(t *testing.T) {
 		},
 		Classes: map[string]string{},
 	}
-	if _, err := Open("hybrid", t.TempDir(), Options{Policy: p}); err == nil {
+	if _, err := backends.Open("hybrid", t.TempDir(), backends.Options{Policy: p}); err == nil {
 		t.Fatal("unknown lsm option accepted")
 	}
 }
@@ -178,7 +127,7 @@ func TestPolicyUnknownOptionRejected(t *testing.T) {
 // each shard is its own policy-instantiated hybrid.
 func TestShardedPolicyHybrid(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open("hybrid", dir, Options{Policy: testPolicy(), Shards: 3})
+	s, err := backends.Open("hybrid", dir, backends.Options{Policy: storetest.DerivedPolicy(), Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +141,7 @@ func TestShardedPolicyHybrid(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open("hybrid", dir, Options{Policy: testPolicy(), Shards: 3})
+	re, err := backends.Open("hybrid", dir, backends.Options{Policy: storetest.DerivedPolicy(), Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +160,7 @@ func TestShardedPolicyHybrid(t *testing.T) {
 // (shard, route) leaf — a sharded store used to register none — and what
 // they report adds up to the router's own merged counters.
 func TestShardedStoreExportsStoreMetrics(t *testing.T) {
-	raw, err := Open("hybrid", t.TempDir(), Options{Shards: 2})
+	raw, err := backends.Open("hybrid", t.TempDir(), backends.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +184,7 @@ func TestShardedStoreExportsStoreMetrics(t *testing.T) {
 	gauges := reg.Snapshot().Gauges
 	var sum float64
 	for _, shard := range []string{"00", "01"} {
-		for route := range DefaultHybridPolicy().Routes {
+		for route := range backends.DefaultHybridPolicy().Routes {
 			name := obs.Name("ethkv_store_gets", "route", route, "shard", shard, "store", "hybrid")
 			v, ok := gauges[name]
 			if !ok {

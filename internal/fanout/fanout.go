@@ -55,9 +55,11 @@ func New(kind string, names []string, children []kv.Store, pick func(key []byte)
 	return &Core{kind: kind, names: names, children: children, pick: pick, plan: plan}
 }
 
-// Len returns the number of children, Child the i-th.
-func (c *Core) Len() int             { return len(c.children) }
-func (c *Core) Child(i int) kv.Store { return c.children[i] }
+// Len returns the number of children, Child the i-th, and ChildOf the index
+// of the child owning key — the partition function.
+func (c *Core) Len() int               { return len(c.children) }
+func (c *Core) Child(i int) kv.Store   { return c.children[i] }
+func (c *Core) ChildOf(key []byte) int { return c.pick(key) }
 
 // fail names child i as the origin of err.
 func (c *Core) fail(i int, err error) error {

@@ -11,7 +11,7 @@ import (
 
 	"ethkv/internal/fanout"
 	"ethkv/internal/kv"
-	"ethkv/internal/kv/kvtest"
+	"ethkv/internal/storetest"
 )
 
 // byHash is a total, deterministic pick over n children.
@@ -40,13 +40,7 @@ func memChildren(n int) []kv.Store {
 	return out
 }
 
-func TestCoreConformance(t *testing.T) {
-	kvtest.Run(t, func(t *testing.T) kv.Store {
-		c := newCore(memChildren(3), byHash(3))
-		t.Cleanup(func() { c.Close() })
-		return c
-	}, kvtest.Options{})
-}
+func TestCoreConformance(t *testing.T) { storetest.Run(t, "fanout") }
 
 type pair struct{ key, value string }
 

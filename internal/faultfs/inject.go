@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // ErrCrashed is returned by every operation once a Plan's crash point has
@@ -34,6 +36,23 @@ func (e *FaultError) Error() string {
 func IsTransient(err error) bool {
 	var fe *FaultError
 	return errors.As(err, &fe) && fe.Transient
+}
+
+// Retry runs one I/O operation under a bounded retry-with-backoff policy:
+// a transient fault (IsTransient) is retried with doubling sleeps from
+// backoff, counted in retries, until op has been called attempts times; any
+// other error — and the transient fault that exhausts the budget — returns
+// to the caller, which treats it as permanent.
+func Retry(attempts int, backoff time.Duration, retries *atomic.Uint64, op func() error) error {
+	for attempt := 1; ; attempt++ {
+		err := op()
+		if err == nil || !IsTransient(err) || attempt >= attempts {
+			return err
+		}
+		retries.Add(1)
+		time.Sleep(backoff)
+		backoff *= 2
+	}
 }
 
 // Plan is a seeded, deterministic fault schedule. All decisions derive

@@ -326,22 +326,10 @@ func (s *Store) readFileRetrying(path string) ([]byte, error) {
 	return data, err
 }
 
-// retryIO runs one I/O operation under the bounded retry-with-backoff
-// policy: transient faults retry with doubling sleeps up to RetryAttempts;
-// any other error — or a transient fault that exhausts the budget —
-// returns to the caller, which treats it as permanent.
+// retryIO runs one I/O operation under faultfs.Retry with the store's
+// RetryAttempts/RetryBackoff, counting retries in IORetries.
 func (s *Store) retryIO(op func() error) error {
-	backoff := s.opts.RetryBackoff
-	var err error
-	for attempt := 1; ; attempt++ {
-		err = op()
-		if err == nil || !faultfs.IsTransient(err) || attempt >= s.opts.RetryAttempts {
-			return err
-		}
-		s.stats.ioRetries.Add(1)
-		time.Sleep(backoff)
-		backoff *= 2
-	}
+	return faultfs.Retry(s.opts.RetryAttempts, s.opts.RetryBackoff, &s.stats.ioRetries, op)
 }
 
 // setDegradedLocked latches read-only degraded mode after a permanent

@@ -44,13 +44,16 @@ func NewLazyStore(indexed kv.Store) *LazyStore {
 func (s *LazyStore) Put(key, value []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// A staged overwrite of a promoted key must shadow the indexed copy.
+	if err := s.indexed.Delete(key); err != nil {
+		return err
+	}
 	s.staging[string(key)] = append([]byte(nil), value...)
 	s.stats.Puts++
 	s.stats.LogicalBytesWritten += uint64(len(key) + len(value))
 	// Appending to a log costs exactly the record bytes.
 	s.stats.PhysicalBytesWrite += uint64(len(key) + len(value))
-	// A staged overwrite of a promoted key must shadow the indexed copy.
-	return s.indexed.Delete(key)
+	return nil
 }
 
 // Get reads a key, promoting staged entries into the indexed store.
@@ -98,10 +101,9 @@ func (s *LazyStore) Delete(key []byte) error {
 }
 
 // NewIterator promotes everything staged under the prefix, then scans the
-// indexed store. Staged entries surface in unspecified order relative to the
-// indexed ones; this store targets scan-free classes (Finding 4), so ordered
-// iteration is best-effort. A failed promotion leaves the pair staged — and
-// fails the scan, which would otherwise silently omit it.
+// indexed store, so the scan sees every pair in ascending key order. A failed
+// promotion leaves the pair staged — and fails the scan, which would
+// otherwise silently omit it.
 func (s *LazyStore) NewIterator(prefix, start []byte) kv.Iterator {
 	s.mu.Lock()
 	s.stats.Scans++
@@ -184,5 +186,13 @@ func (s *LazyStore) RegisterMetrics(r *obs.Registry, labels ...string) {
 // Drain winds down the indexed tier's background work (staging is memory).
 func (s *LazyStore) Drain() error { return kv.Drain(s.indexed) }
 
-// Close shuts the indexed tier.
-func (s *LazyStore) Close() error { return s.indexed.Close() }
+// Close shuts the indexed tier and drops the staging log, which lives in
+// memory: this is Finding 3's ablation, not a durable store. With nothing
+// staged, every later call reaches the closed indexed tier, which refuses it
+// with kv.ErrClosed.
+func (s *LazyStore) Close() error {
+	s.mu.Lock()
+	s.staging = nil
+	s.mu.Unlock()
+	return s.indexed.Close()
+}

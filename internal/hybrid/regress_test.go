@@ -158,82 +158,6 @@ func TestBatchSingleWALGroupCommit(t *testing.T) {
 	}
 }
 
-// TestCrashBatchAtomicity holds the crashtest contract at batch
-// granularity across the hybrid dispatcher: after a seeded mid-run crash,
-// every acknowledged hybrid batch must be fully recovered on its LSM
-// route, and the in-flight batch must be all-or-nothing. Pre-fix, batch
-// ops became buffered un-synced WAL records, so acked batches could
-// vanish — or recover partially — after power loss.
-func TestCrashBatchAtomicity(t *testing.T) {
-	crashed := false
-	for seed := int64(1); seed <= 6; seed++ {
-		mem := faultfs.NewMemFS()
-		plan := faultfs.NewPlan(seed)
-		plan.CrashAfterWrites = 10 + seed*13
-
-		db, err := lsm.Open("crashdb", lsm.Options{
-			FS:            faultfs.Inject(mem, plan),
-			MemtableBytes: 1 << 20,
-		})
-		if err != nil {
-			if plan.Crashed() || faultfs.IsTransient(err) {
-				continue // crash point landed inside Open; nothing acked
-			}
-			t.Fatalf("seed %d: open: %v", seed, err)
-		}
-		s := newRouted(t, db, kv.NewMemStore(), kv.NewMemStore())
-
-		key := func(batch, j int) []byte {
-			var h rawdb.Hash
-			h[0], h[1], h[2] = byte(batch), byte(batch>>8), byte(j)
-			return rawdb.SnapshotAccountKey(h)
-		}
-		acked, failed := 0, -1
-		for i := 0; i < 400; i++ {
-			b := s.NewBatch()
-			for j := 0; j < 3; j++ {
-				b.Put(key(i, j), []byte(fmt.Sprintf("batch-%d", i)))
-			}
-			if err := b.Write(); err != nil {
-				failed = i
-				break
-			}
-			acked++
-		}
-		plan.TripCrash()
-		s.Close() // the "dead" process's close attempts all fail
-
-		mem.Crash(plan.TornTail())
-		re, err := lsm.Open("crashdb", lsm.Options{FS: mem})
-		if err != nil {
-			t.Fatalf("seed %d: reopen after crash: %v", seed, err)
-		}
-		for i := 0; i < acked; i++ {
-			for j := 0; j < 3; j++ {
-				if ok, _ := re.Has(key(i, j)); !ok {
-					t.Fatalf("seed %d: acked batch %d lost key %d after crash", seed, i, j)
-				}
-			}
-		}
-		if failed >= 0 {
-			crashed = true
-			present := 0
-			for j := 0; j < 3; j++ {
-				if ok, _ := re.Has(key(failed, j)); ok {
-					present++
-				}
-			}
-			if present != 0 && present != 3 {
-				t.Fatalf("seed %d: in-flight batch %d recovered partially (%d/3 keys)", seed, failed, present)
-			}
-		}
-		re.Close()
-	}
-	if !crashed {
-		t.Fatal("no seed tripped a mid-run crash; the test exercised nothing")
-	}
-}
-
 // TestScanTruncatedPrefixSeesAllRoutes is the regression test for the
 // iterator routing bug: a scan prefix shorter than any class prefix (or
 // empty) classifies as Unknown, and the old code therefore scanned only

@@ -350,6 +350,9 @@ func (m *MemStore) Len() int {
 func (m *MemStore) NewIterator(prefix, start []byte) Iterator {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	if m.closed {
+		return ErrIterator(ErrClosed)
+	}
 	lower := append(append([]byte{}, prefix...), start...)
 	var keys []string
 	for k := range m.data {

@@ -1,8 +1,11 @@
-// Package kvtest provides a conformance suite for kv.Store
-// implementations. Every backend in this repository (memory, LSM, flat,
-// hybrid, lazy) runs the same contract checks, so behavioural
-// divergence between store designs — the thing the ablations measure on
-// purpose — never includes accidental semantic differences.
+// Package kvtest holds the targeted kv.Store contract checks: point ops,
+// empty values, batches, prefix scans, value isolation, concurrent readers,
+// use after Close and — for stores with durable state — corruption surfacing
+// through a scan. The model-based checks (a seeded workload verified live,
+// across a reopen and across a crash) and the table of store compositions
+// that runs both are internal/storetest, so behavioural divergence between
+// store designs — the thing the ablations measure on purpose — never
+// includes accidental semantic differences.
 package kvtest
 
 import (
@@ -19,10 +22,6 @@ import (
 
 // Options unlocks the checks that need a backend's cooperation.
 type Options struct {
-	// Reopen closes a store and reopens it on the same underlying state.
-	// Persistent backends set it to unlock the reopen-persistence check;
-	// purely in-memory backends leave it nil.
-	Reopen func(t *testing.T, s kv.Store) kv.Store
 	// CorruptScan injects corruption into the store's durable state and
 	// returns the store to scan (usually a reopen over the damaged files).
 	// Backends that set it unlock the scan-surfaces-corruption check: a
@@ -35,7 +34,7 @@ type Options struct {
 // Factory builds a fresh empty store for one subtest.
 type Factory func(t *testing.T) kv.Store
 
-// Run executes the full conformance suite against stores built by factory.
+// Run executes the contract checks against stores built by factory.
 func Run(t *testing.T, factory Factory, opts Options) {
 	t.Run("PutGetDelete", func(t *testing.T) { testPutGetDelete(t, factory) })
 	t.Run("EmptyAndAbsent", func(t *testing.T) { testEmptyAndAbsent(t, factory) })
@@ -44,13 +43,9 @@ func Run(t *testing.T, factory Factory, opts Options) {
 	t.Run("Batch", func(t *testing.T) { testBatch(t, factory) })
 	t.Run("BatchReset", func(t *testing.T) { testBatchReset(t, factory) })
 	t.Run("IteratorPrefix", func(t *testing.T) { testIteratorPrefix(t, factory) })
-	t.Run("ScanAfterMixedOps", func(t *testing.T) { testScanAfterMixedOps(t, factory) })
 	t.Run("EmptyValueRoundTrip", func(t *testing.T) { testEmptyValueRoundTrip(t, factory) })
 	t.Run("ConcurrentReaders", func(t *testing.T) { testConcurrentReaders(t, factory) })
-	t.Run("RandomizedModel", func(t *testing.T) { testRandomizedModel(t, factory) })
-	if opts.Reopen != nil {
-		t.Run("ReopenPersistence", func(t *testing.T) { testReopenPersistence(t, factory, opts) })
-	}
+	t.Run("UseAfterClose", func(t *testing.T) { testUseAfterClose(t, factory) })
 	if opts.CorruptScan != nil {
 		t.Run("CorruptScanError", func(t *testing.T) { testCorruptScanError(t, factory, opts) })
 	}
@@ -259,57 +254,6 @@ func testIteratorPrefix(t *testing.T, factory Factory) {
 	}
 }
 
-// testScanAfterMixedOps interleaves puts, overwrites, and deletes, then
-// checks a full scan returns exactly the live keys, in ascending order.
-// Deleted keys reappearing in a scan is the classic
-// tombstone-handling bug in merged iterators.
-func testScanAfterMixedOps(t *testing.T, factory Factory) {
-	s := factory(t)
-	model := map[string][]byte{}
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 600; i++ {
-		k := fmt.Sprintf("m/%03d", rng.Intn(120))
-		if rng.Intn(3) == 0 {
-			if err := s.Delete([]byte(k)); err != nil {
-				t.Fatal(err)
-			}
-			delete(model, k)
-		} else {
-			v := []byte(fmt.Sprintf("v%d", i))
-			if err := s.Put([]byte(k), v); err != nil {
-				t.Fatal(err)
-			}
-			model[k] = v
-		}
-	}
-	it := s.NewIterator([]byte("m/"), nil)
-	defer it.Release()
-	seen := map[string][]byte{}
-	var last []byte
-	for it.Next() {
-		k := append([]byte(nil), it.Key()...)
-		if last != nil && bytes.Compare(k, last) <= 0 {
-			t.Fatalf("scan not strictly ascending: %q after %q", k, last)
-		}
-		last = k
-		if _, dup := seen[string(k)]; dup {
-			t.Fatalf("scan yielded %q twice", k)
-		}
-		seen[string(k)] = append([]byte(nil), it.Value()...)
-	}
-	if err := it.Error(); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != len(model) {
-		t.Fatalf("scan saw %d keys, model has %d", len(seen), len(model))
-	}
-	for k, want := range model {
-		if got, ok := seen[k]; !ok || !bytes.Equal(got, want) {
-			t.Fatalf("scan[%q] = %q (%v), want %q", k, got, ok, want)
-		}
-	}
-}
-
 // testEmptyValueRoundTrip pins the empty-value-vs-absent-key distinction
 // through every surface: point reads, batches, and scans.
 func testEmptyValueRoundTrip(t *testing.T, factory Factory) {
@@ -408,42 +352,38 @@ func testConcurrentReaders(t *testing.T, factory Factory) {
 
 func conKey(i int) []byte { return []byte(fmt.Sprintf("c/%03d", i)) }
 
-// testReopenPersistence checks that state — including deletes and empty
-// values — survives a close/reopen cycle on persistent backends.
-func testReopenPersistence(t *testing.T, factory Factory, opts Options) {
+// testUseAfterClose: a closed store refuses every operation with
+// kv.ErrClosed — no answers served from what it still holds in memory, no
+// write that lands before failing, no scan that yields.
+func testUseAfterClose(t *testing.T, factory Factory) {
 	s := factory(t)
-	for i := 0; i < 200; i++ {
-		if err := s.Put([]byte(fmt.Sprintf("r/%03d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 200; i += 3 {
-		if err := s.Delete([]byte(fmt.Sprintf("r/%03d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Put([]byte("r/empty"), nil); err != nil {
+	if err := s.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-
-	s = opts.Reopen(t, s)
-
-	for i := 0; i < 200; i++ {
-		k := []byte(fmt.Sprintf("r/%03d", i))
-		v, err := s.Get(k)
-		if i%3 == 0 {
-			if !errors.Is(err, kv.ErrNotFound) {
-				t.Fatalf("deleted key %s resurrected after reopen: %q, %v", k, v, err)
-			}
-			continue
-		}
-		if err != nil || string(v) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("key %s lost across reopen: %q, %v", k, v, err)
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	refused := func(op string, err error) {
+		t.Helper()
+		if !errors.Is(err, kv.ErrClosed) {
+			t.Errorf("%s after Close = %v, want kv.ErrClosed", op, err)
 		}
 	}
-	if v, err := s.Get([]byte("r/empty")); err != nil || len(v) != 0 {
-		t.Fatalf("empty value across reopen = %q, %v", v, err)
+	_, err := s.Get([]byte("k"))
+	refused("Get", err)
+	_, err = s.Has([]byte("k"))
+	refused("Has", err)
+	refused("Put", s.Put([]byte("k2"), []byte("v")))
+	refused("Delete", s.Delete([]byte("k")))
+	b := s.NewBatch()
+	b.Put([]byte("k3"), []byte("v"))
+	refused("Batch.Write", b.Write())
+	it := s.NewIterator(nil, nil)
+	defer it.Release()
+	if it.Next() {
+		t.Errorf("scan after Close yielded %q", it.Key())
 	}
+	refused("NewIterator(...).Error()", it.Error())
 }
 
 // testCorruptScanError writes enough data to reach durable storage, lets the
@@ -476,43 +416,6 @@ func testCorruptScanError(t *testing.T, factory Factory, opts Options) {
 	}
 	if n >= total {
 		t.Fatalf("scan returned all %d keys from a corrupted store", n)
-	}
-}
-
-func testRandomizedModel(t *testing.T, factory Factory) {
-	s := factory(t)
-	rng := rand.New(rand.NewSource(77))
-	model := map[string][]byte{}
-	for i := 0; i < 3000; i++ {
-		k := fmt.Sprintf("key-%03d", rng.Intn(250))
-		switch rng.Intn(10) {
-		case 0, 1:
-			if err := s.Delete([]byte(k)); err != nil {
-				t.Fatal(err)
-			}
-			delete(model, k)
-		case 2:
-			v, err := s.Get([]byte(k))
-			want, present := model[k]
-			if present && (err != nil || !bytes.Equal(v, want)) {
-				t.Fatalf("Get(%s) = %q, %v; want %q", k, v, err, want)
-			}
-			if !present && !errors.Is(err, kv.ErrNotFound) {
-				t.Fatalf("Get(absent %s): %v", k, err)
-			}
-		default:
-			v := []byte(fmt.Sprintf("val-%d", i))
-			if err := s.Put([]byte(k), v); err != nil {
-				t.Fatal(err)
-			}
-			model[k] = v
-		}
-	}
-	for k, want := range model {
-		v, err := s.Get([]byte(k))
-		if err != nil || !bytes.Equal(v, want) {
-			t.Fatalf("final Get(%s) = %q, %v; want %q", k, v, err, want)
-		}
 	}
 }
 

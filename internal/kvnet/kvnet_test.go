@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"ethkv/internal/kv"
-	"ethkv/internal/kv/kvtest"
 	"ethkv/internal/lsm"
 	"ethkv/internal/obs"
 )
@@ -40,71 +39,6 @@ func dialT(t *testing.T, addr string, opts ClientOptions) *Client {
 		t.Fatalf("dial %s: %v", addr, err)
 	}
 	return c
-}
-
-// TestConformanceMemBackend runs the full kv.Store conformance suite —
-// including ConcurrentReaders and RandomizedModel — against a kvnet.Client
-// backed by a live in-process server over a MemStore. Reopen closes the
-// client and dials a fresh one: served state must survive a client
-// generation, which is the network analogue of reopen persistence.
-func TestConformanceMemBackend(t *testing.T) {
-	kvtest.Run(t, func(t *testing.T) kv.Store {
-		store := kv.NewMemStore()
-		addr, _ := startServer(t, store, silentOpts())
-		c := dialT(t, addr, ClientOptions{Conns: 2})
-		t.Cleanup(func() { c.Close() })
-		return clientWithAddr{Client: c, t: t, addr: addr}
-	}, kvtest.Options{
-		Reopen: func(t *testing.T, s kv.Store) kv.Store {
-			cw := s.(clientWithAddr)
-			if err := cw.Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
-			c := dialT(t, cw.addr, ClientOptions{})
-			t.Cleanup(func() { c.Close() })
-			return clientWithAddr{Client: c, t: t, addr: cw.addr}
-		},
-	})
-}
-
-// clientWithAddr lets the Reopen hook re-dial the same server.
-type clientWithAddr struct {
-	*Client
-	t    *testing.T
-	addr string
-}
-
-// TestConformanceLSMBackend runs the suite against a served LSM store —
-// the production pairing — with small client batches so coalescing paths
-// (not just singleton frames) are exercised by every check.
-func TestConformanceLSMBackend(t *testing.T) {
-	kvtest.Run(t, func(t *testing.T) kv.Store {
-		db, err := lsm.Open(filepath.Join(t.TempDir(), "lsm"), lsm.Options{
-			MemtableBytes:       64 << 10,
-			L0CompactionTrigger: 2,
-			LevelBaseBytes:      256 << 10,
-		})
-		if err != nil {
-			t.Fatalf("lsm: %v", err)
-		}
-		t.Cleanup(func() { db.Close() })
-		addr, _ := startServer(t, db, silentOpts())
-		c := dialT(t, addr, ClientOptions{Conns: 2, BatchMaxOps: 8, Window: 4})
-		t.Cleanup(func() { c.Close() })
-		return c
-	}, kvtest.Options{})
-}
-
-// TestConformanceUnbatched pins the batching-off configuration (one op per
-// frame) to the same contract as the coalescing one.
-func TestConformanceUnbatched(t *testing.T) {
-	kvtest.Run(t, func(t *testing.T) kv.Store {
-		store := kv.NewMemStore()
-		addr, _ := startServer(t, store, silentOpts())
-		c := dialT(t, addr, ClientOptions{BatchMaxOps: 1, Window: 16})
-		t.Cleanup(func() { c.Close() })
-		return c
-	}, kvtest.Options{})
 }
 
 // TestCoalescingHappens drives many concurrent writers through one client

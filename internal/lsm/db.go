@@ -420,23 +420,10 @@ func Open(dir string, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// retryIO runs one I/O operation under the store's bounded
-// retry-with-backoff policy: transient faults (faultfs.IsTransient) are
-// retried with doubling sleeps up to Options.RetryAttempts; any other
-// error — and the transient fault that exhausts the budget — returns to
-// the caller, which treats it as permanent.
+// retryIO runs one I/O operation under faultfs.Retry with the store's
+// Options.RetryAttempts/RetryBackoff, counting retries in IORetries.
 func (db *DB) retryIO(op func() error) error {
-	backoff := db.opts.RetryBackoff
-	var err error
-	for attempt := 1; ; attempt++ {
-		err = op()
-		if err == nil || !faultfs.IsTransient(err) || attempt >= db.opts.RetryAttempts {
-			return err
-		}
-		db.stats.ioRetries.Add(1)
-		time.Sleep(backoff)
-		backoff *= 2
-	}
+	return faultfs.Retry(db.opts.RetryAttempts, db.opts.RetryBackoff, &db.stats.ioRetries, op)
 }
 
 // setDegradedLocked latches the store into read-only degraded mode after a

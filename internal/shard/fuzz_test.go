@@ -15,7 +15,7 @@ import (
 //  1. Determinism: two router instances with the same configuration route
 //     every key to the same shard.
 //  2. Total, disjoint partition: after inserting through the router, each
-//     key is present in exactly one child — the one ShardOf names.
+//     key is present in exactly one child — the one ChildOf names.
 //  3. Merge fidelity: a merged scan returns exactly the oracle's key set —
 //     no drops, no duplicates — for full scans and for prefix scans.
 func FuzzShardRouting(f *testing.F) {
@@ -63,7 +63,7 @@ func FuzzShardRouting(f *testing.F) {
 		oracle := kv.NewMemStore()
 		defer oracle.Close()
 		for i, k := range keys {
-			sa, sb := ra.ShardOf(k), rb.ShardOf(k)
+			sa, sb := ra.ChildOf(k), rb.ChildOf(k)
 			if sa != sb {
 				t.Fatalf("routing nondeterministic for %x: %d vs %d", k, sa, sb)
 			}
@@ -81,7 +81,7 @@ func FuzzShardRouting(f *testing.F) {
 
 		// Partition check: each distinct key lives in exactly one child.
 		for _, k := range keys {
-			owner := ra.ShardOf(k)
+			owner := ra.ChildOf(k)
 			holders := 0
 			for s := 0; s < ra.Shards(); s++ {
 				ok, err := ra.Child(s).Has(k)

@@ -72,8 +72,9 @@ type Options struct {
 
 // Router implements kv.Store over N child stores by partitioning the
 // keyspace: a fanout.Core (which supplies every kv.Store method, Flush,
-// Drain, Stats, RegisterMetrics and Child) whose pick is ShardOf. All
-// methods are safe for concurrent use if the children are.
+// Drain, Stats, RegisterMetrics, Child and ChildOf — the shard owning a key)
+// whose pick is the shard function. All methods are safe for concurrent use
+// if the children are.
 type Router struct {
 	*fanout.Core
 	mode Mode
@@ -105,9 +106,6 @@ func (r *Router) Shards() int { return r.Len() }
 
 // Mode returns the partition mode.
 func (r *Router) Mode() Mode { return r.mode }
-
-// ShardOf returns the shard index owning key — the routing function.
-func (r *Router) ShardOf(key []byte) int { return shardOf(key, r.Len(), r.mode) }
 
 // ShardStats returns each child's own counters (zero for children without
 // stats) — the per-shard load distribution the scale sweep reports.

@@ -7,160 +7,35 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"ethkv/internal/backends"
 	"ethkv/internal/kv"
-	"ethkv/internal/kv/kvtest"
 	"ethkv/internal/lsm"
 	"ethkv/internal/shard"
+	"ethkv/internal/storetest"
 )
 
-// stompBytes overwrites n bytes of the file at off with 0xFF.
-func stompBytes(t *testing.T, path string, off, n int) {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off+n > len(raw) {
-		t.Fatalf("file %s too short to corrupt (%d bytes)", path, len(raw))
-	}
-	for i := 0; i < n; i++ {
-		raw[off+i] = 0xFF
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
+// TestShardRouterLSMConformance runs storetest's rows for routers over LSM
+// children built by the backends factory. Their CorruptScan damages exactly
+// ONE shard's tables: the merged iterator must latch that shard's
+// corruption, never serve the surviving shards' keys as a clean short scan.
+func TestShardRouterLSMConformance(t *testing.T) { runShardRows(t, "lsm") }
+
+// TestShardRouterFlatConformance runs the rows over flat single-seek
+// children. CorruptScan damages one shard's value log in place: the live
+// router's resident index still points at the damaged extents, so the
+// per-record crc on the read path must latch the merged iterator's error.
+func TestShardRouterFlatConformance(t *testing.T) { runShardRows(t, "flat") }
+
+func runShardRows(t *testing.T, kind string) {
+	for _, shards := range []int{1, 2, 3, 4, 5, 7} {
+		name := fmt.Sprintf("shards=%d", shards)
+		t.Run(name, func(t *testing.T) { storetest.Run(t, name+"/"+kind) })
 	}
 }
 
-// reopenRouter closes a sharded store and reopens it from the same
-// directory tree — the persistence path a sharded database restart takes.
-func reopenRouter(t *testing.T, s kv.Store, kind, dir string, shards int) kv.Store {
-	t.Helper()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := backends.Open(kind, dir, backends.Options{Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { re.Close() })
-	return re
-}
-
-// TestShardRouterLSMConformance runs the full kv.Store contract —
-// including ConcurrentReaders, RandomizedModel, ReopenPersistence, and
-// CorruptScan — against the router at shard counts 1, 2, and 7 over LSM
-// children built by the backends factory. CorruptScan damages exactly ONE
-// shard's tables: the merged iterator must latch that shard's corruption,
-// never serve the surviving shards' keys as a clean short scan.
-func TestShardRouterLSMConformance(t *testing.T) {
-	for _, shards := range []int{1, 2, 7} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			var lastDir string
-			kvtest.Run(t, func(t *testing.T) kv.Store {
-				lastDir = t.TempDir()
-				s, err := backends.Open("lsm", lastDir, backends.Options{Shards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { s.Close() })
-				return s
-			}, kvtest.Options{
-				Reopen: func(t *testing.T, s kv.Store) kv.Store {
-					return reopenRouter(t, s, "lsm", lastDir, shards)
-				},
-				CorruptScan: func(t *testing.T, s kv.Store) kv.Store {
-					// Settle the memtables into tables, then break the
-					// entry framing of one shard's first data block. The
-					// other shards stay pristine.
-					if err := s.(interface{ Flush() error }).Flush(); err != nil {
-						t.Fatal(err)
-					}
-					if err := s.Close(); err != nil {
-						t.Fatal(err)
-					}
-					glob := filepath.Join(lastDir, "lsm", "*.sst")
-					if shards > 1 {
-						glob = filepath.Join(lastDir, "shard-00", "lsm", "*.sst")
-					}
-					tables, err := filepath.Glob(glob)
-					if err != nil || len(tables) == 0 {
-						t.Fatalf("no tables to corrupt in %s (err=%v)", glob, err)
-					}
-					for _, p := range tables {
-						stompBytes(t, p, 1, 10)
-					}
-					re, err := backends.Open("lsm", lastDir, backends.Options{Shards: shards})
-					if err != nil {
-						t.Fatal(err)
-					}
-					t.Cleanup(func() { re.Close() })
-					return re
-				},
-			})
-		})
-	}
-}
-
-// TestShardRouterFlatConformance runs the same contract over flat
-// single-seek children. CorruptScan damages one shard's value log in
-// place: the live router's resident index still points at the damaged
-// extents, so the per-record crc on the lazy read path must latch the
-// merged iterator's error.
-func TestShardRouterFlatConformance(t *testing.T) {
-	for _, shards := range []int{1, 2, 7} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			var lastDir string
-			kvtest.Run(t, func(t *testing.T) kv.Store {
-				lastDir = t.TempDir()
-				s, err := backends.Open("flat", lastDir, backends.Options{Shards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { s.Close() })
-				return s
-			}, kvtest.Options{
-				Reopen: func(t *testing.T, s kv.Store) kv.Store {
-					return reopenRouter(t, s, "flat", lastDir, shards)
-				},
-				CorruptScan: func(t *testing.T, s kv.Store) kv.Store {
-					glob := filepath.Join(lastDir, "flat", "flat-*.log")
-					if shards > 1 {
-						glob = filepath.Join(lastDir, "shard-00", "flat", "flat-*.log")
-					}
-					logs, err := filepath.Glob(glob)
-					if err != nil || len(logs) == 0 {
-						t.Fatalf("no entry file to corrupt in %s (err=%v)", glob, err)
-					}
-					stompBytes(t, logs[0], 1000, 64)
-					return s
-				},
-			})
-		})
-	}
-}
-
-// TestShardRouterClassModeConformance reruns the contract in class mode.
-// The conformance keys carry no Ethereum schema, so they ride the hash
-// fallback — proving the fallback alone satisfies the full contract.
-func TestShardRouterClassModeConformance(t *testing.T) {
-	kvtest.Run(t, func(t *testing.T) kv.Store {
-		s, err := backends.Open("lsm", t.TempDir(), backends.Options{
-			Shards: 5, ShardMode: "class",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s
-	}, kvtest.Options{})
-}
+func TestShardRouterClassModeConformance(t *testing.T) { storetest.Run(t, "shards=5/class") }
 
 // applyWorkload drives a seeded mixed workload — single puts and deletes,
 // atomic batches, overwrites — against a store. The op stream depends only
@@ -291,7 +166,7 @@ func TestShardRoutingDeterministic(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				key := make([]byte, 1+rng.Intn(64))
 				rng.Read(key)
-				sa, sb := a.ShardOf(key), b.ShardOf(key)
+				sa, sb := a.ChildOf(key), b.ChildOf(key)
 				if sa != sb {
 					t.Fatalf("mode=%v n=%d: instances disagree on %x: %d vs %d", mode, n, key, sa, sb)
 				}
@@ -339,16 +214,16 @@ func TestShardClassModeColocatesClasses(t *testing.T) {
 		{"TrieNodeStorage", 'O', 65},
 		{"Code", 'c', 33},
 	} {
-		want := r.ShardOf(classKey(tc.class, 0, tc.length))
+		want := r.ChildOf(classKey(tc.class, 0, tc.length))
 		for i := 1; i < 200; i++ {
-			if got := r.ShardOf(classKey(tc.class, i, tc.length)); got != want {
+			if got := r.ChildOf(classKey(tc.class, i, tc.length)); got != want {
 				t.Fatalf("%s key %d routed to shard %d, class lives on %d", tc.name, i, got, want)
 			}
 		}
 	}
 	// And a class scan is served from one shard: insert snapshot accounts,
 	// then check only the owning child holds them.
-	owner := r.ShardOf(classKey('a', 0, 33))
+	owner := r.ChildOf(classKey('a', 0, 33))
 	for i := 0; i < 100; i++ {
 		if err := r.Put(classKey('a', i, 33), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -452,7 +327,7 @@ func TestShardBatchCommitOrdering(t *testing.T) {
 	keyFor := func(want int) []byte {
 		for i := 0; ; i++ {
 			k := []byte(fmt.Sprintf("ord/%d", i))
-			if r.ShardOf(k) == want {
+			if r.ChildOf(k) == want {
 				return k
 			}
 		}

@@ -2,7 +2,7 @@ package trie
 
 import "sync"
 
-// Parallel commit and hash: the expensive part of committing a trie is
+// Parallel commit: the expensive part of committing a trie is
 // keccak-hashing and RLP-encoding the dirty region, which is pure CPU work
 // over a proper tree — the root branch's 16 subtrees are disjoint node sets,
 // so they hash concurrently without synchronization (the same decomposition
@@ -42,20 +42,6 @@ func forEachRootSubtree(b *branchNode, workers int, fn func(idx int, child node)
 	wg.Wait()
 }
 
-// HashParallel returns the root hash, fanning the keccak work of the root
-// branch's subtrees across up to workers goroutines. workers <= 1 (or a
-// non-branch root) is exactly Hash.
-func (t *Trie) HashParallel(workers int) [32]byte {
-	b, ok := t.root.(*branchNode)
-	if workers <= 1 || !ok || b.flags.hash != nil {
-		return t.Hash()
-	}
-	forEachRootSubtree(b, workers, func(_ int, c node) {
-		cachedHash(c)
-	})
-	return t.Hash()
-}
-
 // CommitParallel is Commit with the dirty-subtree encoding fanned across up
 // to workers goroutines. Each subtree commits into a private NodeSet shard;
 // the shards merge before the root and dead-path bookkeeping run, so the
@@ -93,28 +79,4 @@ func (t *Trie) CommitParallel(workers int) (*NodeSet, [32]byte) {
 	}
 	t.dead = make(map[string]struct{})
 	return set, t.Hash()
-}
-
-// CommitHashedParallel is CommitHashed with the same subtree fan-out as
-// CommitParallel. workers <= 1 is exactly CommitHashed.
-func (t *Trie) CommitHashedParallel(workers int) (map[string][]byte, [32]byte) {
-	b, ok := t.root.(*branchNode)
-	if workers <= 1 || !ok || !b.flags.dirty {
-		return t.CommitHashed()
-	}
-	var shards [16]map[string][]byte
-	forEachRootSubtree(b, workers, func(idx int, c node) {
-		shard := make(map[string][]byte)
-		t.commitHashedNode(c, shard)
-		shards[idx] = shard
-	})
-	writes := make(map[string][]byte)
-	for _, shard := range shards {
-		for h, enc := range shard {
-			writes[h] = enc
-		}
-	}
-	t.commitHashedNode(t.root, writes)
-	t.dead = make(map[string]struct{})
-	return writes, t.Hash()
 }

@@ -102,61 +102,6 @@ func TestCommitParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestCommitHashedParallelEquivalence mirrors the path-keyed test for the
-// hash-keyed (pre-PBSS) commit used by the storage-model ablation.
-func TestCommitHashedParallelEquivalence(t *testing.T) {
-	for _, workers := range workerCounts() {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			seqTrie, _ := buildDirtyTrie(t, 13)
-			parTrie, _ := buildDirtyTrie(t, 13)
-
-			seqWrites, seqRoot := seqTrie.CommitHashed()
-			parWrites, parRoot := parTrie.CommitHashedParallel(workers)
-
-			if seqRoot != parRoot {
-				t.Fatalf("root mismatch: seq %x par %x", seqRoot, parRoot)
-			}
-			if len(seqWrites) != len(parWrites) {
-				t.Fatalf("writes: seq %d, par %d", len(seqWrites), len(parWrites))
-			}
-			for h, enc := range seqWrites {
-				got, ok := parWrites[h]
-				if !ok {
-					t.Fatalf("hash %x missing from parallel writes", h)
-				}
-				if !bytes.Equal(got, enc) {
-					t.Fatalf("hash %x encoding differs", h)
-				}
-			}
-		})
-	}
-}
-
-// TestHashParallelEquivalence: the fanned-out hash must equal the
-// sequential one on dirty tries of several shapes.
-func TestHashParallelEquivalence(t *testing.T) {
-	for _, workers := range workerCounts() {
-		seqTrie, _ := buildDirtyTrie(t, 21)
-		parTrie, _ := buildDirtyTrie(t, 21)
-		if seq, par := seqTrie.Hash(), parTrie.HashParallel(workers); seq != par {
-			t.Fatalf("workers=%d: hash mismatch %x vs %x", workers, seq, par)
-		}
-	}
-	// Degenerate shapes: empty trie and single-leaf root (non-branch root).
-	empty := NewEmpty()
-	if empty.HashParallel(4) != empty.Hash() {
-		t.Fatal("empty trie parallel hash differs")
-	}
-	leaf := NewEmpty()
-	leaf.Update([]byte("only"), []byte("one"))
-	leafSeq := NewEmpty()
-	leafSeq.Update([]byte("only"), []byte("one"))
-	if leaf.HashParallel(4) != leafSeq.Hash() {
-		t.Fatal("single-leaf parallel hash differs")
-	}
-}
-
 // TestCommitParallelThenIncremental: a trie committed in parallel must keep
 // working for further updates and commits (flags fully settled).
 func TestCommitParallelThenIncremental(t *testing.T) {
