@@ -85,7 +85,7 @@ TRACE ?= 0
 bench-repo:
 	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 10 --trace $(TRACE)
 
-# Short fuzz passes over the binary decoders.
+# Short fuzz passes over the binary decoders and the policy file parser.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeString -fuzztime=10s ./internal/rlp/
 	$(GO) test -run=NONE -fuzz=FuzzSplitList -fuzztime=10s ./internal/rlp/
@@ -98,6 +98,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzFlatEntryReplay -fuzztime=10s ./internal/flatstore/
 	$(GO) test -run=NONE -fuzz=FuzzServerRequestDecode -fuzztime=10s ./internal/kvnet/
 	$(GO) test -run=NONE -fuzz=FuzzShardRouting -fuzztime=10s ./internal/shard/
+	$(GO) test -run=NONE -fuzz=FuzzPolicyParse -fuzztime=10s ./internal/policy/
 
 vet:
 	$(GO) vet ./...

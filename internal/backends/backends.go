@@ -4,7 +4,8 @@
 // becomes replayable and servable at once. Every kind it opens scans in
 // ascending key order. The hybrid kind is policy-driven: Options.Policy (or
 // DefaultHybridPolicy, the paper's §V layout) names the routes, picks each
-// route's backend kind and tuning, and assigns classes to routes.
+// route's backend kind, and assigns classes to routes; every route opens with
+// the factory's own settings for its kind.
 package backends
 
 import (
@@ -51,8 +52,7 @@ type Options struct {
 	// and all policy routes — so `-shards 8` contends for these workers
 	// instead of spawning 8 uncoordinated sets; the pool prefers the
 	// instance with the highest compaction debt. It is also each
-	// instance's own concurrency cap (a policy route can lower its cap
-	// with the compaction_workers option).
+	// instance's own concurrency cap.
 	CompactionWorkers int
 }
 
@@ -66,8 +66,8 @@ func Kinds() string { return "lsm, flat, mem, or hybrid" }
 // concurrency is budgeted process-wide rather than per instance.
 func Open(kind, dir string, opts Options) (kv.Store, error) {
 	pool := compaction.NewPool(opts.CompactionWorkers)
-	return Compose(kind, dir, opts, func(spec policy.Spec, dir string) (kv.Store, error) {
-		return openRoute(spec, dir, opts, pool)
+	return Compose(kind, dir, opts, func(kind, dir string) (kv.Store, error) {
+		return openRoute(kind, dir, opts, pool)
 	})
 }
 
@@ -75,7 +75,7 @@ func Open(kind, dir string, opts Options) (kv.Store, error) {
 // hybrid's policy routes in their order and directories — but opens every
 // leaf store (the kind itself, or one policy route) with leaf. Open passes
 // the factory's own; the crash tests pass stores over injected filesystems.
-func Compose(kind, dir string, opts Options, leaf func(spec policy.Spec, dir string) (kv.Store, error)) (kv.Store, error) {
+func Compose(kind, dir string, opts Options, leaf func(kind, dir string) (kv.Store, error)) (kv.Store, error) {
 	if opts.Shards > 1 {
 		mode, err := shard.ParseMode(opts.ShardMode)
 		if err != nil {
@@ -98,11 +98,10 @@ func Compose(kind, dir string, opts Options, leaf func(spec policy.Spec, dir str
 }
 
 // openOne constructs a single (unsharded) store of the requested kind: the
-// kind as an option-less route in dir/<kind>, or a hybrid whose routes sit
-// directly in dir.
-func openOne(kind, dir string, opts Options, leaf func(policy.Spec, string) (kv.Store, error)) (kv.Store, error) {
+// kind as a leaf in dir/<kind>, or a hybrid whose routes sit directly in dir.
+func openOne(kind, dir string, opts Options, leaf func(kind, dir string) (kv.Store, error)) (kv.Store, error) {
 	if kind != "hybrid" {
-		return leaf(policy.Spec{Kind: kind}, filepath.Join(dir, kind))
+		return leaf(kind, filepath.Join(dir, kind))
 	}
 	p := opts.Policy
 	if p == nil {
@@ -144,7 +143,7 @@ func DefaultHybridPolicy() *policy.Policy {
 // holds the keys of a route this policy lacks (a store written under another
 // derived policy, or a default hybrid from before the hash kind was
 // removed), and opening without it would hide them from Get and scans.
-func openPolicyStore(dir string, p *policy.Policy, leaf func(policy.Spec, string) (kv.Store, error)) (kv.Store, error) {
+func openPolicyStore(dir string, p *policy.Policy, leaf func(kind, dir string) (kv.Store, error)) (kv.Store, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -172,7 +171,7 @@ func openPolicyStore(dir string, p *policy.Policy, leaf func(policy.Spec, string
 		}
 	}
 	for _, name := range names {
-		st, err := leaf(p.Routes[name], filepath.Join(dir, name))
+		st, err := leaf(p.Routes[name].Kind, filepath.Join(dir, name))
 		if err != nil {
 			closeAll()
 			return nil, fmt.Errorf("route %s: %w", name, err)
@@ -193,15 +192,13 @@ func openPolicyStore(dir string, p *policy.Policy, leaf func(policy.Spec, string
 	return s, nil
 }
 
-// openRoute opens one backend of spec.Kind at dir, applying the spec's
-// option knobs — the one place a kind name becomes a store. Unknown knobs
-// are errors so a typo in a policy file cannot silently fall back to
-// defaults. (hybrid is a factory kind only, composed around this: a policy
-// cannot nest.)
-func openRoute(spec policy.Spec, dir string, opts Options, pool *compaction.Pool) (kv.Store, error) {
-	switch spec.Kind {
+// openRoute opens one backend of kind at dir — the one place a kind name
+// becomes a store. (hybrid is a factory kind only, composed around this: a
+// policy cannot nest.)
+func openRoute(kind, dir string, opts Options, pool *compaction.Pool) (kv.Store, error) {
+	switch kind {
 	case "lsm":
-		o := lsm.Options{
+		return lsm.Open(dir, lsm.Options{
 			DisableWAL:          true,
 			MemtableBytes:       256 << 10,
 			L0CompactionTrigger: 4,
@@ -209,46 +206,13 @@ func openRoute(spec policy.Spec, dir string, opts Options, pool *compaction.Pool
 			BlockCacheBytes:     opts.BlockCacheBytes,
 			CompactionWorkers:   opts.CompactionWorkers,
 			Pool:                pool,
-		}
-		for k, v := range spec.Options {
-			switch k {
-			case "memtable_kb":
-				o.MemtableBytes = int(v) << 10
-			case "l0_compaction_trigger":
-				o.L0CompactionTrigger = int(v)
-			case "level_base_kb":
-				o.LevelBaseBytes = v << 10
-			case "block_cache_mb":
-				o.BlockCacheBytes = v << 20
-			case "compaction_table_kb":
-				o.CompactionTableBytes = int(v) << 10
-			case "compaction_workers":
-				// Per-route cap on concurrent compactions; the shared
-				// pool still bounds the process-wide total.
-				o.CompactionWorkers = int(v)
-			default:
-				return nil, fmt.Errorf("unknown lsm option %q", k)
-			}
-		}
-		return lsm.Open(dir, o)
+		})
 	case "flat":
-		o := flatstore.Options{}
-		for k, v := range spec.Options {
-			switch k {
-			case "compact_after_dead_kb":
-				o.CompactAfterDeadBytes = v << 10
-			default:
-				return nil, fmt.Errorf("unknown flat option %q", k)
-			}
-		}
-		return flatstore.Open(dir, o)
+		return flatstore.Open(dir, flatstore.Options{})
 	case "mem":
-		if len(spec.Options) != 0 {
-			return nil, fmt.Errorf("mem backend takes no options")
-		}
 		return kv.NewMemStore(), nil
 	default:
 		// Only a factory kind gets here: a policy's kinds were validated.
-		return nil, fmt.Errorf("unknown backend %q (want %s)", spec.Kind, Kinds())
+		return nil, fmt.Errorf("unknown backend %q (want %s)", kind, Kinds())
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"ethkv/internal/backends"
 	"ethkv/internal/kv"
 	"ethkv/internal/obs"
-	"ethkv/internal/policy"
 	"ethkv/internal/rawdb"
 	"ethkv/internal/storetest"
 )
@@ -93,7 +92,7 @@ func TestReopenUnderOtherRoutesRefused(t *testing.T) {
 	}
 	var h rawdb.Hash
 	h[0] = 9
-	if err := s.Put(rawdb.TxLookupKey(h), []byte("v")); err != nil { // the lsm-compact route
+	if err := s.Put(rawdb.TxLookupKey(h), []byte("v")); err != nil { // the lookup route
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -103,23 +102,10 @@ func TestReopenUnderOtherRoutesRefused(t *testing.T) {
 	if err == nil {
 		_, getErr := re.Get(rawdb.TxLookupKey(h))
 		re.Close()
-		t.Fatalf("reopen under a policy without route lsm-compact succeeded (Get: %v)", getErr)
+		t.Fatalf("reopen under a policy without route lookup succeeded (Get: %v)", getErr)
 	}
-	if !strings.Contains(err.Error(), "lsm-compact") {
-		t.Fatalf("reopen error %q does not name the stray directory lsm-compact", err)
-	}
-}
-
-func TestPolicyUnknownOptionRejected(t *testing.T) {
-	p := &policy.Policy{
-		Default: "o",
-		Routes: map[string]policy.Spec{
-			"o": {Kind: "lsm", Options: map[string]int64{"memtable_gb": 1}},
-		},
-		Classes: map[string]string{},
-	}
-	if _, err := backends.Open("hybrid", t.TempDir(), backends.Options{Policy: p}); err == nil {
-		t.Fatal("unknown lsm option accepted")
+	if !strings.Contains(err.Error(), "lookup") {
+		t.Fatalf("reopen error %q does not name the stray directory lookup", err)
 	}
 }
 

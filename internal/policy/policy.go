@@ -1,14 +1,15 @@
 // Package policy closes the loop from workload census to storage layout
 // (ROADMAP item 5): it models a per-class storage policy — which backend
-// kind serves each of the paper's key classes, with what per-backend
-// options — and derives one automatically from a traced workload using the
-// same per-class measures the paper's tables report (read ratio, delete
-// ratio, scan share, value size).
+// kind serves each of the paper's key classes — and derives one
+// automatically from a traced workload using the same per-class measures
+// the paper's tables report (read ratio, delete ratio, scan share, write
+// share).
 //
-// A policy names a set of routes (backend kind + options), assigns classes
+// A policy names a set of routes (one backend kind each), assigns classes
 // to routes, and picks a default route for unrouted and unknown-class
 // keys. internal/backends instantiates it as a hybrid.Store with one
-// physical backend per route.
+// physical backend per route, opened with the factory's own settings: a
+// route carries no tuning.
 //
 // The serialized form is JSON plus '//' comment lines (stripped on load);
 // Derive records its per-class rationale so the emitted file documents why
@@ -27,22 +28,16 @@ import (
 	"ethkv/internal/trace"
 )
 
-// Kinds a route may use; the same names internal/backends accepts for
-// single-backend stores.
-var validKinds = map[string]bool{
-	"lsm": true, "flat": true, "mem": true,
-}
+// Kinds a route may use: the durable, ordered kinds internal/backends
+// accepts for single-backend stores. The factory's mem kind is not one — a
+// route of it inside a directory-backed hybrid would drop its classes at
+// Close.
+var validKinds = map[string]bool{"lsm": true, "flat": true}
 
 // Spec configures one route's physical backend.
 type Spec struct {
-	// Kind is the backend kind: lsm, flat, or mem.
+	// Kind is the backend kind: lsm or flat.
 	Kind string `json:"kind"`
-	// Options are integer tuning knobs applied by internal/backends.
-	// lsm: memtable_kb, l0_compaction_trigger, level_base_kb,
-	// block_cache_mb, compaction_table_kb, compaction_workers (per-route
-	// cap on concurrent compactions; the process-wide worker pool still
-	// bounds the total). flat: compact_after_dead_kb.
-	Options map[string]int64 `json:"options,omitempty"`
 }
 
 // Policy is a per-class storage policy.
@@ -74,10 +69,10 @@ func (p *Policy) Validate() error {
 	}
 	for name, spec := range p.Routes {
 		if !routeNameOK(name) {
-			return fmt.Errorf("policy: route name %q (must be [A-Za-z0-9._-]+)", name)
+			return fmt.Errorf("policy: route name %q (must be [A-Za-z0-9._-]+, not . or ..)", name)
 		}
 		if !validKinds[spec.Kind] {
-			return fmt.Errorf("policy: route %q has unknown kind %q", name, spec.Kind)
+			return fmt.Errorf("policy: route %q has unknown kind %q (want lsm or flat)", name, spec.Kind)
 		}
 	}
 	for class, route := range p.Classes {
@@ -91,8 +86,11 @@ func (p *Policy) Validate() error {
 	return nil
 }
 
+// routeNameOK reports whether name is a single path element naming a child
+// of the store directory: "." and ".." would name the directory itself and
+// its parent.
 func routeNameOK(name string) bool {
-	if name == "" {
+	if name == "" || name == "." || name == ".." {
 		return false
 	}
 	for _, r := range name {
@@ -123,7 +121,7 @@ func (p *Policy) Routing() map[rawdb.Class]string {
 // rationale. Classes appear in Table I order, routes alphabetically.
 func (p *Policy) Encode() []byte {
 	var b bytes.Buffer
-	b.WriteString("// ethkv storage policy: class -> route -> backend kind + options.\n")
+	b.WriteString("// ethkv storage policy: class -> route -> backend kind.\n")
 	b.WriteString("// Lines starting with // are comments and are stripped on load.\n")
 	b.WriteString("{\n")
 	fmt.Fprintf(&b, "  \"default\": %q,\n", p.Default)
@@ -135,7 +133,7 @@ func (p *Policy) Encode() []byte {
 	}
 	sort.Strings(routeNames)
 	for i, name := range routeNames {
-		spec, _ := json.Marshal(p.Routes[name]) // sorts option keys
+		spec, _ := json.Marshal(p.Routes[name])
 		comma := ","
 		if i == len(routeNames)-1 {
 			comma = ""
@@ -223,21 +221,11 @@ func Load(path string) (*Policy, error) {
 // ClassCensus aggregates one class's traced operations.
 type ClassCensus struct {
 	Reads, Writes, Updates, Deletes, Scans uint64
-	ValueBytes                             uint64 // over reads+writes+updates
-	ValueOps                               uint64 // ops contributing to ValueBytes
 }
 
 // Total returns the class's store-level op count.
 func (c *ClassCensus) Total() uint64 {
 	return c.Reads + c.Writes + c.Updates + c.Deletes + c.Scans
-}
-
-// AvgValue returns the mean value size in bytes (0 with no sized ops).
-func (c *ClassCensus) AvgValue() uint64 {
-	if c.ValueOps == 0 {
-		return 0
-	}
-	return c.ValueBytes / c.ValueOps
 }
 
 // Census is the per-class workload summary Derive consumes.
@@ -260,16 +248,10 @@ func CollectCensus(ops []trace.Op) Census {
 		switch op.Type {
 		case trace.OpRead:
 			cc.Reads++
-			cc.ValueBytes += uint64(op.ValueSize)
-			cc.ValueOps++
 		case trace.OpWrite:
 			cc.Writes++
-			cc.ValueBytes += uint64(op.ValueSize)
-			cc.ValueOps++
 		case trace.OpUpdate:
 			cc.Updates++
-			cc.ValueBytes += uint64(op.ValueSize)
-			cc.ValueOps++
 		case trace.OpDelete:
 			cc.Deletes++
 		case trace.OpScan:
@@ -279,8 +261,7 @@ func CollectCensus(ops []trace.Op) Census {
 	return census
 }
 
-// Derivation thresholds (documented in DESIGN.md §16). Rules apply in
-// order; the first match wins.
+// Derivation thresholds (documented in DESIGN.md §16).
 const (
 	// DeleteHeavyRatio: deletes/total at or above this mark a class
 	// tombstone-heavy (TxLookup-style lifecycle churn).
@@ -291,59 +272,31 @@ const (
 	// WriteOnceRatio: (writes+updates)/total at or above this mark a class
 	// write-once/write-mostly.
 	WriteOnceRatio = 0.95
-	// SmallValueBytes splits read-hot classes between the block-cache LSM
-	// (small values, cache-friendly) and the single-seek flat store.
-	SmallValueBytes = 512
-	// UpdateChurnRatio: updates/total at or above this mark a read-hot
-	// class rewrite-heavy. Every rewrite invalidates the LSM block holding
-	// the old version and feeds compaction, so churny classes read better
-	// from the flat store, where a rewrite is one append and reads stay
-	// single-seek.
-	UpdateChurnRatio = 0.25
 )
 
 // Route names Derive emits.
 const (
-	routeOrdered    = "ordered"     // plain LSM: scans and leftovers
-	routeLSMCompact = "lsm-compact" // compaction-aggressive LSM
-	routeLSMCache   = "lsm-cache"   // big-block-cache LSM
-	routeFlat       = "flat"        // single-seek flat store
+	routeOrdered = "ordered" // LSM: scans and leftovers
+	routeFlat    = "flat"    // single-seek flat store
 )
 
 // Derive builds a policy from a census using the paper's per-class
-// measures. Rules, first match wins:
+// measures — the two-store layout of the paper's §V. Rules, first match
+// wins:
 //
 //  1. Any scans -> ordered LSM (scans need key order, Finding 4).
-//  2. Delete ratio >= DeleteHeavyRatio -> tombstone-heavy lifecycle class
-//     (Finding 5). Bulky values (> SmallValueBytes) go to the
-//     compaction-aggressive LSM, where eager compaction actually reclaims
-//     space; small values carry negligible dead bytes and go to the flat
-//     store, which drops a deleted key's index entry at once and reclaims
-//     the dead bytes by generation compaction — no tombstone debt in an
-//     LSM.
-//  3. Read ratio >= ReadHotRatio -> point-read-hot (Finding 3). Small
-//     values (<= SmallValueBytes) that are rarely rewritten (update share
-//     < UpdateChurnRatio) go to the block-cache LSM — their blocks stay
-//     valid, so the cache keeps serving them. Every other read-hot class
-//     (large values, or rewrite churn that would keep invalidating cached
-//     blocks) goes to the single-seek flat store, where a rewrite is one
-//     append.
-//  4. Write share >= WriteOnceRatio -> flat store (write-once append).
-//  5. Otherwise the class stays on the default ordered route.
+//  2. Delete ratio >= DeleteHeavyRatio (lifecycle-deleted, Finding 5), read
+//     ratio >= ReadHotRatio (point-read-hot, Finding 3), or write share >=
+//     WriteOnceRatio (write-once) -> flat store. It answers a read with one
+//     access, appends every write, and drops a deleted key's index entry at
+//     once — no tombstone debt.
+//  3. Otherwise the class stays on the default ordered route.
 func Derive(census Census) *Policy {
 	p := &Policy{
-		Default: routeOrdered,
-		Routes: map[string]Spec{
-			routeOrdered: {Kind: "lsm"},
-		},
+		Default:   routeOrdered,
+		Routes:    map[string]Spec{routeOrdered: {Kind: "lsm"}},
 		Classes:   make(map[string]string),
 		Rationale: make(map[string]string),
-	}
-	use := func(name string) string {
-		if _, ok := p.Routes[name]; !ok {
-			p.Routes[name] = routeSpec(name)
-		}
-		return name
 	}
 	for _, c := range rawdb.AllClasses() {
 		cc := census[c]
@@ -354,32 +307,20 @@ func Derive(census Census) *Policy {
 		readRatio := float64(cc.Reads) / total
 		delRatio := float64(cc.Deletes) / total
 		writeRatio := float64(cc.Writes+cc.Updates) / total
-		updRatio := float64(cc.Updates) / total
-		avg := cc.AvgValue()
 
-		var route, why string
+		route := routeFlat
+		var why string
 		switch {
 		case cc.Scans > 0:
 			route = routeOrdered
 			why = fmt.Sprintf("%d scans — needs key order; ordered LSM", cc.Scans)
-		case delRatio >= DeleteHeavyRatio && avg > SmallValueBytes:
-			route = use(routeLSMCompact)
-			why = fmt.Sprintf("delete ratio %.1f%% ≥ %.0f%%, avg value %dB > %dB — bulky tombstone-heavy; compaction-aggressive LSM",
-				100*delRatio, 100*DeleteHeavyRatio, avg, SmallValueBytes)
 		case delRatio >= DeleteHeavyRatio:
-			route = use(routeFlat)
-			why = fmt.Sprintf("delete ratio %.1f%% ≥ %.0f%%, avg value %dB ≤ %dB — flat store drops deleted keys at once, no tombstone debt",
-				100*delRatio, 100*DeleteHeavyRatio, avg, SmallValueBytes)
-		case readRatio >= ReadHotRatio && avg <= SmallValueBytes && updRatio < UpdateChurnRatio:
-			route = use(routeLSMCache)
-			why = fmt.Sprintf("read ratio %.1f%% ≥ %.0f%%, avg value %dB ≤ %dB, update share %.1f%% < %.0f%% — hot stable small reads; block-cache LSM",
-				100*readRatio, 100*ReadHotRatio, avg, SmallValueBytes, 100*updRatio, 100*UpdateChurnRatio)
+			why = fmt.Sprintf("delete ratio %.1f%% ≥ %.0f%% — flat store drops deleted keys at once, no tombstone debt",
+				100*delRatio, 100*DeleteHeavyRatio)
 		case readRatio >= ReadHotRatio:
-			route = use(routeFlat)
-			why = fmt.Sprintf("read ratio %.1f%% ≥ %.0f%%, avg value %dB, update share %.1f%% — large or rewrite-churny; single-seek flat store",
-				100*readRatio, 100*ReadHotRatio, avg, 100*updRatio)
+			why = fmt.Sprintf("read ratio %.1f%% ≥ %.0f%% — point-read-hot; single-seek flat store",
+				100*readRatio, 100*ReadHotRatio)
 		case writeRatio >= WriteOnceRatio:
-			route = use(routeFlat)
 			why = fmt.Sprintf("write share %.1f%% ≥ %.0f%% — write-once; append-only flat store",
 				100*writeRatio, 100*WriteOnceRatio)
 		default:
@@ -387,31 +328,11 @@ func Derive(census Census) *Policy {
 			why = fmt.Sprintf("mixed (read %.1f%%, write %.1f%%, delete %.1f%%) — default ordered LSM",
 				100*readRatio, 100*writeRatio, 100*delRatio)
 		}
+		if route == routeFlat {
+			p.Routes[routeFlat] = Spec{Kind: "flat"}
+		}
 		p.Classes[c.String()] = route
 		p.Rationale[c.String()] = why
 	}
 	return p
-}
-
-// routeSpec returns the backend configuration for each derived route.
-func routeSpec(name string) Spec {
-	switch name {
-	case routeLSMCompact:
-		// Purge tombstones fast: compact as soon as two L0 tables exist,
-		// with a small level base so tombstones sink (and annihilate)
-		// quickly. The memtable stays at the factory default — shrinking it
-		// only multiplies flushes without purging anything sooner.
-		return Spec{Kind: "lsm", Options: map[string]int64{
-			"l0_compaction_trigger": 2,
-			"level_base_kb":         512,
-		}}
-	case routeLSMCache:
-		return Spec{Kind: "lsm", Options: map[string]int64{
-			"block_cache_mb": 64,
-		}}
-	case routeFlat:
-		return Spec{Kind: "flat"}
-	default:
-		return Spec{Kind: "lsm"}
-	}
 }

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"bytes"
+	"maps"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -24,9 +25,6 @@ func TestCollectCensusSkipsCacheHits(t *testing.T) {
 	if code.Reads != 1 || code.Writes != 1 || code.Total() != 2 {
 		t.Fatalf("code census: %+v", code)
 	}
-	if code.AvgValue() != 100 {
-		t.Fatalf("avg value = %d", code.AvgValue())
-	}
 	if c[rawdb.ClassTxLookup].Deletes != 1 || c[rawdb.ClassSnapshotAccount].Scans != 1 {
 		t.Fatalf("census: %+v", c)
 	}
@@ -35,76 +33,80 @@ func TestCollectCensusSkipsCacheHits(t *testing.T) {
 	}
 }
 
-// census builds a ClassCensus from op counts (r, w, u, d, s) and an
-// average value size.
-func census(r, w, u, d, s, avg uint64) *ClassCensus {
-	return &ClassCensus{
-		Reads: r, Writes: w, Updates: u, Deletes: d, Scans: s,
-		ValueBytes: (r + w + u) * avg, ValueOps: r + w + u,
-	}
+// census builds a ClassCensus from op counts (r, w, u, d, s).
+func census(r, w, u, d, s uint64) *ClassCensus {
+	return &ClassCensus{Reads: r, Writes: w, Updates: u, Deletes: d, Scans: s}
 }
 
+// TestDeriveRules: one row per rule and sub-condition, each a one-class
+// census. The rationale must name the test that matched, and every route
+// Derive emits is ordered (lsm) or flat (flat).
 func TestDeriveRules(t *testing.T) {
-	c := Census{
+	cases := []struct {
+		name   string
+		cc     *ClassCensus
+		route  string
+		whyHas string
+	}{
 		// Rule 1: scans pin the class to the ordered route even when the
 		// delete ratio would otherwise move it.
-		rawdb.ClassSnapshotAccount: census(50, 30, 0, 20, 5, 100),
-		// Rule 2a: delete-heavy bulky values -> compaction-aggressive LSM.
-		rawdb.ClassTxLookup: census(20, 40, 0, 40, 0, 4000),
-		// Rule 2b: delete-heavy small values -> flat store.
-		rawdb.ClassStateID: census(20, 40, 0, 40, 0, 8),
-		// Rule 3a: read-hot stable small values -> block-cache LSM.
-		rawdb.ClassTrieNodeAccount: census(60, 40, 0, 0, 0, 120),
-		// Rule 3b: read-hot values with rewrite churn -> flat store.
-		rawdb.ClassTrieNodeStorage: census(60, 5, 35, 0, 0, 120),
-		// Rule 3c: read-hot large values -> flat store.
-		rawdb.ClassBlockReceipts: census(60, 40, 0, 0, 0, 9000),
-		// Rule 4: write-once -> flat store.
-		rawdb.ClassBlockBody: census(2, 98, 0, 0, 0, 5000),
-		// Rule 5: mixed -> default.
-		rawdb.ClassCode: census(30, 60, 0, 5, 0, 500),
+		{"scans", census(50, 30, 0, 20, 5), "ordered", "scans"},
+		// Rule 2, one row per sub-condition, each at its threshold.
+		{"delete-heavy", census(20, 40, 0, 40, 0), "flat", "delete ratio"},
+		{"delete ratio at threshold", census(30, 60, 0, 10, 0), "flat", "delete ratio"},
+		{"read-hot", census(60, 40, 0, 0, 0), "flat", "read ratio"},
+		{"read-hot with rewrite churn", census(60, 5, 35, 0, 0), "flat", "read ratio"},
+		{"read ratio at threshold", census(40, 55, 0, 5, 0), "flat", "read ratio"},
+		{"write-once", census(2, 98, 0, 0, 0), "flat", "write share"},
+		{"write share at threshold, updates count", census(5, 45, 50, 0, 0), "flat", "write share"},
+		// Rule 3: just under every rule-2 threshold.
+		{"mixed", census(39, 52, 0, 9, 0), "ordered", "mixed"},
 	}
-	p := Derive(c)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
+	all := Census{}
+	for i, tc := range cases {
+		class := rawdb.AllClasses()[i]
+		all[class] = tc.cc
+		t.Run(tc.name, func(t *testing.T) {
+			p := Derive(Census{class: tc.cc})
+			if err := p.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			name := class.String()
+			if got := p.Classes[name]; got != tc.route {
+				t.Errorf("%s -> %q, want %q (%s)", name, got, tc.route, p.Rationale[name])
+			}
+			if why := p.Rationale[name]; !strings.Contains(why, tc.whyHas) {
+				t.Errorf("rationale %q does not name %q", why, tc.whyHas)
+			}
+			if p.Default != "ordered" {
+				t.Errorf("default = %q", p.Default)
+			}
+			assertDerivedRoutes(t, p)
+		})
 	}
-	want := map[string]string{
-		"SnapshotAccount": "ordered",
-		"TxLookup":        "lsm-compact",
-		"StateID":         "flat",
-		"TrieNodeAccount": "lsm-cache",
-		"TrieNodeStorage": "flat",
-		"BlockReceipts":   "flat",
-		"BlockBody":       "flat",
-		"Code":            "ordered",
-	}
-	for class, route := range want {
-		if got := p.Classes[class]; got != route {
-			t.Errorf("%s -> %q, want %q (%s)", class, got, route, p.Rationale[class])
-		}
-		if p.Rationale[class] == "" {
-			t.Errorf("%s has no rationale", class)
-		}
-	}
-	if p.Default != "ordered" {
-		t.Fatalf("default = %q", p.Default)
-	}
-	// Every referenced route must be defined with a known kind.
+	assertDerivedRoutes(t, Derive(all))
+}
+
+// assertDerivedRoutes checks p's routes are the derived pair: ordered (lsm)
+// always, flat (flat) when a class uses it.
+func assertDerivedRoutes(t *testing.T, p *Policy) {
+	t.Helper()
+	want := map[string]Spec{"ordered": {Kind: "lsm"}}
 	for _, route := range p.Classes {
-		if _, ok := p.Routes[route]; !ok {
-			t.Fatalf("route %q undefined", route)
+		if route == "flat" {
+			want["flat"] = Spec{Kind: "flat"}
 		}
 	}
-	if p.Routes["lsm-compact"].Options["l0_compaction_trigger"] != 2 {
-		t.Fatalf("lsm-compact spec: %+v", p.Routes["lsm-compact"])
+	if !maps.Equal(p.Routes, want) {
+		t.Fatalf("routes %v, want %v", p.Routes, want)
 	}
 }
 
 func TestEncodeParseRoundTrip(t *testing.T) {
 	c := Census{
-		rawdb.ClassTxLookup:        census(20, 40, 0, 40, 0, 40),
-		rawdb.ClassSnapshotStorage: census(10, 10, 0, 0, 3, 80),
-		rawdb.ClassBlockBody:       census(1, 99, 0, 0, 0, 4000),
+		rawdb.ClassTxLookup:        census(20, 40, 0, 40, 0),
+		rawdb.ClassSnapshotStorage: census(10, 10, 0, 0, 3),
+		rawdb.ClassBlockBody:       census(1, 99, 0, 0, 0),
 	}
 	p := Derive(c)
 	enc := p.Encode()
@@ -118,29 +120,16 @@ func TestEncodeParseRoundTrip(t *testing.T) {
 	if got.Default != p.Default {
 		t.Fatalf("default %q != %q", got.Default, p.Default)
 	}
-	if len(got.Classes) != len(p.Classes) {
+	if !maps.Equal(got.Classes, p.Classes) {
 		t.Fatalf("classes %v != %v", got.Classes, p.Classes)
 	}
-	for class, route := range p.Classes {
-		if got.Classes[class] != route {
-			t.Fatalf("class %s: %q != %q", class, got.Classes[class], route)
-		}
-	}
-	for name, spec := range p.Routes {
-		gs, ok := got.Routes[name]
-		if !ok || gs.Kind != spec.Kind || len(gs.Options) != len(spec.Options) {
-			t.Fatalf("route %s: %+v != %+v", name, gs, spec)
-		}
-		for k, v := range spec.Options {
-			if gs.Options[k] != v {
-				t.Fatalf("route %s option %s: %d != %d", name, k, gs.Options[k], v)
-			}
-		}
+	if !maps.Equal(got.Routes, p.Routes) {
+		t.Fatalf("routes %v != %v", got.Routes, p.Routes)
 	}
 }
 
 func TestSaveLoad(t *testing.T) {
-	p := Derive(Census{rawdb.ClassTxLookup: census(0, 50, 0, 50, 0, 4000)})
+	p := Derive(Census{rawdb.ClassTxLookup: census(0, 50, 0, 50, 0)})
 	path := filepath.Join(t.TempDir(), "policy.json")
 	if err := p.Save(path); err != nil {
 		t.Fatal(err)
@@ -149,7 +138,7 @@ func TestSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Classes["TxLookup"] != "lsm-compact" {
+	if got.Classes["TxLookup"] != "flat" {
 		t.Fatalf("loaded classes: %v", got.Classes)
 	}
 }
@@ -171,9 +160,16 @@ func TestValidateErrors(t *testing.T) {
 		{"unknown kind", func(p *Policy) { p.Routes["ordered"] = Spec{Kind: "btree"} }, "unknown kind"},
 		{"the removed log kind", func(p *Policy) { p.Routes["ordered"] = Spec{Kind: "log"} }, "unknown kind"},
 		{"the removed hash kind", func(p *Policy) { p.Routes["ordered"] = Spec{Kind: "hash"} }, "unknown kind"},
+		// mem is a factory kind only: a route of it would drop its classes
+		// when a directory-backed hybrid closes.
+		{"mem kind", func(p *Policy) { p.Routes["ordered"] = Spec{Kind: "mem"} }, "unknown kind"},
 		{"bad route name", func(p *Policy) {
 			p.Routes["a/b"] = Spec{Kind: "lsm"}
 		}, "route name"},
+		// A route opens at dir/<name>: "." would be the store directory
+		// itself, ".." its parent.
+		{"route named .", func(p *Policy) { onlyRoute(p, ".") }, "route name"},
+		{"route named ..", func(p *Policy) { onlyRoute(p, "..") }, "route name"},
 		{"unknown class", func(p *Policy) { p.Classes["NotAClass"] = "ordered" }, "unknown class"},
 		{"dangling class route", func(p *Policy) { p.Classes["TxLookup"] = "gone" }, "undefined route"},
 	}
@@ -190,9 +186,78 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// onlyRoute makes name p's one route, a flat one, serving everything.
+func onlyRoute(p *Policy, name string) {
+	p.Default = name
+	p.Routes = map[string]Spec{name: {Kind: "flat"}}
+	p.Classes = map[string]string{"TxLookup": name}
+}
+
 func TestParseRejectsUnknownFields(t *testing.T) {
 	_, err := Parse([]byte(`{"default":"o","routes":{"o":{"kind":"lsm"}},"classes":{},"typo":1}`))
 	if err == nil {
 		t.Fatal("unknown top-level field accepted")
 	}
+}
+
+// TestParseRejectsRouteOptions: routes carry no tuning knobs, so a policy
+// file written when they did is refused — naming the field — rather than
+// opened with its knobs silently dropped.
+func TestParseRejectsRouteOptions(t *testing.T) {
+	old := `// ethkv storage policy: class -> route -> backend kind + options.
+{
+  "default": "ordered",
+  "routes": {
+    "flat": {"kind":"flat"},
+    "lsm-cache": {"kind":"lsm","options":{"block_cache_mb":64}},
+    "ordered": {"kind":"lsm"}
+  },
+  "classes": {
+    "HeaderNumber": "lsm-cache",
+    "TxLookup": "flat"
+  }
+}
+`
+	_, err := Parse([]byte(old))
+	if err == nil || !strings.Contains(err.Error(), "options") {
+		t.Fatalf("Parse = %v, want an error naming options", err)
+	}
+}
+
+// FuzzPolicyParse: whatever Parse accepts survives Encode -> Parse
+// unchanged, and every route opens directly under the store directory.
+func FuzzPolicyParse(f *testing.F) {
+	f.Add(Derive(Census{
+		rawdb.ClassTxLookup:        census(20, 40, 0, 40, 0),
+		rawdb.ClassSnapshotAccount: census(10, 10, 0, 0, 3),
+		rawdb.ClassCode:            census(80, 20, 0, 0, 0),
+		rawdb.ClassTrieNodeAccount: census(30, 70, 0, 0, 0),
+	}).Encode())
+	f.Add([]byte(`{"default": "ordered",
+ "routes": {"ordered": {"kind": "lsm"}, "point.v2": {"kind": "flat"}},
+ "classes": {"BlockHeader": "ordered", "Code": "point.v2", "TxLookup": "point.v2"}}`))
+	// A route named ".." would open in the store directory's parent.
+	f.Add([]byte(`{"default": "ordered",
+ "routes": {"ordered": {"kind": "lsm"}, "..": {"kind": "flat"}},
+ "classes": {"TxLookup": ".."}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Parse(data)
+		if err != nil {
+			return
+		}
+		enc := p.Encode()
+		got, err := Parse(enc)
+		if err != nil {
+			t.Fatalf("re-parse of an accepted policy: %v\n%s", err, enc)
+		}
+		if got.Default != p.Default || !maps.Equal(got.Routes, p.Routes) || !maps.Equal(got.Classes, p.Classes) {
+			t.Fatalf("round trip changed the policy: %+v -> %+v", p, got)
+		}
+		dir := filepath.Join("data", "store")
+		for name := range p.Routes {
+			if child := filepath.Join(dir, name); filepath.Dir(child) != dir || filepath.Base(child) != name {
+				t.Fatalf("route %q opens at %s, not directly under %s", name, child, dir)
+			}
+		}
+	})
 }

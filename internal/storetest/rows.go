@@ -149,20 +149,19 @@ func rows() []Row {
 	)
 }
 
-// DerivedPolicy is a derived-shaped policy, every route an ordered, durable
-// kind: two differently tuned LSM routes beside a flat one.
+// DerivedPolicy is a hand-written three-route policy: two LSM routes beside
+// a flat one, so a batch splits over three children and two LSM instances
+// share one compaction pool. (Derive itself emits at most ordered and flat.)
 func DerivedPolicy() *policy.Policy {
 	return &policy.Policy{
 		Default: "ordered",
 		Routes: map[string]policy.Spec{
 			"ordered": {Kind: "lsm"},
-			"lsm-compact": {Kind: "lsm", Options: map[string]int64{
-				"memtable_kb": 64, "l0_compaction_trigger": 2, "level_base_kb": 256,
-			}},
-			"flat": {Kind: "flat"},
+			"lookup":  {Kind: "lsm"},
+			"flat":    {Kind: "flat"},
 		},
 		Classes: map[string]string{
-			"TxLookup": "lsm-compact", "BlockBody": "flat", "BlockReceipts": "flat", "Code": "flat",
+			"TxLookup": "lookup", "BlockBody": "flat", "BlockReceipts": "flat", "Code": "flat",
 		},
 	}
 }
@@ -284,8 +283,8 @@ func (sh *Shape) leaves() int {
 // filesystem next returns. Leaves open in a fixed order — shard by shard, a
 // hybrid's routes by name — so a reopen hands every leaf back its own.
 func (sh *Shape) open(cfg Config, next func() faultfs.FS) (kv.Store, error) {
-	return backends.Compose(sh.Kind, "", sh.Opts, func(spec policy.Spec, _ string) (kv.Store, error) {
-		return openLeaf(spec.Kind, cfg, next())
+	return backends.Compose(sh.Kind, "", sh.Opts, func(kind, _ string) (kv.Store, error) {
+		return openLeaf(kind, cfg, next())
 	})
 }
 
