@@ -41,12 +41,14 @@ crashtest:
 
 # The suites that pin what scheduling may never change — sub-compaction and
 # worker-width byte identity, crash fingerprints (internal/lsm/crashtest's
-# replays of storetest's crash ending), and the commit pipeline's
-# apply-order-is-log-order and barrier-watermark rules — repeated under the
-# race detector: a scheduling-dependent divergence shows up in one run of
-# twenty, not in one.
+# replays of storetest's crash ending), the commit pipeline's
+# apply-order-is-log-order and barrier-watermark rules, and kvnet's
+# connection-death suite (every op completes exactly once when a
+# connection dies) — repeated under the race detector: a
+# scheduling-dependent divergence shows up in one run of twenty, not in one.
 determinism:
 	$(GO) test -race -count=20 -run 'TestSubCompactionEquivalence|TestCompactionWorkerInvariance|TestCrashRecovery.*Deterministic|TestApplyOrderIsLogOrder|TestBarrierSharedByWatermark' ./internal/lsm/...
+	$(GO) test -race -count=20 -run 'TestClientFailStopExactlyOnce|TestClientSurfaces|TestClientRejectsShortBatchResponse|TestScanSurfacesServerIteratorError' ./internal/kvnet/
 
 # The §V ablations (E12-E13 of DESIGN.md), the sweeps and the store-latency
 # benchmarks, once each. Tables and figures E1-E11 are `make repro`.

@@ -76,14 +76,15 @@ type Options struct {
 	RetryBackoff time.Duration
 	// CompactAfterDeadBytes arms automatic compaction once the dead bytes
 	// (overwritten records, deleted records, tombstones, group framing) in
-	// the entry file reach it AND dead bytes exceed CompactDeadFraction of
+	// the entry file reach it AND dead bytes exceed compactDeadFraction of
 	// the file. Zero selects the default (4 MiB); negative disables
 	// automatic compaction (Compact can still be called explicitly).
 	CompactAfterDeadBytes int64
-	// CompactDeadFraction is the dead/total ratio that must also be
-	// exceeded before automatic compaction fires. Zero selects 0.5.
-	CompactDeadFraction float64
 }
+
+// compactDeadFraction is the dead/total ratio that must also be exceeded
+// before automatic compaction fires.
+const compactDeadFraction = 0.5
 
 func (o Options) withDefaults() Options {
 	if o.FS == nil {
@@ -97,9 +98,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CompactAfterDeadBytes == 0 {
 		o.CompactAfterDeadBytes = 4 << 20
-	}
-	if o.CompactDeadFraction == 0 {
-		o.CompactDeadFraction = 0.5
 	}
 	return o
 }
@@ -655,7 +653,7 @@ func (s *Store) maybeCompactLocked() {
 	if dead < s.opts.CompactAfterDeadBytes {
 		return
 	}
-	if float64(dead) < s.opts.CompactDeadFraction*float64(s.size) {
+	if float64(dead) < compactDeadFraction*float64(s.size) {
 		return
 	}
 	_ = s.compactLocked()

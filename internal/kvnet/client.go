@@ -24,34 +24,10 @@ type ClientOptions struct {
 	// frame. 1 disables coalescing (every op is its own frame — the
 	// "batching off" baseline). Default 1024.
 	BatchMaxOps int
-	// BatchMaxBytes caps the encoded payload of one coalesced frame, so
-	// a run of large values cannot push a frame past the server's limit.
-	// Default 1 MiB.
-	BatchMaxBytes int
 	// Window is the maximum number of in-flight frames per connection.
 	// Pipelining hides RTT; the coalescing sweet spot is small — each
 	// returning response releases the next, larger batch. Default 2.
 	Window int
-	// DialTimeout bounds connection establishment. Default 5s.
-	DialTimeout time.Duration
-	// MaxFrameBytes bounds response frames. Default DefaultMaxFrameBytes.
-	MaxFrameBytes int
-	// IterPageOps is how many entries one iterator page requests.
-	// Default 512.
-	IterPageOps int
-	// RedialAttempts is how many consecutive reconnect attempts a pool
-	// connection makes after an I/O failure before the client latches
-	// fail-stop. 0 (the default) keeps the strict fail-stop model: the
-	// first connection error is fatal. Ops in flight when a connection
-	// dies always fail with the outage — a redial never re-ships an op
-	// the server may have executed, so every op completes exactly once —
-	// but ops issued afterwards proceed on the fresh session. The budget
-	// is per outage: a successful reconnect resets it, so a long-lived
-	// client survives any number of distinct server restarts.
-	RedialAttempts int
-	// RedialBackoff is the wait before each reconnect attempt.
-	// Default 100ms.
-	RedialBackoff time.Duration
 }
 
 func (o *ClientOptions) withDefaults() ClientOptions {
@@ -62,26 +38,23 @@ func (o *ClientOptions) withDefaults() ClientOptions {
 	if v.BatchMaxOps <= 0 {
 		v.BatchMaxOps = 1024
 	}
-	if v.BatchMaxBytes <= 0 {
-		v.BatchMaxBytes = 1 << 20
-	}
 	if v.Window <= 0 {
 		v.Window = 2
 	}
-	if v.DialTimeout <= 0 {
-		v.DialTimeout = 5 * time.Second
-	}
-	if v.MaxFrameBytes <= 0 {
-		v.MaxFrameBytes = DefaultMaxFrameBytes
-	}
-	if v.IterPageOps <= 0 {
-		v.IterPageOps = 512
-	}
-	if v.RedialBackoff <= 0 {
-		v.RedialBackoff = 100 * time.Millisecond
-	}
 	return v
 }
+
+const (
+	// dialTimeout bounds connection establishment.
+	dialTimeout = 5 * time.Second
+	// batchMaxBytes caps the estimated payload of one coalesced frame.
+	batchMaxBytes = 1 << 20
+	// iterPageOps is how many entries one iterator page requests.
+	iterPageOps = 512
+	// opsFrameOverhead bounds an opOps frame's bytes before its ops:
+	// reqID, opcode and the op count.
+	opsFrameOverhead = 8 + 1 + binary.MaxVarintLen64
+)
 
 // NetStats are client-side transport counters, for load generators that
 // want to report achieved coalescing.
@@ -125,6 +98,14 @@ func (cl *call) finish(err error) {
 	close(cl.done)
 }
 
+// frameBytes bounds the body of a request frame carrying cl alone.
+func (cl *call) frameBytes() int {
+	if cl.opcode != 0 {
+		return 8 + 1 + len(cl.payload)
+	}
+	return opsFrameOverhead + pointOpSize(cl)
+}
+
 // Client implements kv.Store over a kvnet connection pool. All methods are
 // safe for concurrent use; concurrent callers' point operations coalesce
 // into shared request frames.
@@ -133,10 +114,8 @@ func (cl *call) finish(err error) {
 // violation, peer gone) latches the client; every pending and future
 // operation returns the latched error. A lab client prefers a loud,
 // deterministic failure over silent retries that could reorder writes.
-// RedialAttempts > 0 relaxes only the peer-gone half: an I/O outage is
-// retried by reconnecting, while ops in flight at the moment of the
-// outage still fail (exactly-once completion) and protocol violations
-// still latch immediately.
+// A request too large for one frame is refused with ErrFrameTooLarge
+// before it is sent, and the client stays usable.
 type Client struct {
 	opts ClientOptions
 
@@ -170,7 +149,7 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 		opq:  make(chan *call, 4*o.BatchMaxOps),
 	}
 	for i := 0; i < o.Conns; i++ {
-		nc, err := net.DialTimeout("tcp", addr, o.DialTimeout)
+		nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 		if err == nil {
 			if tc, ok := nc.(*net.TCPConn); ok {
 				tc.SetNoDelay(true)
@@ -181,19 +160,23 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 			}
 		}
 		if err != nil {
-			c.closed.Store(true)
 			for _, cc := range c.conns {
-				cc.closeSession()
+				cc.nc.Close()
 			}
 			return nil, err
 		}
-		cc := &clientConn{client: c, addr: addr}
-		cc.sess = newSession(nc, o.Window)
-		c.conns = append(c.conns, cc)
+		c.conns = append(c.conns, &clientConn{
+			client:  c,
+			nc:      nc,
+			sem:     make(chan struct{}, o.Window),
+			down:    make(chan struct{}),
+			waiters: make(map[uint64]*inflight),
+		})
 	}
 	for _, cc := range c.conns {
-		c.wg.Add(1)
-		go func(cc *clientConn) { defer c.wg.Done(); cc.run(cc.sess) }(cc)
+		c.wg.Add(2)
+		go func() { defer c.wg.Done(); cc.readLoop() }()
+		go func() { defer c.wg.Done(); cc.sendLoop() }()
 	}
 	return c, nil
 }
@@ -214,7 +197,7 @@ func (c *Client) fail(err error) {
 	}
 	c.errMu.Unlock()
 	for _, cc := range c.conns {
-		cc.closeSession()
+		cc.nc.Close()
 	}
 }
 
@@ -234,8 +217,12 @@ func (c *Client) dead() bool {
 // enqueue submits a call to the shared op queue. The read-lock excludes
 // the channel close in Close, so a racing send can never panic; a call
 // stranded in the queue after a fatal error is failed by a draining
-// sender.
+// sender. A call too large for one frame is refused here: shipped, the
+// server would drop the connection and so latch the whole client.
 func (c *Client) enqueue(cl *call) error {
+	if n := cl.frameBytes(); n > DefaultMaxFrameBytes {
+		return fmt.Errorf("%w: request of %d bytes (limit %d)", ErrFrameTooLarge, n, DefaultMaxFrameBytes)
+	}
 	c.qmu.RLock()
 	defer c.qmu.RUnlock()
 	if c.closed.Load() {
@@ -348,7 +335,7 @@ func (c *Client) Close() error {
 	close(c.opq)
 	c.qmu.Unlock()
 	for _, cc := range c.conns {
-		cc.closeSession()
+		cc.nc.Close()
 	}
 	c.wg.Wait()
 	return nil
@@ -393,183 +380,49 @@ func (fl *inflight) fail(err error) {
 	}
 }
 
-// clientConn is one pool slot: a supervisor owning a sequence of TCP
-// sessions. Under the default fail-stop model the first session is the
-// slot's whole life; with RedialAttempts > 0 the supervisor replaces a
-// session that died on an I/O error with a freshly dialed one.
+// clientConn is one pool connection, alive as long as the client: the
+// socket, its in-flight window, and the waiters keyed by request ID. A
+// reader and a sender goroutine share it. It is fail-stop: the first I/O
+// or protocol error latches the client and tears every connection down;
+// nothing reconnects.
 type clientConn struct {
 	client *Client
-	addr   string
+	nc     net.Conn
+	sem    chan struct{} // in-flight window slots
 
-	mu   sync.Mutex
-	sess *session // current session, so Close/fail can cut the socket
-}
-
-// session is one TCP connection's lifetime: the socket, its in-flight
-// window, and the waiters keyed by request ID.
-type session struct {
-	nc  net.Conn
-	sem chan struct{} // in-flight window slots
-
-	down     chan struct{} // closed when the session is torn down
+	down     chan struct{} // closed when the connection is torn down
 	downOnce sync.Once
 
 	mu      sync.Mutex
 	nextID  uint64
 	waiters map[uint64]*inflight
-	ioErr   error // first I/O error, for the supervisor
 }
 
-func newSession(nc net.Conn, window int) *session {
-	return &session{
-		nc:      nc,
-		sem:     make(chan struct{}, window),
-		down:    make(chan struct{}),
-		waiters: make(map[uint64]*inflight),
+// fail latches err client-wide — unless the client is closing, when err
+// is only the teardown — and tears this connection down, failing every
+// waiter with the client's death error. In-flight ops die with the
+// connection rather than being re-shipped: the server may have executed
+// them, and completing an op twice is worse than failing it once.
+func (cc *clientConn) fail(err error) {
+	c := cc.client
+	if !c.closed.Load() {
+		c.fail(err)
 	}
+	// Close down before the abort, so a racing ship can detect that this
+	// abort missed its waiter.
+	cc.downOnce.Do(func() { close(cc.down) })
+	cc.abort(c.deathErr())
 }
 
-// shutdown marks the session dead, waking any sender blocked on a window
-// slot. Idempotent.
-func (s *session) shutdown() {
-	s.downOnce.Do(func() { close(s.down) })
-}
-
-// fail records the session's first I/O error, tears it down, and fails
-// every waiter with err. In-flight ops die with the outage rather than
-// being re-shipped: the server may have executed them, and completing an
-// op twice is worse than failing it once.
-func (s *session) fail(err error) {
-	s.mu.Lock()
-	if s.ioErr == nil {
-		s.ioErr = err
-	}
-	s.mu.Unlock()
-	s.shutdown()
-	s.abort(err)
-}
-
-// err returns the session's first I/O error, or nil.
-func (s *session) err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ioErr
-}
-
-// abort fails every waiter on this session with err.
-func (s *session) abort(err error) {
-	s.mu.Lock()
-	waiters := s.waiters
-	s.waiters = make(map[uint64]*inflight)
-	s.mu.Unlock()
+// abort fails every waiter on this connection with err.
+func (cc *clientConn) abort(err error) {
+	cc.mu.Lock()
+	waiters := cc.waiters
+	cc.waiters = make(map[uint64]*inflight)
+	cc.mu.Unlock()
 	for _, fl := range waiters {
 		fl.fail(err)
 	}
-}
-
-// closeSession cuts the current session's socket (Close/fail teardown).
-func (cc *clientConn) closeSession() {
-	cc.mu.Lock()
-	if cc.sess != nil {
-		cc.sess.nc.Close()
-	}
-	cc.mu.Unlock()
-}
-
-// errQueueClosed signals a clean sendLoop exit: Close closed the op queue.
-var errQueueClosed = errors.New("kvnet: op queue closed")
-
-// run supervises one pool slot: sessions run until the client closes, a
-// protocol error latches it, or an I/O outage outlives the redial budget.
-// An op pulled from the queue but never shipped carries over to the next
-// session — the server never saw it, so re-shipping it preserves
-// exactly-once completion; ops that reached the wire are never retried.
-func (cc *clientConn) run(sess *session) {
-	c := cc.client
-	var held *call
-	for {
-		var err error
-		held, err = cc.runSession(sess, held)
-		if errors.Is(err, errQueueClosed) {
-			return
-		}
-		next := cc.redial()
-		if next == nil {
-			// Budget exhausted (or zero: strict fail-stop). Latch the
-			// outage client-wide and fail everything still queued; the
-			// drain also keeps enqueuers from blocking until Close.
-			if !c.closed.Load() {
-				c.fail(err)
-			}
-			if held != nil {
-				held.finish(c.deathErr())
-				held = nil
-			}
-			for cl := range c.opq {
-				cl.finish(c.deathErr())
-			}
-			return
-		}
-		sess = next
-	}
-}
-
-// runSession drives one session to its end: the reader runs beside the
-// sender, and whichever dies first tears the session down. Returns the op
-// pulled past the session's death (never shipped) and why the session
-// ended — errQueueClosed for a clean client Close.
-func (cc *clientConn) runSession(sess *session, held *call) (*call, error) {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		cc.readLoop(sess)
-	}()
-	held, err := cc.sendLoop(sess, held)
-	// Unblock the reader and finish the teardown before the supervisor
-	// decides what comes next.
-	sess.nc.Close()
-	<-done
-	if err == nil {
-		err = sess.err()
-	}
-	if err == nil {
-		err = errors.New("kvnet: connection down")
-	}
-	return held, err
-}
-
-// redial tries to replace a dead session, sleeping RedialBackoff before
-// each attempt. Returns nil once the budget is spent, the client closed,
-// or a fatal error latched. The budget is per outage — each call starts
-// fresh — so a successful reconnect buys the full budget again.
-func (cc *clientConn) redial() *session {
-	c := cc.client
-	o := c.opts
-	for attempt := 0; attempt < o.RedialAttempts && !c.dead(); attempt++ {
-		time.Sleep(o.RedialBackoff)
-		nc, err := net.DialTimeout("tcp", cc.addr, o.DialTimeout)
-		if err != nil {
-			continue
-		}
-		if tc, ok := nc.(*net.TCPConn); ok {
-			tc.SetNoDelay(true)
-		}
-		if err := writeHandshake(nc); err != nil {
-			nc.Close()
-			continue
-		}
-		sess := newSession(nc, o.Window)
-		cc.mu.Lock()
-		if c.dead() {
-			cc.mu.Unlock()
-			nc.Close()
-			return nil
-		}
-		cc.sess = sess
-		cc.mu.Unlock()
-		return sess
-	}
-	return nil
 }
 
 // sendLoop owns the socket's write side: it pulls calls off the shared
@@ -578,25 +431,20 @@ func (cc *clientConn) redial() *session {
 // slot is acquired BEFORE the queue is drained, so while the window is
 // saturated callers pile into the queue, and the freed slot ships the
 // whole accumulation as one frame. Concurrency alone drives batch size —
-// no timer sits on the hot path.
-func (cc *clientConn) sendLoop(sess *session, held *call) (*call, error) {
+// no timer sits on the hot path. Once the client is dead the loop keeps
+// draining the queue, failing each call, so enqueuers never block; it
+// returns when Close closes the queue.
+func (cc *clientConn) sendLoop() {
 	c := cc.client
-	bw := newFrameWriter(sess.nc)
+	bw := newFrameWriter(cc.nc)
+	var held *call
 	for {
-		// Session dead: hand the un-shipped op back to the supervisor.
-		select {
-		case <-sess.down:
-			return held, nil
-		default:
-		}
-		var first *call
-		if held != nil {
-			first, held = held, nil
-		} else {
+		first := held
+		held = nil
+		if first == nil {
 			var ok bool
-			first, ok = <-c.opq
-			if !ok {
-				return nil, errQueueClosed // Close drained the queue
+			if first, ok = <-c.opq; !ok {
+				return
 			}
 		}
 		if c.dead() {
@@ -606,44 +454,36 @@ func (cc *clientConn) sendLoop(sess *session, held *call) (*call, error) {
 		// Acquire the window slot before forming the batch: this is
 		// where a saturated window blocks, letting the op queue fill.
 		select {
-		case sess.sem <- struct{}{}: // released by readLoop
-			// A select with both cases ready picks randomly, so re-check
-			// down with priority: an op pulled long after this session
-			// died must carry to the next session, not ship into a dead
-			// socket just to fail.
-			select {
-			case <-sess.down:
-				return first, nil
-			default:
-			}
-		case <-sess.down: // reader gone; nothing will ever free a slot
-			return first, nil // never shipped; the next session may carry it
+		case cc.sem <- struct{}{}: // released by readLoop
+		case <-cc.down: // reader gone; nothing will ever free a slot
+			first.finish(c.deathErr())
+			continue
 		}
 		if first.opcode != 0 {
-			cc.ship(bw, sess, nil, first)
+			cc.ship(bw, nil, first)
 			continue
 		}
 		var batch []*call
 		batch, held = cc.drain(first)
-		cc.ship(bw, sess, batch, nil)
+		cc.ship(bw, batch, nil)
 	}
 }
 
 // drain forms a batch from first plus whatever the queue holds, without
-// blocking, stopping at the batch caps, a standalone call (returned as
-// held), or queue closure.
+// blocking, stopping at the batch caps, a call that is standalone or would
+// push the frame past its size limit (returned as held), or queue closure.
 func (cc *clientConn) drain(first *call) (batch []*call, held *call) {
 	c := cc.client
 	o := c.opts
 	batch = []*call{first}
 	size := pointOpSize(first)
-	for len(batch) < o.BatchMaxOps && size < o.BatchMaxBytes {
+	for len(batch) < o.BatchMaxOps && size < batchMaxBytes {
 		select {
 		case cl, ok := <-c.opq:
 			if !ok {
 				return batch, nil
 			}
-			if cl.opcode != 0 {
+			if cl.opcode != 0 || opsFrameOverhead+size+pointOpSize(cl) > DefaultMaxFrameBytes {
 				return batch, cl
 			}
 			batch = append(batch, cl)
@@ -655,20 +495,21 @@ func (cc *clientConn) drain(first *call) (batch []*call, held *call) {
 	return batch, nil
 }
 
-// pointOpSize estimates an op's encoded size for the byte cap.
+// pointOpSize bounds an op's encoded size: its kind byte and two length
+// prefixes fit in 12 bytes for any op small enough to send.
 func pointOpSize(cl *call) int {
 	return 12 + len(cl.key) + len(cl.val)
 }
 
 // ship encodes and writes one frame (either a coalesced point-op batch or
 // a standalone request). The caller has already acquired a window slot.
-func (cc *clientConn) ship(bw *bufio.Writer, sess *session, batch []*call, standalone *call) {
+func (cc *clientConn) ship(bw *bufio.Writer, batch []*call, standalone *call) {
 	c := cc.client
-	sess.mu.Lock()
-	sess.nextID++
-	id := sess.nextID
-	sess.waiters[id] = &inflight{calls: batch, standalone: standalone}
-	sess.mu.Unlock()
+	cc.mu.Lock()
+	cc.nextID++
+	id := cc.nextID
+	cc.waiters[id] = &inflight{calls: batch, standalone: standalone}
+	cc.mu.Unlock()
 
 	body := make([]byte, 0, 512)
 	body = binary.LittleEndian.AppendUint64(body, id)
@@ -691,12 +532,12 @@ func (cc *clientConn) ship(bw *bufio.Writer, sess *session, batch []*call, stand
 	c.frames.Add(1)
 	c.bytesOut.Add(uint64(len(body)))
 
-	if err := writeFrame(bw, body); err != nil {
-		sess.fail(fmt.Errorf("kvnet: write: %w", err))
-		return
+	err := writeFrame(bw, body)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := bw.Flush(); err != nil {
-		sess.fail(fmt.Errorf("kvnet: flush: %w", err))
+	if err != nil {
+		cc.fail(fmt.Errorf("kvnet: write: %w", err))
 		return
 	}
 	// The reader may have exited between our waiter registration and now
@@ -706,44 +547,25 @@ func (cc *clientConn) ship(bw *bufio.Writer, sess *session, batch []*call, stand
 	// abort ourselves. abort swaps the waiter map, so a waiter is failed
 	// at most once even when both sides race into it.
 	select {
-	case <-sess.down:
-		err := sess.err()
-		if err == nil {
-			err = c.deathErr()
-		}
-		sess.abort(err)
+	case <-cc.down:
+		cc.abort(c.deathErr())
 	default:
 	}
 }
 
-// fatal propagates a connection-fatal error — a protocol violation no
-// reconnect can repair: latch it client-wide and kill the session.
-func (cc *clientConn) fatal(sess *session, err error) {
-	cc.client.fail(err)
-	sess.fail(err)
-}
-
 // readLoop owns the socket's read side: it matches response frames to
-// waiters by reqID and decodes per-op results.
-func (cc *clientConn) readLoop(sess *session) {
+// waiters by reqID and decodes per-op results. Every exit goes through
+// fail.
+func (cc *clientConn) readLoop() {
 	c := cc.client
-	defer sess.shutdown()
-	br := bufio.NewReaderSize(sess.nc, 256<<10)
+	br := bufio.NewReaderSize(cc.nc, 256<<10)
 	for {
-		body, err := readFrame(br, c.opts.MaxFrameBytes)
+		body, err := readFrame(br)
 		if err != nil {
-			// A read error during user-initiated Close is teardown,
-			// not a protocol failure. Close down before the abort so a
-			// racing ship() can detect that this abort missed it.
-			// A peer-gone error kills only the session — the supervisor
-			// decides whether it latches the client or redials.
-			if c.closed.Load() {
-				sess.shutdown()
-				sess.abort(kv.ErrClosed)
-			} else if err == io.EOF {
-				sess.fail(errors.New("kvnet: server closed the connection"))
+			if err == io.EOF {
+				cc.fail(errors.New("kvnet: server closed the connection"))
 			} else {
-				sess.fail(fmt.Errorf("kvnet: read: %w", err))
+				cc.fail(fmt.Errorf("kvnet: read: %w", err))
 			}
 			return
 		}
@@ -753,23 +575,23 @@ func (cc *clientConn) readLoop(sess *session) {
 		id := r.U64()
 		status := r.U8()
 		if r.Err() != nil {
-			cc.fatal(sess, fmt.Errorf("%w: short response header", ErrBadPayload))
+			cc.fail(fmt.Errorf("%w: short response header", ErrBadPayload))
 			return
 		}
-		sess.mu.Lock()
-		fl, ok := sess.waiters[id]
-		delete(sess.waiters, id)
-		sess.mu.Unlock()
+		cc.mu.Lock()
+		fl, ok := cc.waiters[id]
+		delete(cc.waiters, id)
+		cc.mu.Unlock()
 		if !ok {
-			cc.fatal(sess, fmt.Errorf("%w: response for unknown request %d", ErrBadPayload, id))
+			cc.fail(fmt.Errorf("%w: response for unknown request %d", ErrBadPayload, id))
 			return
 		}
-		<-sess.sem // release window slot
+		<-cc.sem // release window slot
 
 		if status == statusError {
 			msg := r.Bytes()
 			if r.Err() != nil {
-				cc.fatal(sess, fmt.Errorf("%w: error response", ErrBadPayload))
+				cc.fail(fmt.Errorf("%w: error response", ErrBadPayload))
 				return
 			}
 			fl.fail(errors.New("kvnet: server: " + string(msg)))
@@ -781,10 +603,10 @@ func (cc *clientConn) readLoop(sess *session) {
 			continue
 		}
 		if err := decodeOpsResponse(r, fl.calls); err != nil {
-			// fl was already unregistered above, so fatal's abort
+			// fl was already unregistered above, so fail's abort
 			// cannot reach it — fail its calls explicitly.
 			fl.fail(err)
-			cc.fatal(sess, err)
+			cc.fail(err)
 			return
 		}
 	}
@@ -895,7 +717,7 @@ func (it *netIterator) Next() bool {
 func (it *netIterator) fetch() {
 	var payload []byte
 	payload = binary.LittleEndian.AppendUint64(payload, it.id)
-	payload = appendUvarint(payload, uint64(it.client.opts.IterPageOps))
+	payload = appendUvarint(payload, iterPageOps)
 	resp, err := it.client.doRequest(opIterNext, payload)
 	if err != nil {
 		it.err = err

@@ -184,15 +184,20 @@ func TestServerMetricsExported(t *testing.T) {
 
 // TestScanSurfacesServerIteratorError mirrors the PR 4 scan-truncation
 // discipline across the wire: a backend iterator that dies mid-scan must
-// reach the network client as Error(), never as a clean short scan.
+// reach the network client as Error(), never as a clean short scan. The
+// failure lands on the third page, after two clean ones.
 func TestScanSurfacesServerIteratorError(t *testing.T) {
-	inner := kv.NewMemStore()
-	for i := 0; i < 100; i++ {
-		inner.Put([]byte(fmt.Sprintf("e/%03d", i)), []byte("v"))
+	const keys, failAfter = 2000, 1200
+	if failAfter/iterPageOps != 2 {
+		t.Fatalf("failAfter %d no longer falls on page 3 of %d entries", failAfter, iterPageOps)
 	}
-	store := &faultyScanStore{Store: inner, failAfter: 40}
+	inner := kv.NewMemStore()
+	for i := 0; i < keys; i++ {
+		inner.Put([]byte(fmt.Sprintf("e/%04d", i)), []byte("v"))
+	}
+	store := &faultyScanStore{Store: inner, failAfter: failAfter}
 	addr, _ := startServer(t, store, silentOpts())
-	c := dialT(t, addr, ClientOptions{IterPageOps: 16})
+	c := dialT(t, addr, ClientOptions{})
 	defer c.Close()
 
 	it := c.NewIterator([]byte("e/"), nil)
@@ -204,8 +209,8 @@ func TestScanSurfacesServerIteratorError(t *testing.T) {
 	if err := it.Error(); err == nil {
 		t.Fatalf("scan over faulty backend: %d keys and Error() == nil", n)
 	}
-	if n >= 100 {
-		t.Fatalf("scan returned all %d keys from a faulty backend", n)
+	if n != failAfter {
+		t.Fatalf("scan delivered %d keys before the error, want the %d clean ones", n, failAfter)
 	}
 }
 

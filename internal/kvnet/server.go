@@ -24,15 +24,10 @@ type ServerOptions struct {
 	// parallelism-free work, so a handful of workers per connection is
 	// enough to overlap store latency with decode/encode. Default 4.
 	Workers int
-	// MaxFrameBytes bounds a single request frame. Default
-	// DefaultMaxFrameBytes.
-	MaxFrameBytes int
 	// Registry receives server metrics (per-op latency histograms,
 	// batch-size histogram, frame/byte counters). Nil disables export;
 	// the server still runs.
 	Registry *obs.Registry
-	// IterPageBytes caps the payload of one iterator page. Default 1 MiB.
-	IterPageBytes int
 	// Logf logs connection-fatal protocol errors. Default log.Printf;
 	// tests silence it.
 	Logf func(format string, args ...any)
@@ -43,17 +38,14 @@ func (o *ServerOptions) withDefaults() ServerOptions {
 	if v.Workers <= 0 {
 		v.Workers = 4
 	}
-	if v.MaxFrameBytes <= 0 {
-		v.MaxFrameBytes = DefaultMaxFrameBytes
-	}
-	if v.IterPageBytes <= 0 {
-		v.IterPageBytes = 1 << 20
-	}
 	if v.Logf == nil {
 		v.Logf = log.Printf
 	}
 	return v
 }
+
+// iterPageBytes caps the payload of one iterator page.
+const iterPageBytes = 1 << 20
 
 // serverMetrics is the hot-path metric handle bundle, resolved once.
 type serverMetrics struct {
@@ -356,7 +348,7 @@ func (s *Server) serveConn(c net.Conn) {
 	}()
 
 	for {
-		body, err := readFrame(br, s.opts.MaxFrameBytes)
+		body, err := readFrame(br)
 		if err != nil {
 			// A clean EOF is the client hanging up; anything else —
 			// truncation, CRC mismatch, oversized length — is a
@@ -587,7 +579,7 @@ func (s *Server) handleIterNext(h *iterHandle, id uint64, resp []byte, max int) 
 	entries := make([]byte, 0, 4<<10)
 	count := 0
 	done := false
-	for count < max && len(entries) < s.opts.IterPageBytes {
+	for count < max && len(entries) < iterPageBytes {
 		if !h.it.Next() {
 			done = true
 			break

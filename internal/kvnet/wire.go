@@ -94,8 +94,10 @@ var (
 	// ErrCorruptFrame reports a CRC mismatch between header and body —
 	// a bit flip, overwrite, or desynchronized stream.
 	ErrCorruptFrame = errors.New("kvnet: corrupt frame (crc mismatch)")
-	// ErrFrameTooLarge reports a length prefix beyond the frame budget,
-	// which in practice means a desynchronized or malicious stream.
+	// ErrFrameTooLarge reports a length prefix beyond DefaultMaxFrameBytes,
+	// which in practice means a desynchronized or malicious stream. The
+	// client also returns it, without touching the connection, for a
+	// request too large to send in one frame.
 	ErrFrameTooLarge = errors.New("kvnet: frame exceeds size limit")
 	// ErrTruncatedFrame reports a stream that ended mid-frame.
 	ErrTruncatedFrame = errors.New("kvnet: truncated frame")
@@ -138,7 +140,7 @@ func writeFrame(w io.Writer, body []byte) error {
 // readFrame reads one frame body from r. A clean EOF before any header
 // byte returns io.EOF; an EOF mid-frame returns ErrTruncatedFrame. The
 // returned slice is freshly allocated and owned by the caller.
-func readFrame(r io.Reader, maxBytes int) ([]byte, error) {
+func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -147,8 +149,8 @@ func readFrame(r io.Reader, maxBytes int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %v", ErrTruncatedFrame, err)
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if int64(n) > int64(maxBytes) {
-		return nil, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooLarge, n, maxBytes)
+	if n > DefaultMaxFrameBytes {
+		return nil, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooLarge, n, DefaultMaxFrameBytes)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {

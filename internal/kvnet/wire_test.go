@@ -24,7 +24,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	for i, want := range bodies {
-		got, err := readFrame(&buf, DefaultMaxFrameBytes)
+		got, err := readFrame(&buf)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -32,7 +32,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: got %d bytes, want %d", i, len(got), len(want))
 		}
 	}
-	if _, err := readFrame(&buf, DefaultMaxFrameBytes); err != io.EOF {
+	if _, err := readFrame(&buf); err != io.EOF {
 		t.Fatalf("empty stream: %v, want io.EOF", err)
 	}
 }
@@ -47,7 +47,7 @@ func TestTruncatedFrameSurfaces(t *testing.T) {
 	}
 	raw := full.Bytes()
 	for cut := 1; cut < len(raw); cut++ {
-		_, err := readFrame(bytes.NewReader(raw[:cut]), DefaultMaxFrameBytes)
+		_, err := readFrame(bytes.NewReader(raw[:cut]))
 		if !errors.Is(err, ErrTruncatedFrame) {
 			t.Fatalf("cut at %d/%d bytes: err = %v, want ErrTruncatedFrame", cut, len(raw), err)
 		}
@@ -68,7 +68,7 @@ func TestBitFlippedFrameSurfaces(t *testing.T) {
 	for bit := 0; bit < len(raw)*8; bit++ {
 		damaged := append([]byte(nil), raw...)
 		damaged[bit/8] ^= 1 << (bit % 8)
-		got, err := readFrame(bytes.NewReader(damaged), DefaultMaxFrameBytes)
+		got, err := readFrame(bytes.NewReader(damaged))
 		if err == nil {
 			// The only acceptable "success" would be a read that still
 			// returns the exact original body — impossible here because
@@ -87,7 +87,7 @@ func TestBitFlippedFrameSurfaces(t *testing.T) {
 func TestOversizedFrameRejected(t *testing.T) {
 	var hdr [frameHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], 1<<31)
-	_, err := readFrame(bytes.NewReader(hdr[:]), DefaultMaxFrameBytes)
+	_, err := readFrame(bytes.NewReader(hdr[:]))
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
@@ -189,7 +189,7 @@ func fakeServer(t *testing.T, handle func(t *testing.T, nc net.Conn)) string {
 // readOneFrame reads a request frame off the raw connection.
 func readOneFrame(t *testing.T, nc net.Conn) []byte {
 	t.Helper()
-	body, err := readFrame(nc, DefaultMaxFrameBytes)
+	body, err := readFrame(nc)
 	if err != nil {
 		t.Errorf("fake server read: %v", err)
 		return nil
@@ -270,7 +270,7 @@ func TestClientRejectsShortBatchResponse(t *testing.T) {
 	inFlight, release := make(chan struct{}), make(chan struct{})
 	addr := fakeServer(t, func(t *testing.T, nc net.Conn) {
 		for first := true; ; first = false {
-			req, err := readFrame(nc, DefaultMaxFrameBytes)
+			req, err := readFrame(nc)
 			if err != nil {
 				return
 			}
@@ -397,7 +397,7 @@ func TestFrameLeavesInOneWrite(t *testing.T) {
 			t.Fatalf("flush %d of %d frames: %d Writes on the connection so far, want one per flush", flushes, len(frames), n)
 		}
 		for _, body := range frames {
-			got, err := readFrame(&wire, DefaultMaxFrameBytes)
+			got, err := readFrame(&wire)
 			if err != nil || !bytes.Equal(got, body) {
 				t.Fatalf("frame did not survive the trip: %d bytes, %v", len(got), err)
 			}
