@@ -87,7 +87,8 @@ TRACE ?= 0
 bench-repo:
 	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 10 --trace $(TRACE)
 
-# Short fuzz passes over the binary decoders and the policy file parser.
+# Short fuzz passes over the binary decoders, the policy file parser and
+# the unrolled Keccak permutation (against its loop-form reference).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeString -fuzztime=10s ./internal/rlp/
 	$(GO) test -run=NONE -fuzz=FuzzSplitList -fuzztime=10s ./internal/rlp/
@@ -101,6 +102,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzServerRequestDecode -fuzztime=10s ./internal/kvnet/
 	$(GO) test -run=NONE -fuzz=FuzzShardRouting -fuzztime=10s ./internal/shard/
 	$(GO) test -run=NONE -fuzz=FuzzPolicyParse -fuzztime=10s ./internal/policy/
+	$(GO) test -run=NONE -fuzz=FuzzPermute -fuzztime=10s ./internal/keccak/
 
 vet:
 	$(GO) vet ./...

@@ -267,13 +267,7 @@ func (b *Block) Number() uint64 { return b.Header.Number }
 // listRoot derives a commitment hash over encoded items (stand-in for the
 // per-block transaction/receipt tries, which do not touch the KV store).
 func listRoot(items [][]byte) rawdb.Hash {
-	h := keccak.New256()
-	for _, item := range items {
-		h.Write(item)
-	}
-	var out rawdb.Hash
-	copy(out[:], h.Sum(nil))
-	return out
+	return keccak.Hash256(items...)
 }
 
 func errMalformed(what string, err error) error {

@@ -2,9 +2,12 @@ package keccak
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // Known-answer vectors for the original Keccak (Ethereum variant, 0x01 pad).
@@ -22,14 +25,6 @@ var kat256 = []struct {
 	{"\x80", "56e81f171bcc55a6ff8345e692c0f86e5b48e01b996cadc001622fb5e363b421"},
 }
 
-var kat512 = []struct {
-	in  string
-	out string
-}{
-	{"", "0eab42de4c3ceb9235fc91acffe746b29c29a8c366b7c60e4e67c466f36a4304c00fa9caf9d87976ba469bcbe06713b435f091ef2769fb160cdab33d3670680e"},
-	{"abc", "18587dc2ea106b9a1563e32b3312421ca164c7f1f07bc922a9c83d77cea3a1e5d0c69910739025372dc14ac9642629379540c17e2a65b19d77aa511a9d00bb96"},
-}
-
 func TestKeccak256KnownAnswers(t *testing.T) {
 	for _, kat := range kat256 {
 		got := Hash256([]byte(kat.in))
@@ -39,19 +34,6 @@ func TestKeccak256KnownAnswers(t *testing.T) {
 		}
 		if !bytes.Equal(got[:], want) {
 			t.Errorf("Hash256(%q) = %x, want %s", kat.in, got, kat.out)
-		}
-	}
-}
-
-func TestKeccak512KnownAnswers(t *testing.T) {
-	for _, kat := range kat512 {
-		got := Hash512([]byte(kat.in))
-		want, err := hex.DecodeString(kat.out)
-		if err != nil {
-			t.Fatalf("bad vector %q: %v", kat.out, err)
-		}
-		if !bytes.Equal(got[:], want) {
-			t.Errorf("Hash512(%q) = %x, want %s", kat.in, got, kat.out)
 		}
 	}
 }
@@ -118,12 +100,6 @@ func TestSizesAndRates(t *testing.T) {
 	if got := New256().BlockSize(); got != 136 {
 		t.Errorf("New256 BlockSize = %d, want 136", got)
 	}
-	if got := New512().Size(); got != 64 {
-		t.Errorf("New512 Size = %d, want 64", got)
-	}
-	if got := New512().BlockSize(); got != 72 {
-		t.Errorf("New512 BlockSize = %d, want 72", got)
-	}
 }
 
 // TestRateBoundary exercises inputs straddling the 136-byte rate boundary,
@@ -142,6 +118,139 @@ func TestRateBoundary(t *testing.T) {
 		if one != streamed {
 			t.Errorf("length %d: byte-at-a-time digest differs", n)
 		}
+	}
+}
+
+// TestKeccak256Golden pins multi-block hashing independently of the
+// implementation: the SHA-256 of the Keccak-256 digests of every prefix
+// p[:0] .. p[:1024] of a fixed pattern, which crosses the 136-byte rate
+// boundary seven times.
+func TestKeccak256Golden(t *testing.T) {
+	const want = "9d896f3793bdf2905a7b6e191ba4ed18b5463cb52f9716ed35318fdce05534e3"
+	p := make([]byte, 1024)
+	for i := range p {
+		p[i] = byte(i*7 + 3)
+	}
+	acc := sha256.New()
+	for n := 0; n <= len(p); n++ {
+		d := Hash256(p[:n])
+		acc.Write(d[:])
+	}
+	if got := hex.EncodeToString(acc.Sum(nil)); got != want {
+		t.Fatalf("digest of prefix digests = %s, want %s", got, want)
+	}
+}
+
+// TestZeroValueHasher checks that a zero Hasher is a ready Keccak-256
+// sponge: Write returns instead of spinning, and the digest is right.
+func TestZeroValueHasher(t *testing.T) {
+	done := make(chan []byte, 1)
+	go func() {
+		var h Hasher
+		h.Write([]byte("abc"))
+		done <- h.Sum(nil)
+	}()
+	select {
+	case got := <-done:
+		want := Hash256([]byte("abc"))
+		if !bytes.Equal(got, want[:]) {
+			t.Fatalf("zero Hasher digest = %x, want %x", got, want)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Write on a zero Hasher did not return")
+	}
+}
+
+// rotc holds the rho-step rotation offsets in the order visited by the
+// combined rho+pi loop of permuteRef.
+var rotc = [24]uint{
+	1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 2, 14,
+	27, 41, 56, 8, 25, 43, 62, 18, 39, 61, 20, 44,
+}
+
+// piln holds the pi-step lane permutation in the same visitation order.
+var piln = [24]int{
+	10, 7, 11, 17, 18, 3, 5, 16, 8, 21, 24, 4,
+	15, 23, 19, 13, 12, 2, 20, 14, 22, 9, 6, 1,
+}
+
+// permuteRef is the loop form of Keccak-f[1600], one step at a time: the
+// reference the unrolled permute is checked against.
+func permuteRef(a *[25]uint64) {
+	rotl := func(x uint64, n uint) uint64 { return x<<n | x>>(64-n) }
+	var bc [5]uint64
+	for round := 0; round < 24; round++ {
+		// Theta.
+		for i := 0; i < 5; i++ {
+			bc[i] = a[i] ^ a[i+5] ^ a[i+10] ^ a[i+15] ^ a[i+20]
+		}
+		for i := 0; i < 5; i++ {
+			t := bc[(i+4)%5] ^ rotl(bc[(i+1)%5], 1)
+			for j := 0; j < 25; j += 5 {
+				a[j+i] ^= t
+			}
+		}
+		// Rho and Pi.
+		t := a[1]
+		for i := 0; i < 24; i++ {
+			j := piln[i]
+			bc[0] = a[j]
+			a[j] = rotl(t, rotc[i])
+			t = bc[0]
+		}
+		// Chi.
+		for j := 0; j < 25; j += 5 {
+			for i := 0; i < 5; i++ {
+				bc[i] = a[j+i]
+			}
+			for i := 0; i < 5; i++ {
+				a[j+i] ^= (^bc[(i+1)%5]) & bc[(i+2)%5]
+			}
+		}
+		// Iota.
+		a[0] ^= roundConstants[round]
+	}
+}
+
+// stateFrom fills a state from up to 200 bytes of data, zero-extended.
+func stateFrom(data []byte) (a [25]uint64) {
+	var raw [200]byte
+	copy(raw[:], data)
+	for i := range a {
+		a[i] = binary.LittleEndian.Uint64(raw[i*8:])
+	}
+	return a
+}
+
+func FuzzPermute(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 200))
+	f.Add([]byte("the quick brown fox"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a := stateFrom(data)
+		want := a
+		permuteRef(&want)
+		permute(&a)
+		if a != want {
+			t.Fatalf("permute(%x) differs from the reference", data)
+		}
+	})
+}
+
+func BenchmarkPermute(b *testing.B) {
+	var a [25]uint64
+	for i := 0; i < b.N; i++ {
+		permute(&a)
+	}
+}
+
+// BenchmarkHash256_32B hashes one trie key.
+func BenchmarkHash256_32B(b *testing.B) {
+	data := make([]byte, 32)
+	b.SetBytes(32)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Hash256(data)
 	}
 }
 

@@ -356,6 +356,11 @@ func (m *MemStore) NewIterator(prefix, start []byte) Iterator {
 	lower := append(append([]byte{}, prefix...), start...)
 	var keys []string
 	for k := range m.data {
+		// Reject on the first byte before the full prefix compare: most
+		// scans are narrow prefixes over a store of unrelated keys.
+		if len(prefix) > 0 && (len(k) == 0 || k[0] != prefix[0]) {
+			continue
+		}
 		if bytes.HasPrefix([]byte(k), prefix) && bytes.Compare([]byte(k), lower) >= 0 {
 			keys = append(keys, k)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -97,6 +98,51 @@ func TestMemStoreIteratorStart(t *testing.T) {
 	}
 	if n != 5 {
 		t.Fatalf("got %d keys from start, want 5", n)
+	}
+}
+
+// TestMemStoreIteratorFilter checks NewIterator's key selection against a
+// brute-force filter, on the edges the first-byte reject must not skip.
+func TestMemStoreIteratorFilter(t *testing.T) {
+	keys := []string{"", "a", "ab", "abc", "abd", "abcd", "ax", "b", "ba", "h", "h\x00", "h\x00\x01", "hz"}
+	s := NewMemStore()
+	defer s.Close()
+	for _, k := range keys {
+		s.Put([]byte(k), []byte("v"+k))
+	}
+	for _, tc := range []struct {
+		name          string
+		prefix, start []byte
+	}{
+		{"nil prefix, nil start", nil, nil},
+		{"empty key stored, empty prefix", []byte{}, nil},
+		{"key shorter than prefix", []byte("abcde"), nil},
+		{"key equal to prefix", []byte("abc"), nil},
+		{"keys sharing only the first byte", []byte("ab"), nil},
+		{"nil prefix with start", nil, []byte("ab")},
+		{"prefix plus start", []byte("ab"), []byte("c")},
+		{"prefix plus start past every key", []byte("h"), []byte("zz")},
+		{"binary prefix", []byte("h\x00"), nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lower := append(append([]byte{}, tc.prefix...), tc.start...)
+			var want []string
+			for _, k := range keys {
+				if bytes.HasPrefix([]byte(k), tc.prefix) && bytes.Compare([]byte(k), lower) >= 0 {
+					want = append(want, k)
+				}
+			}
+			sort.Strings(want)
+			it := s.NewIterator(tc.prefix, tc.start)
+			defer it.Release()
+			var got []string
+			for it.Next() {
+				got = append(got, string(it.Key()))
+			}
+			if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) {
+				t.Fatalf("NewIterator(%q, %q) = %q, want %q", tc.prefix, tc.start, got, want)
+			}
+		})
 	}
 }
 
