@@ -17,17 +17,17 @@ race:
 	$(GO) test -race ./...
 
 # The default pre-merge gate: static checks plus the full suite under the
-# race detector (the parallel analysis engine and the lock-free metrics in
-# internal/obs must stay race-clean — `race` covers ./... including
-# internal/obs and the kv.Instrument decorator), a wide crash-recovery
-# sweep, the LSM byte-identity and crash-determinism suites repeated, the
-# repo benchmark's own vet + tests (a nested module `./...` never enters),
-# and one iteration of every kernel benchmark (`go test` compiles benchmarks
-# but never runs them). The end-to-end checks are Go tests, so `race`
-# covers them: census equivalence across backend, policy, shard count and
-# compaction width (TestCensusInvariantAcrossCompositions in
-# internal/backends), and the serving, metrics and block-cache wiring of
-# the binaries (cmd/*/main_test.go, in-process on 127.0.0.1:0).
+# race detector (the analysis engine's collector goroutines and the
+# lock-free metrics in internal/obs must stay race-clean — `race` covers
+# ./... including internal/obs and the kv.Instrument decorator), a wide
+# crash-recovery sweep, the LSM byte-identity and crash-determinism suites
+# repeated, the repo benchmark's own vet + tests (a nested module `./...`
+# never enters), and one iteration of every kernel benchmark (`go test`
+# compiles benchmarks but never runs them). The end-to-end checks are Go
+# tests, so `race` covers them: census equivalence across backend, policy,
+# shard count and compaction width (TestCensusInvariantAcrossCompositions
+# in internal/backends), and the serving, metrics and block-cache wiring
+# of the binaries (cmd/*/main_test.go, in-process on 127.0.0.1:0).
 check: build vet race crashtest determinism bench-rig bench-kernels-once
 
 # Crash-recovery fault injection: internal/storetest's crash ending swept

@@ -157,31 +157,18 @@ func BenchmarkAblationCorrelationCache(b *testing.B) {
 	b.ReportMetric(corrRate*100, "corr-hit-%")
 }
 
-// BenchmarkPipelineImport times raw block import throughput through the
-// cached stack, sequential vs the staged import pipeline. The traces are
-// byte-identical at every width (TestImportWorkersEquivalence), so this
-// measures pure overlap: generation ahead of commit, parallel trie
-// hashing, and async LSM flush. On a single-core box the widths should
-// tie; the pipeline pays no sequential-path penalty.
-func BenchmarkPipelineImport(b *testing.B) {
+// BenchmarkImport times raw block import throughput through the cached
+// stack: workload generation, execution, trie hashing and persistence in
+// one sequential loop, over the LSM with its background flush.
+func BenchmarkImport(b *testing.B) {
 	workload := chain.DefaultWorkload()
 	workload.Accounts = 2000
 	workload.Contracts = 200
 	workload.TxPerBlock = 50
-	widths := []int{1, 4}
-	if w := chain.DefaultImportWorkers(); w != 1 && w != 4 {
-		widths = append(widths, w)
-	}
-	for _, workers := range widths {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := lab.Run(lab.Config{
-					Mode: lab.Cached, Blocks: 10, Workload: workload, ImportWorkers: workers,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, err := lab.Run(lab.Config{Mode: lab.Cached, Blocks: 10, Workload: workload}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

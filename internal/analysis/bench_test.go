@@ -1,8 +1,6 @@
 package analysis_test
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"ethkv/internal/analysis"
@@ -13,8 +11,7 @@ import (
 
 // BenchmarkEngineSinglePass times the paper's analysis pass as ethkvlab runs
 // it on each trace: one engine scan feeding the op census and the read and
-// update correlators, over a generated CacheTrace, at one worker and at
-// GOMAXPROCS.
+// update correlators, over a generated CacheTrace.
 func BenchmarkEngineSinglePass(b *testing.B) {
 	workload := chain.DefaultWorkload()
 	workload.Accounts = 4000
@@ -24,22 +21,15 @@ func BenchmarkEngineSinglePass(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	widths := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		widths = append(widths, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := analysis.NewEngine()
+		e.AddOpDist(nil)
+		e.AddCorrelator(analysis.CorrConfig{Op: trace.OpRead})
+		e.AddCorrelator(analysis.CorrConfig{Op: trace.OpUpdate})
+		if err := e.RunSlice(res.Ops); err != nil {
+			b.Fatal(err)
+		}
 	}
-	for _, workers := range widths {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e := analysis.NewEngine(analysis.EngineConfig{Workers: workers})
-				e.AddOpDist(nil)
-				e.AddCorrelator(analysis.CorrConfig{Op: trace.OpRead})
-				e.AddCorrelator(analysis.CorrConfig{Op: trace.OpUpdate})
-				if err := e.RunSlice(res.Ops); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(res.Ops))*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-		})
-	}
+	b.ReportMetric(float64(len(res.Ops))*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 }

@@ -62,8 +62,7 @@ type CorrConfig struct {
 
 // Correlator consumes a trace and produces the correlation statistics.
 // The hot-path state is indexed by distance position (not distance value)
-// so Observe touches slices, not nested maps; corrState carries the
-// counters themselves so the parallel engine can shard them.
+// so Observe touches slices, not nested maps.
 type Correlator struct {
 	cfg       CorrConfig
 	distances []int
@@ -73,21 +72,6 @@ type Correlator struct {
 	ring []ringEntry
 	pos  uint64 // total tracked ops so far
 
-	corrState
-
-	// pairCountsByDist aliases corrState.pairCounts by distance value for
-	// the accessor methods (FrequencyDistribution, MaxPairFrequency).
-	pairCountsByDist map[int]map[pairKey]*pairStat
-
-	// hashCache memoizes hashKey for repeated keys; keccak dominates the
-	// sequential pass otherwise. Bounded to keep paper-scale traces safe.
-	hashCache map[string]uint64
-}
-
-// corrState is the shardable counter state of one correlation pass. Each
-// parallel shard owns one (with a sketch partition); the sequential path
-// owns exactly one covering everything.
-type corrState struct {
 	// counts[i][pair] accumulates occurrences at distances[i] that passed
 	// the min-2 rule.
 	counts []map[ClassPair]uint64
@@ -95,10 +79,12 @@ type corrState struct {
 	// distances[i] is tracked; nil otherwise (sketch path).
 	pairCounts []map[pairKey]*pairStat
 	// sketch approximates per-(pair,distance) occurrence counts for the
-	// min-2 rule at non-tracked distances. sketchOff is the partition
-	// offset (0 and full size for the sequential path).
-	sketch    []uint8
-	sketchOff uint64
+	// min-2 rule at non-tracked distances.
+	sketch []uint8
+
+	// pairCountsByDist aliases pairCounts by distance value for the
+	// accessor methods (FrequencyDistribution, MaxPairFrequency).
+	pairCountsByDist map[int]map[pairKey]*pairStat
 }
 
 // ringEntry is one remembered op.
@@ -121,70 +107,6 @@ type pairStat struct {
 // sketchBits sizes the counting sketch (2^24 counters = 16 MiB).
 const sketchBits = 24
 
-// maxHashCacheKeys bounds the key-hash memo; beyond it new keys are hashed
-// directly (values stay identical either way).
-const maxHashCacheKeys = 1 << 20
-
-// newCorrState builds counter maps for the distance layout. sketchLo and
-// sketchHi bound the owned sketch partition.
-func newCorrState(distances []int, trackExact []bool, sketchLo, sketchHi uint64) corrState {
-	st := corrState{
-		counts:     make([]map[ClassPair]uint64, len(distances)),
-		pairCounts: make([]map[pairKey]*pairStat, len(distances)),
-		sketch:     make([]uint8, sketchHi-sketchLo),
-		sketchOff:  sketchLo,
-	}
-	for i := range distances {
-		st.counts[i] = make(map[ClassPair]uint64)
-		if trackExact[i] {
-			st.pairCounts[i] = make(map[pairKey]*pairStat)
-		}
-	}
-	return st
-}
-
-// apply folds one correlated-pair observation into the counters. i is the
-// distance index, d the distance value (the sketch hash keys on it).
-func (st *corrState) apply(i, d int, pk pairKey, cp ClassPair) {
-	if stats := st.pairCounts[i]; stats != nil {
-		s := stats[pk]
-		if s == nil {
-			s = &pairStat{pair: cp}
-			stats[pk] = s
-		}
-		s.count++
-		switch s.count {
-		case 1:
-			// Not yet correlated (needs at least two occurrences).
-		case 2:
-			st.counts[i][cp] += 2
-		default:
-			st.counts[i][cp]++
-		}
-		return
-	}
-	// Sketch path: approximate occurrence count for the min-2 rule.
-	switch st.bumpSketch(sketchIndex(pk, d)) {
-	case 1:
-		// First sighting: defer.
-	case 2:
-		st.counts[i][cp] += 2
-	default:
-		st.counts[i][cp]++
-	}
-}
-
-// bumpSketch increments the saturating counter at the global sketch index
-// and returns the new value (saturates at 255).
-func (st *corrState) bumpSketch(idx uint64) uint8 {
-	v := st.sketch[idx-st.sketchOff]
-	if v < 255 {
-		v++
-		st.sketch[idx-st.sketchOff] = v
-	}
-	return v
-}
-
 // sketchIndex hashes (pair, distance) into the counting sketch.
 func sketchIndex(pk pairKey, d int) uint64 {
 	return (pk.lo*0x9e3779b97f4a7c15 + pk.hi*0xc2b2ae3d27d4eb4f + uint64(d)*0x165667b19e3779f9) & (1<<sketchBits - 1)
@@ -201,16 +123,22 @@ func NewCorrelator(cfg CorrConfig) *Correlator {
 	c := &Correlator{
 		cfg:              cfg,
 		distances:        append([]int(nil), cfg.Distances...),
+		sketch:           make([]uint8, 1<<sketchBits),
 		pairCountsByDist: make(map[int]map[pairKey]*pairStat),
-		hashCache:        make(map[string]uint64),
 	}
 	sort.Ints(c.distances)
 	c.maxDist = c.distances[len(c.distances)-1]
 	c.ring = make([]ringEntry, c.maxDist+1)
-	c.corrState = newCorrState(c.distances, c.trackExactByIndex(), 0, 1<<sketchBits)
+	c.counts = make([]map[ClassPair]uint64, len(c.distances))
+	c.pairCounts = make([]map[pairKey]*pairStat, len(c.distances))
 	for i, d := range c.distances {
-		if c.pairCounts[i] != nil {
-			c.pairCountsByDist[d] = c.pairCounts[i]
+		c.counts[i] = make(map[ClassPair]uint64)
+		for _, t := range cfg.TrackPairsAt {
+			if t == d {
+				c.pairCounts[i] = make(map[pairKey]*pairStat)
+				c.pairCountsByDist[d] = c.pairCounts[i]
+				break
+			}
 		}
 	}
 	// TrackPairsAt entries outside Distances never receive observations but
@@ -221,20 +149,6 @@ func NewCorrelator(cfg CorrConfig) *Correlator {
 		}
 	}
 	return c
-}
-
-// trackExactByIndex expands cfg.TrackPairsAt into a per-distance-index
-// bitmap.
-func (c *Correlator) trackExactByIndex() []bool {
-	exact := make([]bool, len(c.distances))
-	for i, d := range c.distances {
-		for _, t := range c.cfg.TrackPairsAt {
-			if t == d {
-				exact[i] = true
-			}
-		}
-	}
-	return exact
 }
 
 // tracks reports whether the op belongs to the tracked stream.
@@ -253,29 +167,8 @@ func (c *Correlator) Observe(op trace.Op) {
 	if !c.tracks(op) {
 		return
 	}
-	// Same loop as observeHash with fold = c.apply, kept direct: the
-	// sequential hot path pays for an indirect call per (op, distance)
-	// tuple otherwise.
-	h := c.hashKeyCached(op.Key)
+	h := hashKey(op.Key)
 	class := op.Class
-	for i, d := range c.distances {
-		if uint64(d+1) > c.pos {
-			break
-		}
-		partner := c.ring[(c.pos-uint64(d)-1)%uint64(len(c.ring))]
-		if partner.keyHash == h {
-			continue
-		}
-		c.apply(i, d, makePairKey(h, partner.keyHash), MakeClassPair(class, partner.class))
-	}
-	c.ring[c.pos%uint64(len(c.ring))] = ringEntry{keyHash: h, class: class}
-	c.pos++
-}
-
-// observeHash advances the ring with one tracked op, feeding every
-// correlated pair it forms to fold. Factored out so the parallel engine can
-// route pairs to shards while keeping the exact sequential semantics.
-func (c *Correlator) observeHash(h uint64, class rawdb.Class, fold func(i, d int, pk pairKey, cp ClassPair)) {
 	for i, d := range c.distances {
 		if uint64(d+1) > c.pos {
 			break // not enough history yet
@@ -284,22 +177,48 @@ func (c *Correlator) observeHash(h uint64, class rawdb.Class, fold func(i, d int
 		if partner.keyHash == h {
 			continue // same key is not a pair
 		}
-		fold(i, d, makePairKey(h, partner.keyHash), MakeClassPair(class, partner.class))
+		c.apply(i, d, makePairKey(h, partner.keyHash), MakeClassPair(class, partner.class))
 	}
 	c.ring[c.pos%uint64(len(c.ring))] = ringEntry{keyHash: h, class: class}
 	c.pos++
 }
 
-// hashKeyCached memoizes hashKey for hot keys.
-func (c *Correlator) hashKeyCached(key []byte) uint64 {
-	if h, ok := c.hashCache[string(key)]; ok {
-		return h
+// observeBatch feeds a batch in stream order (the engine's fan-out target).
+func (c *Correlator) observeBatch(ops []trace.Op) {
+	for i := range ops {
+		c.Observe(ops[i])
 	}
-	h := hashKey(key)
-	if len(c.hashCache) < maxHashCacheKeys {
-		c.hashCache[string(key)] = h
+}
+
+// apply folds one correlated-pair observation into the counters. i is the
+// distance index, d the distance value (the sketch hash keys on it).
+func (c *Correlator) apply(i, d int, pk pairKey, cp ClassPair) {
+	var n uint64
+	if stats := c.pairCounts[i]; stats != nil {
+		s := stats[pk]
+		if s == nil {
+			s = &pairStat{pair: cp}
+			stats[pk] = s
+		}
+		s.count++
+		n = s.count
+	} else {
+		// Sketch path: a saturating (at 255) approximate occurrence count
+		// for the min-2 rule.
+		idx := sketchIndex(pk, d)
+		if c.sketch[idx] < 255 {
+			c.sketch[idx]++
+		}
+		n = uint64(c.sketch[idx])
 	}
-	return h
+	switch n {
+	case 1:
+		// Not yet correlated (needs at least two occurrences).
+	case 2:
+		c.counts[i][cp] += 2
+	default:
+		c.counts[i][cp]++
+	}
 }
 
 // hashKey derives a 64-bit key fingerprint.
@@ -430,10 +349,10 @@ func (c *Correlator) Distances() []int {
 // TrackedOps reports how many ops entered the correlation stream.
 func (c *Correlator) TrackedOps() uint64 { return c.pos }
 
-// CollectCorrelations streams a trace through a new correlator. The pass
-// runs on the parallel engine, sharded across GOMAXPROCS workers.
+// CollectCorrelations streams a trace through a new correlator in one
+// engine pass.
 func CollectCorrelations(r *trace.Reader, cfg CorrConfig) (*Correlator, error) {
-	e := NewEngine(EngineConfig{})
+	e := NewEngine()
 	h := e.AddCorrelator(cfg)
 	if err := e.RunReader(r); err != nil {
 		return nil, err
@@ -441,10 +360,9 @@ func CollectCorrelations(r *trace.Reader, cfg CorrConfig) (*Correlator, error) {
 	return h.Result(), nil
 }
 
-// CollectCorrelationsSlice runs a correlation pass over in-memory ops,
-// sharded across GOMAXPROCS workers.
+// CollectCorrelationsSlice runs a correlation pass over in-memory ops.
 func CollectCorrelationsSlice(ops []trace.Op, cfg CorrConfig) *Correlator {
-	e := NewEngine(EngineConfig{})
+	e := NewEngine()
 	h := e.AddCorrelator(cfg)
 	if err := e.RunSlice(ops); err != nil {
 		// RunSlice cannot fail: no I/O is involved.

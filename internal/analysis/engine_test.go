@@ -2,11 +2,9 @@ package analysis
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"ethkv/internal/rawdb"
@@ -128,15 +126,16 @@ func requireSameCorrelator(t *testing.T, want, got *Correlator) {
 	}
 }
 
-// engineWorkerCounts are the shard counts every equivalence test runs at.
-func engineWorkerCounts() []int {
-	counts := []int{1, 2, 3, 4}
-	if n := runtime.NumCPU(); n > 4 {
-		counts = append(counts, n)
-	}
-	return counts
+// newTestEngine builds an engine cutting batches of batchSize ops, so
+// batch boundaries fall at odd offsets of the stream.
+func newTestEngine(batchSize int) *Engine {
+	e := NewEngine()
+	e.batchSize = batchSize
+	return e
 }
 
+// TestEngineEquivalenceSlice: one engine pass feeding a census and four
+// correlators must equal each collector's direct Observe loop.
 func TestEngineEquivalenceSlice(t *testing.T) {
 	ops := genOps(30000, 1)
 	cfgs := []CorrConfig{
@@ -145,30 +144,23 @@ func TestEngineEquivalenceSlice(t *testing.T) {
 		{Op: trace.OpUpdate, IncludeWrites: true},
 		{Op: trace.OpRead, Distances: []int{0, 3, 7, 50}, TrackPairsAt: []int{3, 2048}},
 	}
-	wantDist := seqOpDist(ops, nil, 0)
-	wantCorrs := make([]*Correlator, len(cfgs))
+	e := newTestEngine(1009)
+	hd := e.AddOpDist(nil)
+	hcs := make([]*CorrelatorHandle, len(cfgs))
 	for i, cfg := range cfgs {
-		wantCorrs[i] = seqCorrelator(ops, cfg)
+		hcs[i] = e.AddCorrelator(cfg)
 	}
-	for _, w := range engineWorkerCounts() {
-		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			e := NewEngine(EngineConfig{Workers: w, BatchSize: 1009})
-			hd := e.AddOpDist(nil)
-			hcs := make([]*CorrelatorHandle, len(cfgs))
-			for i, cfg := range cfgs {
-				hcs[i] = e.AddCorrelator(cfg)
-			}
-			if err := e.RunSlice(ops); err != nil {
-				t.Fatal(err)
-			}
-			requireSameOpDist(t, wantDist, hd.Result())
-			for i := range cfgs {
-				requireSameCorrelator(t, wantCorrs[i], hcs[i].Result())
-			}
-		})
+	if err := e.RunSlice(ops); err != nil {
+		t.Fatal(err)
+	}
+	requireSameOpDist(t, seqOpDist(ops, nil, 0), hd.Result())
+	for i, cfg := range cfgs {
+		requireSameCorrelator(t, seqCorrelator(ops, cfg), hcs[i].Result())
 	}
 }
 
+// TestEngineEquivalenceReader: the same over a trace file, whose batch
+// buffers the engine recycles through its pool.
 func TestEngineEquivalenceReader(t *testing.T) {
 	ops := genOps(20000, 2)
 	path := filepath.Join(t.TempDir(), "trace.bin")
@@ -182,27 +174,21 @@ func TestEngineEquivalenceReader(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	r, err := trace.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
 
 	cfg := CorrConfig{Op: trace.OpRead}
-	wantDist := seqOpDist(ops, nil, 0)
-	wantCorr := seqCorrelator(ops, cfg)
-	for _, workers := range engineWorkerCounts() {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			r, err := trace.OpenFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			e := NewEngine(EngineConfig{Workers: workers, BatchSize: 513})
-			hd := e.AddOpDist(nil)
-			hc := e.AddCorrelator(cfg)
-			if err := e.RunReader(r); err != nil {
-				t.Fatal(err)
-			}
-			requireSameOpDist(t, wantDist, hd.Result())
-			requireSameCorrelator(t, wantCorr, hc.Result())
-		})
+	e := newTestEngine(513)
+	hd := e.AddOpDist(nil)
+	hc := e.AddCorrelator(cfg)
+	if err := e.RunReader(r); err != nil {
+		t.Fatal(err)
 	}
+	requireSameOpDist(t, seqOpDist(ops, nil, 0), hd.Result())
+	requireSameCorrelator(t, seqCorrelator(ops, cfg), hc.Result())
 }
 
 func TestEngineOpDistTrackedKeyCap(t *testing.T) {
@@ -212,16 +198,12 @@ func TestEngineOpDistTrackedKeyCap(t *testing.T) {
 	if !want.Truncated {
 		t.Fatal("test needs a workload that overflows the cap")
 	}
-	for _, w := range engineWorkerCounts() {
-		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			e := NewEngine(EngineConfig{Workers: w, BatchSize: 777})
-			h := e.AddOpDistLimited(nil, cap)
-			if err := e.RunSlice(ops); err != nil {
-				t.Fatal(err)
-			}
-			requireSameOpDist(t, want, h.Result())
-		})
+	e := newTestEngine(777)
+	h := e.AddOpDistLimited(nil, cap)
+	if err := e.RunSlice(ops); err != nil {
+		t.Fatal(err)
 	}
+	requireSameOpDist(t, want, h.Result())
 }
 
 func TestEngineFindingsEquivalence(t *testing.T) {
@@ -246,9 +228,6 @@ func TestEngineFindingsEquivalence(t *testing.T) {
 }
 
 func TestCollectWrappersMatchSequential(t *testing.T) {
-	// The public Collect* entry points shard across GOMAXPROCS workers; pin
-	// it above 1 so the sharded path runs even on 1-CPU machines.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	ops := genOps(10000, 6)
 	requireSameOpDist(t, seqOpDist(ops, nil, 0), CollectOpDistSlice(ops, nil))
 	cfg := CorrConfig{Op: trace.OpUpdate, IncludeWrites: true}
@@ -258,7 +237,7 @@ func TestCollectWrappersMatchSequential(t *testing.T) {
 func TestEngineEmptyAndTiny(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 5} {
 		ops := genOps(n, int64(10+n))
-		e := NewEngine(EngineConfig{Workers: 4, BatchSize: 2})
+		e := newTestEngine(2)
 		hd := e.AddOpDist(nil)
 		hc := e.AddCorrelator(CorrConfig{Op: trace.OpRead})
 		if err := e.RunSlice(ops); err != nil {

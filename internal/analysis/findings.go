@@ -409,7 +409,7 @@ func BuildFindingsInput(cachedOps, bareOps []trace.Op,
 	var wg sync.WaitGroup
 	scan := func(ops []trace.Op, dist **OpDist, readCorr, updCorr **Correlator) {
 		defer wg.Done()
-		e := NewEngine(EngineConfig{})
+		e := NewEngine()
 		hd := e.AddOpDist(nil)
 		hr := e.AddCorrelator(readCfg)
 		hu := e.AddCorrelator(updCfg)

@@ -125,10 +125,17 @@ func (d *OpDist) bump(freq map[string]uint32, key []byte) {
 	freq[string(key)]++
 }
 
+// observeBatch feeds a batch in stream order (the engine's fan-out target).
+func (d *OpDist) observeBatch(ops []trace.Op) {
+	for i := range ops {
+		d.Observe(ops[i])
+	}
+}
+
 // CollectOpDist streams a trace reader through a new census in batched
-// reads, sharding the per-class counters across GOMAXPROCS workers.
+// reads.
 func CollectOpDist(r *trace.Reader, trackClasses []rawdb.Class) (*OpDist, error) {
-	e := NewEngine(EngineConfig{})
+	e := NewEngine()
 	h := e.AddOpDist(trackClasses)
 	if err := e.RunReader(r); err != nil {
 		return nil, err
@@ -136,10 +143,9 @@ func CollectOpDist(r *trace.Reader, trackClasses []rawdb.Class) (*OpDist, error)
 	return h.Result(), nil
 }
 
-// CollectOpDistSlice builds a census from in-memory ops, sharded across
-// GOMAXPROCS workers.
+// CollectOpDistSlice builds a census from in-memory ops.
 func CollectOpDistSlice(ops []trace.Op, trackClasses []rawdb.Class) *OpDist {
-	e := NewEngine(EngineConfig{})
+	e := NewEngine()
 	h := e.AddOpDist(trackClasses)
 	if err := e.RunSlice(ops); err != nil {
 		// RunSlice cannot fail: no I/O is involved.

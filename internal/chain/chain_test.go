@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"bytes"
 	"math/big"
 	"testing"
 
@@ -366,6 +367,52 @@ func TestChainContinuity(t *testing.T) {
 	}
 	if head.Header.ParentHash == (rawdb.Hash{}) {
 		t.Fatal("head has empty parent hash")
+	}
+}
+
+// importOps runs an n-block import over a traced store and returns the full
+// op stream plus the head hash.
+func importOps(t *testing.T, cached bool, n int) ([]trace.Op, [32]byte) {
+	t.Helper()
+	proc, sink := buildPipeline(t, cached)
+	if err := proc.ImportBlocks(n); err != nil {
+		t.Fatal(err)
+	}
+	if err := proc.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	return sink.Ops, proc.Head().Hash()
+}
+
+// TestImportResume: import is resumable — a second ImportBlocks call over
+// the same processor continues the chain exactly where one run of the
+// combined length would be, op for op. 30 blocks crosses bloom-section,
+// freezer, tx-index and trie-flush boundaries.
+func TestImportResume(t *testing.T) {
+	wantOps, wantHead := importOps(t, true, 30)
+
+	proc, sink := buildPipeline(t, true)
+	if err := proc.ImportBlocks(18); err != nil {
+		t.Fatal(err)
+	}
+	if err := proc.ImportBlocks(12); err != nil {
+		t.Fatal(err)
+	}
+	if err := proc.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if proc.Head().Hash() != wantHead {
+		t.Fatalf("resumed head %x != one-run head %x", proc.Head().Hash(), wantHead)
+	}
+	if len(sink.Ops) != len(wantOps) {
+		t.Fatalf("resumed import %d ops != one-run %d", len(sink.Ops), len(wantOps))
+	}
+	for i, want := range wantOps {
+		got := sink.Ops[i]
+		if got.Type != want.Type || got.Class != want.Class || !bytes.Equal(got.Key, want.Key) ||
+			got.ValueSize != want.ValueSize || got.Hit != want.Hit {
+			t.Fatalf("op %d diverged after resume:\ngot  %+v\nwant %+v", i, got, want)
+		}
 	}
 }
 

@@ -177,39 +177,18 @@ func (p *Processor) ImportBlocks(n int) error {
 	return nil
 }
 
-// importOne advances the chain by one block: the sequential composition of
-// the two pipeline stages, drawing randomness live at each use site.
+// importOne advances the chain by one block: skeleton bookkeeping,
+// transaction execution, the state commit, batched persistence and
+// lifecycle management, drawing randomness live from the workload RNG at
+// each use site.
 func (p *Processor) importOne() error {
-	block, commit, _, err := p.executeBlock(nil, 1)
-	if err != nil {
-		return err
-	}
-	return p.commitBlock(block, commit, nil)
-}
-
-// executeBlock runs phases 0-2 of a block import: skeleton bookkeeping,
-// transaction execution against the world state, and the state commit.
-// With plan == nil the block's transactions are generated inline (the plain
-// sequential path); with a plan they come from the pipeline's generator
-// stage. Execution always draws its randomness live from the workload RNG —
-// the pipeline serializes access by releasing the generator only once this
-// block's draws are complete — so the RNG stream is bit-identical to the
-// sequential import at any width. workers fans the state commit's trie
-// hashing. The returned bloom rows are non-nil only when a plan pre-drew
-// them for the committer stage.
-func (p *Processor) executeBlock(plan *blockPlan, workers int) (*Block, *state.Commit, [][]byte, error) {
 	number := p.head.Number() + 1
 
 	// --- Phase 0: skeleton sync bookkeeping. The skeleton downloads the
 	// header ahead of the body; it is written, read back during fill and
 	// verification, and the status row updates.
 	parentHash := p.head.Hash()
-	var txs []*Transaction
-	if plan != nil {
-		txs = plan.txs
-	} else {
-		txs = p.workload.GenerateBlockTxs()
-	}
+	txs := p.workload.GenerateBlockTxs()
 	provisional := &Header{
 		ParentHash: parentHash,
 		Number:     number,
@@ -218,23 +197,23 @@ func (p *Processor) executeBlock(plan *blockPlan, workers int) (*Block, *state.C
 		BaseFee:    big.NewInt(7),
 	}
 	if err := rawdb.WriteSkeletonHeader(p.db, number, provisional.EncodeRLP()); err != nil {
-		return nil, nil, nil, err
+		return err
 	}
 	// Filled and re-verified: skeleton headers are read several times.
 	for i := 0; i < 5; i++ {
 		if _, err := rawdb.ReadSkeletonHeader(p.db, number); err != nil {
-			return nil, nil, nil, err
+			return err
 		}
 	}
 	if err := p.db.Put(rawdb.SkeletonSyncStatusKey(), skeletonStatus(number)); err != nil {
-		return nil, nil, nil, err
+		return err
 	}
 
 	// --- Phase 1: execute transactions against the world state. Reads are
 	// on-demand here (the random-read phase of §IV-C).
 	sdb, err := state.New(p.backend)
 	if err != nil {
-		return nil, nil, nil, err
+		return err
 	}
 	receipts := make([]*Receipt, 0, len(txs))
 	for _, tx := range txs {
@@ -244,7 +223,7 @@ func (p *Processor) executeBlock(plan *blockPlan, workers int) (*Block, *state.C
 		snap := sdb.Snapshot()
 		r, err := p.applyTx(sdb, tx)
 		if err != nil {
-			return nil, nil, nil, err
+			return err
 		}
 		if tx.Kind == TxContractCall && p.workload.RNG().Float64() < 0.03 {
 			sdb.RevertToSnapshot(snap)
@@ -256,27 +235,15 @@ func (p *Processor) executeBlock(plan *blockPlan, workers int) (*Block, *state.C
 	// Occasional contract self-destruction: account + slots die.
 	if victim, ok := p.workload.MaybeDestruct(); ok {
 		if err := p.destructContract(sdb, victim); err != nil {
-			return nil, nil, nil, err
+			return err
 		}
-	}
-	// In pipelined mode this block has now consumed its last execution
-	// draw; pre-draw the committer's bloom rows (nothing draws between here
-	// and the indexer in the sequential order) and release the generator to
-	// start on the next block while the commit below crunches CPU.
-	var bloomRows [][]byte
-	if plan != nil {
-		if number%p.cfg.BloomSectionSize == 0 {
-			bloomRows = p.drawBloomRows()
-		}
-		plan.release()
 	}
 
 	// --- Phase 2: commit state and build the block. The commit is pure CPU
-	// (trie resolution happened during Update/Delete), so fanning it across
-	// workers leaves the KV-op stream untouched.
-	commit, err := sdb.CommitParallel(workers)
+	// (trie resolution happened during Update/Delete).
+	commit, err := sdb.Commit()
 	if err != nil {
-		return nil, nil, nil, err
+		return err
 	}
 	body := &Body{Transactions: txs}
 	encTxs := make([][]byte, len(txs))
@@ -300,24 +267,11 @@ func (p *Processor) executeBlock(plan *blockPlan, workers int) (*Block, *state.C
 
 	// Parent lookup during verification: hash -> number -> header.
 	if _, err := rawdb.ReadHeaderNumber(p.db, parentHash); err != nil && !errors.Is(err, kv.ErrNotFound) {
-		return nil, nil, nil, err
+		return err
 	}
 	if _, err := p.readHeader(p.head.Number(), parentHash); err != nil && !errors.Is(err, kv.ErrNotFound) {
-		return nil, nil, nil, err
+		return err
 	}
-	return block, commit, bloomRows, nil
-}
-
-// commitBlock runs phases 3-4 of a block import: batched persistence,
-// trie/snapshot flushing, and lifecycle management, then advances the head.
-// bloomRows supplies the pre-drawn bloom rows in pipelined mode (nil =
-// draw live at section boundaries).
-func (p *Processor) commitBlock(block *Block, commit *state.Commit, bloomRows [][]byte) error {
-	number := block.Number()
-	header := block.Header
-	body := block.Body
-	txs := body.Transactions
-	receipts := block.Receipts
 	hash := block.Hash()
 
 	// --- Phase 3: batched persistence after verification (§IV-C: writes
@@ -396,7 +350,7 @@ func (p *Processor) commitBlock(block *Block, commit *state.Commit, bloomRows []
 	if err := p.pruneTxIndex(number); err != nil {
 		return err
 	}
-	if err := p.maybeIndexBlooms(number, hash, bloomRows); err != nil {
+	if err := p.maybeIndexBlooms(number, hash); err != nil {
 		return err
 	}
 	// EIP-4444 history expiry: drop ancient data beyond the retention
@@ -747,9 +701,8 @@ func (p *Processor) pruneTxIndex(head uint64) error {
 
 // maybeIndexBlooms runs the chain indexer: its progress row is read every
 // block (BloomBitsIndex is 99% reads) and each completed section writes its
-// bloom-bit rows (BloomBits is ~98% writes). rows supplies the pre-drawn
-// bit rows in pipelined mode; nil draws them live at section boundaries.
-func (p *Processor) maybeIndexBlooms(head uint64, headHash rawdb.Hash, rows [][]byte) error {
+// bloom-bit rows (BloomBits is ~98% writes).
+func (p *Processor) maybeIndexBlooms(head uint64, headHash rawdb.Hash) error {
 	progressKey := rawdb.BloomBitsIndexKey([]byte("sectionCount0"))
 	if _, err := p.db.Get(progressKey); err != nil && !errors.Is(err, kv.ErrNotFound) {
 		return err
@@ -757,13 +710,12 @@ func (p *Processor) maybeIndexBlooms(head uint64, headHash rawdb.Hash, rows [][]
 	if head%p.cfg.BloomSectionSize != 0 {
 		return nil
 	}
-	if rows == nil {
-		rows = p.drawBloomRows()
-	}
 	section := head / p.cfg.BloomSectionSize
 	batch := p.db.NewBatch()
 	for bit := 0; bit < p.cfg.BloomBitsPerSection; bit++ {
-		if err := rawdb.WriteBloomBits(batch, uint16(bit), section, headHash, rows[bit]); err != nil {
+		row := make([]byte, 8+int(p.cfg.BloomSectionSize/2))
+		p.workload.RNG().Read(row)
+		if err := rawdb.WriteBloomBits(batch, uint16(bit), section, headHash, row); err != nil {
 			return err
 		}
 	}

@@ -51,9 +51,8 @@ func requireSameAnalysis(t *testing.T, mode string, wantD, gotD *analysis.OpDist
 }
 
 // TestLabEngineEquivalence runs both trace modes end to end and checks
-// that the parallel engine reproduces the sequential analysis byte for
-// byte on real bare and cached traces — the acceptance gate for routing
-// the lab pipeline through the engine.
+// that the engine's single pass reproduces each collector's direct Observe
+// loop on real bare and cached traces.
 func TestLabEngineEquivalence(t *testing.T) {
 	bare, cached, err := RunBoth(12, testWorkload())
 	if err != nil {
@@ -71,7 +70,7 @@ func TestLabEngineEquivalence(t *testing.T) {
 			t.Fatalf("%s: empty trace", tc.mode)
 		}
 		wantD, wantC := seqAnalyze(tc.ops, cfg)
-		e := analysis.NewEngine(analysis.EngineConfig{Workers: 4})
+		e := analysis.NewEngine()
 		hd := e.AddOpDist(nil)
 		hc := e.AddCorrelator(cfg)
 		if err := e.RunSlice(tc.ops); err != nil {
@@ -111,13 +110,13 @@ func TestLabEngineEquivalenceFile(t *testing.T) {
 	}
 	r.Close()
 
-	// Engine path: batched single-pass scan at 4 workers.
+	// Engine path: batched single-pass scan.
 	r2, err := trace.OpenFile(res.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	e := analysis.NewEngine(analysis.EngineConfig{Workers: 4})
+	e := analysis.NewEngine()
 	hd := e.AddOpDist(nil)
 	hc := e.AddCorrelator(cfg)
 	if err := e.RunReader(r2); err != nil {

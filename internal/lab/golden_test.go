@@ -12,8 +12,7 @@ import (
 
 // The golden-trace regression test pins the per-class operation counts of a
 // fixed-seed lab run. The workload RNG, block import, and trace emission are
-// all deterministic (the pipelined importer emits a byte-identical trace at
-// every worker width), so any drift in these counts means a behavioral
+// all deterministic, so any drift in these counts means a behavioral
 // change in the chain/trace stack — intended or not — and must be reviewed.
 // Regenerate the fixture with:
 //

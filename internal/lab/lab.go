@@ -66,11 +66,6 @@ type Config struct {
 	TraceBootstrap bool
 	// Processor overrides the default processor configuration when set.
 	Processor *chain.ProcessorConfig
-	// ImportWorkers is the import pipeline's fan-out width. 0 selects
-	// GOMAXPROCS (chain.DefaultImportWorkers); 1 forces the plain
-	// sequential import loop. The emitted trace is byte-identical at every
-	// width.
-	ImportWorkers int
 	// Metrics, when set, instruments the backing store (per-op latency
 	// histograms, store gauges) and records post-run cache hit rates into
 	// the registry. Series carry a trace=<mode> label so the bare and
@@ -195,11 +190,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := cfg.ImportWorkers
-	if workers == 0 {
-		workers = chain.DefaultImportWorkers()
-	}
-	if err := proc.ImportBlocksPipelined(cfg.Blocks, workers); err != nil {
+	if err := proc.ImportBlocks(cfg.Blocks); err != nil {
 		return nil, err
 	}
 	if err := proc.Shutdown(); err != nil {

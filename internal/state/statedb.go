@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/big"
 	"sort"
-	"sync"
 
 	"ethkv/internal/cache"
 	"ethkv/internal/keccak"
@@ -304,42 +303,15 @@ type Commit struct {
 // Commit folds the buffered mutations into the tries and returns the full
 // delta. The StateDB remains usable for the next block.
 func (s *StateDB) Commit() (*Commit, error) {
-	return s.CommitParallel(1)
-}
-
-// pendingStorage carries one account's storage commit between the phases of
-// CommitParallel.
-type pendingStorage struct {
-	addr       Address
-	acctHash   rawdb.Hash
-	st         *trie.Trie
-	snapSlots  map[rawdb.Hash][]byte
-	destructed bool
-	acct       *Account // copy awaiting its storage root; nil if destructed
-	set        *trie.NodeSet
-	root       rawdb.Hash
-}
-
-// CommitParallel is Commit with the storage-trie hashing fanned across up
-// to workers goroutines. The work splits into three phases: (A) a
-// sequential phase applies slot mutations and account reads — everything
-// that can reach the database, in the exact order the sequential commit
-// issues it; (B) a parallel phase commits distinct accounts' storage tries,
-// which is pure encoding/keccak work with zero database traffic (all node
-// resolution happened in phase A); (C) a sequential phase propagates the
-// storage roots and commits the account trie. The emitted KV-op stream is
-// therefore byte-identical to Commit at every worker count.
-func (s *StateDB) CommitParallel(workers int) (*Commit, error) {
 	out := &Commit{
 		StorageNodes: make(map[rawdb.Hash]*trie.NodeSet),
 		SnapAccounts: make(map[rawdb.Hash][]byte),
 		SnapStorage:  make(map[rawdb.Hash]map[rawdb.Hash][]byte),
 		Code:         s.dirtyCode,
 	}
-	// Phase A — storage tries first: account roots depend on them. Iterate
-	// in sorted address order: resolution reads during trie updates reach
-	// the traced store, so commit order must be deterministic.
-	pending := make([]*pendingStorage, 0, len(s.dirtyStorage))
+	// Storage tries first: account roots depend on them. Iterate in sorted
+	// address order: resolution reads during trie updates reach the traced
+	// store, so commit order must be deterministic.
 	for _, addr := range sortedAddrs(s.dirtyStorage) {
 		slots := s.dirtyStorage[addr]
 		acctHash := AddressHash(addr)
@@ -347,8 +319,7 @@ func (s *StateDB) CommitParallel(workers int) (*Commit, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := &pendingStorage{addr: addr, acctHash: acctHash, st: st,
-			snapSlots: make(map[rawdb.Hash][]byte, len(slots))}
+		snapSlots := make(map[rawdb.Hash][]byte, len(slots))
 		for _, slot := range sortedSlots(slots) {
 			value := slots[slot]
 			trimmed := trimZeros(value)
@@ -356,65 +327,36 @@ func (s *StateDB) CommitParallel(workers int) (*Commit, error) {
 				if err := st.Delete(slot[:]); err != nil {
 					return nil, err
 				}
-				p.snapSlots[SlotHash(slot)] = nil
+				snapSlots[SlotHash(slot)] = nil
 			} else {
 				enc := rlpEncodeSlot(trimmed)
 				if err := st.Update(slot[:], enc); err != nil {
 					return nil, err
 				}
-				p.snapSlots[SlotHash(slot)] = trimmed
+				snapSlots[SlotHash(slot)] = trimmed
 			}
 		}
-		// Read the account now (possibly a database read) so phase B has no
-		// database traffic left. If the account was destructed this block,
-		// the slot clears just feed the storage-trie/snapshot delta and the
-		// account itself stays dead.
+		set, root := st.Commit()
+		if len(set.Writes) > 0 || len(set.Deletes) > 0 {
+			out.StorageNodes[acctHash] = set
+		}
+		out.SnapStorage[acctHash] = snapSlots
+		// If the account was destructed this block, the slot clears just
+		// feed the storage-trie/snapshot delta and the account stays dead.
 		if dead, destructed := s.dirtyAccounts[addr]; destructed && dead == nil {
-			p.destructed = true
-		} else {
-			acct, err := s.GetAccount(addr)
-			if err != nil {
-				return nil, err
-			}
-			if acct == nil {
-				acct = NewAccount(bigZero())
-			}
-			p.acct = acct.Copy()
-		}
-		pending = append(pending, p)
-	}
-	// Phase B — hash distinct accounts' storage tries concurrently. The
-	// tries share no nodes, and trie.Commit never touches the NodeReader.
-	if workers > 1 && len(pending) > 1 {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for _, p := range pending {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(p *pendingStorage) {
-				defer wg.Done()
-				p.set, p.root = p.st.Commit()
-				<-sem
-			}(p)
-		}
-		wg.Wait()
-	} else {
-		for _, p := range pending {
-			p.set, p.root = p.st.Commit()
-		}
-	}
-	// Phase C — propagate storage roots in the original order.
-	for _, p := range pending {
-		if len(p.set.Writes) > 0 || len(p.set.Deletes) > 0 {
-			out.StorageNodes[p.acctHash] = p.set
-		}
-		out.SnapStorage[p.acctHash] = p.snapSlots
-		if p.destructed {
 			continue
 		}
-		p.acct.Root = p.root
-		s.dirtyAccounts[p.addr] = p.acct
-		s.liveAccounts[p.addr] = p.acct
+		acct, err := s.GetAccount(addr)
+		if err != nil {
+			return nil, err
+		}
+		if acct == nil {
+			acct = NewAccount(bigZero())
+		}
+		acct = acct.Copy()
+		acct.Root = root
+		s.dirtyAccounts[addr] = acct
+		s.liveAccounts[addr] = acct
 	}
 	// Account trie, in sorted address order (same determinism argument).
 	for _, addr := range sortedDirtyAccounts(s.dirtyAccounts) {
@@ -432,7 +374,7 @@ func (s *StateDB) CommitParallel(workers int) (*Commit, error) {
 		}
 		out.SnapAccounts[acctHash] = acct.EncodeSlim()
 	}
-	set, root := s.accountTrie.CommitParallel(workers)
+	set, root := s.accountTrie.Commit()
 	out.AccountNodes = set
 	out.Root = root
 
