@@ -296,7 +296,10 @@ func corrCmd(fs *flag.FlagSet) func(io.Writer) error {
 // sizedistCmd censuses the store a persistent `gen` left behind and prints
 // the per-class pair counts and size distributions (Table I, Figure 2). The
 // store opens through the backend factory, so -backend (and -policy,
-// -shards) must be what gen ran with.
+// -shards) must be what gen ran with: Open refuses any other layout the
+// store directory records. A directory without a record is adopted under the
+// flags given, so the empty-store check below still catches a wrong -backend
+// there.
 func sizedistCmd(fs *flag.FlagSet) func(io.Writer) error {
 	db := fs.String("db", "", "store directory: the store: line gen printed")
 	sf := backends.RegisterFlags(fs, "lsm")

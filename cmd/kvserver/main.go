@@ -100,7 +100,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	if opts.Shards > 1 {
-		fmt.Fprintf(stdout, "kvserver: serving %s backend (%d %s-mode shards) on %s\n", backend, opts.Shards, opts.ShardMode, bound)
+		fmt.Fprintf(stdout, "kvserver: serving %s backend (%d shards) on %s\n", backend, opts.Shards, bound)
 	} else {
 		fmt.Fprintf(stdout, "kvserver: serving %s backend on %s\n", backend, bound)
 	}

@@ -93,3 +93,24 @@ func TestServeCoalescesOps(t *testing.T) {
 		t.Fatalf("no drain on shutdown:\n%s", rest.String())
 	}
 }
+
+// TestServeRefusesOtherShardCount: a -dir first served unsharded is refused
+// at -shards 2 — the server exits with the layout error instead of serving
+// a router that finds none of the stored keys.
+func TestServeRefusesOtherShardCount(t *testing.T) {
+	dir := t.TempDir()
+	stopped, cancel := context.WithCancel(context.Background())
+	cancel() // serve, then shut down at once
+	var out bytes.Buffer
+	if err := run(stopped, []string{"-addr", "127.0.0.1:0", "-dir", dir, "-shards", "1"}, &out); err != nil {
+		t.Fatalf("first run: %v\n%s", err, out.String())
+	}
+	out.Reset()
+	err := run(stopped, []string{"-addr", "127.0.0.1:0", "-dir", dir, "-shards", "2"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "shards") {
+		t.Fatalf("-shards 2 over a 1-shard -dir: %v, want a refusal naming shards", err)
+	}
+	if strings.Contains(out.String(), "kvserver: serving") {
+		t.Fatalf("the refused store was served:\n%s", out.String())
+	}
+}

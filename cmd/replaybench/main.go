@@ -65,16 +65,14 @@ func main() {
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("replaybench", flag.ContinueOnError)
 	var (
-		tracePath    = fs.String("trace", "", "trace file to replay")
-		policyOut    = fs.String("policy-out", "", "where -policy auto writes the derived policy (default: policy-derived.json next to the trace)")
-		dir          = fs.String("dir", "", "working directory (default: temp)")
-		censusPath   = fs.String("census", "", "after the replay, write a post-state census (Table I plus an order-independent content digest) to this file; byte-identical across backends iff the stores hold identical data")
-		metricsAddr  = fs.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (e.g. 127.0.0.1:8321); empty disables")
-		metricsHold  = fs.Duration("metrics-hold", 0, "keep the metrics server up this long after the replay finishes (for scraping/profiling a finished run)")
-		duration     = fs.Duration("duration", 0, "stop replaying after this long, even mid-trace (0 = replay everything)")
-		shardSweep   = fs.String("shard-sweep", "", "comma-separated shard counts (e.g. 1,2,4,8,16): replay the trace once per count with -sweep-workers concurrent workers and report the scaling curve")
-		sweepWorkers = fs.Int("sweep-workers", 8, "concurrent replay workers per sweep point in -shard-sweep mode")
-		storeFlags   = backends.RegisterFlags(fs, "lsm")
+		tracePath   = fs.String("trace", "", "trace file to replay")
+		policyOut   = fs.String("policy-out", "", "where -policy auto writes the derived policy (default: policy-derived.json next to the trace)")
+		dir         = fs.String("dir", "", "working directory (default: temp)")
+		censusPath  = fs.String("census", "", "after the replay, write a post-state census (Table I plus an order-independent content digest) to this file; byte-identical across backends iff the stores hold identical data")
+		metricsAddr = fs.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (e.g. 127.0.0.1:8321); empty disables")
+		metricsHold = fs.Duration("metrics-hold", 0, "keep the metrics server up this long after the replay finishes (for scraping/profiling a finished run)")
+		duration    = fs.Duration("duration", 0, "stop replaying after this long, even mid-trace (0 = replay everything)")
+		storeFlags  = backends.RegisterFlags(fs, "lsm")
 
 		serveAddr = fs.String("serve", "", "replay against a remote kvserver at this address instead of a local backend")
 		clients   = fs.Int("clients", 16, "concurrent replay workers in -serve mode")
@@ -90,8 +88,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *tracePath == "" {
 		return errors.New("usage: replaybench -trace <file> [-backend <" + backends.Kinds() + "> | -policy <file|auto> | -serve <addr>]")
 	}
-	if storeFlags.Policy != "" && (*serveAddr != "" || *shardSweep != "") {
-		return errors.New("-policy is a local single-store mode; it cannot combine with -serve or -shard-sweep")
+	if storeFlags.Policy != "" && *serveAddr != "" {
+		return errors.New("-policy is a local single-store mode; it cannot combine with -serve")
 	}
 	// Ops load before any store opens: -policy auto derives the policy
 	// from the trace census, which must exist before construction.
@@ -120,14 +118,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	backend, opts, err := storeFlags.Options()
 	if err != nil {
 		return err
-	}
-
-	if *shardSweep != "" {
-		counts, err := parseSweepCounts(*shardSweep)
-		if err != nil {
-			return err
-		}
-		return runShardSweep(stdout, ops, backend, workDir, opts, counts, *sweepWorkers)
 	}
 
 	var registry *obs.Registry

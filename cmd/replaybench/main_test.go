@@ -5,11 +5,13 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
+	"ethkv/internal/backends"
 	"ethkv/internal/chain"
 	"ethkv/internal/lab"
 )
@@ -97,5 +99,35 @@ func TestReplayBlockCacheBudget(t *testing.T) {
 	}
 	if off := replay(t, "-trace", path, "-block-cache-mb", "-1"); strings.Contains(off, "block cache:") {
 		t.Fatalf("a disabled block cache saw traffic:\n%s", off)
+	}
+}
+
+// TestReplayRefusesOtherLayout: a reused -dir keeps the layout of its first
+// run. A later run under another -backend or -policy is refused, rather than
+// replaying into a store that hides the first run's keys.
+func TestReplayRefusesOtherLayout(t *testing.T) {
+	path := testTrace(t)
+	txOrdered := backends.DefaultHybridPolicy()
+	txOrdered.Classes["TxLookup"] = "ordered"
+	policyPath := filepath.Join(t.TempDir(), "tx-ordered.json")
+	if err := txOrdered.Save(policyPath); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		first, second []string
+		field         string
+	}{
+		{[]string{"-backend", "lsm"}, []string{"-backend", "flat"}, "kind"},
+		{[]string{"-backend", "hybrid"}, []string{"-policy", policyPath}, "classes"},
+	} {
+		args := []string{"-trace", path, "-dir", t.TempDir()}
+		var out bytes.Buffer
+		if err := run(context.Background(), append(args, tc.first...), &out); err != nil {
+			t.Fatalf("%v: %v\n%s", tc.first, err, out.String())
+		}
+		err := run(context.Background(), append(args, tc.second...), &out)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Fatalf("%v after %v on one -dir: %v, want a refusal naming %s", tc.second, tc.first, err, tc.field)
+		}
 	}
 }

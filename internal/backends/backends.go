@@ -5,7 +5,9 @@
 // ascending key order. The hybrid kind is policy-driven: Options.Policy (or
 // DefaultHybridPolicy, the paper's §V layout) names the routes, picks each
 // route's backend kind, and assigns classes to routes; every route opens with
-// the factory's own settings for its kind.
+// the factory's own settings for its kind. A store directory records the
+// layout it was created with (layout.go), and Open refuses to reopen it
+// under another.
 package backends
 
 import (
@@ -33,15 +35,11 @@ type Options struct {
 	// negative disables; lsm and hybrid backends). With sharding, each
 	// shard gets the full budget.
 	BlockCacheBytes int64
-	// Shards partitions the keyspace across this many child stores of the
-	// requested kind behind a shard.Router (0 or 1 = unsharded). Each
-	// child lives under dir/shard-NN, so a sharded database reopens from
-	// the same dir and shard count.
+	// Shards partitions the keyspace by key hash across this many child
+	// stores of the requested kind behind a shard.Router (0 or 1 =
+	// unsharded). Each child lives under dir/shard-NN; the directory's
+	// layout record refuses a reopen at any other count.
 	Shards int
-	// ShardMode selects the partition function: "hash" (default) or
-	// "class" (key-class routing that keeps a class's range scans
-	// shard-local).
-	ShardMode string
 	// Policy configures the hybrid kind's routes (nil =
 	// DefaultHybridPolicy: ordered LSM + single-seek flat store). Ignored by
 	// other kinds.
@@ -64,11 +62,33 @@ func Kinds() string { return "lsm, flat, mem, or hybrid" }
 // LSM instance the call creates — across shards and policy routes — shares
 // one compaction.Pool sized at opts.CompactionWorkers, so background
 // concurrency is budgeted process-wide rather than per instance.
+//
+// A directory whose layout record disagrees with kind and opts is refused
+// before anything opens; a directory without one is adopted, and the
+// record is written once the store is open. A mem store keeps nothing past
+// Close, so it has no layout to keep.
 func Open(kind, dir string, opts Options) (kv.Store, error) {
+	want := layoutOf(kind, opts)
+	record := kind != "mem"
+	if record {
+		recorded, err := checkLayout(dir, want)
+		if err != nil {
+			return nil, err
+		}
+		record = !recorded
+	}
 	pool := compaction.NewPool(opts.CompactionWorkers)
-	return Compose(kind, dir, opts, func(kind, dir string) (kv.Store, error) {
+	s, err := Compose(kind, dir, opts, func(kind, dir string) (kv.Store, error) {
 		return openRoute(kind, dir, opts, pool)
 	})
+	if err != nil || !record {
+		return s, err
+	}
+	if err := writeLayout(dir, want); err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
 }
 
 // Compose builds kind under dir exactly as Open does — the shard router, a
@@ -77,10 +97,6 @@ func Open(kind, dir string, opts Options) (kv.Store, error) {
 // the factory's own; the crash tests pass stores over injected filesystems.
 func Compose(kind, dir string, opts Options, leaf func(kind, dir string) (kv.Store, error)) (kv.Store, error) {
 	if opts.Shards > 1 {
-		mode, err := shard.ParseMode(opts.ShardMode)
-		if err != nil {
-			return nil, err
-		}
 		children := make([]kv.Store, opts.Shards)
 		for i := range children {
 			child, err := openOne(kind, filepath.Join(dir, fmt.Sprintf("shard-%02d", i)), opts, leaf)
@@ -92,7 +108,7 @@ func Compose(kind, dir string, opts Options, leaf func(kind, dir string) (kv.Sto
 			}
 			children[i] = child
 		}
-		return shard.New(children, shard.Options{Mode: mode})
+		return shard.New(children, shard.Options{})
 	}
 	return openOne(kind, dir, opts, leaf)
 }

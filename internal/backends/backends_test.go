@@ -1,6 +1,8 @@
 package backends_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -106,6 +108,83 @@ func TestReopenUnderOtherRoutesRefused(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "lookup") {
 		t.Fatalf("reopen error %q does not name the stray directory lookup", err)
+	}
+}
+
+// TestReopenUnderOtherLayoutRefused is the regression for reopens that
+// silently lost data: a directory written at 2 shards and reopened at 3 (or
+// 1), or as another kind, or under a policy routing a class elsewhere, opened
+// without error and with most or all of its keys missing. Each must now be
+// refused by the field its layout record disagrees on. Reopens that change
+// nothing about where keys live still succeed, and so does a directory with
+// no record (one written before records existed), with its data intact.
+func TestReopenUnderOtherLayoutRefused(t *testing.T) {
+	txOrdered := backends.DefaultHybridPolicy()
+	txOrdered.Classes["TxLookup"] = "ordered"
+	for _, tc := range []struct {
+		name         string
+		kind, reKind string
+		opts, reOpts backends.Options
+		forget       bool   // delete the layout record before reopening
+		field        string // the field the refusal names; "" = same layout
+	}{
+		{"2 to 3 shards", "lsm", "lsm", backends.Options{Shards: 2}, backends.Options{Shards: 3}, false, "shards"},
+		{"2 to 1 shard", "lsm", "lsm", backends.Options{Shards: 2}, backends.Options{Shards: 1}, false, "shards"},
+		{"lsm as flat", "lsm", "flat", backends.Options{}, backends.Options{}, false, "kind"},
+		{"TxLookup to ordered", "hybrid", "hybrid", backends.Options{}, backends.Options{Policy: txOrdered}, false, "classes"},
+		{"0 as 1 shard, other budgets", "lsm", "lsm", backends.Options{},
+			backends.Options{Shards: 1, BlockCacheBytes: -1, CompactionWorkers: 1}, false, ""},
+		{"nil as default policy", "hybrid", "hybrid", backends.Options{},
+			backends.Options{Policy: backends.DefaultHybridPolicy()}, false, ""},
+		{"no record adopted", "hybrid", "hybrid", backends.Options{Shards: 2}, backends.Options{Shards: 2}, true, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := backends.Open(tc.kind, dir, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := func(i int) []byte { return rawdb.TxLookupKey(rawdb.Hash{byte(i), 0x5A}) }
+			for i := 0; i < 100; i++ {
+				if err := s.Put(key(i), []byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.forget {
+				// A directory written before layout records existed has none;
+				// whether this one had a record to remove does not matter.
+				_ = os.Remove(filepath.Join(dir, "LAYOUT.json"))
+			}
+			re, err := backends.Open(tc.reKind, dir, tc.reOpts)
+			if tc.field != "" {
+				if err == nil {
+					missing := 0
+					for i := 0; i < 100; i++ {
+						if ok, _ := re.Has(key(i)); !ok {
+							missing++
+						}
+					}
+					re.Close()
+					t.Fatalf("reopen succeeded with %d/100 keys missing", missing)
+				}
+				if !strings.Contains(err.Error(), tc.field) {
+					t.Fatalf("reopen error %q does not name the field %s", err, tc.field)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			for i := 0; i < 100; i++ {
+				if v, err := re.Get(key(i)); err != nil || len(v) != 1 || v[0] != byte(i) {
+					t.Fatalf("key %d after reopen: %q, %v", i, v, err)
+				}
+			}
+		})
 	}
 }
 

@@ -39,7 +39,6 @@ func TestCensusInvariantAcrossCompositions(t *testing.T) {
 		{"hybrid derived policy", "hybrid", backends.Options{Policy: derived}},
 		{"lsm 1 shard", "lsm", backends.Options{Shards: 1}},
 		{"lsm 8 hash shards", "lsm", backends.Options{Shards: 8}},
-		{"lsm 8 class shards", "lsm", backends.Options{Shards: 8, ShardMode: "class"}},
 		{"lsm 1 compaction worker", "lsm", backends.Options{CompactionWorkers: 1}},
 		{"lsm 8 compaction workers", "lsm", backends.Options{CompactionWorkers: 8}},
 	}

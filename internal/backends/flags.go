@@ -4,46 +4,38 @@ import (
 	"flag"
 
 	"ethkv/internal/policy"
-	"ethkv/internal/shard"
 )
 
 // Flags holds the store-selection flags shared by every CLI that opens a
-// store (replaybench, kvserver, ethkvlab), so the six are declared once.
+// store (replaybench, kvserver, ethkvlab), so the five are declared once.
 type Flags struct {
 	Backend           string
 	Policy            string
 	BlockCacheMB      int
 	Shards            int
-	ShardMode         string
 	CompactionWorkers int
 }
 
 // RegisterFlags declares -backend (defaulting to defaultBackend), -policy,
-// -block-cache-mb, -shards, -shard-mode and -compaction-workers on fs. Call
-// Options after fs is parsed.
+// -block-cache-mb, -shards and -compaction-workers on fs. Call Options after
+// fs is parsed.
 func RegisterFlags(fs *flag.FlagSet, defaultBackend string) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Backend, "backend", defaultBackend, "storage backend: "+Kinds())
 	fs.StringVar(&f.Policy, "policy", "", "per-class storage policy JSON for the hybrid backend (implies -backend hybrid)")
 	fs.IntVar(&f.BlockCacheMB, "block-cache-mb", 0, "LSM block cache budget in MiB (0 = store default, negative disables)")
-	fs.IntVar(&f.Shards, "shards", 1, "partition the keyspace across this many child stores (1 = unsharded)")
-	fs.StringVar(&f.ShardMode, "shard-mode", "hash", "shard partition function: hash or class")
+	fs.IntVar(&f.Shards, "shards", 1, "partition the keyspace by key hash across this many child stores (1 = unsharded)")
 	fs.IntVar(&f.CompactionWorkers, "compaction-workers", 0, "process-wide background compaction worker budget shared by every LSM instance (0 = store default, 1 = serial)")
 	return f
 }
 
 // Options turns the parsed flags into Open's arguments: the backend kind and
-// its Options. A -policy file is loaded here and implies the hybrid kind; an
-// unknown -shard-mode is rejected here rather than at the first Open.
+// its Options. A -policy file is loaded here and implies the hybrid kind.
 func (f *Flags) Options() (kind string, opts Options, err error) {
-	if _, err := shard.ParseMode(f.ShardMode); err != nil {
-		return "", Options{}, err
-	}
 	kind = f.Backend
 	opts = Options{
 		BlockCacheBytes:   int64(f.BlockCacheMB),
 		Shards:            f.Shards,
-		ShardMode:         f.ShardMode,
 		CompactionWorkers: f.CompactionWorkers,
 	}
 	if opts.BlockCacheBytes > 0 {

@@ -21,13 +21,13 @@ func parseFlags(t *testing.T, args ...string) *Flags {
 
 func TestFlagsRoundTrip(t *testing.T) {
 	kind, opts, err := parseFlags(t).Options()
-	if err != nil || kind != "lsm" || !reflect.DeepEqual(opts, Options{Shards: 1, ShardMode: "hash"}) {
+	if err != nil || kind != "lsm" || !reflect.DeepEqual(opts, Options{Shards: 1}) {
 		t.Fatalf("defaults = %q, %+v, %v", kind, opts, err)
 	}
 
 	kind, opts, err = parseFlags(t, "-backend", "flat", "-block-cache-mb", "4", "-shards", "8",
-		"-shard-mode", "class", "-compaction-workers", "3").Options()
-	want := Options{BlockCacheBytes: 4 << 20, Shards: 8, ShardMode: "class", CompactionWorkers: 3}
+		"-compaction-workers", "3").Options()
+	want := Options{BlockCacheBytes: 4 << 20, Shards: 8, CompactionWorkers: 3}
 	if err != nil || kind != "flat" || !reflect.DeepEqual(opts, want) {
 		t.Fatalf("got %q, %+v, %v; want flat, %+v", kind, opts, err, want)
 	}
@@ -49,11 +49,5 @@ func TestFlagsPolicyImpliesHybrid(t *testing.T) {
 	}
 	if _, _, err := parseFlags(t, "-policy", path+".missing").Options(); err == nil {
 		t.Fatal("a missing policy file was accepted")
-	}
-}
-
-func TestFlagsRejectUnknownShardMode(t *testing.T) {
-	if _, _, err := parseFlags(t, "-shard-mode", "range").Options(); err == nil {
-		t.Fatal("-shard-mode range was accepted")
 	}
 }

@@ -19,21 +19,17 @@ import (
 //  3. Merge fidelity: a merged scan returns exactly the oracle's key set —
 //     no drops, no duplicates — for full scans and for prefix scans.
 func FuzzShardRouting(f *testing.F) {
-	f.Add([]byte("hello\x00world\x01akey\x02Okey"), uint8(3), false)
-	f.Add([]byte{'a', 1, 2, 3, 0xFF, 'O', 9, 9}, uint8(7), true)
-	f.Add([]byte(""), uint8(1), false)
-	f.Fuzz(func(t *testing.T, data []byte, nShards uint8, classMode bool) {
+	f.Add([]byte("hello\x00world\x01akey\x02Okey"), uint8(3))
+	f.Add([]byte{'a', 1, 2, 3, 0xFF, 'O', 9, 9}, uint8(7))
+	f.Add([]byte(""), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, nShards uint8) {
 		n := int(nShards%16) + 1
-		mode := shard.ModeHash
-		if classMode {
-			mode = shard.ModeClass
-		}
 		build := func() *shard.Router {
 			children := make([]kv.Store, n)
 			for i := range children {
 				children[i] = kv.NewMemStore()
 			}
-			r, err := shard.New(children, shard.Options{Mode: mode})
+			r, err := shard.New(children, shard.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -35,8 +35,6 @@ func runShardRows(t *testing.T, kind string) {
 	}
 }
 
-func TestShardRouterClassModeConformance(t *testing.T) { storetest.Run(t, "shards=5/class") }
-
 // applyWorkload drives a seeded mixed workload — single puts and deletes,
 // atomic batches, overwrites — against a store. The op stream depends only
 // on the seed, never on the store, so any two stores fed the same seed
@@ -102,43 +100,25 @@ func stateDigest(t *testing.T, s kv.Store) ([sha256.Size]byte, int) {
 }
 
 // TestShardEquivalence replays the identical seeded workload through a
-// 1-shard and an 8-shard router (hash and class modes, memory and LSM
-// children) and requires byte-identical final state: sharding must change
-// performance, never results.
+// 1-shard and an 8-shard router (memory and LSM children) and requires
+// byte-identical final state: sharding must change performance, never
+// results.
 func TestShardEquivalence(t *testing.T) {
-	build := func(t *testing.T, kind string, shards int, mode string) kv.Store {
+	build := func(t *testing.T, kind string, shards int) kv.Store {
 		if kind == "mem" {
-			children := make([]kv.Store, shards)
-			for i := range children {
-				children[i] = kv.NewMemStore()
-			}
-			m, err := shard.ParseMode(mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := shard.New(children, shard.Options{Mode: m})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { r.Close() })
-			return r
+			return newMemRouter(t, shards)
 		}
-		s, err := backends.Open(kind, t.TempDir(), backends.Options{Shards: shards, ShardMode: mode})
+		s, err := backends.Open(kind, t.TempDir(), backends.Options{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { s.Close() })
 		return s
 	}
-	for _, tc := range []struct {
-		kind, mode string
-	}{
-		{"mem", "hash"}, {"mem", "class"}, {"lsm", "hash"},
-	} {
-		tc := tc
-		t.Run(tc.kind+"/"+tc.mode, func(t *testing.T) {
-			one := build(t, tc.kind, 1, tc.mode)
-			eight := build(t, tc.kind, 8, tc.mode)
+	for _, kind := range []string{"mem", "lsm"} {
+		t.Run(kind+"/hash", func(t *testing.T) {
+			one := build(t, kind, 1)
+			eight := build(t, kind, 8)
 			applyWorkload(t, one, 99, 3000)
 			applyWorkload(t, eight, 99, 3000)
 			d1, n1 := stateDigest(t, one)
@@ -155,94 +135,39 @@ func TestShardEquivalence(t *testing.T) {
 }
 
 // TestShardRoutingDeterministic pins the routing function: two router
-// instances with the same configuration must agree on every key, and
-// every key must land in exactly one shard of a total partition.
+// instances over the same shard count must agree on every key, and every
+// key must land in exactly one shard of a total partition.
 func TestShardRoutingDeterministic(t *testing.T) {
-	for _, mode := range []shard.Mode{shard.ModeHash, shard.ModeClass} {
-		for _, n := range []int{1, 2, 7, 16} {
-			a := newMemRouter(t, n, mode)
-			b := newMemRouter(t, n, mode)
-			rng := rand.New(rand.NewSource(7))
-			for i := 0; i < 2000; i++ {
-				key := make([]byte, 1+rng.Intn(64))
-				rng.Read(key)
-				sa, sb := a.ChildOf(key), b.ChildOf(key)
-				if sa != sb {
-					t.Fatalf("mode=%v n=%d: instances disagree on %x: %d vs %d", mode, n, key, sa, sb)
-				}
-				if sa < 0 || sa >= n {
-					t.Fatalf("mode=%v n=%d: shard %d out of range for %x", mode, n, sa, key)
-				}
+	for _, n := range []int{1, 2, 7, 16} {
+		a := newMemRouter(t, n)
+		b := newMemRouter(t, n)
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 2000; i++ {
+			key := make([]byte, 1+rng.Intn(64))
+			rng.Read(key)
+			sa, sb := a.ChildOf(key), b.ChildOf(key)
+			if sa != sb {
+				t.Fatalf("n=%d: instances disagree on %x: %d vs %d", n, key, sa, sb)
+			}
+			if sa < 0 || sa >= n {
+				t.Fatalf("n=%d: shard %d out of range for %x", n, sa, key)
 			}
 		}
 	}
 }
 
-func newMemRouter(t *testing.T, n int, mode shard.Mode) *shard.Router {
+func newMemRouter(t *testing.T, n int) *shard.Router {
 	t.Helper()
 	children := make([]kv.Store, n)
 	for i := range children {
 		children[i] = kv.NewMemStore()
 	}
-	r, err := shard.New(children, shard.Options{Mode: mode})
+	r, err := shard.New(children, shard.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.Close() })
 	return r
-}
-
-// TestShardClassModeColocatesClasses checks the point of class mode: every
-// key of one storage class routes to the same shard, so a class-confined
-// range scan reads from exactly one child.
-func TestShardClassModeColocatesClasses(t *testing.T) {
-	r := newMemRouter(t, 7, shard.ModeClass)
-	classKey := func(class byte, n, length int) []byte {
-		k := make([]byte, length)
-		k[0] = class
-		binary.BigEndian.PutUint64(k[1:9], uint64(n))
-		return k
-	}
-	// Snapshot accounts ('a' + 32-byte hash) and storage trie nodes
-	// ('O' + >=32 bytes) are distinct classes with many keys each.
-	for _, tc := range []struct {
-		name   string
-		class  byte
-		length int
-	}{
-		{"SnapshotAccount", 'a', 33},
-		{"TrieNodeStorage", 'O', 65},
-		{"Code", 'c', 33},
-	} {
-		want := r.ChildOf(classKey(tc.class, 0, tc.length))
-		for i := 1; i < 200; i++ {
-			if got := r.ChildOf(classKey(tc.class, i, tc.length)); got != want {
-				t.Fatalf("%s key %d routed to shard %d, class lives on %d", tc.name, i, got, want)
-			}
-		}
-	}
-	// And a class scan is served from one shard: insert snapshot accounts,
-	// then check only the owning child holds them.
-	owner := r.ChildOf(classKey('a', 0, 33))
-	for i := 0; i < 100; i++ {
-		if err := r.Put(classKey('a', i, 33), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for s := 0; s < r.Shards(); s++ {
-		it := r.Child(s).NewIterator([]byte{'a'}, nil)
-		n := 0
-		for it.Next() {
-			n++
-		}
-		it.Release()
-		if s == owner && n != 100 {
-			t.Fatalf("owning shard %d holds %d/100 snapshot accounts", s, n)
-		}
-		if s != owner && n != 0 {
-			t.Fatalf("shard %d holds %d snapshot accounts that belong on shard %d", s, n, owner)
-		}
-	}
 }
 
 // TestShardStatsAggregation checks Stats() merges every child's counters
@@ -353,7 +278,7 @@ func TestShardBatchCommitOrdering(t *testing.T) {
 // order, not the per-shard commit grouping: a put-then-delete of the same
 // key must replay as absent, whatever shards the neighbours map to.
 func TestShardBatchReplayOrder(t *testing.T) {
-	r := newMemRouter(t, 4, shard.ModeHash)
+	r := newMemRouter(t, 4)
 	b := r.NewBatch()
 	for i := 0; i < 40; i++ {
 		b.Put([]byte(fmt.Sprintf("rp/%02d", i)), []byte("first"))

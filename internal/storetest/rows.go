@@ -47,7 +47,7 @@ type Row struct {
 // the CURRENT swap (a flat leaf).
 type Shape struct {
 	Kind string
-	Opts backends.Options // Shards, ShardMode, Policy
+	Opts backends.Options // Shards, Policy
 	Tune func(*Config)    // the row's own knobs, over every crash config
 }
 
@@ -110,9 +110,6 @@ func rows() []Row {
 				corruptLog(filepath.Join(under, "flat", "flat-*.log"))))
 	}
 	return append(table,
-		// The contract checks' keys have no Ethereum class, so they ride the
-		// hash fallback; the workload's keys route by class.
-		factoryRow("shards=5/class", "lsm", backends.Options{Shards: 5, ShardMode: "class"}, nil),
 		factoryRow("hybrid", "hybrid", backends.Options{}, nil),
 		factoryRow("hybrid/derived", "hybrid", backends.Options{Policy: DerivedPolicy()}, nil),
 		// What the repo benchmark serves.
