@@ -49,7 +49,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		addr         = fs.String("addr", "127.0.0.1:9420", "address to serve the kvnet protocol on")
 		dir          = fs.String("dir", "", "working directory (default: temp)")
 		metricsAddr  = fs.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address; empty disables")
-		workers      = fs.Int("workers", 0, "request-executing goroutines per connection (0 = default)")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "max time to wait for in-flight compactions to drain on shutdown before closing anyway")
 		storeFlags   = backends.RegisterFlags(fs, "lsm")
 	)
@@ -91,10 +90,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	store = kv.Instrument(store, registry, "store", backend)
 	defer store.Close()
 
-	srv := kvnet.NewServer(store, kvnet.ServerOptions{
-		Workers:  *workers,
-		Registry: registry,
-	})
+	srv := kvnet.NewServer(store, kvnet.ServerOptions{Registry: registry})
 	bound, err := srv.Listen(*addr)
 	if err != nil {
 		return err

@@ -168,8 +168,10 @@ func TestEngineEquivalenceReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendBatch(ops); err != nil {
-		t.Fatal(err)
+	for _, op := range ops {
+		if err := w.Append(op); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

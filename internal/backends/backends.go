@@ -45,12 +45,13 @@ type Options struct {
 	// other kinds.
 	Policy *policy.Policy
 	// CompactionWorkers is the process-wide background concurrency budget
-	// for LSM-backed kinds (0 = default). One compaction.Pool of this size
-	// is shared by every LSM instance the Open call creates — all shards
-	// and all policy routes — so `-shards 8` contends for these workers
-	// instead of spawning 8 uncoordinated sets; the pool prefers the
-	// instance with the highest compaction debt. It is also each
-	// instance's own concurrency cap.
+	// for LSM-backed kinds (0 = compaction.DefaultWorkers). One
+	// compaction.Pool of this size is shared by every LSM instance the Open
+	// call creates — all shards and all policy routes — so `-shards 8`
+	// contends for these workers instead of spawning 8 uncoordinated sets;
+	// the pool prefers the instance with the highest compaction debt. Each
+	// instance takes the pool's size as its own concurrency cap, so 1 is
+	// the serial mode.
 	CompactionWorkers int
 }
 
@@ -220,7 +221,6 @@ func openRoute(kind, dir string, opts Options, pool *compaction.Pool) (kv.Store,
 			L0CompactionTrigger: 4,
 			LevelBaseBytes:      1 << 20,
 			BlockCacheBytes:     opts.BlockCacheBytes,
-			CompactionWorkers:   opts.CompactionWorkers,
 			Pool:                pool,
 		})
 	case "flat":

@@ -5,6 +5,7 @@ import (
 	"io"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -35,6 +36,16 @@ func TestFlagsRoundTrip(t *testing.T) {
 	// A negative cache budget means "disabled" and is not scaled.
 	if _, opts, _ := parseFlags(t, "-block-cache-mb", "-1").Options(); opts.BlockCacheBytes != -1 {
 		t.Fatalf("-block-cache-mb -1 became %d bytes", opts.BlockCacheBytes)
+	}
+}
+
+// TestFlagsRejectNegativeCompactionWorkers: a negative budget is refused,
+// naming the flag. Accepted, it gave a pool of the default 4 slots while
+// every LSM on it ran in the serial mode.
+func TestFlagsRejectNegativeCompactionWorkers(t *testing.T) {
+	_, _, err := parseFlags(t, "-compaction-workers", "-1").Options()
+	if err == nil || !strings.Contains(err.Error(), "-compaction-workers") {
+		t.Fatalf("-compaction-workers -1: err=%v, want an error naming the flag", err)
 	}
 }
 

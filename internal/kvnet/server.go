@@ -17,13 +17,14 @@ import (
 	"ethkv/internal/obs"
 )
 
+// connWorkers is the number of request-executing goroutines per connection.
+// Coalesced frames from one client are already a unit of parallelism-free
+// work, so a handful of workers per connection is enough to overlap store
+// latency with decode/encode.
+const connWorkers = 4
+
 // ServerOptions tunes a Server.
 type ServerOptions struct {
-	// Workers is the number of request-executing goroutines per
-	// connection. Coalesced frames from one client are already a unit of
-	// parallelism-free work, so a handful of workers per connection is
-	// enough to overlap store latency with decode/encode. Default 4.
-	Workers int
 	// Registry receives server metrics (per-op latency histograms,
 	// batch-size histogram, frame/byte counters). Nil disables export;
 	// the server still runs.
@@ -35,9 +36,6 @@ type ServerOptions struct {
 
 func (o *ServerOptions) withDefaults() ServerOptions {
 	v := *o
-	if v.Workers <= 0 {
-		v.Workers = 4
-	}
 	if v.Logf == nil {
 		v.Logf = log.Printf
 	}
@@ -290,11 +288,11 @@ func (s *Server) serveConn(c net.Conn) {
 	// Release any iterators still open when the connection dies.
 	defer s.releaseConnIters(st)
 
-	work := make(chan []byte, s.opts.Workers*2)
-	out := make(chan []byte, s.opts.Workers*4)
+	work := make(chan []byte, connWorkers*2)
+	out := make(chan []byte, connWorkers*4)
 
 	var workers sync.WaitGroup
-	for i := 0; i < s.opts.Workers; i++ {
+	for i := 0; i < connWorkers; i++ {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()

@@ -1,6 +1,8 @@
 package lab
 
 import (
+	"errors"
+	"io"
 	"reflect"
 	"testing"
 
@@ -81,8 +83,8 @@ func TestLabEngineEquivalence(t *testing.T) {
 }
 
 // TestLabEngineEquivalenceFile repeats the check against a file-backed
-// trace: the engine's batched reader path must match a per-op ForEach
-// scan of the same file.
+// trace: the engine's batched reader path must match a per-op Next scan of
+// the same file.
 func TestLabEngineEquivalenceFile(t *testing.T) {
 	dir := t.TempDir()
 	res, err := Run(Config{Mode: Cached, Blocks: 10, Workload: testWorkload(), Dir: dir})
@@ -101,12 +103,16 @@ func TestLabEngineEquivalenceFile(t *testing.T) {
 	}
 	wantD := analysis.NewOpDist(nil)
 	wantC := analysis.NewCorrelator(cfg)
-	if err := r.ForEach(func(op trace.Op) error {
+	for {
+		op, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 		wantD.Observe(op)
 		wantC.Observe(op)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 	r.Close()
 

@@ -147,9 +147,7 @@ func Run(cfg Config) (*Result, error) {
 	// when Metrics is nil.
 	backing := kv.Instrument(inner, cfg.Metrics, "trace", cfg.Mode.String())
 
-	// Batched emit: ops buffer inside the traced store and reach the sink
-	// as sequence-ordered batches, cutting per-op sink overhead.
-	traced := trace.WrapStoreBuffered(backing, sink, 512)
+	traced := trace.WrapStore(backing, sink)
 
 	// Genesis: by default below the tracer — pre-existing state is not
 	// traced (§III-B: the traces cover the 1M-block window over prior

@@ -139,50 +139,48 @@ func TestBlockSearchModel(t *testing.T) {
 		checkBlockAgainstLinear(t, blk, probeKeys(ents))
 	}
 
-	for _, format := range []int{tableFormatV1, tableFormatV2} {
-		for round := 0; round < 8; round++ {
-			ents := modelEntries(rng, 50+rng.Intn(400), round%2 == 0)
-			probes := probeKeys(ents)
-			m := faultfs.NewMemFS()
-			meta, err := writeTableFormat(m, "d", 1, 0, ents, format)
+	for round := 0; round < 16; round++ {
+		ents := modelEntries(rng, 50+rng.Intn(400), round%2 == 0)
+		probes := probeKeys(ents)
+		m := faultfs.NewMemFS()
+		meta, err := writeTable(m, "d", 1, 0, ents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// With a cache (the second pass searches cached blocks) and
+		// without: one lookup routine either way.
+		for _, cache := range []*blockCache{newBlockCache(1 << 20), nil} {
+			r, err := openTable(m, "d", meta, cache, noRetry)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// With a cache (the second pass searches cached blocks) and
-			// without: one lookup routine either way.
-			for _, cache := range []*blockCache{newBlockCache(1 << 20), nil} {
-				r, err := openTable(m, "d", meta, cache, noRetry)
+			oversized := false
+			for i := range r.index {
+				blk, _, err := r.block(i)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("block %d: %v", i, err)
 				}
-				oversized := false
-				for i := range r.index {
-					blk, _, err := r.block(i)
-					if err != nil {
-						t.Fatalf("v%d block %d: %v", format, i, err)
-					}
-					oversized = oversized || len(blk.data) > targetBlock
-					checkBlockAgainstLinear(t, blk, probes)
-				}
-				if round%2 == 0 && !oversized {
-					t.Fatalf("v%d round %d: no block larger than targetBlock", format, round)
-				}
-				want := map[string]entry{}
-				for _, e := range ents {
-					want[string(e.key)] = e
-				}
-				for pass := 0; pass < 2; pass++ {
-					for _, key := range probes {
-						v, found, deleted, _, err := r.probe(key)
-						e, ok := want[string(key)]
-						if err != nil || found != ok || deleted != e.tombstone || !bytes.Equal(v, e.value) {
-							t.Fatalf("v%d probe(%q) = (%d bytes, found=%v, deleted=%v, err=%v), want (%d bytes, %v, %v)",
-								format, key, len(v), found, deleted, err, len(e.value), ok, e.tombstone)
-						}
-					}
-				}
-				r.unref()
+				oversized = oversized || len(blk.data) > targetBlock
+				checkBlockAgainstLinear(t, blk, probes)
 			}
+			if round%2 == 0 && !oversized {
+				t.Fatalf("round %d: no block larger than targetBlock", round)
+			}
+			want := map[string]entry{}
+			for _, e := range ents {
+				want[string(e.key)] = e
+			}
+			for pass := 0; pass < 2; pass++ {
+				for _, key := range probes {
+					v, found, deleted, _, err := r.probe(key)
+					e, ok := want[string(key)]
+					if err != nil || found != ok || deleted != e.tombstone || !bytes.Equal(v, e.value) {
+						t.Fatalf("probe(%q) = (%d bytes, found=%v, deleted=%v, err=%v), want (%d bytes, %v, %v)",
+							key, len(v), found, deleted, err, len(e.value), ok, e.tombstone)
+					}
+				}
+			}
+			r.unref()
 		}
 	}
 }
@@ -239,18 +237,19 @@ func TestParseBlockValidatesFraming(t *testing.T) {
 	}
 }
 
-// TestDamagedFrameReportedAtFill: a v1 table (no block checksums) whose first
-// block has a broken frame behind the key being read. The linear probe
-// stopped at the key and served it; the indexed read validates the whole
-// block when it fills it, so the damage is reported, nothing of the block is
-// cached, and the undamaged blocks stay readable.
+// TestDamagedFrameReportedAtFill: a table whose first block has a broken
+// frame behind the key being read, under a checksum recomputed over the
+// damage so the read gets past it. The linear probe stopped at the key and
+// served it; the indexed read validates the whole block when it fills it, so
+// the damage is reported, nothing of the block is cached, and the undamaged
+// blocks stay readable.
 func TestDamagedFrameReportedAtFill(t *testing.T) {
 	var ents []entry
 	for i := 0; i < 200; i++ {
 		ents = append(ents, entry{key: []byte(fmt.Sprintf("key-%04d", i)), value: bytes.Repeat([]byte{byte(i)}, 50)})
 	}
 	m := faultfs.NewMemFS()
-	meta, err := writeTableFormat(m, "d", 1, 0, ents, tableFormatV1)
+	meta, err := writeTable(m, "d", 1, 0, ents)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,9 +265,12 @@ func TestDamagedFrameReportedAtFill(t *testing.T) {
 		t.Fatalf("table has %d blocks, want several", len(clean.index))
 	}
 	// The last entry of block 0 is flags | klen | key(8) | vlen | value(50):
-	// its value length byte sits 51 bytes before the block's end. Inflate it.
+	// its value length byte sits 51 bytes before the payload's end, which
+	// the checksum trailer follows. Inflate it and re-seal the block.
 	mut := append([]byte(nil), raw...)
-	mut[clean.index[0].length-51] = 0x7f
+	ext := clean.index[0]
+	mut[ext.length-blockCRCSize-51] = 0x7f
+	resealSection(mut, ext.offset, ext.length)
 	if err := faultfs.WriteFileSync(m, tablePath("d", 1), mut); err != nil {
 		t.Fatal(err)
 	}
@@ -287,5 +289,15 @@ func TestDamagedFrameReportedAtFill(t *testing.T) {
 	last := ents[len(ents)-1]
 	if v, found, _, _, err := r.probe(last.key); err != nil || !found || !bytes.Equal(v, last.value) {
 		t.Fatalf("probe in an undamaged block: found=%v err=%v", found, err)
+	}
+	// A scan frames entries itself: it stops at the damage with the error
+	// latched, after the intact entries in front of it.
+	it := r.iterator(nil)
+	n := 0
+	for it.next() {
+		n++
+	}
+	if !errors.Is(it.err, errTableCorrupt) || n == 0 || n >= len(ents) {
+		t.Fatalf("scan over the damaged frame: %d entries, err=%v; want a clean prefix and errTableCorrupt", n, it.err)
 	}
 }

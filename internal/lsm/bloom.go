@@ -1,24 +1,14 @@
 package lsm
 
-import (
-	"encoding/binary"
-
-	"ethkv/internal/keccak"
-)
-
 // bloomFilter is a fixed-width Bloom filter attached to each SSTable to
 // short-circuit point lookups for absent keys. We use ~10 bits per key and
 // 7 hash probes (k = m/n * ln2), the classic LevelDB parameters.
 //
-// The probe hash is versioned by the table format (selected via the footer
-// magic): v2 tables use fastHash64, a non-cryptographic FNV-1a/splitmix64
-// combination — a full Keccak-256 permutation per point-read probe was
-// pure waste on the hot path — while v1 tables keep the original keccak
-// hashing so filters written by older code still answer correctly.
+// Probes come from bloomHash, a non-cryptographic FNV-1a/splitmix64
+// combination computed once per key.
 type bloomFilter struct {
 	bits []byte
 	k    int
-	fast bool // v2: fastHash64 probes; v1: keccak
 }
 
 // bloomBitsPerKey controls the filter size; 10 gives ~1% false positives.
@@ -37,15 +27,16 @@ func bloomBytes(n int) int {
 }
 
 // bloomFromBytes wraps a serialized filter (as written by the sstable
-// writer); fast must reflect the table format it was read from.
-func bloomFromBytes(bits []byte, k int, fast bool) *bloomFilter {
-	return &bloomFilter{bits: bits, k: k, fast: fast}
+// writer).
+func bloomFromBytes(bits []byte, k int) *bloomFilter {
+	return &bloomFilter{bits: bits, k: k}
 }
 
-// fastHash64 is an FNV-1a 64-bit pass with a splitmix64 finalizer: the
-// multiply-xor chain gives full avalanche, so the two 32-bit halves are
-// independent enough for double hashing. No allocation, a few ns per key.
-func fastHash64(key []byte) uint64 {
+// bloomHash is the 64-bit probe hash of key: an FNV-1a pass with a
+// splitmix64 finalizer. The multiply-xor chain gives full avalanche, so the
+// low and high halves are independent enough to be the two hashes of the
+// double-hashing probe sequence. No allocation, a few ns per key.
+func bloomHash(key []byte) uint64 {
 	h := uint64(14695981039346656037) // FNV offset basis
 	for _, b := range key {
 		h ^= uint64(b)
@@ -58,16 +49,6 @@ func fastHash64(key []byte) uint64 {
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
 	return h
-}
-
-// bloomHash is the table format's 64-bit probe hash of key: the low and high
-// halves are the two hashes of the double-hashing probe sequence.
-func bloomHash(key []byte, fast bool) uint64 {
-	if fast {
-		return fastHash64(key)
-	}
-	d := keccak.Hash256(key)
-	return binary.LittleEndian.Uint64(d[:8])
 }
 
 // addHash inserts the key whose bloomHash is h.

@@ -192,14 +192,13 @@ func (db *DB) maybeRotate() error {
 // stalled writer (background work ends the stall); Drain releases an L0 stop
 // itself. Called with db.mu held (and released while waiting).
 func (db *DB) waitForRoomLocked() error {
-	queueFull := func() bool { return len(db.imm) >= db.opts.MaxImmutableMemtables }
+	queueFull := func() bool { return len(db.imm) >= maxImmutableMemtables }
 	// L0 write stop: an overfull L0 means ingest has outrun compaction;
 	// stalling here bounds the debt a fast writer can defer (and keeps L0
 	// point-read fan-out bounded). Skipped while draining — shutdown
 	// suppresses the very compactions that would clear the stall.
 	l0Full := func() bool {
-		stop := db.opts.L0StallTrigger
-		return stop > 0 && len(db.levels[0]) >= stop && !db.draining
+		return len(db.levels[0]) >= l0StallFactor*db.opts.L0CompactionTrigger && !db.draining
 	}
 	for _, cause := range [...]struct {
 		stalled func() bool
@@ -257,7 +256,7 @@ func (db *DB) rotate() error {
 	}
 	db.imm = append(db.imm, task)
 	db.memSeq++
-	db.mem = newMemtable(db.opts.Seed + db.memSeq)
+	db.mem = newMemtable(memtableSeed + db.memSeq)
 	db.maybeScheduleLocked()
 	db.mu.Unlock()
 	return nil

@@ -396,21 +396,57 @@ func TestBatchVisibleAtomically(t *testing.T) {
 	}
 }
 
+// holdCompactionsFS parks every open of an SSTable for reading until release
+// is closed. Flushes only write tables, so under a write-only workload it
+// holds each compaction at its first input while flushes carry on: L0 then
+// only grows.
+type holdCompactionsFS struct {
+	faultfs.FS
+	release chan struct{}
+}
+
+func (h holdCompactionsFS) Open(path string) (faultfs.File, error) {
+	if strings.HasSuffix(path, ".sst") {
+		<-h.release
+	}
+	return h.FS.Open(path)
+}
+
+// putSpanning writes key together with the lowest key the stall tests use,
+// so every table spans that key and overlaps every other: while one L0
+// compaction is in flight no second can be planned beside it, and the held
+// compaction costs one pool slot, not all of them.
+func putSpanning(db *DB, key string, value []byte) error {
+	b := db.NewBatch()
+	b.Put([]byte("a"), value[:1])
+	b.Put([]byte(key), value)
+	return b.Write()
+}
+
+// l0Tables reports how many tables L0 holds.
+func l0Tables(db *DB) int {
+	n, _ := db.levelShape(0)
+	return n
+}
+
 // TestDrainReleasesL0Stall: a writer parked in the L0 write stop holds the
 // write-pipeline mutex, so Drain must latch draining — the one thing that
-// ends this stall, since no compaction is due — before it queues on that
+// ends this stall, since every compaction is held — before it queues on that
 // mutex. Latching after would deadlock here, and in a server would make the
 // drain timeout wait out a compaction backlog first.
 func TestDrainReleasesL0Stall(t *testing.T) {
-	opts := faultOpts(faultfs.NewMemFS())
-	opts.L0CompactionTrigger = 100
-	opts.L0StallTrigger = 2
+	hold := holdCompactionsFS{FS: faultfs.NewMemFS(), release: make(chan struct{})}
+	opts := faultOpts(hold)
+	opts.L0CompactionTrigger = 1
 	db, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	releaseHold := sync.OnceFunc(func() { close(hold.release) })
 	defer db.Close()
+	defer releaseHold()
 
+	var puts atomic.Int64
 	writer := make(chan error, 1)
 	stop := make(chan struct{})
 	go func() {
@@ -422,36 +458,45 @@ func TestDrainReleasesL0Stall(t *testing.T) {
 				return
 			default:
 			}
-			if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), val); err != nil {
+			if err := putSpanning(db, fmt.Sprintf("key-%05d", i), val); err != nil {
 				writer <- err
 				return
 			}
+			puts.Add(1)
 		}
 	}()
+	// Once L0 reaches the stop it stays there, so the writer's next rotation
+	// parks for good: wait until it has stopped making progress.
 	deadline := time.After(10 * time.Second)
-	for db.Stats().WriteStalls == 0 {
+	for {
+		n := puts.Load()
+		time.Sleep(20 * time.Millisecond)
+		if db.Stats().WriteStalls > 0 && l0Tables(db) >= l0StallFactor*opts.L0CompactionTrigger && puts.Load() == n {
+			break
+		}
 		select {
 		case err := <-writer:
 			t.Fatalf("writer stopped before stalling: %v", err)
 		case <-deadline:
-			t.Fatal("writer never hit the L0 write stop")
+			t.Fatal("writer never parked in the L0 write stop")
 		default:
-			runtime.Gosched()
 		}
 	}
-	// WriteStalls counts a stall as it begins and nothing but draining ends
-	// this one, so the writer is parked (or about to be) holding commitMu.
+	// The parked put must return while every compaction is still held.
+	parked := puts.Load()
 	drained := make(chan error, 1)
 	go func() { drained <- db.Drain() }()
+	spinUntil(t, "Drain released the writer parked in the L0 write stop", func() bool { return puts.Load() > parked })
+	close(stop)
+	releaseHold()
 	select {
 	case err := <-drained:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Drain queued behind a writer parked in the L0 write stop")
+		t.Fatal("Drain did not finish once compactions were released")
 	}
-	close(stop)
 	if err := <-writer; err != nil {
 		t.Fatal(err)
 	}
@@ -461,26 +506,45 @@ func TestDrainReleasesL0Stall(t *testing.T) {
 // and then L0 at its stop trigger is two stalls, as it was when the two
 // waits were separate loops.
 func TestWriteStallsCountedPerCause(t *testing.T) {
-	fs := newParkFS(faultfs.NewMemFS())
+	hold := holdCompactionsFS{FS: faultfs.NewMemFS(), release: make(chan struct{})}
+	fs := newParkFS(hold)
 	opts := faultOpts(fs)
 	opts.DisableWAL = true
-	opts.MaxImmutableMemtables = 1
-	opts.L0CompactionTrigger = 100
-	opts.L0StallTrigger = 1
+	opts.L0CompactionTrigger = 1
 	db, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	releaseHold := sync.OnceFunc(func() { close(hold.release) })
 	defer db.Close()
+	defer releaseHold()
 	defer fs.arm(nil)
 
-	// Park the first flush before its table is durable: the queue stays full.
-	fs.arm(hasSuffix(".sst"))
+	// Bring L0 to one table short of its stop with the flush queue empty:
+	// every flush finishes before the next put, and no compaction runs.
 	val := bytes.Repeat([]byte{7}, 256)
+	i := 0
+	for l0Tables(db) < l0StallFactor*opts.L0CompactionTrigger-1 {
+		if err := putSpanning(db, fmt.Sprintf("key-%05d", i), val); err != nil {
+			t.Fatal(err)
+		}
+		i++
+		spinUntil(t, "the flush queue drained", func() bool {
+			db.mu.RLock()
+			defer db.mu.RUnlock()
+			return len(db.imm) == 0
+		})
+	}
+	if st := db.Stats(); st.WriteStalls != 0 {
+		t.Fatalf("%d write stalls while filling L0, want 0", st.WriteStalls)
+	}
+
+	// Park the next flush before its table is durable: the queue fills.
+	fs.arm(hasSuffix(".sst"))
 	writer := make(chan error, 1)
 	go func() {
-		for i := 0; db.Stats().WriteStalls == 0; i++ {
-			if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), val); err != nil {
+		for ; db.Stats().WriteStalls == 0; i++ {
+			if err := putSpanning(db, fmt.Sprintf("key-%05d", i), val); err != nil {
 				writer <- err
 				return
 			}
@@ -513,10 +577,13 @@ func TestWriteStallsCountedPerCause(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
-	if err := db.Drain(); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- db.Drain() }()
+	if err := <-writer; err != nil {
 		t.Fatal(err)
 	}
-	if err := <-writer; err != nil {
+	releaseHold()
+	if err := <-drained; err != nil {
 		t.Fatal(err)
 	}
 	st := db.Stats()

@@ -150,7 +150,7 @@ func (db *DB) tryPlanLevelLocked(level int) (compactionPlan, bool) {
 // merge is independent and deterministic, so the concatenated outputs are
 // byte-for-byte identical whether the ranges run on one goroutine or many —
 // only the file numbers (assigned at write time) differ. The ranges fan out
-// across at most Options.CompactionWorkers goroutines.
+// across at most db.workers (the pool's size) goroutines.
 func (db *DB) runCompaction(plan compactionPlan, hook func()) (newMetas []tableMeta, readBytes int64, err error) {
 	if hook != nil {
 		hook()
@@ -167,7 +167,7 @@ func (db *DB) runCompaction(plan compactionPlan, hook func()) (newMetas []tableM
 		err   error
 	}
 	results := make([]rangeResult, ranges)
-	workers := db.opts.CompactionWorkers
+	workers := db.workers
 	if workers > ranges {
 		workers = ranges
 	}

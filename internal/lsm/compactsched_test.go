@@ -7,21 +7,20 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"ethkv/internal/compaction"
 )
 
 // schedOpts shrinks every threshold so small workloads produce multi-level
 // trees, multi-table runs, and split merges.
 func schedOpts(workers int) Options {
 	return Options{
-		MemtableBytes:         4 << 10,
-		MaxImmutableMemtables: 4,
-		L0CompactionTrigger:   2,
-		LevelBaseBytes:        8 << 10,
-		LevelMultiplier:       4,
-		MaxLevels:             5,
-		CompactionTableBytes:  4 << 10,
-		SubCompactionBytes:    8 << 10,
-		CompactionWorkers:     workers,
+		MemtableBytes:        4 << 10,
+		L0CompactionTrigger:  2,
+		LevelBaseBytes:       8 << 10,
+		CompactionTableBytes: 4 << 10,
+		SubCompactionBytes:   8 << 10,
+		Pool:                 compaction.NewPool(workers),
 	}
 }
 
@@ -136,7 +135,7 @@ func TestSubCompactionEquivalence(t *testing.T) {
 	var want [][]byte
 	for _, workers := range []int{1, 2, 4} {
 		db.mu.Lock()
-		db.opts.CompactionWorkers = workers
+		db.workers = workers
 		db.mu.Unlock()
 		metas, _, err := db.runCompaction(plan, nil)
 		if err != nil {
@@ -194,6 +193,15 @@ func TestConcurrentCompactionsOverlap(t *testing.T) {
 			}
 			model[key] = val
 		}
+		// A running writer keeps L0 due, and L0 merges (which span the
+		// whole keyspace) go first, so L1 piles up behind them. A settle
+		// point every twenty rounds lets L1's backlog drain as range-disjoint
+		// L1→L2 merges side by side.
+		if round%20 == 19 {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
@@ -219,6 +227,34 @@ func TestConcurrentCompactionsOverlap(t *testing.T) {
 		if checked++; checked >= 200 {
 			break
 		}
+	}
+}
+
+// TestLevelRunStopsAtClaimedTable: an Ln job takes the first contiguous
+// run of unclaimed tables, so a run that reaches a table another job has
+// claimed ends there instead of jumping over it.
+func TestLevelRunStopsAtClaimedTable(t *testing.T) {
+	db := openTestDB(t, schedOpts(4))
+	table := func(num uint64, lo, hi string) tableMeta {
+		return tableMeta{num: num, level: 1, size: 1 << 10,
+			smallest: []byte(lo), largest: []byte(hi), h: new(tableHandle)}
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.levels[1] = []tableMeta{table(101, "a", "b"), table(102, "c", "d"), table(103, "e", "f"), table(104, "g", "h")}
+	db.claimed[103] = struct{}{}
+	plan, ok := db.tryPlanLevelLocked(1)
+	db.levels[1] = nil
+	delete(db.claimed, 103)
+	if !ok {
+		t.Fatal("no plan for an unclaimed run")
+	}
+	var nums []uint64
+	for _, m := range plan.srcMetas {
+		nums = append(nums, m.num)
+	}
+	if fmt.Sprint(nums) != "[101 102]" || string(plan.lo) != "a" || string(plan.hi) != "d" {
+		t.Fatalf("plan took tables %v spanning [%s, %s], want [101 102] spanning [a, d]", nums, plan.lo, plan.hi)
 	}
 }
 

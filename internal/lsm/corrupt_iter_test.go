@@ -134,7 +134,7 @@ func TestMergeIteratorSurfacesSourceError(t *testing.T) {
 
 func TestDBScanCorruptTableSurfacesError(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{MemtableBytes: 8 << 10, Seed: 1}
+	opts := Options{MemtableBytes: 8 << 10}
 	db, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +272,6 @@ func TestIteratorPrunesNonOverlappingTables(t *testing.T) {
 	opts := Options{
 		MemtableBytes:        8 << 10,
 		CompactionTableBytes: 4 << 10,
-		Seed:                 1,
 	}
 	db, err := Open(dir, opts)
 	if err != nil {

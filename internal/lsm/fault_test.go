@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -238,17 +239,18 @@ func TestTransientFaultsAbsorbedByRetry(t *testing.T) {
 	}
 }
 
-// failOnceFS fails the first call of one filesystem operation with a
-// transient fault and then behaves normally: the smallest possible flaky
-// disk, aimed at a single call site.
+// failOnceFS fails the first call of one filesystem operation on a path
+// with the given suffix with a transient fault and then behaves normally:
+// the smallest possible flaky disk, aimed at a single call site.
 type failOnceFS struct {
 	faultfs.FS
-	op    string // "glob", "open", "readfile" or "remove"
-	fired bool
+	op     string // "glob", "open", "readfile" or "remove"
+	suffix string // "" aims at any path
+	fired  bool
 }
 
 func (f *failOnceFS) fail(op, path string) error {
-	if f.op != op || f.fired {
+	if f.op != op || !strings.HasSuffix(path, f.suffix) || f.fired {
 		return nil
 	}
 	f.fired = true
@@ -284,12 +286,17 @@ func (f *failOnceFS) Remove(path string) error {
 }
 
 // TestRecoveryAbsorbsTransientFaults: Open's recovery calls — listing the
-// log generations, replaying one, reading the manifest, deleting a replayed
-// log — answer to the same retry policy as steady-state I/O. One transient
-// fault on any of them used to fail the whole Open.
+// log generations, replaying one, reading the manifest, checking a table's
+// footer, deleting a replayed log — answer to the same retry policy as
+// steady-state I/O. One transient fault on any of them used to fail the
+// whole Open.
 func TestRecoveryAbsorbsTransientFaults(t *testing.T) {
-	for _, op := range []string{"glob", "open", "readfile", "remove"} {
-		t.Run(op, func(t *testing.T) {
+	for _, c := range []struct{ name, op, suffix string }{
+		{"glob", "glob", ""}, {"open", "open", ".log"}, {"open-table", "open", ".sst"},
+		{"readfile", "readfile", ""}, {"remove", "remove", ""},
+	} {
+		op := c.op
+		t.Run(c.name, func(t *testing.T) {
 			// A crashed store with a manifest, a table, and a live log.
 			m := faultfs.NewMemFS()
 			plan := faultfs.NewPlan(29)
@@ -313,7 +320,7 @@ func TestRecoveryAbsorbsTransientFaults(t *testing.T) {
 			db.Close()
 			m.Crash(nil)
 
-			flaky := &failOnceFS{FS: m, op: op}
+			flaky := &failOnceFS{FS: m, op: op, suffix: c.suffix}
 			re, err := Open("db", faultOpts(flaky))
 			if err != nil {
 				t.Fatalf("Open with one transient %s fault: %v", op, err)

@@ -109,12 +109,10 @@ func FuzzSSTableOpen(f *testing.F) {
 			return // rejecting corrupt input is the correct outcome
 		}
 		// An accepted table must be fully traversable without panicking and
-		// with bounded output. Entry ORDER is not asserted: legacy v1 block
-		// payloads are framed but not checksummed, so a footer-valid v1
-		// table can hold garbage entries — for that format, recovery
-		// integrity rests on the WAL CRCs and the sync-before-manifest
-		// protocol. v2 tables add per-block CRCs; FuzzBlockRead pins down
-		// that corruption there is always detected, never misread.
+		// with bounded output. Entry ORDER is not asserted: an input whose
+		// sections carry valid checksums over garbage framing is still one
+		// the reader must walk safely. FuzzBlockRead pins down that damage
+		// under the checksums is always detected, never misread.
 		it := r.iterator(nil)
 		for n := 0; ; n++ {
 			_, ok := it.nextEntry()
@@ -156,8 +154,23 @@ func FuzzSSTableScan(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(raw)
+	clean, err := newTableReader(raw, meta)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// resealed re-computes the checksum of every block, so damage to block
+	// payloads reaches the scan's framing checks instead of stopping at the
+	// checksum.
+	resealed := func(img []byte) []byte {
+		img = append([]byte(nil), img...)
+		for _, e := range clean.index {
+			resealSection(img, e.offset, e.length)
+		}
+		return img
+	}
 	// Mid-block damage at several depths: entry flags, length varints, and
-	// the boundary between two blocks.
+	// the boundary between two blocks; each as written and under resealed
+	// block checksums.
 	for _, off := range []int{1, 100, targetBlock / 2, targetBlock, targetBlock + 5, 2 * targetBlock} {
 		if off >= len(raw)-footerSize {
 			continue
@@ -165,11 +178,13 @@ func FuzzSSTableScan(f *testing.F) {
 		mut := append([]byte(nil), raw...)
 		mut[off] = 0xFF
 		f.Add(mut)
+		f.Add(resealed(mut))
 		run := append([]byte(nil), raw...)
 		for i := 0; i < 10 && off+i < len(run)-footerSize; i++ {
 			run[off+i] = 0xFF
 		}
 		f.Add(run)
+		f.Add(resealed(run))
 	}
 	f.Add([]byte{})
 

@@ -27,8 +27,6 @@ func smallOpts() Options {
 		MemtableBytes:       4 << 10,
 		L0CompactionTrigger: 2,
 		LevelBaseBytes:      16 << 10,
-		LevelMultiplier:     4,
-		MaxLevels:           5,
 	}
 }
 
@@ -119,27 +117,23 @@ func TestSkiplistModelProperty(t *testing.T) {
 }
 
 func TestBloomFilter(t *testing.T) {
-	// Both probe hashes must hold the filter contract: the fast v2 hash and
-	// the keccak v1 hash old tables still carry.
-	for _, fast := range []bool{true, false} {
-		f := bloomFromBytes(make([]byte, bloomBytes(1000)), bloomProbes, fast)
-		for i := 0; i < 1000; i++ {
-			f.addHash(bloomHash([]byte(fmt.Sprintf("key-%d", i)), fast))
+	f := bloomFromBytes(make([]byte, bloomBytes(1000)), bloomProbes)
+	for i := 0; i < 1000; i++ {
+		f.addHash(bloomHash([]byte(fmt.Sprintf("key-%d", i))))
+	}
+	for i := 0; i < 1000; i++ {
+		if !f.mayContain([]byte(fmt.Sprintf("key-%d", i))) {
+			t.Fatalf("false negative for key-%d", i)
 		}
-		for i := 0; i < 1000; i++ {
-			if !f.mayContain([]byte(fmt.Sprintf("key-%d", i))) {
-				t.Fatalf("fast=%v: false negative for key-%d", fast, i)
-			}
+	}
+	fp := 0
+	for i := 0; i < 10000; i++ {
+		if f.mayContain([]byte(fmt.Sprintf("absent-%d", i))) {
+			fp++
 		}
-		fp := 0
-		for i := 0; i < 10000; i++ {
-			if f.mayContain([]byte(fmt.Sprintf("absent-%d", i))) {
-				fp++
-			}
-		}
-		if rate := float64(fp) / 10000; rate > 0.05 {
-			t.Fatalf("fast=%v: false positive rate %.3f too high", fast, rate)
-		}
+	}
+	if rate := float64(fp) / 10000; rate > 0.05 {
+		t.Fatalf("false positive rate %.3f too high", rate)
 	}
 }
 

@@ -22,8 +22,7 @@ func (db *DB) RegisterMetrics(r *obs.Registry, labels ...string) {
 	}
 	kv.RegisterStatsMetrics(r, db, labels...)
 
-	maxLevels := db.opts.MaxLevels
-	for level := 0; level < maxLevels; level++ {
+	for level := 0; level < numLevels; level++ {
 		level := level
 		ll := append([]string{"level", fmt.Sprintf("%d", level)}, labels...)
 		r.GaugeFunc(obs.Name("ethkv_lsm_level_tables", ll...), func() float64 {
@@ -117,7 +116,7 @@ func (db *DB) compactionDebtLocked() int64 {
 		if size > target {
 			debt += size - target
 		}
-		target *= db.opts.LevelMultiplier
+		target *= levelMultiplier
 	}
 	return debt
 }

@@ -18,12 +18,12 @@ import (
 //
 //	data block 0 | data block 1 | ... | index block | bloom block | footer
 //
-// Format v2 (current): every data block, the index block, and the bloom
-// block carry a crc32(payload) trailer appended to the payload; index and
-// footer extents cover payload+trailer. A bit flip anywhere in a block is
-// detected by the checksum at read time, not just by entry-framing luck.
-// Format v1 (still readable) has no per-section checksums and hashes bloom
-// probes with Keccak-256; the footer magic selects the format.
+// Every data block, the index block, and the bloom block carry a
+// crc32(payload) trailer appended to the payload; index and footer extents
+// cover payload+trailer. A bit flip anywhere in a block is detected by the
+// checksum at read time, not just by entry-framing luck. This is format v2,
+// named by the footer magic. Format v1 (no section checksums, Keccak-256
+// bloom probes) is retired: a table carrying its magic is refused as corrupt.
 //
 // Each data block holds consecutive entries:
 //
@@ -31,33 +31,25 @@ import (
 //
 // The index block records, per data block: lastKeyLen uvarint | lastKey |
 // offset uvarint | length uvarint (length spans the stored extent,
-// including the v2 checksum trailer). Point lookups binary-search the
+// including the checksum trailer). Point lookups binary-search the
 // index by last key, fetch one data block — through the shared block cache
 // — and binary-search that too, over entry offsets derived when the block
 // was read (block.go); the offsets are memory only, never written.
 //
-// The footer is fixed-size and identical across formats:
+// The footer is fixed-size:
 //
 //	indexOff u64 | indexLen u64 | bloomOff u64 | bloomLen u64 | bloomK u32 |
 //	entryCount u64 | crc32-of-footer-prefix u32 | magic u64
 const (
 	footerSize   = 8*5 + 4 + 4 + 8
-	tableMagicV1 = 0x657468_6b760001 // "ethkv" + version 1: no section CRCs, keccak bloom
-	tableMagicV2 = 0x657468_6b760002 // version 2: CRC32 trailers, fast bloom hash
+	tableMagic   = 0x657468_6b760002 // "ethkv" + format version 2 in the low 16 bits
 	targetBlock  = 4 << 10           // 4 KiB data blocks
-	blockCRCSize = 4                 // crc32 trailer appended to each v2 section
+	blockCRCSize = 4                 // crc32 trailer appended to each section
 
 	// readaheadBytes is the span one iterator fetch covers: sequential
 	// scans and compactions read runs of contiguous blocks in one ReadAt
 	// into a private buffer instead of thrashing the block cache.
 	readaheadBytes = 256 << 10
-)
-
-// Table formats accepted by the reader; the store's tableWriters emit v2.
-// Tests select v1 to produce legacy images with the real writer code.
-const (
-	tableFormatV1 = 1
-	tableFormatV2 = 2
 )
 
 // errTableCorrupt marks structural damage detected while opening or reading
@@ -142,7 +134,7 @@ func tablePath(dir string, num uint64) string {
 	return fmt.Sprintf("%s/%06d.sst", dir, num)
 }
 
-// indexEntry locates one data block's stored extent (payload plus the v2
+// indexEntry locates one data block's stored extent (payload plus its
 // checksum trailer).
 type indexEntry struct {
 	lastKey []byte
@@ -170,7 +162,6 @@ type tableReader struct {
 	size   int64
 	index  []indexEntry
 	bloom  *bloomFilter
-	hasCRC bool // v2: per-section crc32 trailers
 	cache  *blockCache
 	retry  retryFn
 	pinned int64 // index+bloom bytes accounted against the cache
@@ -205,22 +196,8 @@ func openTable(fsys faultfs.FS, dir string, meta tableMeta, cache *blockCache, r
 	if retry == nil {
 		retry = passRetry
 	}
-	path := tablePath(dir, meta.num)
-	var f faultfs.File
-	if err := retry(func() error {
-		var err error
-		f, err = fsys.Open(path)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	var size int64
-	if err := retry(func() error {
-		var err error
-		size, err = f.Size()
-		return err
-	}); err != nil {
-		f.Close()
+	f, size, err := openTableFile(fsys, dir, meta, retry)
+	if err != nil {
 		return nil, err
 	}
 	t, err := openTableReader(f, f.Close, size, meta, cache, retry)
@@ -229,6 +206,42 @@ func openTable(fsys faultfs.FS, dir string, meta tableMeta, cache *blockCache, r
 		return nil, err
 	}
 	return t, nil
+}
+
+// checkTableFooter reads and validates only the footer of meta's file: its
+// format version and checksum.
+func checkTableFooter(fsys faultfs.FS, dir string, meta tableMeta, retry retryFn) error {
+	f, size, err := openTableFile(fsys, dir, meta, retry)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	t := &tableReader{meta: meta, src: f, size: size, retry: retry}
+	_, err = t.readFooter()
+	return err
+}
+
+// openTableFile opens meta's file and reports its size.
+func openTableFile(fsys faultfs.FS, dir string, meta tableMeta, retry retryFn) (faultfs.File, int64, error) {
+	path := tablePath(dir, meta.num)
+	var f faultfs.File
+	if err := retry(func() error {
+		var err error
+		f, err = fsys.Open(path)
+		return err
+	}); err != nil {
+		return nil, 0, err
+	}
+	var size int64
+	if err := retry(func() error {
+		var err error
+		size, err = f.Size()
+		return err
+	}); err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, size, nil
 }
 
 // newTableReader builds a reader over an in-memory SSTable image — the
@@ -247,22 +260,9 @@ func openTableReader(src io.ReaderAt, closer func() error, size int64, meta tabl
 		meta: meta, src: src, closer: closer, size: size,
 		cache: cache, retry: retry,
 	}
-	if size < footerSize {
-		return nil, fmt.Errorf("%w: file shorter than footer", errTableCorrupt)
-	}
-	var footer [footerSize]byte
-	if err := t.readAt(footer[:], size-footerSize); err != nil {
+	footer, err := t.readFooter()
+	if err != nil {
 		return nil, err
-	}
-	switch binary.LittleEndian.Uint64(footer[48:]) {
-	case tableMagicV2:
-		t.hasCRC = true
-	case tableMagicV1:
-	default:
-		return nil, fmt.Errorf("%w: bad magic", errTableCorrupt)
-	}
-	if crc32.ChecksumIEEE(footer[:44]) != binary.LittleEndian.Uint32(footer[44:]) {
-		return nil, fmt.Errorf("%w: footer checksum", errTableCorrupt)
 	}
 	indexOff := binary.LittleEndian.Uint64(footer[0:])
 	indexLen := binary.LittleEndian.Uint64(footer[8:])
@@ -285,7 +285,7 @@ func openTableReader(src io.ReaderAt, closer func() error, size int64, meta tabl
 	if err != nil {
 		return nil, err
 	}
-	t.index, err = parseIndex(indexRaw, indexOff, t.hasCRC)
+	t.index, err = parseIndex(indexRaw, indexOff)
 	if err != nil {
 		return nil, err
 	}
@@ -293,13 +293,36 @@ func openTableReader(src io.ReaderAt, closer func() error, size int64, meta tabl
 	if err != nil {
 		return nil, err
 	}
-	t.bloom = bloomFromBytes(bloomBits, bloomK, t.hasCRC)
+	t.bloom = bloomFromBytes(bloomBits, bloomK)
 	// Index and bloom stay pinned for the reader's lifetime; account them
 	// so observability reports the true memory footprint.
 	t.pinned = int64(indexLen + bloomLen)
 	t.cache.addPinned(t.pinned)
 	t.refs.Store(1)
 	return t, nil
+}
+
+// readFooter reads the footer and checks its magic, then its checksum.
+func (t *tableReader) readFooter() (footer [footerSize]byte, err error) {
+	if t.size < footerSize {
+		return footer, fmt.Errorf("%w: file shorter than footer", errTableCorrupt)
+	}
+	if err := t.readAt(footer[:], t.size-footerSize); err != nil {
+		return footer, err
+	}
+	if magic := binary.LittleEndian.Uint64(footer[48:]); magic != tableMagic {
+		if magic>>16 == tableMagic>>16 {
+			// An ethkv table of another format version: v1 tables, written
+			// before section checksums existed, are refused, not migrated.
+			return footer, fmt.Errorf("%w: retired table format v%d (this store reads v%d only)",
+				errTableCorrupt, magic&0xffff, tableMagic&0xffff)
+		}
+		return footer, fmt.Errorf("%w: bad magic", errTableCorrupt)
+	}
+	if crc32.ChecksumIEEE(footer[:44]) != binary.LittleEndian.Uint32(footer[44:]) {
+		return footer, fmt.Errorf("%w: footer checksum", errTableCorrupt)
+	}
+	return footer, nil
 }
 
 // readAt fills p from offset off, retrying transient faults. A short read
@@ -317,15 +340,12 @@ func (t *tableReader) readAt(p []byte, off int64) error {
 	})
 }
 
-// readSection fetches one pinned section (index or bloom) and, on v2
-// tables, verifies and strips its checksum trailer.
+// readSection fetches one pinned section (index or bloom), verifies its
+// checksum trailer and strips it.
 func (t *tableReader) readSection(off, length uint64, what string) ([]byte, error) {
 	buf := make([]byte, length)
 	if err := t.readAt(buf, int64(off)); err != nil {
 		return nil, err
-	}
-	if !t.hasCRC {
-		return buf, nil
 	}
 	if length < blockCRCSize {
 		return nil, fmt.Errorf("%w: %s shorter than checksum", errTableCorrupt, what)
@@ -337,14 +357,11 @@ func (t *tableReader) readSection(off, length uint64, what string) ([]byte, erro
 	return payload, nil
 }
 
-// blockPayload verifies extent's checksum trailer (v2) and returns the
-// entry payload. A bit flip anywhere in the stored block fails here with
+// blockPayload verifies extent's checksum trailer and returns the entry
+// payload. A bit flip anywhere in the stored block fails here with
 // errTableCorrupt — corruption can never be served as data.
 func (t *tableReader) blockPayload(extent []byte, blockIdx int) ([]byte, error) {
-	if !t.hasCRC {
-		return extent, nil
-	}
-	// parseIndex guarantees v2 extents exceed the trailer size.
+	// parseIndex guarantees extents exceed the trailer size.
 	payload := extent[:len(extent)-blockCRCSize]
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(extent[len(extent)-blockCRCSize:]) {
 		return nil, fmt.Errorf("%w: block checksum (table %06d, block %d)",
@@ -381,9 +398,9 @@ func (t *tableReader) block(i int) (blk *block, diskBytes int, err error) {
 
 // parseIndex decodes the index block. dataLimit is the exclusive upper
 // bound for block extents (the index's own offset): every referenced data
-// block must lie entirely within [0, dataLimit). withCRC additionally
-// requires each extent to exceed the checksum trailer.
-func parseIndex(raw []byte, dataLimit uint64, withCRC bool) ([]indexEntry, error) {
+// block must lie entirely within [0, dataLimit) and exceed the checksum
+// trailer.
+func parseIndex(raw []byte, dataLimit uint64) ([]indexEntry, error) {
 	var index []indexEntry
 	for len(raw) > 0 {
 		klen, n := binary.Uvarint(raw)
@@ -406,12 +423,12 @@ func parseIndex(raw []byte, dataLimit uint64, withCRC bool) ([]indexEntry, error
 		if off > dataLimit || length > dataLimit-off {
 			return nil, fmt.Errorf("%w: block extent out of range", errTableCorrupt)
 		}
-		if withCRC && length <= blockCRCSize {
+		if length <= blockCRCSize {
 			return nil, fmt.Errorf("%w: block extent shorter than checksum", errTableCorrupt)
 		}
 		// Structural monotonicity: blocks ascend by last key and do not
 		// overlap. Catches shuffled or duplicated index entries cheaply;
-		// block payloads are then guarded by their own checksums (v2).
+		// block payloads are then guarded by their own checksums.
 		if n := len(index); n > 0 {
 			prev := index[n-1]
 			if bytes.Compare(key, prev.lastKey) <= 0 || off < prev.offset+prev.length {
@@ -433,17 +450,14 @@ type readCounts struct {
 	bloomFalsePositives int // tables the filter let through that held no match
 }
 
-// get looks up key, whose fastHash64 is hash (computed once per read, not
-// per table; legacy v1 filters hash the key their own way). A block whose
-// checksum or framing is damaged surfaces errTableCorrupt — a corrupt block
-// must not masquerade as key-not-found. rc takes the disk bytes fetched and
-// the bloom filter's effectiveness: negatives that skip the table entirely,
-// false positives where the filter passed but the block held no match. The
-// value is a view of the block, shared and read-only.
+// get looks up key, whose bloomHash is hash (computed once per read, not
+// per table). A block whose checksum or framing is damaged surfaces
+// errTableCorrupt — a corrupt block must not masquerade as key-not-found.
+// rc takes the disk bytes fetched and the bloom filter's effectiveness:
+// negatives that skip the table entirely, false positives where the filter
+// passed but the block held no match. The value is a view of the block,
+// shared and read-only.
 func (t *tableReader) get(key []byte, hash uint64, rc *readCounts) (value []byte, found, deleted bool, err error) {
-	if !t.bloom.fast {
-		hash = bloomHash(key, false)
-	}
 	if !t.bloom.mayContainHash(hash) {
 		rc.bloomNegatives++
 		return nil, false, false, nil
@@ -580,7 +594,6 @@ func (it *tableIterator) next() bool {
 			}
 			it.block = block
 			it.blockIdx++
-			// Re-check: a corrupt v1 index may frame a zero-length block.
 			continue
 		}
 		flags := it.block[0]
@@ -634,7 +647,7 @@ func (it *tableIterator) fetchSpan(i int) error {
 	start := t.index[i].offset
 	end, total := i, uint64(0)
 	for end < len(t.index) &&
-		t.index[end].offset == start+total && // corrupt v1 indexes may leave gaps
+		t.index[end].offset == start+total && // a damaged index may leave gaps
 		(end == i || total+t.index[end].length <= readaheadBytes) {
 		total += t.index[end].length
 		end++

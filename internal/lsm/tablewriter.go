@@ -24,11 +24,10 @@ import (
 // One writer produces any number of tables in sequence (finish resets it);
 // its buffers come from a process-wide pool and go back on release.
 type tableWriter struct {
-	fsys    faultfs.FS
-	dir     string
-	retry   retryFn
-	level   int
-	withCRC bool // format v2: section checksums, fast bloom hash
+	fsys  faultfs.FS
+	dir   string
+	retry retryFn
+	level int
 
 	*tableBuffers
 	blockOff   int // image offset where the open data block starts
@@ -50,10 +49,9 @@ var tableBufferPool = sync.Pool{New: func() any { return new(tableBuffers) }}
 // caller's estimate of one table's key+value bytes; the image is pre-sized
 // from it so a table is encoded without regrowth. retry wraps the file I/O
 // of finish and nothing else.
-func newTableWriter(fsys faultfs.FS, dir string, retry retryFn, level, format, dataBytes int) *tableWriter {
+func newTableWriter(fsys faultfs.FS, dir string, retry retryFn, level, dataBytes int) *tableWriter {
 	w := &tableWriter{
 		fsys: fsys, dir: dir, retry: retry, level: level,
-		withCRC:      format >= tableFormatV2,
 		tableBuffers: tableBufferPool.Get().(*tableBuffers),
 	}
 	// Framing, block trailers, index and bloom add ~10% to small-entry
@@ -96,18 +94,16 @@ func (w *tableWriter) add(key, value []byte, tombstone bool) {
 	img = append(img, key...)
 	img = binary.AppendUvarint(img, uint64(len(value)))
 	w.img = append(img, value...)
-	w.hashes = append(w.hashes, bloomHash(key, w.withCRC))
+	w.hashes = append(w.hashes, bloomHash(key))
 	if len(w.img)-w.blockOff >= targetBlock {
 		w.closeBlock()
 	}
 }
 
-// closeSection seals the section that started at image offset start with the
-// v2 checksum trailer and returns its stored extent length.
+// closeSection seals the section that started at image offset start with its
+// checksum trailer and returns its stored extent length.
 func (w *tableWriter) closeSection(start int) uint64 {
-	if w.withCRC {
-		w.img = binary.LittleEndian.AppendUint32(w.img, crc32.ChecksumIEEE(w.img[start:]))
-	}
+	w.img = binary.LittleEndian.AppendUint32(w.img, crc32.ChecksumIEEE(w.img[start:]))
 	return uint64(len(w.img) - start)
 }
 
@@ -148,16 +144,12 @@ func (w *tableWriter) finish(num uint64) (tableMeta, error) {
 	// the filter, then set bits in place.
 	bloomOff := len(w.img)
 	w.img = append(w.img, make([]byte, bloomBytes(n))...)
-	bloom := bloomFromBytes(w.img[bloomOff:], bloomProbes, w.withCRC)
+	bloom := bloomFromBytes(w.img[bloomOff:], bloomProbes)
 	for _, h := range w.hashes {
 		bloom.addHash(h)
 	}
 	bloomLen := w.closeSection(bloomOff)
 
-	magic := uint64(tableMagicV2)
-	if !w.withCRC {
-		magic = tableMagicV1
-	}
 	var footer [footerSize]byte
 	binary.LittleEndian.PutUint64(footer[0:], uint64(indexOff))
 	binary.LittleEndian.PutUint64(footer[8:], indexLen)
@@ -166,7 +158,7 @@ func (w *tableWriter) finish(num uint64) (tableMeta, error) {
 	binary.LittleEndian.PutUint32(footer[32:], bloomProbes)
 	binary.LittleEndian.PutUint64(footer[36:], uint64(n))
 	binary.LittleEndian.PutUint32(footer[44:], crc32.ChecksumIEEE(footer[:44]))
-	binary.LittleEndian.PutUint64(footer[48:], magic)
+	binary.LittleEndian.PutUint64(footer[48:], tableMagic)
 	w.img = append(w.img, footer[:]...)
 
 	meta := tableMeta{

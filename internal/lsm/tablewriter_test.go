@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"sort"
 	"strings"
@@ -16,17 +17,11 @@ import (
 // writeTable materialises ents through the streaming tableWriter — the slice
 // hand-off tests want, kept out of the store's own code.
 func writeTable(fsys faultfs.FS, dir string, num uint64, level int, ents []entry) (tableMeta, error) {
-	return writeTableFormat(fsys, dir, num, level, ents, tableFormatV2)
-}
-
-// writeTableFormat is writeTable with an explicit format selector, so
-// compatibility tests can produce v1 images through the real writer.
-func writeTableFormat(fsys faultfs.FS, dir string, num uint64, level int, ents []entry, format int) (tableMeta, error) {
 	var size int
 	for _, e := range ents {
 		size += len(e.key) + len(e.value)
 	}
-	w := newTableWriter(fsys, dir, passRetry, level, format, size)
+	w := newTableWriter(fsys, dir, passRetry, level, size)
 	defer w.release()
 	for _, e := range ents {
 		w.add(e.key, e.value, e.tombstone)
@@ -34,18 +29,33 @@ func writeTableFormat(fsys faultfs.FS, dir string, num uint64, level int, ents [
 	return w.finish(num)
 }
 
+// resealSection recomputes the checksum trailer of the section stored at
+// img[off:off+length], so deliberate damage to its payload gets past the
+// checksum and reaches the parse-time checks behind it.
+func resealSection(img []byte, off, length uint64) {
+	end := off + length - blockCRCSize
+	binary.LittleEndian.PutUint32(img[end:], crc32.ChecksumIEEE(img[off:end]))
+}
+
+// resealFooter recomputes a table image's footer checksum after a test
+// rewrote footer fields.
+func resealFooter(img []byte) {
+	footer := img[len(img)-footerSize:]
+	binary.LittleEndian.PutUint32(footer[44:], crc32.ChecksumIEEE(footer[:44]))
+}
+
 // goldenKey is a fixed-width ascending key: 8-byte big-endian counter.
 // probe is a point lookup on one table as a DB read would make it, for tests
 // that drive a reader directly; bytesRead is what it fetched from the file.
 func (t *tableReader) probe(key []byte) (value []byte, found, deleted bool, bytesRead int, err error) {
 	var rc readCounts
-	value, found, deleted, err = t.get(key, fastHash64(key), &rc)
+	value, found, deleted, err = t.get(key, bloomHash(key), &rc)
 	return value, found, deleted, rc.physicalBytes, err
 }
 
-// mayContain hashes key the filter's own way and probes it.
+// mayContain hashes key and probes it.
 func (f *bloomFilter) mayContain(key []byte) bool {
-	return f.mayContainHash(bloomHash(key, f.fast))
+	return f.mayContainHash(bloomHash(key))
 }
 
 // walkBlock yields the entries of one data block in order until yield
@@ -162,61 +172,53 @@ func goldenCorpus() []struct {
 	return corpus
 }
 
-// goldenTableSHA256 pins the exact bytes of every corpus table in both
-// formats, recorded from writeTableFormat at f14e24a — the slice-based writer
-// the streaming tableWriter replaced.
+// goldenTableSHA256 pins the exact bytes of every corpus table, recorded
+// from the slice-based writer at f14e24a that the streaming tableWriter
+// replaced.
 var goldenTableSHA256 = map[string]string{
-	"one/v1":            "9486d21ff238978d997b158685b8ec9ec5a8a3ea0999dade8ffb2da6dbd2a990",
 	"one/v2":            "8a6541edefd5ea79b6f98e8d85d34fb552f19d4e9f65362747980716a098fb10",
-	"one-tombstone/v1":  "cbdf70b2dcc1eaf84be8b7afa341daaacf0e9cc26346a8b4c35c72e57e1ae64e",
 	"one-tombstone/v2":  "475e685428cc0e141fb9dfcc715bc3fab20c280a9802a9ce811efb9329d594d0",
-	"empty-values/v1":   "c7fbf07d7abd9cfce055d442f67482112fae2156d3da5b89d91e49432d065a02",
 	"empty-values/v2":   "9870d90676b8bc87ac830a29c101e7dfb75cef163fa8971583631757eb7f4f08",
-	"tombstones/v1":     "be719f789040f21ad51d0e0551650f0ba67bf246a2175ce449f1a700cd22fcf2",
 	"tombstones/v2":     "d807fefd66307195d6cd2be86abf2ba7a9b3eba1466567c47e42da1787199480",
-	"block-boundary/v1": "0207d4c2cb41a02e48b9c0411b363af64cb21a641dd1f11a313fcb8b8a8dd5ed",
 	"block-boundary/v2": "be98efb127e96d9a5ef610ea3689204cf72775a6eab108e0a1e03f7ba857a54c",
-	"mixed/v1":          "9aba4a8410cb2e9cfc4f136ba143231495130f8e9915d73c353edcdebc19d177",
 	"mixed/v2":          "058524918fc5fc1a40f77a8ade3b5717d19c55dd7b8413bb27554bc869d30e87",
 }
 
 // TestTableWriterGoldenBytes checks the streaming writer emits, byte for
 // byte, the images the materialise-then-encode writer did, and that the
-// returned metadata describes them. One writer per format produces the whole
-// corpus, largest table first, so every later image is encoded over a
-// recycled buffer full of stale bytes.
+// returned metadata describes them. One writer produces the whole corpus,
+// largest table first, so every later image is encoded over a recycled
+// buffer full of stale bytes.
 func TestTableWriterGoldenBytes(t *testing.T) {
 	corpus := goldenCorpus()
 	sort.SliceStable(corpus, func(i, j int) bool { return len(corpus[i].ents) > len(corpus[j].ents) })
-	for _, format := range []int{tableFormatV1, tableFormatV2} {
-		m := faultfs.NewMemFS()
-		w := newTableWriter(m, "d", passRetry, 2, format, 0)
-		defer w.release()
-		for _, c := range corpus {
-			name := fmt.Sprintf("%s/v%d", c.name, format)
-			for _, e := range c.ents {
-				w.add(e.key, e.value, e.tombstone)
-			}
-			meta, err := w.finish(7)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			img, err := m.ReadFile(tablePath("d", 7))
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			sum := sha256.Sum256(img)
-			got := hex.EncodeToString(sum[:])
-			if want := goldenTableSHA256[name]; got != want {
-				t.Errorf("%s: image sha256 %s, want %s", name, got, want)
-			}
-			first, last := c.ents[0].key, c.ents[len(c.ents)-1].key
-			if meta.num != 7 || meta.level != 2 || meta.size != int64(len(img)) ||
-				meta.entries != uint64(len(c.ents)) ||
-				string(meta.smallest) != string(first) || string(meta.largest) != string(last) {
-				t.Errorf("%s: meta %+v does not describe the image (%d bytes, %d entries)",
-					name, meta, len(img), len(c.ents))
-			}
+	m := faultfs.NewMemFS()
+	w := newTableWriter(m, "d", passRetry, 2, 0)
+	defer w.release()
+	for _, c := range corpus {
+		name := c.name + "/v2"
+		for _, e := range c.ents {
+			w.add(e.key, e.value, e.tombstone)
+		}
+		meta, err := w.finish(7)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		img, err := m.ReadFile(tablePath("d", 7))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sum := sha256.Sum256(img)
+		got := hex.EncodeToString(sum[:])
+		if want := goldenTableSHA256[name]; got != want {
+			t.Errorf("%s: image sha256 %s, want %s", name, got, want)
+		}
+		first, last := c.ents[0].key, c.ents[len(c.ents)-1].key
+		if meta.num != 7 || meta.level != 2 || meta.size != int64(len(img)) ||
+			meta.entries != uint64(len(c.ents)) ||
+			string(meta.smallest) != string(first) || string(meta.largest) != string(last) {
+			t.Errorf("%s: meta %+v does not describe the image (%d bytes, %d entries)",
+				name, meta, len(img), len(c.ents))
 		}
 	}
 }
@@ -279,7 +281,7 @@ func TestTableWriterRetriesOnlyIO(t *testing.T) {
 			retries++
 		}
 	}
-	w := newTableWriter(fsys, "d", retry, 1, tableFormatV2, 0)
+	w := newTableWriter(fsys, "d", retry, 1, 0)
 	defer w.release()
 	for _, e := range c.ents {
 		w.add(e.key, e.value, e.tombstone)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ethkv/internal/backends"
+	"ethkv/internal/compaction"
 	"ethkv/internal/fanout"
 	"ethkv/internal/faultfs"
 	"ethkv/internal/flatstore"
@@ -86,7 +87,7 @@ func rows() []Row {
 		// A cache under one 4 KiB block per shard: every read churns it.
 		lsmRow("lsm/tiny-cache", lsm.Options{BlockCacheBytes: 4 << 10}, func(c *Config) { c.BlockCacheBytes = 4 << 10 }),
 		lsmRow("lsm/no-cache", lsm.Options{BlockCacheBytes: -1}, func(c *Config) { c.BlockCacheBytes = -1 }),
-		lsmRow("lsm/4-workers", lsm.Options{CompactionWorkers: 4}, func(c *Config) { c.CompactionWorkers = 4 }),
+		lsmRow("lsm/4-workers", lsm.Options{Pool: compaction.NewPool(4)}, func(c *Config) { c.CompactionWorkers = 4 }),
 		// The commit pipeline: four writers behind 200 µs syncs, so the crash
 		// lands while WAL syncs and manifest writes — issued with no store
 		// lock held — are in flight and other writers queue behind them.
@@ -294,18 +295,14 @@ func openLeaf(kind string, cfg Config, fsys faultfs.FS) (kv.Store, error) {
 		})
 	case "lsm":
 		return lsm.Open("db", lsm.Options{
-			MemtableBytes:         2 << 10,
-			MaxImmutableMemtables: 2,
-			L0CompactionTrigger:   2,
-			LevelBaseBytes:        8 << 10,
-			LevelMultiplier:       4,
-			MaxLevels:             4,
-			Seed:                  cfg.Seed,
-			FS:                    fsys,
-			RetryAttempts:         10,
-			RetryBackoff:          time.Microsecond,
-			BlockCacheBytes:       cfg.BlockCacheBytes,
-			CompactionWorkers:     max(cfg.CompactionWorkers, 1),
+			MemtableBytes:       2 << 10,
+			L0CompactionTrigger: 2,
+			LevelBaseBytes:      8 << 10,
+			FS:                  fsys,
+			RetryAttempts:       10,
+			RetryBackoff:        time.Microsecond,
+			BlockCacheBytes:     cfg.BlockCacheBytes,
+			Pool:                compaction.NewPool(max(cfg.CompactionWorkers, 1)),
 			// A tiny split threshold, so even this workload's compactions
 			// fan into range sub-compactions.
 			SubCompactionBytes: 4 << 10,

@@ -52,8 +52,9 @@ type Config struct {
 	// deterministic.
 	TransientProb, ReadTransientProb float64
 	BlockCacheBytes                  int64 // LSM block cache: 0 = default, negative disables
-	// CompactionWorkers is the LSM's compaction width (0 = 1: flushes and
-	// compactions then share one write schedule, so replays are identical).
+	// CompactionWorkers sizes each LSM leaf's private compaction pool, the
+	// leaf's background budget (0 = 1: flushes and compactions then share
+	// one write schedule, so replays are identical).
 	CompactionWorkers int
 	// SyncLatency makes every durability barrier this slow, holding open the
 	// windows where the LSM syncs with no lock held for a crash to land in.

@@ -36,8 +36,10 @@ func writeTestTrace(t *testing.T, n int) (string, []Op) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendBatch(ops); err != nil {
-		t.Fatal(err)
+	for _, op := range ops {
+		if err := w.Append(op); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -155,106 +157,6 @@ func TestNextBatchTruncatedTrace(t *testing.T) {
 	}
 }
 
-func TestSliceSinkAppendBatchAndGrow(t *testing.T) {
-	s := &SliceSink{}
-	s.Grow(100)
-	if cap(s.Ops) < 100 {
-		t.Fatalf("Grow(100): cap = %d", cap(s.Ops))
-	}
-	batch := []Op{{Seq: 0, Type: OpRead}, {Seq: 1, Type: OpWrite}}
-	if err := s.AppendBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(Op{Seq: 2, Type: OpDelete}); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Ops) != 3 || s.Ops[1].Type != OpWrite || s.Ops[2].Type != OpDelete {
-		t.Fatalf("ops = %+v", s.Ops)
-	}
-}
-
-func TestBufferedStoreFlushSemantics(t *testing.T) {
-	sink := &SliceSink{}
-	ts := WrapStoreBuffered(kv.NewMemStore(), sink, 4)
-	for i := 0; i < 6; i++ {
-		if err := ts.Put([]byte(fmt.Sprintf("key-%d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 6 ops with flushEvery=4: one threshold flush has happened, 2 pending.
-	if len(sink.Ops) != 4 {
-		t.Fatalf("before Flush: %d ops delivered, want 4", len(sink.Ops))
-	}
-	if err := ts.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.Ops) != 6 {
-		t.Fatalf("after Flush: %d ops delivered, want 6", len(sink.Ops))
-	}
-	// Sequence order survives buffering.
-	for i, op := range sink.Ops {
-		if op.Seq != uint64(i) {
-			t.Fatalf("op %d has seq %d", i, op.Seq)
-		}
-		if op.Type != OpWrite {
-			t.Fatalf("op %d is %v, want write", i, op.Type)
-		}
-	}
-	// Keys emitted through the arena are private copies.
-	if err := ts.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBufferedStoreCloseFlushes(t *testing.T) {
-	sink := &SliceSink{}
-	ts := WrapStoreBuffered(kv.NewMemStore(), sink, 100)
-	for i := 0; i < 5; i++ {
-		if err := ts.Put([]byte(fmt.Sprintf("key-%d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(sink.Ops) != 0 {
-		t.Fatalf("ops delivered before Close: %d", len(sink.Ops))
-	}
-	if err := ts.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.Ops) != 5 {
-		t.Fatalf("after Close: %d ops delivered, want 5", len(sink.Ops))
-	}
-}
-
-func TestBufferedStoreNonBatchSink(t *testing.T) {
-	// A Sink without AppendBatch still receives every op, in order.
-	sink := &appendOnlySink{}
-	ts := WrapStoreBuffered(kv.NewMemStore(), sink, 3)
-	for i := 0; i < 7; i++ {
-		if err := ts.Put([]byte(fmt.Sprintf("key-%d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ts.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.ops) != 7 {
-		t.Fatalf("delivered %d ops, want 7", len(sink.ops))
-	}
-	for i, op := range sink.ops {
-		if op.Seq != uint64(i) {
-			t.Fatalf("op %d has seq %d", i, op.Seq)
-		}
-	}
-}
-
-// appendOnlySink implements Sink but not BatchSink.
-type appendOnlySink struct{ ops []Op }
-
-func (s *appendOnlySink) Append(op Op) error {
-	s.ops = append(s.ops, op)
-	return nil
-}
-
 // failingSink errors on every delivery.
 type failingSink struct{ calls int }
 
@@ -262,15 +164,24 @@ var errSinkBroken = errors.New("sink broken")
 
 func (s *failingSink) Append(Op) error { s.calls++; return errSinkBroken }
 
-func TestBufferedStoreSinkErrorLatched(t *testing.T) {
-	ts := WrapStoreBuffered(kv.NewMemStore(), &failingSink{}, 2)
+// TestStoreSinkErrorLatched: a failed delivery does not fail the op, and the
+// first sink error is latched for Flush and Close to report.
+func TestStoreSinkErrorLatched(t *testing.T) {
+	sink := &failingSink{}
+	ts := WrapStore(kv.NewMemStore(), sink)
 	for i := 0; i < 4; i++ {
 		if err := ts.Put([]byte(fmt.Sprintf("key-%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if sink.calls != 4 {
+		t.Fatalf("sink saw %d deliveries, want one per op (4)", sink.calls)
+	}
 	if err := ts.Flush(); !errors.Is(err, errSinkBroken) {
 		t.Fatalf("Flush = %v, want sink error", err)
+	}
+	if err := ts.Close(); !errors.Is(err, errSinkBroken) {
+		t.Fatalf("Close = %v, want sink error", err)
 	}
 }
 

@@ -15,14 +15,6 @@ type Sink interface {
 	Append(Op) error
 }
 
-// BatchSink is a Sink that also accepts batched appends. The buffered
-// store emit path uses it to amortize per-op sink overhead; sinks without
-// it receive the batch as individual Appends.
-type BatchSink interface {
-	Sink
-	AppendBatch([]Op) error
-}
-
 // SliceSink collects ops in memory, for tests and small experiments.
 type SliceSink struct {
 	mu  sync.Mutex
@@ -35,25 +27,6 @@ func (s *SliceSink) Append(op Op) error {
 	s.Ops = append(s.Ops, op)
 	s.mu.Unlock()
 	return nil
-}
-
-// AppendBatch implements BatchSink: one lock acquisition per batch.
-func (s *SliceSink) AppendBatch(ops []Op) error {
-	s.mu.Lock()
-	s.Ops = append(s.Ops, ops...)
-	s.mu.Unlock()
-	return nil
-}
-
-// Grow preallocates capacity for n more ops.
-func (s *SliceSink) Grow(n int) {
-	s.mu.Lock()
-	if need := len(s.Ops) + n; need > cap(s.Ops) {
-		bigger := make([]Op, len(s.Ops), need)
-		copy(bigger, s.Ops)
-		s.Ops = bigger
-	}
-	s.mu.Unlock()
 }
 
 // Store wraps a kv.Store, logging every operation that crosses the
@@ -72,11 +45,8 @@ type Store struct {
 	// per ~64 KiB of keys instead of one per op. Chunks are never reused,
 	// so emitted keys stay valid for the lifetime of the sink.
 	arena []byte
-	// flushEvery batches sink delivery: ops buffer in pending (in sequence
-	// order) and flush as one AppendBatch. <=1 delivers per-op.
-	flushEvery int
-	pending    []Op
-	// sinkErr latches the first sink delivery failure; Flush reports it.
+	// sinkErr latches the first sink delivery failure; Flush and Close
+	// report it.
 	sinkErr error
 }
 
@@ -86,25 +56,10 @@ var _ kv.Store = (*Store)(nil)
 const arenaChunk = 64 << 10
 
 // WrapStore instruments inner, delivering every op to sink as it happens.
+// Call Flush (or Close) before reading the sink: a failed delivery does not
+// fail the op that caused it, and only they report it.
 func WrapStore(inner kv.Store, sink Sink) *Store {
-	return WrapStoreBuffered(inner, sink, 0)
-}
-
-// WrapStoreBuffered instruments inner, buffering up to flushEvery ops and
-// delivering them to sink in sequence-ordered batches — the hot-path
-// configuration for trace collection. Call Flush (or Close) before reading
-// the sink. flushEvery <= 1 delivers per-op, exactly like WrapStore.
-func WrapStoreBuffered(inner kv.Store, sink Sink, flushEvery int) *Store {
-	s := &Store{
-		inner:      inner,
-		sink:       sink,
-		known:      make(map[string]struct{}),
-		flushEvery: flushEvery,
-	}
-	if flushEvery > 1 {
-		s.pending = make([]Op, 0, flushEvery)
-	}
-	return s
+	return &Store{inner: inner, sink: sink, known: make(map[string]struct{})}
 }
 
 // emit appends one op with the next sequence number.
@@ -121,15 +76,8 @@ func (s *Store) emit(t OpType, key []byte, valueSize int, hit bool) {
 	if s.sink == nil {
 		return
 	}
-	if s.flushEvery <= 1 {
-		if err := s.sink.Append(op); err != nil && s.sinkErr == nil {
-			s.sinkErr = err
-		}
-		return
-	}
-	s.pending = append(s.pending, op)
-	if len(s.pending) >= s.flushEvery {
-		s.flushLocked()
+	if err := s.sink.Append(op); err != nil && s.sinkErr == nil {
+		s.sinkErr = err
 	}
 }
 
@@ -143,33 +91,12 @@ func (s *Store) copyKey(key []byte) []byte {
 	return s.arena[n:len(s.arena):len(s.arena)]
 }
 
-// flushLocked delivers pending ops to the sink in order.
-func (s *Store) flushLocked() {
-	if len(s.pending) == 0 {
-		return
-	}
-	var err error
-	if bs, ok := s.sink.(BatchSink); ok {
-		err = bs.AppendBatch(s.pending)
-	} else {
-		for i := range s.pending {
-			if err = s.sink.Append(s.pending[i]); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil && s.sinkErr == nil {
-		s.sinkErr = err
-	}
-	s.pending = s.pending[:0]
-}
-
-// Flush delivers any buffered ops to the sink and reports the first sink
-// delivery error seen so far.
+// Flush reports the first sink delivery error seen so far. Every op has
+// reached the sink by the time its call returns, so there is nothing to
+// deliver.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	return s.sinkErr
 }
 
@@ -269,13 +196,14 @@ func (s *Store) NewBatch() kv.Batch {
 	return &tracedBatch{store: s}
 }
 
-// Close implements kv.Store, flushing buffered ops first.
+// Close implements kv.Store, closing the inner store and then reporting the
+// first sink delivery error, if any.
 func (s *Store) Close() error {
-	flushErr := s.Flush()
+	sinkErr := s.Flush()
 	if err := s.inner.Close(); err != nil {
 		return err
 	}
-	return flushErr
+	return sinkErr
 }
 
 // Stats surfaces the inner store's counters when available.

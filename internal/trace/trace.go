@@ -104,17 +104,6 @@ func (w *Writer) Append(op Op) error {
 	return nil
 }
 
-// AppendBatch records a run of operations under one call — the batched
-// counterpart Sink consumers use to amortize per-op overhead.
-func (w *Writer) AppendBatch(ops []Op) error {
-	for i := range ops {
-		if err := w.Append(ops[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Count returns the number of ops appended so far.
 func (w *Writer) Count() uint64 { return w.count }
 
@@ -198,8 +187,7 @@ func (r *Reader) Next() (Op, error) {
 // subsequent calls. At the end of the trace it returns (0, io.EOF); a
 // short batch ending exactly at EOF returns (n, nil) first.
 //
-// NextBatch is the preferred bulk-read path; ForEach and Next remain for
-// per-op consumers.
+// NextBatch is the bulk-read path; Next is its per-op reference.
 func (r *Reader) NextBatch(dst []Op) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
@@ -269,22 +257,6 @@ func (r *Reader) NextBatch(dst []Op) (int, error) {
 		return n, nil
 	}
 	return n, err
-}
-
-// ForEach streams every op in the trace through fn.
-func (r *Reader) ForEach(fn func(Op) error) error {
-	for {
-		op, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(op); err != nil {
-			return err
-		}
-	}
 }
 
 // Close closes the underlying file if owned.

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -78,15 +80,20 @@ func TestCodecFileRoundTrip(t *testing.T) {
 	}
 	defer r.Close()
 	n := 0
-	err = r.ForEach(func(op Op) error {
+	for ; ; n++ {
+		op, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 		if op.Seq != uint64(n) {
 			t.Fatalf("seq %d at position %d", op.Seq, n)
 		}
-		n++
-		return nil
-	})
-	if err != nil || n != 1000 {
-		t.Fatalf("ForEach: n=%d, %v", n, err)
+	}
+	if n != 1000 {
+		t.Fatalf("read %d ops, want 1000", n)
 	}
 }
 
