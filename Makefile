@@ -42,13 +42,16 @@ crashtest:
 # The suites that pin what scheduling may never change — sub-compaction and
 # worker-width byte identity, crash fingerprints (internal/lsm/crashtest's
 # replays of storetest's crash ending), the commit pipeline's
-# apply-order-is-log-order and barrier-watermark rules, and kvnet's
+# apply-order-is-log-order and barrier-watermark rules, kvnet's
 # connection-death suite (every op completes exactly once when a
-# connection dies) — repeated under the race detector: a
-# scheduling-dependent divergence shows up in one run of twenty, not in one.
+# connection dies), and the analysis engine's equivalence suite (one
+# goroutine per collector must equal the sequential Observe loop) —
+# repeated under the race detector: a scheduling-dependent divergence shows
+# up in one run of twenty, not in one.
 determinism:
 	$(GO) test -race -count=20 -run 'TestSubCompactionEquivalence|TestCompactionWorkerInvariance|TestCrashRecovery.*Deterministic|TestApplyOrderIsLogOrder|TestBarrierSharedByWatermark' ./internal/lsm/...
 	$(GO) test -race -count=20 -run 'TestClientFailStopExactlyOnce|TestClientSurfaces|TestClientRejectsShortBatchResponse|TestScanSurfacesServerIteratorError' ./internal/kvnet/
+	$(GO) test -race -count=20 -run 'TestEngineEquivalenceSlice|TestEngineEquivalenceReader|TestEngineFindingsEquivalence|TestCollectWrappersMatchSequential' ./internal/analysis/
 
 # The §V ablations (E12-E13 of DESIGN.md), the sweeps and the store-latency
 # benchmarks, once each. Tables and figures E1-E11 are `make repro`.

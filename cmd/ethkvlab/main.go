@@ -8,7 +8,7 @@
 //	ethkvlab opdist -trace T                       Tables II/III + Figure 3 (kvOpDistributionAnalysis.sh)
 //	ethkvlab corr -trace T -op read|update         Figures 4-7 (read/updateCorrelationAnalysis.sh)
 //	ethkvlab sizedist -backend lsm -db D           Table I + Figure 2 of gen's store (countKVSizeDistribution)
-//	ethkvlab stat -trace T                         a fast per-class summary of a trace
+//	ethkvlab stat -trace T                         the untracked Table II/III census: per-class op counts and bytes
 //
 // `ethkvlab <subcommand> -h` lists a subcommand's flags.
 package main
@@ -29,6 +29,7 @@ import (
 	"ethkv/internal/chain"
 	"ethkv/internal/lab"
 	"ethkv/internal/obs"
+	"ethkv/internal/rawdb"
 	"ethkv/internal/report"
 	"ethkv/internal/trace"
 )
@@ -320,7 +321,10 @@ func sizedistCmd(fs *flag.FlagSet) func(io.Writer) error {
 			return err
 		}
 		defer store.Close()
-		dist := analysis.CollectSizeDist(store)
+		dist, err := analysis.CollectSizeDist(store)
+		if err != nil {
+			return err
+		}
 		if dist.Total == 0 {
 			return fmt.Errorf("%s holds no %s store: pass the -backend gen ran with", *db, kind)
 		}
@@ -330,15 +334,16 @@ func sizedistCmd(fs *flag.FlagSet) func(io.Writer) error {
 	}
 }
 
-// statCmd prints a fast single-pass summary of a trace: per-class op counts
-// and byte volumes, a first look before the heavier analyses.
+// statCmd prints a trace's untracked Table II/III census — per-class op
+// counts and byte volumes without the per-key maps — a first look before
+// the heavier analyses.
 func statCmd(fs *flag.FlagSet) func(io.Writer) error {
 	return traceCmd(fs, func(w io.Writer, r *trace.Reader, _ string) error {
-		summary, err := trace.Summarize(r)
+		dist, err := analysis.CollectOpDist(r, []rawdb.Class{})
 		if err != nil {
 			return err
 		}
-		summary.Render(w)
+		report.WriteTraceStat(w, dist)
 		return nil
 	})
 }

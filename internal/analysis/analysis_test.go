@@ -1,10 +1,12 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"ethkv/internal/kv"
+	"ethkv/internal/kv/kvtest"
 	"ethkv/internal/rawdb"
 	"ethkv/internal/trace"
 )
@@ -30,7 +32,10 @@ func TestCollectSizeDist(t *testing.T) {
 	store.Put(rawdb.LastBlockKey(), make([]byte, 32))
 	store.Put([]byte("not-a-schema-key"), []byte("x"))
 
-	dist := CollectSizeDist(store)
+	dist, err := CollectSizeDist(store)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if dist.Total != 16 {
 		t.Fatalf("Total = %d, want 16", dist.Total)
 	}
@@ -64,7 +69,7 @@ func TestCollectSizeDist(t *testing.T) {
 }
 
 func mkOp(t trace.OpType, class rawdb.Class, key string) trace.Op {
-	return trace.Op{Type: t, Class: class, Key: []byte(key)}
+	return trace.Op{Type: t, Class: class, Key: []byte(key), ValueSize: 10}
 }
 
 func TestOpDistCounts(t *testing.T) {
@@ -99,6 +104,25 @@ func TestOpDistCounts(t *testing.T) {
 	scans := d.ScanningClasses()
 	if len(scans) != 1 || scans[0] != rawdb.ClassSnapshotStorage {
 		t.Fatalf("ScanningClasses = %v", scans)
+	}
+	if d.KeyBytes != 13 || d.ValueBytes != 70 || ta.ValueBytes != 40 {
+		t.Fatalf("bytes: keys %d values %d, TrieNodeAccount values %d", d.KeyBytes, d.ValueBytes, ta.ValueBytes)
+	}
+
+	// An untracked census keeps every counter and no per-key map.
+	u := CollectOpDistSlice(ops, []rawdb.Class{})
+	for class, co := range d.PerClass {
+		uo := u.PerClass[class]
+		if uo.ReadFreq != nil || uo.WriteFreq != nil || uo.DeleteFreq != nil {
+			t.Fatalf("untracked census keeps per-key maps for %v", class)
+		}
+		if uo.Reads != co.Reads || uo.Writes != co.Writes || uo.Updates != co.Updates ||
+			uo.Deletes != co.Deletes || uo.Scans != co.Scans || uo.ValueBytes != co.ValueBytes {
+			t.Fatalf("%v: untracked %+v, tracked %+v", class, uo, co)
+		}
+	}
+	if u.Total != d.Total || u.KeyBytes != d.KeyBytes || u.ValueBytes != d.ValueBytes {
+		t.Fatalf("untracked totals %d/%d/%d", u.Total, u.KeyBytes, u.ValueBytes)
 	}
 }
 
@@ -427,26 +451,18 @@ func TestCheckFindingsSyntheticInput(t *testing.T) {
 	}
 }
 
-func TestOpDistTrackedKeyCap(t *testing.T) {
-	d := NewOpDistLimited(nil, 5)
-	for i := 0; i < 20; i++ {
-		d.Observe(mkOp(trace.OpRead, rawdb.ClassTrieNodeAccount, fmt.Sprintf("k%02d", i)))
+// TestCollectSizeDistScanError: a store scan that fails part-way must fail
+// the census, not return the pairs read before the failure as Table I.
+func TestCollectSizeDistScanError(t *testing.T) {
+	store := kv.NewMemStore()
+	defer store.Close()
+	for i := 0; i < 10; i++ {
+		rawdb.WriteSnapshotAccount(store, hash(byte(i)), make([]byte, 16))
 	}
-	// Repeats of tracked keys still count.
-	d.Observe(mkOp(trace.OpRead, rawdb.ClassTrieNodeAccount, "k00"))
-	co := d.PerClass[rawdb.ClassTrieNodeAccount]
-	if len(co.ReadFreq) != 5 {
-		t.Fatalf("tracked %d keys, cap 5", len(co.ReadFreq))
-	}
-	if co.ReadFreq["k00"] != 2 {
-		t.Fatalf("tracked key stopped counting: %d", co.ReadFreq["k00"])
-	}
-	if !d.Truncated {
-		t.Fatal("Truncated not set")
-	}
-	// Aggregate counters remain exact regardless of the cap.
-	if co.Reads != 21 {
-		t.Fatalf("Reads = %d, want 21", co.Reads)
+	boom := errors.New("boom")
+	dist, err := CollectSizeDist(kvtest.FailScans(store, 4, boom))
+	if !errors.Is(err, boom) {
+		t.Fatalf("CollectSizeDist = %+v, %v; want %v", dist, err, boom)
 	}
 }
 
@@ -473,7 +489,10 @@ func TestSizeDistCI(t *testing.T) {
 	// Two distinct value sizes -> nonzero CI.
 	rawdb.WriteSnapshotAccount(store, hash(1), make([]byte, 10))
 	rawdb.WriteSnapshotAccount(store, hash(2), make([]byte, 30))
-	dist := CollectSizeDist(store)
+	dist, err := CollectSizeDist(store)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cs := dist.PerClass[rawdb.ClassSnapshotAccount]
 	if ci := cs.ValueSizeCI95(); ci <= 0 {
 		t.Fatalf("value CI = %v, want > 0", ci)

@@ -353,20 +353,20 @@ func (c *Correlator) TrackedOps() uint64 { return c.pos }
 // engine pass.
 func CollectCorrelations(r *trace.Reader, cfg CorrConfig) (*Correlator, error) {
 	e := NewEngine()
-	h := e.AddCorrelator(cfg)
+	c := e.AddCorrelator(cfg)
 	if err := e.RunReader(r); err != nil {
 		return nil, err
 	}
-	return h.Result(), nil
+	return c, nil
 }
 
 // CollectCorrelationsSlice runs a correlation pass over in-memory ops.
 func CollectCorrelationsSlice(ops []trace.Op, cfg CorrConfig) *Correlator {
 	e := NewEngine()
-	h := e.AddCorrelator(cfg)
+	c := e.AddCorrelator(cfg)
 	if err := e.RunSlice(ops); err != nil {
 		// RunSlice cannot fail: no I/O is involved.
 		panic(err)
 	}
-	return h.Result()
+	return c
 }

@@ -38,38 +38,22 @@ func NewEngine() *Engine {
 	return &Engine{batchSize: defaultBatchSize}
 }
 
-// AddOpDist registers an operation census (nil = DefaultTrackedClasses).
-// The handle's Result is valid after Run returns.
-func (e *Engine) AddOpDist(trackClasses []rawdb.Class) *OpDistHandle {
-	return e.AddOpDistLimited(trackClasses, 0)
-}
-
-// AddOpDistLimited is AddOpDist with a per-class tracked-key cap.
-func (e *Engine) AddOpDistLimited(trackClasses []rawdb.Class, maxTrackedKeys int) *OpDistHandle {
-	d := NewOpDistLimited(trackClasses, maxTrackedKeys)
+// AddOpDist registers an operation census (nil = DefaultTrackedClasses)
+// and returns it. Its collector goroutine owns it until Run returns; read
+// it only after that.
+func (e *Engine) AddOpDist(trackClasses []rawdb.Class) *OpDist {
+	d := NewOpDist(trackClasses)
 	e.collectors = append(e.collectors, d)
-	return &OpDistHandle{d: d}
+	return d
 }
 
-// AddCorrelator registers a correlation pass. The handle's Result is valid
-// after Run returns.
-func (e *Engine) AddCorrelator(cfg CorrConfig) *CorrelatorHandle {
+// AddCorrelator registers a correlation pass and returns it, readable once
+// Run returns.
+func (e *Engine) AddCorrelator(cfg CorrConfig) *Correlator {
 	c := NewCorrelator(cfg)
 	e.collectors = append(e.collectors, c)
-	return &CorrelatorHandle{c: c}
+	return c
 }
-
-// OpDistHandle is the deferred result of an engine census.
-type OpDistHandle struct{ d *OpDist }
-
-// Result returns the census; call only after the engine run completes.
-func (h *OpDistHandle) Result() *OpDist { return h.d }
-
-// CorrelatorHandle is the deferred result of an engine correlation pass.
-type CorrelatorHandle struct{ c *Correlator }
-
-// Result returns the correlator; call only after the engine run completes.
-func (h *CorrelatorHandle) Result() *Correlator { return h.c }
 
 // batchMsg is one fan-out unit. release (when set) recycles the batch once
 // the receiving collector is done with it.

@@ -51,8 +51,8 @@ func genOps(n int, seed int64) []trace.Op {
 }
 
 // seqOpDist is the sequential reference census.
-func seqOpDist(ops []trace.Op, track []rawdb.Class, maxKeys int) *OpDist {
-	d := NewOpDistLimited(track, maxKeys)
+func seqOpDist(ops []trace.Op, track []rawdb.Class) *OpDist {
+	d := NewOpDist(track)
 	for _, op := range ops {
 		d.Observe(op)
 	}
@@ -71,11 +71,9 @@ func seqCorrelator(ops []trace.Op, cfg CorrConfig) *Correlator {
 // requireSameOpDist asserts byte-identical census output.
 func requireSameOpDist(t *testing.T, want, got *OpDist) {
 	t.Helper()
-	if want.Total != got.Total {
-		t.Fatalf("Total = %d, want %d", got.Total, want.Total)
-	}
-	if want.Truncated != got.Truncated {
-		t.Fatalf("Truncated = %v, want %v", got.Truncated, want.Truncated)
+	if want.Total != got.Total || want.KeyBytes != got.KeyBytes || want.ValueBytes != got.ValueBytes {
+		t.Fatalf("totals = (%d, %d, %d), want (%d, %d, %d)",
+			got.Total, got.KeyBytes, got.ValueBytes, want.Total, want.KeyBytes, want.ValueBytes)
 	}
 	if !reflect.DeepEqual(want.PerClass, got.PerClass) {
 		t.Fatalf("PerClass diverged:\nwant %+v\ngot  %+v", want.PerClass, got.PerClass)
@@ -146,16 +144,16 @@ func TestEngineEquivalenceSlice(t *testing.T) {
 	}
 	e := newTestEngine(1009)
 	hd := e.AddOpDist(nil)
-	hcs := make([]*CorrelatorHandle, len(cfgs))
+	hcs := make([]*Correlator, len(cfgs))
 	for i, cfg := range cfgs {
 		hcs[i] = e.AddCorrelator(cfg)
 	}
 	if err := e.RunSlice(ops); err != nil {
 		t.Fatal(err)
 	}
-	requireSameOpDist(t, seqOpDist(ops, nil, 0), hd.Result())
+	requireSameOpDist(t, seqOpDist(ops, nil), hd)
 	for i, cfg := range cfgs {
-		requireSameCorrelator(t, seqCorrelator(ops, cfg), hcs[i].Result())
+		requireSameCorrelator(t, seqCorrelator(ops, cfg), hcs[i])
 	}
 }
 
@@ -189,23 +187,8 @@ func TestEngineEquivalenceReader(t *testing.T) {
 	if err := e.RunReader(r); err != nil {
 		t.Fatal(err)
 	}
-	requireSameOpDist(t, seqOpDist(ops, nil, 0), hd.Result())
-	requireSameCorrelator(t, seqCorrelator(ops, cfg), hc.Result())
-}
-
-func TestEngineOpDistTrackedKeyCap(t *testing.T) {
-	ops := genOps(20000, 3)
-	const cap = 7
-	want := seqOpDist(ops, nil, cap)
-	if !want.Truncated {
-		t.Fatal("test needs a workload that overflows the cap")
-	}
-	e := newTestEngine(777)
-	h := e.AddOpDistLimited(nil, cap)
-	if err := e.RunSlice(ops); err != nil {
-		t.Fatal(err)
-	}
-	requireSameOpDist(t, want, h.Result())
+	requireSameOpDist(t, seqOpDist(ops, nil), hd)
+	requireSameCorrelator(t, seqCorrelator(ops, cfg), hc)
 }
 
 func TestEngineFindingsEquivalence(t *testing.T) {
@@ -218,7 +201,7 @@ func TestEngineFindingsEquivalence(t *testing.T) {
 	readCfg := CorrConfig{Op: trace.OpRead}
 	updCfg := CorrConfig{Op: trace.OpUpdate}
 	want := CheckFindings(&FindingsInput{
-		CachedOps: seqOpDist(cachedOps, nil, 0), BareOps: seqOpDist(bareOps, nil, 0),
+		CachedOps: seqOpDist(cachedOps, nil), BareOps: seqOpDist(bareOps, nil),
 		CachedStore: store, BareStore: store,
 		CachedReadCorr: seqCorrelator(cachedOps, readCfg), BareReadCorr: seqCorrelator(bareOps, readCfg),
 		CachedUpdateCorr: seqCorrelator(cachedOps, updCfg), BareUpdateCorr: seqCorrelator(bareOps, updCfg),
@@ -231,7 +214,7 @@ func TestEngineFindingsEquivalence(t *testing.T) {
 
 func TestCollectWrappersMatchSequential(t *testing.T) {
 	ops := genOps(10000, 6)
-	requireSameOpDist(t, seqOpDist(ops, nil, 0), CollectOpDistSlice(ops, nil))
+	requireSameOpDist(t, seqOpDist(ops, nil), CollectOpDistSlice(ops, nil))
 	cfg := CorrConfig{Op: trace.OpUpdate, IncludeWrites: true}
 	requireSameCorrelator(t, seqCorrelator(ops, cfg), CollectCorrelationsSlice(ops, cfg))
 }
@@ -245,7 +228,7 @@ func TestEngineEmptyAndTiny(t *testing.T) {
 		if err := e.RunSlice(ops); err != nil {
 			t.Fatal(err)
 		}
-		requireSameOpDist(t, seqOpDist(ops, nil, 0), hd.Result())
-		requireSameCorrelator(t, seqCorrelator(ops, CorrConfig{Op: trace.OpRead}), hc.Result())
+		requireSameOpDist(t, seqOpDist(ops, nil), hd)
+		requireSameCorrelator(t, seqCorrelator(ops, CorrConfig{Op: trace.OpRead}), hc)
 	}
 }

@@ -410,14 +410,13 @@ func BuildFindingsInput(cachedOps, bareOps []trace.Op,
 	scan := func(ops []trace.Op, dist **OpDist, readCorr, updCorr **Correlator) {
 		defer wg.Done()
 		e := NewEngine()
-		hd := e.AddOpDist(nil)
-		hr := e.AddCorrelator(readCfg)
-		hu := e.AddCorrelator(updCfg)
+		*dist = e.AddOpDist(nil)
+		*readCorr = e.AddCorrelator(readCfg)
+		*updCorr = e.AddCorrelator(updCfg)
 		if err := e.RunSlice(ops); err != nil {
 			// RunSlice cannot fail: no I/O is involved.
 			panic(err)
 		}
-		*dist, *readCorr, *updCorr = hd.Result(), hr.Result(), hu.Result()
 	}
 	wg.Add(2)
 	go scan(cachedOps, &in.CachedOps, &in.CachedReadCorr, &in.CachedUpdateCorr)

@@ -17,6 +17,8 @@ type ClassOps struct {
 	Updates uint64
 	Deletes uint64
 	Scans   uint64
+	// ValueBytes sums the ops' value sizes.
+	ValueBytes uint64
 
 	// Per-key operation frequency (key -> times op'd). Populated only for
 	// tracked classes to bound memory; nil otherwise.
@@ -30,19 +32,17 @@ func (c *ClassOps) Total() uint64 {
 	return c.Reads + c.Writes + c.Updates + c.Deletes + c.Scans
 }
 
-// OpDist is a full trace's operation census.
+// OpDist is a full trace's operation census: the one per-class op counter
+// behind Tables II/III, policy.Derive and `ethkvlab stat`.
 type OpDist struct {
 	PerClass map[rawdb.Class]*ClassOps
 	Total    uint64
+	// KeyBytes and ValueBytes sum the counted ops' key lengths and value
+	// sizes.
+	KeyBytes   uint64
+	ValueBytes uint64
 	// tracked marks classes with per-key frequency maps.
 	tracked map[rawdb.Class]bool
-	// maxTrackedKeys bounds each per-key frequency map; 0 = unlimited.
-	// Once a map is full, counts for already-tracked keys keep updating
-	// but new keys are dropped and Truncated is set — the memory guard
-	// for paper-scale traces (billions of ops over ~10^8 keys).
-	maxTrackedKeys int
-	// Truncated reports that at least one frequency map hit the cap.
-	Truncated bool
 }
 
 // DefaultTrackedClasses are the world-state classes whose per-key
@@ -54,15 +54,9 @@ func DefaultTrackedClasses() []rawdb.Class {
 	}
 }
 
-// NewOpDistLimited is NewOpDist with a per-class cap on tracked keys.
-func NewOpDistLimited(trackClasses []rawdb.Class, maxTrackedKeys int) *OpDist {
-	d := NewOpDist(trackClasses)
-	d.maxTrackedKeys = maxTrackedKeys
-	return d
-}
-
 // NewOpDist creates an empty census tracking per-key frequencies for the
-// given classes (nil = DefaultTrackedClasses).
+// given classes (nil = DefaultTrackedClasses). An empty non-nil slice
+// tracks none: an untracked census keeps only the per-class counters.
 func NewOpDist(trackClasses []rawdb.Class) *OpDist {
 	if trackClasses == nil {
 		trackClasses = DefaultTrackedClasses()
@@ -96,33 +90,30 @@ func (d *OpDist) Observe(op trace.Op) {
 	switch op.Type {
 	case trace.OpRead:
 		co.Reads++
-		d.bump(co.ReadFreq, op.Key)
+		bump(co.ReadFreq, op.Key)
 	case trace.OpWrite:
 		co.Writes++
-		d.bump(co.WriteFreq, op.Key)
+		bump(co.WriteFreq, op.Key)
 	case trace.OpUpdate:
 		co.Updates++
-		d.bump(co.WriteFreq, op.Key)
+		bump(co.WriteFreq, op.Key)
 	case trace.OpDelete:
 		co.Deletes++
-		d.bump(co.DeleteFreq, op.Key)
+		bump(co.DeleteFreq, op.Key)
 	case trace.OpScan:
 		co.Scans++
 	}
+	co.ValueBytes += uint64(op.ValueSize)
+	d.KeyBytes += uint64(len(op.Key))
+	d.ValueBytes += uint64(op.ValueSize)
 	d.Total++
 }
 
-// bump increments a per-key counter, honoring the tracked-key cap.
-func (d *OpDist) bump(freq map[string]uint32, key []byte) {
-	if freq == nil {
-		return
+// bump increments a per-key counter of a tracked class.
+func bump(freq map[string]uint32, key []byte) {
+	if freq != nil {
+		freq[string(key)]++
 	}
-	if _, exists := freq[string(key)]; !exists &&
-		d.maxTrackedKeys > 0 && len(freq) >= d.maxTrackedKeys {
-		d.Truncated = true
-		return
-	}
-	freq[string(key)]++
 }
 
 // observeBatch feeds a batch in stream order (the engine's fan-out target).
@@ -136,22 +127,22 @@ func (d *OpDist) observeBatch(ops []trace.Op) {
 // reads.
 func CollectOpDist(r *trace.Reader, trackClasses []rawdb.Class) (*OpDist, error) {
 	e := NewEngine()
-	h := e.AddOpDist(trackClasses)
+	d := e.AddOpDist(trackClasses)
 	if err := e.RunReader(r); err != nil {
 		return nil, err
 	}
-	return h.Result(), nil
+	return d, nil
 }
 
 // CollectOpDistSlice builds a census from in-memory ops.
 func CollectOpDistSlice(ops []trace.Op, trackClasses []rawdb.Class) *OpDist {
 	e := NewEngine()
-	h := e.AddOpDist(trackClasses)
+	d := e.AddOpDist(trackClasses)
 	if err := e.RunSlice(ops); err != nil {
 		// RunSlice cannot fail: no I/O is involved.
 		panic(err)
 	}
-	return h.Result()
+	return d
 }
 
 // Share returns a class's fraction of all ops (Table II/III column 2).
@@ -184,15 +175,6 @@ func (d *OpDist) TotalReads() uint64 {
 	var total uint64
 	for _, co := range d.PerClass {
 		total += co.Reads
-	}
-	return total
-}
-
-// TotalWritesAndUpdates sums writes+updates across classes.
-func (d *OpDist) TotalWritesAndUpdates() uint64 {
-	var total uint64
-	for _, co := range d.PerClass {
-		total += co.Writes + co.Updates
 	}
 	return total
 }

@@ -71,54 +71,58 @@ func (c *ClassSize) MeanValueSize() float64 {
 	return float64(c.ValueBytes) / float64(c.Pairs)
 }
 
-// MeanKVSize returns the average key+value size.
-func (c *ClassSize) MeanKVSize() float64 {
-	if c.Pairs == 0 {
-		return 0
-	}
-	return float64(c.KeyBytes+c.ValueBytes) / float64(c.Pairs)
-}
-
 // SizeDist is the per-class size census of a store (Table I's raw data).
+// The zero value is an empty census.
 type SizeDist struct {
 	PerClass map[rawdb.Class]*ClassSize
 	Total    uint64 // total pairs
 	Unknown  uint64 // pairs outside the schema
 }
 
-// CollectSizeDist scans every pair in the store and buckets it by class —
-// the equivalent of running countKVSizeDistribution over the post-sync
-// database.
-func CollectSizeDist(store kv.Iterable) *SizeDist {
-	dist := &SizeDist{PerClass: make(map[rawdb.Class]*ClassSize)}
+// Observe folds one stored pair into the census, bucketed by class.
+func (d *SizeDist) Observe(key, value []byte) {
+	class := rawdb.Classify(key)
+	if class == rawdb.ClassUnknown {
+		d.Unknown++
+		return
+	}
+	if d.PerClass == nil {
+		d.PerClass = make(map[rawdb.Class]*ClassSize)
+	}
+	cs := d.PerClass[class]
+	if cs == nil {
+		cs = &ClassSize{
+			Class:      class,
+			KeySizes:   make(map[int]uint64),
+			ValueSizes: make(map[int]uint64),
+		}
+		d.PerClass[class] = cs
+	}
+	cs.Pairs++
+	cs.KeyBytes += uint64(len(key))
+	cs.ValueBytes += uint64(len(value))
+	cs.KeySquares += float64(len(key)) * float64(len(key))
+	cs.ValueSquares += float64(len(value)) * float64(len(value))
+	cs.KeySizes[len(key)]++
+	cs.ValueSizes[len(value)]++
+	d.Total++
+}
+
+// CollectSizeDist scans every pair in the store into a census — the
+// equivalent of running countKVSizeDistribution over the post-sync
+// database. A scan that fails part-way returns its error, not a short
+// census.
+func CollectSizeDist(store kv.Iterable) (*SizeDist, error) {
+	dist := &SizeDist{}
 	it := store.NewIterator(nil, nil)
 	defer it.Release()
 	for it.Next() {
-		key, value := it.Key(), it.Value()
-		class := rawdb.Classify(key)
-		if class == rawdb.ClassUnknown {
-			dist.Unknown++
-			continue
-		}
-		cs := dist.PerClass[class]
-		if cs == nil {
-			cs = &ClassSize{
-				Class:      class,
-				KeySizes:   make(map[int]uint64),
-				ValueSizes: make(map[int]uint64),
-			}
-			dist.PerClass[class] = cs
-		}
-		cs.Pairs++
-		cs.KeyBytes += uint64(len(key))
-		cs.ValueBytes += uint64(len(value))
-		cs.KeySquares += float64(len(key)) * float64(len(key))
-		cs.ValueSquares += float64(len(value)) * float64(len(value))
-		cs.KeySizes[len(key)]++
-		cs.ValueSizes[len(value)]++
-		dist.Total++
+		dist.Observe(it.Key(), it.Value())
 	}
-	return dist
+	if err := it.Error(); err != nil {
+		return nil, err
+	}
+	return dist, nil
 }
 
 // Share returns a class's fraction of all pairs.

@@ -2,6 +2,7 @@ package backends_test
 
 import (
 	"bytes"
+	"maps"
 	"testing"
 
 	"ethkv/internal/backends"
@@ -10,7 +11,60 @@ import (
 	"ethkv/internal/lab"
 	"ethkv/internal/policy"
 	"ethkv/internal/report"
+	"ethkv/internal/trace"
 )
+
+// censusTrace generates the 40-block bare trace, bootstrap included, that
+// the census tests replay.
+func censusTrace(t *testing.T) []trace.Op {
+	t.Helper()
+	workload := chain.DefaultWorkload()
+	workload.Accounts, workload.Contracts, workload.TxPerBlock = 2000, 200, 60
+	res, err := lab.Run(lab.Config{Mode: lab.Bare, Blocks: 40, Workload: workload, TraceBootstrap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Ops
+}
+
+// TestDerivedPolicyPinned pins the class -> route map policy.Derive emits
+// for the census trace: a change to how the census counts must move no
+// class.
+func TestDerivedPolicyPinned(t *testing.T) {
+	p := policy.Derive(policy.CollectCensus(censusTrace(t)))
+	want := map[string]string{
+		"BlockBody":            "flat",
+		"BlockHeader":          "ordered",
+		"BlockReceipts":        "flat",
+		"BloomBits":            "flat",
+		"BloomBitsIndex":       "flat",
+		"Code":                 "flat",
+		"DatabaseVersion":      "flat",
+		"Ethereum-config":      "flat",
+		"Ethereum-genesis":     "flat",
+		"HeaderNumber":         "flat",
+		"LastBlock":            "flat",
+		"LastFast":             "flat",
+		"LastHeader":           "flat",
+		"LastStateID":          "flat",
+		"SkeletonHeader":       "flat",
+		"SkeletonSyncStatus":   "flat",
+		"SnapshotRecovery":     "flat",
+		"SnapshotRoot":         "flat",
+		"StateID":              "flat",
+		"TransactionIndexTail": "flat",
+		"TrieNodeAccount":      "flat",
+		"TrieNodeStorage":      "ordered",
+		"TxLookup":             "flat",
+		"Unclean-shutdown":     "flat",
+	}
+	if !maps.Equal(p.Classes, want) {
+		t.Errorf("derived classes:\n got %v\nwant %v", p.Classes, want)
+	}
+	if p.Default != "ordered" || len(p.Routes) != 2 {
+		t.Errorf("default %q, routes %v", p.Default, p.Routes)
+	}
+}
 
 // TestCensusInvariantAcrossCompositions replays one generated trace through
 // every way the factory composes a store and requires the post-state census
@@ -20,13 +74,8 @@ import (
 // answer a full scan in strictly ascending key order, as kv.Iterator
 // promises.
 func TestCensusInvariantAcrossCompositions(t *testing.T) {
-	workload := chain.DefaultWorkload()
-	workload.Accounts, workload.Contracts, workload.TxPerBlock = 2000, 200, 60
-	res, err := lab.Run(lab.Config{Mode: lab.Bare, Blocks: 40, Workload: workload, TraceBootstrap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	derived := policy.Derive(policy.CollectCensus(res.Ops))
+	ops := censusTrace(t)
+	derived := policy.Derive(policy.CollectCensus(ops))
 
 	cases := []struct {
 		name string
@@ -48,7 +97,7 @@ func TestCensusInvariantAcrossCompositions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if _, err := hybrid.Replay(st, res.Ops); err != nil {
+		if _, err := hybrid.Replay(st, ops); err != nil {
 			t.Fatalf("%s: replay: %v", tc.name, err)
 		}
 		it := st.NewIterator(nil, nil)

@@ -28,8 +28,8 @@ func seqAnalyze(ops []trace.Op, cfg analysis.CorrConfig) (*analysis.OpDist, *ana
 // frequency distributions.
 func requireSameAnalysis(t *testing.T, mode string, wantD, gotD *analysis.OpDist, wantC, gotC *analysis.Correlator, cfg analysis.CorrConfig) {
 	t.Helper()
-	if wantD.Total != gotD.Total || wantD.Truncated != gotD.Truncated ||
-		!reflect.DeepEqual(wantD.PerClass, gotD.PerClass) {
+	if wantD.Total != gotD.Total || wantD.KeyBytes != gotD.KeyBytes ||
+		wantD.ValueBytes != gotD.ValueBytes || !reflect.DeepEqual(wantD.PerClass, gotD.PerClass) {
 		t.Fatalf("%s: census diverged", mode)
 	}
 	if wantC.TrackedOps() != gotC.TrackedOps() {
@@ -78,7 +78,7 @@ func TestLabEngineEquivalence(t *testing.T) {
 		if err := e.RunSlice(tc.ops); err != nil {
 			t.Fatal(err)
 		}
-		requireSameAnalysis(t, tc.mode, wantD, hd.Result(), wantC, hc.Result(), cfg)
+		requireSameAnalysis(t, tc.mode, wantD, hd, wantC, hc, cfg)
 	}
 }
 
@@ -128,5 +128,5 @@ func TestLabEngineEquivalenceFile(t *testing.T) {
 	if err := e.RunReader(r2); err != nil {
 		t.Fatal(err)
 	}
-	requireSameAnalysis(t, "file", wantD, hd.Result(), wantC, hc.Result(), cfg)
+	requireSameAnalysis(t, "file", wantD, hd, wantC, hc, cfg)
 }

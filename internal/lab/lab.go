@@ -73,16 +73,6 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// DefaultConfig returns a laptop-scale run mirroring the artifact's
-// 1000-block sampled traces.
-func DefaultConfig(mode Mode, blocks int) Config {
-	return Config{
-		Mode:     mode,
-		Blocks:   blocks,
-		Workload: chain.DefaultWorkload(),
-	}
-}
-
 // Result is everything one run produces.
 type Result struct {
 	Mode  Mode
@@ -229,10 +219,14 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 	}
+	census, err := analysis.CollectSizeDist(inner)
+	if err != nil {
+		return nil, fmt.Errorf("store census: %w", err)
+	}
 	result := &Result{
 		Mode:  cfg.Mode,
 		Path:  tracePath,
-		Store: analysis.CollectSizeDist(inner),
+		Store: census,
 		Stats: proc.Stats(),
 	}
 	if slice != nil {

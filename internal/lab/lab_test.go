@@ -373,16 +373,6 @@ func TestRandomizedConfigsRobust(t *testing.T) {
 	}
 }
 
-func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig(Cached, 50)
-	if cfg.Mode != Cached || cfg.Blocks != 50 {
-		t.Fatalf("DefaultConfig: %+v", cfg)
-	}
-	if cfg.Workload.TxPerBlock == 0 {
-		t.Fatal("workload not populated")
-	}
-}
-
 // TestLSMCacheSizeInvariance runs the same deterministic workload over the
 // LSM store at three block-cache budgets — smaller than one table, disabled,
 // and everything-fits — and checks the emitted trace and store census are

@@ -209,7 +209,7 @@ func (db *DB) waitForRoomLocked() error {
 		}
 		db.stats.writeStalls.Add(1)
 		start := time.Now()
-		for cause.stalled() && db.bgErr == nil && db.degradedErr == nil {
+		for cause.stalled() && db.degradedErr == nil {
 			db.maybeScheduleLocked()
 			db.cond.Wait()
 		}
@@ -286,13 +286,13 @@ func (db *DB) settle() error {
 // the manifest recording its install is durable, so a settled store's
 // on-disk state matches its in-memory version. Called with db.mu held.
 func (db *DB) settleLocked() error {
-	for db.bgErr == nil && db.degradedErr == nil &&
-		(len(db.imm) > 0 || db.inFlight > 0 || db.hasCompactionWorkLocked()) {
+	for db.degradedErr == nil &&
+		(len(db.imm) > 0 || db.flushing || len(db.jobs) > 0 || db.hasCompactionWorkLocked()) {
 		db.maybeScheduleLocked()
 		db.cond.Wait()
 	}
 	if db.degradedErr != nil {
 		return kv.ErrDegraded
 	}
-	return db.bgErr
+	return nil
 }

@@ -268,10 +268,10 @@ func TestDrainStopsCompactions(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.mu.Lock()
-	if db.inFlight != 0 || db.compactInFlight != 0 || len(db.imm) > 0 {
+	if db.flushing || len(db.jobs) != 0 || len(db.imm) > 0 {
 		db.mu.Unlock()
-		t.Fatalf("after Drain: inFlight=%d compactInFlight=%d imm=%d",
-			db.inFlight, db.compactInFlight, len(db.imm))
+		t.Fatalf("after Drain: flushing=%v compactions in flight=%d imm=%d",
+			db.flushing, len(db.jobs), len(db.imm))
 	}
 	if !db.draining {
 		db.mu.Unlock()

@@ -250,8 +250,8 @@ type DB struct {
 
 	// Background scheduler state, guarded by mu. maybeScheduleLocked
 	// submits flush and compaction jobs to pool; each job broadcasts on
-	// cond when it installs. bgErr latches the first background failure;
-	// writers surface it.
+	// cond when it installs. A background failure degrades the store
+	// (degradedErr); writers surface it.
 	pool *compaction.Pool
 	// workers is pool's size, read once at Open: the cap on concurrent
 	// compactions and on a split merge's goroutines; 1 is the serial mode.
@@ -262,20 +262,17 @@ type DB struct {
 	// compaction; plan selection never touches a claimed table.
 	claimed map[uint64]struct{}
 	// jobs holds the key range and level pair of every in-flight
-	// compaction, for the disjointness admission check.
+	// compaction, for the disjointness admission check; its length is the
+	// number of compactions in flight. With flushing it is everything
+	// settleLocked waits for.
 	jobs   map[int]compactJob
 	jobSeq int
-	// inFlight counts submitted-but-unfinished background jobs (the flush
-	// job plus compactions); settleLocked waits for it to reach zero.
-	inFlight        int
-	compactInFlight int
-	// parallelSince is the instant compactInFlight last rose to 2; the
+	// parallelSince is the instant len(jobs) last rose to 2; the
 	// elapsed span lands in CompactionParallelNanos when it drops back.
 	parallelSince time.Time
 	// draining suppresses new compaction scheduling (Drain/shutdown);
 	// flushes and already-running compactions still complete.
 	draining bool
-	bgErr    error
 	// degradedErr latches the first permanent storage failure; once set
 	// the store is read-only: writes return kv.ErrDegraded, reads keep
 	// serving whatever state survives. Guarded by mu; mirrored into
@@ -449,9 +446,6 @@ func (db *DB) writeGateLocked() error {
 	if db.degradedErr != nil {
 		return kv.ErrDegraded
 	}
-	if db.bgErr != nil {
-		return db.bgErr
-	}
 	return nil
 }
 
@@ -603,35 +597,26 @@ const flushPriority = math.MaxUint64
 //     exclude each other, restoring the serial single-worker write order
 //     (flushes first) that deterministic crash tests depend on.
 func (db *DB) maybeScheduleLocked() {
-	if db.closed || db.bgErr != nil || db.degradedErr != nil {
+	if db.closed || db.degradedErr != nil {
 		return
 	}
 	db.noteDebtLocked()
 	serial := db.workers == 1
-	if !db.flushing && len(db.imm) > 0 && !(serial && db.compactInFlight > 0) {
+	if !db.flushing && len(db.imm) > 0 && !(serial && len(db.jobs) > 0) {
 		db.flushing = true
-		db.inFlight++
 		db.bgWG.Add(1)
 		db.pool.Submit(flushPriority, db.runFlushJob)
 	}
 	if db.draining && !db.forceCompact {
 		return
 	}
-	for db.compactInFlight < db.workers && !(serial && db.flushing) {
+	for len(db.jobs) < db.workers && !(serial && db.flushing) {
 		plan, ok := db.planNextCompactionLocked()
 		if !ok {
 			return
 		}
 		db.startCompactionLocked(plan)
 	}
-}
-
-// failLocked latches the first background failure and degrades the store.
-func (db *DB) failLocked(err error) {
-	if db.bgErr == nil {
-		db.bgErr = err
-	}
-	db.setDegradedLocked(err)
 }
 
 // noteDebtLocked records the current compaction debt into its high-water
@@ -656,7 +641,7 @@ func (db *DB) noteDebtLocked() uint64 {
 func (db *DB) runFlushJob() {
 	defer db.bgWG.Done()
 	db.mu.Lock()
-	for db.bgErr == nil && db.degradedErr == nil && !db.closed && len(db.imm) > 0 {
+	for db.degradedErr == nil && !db.closed && len(db.imm) > 0 {
 		task := db.imm[0]
 		num := db.next.Add(1) - 1
 		db.mu.Unlock()
@@ -665,7 +650,7 @@ func (db *DB) runFlushJob() {
 		db.stats.flushTableNanos.Add(uint64(time.Since(start)))
 		db.mu.Lock()
 		if err != nil {
-			db.failLocked(err)
+			db.setDegradedLocked(err)
 			break
 		}
 		db.stats.physicalBytesWrite.Add(uint64(meta.size))
@@ -690,12 +675,11 @@ func (db *DB) runFlushJob() {
 		}
 		db.mu.Lock()
 		if err != nil {
-			db.failLocked(err)
+			db.setDegradedLocked(err)
 			break
 		}
 	}
 	db.flushing = false
-	db.inFlight--
 	db.maybeScheduleLocked()
 	db.cond.Broadcast()
 	db.mu.Unlock()
@@ -714,12 +698,10 @@ func (db *DB) startCompactionLocked(plan compactionPlan) {
 	for _, m := range plan.dstIn {
 		db.claimed[m.num] = struct{}{}
 	}
-	db.inFlight++
-	db.compactInFlight++
-	if n := uint64(db.compactInFlight); n > db.stats.maxConcurrentCompactions.Load() {
+	if n := uint64(len(db.jobs)); n > db.stats.maxConcurrentCompactions.Load() {
 		db.stats.maxConcurrentCompactions.Store(n)
 	}
-	if db.compactInFlight == 2 {
+	if len(db.jobs) == 2 {
 		db.parallelSince = time.Now()
 	}
 	debt := db.noteDebtLocked()
@@ -736,9 +718,7 @@ func (db *DB) finishCompactionLocked(id int, plan compactionPlan) {
 	for _, m := range plan.dstIn {
 		delete(db.claimed, m.num)
 	}
-	db.inFlight--
-	db.compactInFlight--
-	if db.compactInFlight == 1 {
+	if len(db.jobs) == 1 {
 		db.stats.compactionParallelNanos.Add(uint64(time.Since(db.parallelSince)))
 	}
 }
@@ -751,7 +731,7 @@ func (db *DB) finishCompactionLocked(id int, plan compactionPlan) {
 func (db *DB) runCompactionJob(id int, plan compactionPlan) {
 	defer db.bgWG.Done()
 	db.mu.Lock()
-	if db.bgErr != nil || db.degradedErr != nil || db.closed {
+	if db.degradedErr != nil || db.closed {
 		db.finishCompactionLocked(id, plan)
 		db.cond.Broadcast()
 		db.mu.Unlock()
@@ -764,7 +744,7 @@ func (db *DB) runCompactionJob(id int, plan compactionPlan) {
 
 	db.mu.Lock()
 	if err != nil {
-		db.failLocked(err)
+		db.setDegradedLocked(err)
 		db.finishCompactionLocked(id, plan)
 		db.cond.Broadcast()
 		db.mu.Unlock()
@@ -780,7 +760,7 @@ func (db *DB) runCompactionJob(id int, plan compactionPlan) {
 	db.mu.Lock()
 	db.finishCompactionLocked(id, plan)
 	if err != nil {
-		db.failLocked(err)
+		db.setDegradedLocked(err)
 	} else {
 		db.maybeScheduleLocked()
 	}

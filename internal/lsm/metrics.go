@@ -45,7 +45,7 @@ func (db *DB) RegisterMetrics(r *obs.Registry, labels ...string) {
 	r.GaugeFunc(obs.Name("ethkv_lsm_compactions_inflight", labels...), func() float64 {
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		return float64(db.compactInFlight)
+		return float64(len(db.jobs))
 	})
 	r.GaugeFunc(obs.Name("ethkv_lsm_open_tables", labels...), func() float64 {
 		return float64(db.openTables())

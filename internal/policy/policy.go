@@ -1,9 +1,9 @@
 // Package policy closes the loop from workload census to storage layout
 // (ROADMAP item 5): it models a per-class storage policy — which backend
 // kind serves each of the paper's key classes — and derives one
-// automatically from a traced workload using the same per-class measures
-// the paper's tables report (read ratio, delete ratio, scan share, write
-// share).
+// automatically from a traced workload's analysis.OpDist — the census behind
+// the paper's Tables II/III — reading the per-class measures those tables
+// report (read ratio, delete ratio, scan share, write share).
 //
 // A policy names a set of routes (one backend kind each), assigns classes
 // to routes, and picks a default route for unrouted and unknown-class
@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strings"
 
+	"ethkv/internal/analysis"
 	"ethkv/internal/rawdb"
 	"ethkv/internal/trace"
 )
@@ -218,47 +219,12 @@ func Load(path string) (*Policy, error) {
 	return p, nil
 }
 
-// ClassCensus aggregates one class's traced operations.
-type ClassCensus struct {
-	Reads, Writes, Updates, Deletes, Scans uint64
-}
-
-// Total returns the class's store-level op count.
-func (c *ClassCensus) Total() uint64 {
-	return c.Reads + c.Writes + c.Updates + c.Deletes + c.Scans
-}
-
-// Census is the per-class workload summary Derive consumes.
-type Census map[rawdb.Class]*ClassCensus
-
-// CollectCensus folds a traced op stream into a census. Cache-served reads
-// (Hit) are skipped: the policy tunes the store, and hits never reach it.
-func CollectCensus(ops []trace.Op) Census {
-	census := make(Census)
-	for i := range ops {
-		op := &ops[i]
-		if op.Type == trace.OpRead && op.Hit {
-			continue
-		}
-		cc := census[op.Class]
-		if cc == nil {
-			cc = &ClassCensus{}
-			census[op.Class] = cc
-		}
-		switch op.Type {
-		case trace.OpRead:
-			cc.Reads++
-		case trace.OpWrite:
-			cc.Writes++
-		case trace.OpUpdate:
-			cc.Updates++
-		case trace.OpDelete:
-			cc.Deletes++
-		case trace.OpScan:
-			cc.Scans++
-		}
-	}
-	return census
+// CollectCensus folds a traced op stream into the untracked census Derive
+// reads: the paper's per-class op counts without per-key frequency maps.
+// Cache hits are skipped by OpDist's one rule — they never reach the store
+// the policy lays out.
+func CollectCensus(ops []trace.Op) *analysis.OpDist {
+	return analysis.CollectOpDistSlice(ops, []rawdb.Class{})
 }
 
 // Derivation thresholds (documented in DESIGN.md §16).
@@ -291,7 +257,7 @@ const (
 //     access, appends every write, and drops a deleted key's index entry at
 //     once — no tombstone debt.
 //  3. Otherwise the class stays on the default ordered route.
-func Derive(census Census) *Policy {
+func Derive(census *analysis.OpDist) *Policy {
 	p := &Policy{
 		Default:   routeOrdered,
 		Routes:    map[string]Spec{routeOrdered: {Kind: "lsm"}},
@@ -299,7 +265,7 @@ func Derive(census Census) *Policy {
 		Rationale: make(map[string]string),
 	}
 	for _, c := range rawdb.AllClasses() {
-		cc := census[c]
+		cc := census.PerClass[c]
 		if cc == nil || cc.Total() == 0 {
 			continue
 		}

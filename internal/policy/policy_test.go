@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ethkv/internal/analysis"
 	"ethkv/internal/rawdb"
 	"ethkv/internal/trace"
 )
@@ -21,21 +22,33 @@ func TestCollectCensusSkipsCacheHits(t *testing.T) {
 		{Type: trace.OpUpdate, Class: rawdb.ClassLastHeader, ValueSize: 40},
 	}
 	c := CollectCensus(ops)
-	code := c[rawdb.ClassCode]
+	code := c.PerClass[rawdb.ClassCode]
 	if code.Reads != 1 || code.Writes != 1 || code.Total() != 2 {
 		t.Fatalf("code census: %+v", code)
 	}
-	if c[rawdb.ClassTxLookup].Deletes != 1 || c[rawdb.ClassSnapshotAccount].Scans != 1 {
-		t.Fatalf("census: %+v", c)
+	if c.PerClass[rawdb.ClassTxLookup].Deletes != 1 || c.PerClass[rawdb.ClassSnapshotAccount].Scans != 1 {
+		t.Fatalf("census: %+v", c.PerClass)
 	}
-	if c[rawdb.ClassLastHeader].Updates != 1 {
-		t.Fatalf("census: %+v", c)
+	if c.PerClass[rawdb.ClassLastHeader].Updates != 1 || c.Total != 5 {
+		t.Fatalf("census: %+v", c.PerClass)
+	}
+	// Derive's census is untracked: no per-key frequency maps.
+	if code.ReadFreq != nil || code.WriteFreq != nil || code.DeleteFreq != nil {
+		t.Fatalf("census tracks keys: %+v", code)
 	}
 }
 
-// census builds a ClassCensus from op counts (r, w, u, d, s).
-func census(r, w, u, d, s uint64) *ClassCensus {
-	return &ClassCensus{Reads: r, Writes: w, Updates: u, Deletes: d, Scans: s}
+// census builds one class's row from op counts (r, w, u, d, s).
+func census(r, w, u, d, s uint64) *analysis.ClassOps {
+	return &analysis.ClassOps{Reads: r, Writes: w, Updates: u, Deletes: d, Scans: s}
+}
+
+// rows is a census written out class by class.
+type rows map[rawdb.Class]*analysis.ClassOps
+
+// derive runs Derive over rows.
+func derive(c rows) *Policy {
+	return Derive(&analysis.OpDist{PerClass: c})
 }
 
 // TestDeriveRules: one row per rule and sub-condition, each a one-class
@@ -44,7 +57,7 @@ func census(r, w, u, d, s uint64) *ClassCensus {
 func TestDeriveRules(t *testing.T) {
 	cases := []struct {
 		name   string
-		cc     *ClassCensus
+		cc     *analysis.ClassOps
 		route  string
 		whyHas string
 	}{
@@ -62,12 +75,12 @@ func TestDeriveRules(t *testing.T) {
 		// Rule 3: just under every rule-2 threshold.
 		{"mixed", census(39, 52, 0, 9, 0), "ordered", "mixed"},
 	}
-	all := Census{}
+	all := rows{}
 	for i, tc := range cases {
 		class := rawdb.AllClasses()[i]
 		all[class] = tc.cc
 		t.Run(tc.name, func(t *testing.T) {
-			p := Derive(Census{class: tc.cc})
+			p := derive(rows{class: tc.cc})
 			if err := p.Validate(); err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +97,7 @@ func TestDeriveRules(t *testing.T) {
 			assertDerivedRoutes(t, p)
 		})
 	}
-	assertDerivedRoutes(t, Derive(all))
+	assertDerivedRoutes(t, derive(all))
 }
 
 // assertDerivedRoutes checks p's routes are the derived pair: ordered (lsm)
@@ -103,12 +116,12 @@ func assertDerivedRoutes(t *testing.T, p *Policy) {
 }
 
 func TestEncodeParseRoundTrip(t *testing.T) {
-	c := Census{
+	c := rows{
 		rawdb.ClassTxLookup:        census(20, 40, 0, 40, 0),
 		rawdb.ClassSnapshotStorage: census(10, 10, 0, 0, 3),
 		rawdb.ClassBlockBody:       census(1, 99, 0, 0, 0),
 	}
-	p := Derive(c)
+	p := derive(c)
 	enc := p.Encode()
 	if !bytes.Contains(enc, []byte("// TxLookup:")) {
 		t.Fatalf("encoded policy lacks rationale comment:\n%s", enc)
@@ -129,7 +142,7 @@ func TestEncodeParseRoundTrip(t *testing.T) {
 }
 
 func TestSaveLoad(t *testing.T) {
-	p := Derive(Census{rawdb.ClassTxLookup: census(0, 50, 0, 50, 0)})
+	p := derive(rows{rawdb.ClassTxLookup: census(0, 50, 0, 50, 0)})
 	path := filepath.Join(t.TempDir(), "policy.json")
 	if err := p.Save(path); err != nil {
 		t.Fatal(err)
@@ -227,7 +240,7 @@ func TestParseRejectsRouteOptions(t *testing.T) {
 // FuzzPolicyParse: whatever Parse accepts survives Encode -> Parse
 // unchanged, and every route opens directly under the store directory.
 func FuzzPolicyParse(f *testing.F) {
-	f.Add(Derive(Census{
+	f.Add(derive(rows{
 		rawdb.ClassTxLookup:        census(20, 40, 0, 40, 0),
 		rawdb.ClassSnapshotAccount: census(10, 10, 0, 0, 3),
 		rawdb.ClassCode:            census(80, 20, 0, 0, 0),

@@ -37,11 +37,6 @@ var classKeyPrefixes = map[Class][]byte{
 	ClassLastFast:             lastFastKey,
 }
 
-// KeyPrefix returns the byte prefix shared by every key of the class, or nil
-// for ClassUnknown (whose keys have no common shape). Callers must not
-// mutate the returned slice.
-func (c Class) KeyPrefix() []byte { return classKeyPrefixes[c] }
-
 // MatchesScanPrefix reports whether a key of this class could start with
 // scan prefix p — i.e. whether an iterator over p may need to visit this
 // class. True iff one of p and the class prefix is a byte-prefix of the

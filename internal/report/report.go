@@ -72,31 +72,34 @@ func WritePaper(w io.Writer, in *analysis.FindingsInput) {
 // per-pair SHA-256, so unordered backends hash identically to ordered ones).
 // Two stores that replayed the same trace correctly produce byte-identical
 // censuses, whatever they are composed of.
+//
+// Table I and the digest come from one scan of the store, and a scan that
+// fails part-way writes nothing.
 func WriteCensus(w io.Writer, store kv.Iterable) error {
-	WriteTable1(w, analysis.CollectSizeDist(store))
-
+	var dist analysis.SizeDist
 	var digest [sha256.Size]byte
-	var pairs uint64
 	it := store.NewIterator(nil, nil)
 	defer it.Release()
 	var lenBuf [8]byte
 	for it.Next() {
+		key, value := it.Key(), it.Value()
+		dist.Observe(key, value)
 		h := sha256.New()
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(it.Key())))
+		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(key)))
 		h.Write(lenBuf[:])
-		h.Write(it.Key())
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(it.Value())))
+		h.Write(key)
+		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(value)))
 		h.Write(lenBuf[:])
-		h.Write(it.Value())
+		h.Write(value)
 		for i, b := range h.Sum(nil) {
 			digest[i] ^= b
 		}
-		pairs++
 	}
 	if err := it.Error(); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "pairs: %d\nstate digest: %x\n", pairs, digest)
+	WriteTable1(w, &dist)
+	_, err := fmt.Fprintf(w, "pairs: %d\nstate digest: %x\n", dist.Total+dist.Unknown, digest)
 	return err
 }
 
@@ -147,6 +150,21 @@ func WriteOpTable(w io.Writer, name string, dist *analysis.OpDist) {
 			p(co.Writes), p(co.Updates), p(co.Reads), p(co.Scans), p(co.Deletes))
 	}
 	fmt.Fprintf(w, "total ops: %d\n", dist.Total)
+}
+
+// WriteTraceStat renders an untracked census as `ethkvlab stat`'s table:
+// per-class op counts and value bytes, busiest class first, then the
+// trace's op and byte totals.
+func WriteTraceStat(w io.Writer, dist *analysis.OpDist) {
+	fmt.Fprintf(w, "%-22s %10s %10s %10s %10s %8s %12s\n",
+		"Class", "Reads", "Writes", "Updates", "Deletes", "Scans", "ValueBytes")
+	for _, class := range dist.Classes() {
+		co := dist.PerClass[class]
+		fmt.Fprintf(w, "%-22s %10d %10d %10d %10d %8d %12d\n",
+			class, co.Reads, co.Writes, co.Updates, co.Deletes, co.Scans, co.ValueBytes)
+	}
+	fmt.Fprintf(w, "total ops: %d   data: %.1f MiB keys + %.1f MiB values\n",
+		dist.Total, float64(dist.KeyBytes)/(1<<20), float64(dist.ValueBytes)/(1<<20))
 }
 
 // WriteTable4 renders the read ratios of the world-state classes.

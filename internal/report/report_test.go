@@ -2,10 +2,13 @@ package report
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
 	"ethkv/internal/analysis"
+	"ethkv/internal/kv"
+	"ethkv/internal/kv/kvtest"
 	"ethkv/internal/rawdb"
 	"ethkv/internal/trace"
 )
@@ -188,5 +191,90 @@ func TestSampleThinning(t *testing.T) {
 	// Short inputs pass through untouched.
 	if got := sample(points[:5], 10); len(got) != 5 {
 		t.Fatalf("short input thinned: %d", len(got))
+	}
+}
+
+// TestWriteTraceStat: `ethkvlab stat`'s table counts every op but cache
+// hits, sums value bytes per class, and orders tied classes by class, not
+// by map order. The expected text pins the table byte for byte.
+func TestWriteTraceStat(t *testing.T) {
+	ops := []trace.Op{
+		{Type: trace.OpRead, Class: rawdb.ClassCode, Key: []byte("c1"), ValueSize: 6000},
+		{Type: trace.OpWrite, Class: rawdb.ClassTxLookup, Key: []byte("t1"), ValueSize: 4},
+		{Type: trace.OpUpdate, Class: rawdb.ClassCode, Key: []byte("c1"), ValueSize: 6000},
+		{Type: trace.OpDelete, Class: rawdb.ClassTxLookup, Key: []byte("t1")},
+		{Type: trace.OpScan, Class: rawdb.ClassBlockHeader, Key: []byte("h")},
+		{Type: trace.OpRead, Class: rawdb.ClassCode, Key: []byte("c1"), Hit: true},
+	}
+	d := analysis.CollectOpDistSlice(ops, []rawdb.Class{})
+	if code := d.PerClass[rawdb.ClassCode]; code.Reads != 1 || code.Updates != 1 || code.ValueBytes != 12000 {
+		t.Fatalf("code row: %+v", code)
+	}
+	want := `Class                       Reads     Writes    Updates    Deletes    Scans   ValueBytes
+TxLookup                        0          1          0          1        0            4
+Code                            1          0          1          0        0        12000
+BlockHeader                     0          0          0          0        1            0
+total ops: 5   data: 0.0 MiB keys + 0.0 MiB values
+`
+	// Code and TxLookup tie at two ops: row order must not follow map order.
+	for i := 0; i < 20; i++ {
+		var buf bytes.Buffer
+		WriteTraceStat(&buf, d)
+		if buf.String() != want {
+			t.Fatalf("stat table:\n%s\nwant:\n%s", buf.String(), want)
+		}
+	}
+}
+
+// countScans counts the iterators opened on a store.
+type countScans struct {
+	kv.Iterable
+	n int
+}
+
+func (c *countScans) NewIterator(prefix, start []byte) kv.Iterator {
+	c.n++
+	return c.Iterable.NewIterator(prefix, start)
+}
+
+// censusStore holds three schema pairs and one key outside the schema.
+func censusStore(t *testing.T) kv.Store {
+	t.Helper()
+	store := kv.NewMemStore()
+	t.Cleanup(func() { store.Close() })
+	for _, key := range [][]byte{rawdb.LastBlockKey(), rawdb.LastHeaderKey(), rawdb.LastFastKey(), []byte("not-a-schema-key")} {
+		if err := store.Put(key, make([]byte, 32)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return store
+}
+
+// TestWriteCensusOneScan: Table I and the content digest come from a
+// single scan of the store, and the pair count includes keys outside the
+// schema.
+func TestWriteCensusOneScan(t *testing.T) {
+	store := &countScans{Iterable: censusStore(t)}
+	var buf bytes.Buffer
+	if err := WriteCensus(&buf, store); err != nil {
+		t.Fatal(err)
+	}
+	if store.n != 1 {
+		t.Fatalf("WriteCensus opened %d iterators, want 1", store.n)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "total pairs: 3 ") || !strings.Contains(out, "pairs: 4\nstate digest: ") {
+		t.Fatalf("census:\n%s", out)
+	}
+}
+
+// TestWriteCensusScanError: a scan that fails part-way fails the census
+// and writes nothing — no short Table I ahead of the error.
+func TestWriteCensusScanError(t *testing.T) {
+	boom := errors.New("boom")
+	var buf bytes.Buffer
+	err := WriteCensus(&buf, kvtest.FailScans(censusStore(t), 2, boom))
+	if !errors.Is(err, boom) || buf.Len() != 0 {
+		t.Fatalf("WriteCensus = %v after writing:\n%s", err, buf.String())
 	}
 }

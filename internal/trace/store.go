@@ -32,7 +32,8 @@ func (s *SliceSink) Append(op Op) error {
 // Store wraps a kv.Store, logging every operation that crosses the
 // interface — the same observation point as the paper's modified Geth. It
 // also tracks key existence to split writes from updates the way the paper
-// does, and records cache hits when a CacheResult is reported.
+// does. Caches sit above it, so a cache hit never reaches it: every op it
+// emits has Hit false.
 type Store struct {
 	mu    sync.Mutex
 	inner kv.Store
@@ -63,14 +64,13 @@ func WrapStore(inner kv.Store, sink Sink) *Store {
 }
 
 // emit appends one op with the next sequence number.
-func (s *Store) emit(t OpType, key []byte, valueSize int, hit bool) {
+func (s *Store) emit(t OpType, key []byte, valueSize int) {
 	op := Op{
 		Seq:       s.seq,
 		Type:      t,
 		Class:     rawdb.Classify(key),
 		Key:       s.copyKey(key),
 		ValueSize: uint32(valueSize),
-		Hit:       hit,
 	}
 	s.seq++
 	if s.sink == nil {
@@ -109,17 +109,8 @@ func (s *Store) Get(key []byte) ([]byte, error) {
 	if err == nil {
 		size = len(v)
 	}
-	s.emit(OpRead, key, size, false)
+	s.emit(OpRead, key, size)
 	return v, err
-}
-
-// RecordCacheHit traces a read that a cache layer served without touching
-// the store. The paper's CacheTrace still sees these ops at the interface
-// boundary it instruments inside Geth's accessor layer.
-func (s *Store) RecordCacheHit(key []byte, valueSize int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.emit(OpRead, key, valueSize, true)
 }
 
 // Has implements kv.Reader (traced as a read of size zero).
@@ -127,7 +118,7 @@ func (s *Store) Has(key []byte) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ok, err := s.inner.Has(key)
-	s.emit(OpRead, key, 0, false)
+	s.emit(OpRead, key, 0)
 	return ok, err
 }
 
@@ -160,7 +151,7 @@ func (s *Store) putLocked(key, value []byte) error {
 		return err
 	}
 	s.known[string(key)] = struct{}{}
-	s.emit(t, key, len(value), false)
+	s.emit(t, key, len(value))
 	return nil
 }
 
@@ -176,7 +167,7 @@ func (s *Store) deleteLocked(key []byte) error {
 		return err
 	}
 	delete(s.known, string(key))
-	s.emit(OpDelete, key, 0, false)
+	s.emit(OpDelete, key, 0)
 	return nil
 }
 
@@ -184,7 +175,7 @@ func (s *Store) deleteLocked(key []byte) error {
 // its prefix.
 func (s *Store) NewIterator(prefix, start []byte) kv.Iterator {
 	s.mu.Lock()
-	s.emit(OpScan, prefix, 0, false)
+	s.emit(OpScan, prefix, 0)
 	s.mu.Unlock()
 	return s.inner.NewIterator(prefix, start)
 }

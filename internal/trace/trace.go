@@ -45,7 +45,10 @@ type Op struct {
 	Class     rawdb.Class // storage class of the key
 	Key       []byte      // full key
 	ValueSize uint32      // value bytes moved (0 for deletes/misses)
-	Hit       bool        // read served without reaching the store (cache)
+	// Hit marks a read served without reaching the store (a cache hit).
+	// Store never sets it: this program's caches sit above the tracer.
+	// Trace files recorded elsewhere may.
+	Hit bool
 }
 
 // Writer streams ops to an io.Writer in the binary trace format:

@@ -215,16 +215,6 @@ func TestTracedBatchEmitsOnCommit(t *testing.T) {
 	}
 }
 
-func TestRecordCacheHit(t *testing.T) {
-	sink := &SliceSink{}
-	ts := WrapStore(kv.NewMemStore(), sink)
-	defer ts.Close()
-	ts.RecordCacheHit([]byte("Akey"), 100)
-	if len(sink.Ops) != 1 || !sink.Ops[0].Hit || sink.Ops[0].Type != OpRead {
-		t.Fatalf("cache hit op: %+v", sink.Ops[0])
-	}
-}
-
 func TestSeqMonotonic(t *testing.T) {
 	sink := &SliceSink{}
 	ts := WrapStore(kv.NewMemStore(), sink)
@@ -251,65 +241,6 @@ func TestWriterToFileSize(t *testing.T) {
 	st, _ := os.Stat(path)
 	if st.Size() > 45 {
 		t.Fatalf("encoded op takes %d bytes", st.Size())
-	}
-}
-
-func TestSummaryRoundTrip(t *testing.T) {
-	s := NewSummary()
-	ops := []Op{
-		{Type: OpRead, Class: rawdb.ClassCode, Key: []byte("c1"), ValueSize: 6000},
-		{Type: OpWrite, Class: rawdb.ClassTxLookup, Key: []byte("t1"), ValueSize: 4},
-		{Type: OpUpdate, Class: rawdb.ClassCode, Key: []byte("c1"), ValueSize: 6000},
-		{Type: OpDelete, Class: rawdb.ClassTxLookup, Key: []byte("t1")},
-		{Type: OpScan, Class: rawdb.ClassBlockHeader, Key: []byte("h")},
-		{Type: OpRead, Class: rawdb.ClassCode, Key: []byte("c1"), Hit: true},
-	}
-	for _, op := range ops {
-		s.Observe(op)
-	}
-	if s.Total != 5 || s.Hits != 1 {
-		t.Fatalf("Total=%d Hits=%d", s.Total, s.Hits)
-	}
-	code := s.ByClass[rawdb.ClassCode]
-	if code.Reads != 1 || code.Updates != 1 || code.ValueBytes != 12000 {
-		t.Fatalf("code row: %+v", code)
-	}
-	tx := s.ByClass[rawdb.ClassTxLookup]
-	if tx.Writes != 1 || tx.Deletes != 1 || tx.Total() != 2 {
-		t.Fatalf("tx row: %+v", tx)
-	}
-	var buf bytes.Buffer
-	s.Render(&buf)
-	if !bytes.Contains(buf.Bytes(), []byte("Code")) ||
-		!bytes.Contains(buf.Bytes(), []byte("total ops: 5")) {
-		t.Fatalf("summary rendering:\n%s", buf.String())
-	}
-	// Code and TxLookup tie at two ops: row order must not follow map order.
-	for i := 0; i < 20; i++ {
-		var again bytes.Buffer
-		s.Render(&again)
-		if !bytes.Equal(again.Bytes(), buf.Bytes()) {
-			t.Fatalf("rendering is nondeterministic:\n%s\nvs\n%s", buf.String(), again.String())
-		}
-	}
-}
-
-func TestSummarizeFromFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.bin")
-	w, _ := Create(path)
-	for i := 0; i < 500; i++ {
-		w.Append(Op{Type: OpType(i % 5), Class: rawdb.ClassTxLookup,
-			Key: []byte("k"), ValueSize: 10})
-	}
-	w.Close()
-	r, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	s, err := Summarize(r)
-	if err != nil || s.Total != 500 {
-		t.Fatalf("Summarize: total=%d, %v", s.Total, err)
 	}
 }
 
