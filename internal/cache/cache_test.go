@@ -62,7 +62,7 @@ func TestLRUBudgetInvariant(t *testing.T) {
 		c := NewLRU(512)
 		for _, op := range ops {
 			c.Add([]byte{op.Key}, op.Val)
-			if c.Size() > c.Capacity() {
+			if c.Size() > c.capacity {
 				return false
 			}
 		}
@@ -89,13 +89,6 @@ func TestLRUHitRate(t *testing.T) {
 	c.Get([]byte("absent"))
 	if got := c.HitRate(); got < 0.66 || got > 0.67 {
 		t.Fatalf("HitRate = %v, want 2/3", got)
-	}
-	c.Purge()
-	if c.Len() != 0 || c.Size() != 0 {
-		t.Fatal("Purge incomplete")
-	}
-	if h, m := c.Counters(); h != 0 || m != 0 {
-		t.Fatal("Purge kept counters")
 	}
 }
 
@@ -130,9 +123,6 @@ func TestManagerResidual(t *testing.T) {
 	stats := m.Stats()
 	if len(stats) != len(DefaultShares)+1 {
 		t.Fatalf("Stats rows = %d", len(stats))
-	}
-	if m.TotalBudget() != 1<<20 {
-		t.Fatal("TotalBudget")
 	}
 }
 

@@ -100,9 +100,6 @@ func (c *LRU) Len() int { return len(c.items) }
 // Size returns the resident byte footprint.
 func (c *LRU) Size() int { return c.size }
 
-// Capacity returns the byte budget.
-func (c *LRU) Capacity() int { return c.capacity }
-
 // HitRate returns hits/(hits+misses), or 0 before any lookups.
 func (c *LRU) HitRate() float64 {
 	total := c.hits + c.misses
@@ -114,11 +111,3 @@ func (c *LRU) HitRate() float64 {
 
 // Counters returns the raw hit/miss counts.
 func (c *LRU) Counters() (hits, misses uint64) { return c.hits, c.misses }
-
-// Purge drops all entries and resets counters.
-func (c *LRU) Purge() {
-	c.order.Init()
-	c.items = make(map[string]*list.Element)
-	c.size = 0
-	c.hits, c.misses = 0, 0
-}

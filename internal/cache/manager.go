@@ -12,7 +12,6 @@ import (
 type Manager struct {
 	caches   map[rawdb.Class]*LRU
 	residual *LRU
-	total    int
 }
 
 // DefaultShares approximates Geth's budget split: the world-state caches
@@ -34,10 +33,7 @@ func NewManager(totalBytes int, shares map[rawdb.Class]float64) *Manager {
 	if shares == nil {
 		shares = DefaultShares
 	}
-	m := &Manager{
-		caches: make(map[rawdb.Class]*LRU),
-		total:  totalBytes,
-	}
+	m := &Manager{caches: make(map[rawdb.Class]*LRU)}
 	used := 0.0
 	for class, share := range shares {
 		m.caches[class] = NewLRU(int(float64(totalBytes) * share))
@@ -73,9 +69,6 @@ func (m *Manager) Add(class rawdb.Class, key, value []byte) {
 func (m *Manager) Remove(class rawdb.Class, key []byte) {
 	m.cacheFor(class).Remove(key)
 }
-
-// TotalBudget returns the configured byte budget.
-func (m *Manager) TotalBudget() int { return m.total }
 
 // ClassStats describes one class cache's effectiveness.
 type ClassStats struct {

@@ -437,44 +437,6 @@ func TestMetaSingletonsUpdateEveryBlock(t *testing.T) {
 	}
 }
 
-func TestHistoryExpiry(t *testing.T) {
-	cfg := smallWorkload()
-	inner := kv.NewMemStore()
-	t.Cleanup(func() { inner.Close() })
-	genesis, err := (&Genesis{Config: cfg}).Commit(inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	freezer, err := rawdb.OpenFreezer(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { freezer.Close() })
-
-	pcfg := DefaultProcessorConfig(false)
-	pcfg.FreezerThreshold = 4
-	pcfg.HistoryExpiry = 16
-	proc, err := NewProcessor(inner, freezer, genesis, NewWorkload(cfg), pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := proc.ImportBlocks(40); err != nil {
-		t.Fatal(err)
-	}
-	head := proc.Head().Number()
-	// The freezer tail must track head - HistoryExpiry.
-	if tail := freezer.Tail(); tail != head-16 {
-		t.Fatalf("freezer tail = %d, want %d", tail, head-16)
-	}
-	// Pruned history is gone; retained history is readable.
-	if _, err := freezer.Ancient(rawdb.FreezerHeaders, head-20); err == nil {
-		t.Fatal("expired block still readable")
-	}
-	if _, err := freezer.Ancient(rawdb.FreezerHeaders, head-10); err != nil {
-		t.Fatalf("retained block unreadable: %v", err)
-	}
-}
-
 func TestWorkloadDestruct(t *testing.T) {
 	cfg := smallWorkload()
 	cfg.DestructChance = 1.0 // force

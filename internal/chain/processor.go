@@ -43,10 +43,6 @@ type ProcessorConfig struct {
 	TrieFlushInterval uint64
 	// StateHistory is how many recent StateID entries are retained.
 	StateHistory uint64
-	// HistoryExpiry, when non-zero, prunes freezer history older than this
-	// many blocks behind the head (EIP-4444, the proposal §II-A cites as
-	// not yet implemented in Geth).
-	HistoryExpiry uint64
 	// AdmitOnWrite admits flushed trie nodes into the clean cache (Geth's
 	// behaviour). Finding 6 suggests never-read pairs should not be
 	// admitted on the write path; the ablation flips this.
@@ -352,13 +348,6 @@ func (p *Processor) importOne() error {
 	}
 	if err := p.maybeIndexBlooms(number, hash); err != nil {
 		return err
-	}
-	// EIP-4444 history expiry: drop ancient data beyond the retention
-	// window. Runs against the freezer only; the KV store is untouched.
-	if p.cfg.HistoryExpiry > 0 && number > p.cfg.HistoryExpiry {
-		if err := p.freezer.TruncateTail(number - p.cfg.HistoryExpiry); err != nil {
-			return err
-		}
 	}
 	// Snapshot integrity spot-check: very occasionally the snapshot layer
 	// range-scans one account's slots — the near-zero SnapshotStorage scan

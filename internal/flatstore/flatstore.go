@@ -263,19 +263,7 @@ func (s *Store) bootstrap(gen uint64) error {
 func (s *Store) writeCurrent(gen uint64) error {
 	tmp := s.currentPath() + ".tmp"
 	err := s.retryIO(func() error {
-		f, err := s.fs.Create(tmp)
-		if err != nil {
-			return err
-		}
-		if _, err := f.Write([]byte(genName(gen) + "\n")); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+		return faultfs.WriteFileSync(s.fs, tmp, []byte(genName(gen)+"\n"))
 	})
 	if err != nil {
 		return err

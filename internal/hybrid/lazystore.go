@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"ethkv/internal/kv"
-	"ethkv/internal/obs"
 )
 
 // LazyStore implements Finding 3's design suggestion: "KV pairs associated
@@ -162,25 +161,6 @@ func (s *LazyStore) Stats() kv.Stats {
 		out.MergePhysical(sp.Stats())
 	}
 	return out
-}
-
-// RegisterMetrics implements kv.MetricsRegistrar: the lazy tier's own
-// promotion/staging gauges, plus whatever the indexed tier exports under
-// tier="indexed".
-func (s *LazyStore) RegisterMetrics(r *obs.Registry, labels ...string) {
-	if r == nil {
-		return
-	}
-	kv.RegisterStatsMetrics(r, s, labels...)
-	r.GaugeFunc(obs.Name("ethkv_lazy_promotions", labels...), func() float64 {
-		return float64(s.Promotions())
-	})
-	r.GaugeFunc(obs.Name("ethkv_lazy_staged_keys", labels...), func() float64 {
-		return float64(s.StagedCount())
-	})
-	if reg, ok := s.indexed.(kv.MetricsRegistrar); ok {
-		reg.RegisterMetrics(r, append([]string{"tier", "indexed"}, labels...)...)
-	}
 }
 
 // Drain winds down the indexed tier's background work (staging is memory).

@@ -24,8 +24,8 @@ type MetricsRegistrar interface {
 //	ethkv_op_bytes_total{op="get",...}  counter, key+value bytes through the op
 //
 // A nil registry returns store unchanged: the decorator costs nothing when
-// observability is off. If store implements StatsProvider or
-// MetricsRegistrar, the wrapper forwards both.
+// observability is off. The wrapper forwards Stats, Drain, Flush and
+// RegisterMetrics to store when it implements them.
 func Instrument(store Store, r *obs.Registry, labels ...string) Store {
 	if r == nil {
 		return store
@@ -146,6 +146,9 @@ func (s *instrumentedStore) Stats() Stats {
 
 // Drain forwards to the wrapped store when it supports draining.
 func (s *instrumentedStore) Drain() error { return Drain(s.store) }
+
+// Flush forwards to the wrapped store when it buffers writes.
+func (s *instrumentedStore) Flush() error { return Flush(s.store) }
 
 // Unwrap exposes the underlying store (tests, and callers needing
 // backend-specific APIs).

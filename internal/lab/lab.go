@@ -184,6 +184,9 @@ func Run(cfg Config) (*Result, error) {
 	if err := proc.Shutdown(); err != nil {
 		return nil, err
 	}
+	// Flushing the tracer settles the backing store before the census (LSM:
+	// the memtable, so amplification counters include the final flush) and
+	// reports any trace sink failure.
 	if err := traced.Flush(); err != nil {
 		return nil, err
 	}
@@ -191,12 +194,6 @@ func Run(cfg Config) (*Result, error) {
 		if err := writer.Close(); err != nil {
 			return nil, err
 		}
-	}
-
-	// Settle the backing store before the census (LSM: flush the memtable
-	// so amplification counters include the final flush).
-	if err := kv.Flush(inner); err != nil {
-		return nil, err
 	}
 
 	// Cache effectiveness lands in the registry after the pipeline has

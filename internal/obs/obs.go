@@ -129,14 +129,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return 0
 }
 
-// Mean returns the arithmetic mean of observed values.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // Registry holds named metrics. Metric constructors are get-or-create and
 // safe for concurrent use; the returned handles are the hot-path objects —
 // look them up once, not per event.

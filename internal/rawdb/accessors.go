@@ -145,11 +145,6 @@ func WriteBloomBits(w kv.Writer, bit uint16, section uint64, head Hash, bits []b
 	return w.Put(BloomBitsKey(bit, section, head), bits)
 }
 
-// ReadBloomBits retrieves one bloom filter section.
-func ReadBloomBits(r kv.Reader, bit uint16, section uint64, head Hash) ([]byte, error) {
-	return r.Get(BloomBitsKey(bit, section, head))
-}
-
 // WriteSkeletonHeader stores a skeleton-sync header.
 func WriteSkeletonHeader(w kv.Writer, number uint64, encoded []byte) error {
 	return w.Put(SkeletonHeaderKey(number), encoded)
@@ -158,11 +153,6 @@ func WriteSkeletonHeader(w kv.Writer, number uint64, encoded []byte) error {
 // ReadSkeletonHeader retrieves a skeleton-sync header.
 func ReadSkeletonHeader(r kv.Reader, number uint64) ([]byte, error) {
 	return r.Get(SkeletonHeaderKey(number))
-}
-
-// DeleteSkeletonHeader removes a skeleton-sync header.
-func DeleteSkeletonHeader(w kv.Writer, number uint64) error {
-	return w.Delete(SkeletonHeaderKey(number))
 }
 
 // WriteAccountTrieNode stores an account-trie node at a path.

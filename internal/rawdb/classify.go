@@ -135,21 +135,3 @@ func (c Class) IsWorldState() bool {
 	}
 	return false
 }
-
-// IsSingleton reports whether the class holds exactly one KV pair.
-func (c Class) IsSingleton() bool {
-	switch c {
-	case ClassEthereumGenesis, ClassSnapshotJournal, ClassEthereumConfig,
-		ClassLastStateID, ClassUncleanShutdown, ClassSnapshotGenerator,
-		ClassTrieJournal, ClassDatabaseVersion, ClassLastBlock,
-		ClassSnapshotRoot, ClassSkeletonSyncStatus, ClassLastHeader,
-		ClassSnapshotRecovery, ClassTransactionIndexTail, ClassLastFast:
-		return true
-	}
-	return false
-}
-
-// IsSnapshot reports whether the class belongs to snapshot acceleration.
-func (c Class) IsSnapshot() bool {
-	return c == ClassSnapshotAccount || c == ClassSnapshotStorage
-}

@@ -46,7 +46,7 @@ type freezerTable struct {
 	data    *os.File
 	index   *os.File
 	items   uint64 // number of items stored
-	first   uint64 // first item number (tail after pruning)
+	first   uint64 // first item number (the tail)
 	dataLen int64
 }
 
@@ -188,105 +188,6 @@ func (f *Freezer) Tail() uint64 {
 		return 0
 	}
 	return t.first
-}
-
-// SizeBytes reports the total data bytes across tables.
-func (f *Freezer) SizeBytes() int64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	var total int64
-	for _, t := range f.tables {
-		total += t.dataLen
-	}
-	return total
-}
-
-// TruncateTail drops every item below newTail from all tables — the
-// EIP-4444 history-expiry operation the paper cites as Geth's proposed (not
-// yet implemented) next step for bounding historical data. Data files are
-// rewritten without the pruned prefix; the operation is idempotent.
-func (f *Freezer) TruncateTail(newTail uint64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return errors.New("rawdb: freezer closed")
-	}
-	for kind, t := range f.tables {
-		if t.items == 0 || newTail <= t.first {
-			continue
-		}
-		head := t.first + t.items
-		if newTail >= head {
-			// Everything pruned: reset the table.
-			if err := t.reset(); err != nil {
-				return fmt.Errorf("rawdb: truncating %s: %w", kind, err)
-			}
-			continue
-		}
-		if err := t.truncateTail(newTail); err != nil {
-			return fmt.Errorf("rawdb: truncating %s: %w", kind, err)
-		}
-	}
-	return nil
-}
-
-// reset empties a table.
-func (t *freezerTable) reset() error {
-	if err := t.data.Truncate(0); err != nil {
-		return err
-	}
-	if err := t.index.Truncate(0); err != nil {
-		return err
-	}
-	t.items, t.first, t.dataLen = 0, 0, 0
-	return nil
-}
-
-// truncateTail rewrites the table without items below newTail.
-func (t *freezerTable) truncateTail(newTail uint64) error {
-	drop := newTail - t.first
-	keep := t.items - drop
-	// Read the first surviving index row to find the data cut point.
-	var row [24]byte
-	if _, err := t.index.ReadAt(row[:], int64(drop)*24); err != nil {
-		return err
-	}
-	cutOffset := binary.BigEndian.Uint64(row[8:])
-
-	// Rewrite data: copy the surviving suffix to the front.
-	surviving := make([]byte, t.dataLen-int64(cutOffset))
-	if _, err := t.data.ReadAt(surviving, int64(cutOffset)); err != nil {
-		return err
-	}
-	if _, err := t.data.WriteAt(surviving, 0); err != nil {
-		return err
-	}
-	if err := t.data.Truncate(int64(len(surviving))); err != nil {
-		return err
-	}
-	// Rewrite index rows with shifted offsets.
-	newIndex := make([]byte, keep*24)
-	for i := uint64(0); i < keep; i++ {
-		if _, err := t.index.ReadAt(row[:], int64(drop+i)*24); err != nil {
-			return err
-		}
-		num := binary.BigEndian.Uint64(row[0:])
-		off := binary.BigEndian.Uint64(row[8:]) - cutOffset
-		length := binary.BigEndian.Uint64(row[16:])
-		binary.BigEndian.PutUint64(newIndex[i*24:], num)
-		binary.BigEndian.PutUint64(newIndex[i*24+8:], off)
-		binary.BigEndian.PutUint64(newIndex[i*24+16:], length)
-	}
-	if _, err := t.index.WriteAt(newIndex, 0); err != nil {
-		return err
-	}
-	if err := t.index.Truncate(int64(len(newIndex))); err != nil {
-		return err
-	}
-	t.first = newTail
-	t.items = keep
-	t.dataLen = int64(len(surviving))
-	return nil
 }
 
 // Close releases the table files.

@@ -17,10 +17,6 @@ import (
 	"ethkv/internal/rlp"
 )
 
-// ErrNotCovered is returned when snapshot acceleration cannot answer (e.g.
-// disabled); callers fall back to the trie.
-var ErrNotCovered = errors.New("snapshot: not covered")
-
 // diffLayer is the state delta of one block. A nil entry value marks a
 // deletion (account destructed / slot cleared).
 type diffLayer struct {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ethkv/internal/kv"
+	"ethkv/internal/lsm"
 	"ethkv/internal/rawdb"
 )
 
@@ -182,6 +183,27 @@ func TestStoreSinkErrorLatched(t *testing.T) {
 	}
 	if err := ts.Close(); !errors.Is(err, errSinkBroken) {
 		t.Fatalf("Close = %v, want sink error", err)
+	}
+}
+
+// TestStoreForwardsFlush: kv.Flush through the tracer reaches the traced LSM
+// and flushes its memtable.
+func TestStoreForwardsFlush(t *testing.T) {
+	db, err := lsm.Open(t.TempDir(), lsm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ts := WrapStore(db, &SliceSink{})
+	if err := ts.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Stats().FlushCount
+	if err := kv.Flush(ts); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Stats().FlushCount; got <= before {
+		t.Fatalf("FlushCount = %d after kv.Flush, want > %d", got, before)
 	}
 }
 

@@ -91,10 +91,18 @@ func (s *Store) copyKey(key []byte) []byte {
 	return s.arena[n:len(s.arena):len(s.arena)]
 }
 
-// Flush reports the first sink delivery error seen so far. Every op has
-// reached the sink by the time its call returns, so there is nothing to
-// deliver.
+// Flush flushes the inner store (kv.Flush) and then reports the first sink
+// delivery error seen so far. Every op has reached the sink by the time its
+// call returns, so the sink has nothing left to deliver.
 func (s *Store) Flush() error {
+	if err := kv.Flush(s.inner); err != nil {
+		return err
+	}
+	return s.sinkError()
+}
+
+// sinkError returns the first sink delivery failure, if any.
+func (s *Store) sinkError() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sinkErr
@@ -188,9 +196,9 @@ func (s *Store) NewBatch() kv.Batch {
 }
 
 // Close implements kv.Store, closing the inner store and then reporting the
-// first sink delivery error, if any.
+// first sink delivery error, if any. It does not flush the inner store.
 func (s *Store) Close() error {
-	sinkErr := s.Flush()
+	sinkErr := s.sinkError()
 	if err := s.inner.Close(); err != nil {
 		return err
 	}

@@ -58,13 +58,3 @@ func (t *Trie) walkLeaves(n node, prefix []byte, fn func([]byte, []byte) bool) (
 		return false, fmt.Errorf("trie: walk on %T", n)
 	}
 }
-
-// LeafCount walks the whole trie and returns the number of stored values.
-func (t *Trie) LeafCount() (int, error) {
-	n := 0
-	err := t.Leaves(func([]byte, []byte) bool {
-		n++
-		return true
-	})
-	return n, err
-}

@@ -20,9 +20,9 @@ type node interface{}
 // nodeFlag carries the bookkeeping every interior node needs.
 type nodeFlag struct {
 	hash []byte // cached hash of the node's encoding (nil if dirty)
-	enc  []byte // cached encoding (nil if dirty) — keeps commit and
-	// proof generation O(dirty nodes): without it, encoding a parent
-	// re-encodes every clean descendant subtree recursively.
+	enc  []byte // cached encoding (nil if dirty) — keeps commit
+	// O(dirty nodes): without it, encoding a parent re-encodes every
+	// clean descendant subtree recursively.
 	dirty     bool // node differs from its persisted form
 	persisted bool // a node at this path exists in the database
 }

@@ -527,10 +527,6 @@ func TestLeavesWalk(t *testing.T) {
 			t.Fatalf("leaf path length %d, want 64 nibbles", len(p))
 		}
 	}
-
-	if n, err := cold.LeafCount(); err != nil || n != 150 {
-		t.Fatalf("LeafCount = %d, %v", n, err)
-	}
 }
 
 func TestLeavesEarlyStop(t *testing.T) {
@@ -547,7 +543,12 @@ func TestLeavesEarlyStop(t *testing.T) {
 		t.Fatalf("early stop at %d, %v", n, err)
 	}
 	// Empty trie walks nothing.
-	if n, err := NewEmpty().LeafCount(); err != nil || n != 0 {
-		t.Fatalf("empty LeafCount = %d, %v", n, err)
+	n = 0
+	err = NewEmpty().Leaves(func([]byte, []byte) bool {
+		n++
+		return true
+	})
+	if err != nil || n != 0 {
+		t.Fatalf("empty trie walked %d leaves, %v", n, err)
 	}
 }
