@@ -269,21 +269,22 @@ func opdistCmd(fs *flag.FlagSet) func(io.Writer) error {
 
 // corrCmd runs the distance-based correlation analysis over a trace: the
 // top class-pair correlated counts per distance (Figures 4/6) and the
-// per-key-pair frequency distributions at distances 0 and 1024 (5/7).
+// per-key-pair frequency distributions at analysis.NearDistance and
+// analysis.FarDistance (5/7).
 func corrCmd(fs *flag.FlagSet) func(io.Writer) error {
 	op := fs.String("op", "read", "correlation stream: read or update")
 	topN := fs.Int("top", 3, "class pairs to report per panel")
 	return traceCmd(fs, func(w io.Writer, r *trace.Reader, name string) error {
-		cfg := analysis.CorrConfig{}
+		var typ trace.OpType
 		switch *op {
 		case "read":
-			cfg.Op = trace.OpRead
+			typ = trace.OpRead
 		case "update":
-			cfg.Op = trace.OpUpdate
+			typ = trace.OpUpdate
 		default:
 			return fmt.Errorf("unknown -op %q (want read or update)", *op)
 		}
-		corr, err := analysis.CollectCorrelations(r, cfg)
+		corr, err := analysis.CollectCorrelations(r, typ)
 		if err != nil {
 			return err
 		}

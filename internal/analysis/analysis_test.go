@@ -163,7 +163,7 @@ func TestReadRatio(t *testing.T) {
 // TestCorrelatorAdjacent verifies distance-zero counting with the
 // at-least-twice rule.
 func TestCorrelatorAdjacent(t *testing.T) {
-	c := NewCorrelator(CorrConfig{Op: trace.OpRead, Distances: []int{0, 2}, TrackPairsAt: []int{0, 2}})
+	c := NewCorrelator(trace.OpRead)
 	// Stream: A B A B A B -> pair (A,B) adjacent 5 times.
 	for i := 0; i < 3; i++ {
 		c.Observe(mkOp(trace.OpRead, rawdb.ClassTrieNodeAccount, "A"))
@@ -185,7 +185,7 @@ func TestCorrelatorAdjacent(t *testing.T) {
 
 // TestCorrelatorMinTwoRule: a pair seen once must not count.
 func TestCorrelatorMinTwoRule(t *testing.T) {
-	c := NewCorrelator(CorrConfig{Op: trace.OpRead, Distances: []int{0}, TrackPairsAt: []int{0}})
+	c := NewCorrelator(trace.OpRead)
 	c.Observe(mkOp(trace.OpRead, rawdb.ClassCode, "X"))
 	c.Observe(mkOp(trace.OpRead, rawdb.ClassCode, "Y"))
 	pair := MakeClassPair(rawdb.ClassCode, rawdb.ClassCode)
@@ -204,7 +204,7 @@ func TestCorrelatorMinTwoRule(t *testing.T) {
 
 // TestCorrelatorSketchPath exercises the sketch-based distances.
 func TestCorrelatorSketchPath(t *testing.T) {
-	c := NewCorrelator(CorrConfig{Op: trace.OpRead, Distances: []int{0, 1}, TrackPairsAt: []int{0}})
+	c := NewCorrelator(trace.OpRead)
 	// d=1 uses the sketch. Stream A _ B pattern repeated: A z B z A z B...
 	for i := 0; i < 4; i++ {
 		c.Observe(mkOp(trace.OpRead, rawdb.ClassTrieNodeAccount, "A"))
@@ -219,7 +219,7 @@ func TestCorrelatorSketchPath(t *testing.T) {
 }
 
 func TestCorrelatorSameKeyExcluded(t *testing.T) {
-	c := NewCorrelator(CorrConfig{Op: trace.OpRead, Distances: []int{0}, TrackPairsAt: []int{0}})
+	c := NewCorrelator(trace.OpRead)
 	for i := 0; i < 10; i++ {
 		c.Observe(mkOp(trace.OpRead, rawdb.ClassCode, "same"))
 	}
@@ -230,7 +230,7 @@ func TestCorrelatorSameKeyExcluded(t *testing.T) {
 }
 
 func TestCorrelatorUpdateFilter(t *testing.T) {
-	c := NewCorrelator(CorrConfig{Op: trace.OpUpdate, Distances: []int{0}, TrackPairsAt: []int{0}})
+	c := NewCorrelator(trace.OpUpdate)
 	// Reads must be ignored entirely.
 	for i := 0; i < 4; i++ {
 		c.Observe(mkOp(trace.OpRead, rawdb.ClassLastFast, "LF"))
@@ -247,7 +247,7 @@ func TestCorrelatorUpdateFilter(t *testing.T) {
 }
 
 func TestTopPairsAndFrequency(t *testing.T) {
-	c := NewCorrelator(CorrConfig{Op: trace.OpRead, Distances: []int{0}, TrackPairsAt: []int{0}})
+	c := NewCorrelator(trace.OpRead)
 	// Hot intra pair: A1-A2 x10; weak cross pair: A1-B1 x2.
 	for i := 0; i < 10; i++ {
 		c.Observe(mkOp(trace.OpRead, rawdb.ClassTrieNodeAccount, "A1"))
@@ -323,32 +323,31 @@ func TestClassPair(t *testing.T) {
 }
 
 func TestCorrelatorDistanceSemantics(t *testing.T) {
-	// Stream of distinct keys k0..k9; partner of k5 at d=3 must be k1.
-	c := NewCorrelator(CorrConfig{Op: trace.OpRead, Distances: []int{3}, TrackPairsAt: []int{3}})
-	for i := 0; i < 10; i++ {
-		class := rawdb.ClassCode
-		if i%4 == 1 { // k1, k5, k9 are TrieNodeAccount
-			class = rawdb.ClassTrieNodeAccount
+	// Stream of distinct keys k0..k9; at d=4 (four ops between) the
+	// partner of k6 is k1, five positions back.
+	c := NewCorrelator(trace.OpRead)
+	observe := func() {
+		for i := 0; i < 10; i++ {
+			class := rawdb.ClassCode
+			if i%5 == 1 { // k1 and k6 are TrieNodeAccount
+				class = rawdb.ClassTrieNodeAccount
+			}
+			c.Observe(mkOp(trace.OpRead, class, fmt.Sprintf("k%d", i)))
 		}
-		c.Observe(mkOp(trace.OpRead, class, fmt.Sprintf("k%d", i)))
 	}
-	// Pairs at d=3: (k0,k4),(k1,k5),(k2,k6),... (k1,k5) and (k5,k9) are
-	// TA-TA pairs but each unordered pair occurs once -> min-2 excludes.
+	observe()
+	// Pairs at d=4: (k0,k5),(k1,k6),...,(k4,k9). (k1,k6) is the one TA-TA
+	// pair, but it has occurred once -> min-2 excludes it.
 	pair := MakeClassPair(rawdb.ClassTrieNodeAccount, rawdb.ClassTrieNodeAccount)
-	if got := c.Counts(3, pair); got != 0 {
+	if got := c.Counts(4, pair); got != 0 {
 		t.Fatalf("once-seen pairs counted: %d", got)
 	}
-	// Repeat the stream: every pair now occurs twice... except the seam
-	// pairs; (k1,k5) reaches 2 -> contributes 2, (k5,k9) reaches 2.
-	for i := 0; i < 10; i++ {
-		class := rawdb.ClassCode
-		if i%4 == 1 {
-			class = rawdb.ClassTrieNodeAccount
-		}
-		c.Observe(mkOp(trace.OpRead, class, fmt.Sprintf("k%d", i)))
-	}
-	if got := c.Counts(3, pair); got < 4 {
-		t.Fatalf("repeated pairs undercounted: %d, want >=4", got)
+	// Repeat the stream: positions 1-6, 6-11 and 11-16 all pair k1 with
+	// k6, so it occurs three times and all three count. A partner taken
+	// one position off (separation 4 or 6) never pairs two TA keys.
+	observe()
+	if got := c.Counts(4, pair); got != 3 {
+		t.Fatalf("d=4 TA-TA count = %d, want 3", got)
 	}
 }
 
@@ -388,7 +387,7 @@ func TestCollectFromTraceFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corr, err := CollectCorrelations(r2, CorrConfig{Op: trace.OpRead})
+	corr, err := CollectCorrelations(r2, trace.OpRead)
 	r2.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -399,28 +398,53 @@ func TestCollectFromTraceFile(t *testing.T) {
 }
 
 // TestSketchMatchesExactOnSmallStream: for streams far below sketch
-// collision territory, the sketch path must agree with the exact path.
+// collision territory, the sketched count at d=1 must equal an exact
+// min-2 count over the same stream.
 func TestSketchMatchesExactOnSmallStream(t *testing.T) {
-	mkStream := func() []trace.Op {
-		var ops []trace.Op
-		for round := 0; round < 20; round++ {
-			for i := 0; i < 10; i++ {
-				ops = append(ops, mkOp(trace.OpRead, rawdb.ClassCode, fmt.Sprintf("k%d", i)))
+	classes := []rawdb.Class{rawdb.ClassCode, rawdb.ClassTrieNodeAccount, rawdb.ClassTrieNodeStorage}
+	var ops []trace.Op
+	for round := 0; round < 20; round++ {
+		for i := 0; i < 10+round%3; i++ {
+			ops = append(ops, mkOp(trace.OpRead, classes[i%3], fmt.Sprintf("k%d", i)))
+		}
+	}
+	c := NewCorrelator(trace.OpRead)
+	for _, op := range ops {
+		c.Observe(op)
+	}
+	// Brute force: occurrences of each unordered key pair two positions
+	// apart (one op between), then the min-2 rule per class pair.
+	type keyPair struct{ lo, hi string }
+	occur := map[keyPair]uint64{}
+	classOf := map[keyPair]ClassPair{}
+	for i := 2; i < len(ops); i++ {
+		a, b := string(ops[i-2].Key), string(ops[i].Key)
+		if a == b {
+			continue
+		}
+		kp := keyPair{a, b}
+		if a > b {
+			kp = keyPair{b, a}
+		}
+		occur[kp]++
+		classOf[kp] = MakeClassPair(ops[i-2].Class, ops[i].Class)
+	}
+	want := map[ClassPair]uint64{}
+	for kp, n := range occur {
+		if n >= 2 {
+			want[classOf[kp]] += n
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("stream has no correlated pairs at d=1")
+	}
+	for _, a := range classes {
+		for _, b := range classes {
+			cp := MakeClassPair(a, b)
+			if got := c.Counts(1, cp); got != want[cp] {
+				t.Fatalf("sketched d=1 count for %v = %d, want %d", cp, got, want[cp])
 			}
 		}
-		return ops
-	}
-	// d=1 exact.
-	exact := NewCorrelator(CorrConfig{Op: trace.OpRead, Distances: []int{1}, TrackPairsAt: []int{1}})
-	// d=1 via sketch (track only d=0 exactly).
-	sketched := NewCorrelator(CorrConfig{Op: trace.OpRead, Distances: []int{0, 1}, TrackPairsAt: []int{0}})
-	for _, op := range mkStream() {
-		exact.Observe(op)
-		sketched.Observe(op)
-	}
-	pair := MakeClassPair(rawdb.ClassCode, rawdb.ClassCode)
-	if e, s := exact.Counts(1, pair), sketched.Counts(1, pair); e != s {
-		t.Fatalf("sketch diverged from exact: %d vs %d", s, e)
 	}
 }
 
@@ -467,7 +491,7 @@ func TestCollectSizeDistScanError(t *testing.T) {
 }
 
 func TestTopPairsEdgeCases(t *testing.T) {
-	c := NewCorrelator(CorrConfig{Op: trace.OpRead})
+	c := NewCorrelator(trace.OpRead)
 	if got := c.TopPairs(0, 0, true); len(got) != 0 {
 		t.Fatalf("TopPairs(n=0) = %v", got)
 	}

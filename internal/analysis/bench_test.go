@@ -25,8 +25,8 @@ func BenchmarkEngineSinglePass(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := analysis.NewEngine()
 		e.AddOpDist(nil)
-		e.AddCorrelator(analysis.CorrConfig{Op: trace.OpRead})
-		e.AddCorrelator(analysis.CorrConfig{Op: trace.OpUpdate})
+		e.AddCorrelator(trace.OpRead)
+		e.AddCorrelator(trace.OpUpdate)
 		if err := e.RunSlice(res.Ops); err != nil {
 			b.Fatal(err)
 		}

@@ -14,7 +14,7 @@ import (
 // occurrences of unordered key pairs, keeping only pairs observed at least
 // twice, and aggregates the surviving occurrences per unordered CLASS pair.
 // Frequency distributions (Figures 5 and 7) histogram the per-key-pair
-// occurrence counts at selected distances.
+// occurrence counts at NearDistance and FarDistance.
 
 // ClassPair is an unordered pair of classes (A <= B).
 type ClassPair struct {
@@ -37,54 +37,42 @@ func (p ClassPair) String() string {
 	return p.A.String() + "-" + p.B.String()
 }
 
-// DefaultDistances are the log-spaced distances of Figures 4 and 6.
-func DefaultDistances() []int {
-	return []int{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
-}
+// NearDistance and FarDistance are the ends of the paper's distance range:
+// adjacent ops and the farthest separation counted. They are the two
+// distances whose per-key-pair frequencies Figures 5 and 7 histogram, so
+// the correlator keeps exact per-pair counts there.
+const (
+	NearDistance = 0
+	FarDistance  = 1024
+)
 
-// CorrConfig tunes a correlation pass.
-type CorrConfig struct {
-	// Op selects the tracked operation: trace.OpRead for Figures 4-5,
-	// trace.OpUpdate for Figures 6-7.
-	Op trace.OpType
-	// IncludeWrites folds OpWrite into an OpUpdate pass (Geth batches both
-	// kinds at block boundaries; the paper's update analysis covers the
-	// batched write stream).
-	IncludeWrites bool
-	// Distances are the separations to count (nil = DefaultDistances).
-	Distances []int
-	// TrackPairsAt lists the distances (subset of Distances) where exact
-	// per-key-pair counts are kept for the frequency distributions; at
-	// other distances a fixed-size counting sketch enforces the
-	// at-least-twice rule with bounded memory. Nil = {0, 1024}.
-	TrackPairsAt []int
-}
+// distances are the log-spaced separations of Figures 4 and 6, ascending.
+var distances = [...]int{NearDistance, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, FarDistance}
+
+// Distances returns the log-spaced distances of Figures 4 and 6, ascending.
+func Distances() []int { return append([]int(nil), distances[:]...) }
 
 // Correlator consumes a trace and produces the correlation statistics.
 // The hot-path state is indexed by distance position (not distance value)
-// so Observe touches slices, not nested maps.
+// so Observe touches arrays, not nested maps.
 type Correlator struct {
-	cfg       CorrConfig
-	distances []int
-	maxDist   int
+	// op selects the tracked operation: trace.OpRead for Figures 4-5,
+	// trace.OpUpdate for Figures 6-7.
+	op trace.OpType
 
-	// ring holds the last maxDist+1 tracked ops as (keyHash, class).
-	ring []ringEntry
+	// ring holds the last FarDistance+1 tracked ops as (keyHash, class).
+	ring [FarDistance + 1]ringEntry
 	pos  uint64 // total tracked ops so far
 
 	// counts[i][pair] accumulates occurrences at distances[i] that passed
 	// the min-2 rule.
-	counts []map[ClassPair]uint64
-	// pairCounts[i] holds exact per-key-pair occurrence counts when
-	// distances[i] is tracked; nil otherwise (sketch path).
-	pairCounts []map[pairKey]*pairStat
+	counts [len(distances)]map[ClassPair]uint64
+	// near and far hold exact per-key-pair occurrence counts at
+	// NearDistance and FarDistance.
+	near, far map[pairKey]*pairStat
 	// sketch approximates per-(pair,distance) occurrence counts for the
-	// min-2 rule at non-tracked distances.
+	// min-2 rule at every other distance with bounded memory.
 	sketch []uint8
-
-	// pairCountsByDist aliases pairCounts by distance value for the
-	// accessor methods (FrequencyDistribution, MaxPairFrequency).
-	pairCountsByDist map[int]map[pairKey]*pairStat
 }
 
 // ringEntry is one remembered op.
@@ -112,43 +100,31 @@ func sketchIndex(pk pairKey, d int) uint64 {
 	return (pk.lo*0x9e3779b97f4a7c15 + pk.hi*0xc2b2ae3d27d4eb4f + uint64(d)*0x165667b19e3779f9) & (1<<sketchBits - 1)
 }
 
-// NewCorrelator builds a correlator for the config.
-func NewCorrelator(cfg CorrConfig) *Correlator {
-	if cfg.Distances == nil {
-		cfg.Distances = DefaultDistances()
-	}
-	if cfg.TrackPairsAt == nil {
-		cfg.TrackPairsAt = []int{0, 1024}
-	}
+// NewCorrelator builds a correlator over the ops of one type (cache hits
+// excluded).
+func NewCorrelator(op trace.OpType) *Correlator {
 	c := &Correlator{
-		cfg:              cfg,
-		distances:        append([]int(nil), cfg.Distances...),
-		sketch:           make([]uint8, 1<<sketchBits),
-		pairCountsByDist: make(map[int]map[pairKey]*pairStat),
+		op:     op,
+		near:   make(map[pairKey]*pairStat),
+		far:    make(map[pairKey]*pairStat),
+		sketch: make([]uint8, 1<<sketchBits),
 	}
-	sort.Ints(c.distances)
-	c.maxDist = c.distances[len(c.distances)-1]
-	c.ring = make([]ringEntry, c.maxDist+1)
-	c.counts = make([]map[ClassPair]uint64, len(c.distances))
-	c.pairCounts = make([]map[pairKey]*pairStat, len(c.distances))
-	for i, d := range c.distances {
+	for i := range c.counts {
 		c.counts[i] = make(map[ClassPair]uint64)
-		for _, t := range cfg.TrackPairsAt {
-			if t == d {
-				c.pairCounts[i] = make(map[pairKey]*pairStat)
-				c.pairCountsByDist[d] = c.pairCounts[i]
-				break
-			}
-		}
-	}
-	// TrackPairsAt entries outside Distances never receive observations but
-	// stay addressable, matching the historical accessor behavior.
-	for _, d := range cfg.TrackPairsAt {
-		if _, ok := c.pairCountsByDist[d]; !ok {
-			c.pairCountsByDist[d] = make(map[pairKey]*pairStat)
-		}
 	}
 	return c
+}
+
+// pairStats returns the exact per-key-pair counts kept at distance d, or
+// nil where the sketch stands in.
+func (c *Correlator) pairStats(d int) map[pairKey]*pairStat {
+	switch d {
+	case NearDistance:
+		return c.near
+	case FarDistance:
+		return c.far
+	}
+	return nil
 }
 
 // tracks reports whether the op belongs to the tracked stream.
@@ -156,10 +132,7 @@ func (c *Correlator) tracks(op trace.Op) bool {
 	if op.Hit {
 		return false // cache hits never reach the traced interface
 	}
-	if op.Type == c.cfg.Op {
-		return true
-	}
-	return c.cfg.IncludeWrites && c.cfg.Op == trace.OpUpdate && op.Type == trace.OpWrite
+	return op.Type == c.op
 }
 
 // Observe feeds one op into the correlator.
@@ -169,7 +142,7 @@ func (c *Correlator) Observe(op trace.Op) {
 	}
 	h := hashKey(op.Key)
 	class := op.Class
-	for i, d := range c.distances {
+	for i, d := range distances {
 		if uint64(d+1) > c.pos {
 			break // not enough history yet
 		}
@@ -194,7 +167,7 @@ func (c *Correlator) observeBatch(ops []trace.Op) {
 // distance index, d the distance value (the sketch hash keys on it).
 func (c *Correlator) apply(i, d int, pk pairKey, cp ClassPair) {
 	var n uint64
-	if stats := c.pairCounts[i]; stats != nil {
+	if stats := c.pairStats(d); stats != nil {
 		s := stats[pk]
 		if s == nil {
 			s = &pairStat{pair: cp}
@@ -238,7 +211,7 @@ func makePairKey(a, b uint64) pairKey {
 
 // distIndex maps a distance value to its index, or -1.
 func (c *Correlator) distIndex(d int) int {
-	for i, dd := range c.distances {
+	for i, dd := range distances {
 		if dd == d {
 			return i
 		}
@@ -293,7 +266,7 @@ func (c *Correlator) TopPairs(d, n int, intra bool) []PairSeries {
 	out := make([]PairSeries, 0, len(rows))
 	for _, r := range rows {
 		series := PairSeries{Pair: r.pair, Counts: make(map[int]uint64)}
-		for i, dist := range c.distances {
+		for i, dist := range distances {
 			cnt := c.counts[i][r.pair]
 			series.Counts[dist] = cnt
 			series.Total += cnt
@@ -304,11 +277,11 @@ func (c *Correlator) TopPairs(d, n int, intra bool) []PairSeries {
 }
 
 // FrequencyDistribution histograms per-key-pair occurrence counts for one
-// class pair at a tracked distance: Figure 5 / Figure 7 panels. Only pairs
+// class pair at NearDistance or FarDistance: Figure 5 / Figure 7 panels. Only pairs
 // meeting the at-least-twice rule appear.
 func (c *Correlator) FrequencyDistribution(d int, pair ClassPair) []FreqPoint {
-	stats, ok := c.pairCountsByDist[d]
-	if !ok {
+	stats := c.pairStats(d)
+	if stats == nil {
 		return nil
 	}
 	hist := make(map[uint32]uint64)
@@ -326,10 +299,10 @@ func (c *Correlator) FrequencyDistribution(d int, pair ClassPair) []FreqPoint {
 }
 
 // MaxPairFrequency returns the highest per-key-pair occurrence count for a
-// class pair at a tracked distance.
+// class pair at NearDistance or FarDistance.
 func (c *Correlator) MaxPairFrequency(d int, pair ClassPair) uint64 {
-	stats, ok := c.pairCountsByDist[d]
-	if !ok {
+	stats := c.pairStats(d)
+	if stats == nil {
 		return 0
 	}
 	var max uint64
@@ -341,19 +314,14 @@ func (c *Correlator) MaxPairFrequency(d int, pair ClassPair) uint64 {
 	return max
 }
 
-// Distances returns the configured distances (sorted ascending).
-func (c *Correlator) Distances() []int {
-	return append([]int(nil), c.distances...)
-}
-
 // TrackedOps reports how many ops entered the correlation stream.
 func (c *Correlator) TrackedOps() uint64 { return c.pos }
 
 // CollectCorrelations streams a trace through a new correlator in one
 // engine pass.
-func CollectCorrelations(r *trace.Reader, cfg CorrConfig) (*Correlator, error) {
+func CollectCorrelations(r *trace.Reader, op trace.OpType) (*Correlator, error) {
 	e := NewEngine()
-	c := e.AddCorrelator(cfg)
+	c := e.AddCorrelator(op)
 	if err := e.RunReader(r); err != nil {
 		return nil, err
 	}
@@ -361,9 +329,9 @@ func CollectCorrelations(r *trace.Reader, cfg CorrConfig) (*Correlator, error) {
 }
 
 // CollectCorrelationsSlice runs a correlation pass over in-memory ops.
-func CollectCorrelationsSlice(ops []trace.Op, cfg CorrConfig) *Correlator {
+func CollectCorrelationsSlice(ops []trace.Op, op trace.OpType) *Correlator {
 	e := NewEngine()
-	c := e.AddCorrelator(cfg)
+	c := e.AddCorrelator(op)
 	if err := e.RunSlice(ops); err != nil {
 		// RunSlice cannot fail: no I/O is involved.
 		panic(err)

@@ -47,10 +47,10 @@ func (e *Engine) AddOpDist(trackClasses []rawdb.Class) *OpDist {
 	return d
 }
 
-// AddCorrelator registers a correlation pass and returns it, readable once
-// Run returns.
-func (e *Engine) AddCorrelator(cfg CorrConfig) *Correlator {
-	c := NewCorrelator(cfg)
+// AddCorrelator registers a correlation pass over the ops of one type and
+// returns it, readable once Run returns.
+func (e *Engine) AddCorrelator(op trace.OpType) *Correlator {
+	c := NewCorrelator(op)
 	e.collectors = append(e.collectors, c)
 	return c
 }

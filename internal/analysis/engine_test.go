@@ -60,8 +60,8 @@ func seqOpDist(ops []trace.Op, track []rawdb.Class) *OpDist {
 }
 
 // seqCorrelator is the sequential reference correlation pass.
-func seqCorrelator(ops []trace.Op, cfg CorrConfig) *Correlator {
-	c := NewCorrelator(cfg)
+func seqCorrelator(ops []trace.Op, op trace.OpType) *Correlator {
+	c := NewCorrelator(op)
 	for _, op := range ops {
 		c.Observe(op)
 	}
@@ -94,23 +94,23 @@ func requireSameCorrelator(t *testing.T, want, got *Correlator) {
 	if !reflect.DeepEqual(want.counts, got.counts) {
 		t.Fatalf("counts diverged:\nwant %v\ngot  %v", want.counts, got.counts)
 	}
-	if !reflect.DeepEqual(want.pairCounts, got.pairCounts) {
+	if !reflect.DeepEqual(want.near, got.near) || !reflect.DeepEqual(want.far, got.far) {
 		t.Fatal("exact pair counts diverged")
 	}
 	if !bytes.Equal(want.sketch, got.sketch) {
 		t.Fatal("sketch diverged")
 	}
 	// Spot-check the public accessors the reports consume.
-	for _, d := range want.distances {
+	for _, d := range distances {
 		for _, intra := range []bool{true, false} {
 			if !reflect.DeepEqual(want.TopPairs(d, 5, intra), got.TopPairs(d, 5, intra)) {
 				t.Fatalf("TopPairs(%d, 5, %v) diverged", d, intra)
 			}
 		}
 	}
-	for d, stats := range want.pairCountsByDist {
+	for _, d := range []int{NearDistance, FarDistance} {
 		classPairs := map[ClassPair]bool{}
-		for _, st := range stats {
+		for _, st := range want.pairStats(d) {
 			classPairs[st.pair] = true
 		}
 		for cp := range classPairs {
@@ -136,24 +136,19 @@ func newTestEngine(batchSize int) *Engine {
 // correlators must equal each collector's direct Observe loop.
 func TestEngineEquivalenceSlice(t *testing.T) {
 	ops := genOps(30000, 1)
-	cfgs := []CorrConfig{
-		{Op: trace.OpRead},
-		{Op: trace.OpUpdate},
-		{Op: trace.OpUpdate, IncludeWrites: true},
-		{Op: trace.OpRead, Distances: []int{0, 3, 7, 50}, TrackPairsAt: []int{3, 2048}},
-	}
+	types := []trace.OpType{trace.OpRead, trace.OpUpdate, trace.OpWrite, trace.OpDelete}
 	e := newTestEngine(1009)
 	hd := e.AddOpDist(nil)
-	hcs := make([]*Correlator, len(cfgs))
-	for i, cfg := range cfgs {
-		hcs[i] = e.AddCorrelator(cfg)
+	hcs := make([]*Correlator, len(types))
+	for i, typ := range types {
+		hcs[i] = e.AddCorrelator(typ)
 	}
 	if err := e.RunSlice(ops); err != nil {
 		t.Fatal(err)
 	}
 	requireSameOpDist(t, seqOpDist(ops, nil), hd)
-	for i, cfg := range cfgs {
-		requireSameCorrelator(t, seqCorrelator(ops, cfg), hcs[i])
+	for i, typ := range types {
+		requireSameCorrelator(t, seqCorrelator(ops, typ), hcs[i])
 	}
 }
 
@@ -180,15 +175,14 @@ func TestEngineEquivalenceReader(t *testing.T) {
 	}
 	defer r.Close()
 
-	cfg := CorrConfig{Op: trace.OpRead}
 	e := newTestEngine(513)
 	hd := e.AddOpDist(nil)
-	hc := e.AddCorrelator(cfg)
+	hc := e.AddCorrelator(trace.OpRead)
 	if err := e.RunReader(r); err != nil {
 		t.Fatal(err)
 	}
 	requireSameOpDist(t, seqOpDist(ops, nil), hd)
-	requireSameCorrelator(t, seqCorrelator(ops, cfg), hc)
+	requireSameCorrelator(t, seqCorrelator(ops, trace.OpRead), hc)
 }
 
 func TestEngineFindingsEquivalence(t *testing.T) {
@@ -198,13 +192,11 @@ func TestEngineFindingsEquivalence(t *testing.T) {
 	bareOps := genOps(15000, 5)
 	store := &SizeDist{PerClass: map[rawdb.Class]*ClassSize{}}
 
-	readCfg := CorrConfig{Op: trace.OpRead}
-	updCfg := CorrConfig{Op: trace.OpUpdate}
 	want := CheckFindings(&FindingsInput{
 		CachedOps: seqOpDist(cachedOps, nil), BareOps: seqOpDist(bareOps, nil),
 		CachedStore: store, BareStore: store,
-		CachedReadCorr: seqCorrelator(cachedOps, readCfg), BareReadCorr: seqCorrelator(bareOps, readCfg),
-		CachedUpdateCorr: seqCorrelator(cachedOps, updCfg), BareUpdateCorr: seqCorrelator(bareOps, updCfg),
+		CachedReadCorr: seqCorrelator(cachedOps, trace.OpRead), BareReadCorr: seqCorrelator(bareOps, trace.OpRead),
+		CachedUpdateCorr: seqCorrelator(cachedOps, trace.OpUpdate), BareUpdateCorr: seqCorrelator(bareOps, trace.OpUpdate),
 	})
 	got := CheckFindings(BuildFindingsInput(cachedOps, bareOps, store, store))
 	if !reflect.DeepEqual(want, got) {
@@ -215,8 +207,7 @@ func TestEngineFindingsEquivalence(t *testing.T) {
 func TestCollectWrappersMatchSequential(t *testing.T) {
 	ops := genOps(10000, 6)
 	requireSameOpDist(t, seqOpDist(ops, nil), CollectOpDistSlice(ops, nil))
-	cfg := CorrConfig{Op: trace.OpUpdate, IncludeWrites: true}
-	requireSameCorrelator(t, seqCorrelator(ops, cfg), CollectCorrelationsSlice(ops, cfg))
+	requireSameCorrelator(t, seqCorrelator(ops, trace.OpUpdate), CollectCorrelationsSlice(ops, trace.OpUpdate))
 }
 
 func TestEngineEmptyAndTiny(t *testing.T) {
@@ -224,11 +215,11 @@ func TestEngineEmptyAndTiny(t *testing.T) {
 		ops := genOps(n, int64(10+n))
 		e := newTestEngine(2)
 		hd := e.AddOpDist(nil)
-		hc := e.AddCorrelator(CorrConfig{Op: trace.OpRead})
+		hc := e.AddCorrelator(trace.OpRead)
 		if err := e.RunSlice(ops); err != nil {
 			t.Fatal(err)
 		}
 		requireSameOpDist(t, seqOpDist(ops, nil), hd)
-		requireSameCorrelator(t, seqCorrelator(ops, CorrConfig{Op: trace.OpRead}), hc)
+		requireSameCorrelator(t, seqCorrelator(ops, trace.OpRead), hc)
 	}
 }

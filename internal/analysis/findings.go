@@ -234,7 +234,7 @@ func checkFinding8(in *FindingsInput) Finding {
 	var intra0, cross0, intraFar uint64
 	if len(intraTop) > 0 {
 		intra0 = intraTop[0].Counts[0]
-		intraFar = intraTop[0].Counts[1024]
+		intraFar = intraTop[0].Counts[FarDistance]
 	}
 	if len(crossTop) > 0 {
 		cross0 = crossTop[0].Counts[0]
@@ -243,23 +243,23 @@ func checkFinding8(in *FindingsInput) Finding {
 		ID:    8,
 		Title: "Correlated reads are clustered in small regions",
 		Holds: intra0 > 0 && intra0 > cross0 && intra0 > intraFar,
-		Evidence: fmt.Sprintf("top intra-class pair at d=0: %d; at d=1024: %d; top cross-class at d=0: %d (paper: intra ~2 orders above cross at d=0, decaying with distance)",
-			intra0, intraFar, cross0),
+		Evidence: fmt.Sprintf("top intra-class pair at d=0: %d; at d=%d: %d; top cross-class at d=0: %d (paper: intra ~2 orders above cross at d=0, decaying with distance)",
+			intra0, FarDistance, intraFar, cross0),
 	}
 }
 
 // Finding 9: correlated-read frequencies are skewed; d=0 frequencies far
-// exceed d=1024; caching reduces the skew.
+// exceed d=FarDistance; caching reduces the skew.
 func checkFinding9(in *FindingsInput) Finding {
 	topBare := maxIntraFrequency(in.BareReadCorr)
 	topCached := maxIntraFrequency(in.CachedReadCorr)
-	farBare := maxIntraFrequencyAt(in.BareReadCorr, 1024)
+	farBare := maxIntraFrequencyAt(in.BareReadCorr, FarDistance)
 	return Finding{
 		ID:    9,
 		Title: "Correlated reads are skewed in frequency",
 		Holds: topBare > farBare && topBare >= topCached,
-		Evidence: fmt.Sprintf("max intra-pair frequency: bare d=0 %d vs d=1024 %d; cached d=0 %d (paper: TA-TA 1.95M bare vs 405 cached)",
-			topBare, farBare, topCached),
+		Evidence: fmt.Sprintf("max intra-pair frequency: bare d=0 %d vs d=%d %d; cached d=0 %d (paper: TA-TA 1.95M bare vs 405 cached)",
+			topBare, FarDistance, farBare, topCached),
 	}
 }
 
@@ -286,28 +286,26 @@ func checkFinding10(in *FindingsInput) Finding {
 
 // Finding 11: intra-class correlated-update frequency distributions are
 // class-specific; TrieNodeStorage peaks highest at d=0 and collapses by
-// d=1024.
+// d=FarDistance.
 func checkFinding11(in *FindingsInput) Finding {
 	tsPair := MakeClassPair(rawdb.ClassTrieNodeStorage, rawdb.ClassTrieNodeStorage)
 	// The paper reports the structure in both traces; at reduced scale the
 	// cached trace's coalesced flushes can thin it, so take the stronger
 	// of the two measurements.
-	ts0 := in.CachedUpdateCorr.MaxPairFrequency(0, tsPair)
-	if f := in.BareUpdateCorr.MaxPairFrequency(0, tsPair); f > ts0 {
+	ts0 := in.CachedUpdateCorr.MaxPairFrequency(NearDistance, tsPair)
+	if f := in.BareUpdateCorr.MaxPairFrequency(NearDistance, tsPair); f > ts0 {
 		ts0 = f
 	}
-	ts1024 := in.CachedUpdateCorr.MaxPairFrequency(1024, tsPair)
-	if f := in.BareUpdateCorr.MaxPairFrequency(1024, tsPair); f > ts1024 {
-		ts1024 = f
+	tsFar := in.CachedUpdateCorr.MaxPairFrequency(FarDistance, tsPair)
+	if f := in.BareUpdateCorr.MaxPairFrequency(FarDistance, tsPair); f > tsFar {
+		tsFar = f
 	}
-	c := in.CachedUpdateCorr
-	_ = c
 	return Finding{
 		ID:    11,
 		Title: "Correlated updates have unique frequency distribution",
-		Holds: ts0 > 0 && ts0 > ts1024,
-		Evidence: fmt.Sprintf("TrieNodeStorage intra max frequency: %d at d=0 vs %d at d=1024 (paper: ~1M vs 10)",
-			ts0, ts1024),
+		Holds: ts0 > 0 && ts0 > tsFar,
+		Evidence: fmt.Sprintf("TrieNodeStorage intra max frequency: %d at d=0 vs %d at d=%d (paper: ~1M vs 10)",
+			ts0, tsFar, FarDistance),
 	}
 }
 
@@ -356,10 +354,10 @@ type keyFreq struct {
 	freq uint32
 }
 
-// maxIntraFrequency returns the highest per-key-pair frequency at d=0 over
-// all intra-class pairs.
+// maxIntraFrequency returns the highest per-key-pair frequency at
+// NearDistance over all intra-class pairs.
 func maxIntraFrequency(c *Correlator) uint64 {
-	return maxIntraFrequencyAt(c, 0)
+	return maxIntraFrequencyAt(c, NearDistance)
 }
 
 func maxIntraFrequencyAt(c *Correlator, d int) uint64 {
@@ -402,8 +400,6 @@ func classNames(classes []rawdb.Class) []string {
 // (report.WritePaper) and the artifact tree (lab.WriteArtifacts).
 func BuildFindingsInput(cachedOps, bareOps []trace.Op,
 	cachedStore, bareStore *SizeDist) *FindingsInput {
-	readCfg := CorrConfig{Op: trace.OpRead}
-	updCfg := CorrConfig{Op: trace.OpUpdate, IncludeWrites: false}
 	in := &FindingsInput{CachedStore: cachedStore, BareStore: bareStore}
 
 	var wg sync.WaitGroup
@@ -411,8 +407,8 @@ func BuildFindingsInput(cachedOps, bareOps []trace.Op,
 		defer wg.Done()
 		e := NewEngine()
 		*dist = e.AddOpDist(nil)
-		*readCorr = e.AddCorrelator(readCfg)
-		*updCorr = e.AddCorrelator(updCfg)
+		*readCorr = e.AddCorrelator(trace.OpRead)
+		*updCorr = e.AddCorrelator(trace.OpUpdate)
 		if err := e.RunSlice(ops); err != nil {
 			// RunSlice cannot fail: no I/O is involved.
 			panic(err)

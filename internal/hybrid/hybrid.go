@@ -1,8 +1,8 @@
 // Package hybrid implements §V's conceptual design: a class-routed key-value
 // store that picks the data structure by the class's measured access
-// pattern, plus the correlation-aware cache wiring. It exists to evaluate
-// the paper's design recommendations against the single-LSM baseline
-// (ablation experiments E12/E13 in DESIGN.md).
+// pattern. It exists to evaluate the paper's design recommendations against
+// the single-LSM baseline (ablation experiments E12/E13 in DESIGN.md). The
+// correlation-aware cache lives in internal/cache.
 //
 // The store is a generic dispatcher over N named backends: a routing table
 // maps each rawdb.Class to a backend index, and every operation classifies

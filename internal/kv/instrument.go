@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"reflect"
 	"time"
 
 	"ethkv/internal/obs"
@@ -154,65 +155,26 @@ func (s *instrumentedStore) Flush() error { return Flush(s.store) }
 // backend-specific APIs).
 func (s *instrumentedStore) Unwrap() Store { return s.store }
 
-// RegisterStatsMetrics exports every kv.Stats counter of sp as callback
-// gauges named ethkv_store_<field>{...labels}, evaluated at scrape/snapshot
-// time. Stats() implementations take their own locks, so the callbacks are
-// safe from any goroutine.
+// RegisterStatsMetrics exports every kv.Stats counter of sp as a callback
+// gauge named ethkv_store_<stat tag>{...labels}, plus the write, read and
+// block-cache ratios, evaluated at scrape/snapshot time. Stats()
+// implementations take their own locks, so the callbacks are safe from any
+// goroutine.
 func RegisterStatsMetrics(r *obs.Registry, sp StatsProvider, labels ...string) {
 	if r == nil || sp == nil {
 		return
 	}
-	fields := []struct {
-		name string
-		get  func(Stats) float64
-	}{
-		{"gets", func(s Stats) float64 { return float64(s.Gets) }},
-		{"puts", func(s Stats) float64 { return float64(s.Puts) }},
-		{"deletes", func(s Stats) float64 { return float64(s.Deletes) }},
-		{"scans", func(s Stats) float64 { return float64(s.Scans) }},
-		{"logical_bytes_read", func(s Stats) float64 { return float64(s.LogicalBytesRead) }},
-		{"logical_bytes_written", func(s Stats) float64 { return float64(s.LogicalBytesWritten) }},
-		{"physical_bytes_read", func(s Stats) float64 { return float64(s.PhysicalBytesRead) }},
-		{"physical_bytes_written", func(s Stats) float64 { return float64(s.PhysicalBytesWrite) }},
-		{"compactions", func(s Stats) float64 { return float64(s.CompactionCount) }},
-		{"tombstones_live", func(s Stats) float64 { return float64(s.TombstonesLive) }},
-		{"flushes", func(s Stats) float64 { return float64(s.FlushCount) }},
-		{"write_stalls", func(s Stats) float64 { return float64(s.WriteStalls) }},
-		{"write_stall_nanos", func(s Stats) float64 { return float64(s.WriteStallNanos) }},
-		{"write_stall_queue_nanos", func(s Stats) float64 { return float64(s.WriteStallQueueNanos) }},
-		{"write_stall_l0_nanos", func(s Stats) float64 { return float64(s.WriteStallL0Nanos) }},
-		{"flush_table_nanos", func(s Stats) float64 { return float64(s.FlushTableNanos) }},
-		{"manifest_nanos", func(s Stats) float64 { return float64(s.ManifestNanos) }},
-		{"io_retries", func(s Stats) float64 { return float64(s.IORetries) }},
-		{"degraded", func(s Stats) float64 { return float64(s.Degraded) }},
-		{"wal_syncs", func(s Stats) float64 { return float64(s.WALSyncs) }},
-		{"wal_sync_nanos", func(s Stats) float64 { return float64(s.WALSyncNanos) }},
-		{"wal_shared_commits", func(s Stats) float64 { return float64(s.WALSharedCommits) }},
-		{"manifest_writes", func(s Stats) float64 { return float64(s.ManifestWrites) }},
-		{"block_cache_hits", func(s Stats) float64 { return float64(s.BlockCacheHits) }},
-		{"block_cache_misses", func(s Stats) float64 { return float64(s.BlockCacheMisses) }},
-		{"block_cache_evictions", func(s Stats) float64 { return float64(s.BlockCacheEvictions) }},
-		{"block_cache_pinned_bytes", func(s Stats) float64 { return float64(s.BlockCachePinnedBytes) }},
-		{"bloom_negatives", func(s Stats) float64 { return float64(s.BloomNegatives) }},
-		{"bloom_false_positives", func(s Stats) float64 { return float64(s.BloomFalsePositives) }},
-		{"physical_read_ops", func(s Stats) float64 { return float64(s.PhysicalReadOps) }},
-		{"live_data_bytes", func(s Stats) float64 { return float64(s.LiveDataBytes) }},
-		{"dead_data_bytes", func(s Stats) float64 { return float64(s.DeadDataBytes) }},
-		{"compaction_rewrites", func(s Stats) float64 { return float64(s.CompactionRewrites) }},
-		{"sub_compactions", func(s Stats) float64 { return float64(s.SubCompactions) }},
-		{"compaction_parallel_nanos", func(s Stats) float64 { return float64(s.CompactionParallelNanos) }},
-		{"max_concurrent_compactions", func(s Stats) float64 { return float64(s.MaxConcurrentCompactions) }},
-		{"compaction_debt_peak_bytes", func(s Stats) float64 { return float64(s.CompactionDebtPeak) }},
-		{"write_amplification", Stats.WriteAmplification},
-		{"read_amplification", Stats.ReadAmplification},
-		{"block_cache_hit_rate", Stats.BlockCacheHitRate},
-	}
-	for _, f := range fields {
-		get := f.get
-		r.GaugeFunc(obs.Name("ethkv_store_"+f.name, labels...), func() float64 {
+	gauge := func(name string, get func(Stats) float64) {
+		r.GaugeFunc(obs.Name("ethkv_store_"+name, labels...), func() float64 {
 			return get(sp.Stats())
 		})
 	}
+	for i, f := range statFields {
+		gauge(f.metric, func(s Stats) float64 { return float64(reflect.ValueOf(s).Field(i).Uint()) })
+	}
+	gauge("write_amplification", Stats.WriteAmplification)
+	gauge("read_amplification", Stats.ReadAmplification)
+	gauge("block_cache_hit_rate", Stats.BlockCacheHitRate)
 }
 
 // instrumentedBatch times the commit, not the staging: Put/Delete on a batch

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -120,6 +121,61 @@ func TestRegisterStatsMetrics(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `ethkv_store_gets{store="fake"} 7`) {
 		t.Fatalf("exposition missing stats gauge:\n%s", b.String())
+	}
+
+	// The exported set: one gauge per counter, named as below and reading
+	// that field, plus the three derived ratios.
+	counters := map[string]string{
+		"gets": "Gets", "puts": "Puts", "deletes": "Deletes", "scans": "Scans",
+		"logical_bytes_read": "LogicalBytesRead", "logical_bytes_written": "LogicalBytesWritten",
+		"physical_bytes_read": "PhysicalBytesRead", "physical_bytes_written": "PhysicalBytesWrite",
+		"compactions": "CompactionCount", "tombstones_live": "TombstonesLive",
+		"flushes": "FlushCount", "write_stalls": "WriteStalls", "write_stall_nanos": "WriteStallNanos",
+		"write_stall_queue_nanos": "WriteStallQueueNanos", "write_stall_l0_nanos": "WriteStallL0Nanos",
+		"flush_table_nanos": "FlushTableNanos", "manifest_nanos": "ManifestNanos",
+		"io_retries": "IORetries", "degraded": "Degraded",
+		"wal_syncs": "WALSyncs", "wal_sync_nanos": "WALSyncNanos",
+		"wal_shared_commits": "WALSharedCommits", "manifest_writes": "ManifestWrites",
+		"block_cache_hits": "BlockCacheHits", "block_cache_misses": "BlockCacheMisses",
+		"block_cache_evictions": "BlockCacheEvictions", "block_cache_pinned_bytes": "BlockCachePinnedBytes",
+		"bloom_negatives": "BloomNegatives", "bloom_false_positives": "BloomFalsePositives",
+		"physical_read_ops": "PhysicalReadOps",
+		"live_data_bytes":   "LiveDataBytes", "dead_data_bytes": "DeadDataBytes",
+		"compaction_rewrites": "CompactionRewrites", "sub_compactions": "SubCompactions",
+		"compaction_parallel_nanos":  "CompactionParallelNanos",
+		"max_concurrent_compactions": "MaxConcurrentCompactions",
+		"compaction_debt_peak_bytes": "CompactionDebtPeak",
+	}
+	var all Stats
+	av := reflect.ValueOf(&all).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetUint(uint64(i + 1))
+	}
+	want := map[string]float64{
+		"write_amplification":  all.WriteAmplification(),
+		"read_amplification":   all.ReadAmplification(),
+		"block_cache_hit_rate": all.BlockCacheHitRate(),
+	}
+	for name, field := range counters {
+		want[name] = float64(av.FieldByName(field).Uint())
+	}
+	if len(want) != 40 {
+		t.Fatalf("expected set has %d names, want 40", len(want))
+	}
+	r = obs.NewRegistry()
+	RegisterStatsMetrics(r, fakeStats{all}, "store", "all")
+	gauges := r.Snapshot().Gauges
+	for name, v := range want {
+		full := obs.Name("ethkv_store_"+name, "store", "all")
+		got, ok := gauges[full]
+		if !ok {
+			t.Errorf("gauge %s not registered", full)
+		} else if got != v {
+			t.Errorf("gauge %s = %v, want %v", full, got, v)
+		}
+	}
+	if len(gauges) != len(want) {
+		t.Errorf("%d gauges registered, want %d", len(gauges), len(want))
 	}
 }
 

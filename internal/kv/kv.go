@@ -7,7 +7,9 @@ package kv
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -128,120 +130,114 @@ func Flush(s Store) error {
 // the operations issued by the client; physical counters track the bytes the
 // backend actually moved (including compaction), which exposes write
 // amplification.
+//
+// Each counter is declared once, here: its `stat` tag names its
+// ethkv_store_<name> gauge (RegisterStatsMetrics) and, after a comma, its
+// merge rule — "logical" for the client-side counters MergePhysical leaves
+// alone, "peak" for high-water marks merged by max; the rest are summed.
 type Stats struct {
-	Gets    uint64 // point lookups served
-	Puts    uint64 // keys written
-	Deletes uint64 // keys deleted (tombstones for LSM backends)
-	Scans   uint64 // iterators opened
+	Gets    uint64 `stat:"gets,logical"`    // point lookups served
+	Puts    uint64 `stat:"puts,logical"`    // keys written
+	Deletes uint64 `stat:"deletes,logical"` // keys deleted (tombstones for LSM backends)
+	Scans   uint64 `stat:"scans,logical"`   // iterators opened
 
-	LogicalBytesRead    uint64 // value bytes returned to clients
-	LogicalBytesWritten uint64 // key+value bytes accepted from clients
-	PhysicalBytesRead   uint64 // bytes read from the storage layer
-	PhysicalBytesWrite  uint64 // bytes written to the storage layer
+	LogicalBytesRead    uint64 `stat:"logical_bytes_read,logical"`    // value bytes returned to clients
+	LogicalBytesWritten uint64 `stat:"logical_bytes_written,logical"` // key+value bytes accepted from clients
+	PhysicalBytesRead   uint64 `stat:"physical_bytes_read"`           // bytes read from the storage layer
+	PhysicalBytesWrite  uint64 `stat:"physical_bytes_written"`        // bytes written to the storage layer
 
-	CompactionCount uint64 // background compactions run
-	TombstonesLive  uint64 // tombstones not yet purged by compaction
+	CompactionCount uint64 `stat:"compactions"`     // background compactions run
+	TombstonesLive  uint64 `stat:"tombstones_live"` // tombstones not yet purged by compaction
 
-	FlushCount      uint64 // memtable flushes to the storage layer
-	WriteStalls     uint64 // writes that blocked on backpressure (full flush queue or L0 stop, one count per cause)
-	WriteStallNanos uint64 // total nanoseconds writers spent stalled
+	FlushCount      uint64 `stat:"flushes"`           // memtable flushes to the storage layer
+	WriteStalls     uint64 `stat:"write_stalls"`      // writes that blocked on backpressure (full flush queue or L0 stop, one count per cause)
+	WriteStallNanos uint64 `stat:"write_stall_nanos"` // total nanoseconds writers spent stalled
 	// WriteStallNanos by cause (the two sum to it), and where the flush job
 	// a queue-stalled writer waits for spends its time: writing the L0 table,
 	// and waiting for the manifest that names it to be durable (which queues
 	// behind compactions' manifest writes).
-	WriteStallQueueNanos uint64 // stalled on a full flush queue
-	WriteStallL0Nanos    uint64 // stalled on the L0 stop trigger
-	FlushTableNanos      uint64 // flush jobs: nanoseconds writing L0 tables
-	ManifestNanos        uint64 // flush jobs: nanoseconds committing the manifest
+	WriteStallQueueNanos uint64 `stat:"write_stall_queue_nanos"` // stalled on a full flush queue
+	WriteStallL0Nanos    uint64 `stat:"write_stall_l0_nanos"`    // stalled on the L0 stop trigger
+	FlushTableNanos      uint64 `stat:"flush_table_nanos"`       // flush jobs: nanoseconds writing L0 tables
+	ManifestNanos        uint64 `stat:"manifest_nanos"`          // flush jobs: nanoseconds committing the manifest
 
-	IORetries uint64 // transient I/O faults absorbed by retry-with-backoff
-	Degraded  uint64 // 1 once the store latched into read-only degraded mode
+	IORetries uint64 `stat:"io_retries"` // transient I/O faults absorbed by retry-with-backoff
+	Degraded  uint64 `stat:"degraded"`   // 1 once the store latched into read-only degraded mode
 
 	// The durable write path's device cost. WALSyncs over committed batches
 	// is syncs-per-commit — below 1 when concurrent writers share barriers,
 	// which WALSharedCommits counts from the other side; WALSyncNanos over
 	// wall time is the share of the run the log spent inside a barrier.
-	WALSyncs         uint64 // durability barriers issued on the write-ahead log
-	WALSyncNanos     uint64 // total nanoseconds spent inside those barriers
-	WALSharedCommits uint64 // batch commits made durable by another writer's barrier
-	ManifestWrites   uint64 // manifest snapshots written (flush/compaction installs)
+	WALSyncs         uint64 `stat:"wal_syncs"`          // durability barriers issued on the write-ahead log
+	WALSyncNanos     uint64 `stat:"wal_sync_nanos"`     // total nanoseconds spent inside those barriers
+	WALSharedCommits uint64 `stat:"wal_shared_commits"` // batch commits made durable by another writer's barrier
+	ManifestWrites   uint64 `stat:"manifest_writes"`    // manifest snapshots written (flush/compaction installs)
 
-	BlockCacheHits        uint64 // demand-paged block reads served from the cache
-	BlockCacheMisses      uint64 // block reads that went to the storage layer
-	BlockCacheEvictions   uint64 // blocks pushed out by the cache byte budget
-	BlockCachePinnedBytes uint64 // index+bloom bytes pinned by open tables
+	BlockCacheHits        uint64 `stat:"block_cache_hits"`         // demand-paged block reads served from the cache
+	BlockCacheMisses      uint64 `stat:"block_cache_misses"`       // block reads that went to the storage layer
+	BlockCacheEvictions   uint64 `stat:"block_cache_evictions"`    // blocks pushed out by the cache byte budget
+	BlockCachePinnedBytes uint64 `stat:"block_cache_pinned_bytes"` // index+bloom bytes pinned by open tables
 
-	BloomNegatives      uint64 // point lookups short-circuited by a bloom filter
-	BloomFalsePositives uint64 // bloom passes whose block probe found no match
+	BloomNegatives      uint64 `stat:"bloom_negatives"`       // point lookups short-circuited by a bloom filter
+	BloomFalsePositives uint64 `stat:"bloom_false_positives"` // bloom passes whose block probe found no match
 
-	PhysicalReadOps uint64 // discrete storage-layer read operations (ReadAt calls / block fetches)
+	PhysicalReadOps uint64 `stat:"physical_read_ops"` // discrete storage-layer read operations (ReadAt calls / block fetches)
 
-	LiveDataBytes      uint64 // bytes of live records resident in value-log backends
-	DeadDataBytes      uint64 // bytes of dead records awaiting compaction (compaction debt)
-	CompactionRewrites uint64 // live records rewritten into a fresh generation by compaction
+	LiveDataBytes      uint64 `stat:"live_data_bytes"`     // bytes of live records resident in value-log backends
+	DeadDataBytes      uint64 `stat:"dead_data_bytes"`     // bytes of dead records awaiting compaction (compaction debt)
+	CompactionRewrites uint64 `stat:"compaction_rewrites"` // live records rewritten into a fresh generation by compaction
 
-	SubCompactions          uint64 // key-range sub-compaction units run by split merges
-	CompactionParallelNanos uint64 // wall nanoseconds with >= 2 compactions in flight
+	SubCompactions          uint64 `stat:"sub_compactions"`           // key-range sub-compaction units run by split merges
+	CompactionParallelNanos uint64 `stat:"compaction_parallel_nanos"` // wall nanoseconds with >= 2 compactions in flight
 	// High-water marks (merged by max across stores, not summed: the
 	// aggregate "most concurrent compactions" of a shard set is the worst
 	// single store, and a process-wide pool makes sums meaningless).
-	MaxConcurrentCompactions uint64 // peak compactions in flight at once
-	CompactionDebtPeak       uint64 // peak compaction debt bytes observed
+	MaxConcurrentCompactions uint64 `stat:"max_concurrent_compactions,peak"` // peak compactions in flight at once
+	CompactionDebtPeak       uint64 `stat:"compaction_debt_peak_bytes,peak"` // peak compaction debt bytes observed
 }
+
+// statField is one Stats counter as its `stat` tag declares it.
+type statField struct {
+	metric string // gauge name after the ethkv_store_ prefix
+	rule   string // "logical", "peak", or "" (summed)
+}
+
+// statFields holds every Stats counter's tag, indexed like the fields.
+var statFields = func() []statField {
+	t := reflect.TypeOf(Stats{})
+	out := make([]statField, t.NumField())
+	for i := range out {
+		out[i].metric, out[i].rule, _ = strings.Cut(t.Field(i).Tag.Get("stat"), ",")
+	}
+	return out
+}()
 
 // Merge adds every counter of o into s. Wrappers that aggregate multiple
 // backends (hybrid routing, shard routers) use this instead of hand-listing
 // fields, so a counter added to Stats can never be silently dropped from a
 // merged view.
-func (s *Stats) Merge(o Stats) {
-	s.Gets += o.Gets
-	s.Puts += o.Puts
-	s.Deletes += o.Deletes
-	s.Scans += o.Scans
-	s.LogicalBytesRead += o.LogicalBytesRead
-	s.LogicalBytesWritten += o.LogicalBytesWritten
-	s.MergePhysical(o)
-}
+func (s *Stats) Merge(o Stats) { s.merge(o, true) }
 
 // MergePhysical adds only the storage-side counters of o into s, leaving
 // the logical op/byte counters alone. Tiered wrappers that count logical
 // traffic themselves (lazystore) use it to fold in the inner backend's
 // physical costs without double-counting client ops.
-func (s *Stats) MergePhysical(o Stats) {
-	s.PhysicalBytesRead += o.PhysicalBytesRead
-	s.PhysicalBytesWrite += o.PhysicalBytesWrite
-	s.CompactionCount += o.CompactionCount
-	s.TombstonesLive += o.TombstonesLive
-	s.FlushCount += o.FlushCount
-	s.WriteStalls += o.WriteStalls
-	s.WriteStallNanos += o.WriteStallNanos
-	s.WriteStallQueueNanos += o.WriteStallQueueNanos
-	s.WriteStallL0Nanos += o.WriteStallL0Nanos
-	s.FlushTableNanos += o.FlushTableNanos
-	s.ManifestNanos += o.ManifestNanos
-	s.IORetries += o.IORetries
-	s.Degraded += o.Degraded
-	s.WALSyncs += o.WALSyncs
-	s.WALSyncNanos += o.WALSyncNanos
-	s.WALSharedCommits += o.WALSharedCommits
-	s.ManifestWrites += o.ManifestWrites
-	s.BlockCacheHits += o.BlockCacheHits
-	s.BlockCacheMisses += o.BlockCacheMisses
-	s.BlockCacheEvictions += o.BlockCacheEvictions
-	s.BlockCachePinnedBytes += o.BlockCachePinnedBytes
-	s.BloomNegatives += o.BloomNegatives
-	s.BloomFalsePositives += o.BloomFalsePositives
-	s.PhysicalReadOps += o.PhysicalReadOps
-	s.LiveDataBytes += o.LiveDataBytes
-	s.DeadDataBytes += o.DeadDataBytes
-	s.CompactionRewrites += o.CompactionRewrites
-	s.SubCompactions += o.SubCompactions
-	s.CompactionParallelNanos += o.CompactionParallelNanos
-	if o.MaxConcurrentCompactions > s.MaxConcurrentCompactions {
-		s.MaxConcurrentCompactions = o.MaxConcurrentCompactions
-	}
-	if o.CompactionDebtPeak > s.CompactionDebtPeak {
-		s.CompactionDebtPeak = o.CompactionDebtPeak
+func (s *Stats) MergePhysical(o Stats) { s.merge(o, false) }
+
+// merge folds o into s by each counter's rule; logical says whether the
+// client-side counters take part.
+func (s *Stats) merge(o Stats, logical bool) {
+	sv, ov := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
+	for i, f := range statFields {
+		dst, v := sv.Field(i), ov.Field(i).Uint()
+		switch {
+		case f.rule == "peak":
+			if v > dst.Uint() {
+				dst.SetUint(v)
+			}
+		case f.rule != "logical" || logical:
+			dst.SetUint(dst.Uint() + v)
+		}
 	}
 }
 

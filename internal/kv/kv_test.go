@@ -341,4 +341,30 @@ func TestStatsMergeCoversEveryField(t *testing.T) {
 			t.Errorf("Stats.MergePhysical field %s = %d, want %d", name, pv.Field(i).Uint(), want)
 		}
 	}
+	// Merging two nonzero Stats, in either order, sums every counter
+	// except the two high-water marks, which take the max.
+	peak := map[string]bool{"MaxConcurrentCompactions": true, "CompactionDebtPeak": true}
+	fill := func(v uint64) Stats {
+		var s Stats
+		rv := reflect.ValueOf(&s).Elem()
+		for i := 0; i < rv.NumField(); i++ {
+			rv.Field(i).SetUint(v)
+		}
+		return s
+	}
+	for _, order := range [][2]uint64{{3, 5}, {5, 3}} {
+		got := fill(order[0])
+		got.Merge(fill(order[1]))
+		gv := reflect.ValueOf(got)
+		for i := 0; i < gv.NumField(); i++ {
+			name := gv.Type().Field(i).Name
+			want := uint64(8)
+			if peak[name] {
+				want = 5
+			}
+			if gv.Field(i).Uint() != want {
+				t.Errorf("merging %d into %d: %s = %d, want %d", order[1], order[0], name, gv.Field(i).Uint(), want)
+			}
+		}
+	}
 }

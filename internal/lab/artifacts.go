@@ -82,7 +82,7 @@ func WriteArtifacts(dir string, store *analysis.SizeDist, ops *analysis.OpDist, 
 		if err := os.MkdirAll(corrDir, 0o755); err != nil {
 			return err
 		}
-		for _, d := range corr.Distances() {
+		for _, d := range analysis.Distances() {
 			var sb strings.Builder
 			for _, intra := range []bool{true, false} {
 				for _, series := range corr.TopPairs(d, 10, intra) {
@@ -94,8 +94,8 @@ func WriteArtifacts(dir string, store *analysis.SizeDist, ops *analysis.OpDist, 
 				return err
 			}
 		}
-		// Per-pair frequency distributions at the tracked distances.
-		for _, d := range []int{0, 1024} {
+		// Per-pair frequency distributions at the two exact distances.
+		for _, d := range []int{analysis.NearDistance, analysis.FarDistance} {
 			for _, intra := range []bool{true, false} {
 				for _, series := range corr.TopPairs(d, 3, intra) {
 					points := corr.FrequencyDistribution(d, series.Pair)

@@ -13,9 +13,9 @@ import (
 
 // seqAnalyze is the fully sequential reference: one Observe loop per
 // collector, no engine.
-func seqAnalyze(ops []trace.Op, cfg analysis.CorrConfig) (*analysis.OpDist, *analysis.Correlator) {
+func seqAnalyze(ops []trace.Op, op trace.OpType) (*analysis.OpDist, *analysis.Correlator) {
 	d := analysis.NewOpDist(nil)
-	c := analysis.NewCorrelator(cfg)
+	c := analysis.NewCorrelator(op)
 	for _, op := range ops {
 		d.Observe(op)
 		c.Observe(op)
@@ -26,7 +26,7 @@ func seqAnalyze(ops []trace.Op, cfg analysis.CorrConfig) (*analysis.OpDist, *ana
 // requireSameAnalysis compares the report-facing surface of both
 // collectors: the census maps and the correlator's counts, top pairs, and
 // frequency distributions.
-func requireSameAnalysis(t *testing.T, mode string, wantD, gotD *analysis.OpDist, wantC, gotC *analysis.Correlator, cfg analysis.CorrConfig) {
+func requireSameAnalysis(t *testing.T, mode string, wantD, gotD *analysis.OpDist, wantC, gotC *analysis.Correlator) {
 	t.Helper()
 	if wantD.Total != gotD.Total || wantD.KeyBytes != gotD.KeyBytes ||
 		wantD.ValueBytes != gotD.ValueBytes || !reflect.DeepEqual(wantD.PerClass, gotD.PerClass) {
@@ -36,7 +36,7 @@ func requireSameAnalysis(t *testing.T, mode string, wantD, gotD *analysis.OpDist
 		t.Fatalf("%s: tracked ops = %d, want %d", mode, gotC.TrackedOps(), wantC.TrackedOps())
 	}
 	classes := rawdb.AllClasses()
-	for _, d := range wantC.Distances() {
+	for _, d := range analysis.Distances() {
 		for _, a := range classes {
 			for _, b := range classes {
 				cp := analysis.MakeClassPair(a, b)
@@ -60,7 +60,6 @@ func TestLabEngineEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := analysis.CorrConfig{Op: trace.OpRead, Distances: []int{0, 7, 100}, TrackPairsAt: []int{7}}
 	for _, tc := range []struct {
 		mode string
 		ops  []trace.Op
@@ -71,14 +70,14 @@ func TestLabEngineEquivalence(t *testing.T) {
 		if len(tc.ops) == 0 {
 			t.Fatalf("%s: empty trace", tc.mode)
 		}
-		wantD, wantC := seqAnalyze(tc.ops, cfg)
+		wantD, wantC := seqAnalyze(tc.ops, trace.OpRead)
 		e := analysis.NewEngine()
 		hd := e.AddOpDist(nil)
-		hc := e.AddCorrelator(cfg)
+		hc := e.AddCorrelator(trace.OpRead)
 		if err := e.RunSlice(tc.ops); err != nil {
 			t.Fatal(err)
 		}
-		requireSameAnalysis(t, tc.mode, wantD, hd, wantC, hc, cfg)
+		requireSameAnalysis(t, tc.mode, wantD, hd, wantC, hc)
 	}
 }
 
@@ -94,15 +93,13 @@ func TestLabEngineEquivalenceFile(t *testing.T) {
 	if res.Path == "" {
 		t.Fatal("no trace file produced")
 	}
-	cfg := analysis.CorrConfig{Op: trace.OpUpdate, IncludeWrites: true}
-
 	// Sequential reference: per-op scan.
 	r, err := trace.OpenFile(res.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantD := analysis.NewOpDist(nil)
-	wantC := analysis.NewCorrelator(cfg)
+	wantC := analysis.NewCorrelator(trace.OpUpdate)
 	for {
 		op, err := r.Next()
 		if errors.Is(err, io.EOF) {
@@ -124,9 +121,9 @@ func TestLabEngineEquivalenceFile(t *testing.T) {
 	defer r2.Close()
 	e := analysis.NewEngine()
 	hd := e.AddOpDist(nil)
-	hc := e.AddCorrelator(cfg)
+	hc := e.AddCorrelator(trace.OpUpdate)
 	if err := e.RunReader(r2); err != nil {
 		t.Fatal(err)
 	}
-	requireSameAnalysis(t, "file", wantD, hd, wantC, hc, cfg)
+	requireSameAnalysis(t, "file", wantD, hd, wantC, hc)
 }

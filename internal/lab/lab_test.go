@@ -224,9 +224,7 @@ func TestUpdateCorrelationMetaPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corr := analysis.CollectCorrelationsSlice(res.Ops, analysis.CorrConfig{
-		Op: trace.OpUpdate,
-	})
+	corr := analysis.CollectCorrelationsSlice(res.Ops, trace.OpUpdate)
 	pair := analysis.MakeClassPair(rawdb.ClassLastFast, rawdb.ClassLastHeader)
 	at0 := corr.Counts(0, pair)
 	if at0 == 0 {
@@ -305,8 +303,8 @@ func TestWriteArtifacts(t *testing.T) {
 	}
 	dir := t.TempDir()
 	ops := analysis.CollectOpDistSlice(res.Ops, nil)
-	read := analysis.CollectCorrelationsSlice(res.Ops, analysis.CorrConfig{Op: trace.OpRead})
-	upd := analysis.CollectCorrelationsSlice(res.Ops, analysis.CorrConfig{Op: trace.OpUpdate})
+	read := analysis.CollectCorrelationsSlice(res.Ops, trace.OpRead)
+	upd := analysis.CollectCorrelationsSlice(res.Ops, trace.OpUpdate)
 	if err := WriteArtifacts(dir, res.Store, ops, read, upd); err != nil {
 		t.Fatal(err)
 	}

@@ -249,7 +249,7 @@ func WriteFigure3(w io.Writer, name string, dist *analysis.OpDist) {
 // WriteCorrelationFigure renders Figure 4 or 6: top class-pair correlated
 // counts across distances, split cross/intra.
 func WriteCorrelationFigure(w io.Writer, name string, c *analysis.Correlator, topN int) {
-	distances := c.Distances()
+	distances := analysis.Distances()
 	for _, intra := range []bool{false, true} {
 		kind := "cross-class"
 		if intra {
@@ -277,9 +277,9 @@ func WriteCorrelationFigure(w io.Writer, name string, c *analysis.Correlator, to
 }
 
 // WriteFrequencyFigure renders Figure 5 or 7: per-key-pair frequency
-// distributions at the tracked distances.
+// distributions at analysis.NearDistance and analysis.FarDistance.
 func WriteFrequencyFigure(w io.Writer, name string, c *analysis.Correlator, topN int) {
-	for _, d := range []int{0, 1024} {
+	for _, d := range []int{analysis.NearDistance, analysis.FarDistance} {
 		for _, intra := range []bool{false, true} {
 			kind := "cross"
 			if intra {

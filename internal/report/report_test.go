@@ -124,7 +124,7 @@ func TestWriteFigure3(t *testing.T) {
 }
 
 func TestWriteCorrelationAndFrequencyFigures(t *testing.T) {
-	corr := analysis.CollectCorrelationsSlice(buildOps(), analysis.CorrConfig{Op: trace.OpRead})
+	corr := analysis.CollectCorrelationsSlice(buildOps(), trace.OpRead)
 	var buf bytes.Buffer
 	WriteCorrelationFigure(&buf, "reads", corr, 3)
 	out := buf.String()
