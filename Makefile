@@ -41,7 +41,9 @@ crashtest:
 	ETHKV_CRASHTEST_SEEDS=200 $(GO) test -race -run TestCrashRecovery ./internal/lsm/crashtest/
 
 # The suites that pin what scheduling may never change — sub-compaction and
-# worker-width byte identity, crash fingerprints (internal/lsm/crashtest's
+# worker-width byte identity, trivial moves (whether a move is admitted
+# beside concurrent jobs, and that its files survive its retire and a
+# crash), crash fingerprints (internal/lsm/crashtest's
 # replays of storetest's crash ending), the commit pipeline's
 # apply-order-is-log-order and barrier-watermark rules, kvnet's
 # connection-death suite (every op completes exactly once when a
@@ -50,7 +52,7 @@ crashtest:
 # repeated under the race detector: a scheduling-dependent divergence shows
 # up in one run of twenty, not in one.
 determinism:
-	$(GO) test -race -count=20 -run 'TestSubCompactionEquivalence|TestCompactionWorkerInvariance|TestCrashRecovery.*Deterministic|TestApplyOrderIsLogOrder|TestBarrierSharedByWatermark' ./internal/lsm/...
+	$(GO) test -race -count=20 -run 'TestSubCompactionEquivalence|TestCompactionWorkerInvariance|TestTrivialMove|TestCrashRecovery.*Deterministic|TestApplyOrderIsLogOrder|TestBarrierSharedByWatermark' ./internal/lsm/...
 	$(GO) test -race -count=20 -run 'TestClientFailStopExactlyOnce|TestClientSurfaces|TestClientRejectsShortBatchResponse|TestScanSurfacesServerIteratorError' ./internal/kvnet/
 	$(GO) test -race -count=20 -run 'TestEngineEquivalenceSlice|TestEngineEquivalenceReader|TestEngineFindingsEquivalence|TestCollectWrappersMatchSequential' ./internal/analysis/
 

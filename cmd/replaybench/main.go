@@ -166,8 +166,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		float64(st.PhysicalBytesWrite)/(1<<20), float64(st.PhysicalBytesRead)/(1<<20))
 	fmt.Fprintf(stdout, "write amplification: %.2f   read amplification: %.2f\n",
 		st.WriteAmplification(), st.ReadAmplification())
-	fmt.Fprintf(stdout, "tombstones live: %d   compactions: %d\n",
-		st.TombstonesLive, st.CompactionCount)
+	fmt.Fprintf(stdout, "tombstones live: %d   compactions: %d (trivial moves: %d, %.1f MiB relinked)\n",
+		st.TombstonesLive, st.CompactionCount, st.TrivialMoves, float64(st.TrivialMoveBytes)/(1<<20))
 	// Stall share and debt peak make compaction-scheduler regressions
 	// visible in the plain summary, without a Prometheus scrape.
 	wallShare := func(nanos uint64) float64 {

@@ -145,6 +145,7 @@ func TestRegisterStatsMetrics(t *testing.T) {
 		"compaction_parallel_nanos":  "CompactionParallelNanos",
 		"max_concurrent_compactions": "MaxConcurrentCompactions",
 		"compaction_debt_peak_bytes": "CompactionDebtPeak",
+		"trivial_moves":              "TrivialMoves", "trivial_move_bytes": "TrivialMoveBytes",
 	}
 	var all Stats
 	av := reflect.ValueOf(&all).Elem()
@@ -159,8 +160,8 @@ func TestRegisterStatsMetrics(t *testing.T) {
 	for name, field := range counters {
 		want[name] = float64(av.FieldByName(field).Uint())
 	}
-	if len(want) != 40 {
-		t.Fatalf("expected set has %d names, want 40", len(want))
+	if len(want) != 42 {
+		t.Fatalf("expected set has %d names, want 42", len(want))
 	}
 	r = obs.NewRegistry()
 	RegisterStatsMetrics(r, fakeStats{all}, "store", "all")

@@ -146,8 +146,10 @@ type Stats struct {
 	PhysicalBytesRead   uint64 `stat:"physical_bytes_read"`           // bytes read from the storage layer
 	PhysicalBytesWrite  uint64 `stat:"physical_bytes_written"`        // bytes written to the storage layer
 
-	CompactionCount uint64 `stat:"compactions"`     // background compactions run
-	TombstonesLive  uint64 `stat:"tombstones_live"` // tombstones not yet purged by compaction
+	CompactionCount  uint64 `stat:"compactions"`        // background compactions run (merges that rewrite their inputs)
+	TrivialMoves     uint64 `stat:"trivial_moves"`      // compactions that relinked their inputs one level down without rewriting them
+	TrivialMoveBytes uint64 `stat:"trivial_move_bytes"` // table bytes those moves relinked
+	TombstonesLive   uint64 `stat:"tombstones_live"`    // tombstones not yet purged by compaction
 
 	FlushCount      uint64 `stat:"flushes"`           // memtable flushes to the storage layer
 	WriteStalls     uint64 `stat:"write_stalls"`      // writes that blocked on backpressure (full flush queue or L0 stop, one count per cause)

@@ -22,6 +22,8 @@ type compactionPlan struct {
 	dstIn          []tableMeta // destination tables joining the merge
 	lo, hi         []byte      // key span of srcMetas + dstIn (admission range)
 	dropTombstones bool
+	// move relinks srcMetas to dst as they are: a version edit, no I/O.
+	move bool
 }
 
 // maxCompactionSrcTables bounds one Ln job's source run, as a multiple of
@@ -59,6 +61,10 @@ func (db *DB) planNextCompactionLocked() (compactionPlan, bool) {
 //     common level must be range-disjoint, which keeps installs commutative
 //     and prevents a deeper merge from re-exposing keys whose tombstones a
 //     shallower merge is concurrently dropping.
+//
+// A plan with no dstIn becomes a trivial move unless it may drop tombstones
+// (a bottom-most merge must still rewrite to purge them) or its L0 sources
+// overlap each other (only a merge can order their versions of a key).
 func (db *DB) tryPlanLevelLocked(level int) (compactionPlan, bool) {
 	dst := level + 1
 	if dst >= len(db.levels) {
@@ -129,6 +135,7 @@ func (db *DB) tryPlanLevelLocked(level int) (compactionPlan, bool) {
 			return compactionPlan{}, false
 		}
 	}
+	drop := db.bottomMostLocked(dst, lo, hi)
 	return compactionPlan{
 		level:          level,
 		dst:            dst,
@@ -136,8 +143,21 @@ func (db *DB) tryPlanLevelLocked(level int) (compactionPlan, bool) {
 		dstIn:          dstIn,
 		lo:             append([]byte(nil), lo...),
 		hi:             append([]byte(nil), hi...),
-		dropTombstones: db.bottomMostLocked(dst, lo, hi),
+		dropTombstones: drop,
+		move:           len(dstIn) == 0 && !drop && (level > 0 || keyDisjoint(src)),
 	}, true
+}
+
+// keyDisjoint reports whether no two of metas share a key.
+func keyDisjoint(metas []tableMeta) bool {
+	sorted := append([]tableMeta(nil), metas...)
+	sort.Slice(sorted, func(i, j int) bool { return bytes.Compare(sorted[i].smallest, sorted[j].smallest) < 0 })
+	for i := 1; i < len(sorted); i++ {
+		if bytes.Compare(sorted[i-1].largest, sorted[i].smallest) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // runCompaction merges the planned tables into new non-overlapping tables
@@ -151,9 +171,18 @@ func (db *DB) tryPlanLevelLocked(level int) (compactionPlan, bool) {
 // byte-for-byte identical whether the ranges run on one goroutine or many —
 // only the file numbers (assigned at write time) differ. The ranges fan out
 // across at most db.workers (the pool's size) goroutines.
+//
+// A move returns the source metas relabelled to dst and touches no file.
 func (db *DB) runCompaction(plan compactionPlan, hook func()) (newMetas []tableMeta, readBytes int64, err error) {
 	if hook != nil {
 		hook()
+	}
+	if plan.move {
+		for _, m := range plan.srcMetas {
+			m.level = plan.dst
+			newMetas = append(newMetas, m)
+		}
+		return newMetas, 0, nil
 	}
 	bounds := db.subCompactionBounds(plan)
 	if len(bounds) == 0 {
@@ -261,48 +290,58 @@ func (db *DB) subCompactionBounds(plan compactionPlan) [][]byte {
 // nil bounds are unbounded. Output tables cut at CompactionTableBytes and,
 // by construction, at the range boundary.
 func (db *DB) compactRange(plan compactionPlan, lo, hi []byte) (newMetas []tableMeta, readBytes int64, err error) {
-	// Build merge sources newest-first: L0 files are newest-last on disk,
-	// so reverse them; destination tables are oldest. Sources bypass the
-	// block cache (newTableSourceBypass): a merge streams every block of
-	// its inputs exactly once, and letting that walk touch the cache would
-	// wipe out the hot point-read set. References are held until the merge
-	// finishes so a concurrent retireTables cannot close files mid-read.
+	// Build merge sources newest-first: L0 files are newest-last on disk and
+	// may overlap, so each is a source of its own, in reverse; a deeper
+	// level's run is key-disjoint and makes one runSource; destination
+	// tables are oldest. Sources bypass the block cache
+	// (newTableSourceBypass): a merge streams every block of its inputs
+	// exactly once, and letting that walk touch the cache would wipe out the
+	// hot point-read set. References are held until the merge finishes so a
+	// concurrent retireTables cannot close files mid-read.
 	var (
 		sources []source
+		runs    []*runSource
 		readers []*tableReader
 	)
 	defer func() {
-		for _, s := range sources {
-			s.(*tableSource).close()
+		for _, s := range runs {
+			s.close()
 		}
 		for _, t := range readers {
 			t.unref()
 		}
 	}()
-	addSource := func(m tableMeta) error {
-		// Skip tables entirely outside the range: every key of a skipped
-		// table belongs to (and is read by) some other range's merge.
-		if hi != nil && bytes.Compare(m.smallest, hi) >= 0 {
-			return nil
+	addRun := func(metas []tableMeta) error {
+		var run []*tableReader
+		for _, m := range metas {
+			// Skip tables entirely outside the range: every key of a skipped
+			// table belongs to (and is read by) some other range's merge.
+			if (hi != nil && bytes.Compare(m.smallest, hi) >= 0) || (lo != nil && bytes.Compare(m.largest, lo) < 0) {
+				continue
+			}
+			t, err := db.acquire(&m)
+			if err != nil {
+				return err
+			}
+			readers = append(readers, t)
+			run = append(run, t)
 		}
-		if lo != nil && bytes.Compare(m.largest, lo) < 0 {
-			return nil
+		if len(run) > 0 {
+			s := &runSource{tables: run, start: lo}
+			s.fill()
+			runs, sources = append(runs, s), append(sources, s)
 		}
-		t, err := db.acquire(&m)
-		if err != nil {
-			return err
-		}
-		readers = append(readers, t)
-		sources = append(sources, newTableSourceBypass(t, lo))
 		return nil
 	}
-	for i := len(plan.srcMetas) - 1; i >= 0; i-- {
-		if err := addSource(plan.srcMetas[i]); err != nil {
-			return nil, 0, err
+	inputs := [][]tableMeta{plan.srcMetas}
+	if plan.level == 0 {
+		inputs = inputs[:0]
+		for i := len(plan.srcMetas) - 1; i >= 0; i-- {
+			inputs = append(inputs, plan.srcMetas[i:i+1])
 		}
 	}
-	for _, m := range plan.dstIn {
-		if err := addSource(m); err != nil {
+	for _, run := range append(inputs, plan.dstIn) {
+		if err := addRun(run); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -360,25 +399,87 @@ func (db *DB) compactRange(plan compactionPlan, lo, hi []byte) (newMetas []table
 	if err := flushOut(); err != nil {
 		return nil, 0, err
 	}
-	for _, s := range sources {
-		readBytes += int64(s.(*tableSource).bytesConsumed())
+	for _, s := range runs {
+		s.close()
+		readBytes += int64(s.read)
 	}
 	return newMetas, readBytes, nil
+}
+
+// runSource walks a key-ordered run of disjoint tables as one merge source.
+// It starts each table's walk only when the previous one is exhausted and
+// closes that one an advance later (the source lifetime rule), so a merge
+// holds one table's readahead per run however many tables the run has.
+type runSource struct {
+	tables []*tableReader // tables still to walk
+	start  []byte
+	cur    *tableSource
+	done   []*tableSource // exhausted, closed on the next advance
+	read   int            // bytes consumed by closed walks
+}
+
+// fill starts walks until the current one has an entry or has failed, or
+// the run ends.
+func (s *runSource) fill() {
+	for len(s.tables) > 0 && (s.cur == nil || !s.cur.ok && s.cur.err() == nil) {
+		if s.cur != nil {
+			s.done = append(s.done, s.cur)
+		}
+		s.cur, s.tables = newTableSourceBypass(s.tables[0], s.start), s.tables[1:]
+	}
+}
+
+func (s *runSource) peek() (entry, bool) { return s.cur.peek() }
+
+func (s *runSource) err() error { return s.cur.err() }
+
+func (s *runSource) advance() {
+	s.retire()
+	s.cur.advance()
+	s.fill()
+}
+
+// retire closes the exhausted walks.
+func (s *runSource) retire() {
+	for _, ts := range s.done {
+		s.read += ts.bytesConsumed()
+		ts.close()
+	}
+	s.done = s.done[:0]
+}
+
+// close ends the walk; it is idempotent.
+func (s *runSource) close() {
+	if s.cur != nil {
+		s.done, s.cur = append(s.done, s.cur), nil
+	}
+	s.retire()
 }
 
 // installCompactionLocked swaps the merged tables into the version and
 // returns the tables made obsolete. Called with db.mu held. The edit is
 // incremental — exactly the job's inputs leave, its outputs enter — so the
-// installs of concurrent range-disjoint jobs commute.
+// installs of concurrent range-disjoint jobs commute. A move's inputs are its
+// outputs, so it makes nothing obsolete and retireTables never unlinks them.
 func (db *DB) installCompactionLocked(plan compactionPlan, newMetas []tableMeta, readBytes int64) []tableMeta {
 	db.stats.reads.addPhysical(uint64(readBytes))
-	db.stats.compactionCount.Add(1)
+	if plan.move {
+		db.stats.trivialMoves.Add(1)
+		for _, m := range plan.srcMetas {
+			db.stats.trivialMoveBytes.Add(uint64(m.size))
+		}
+	} else {
+		db.stats.compactionCount.Add(1)
+	}
 	db.levels[plan.level] = removeTables(db.levels[plan.level], plan.srcMetas)
 	newDst := append(removeTables(db.levels[plan.dst], plan.dstIn), newMetas...)
 	sort.Slice(newDst, func(i, j int) bool {
 		return bytes.Compare(newDst[i].smallest, newDst[j].smallest) < 0
 	})
 	db.levels[plan.dst] = newDst
+	if plan.move {
+		return nil
+	}
 	return append(append([]tableMeta(nil), plan.srcMetas...), plan.dstIn...)
 }
 

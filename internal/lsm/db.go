@@ -305,6 +305,7 @@ type dbStats struct {
 	logicalBytesWritten             atomic.Uint64
 	physicalBytesWrite              atomic.Uint64
 	compactionCount, tombstonesLive atomic.Uint64
+	trivialMoves, trivialMoveBytes  atomic.Uint64
 	flushCount                      atomic.Uint64
 	writeStalls                     atomic.Uint64
 	writeStallQueueNanos            atomic.Uint64 // stalled on a full flush queue
@@ -1163,6 +1164,8 @@ func (db *DB) Stats() kv.Stats {
 		LogicalBytesWritten: db.stats.logicalBytesWritten.Load(),
 		PhysicalBytesWrite:  db.stats.physicalBytesWrite.Load(),
 		CompactionCount:     db.stats.compactionCount.Load(),
+		TrivialMoves:        db.stats.trivialMoves.Load(),
+		TrivialMoveBytes:    db.stats.trivialMoveBytes.Load(),
 		TombstonesLive:      db.stats.tombstonesLive.Load(),
 		FlushCount:          db.stats.flushCount.Load(),
 		WriteStalls:         db.stats.writeStalls.Load(),

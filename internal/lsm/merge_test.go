@@ -236,3 +236,71 @@ func TestReadaheadReuseKeepsEntryValid(t *testing.T) {
 		t.Fatal("closed source still yields entries or holds pooled buffers")
 	}
 }
+
+// TestRunSourceWalksOneTableAtATime: a run source yields its tables' entries
+// in order, starts a table's walk only when the walk reaches it, and keeps an
+// exhausted table's last entry intact across the advance that follows it
+// even while other walks churn the span-buffer pool.
+func TestRunSourceWalksOneTableAtATime(t *testing.T) {
+	m := faultfs.NewMemFS()
+	var (
+		want   []entry
+		tables []*tableReader
+	)
+	for n := 0; n < 4; n++ {
+		var ents []entry
+		for i := 0; i < 50; i++ {
+			ents = append(ents, entry{
+				key:   []byte(fmt.Sprintf("key-%d-%03d", n, i)),
+				value: bytes.Repeat([]byte{byte(n), byte(i)}, 20),
+			})
+		}
+		meta, err := writeTable(m, "d", uint64(n+1), 1, ents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := openTable(m, "d", meta, nil, noRetry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.unref()
+		want, tables = append(want, ents...), append(tables, r)
+	}
+	s := &runSource{tables: tables}
+	s.fill()
+	var prev entry
+	for i := 0; ; i++ {
+		if i > 0 && (!bytes.Equal(prev.key, want[i-1].key) || !bytes.Equal(prev.value, want[i-1].value)) {
+			t.Fatalf("entry %d changed under the advance that followed it", i-1)
+		}
+		cur, ok := s.peek()
+		if !ok {
+			if i != len(want) || s.err() != nil {
+				t.Fatalf("walk ended after %d/%d entries, err %v", i, len(want), s.err())
+			}
+			break
+		}
+		if left := len(tables) - 1 - i/50; len(s.tables) != left || len(s.done) > 1 {
+			t.Fatalf("at entry %d: %d tables unstarted, %d exhausted open; want %d and at most 1",
+				i, len(s.tables), len(s.done), left)
+		}
+		prev = cur
+		s.advance()
+		// Another walk takes pooled span buffers and overwrites them.
+		a, b := spanBufferPool.Get().(*[]byte), spanBufferPool.Get().(*[]byte)
+		for _, buf := range []*[]byte{a, b} {
+			for j := range *buf {
+				(*buf)[j] = 0xAA
+			}
+			spanBufferPool.Put(buf)
+		}
+	}
+	s.close()
+	var read int
+	for _, r := range tables {
+		read += int(r.index[len(r.index)-1].offset + r.index[len(r.index)-1].length)
+	}
+	if s.read != read || s.cur != nil || len(s.done) != 0 {
+		t.Fatalf("closed run read %d bytes (want %d), cur %v, %d walks open", s.read, read, s.cur, len(s.done))
+	}
+}
