@@ -121,7 +121,7 @@ fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed (run make fmt):"; echo "$$out"; exit 1; fi
 
 # The full paper reproduction: both traces, every table/figure, the
-# 11-findings checklist (~60s at 300 blocks).
+# 11-findings checklist (~15 s at 300 blocks on a 2-core host).
 repro:
 	$(GO) run ./cmd/ethkvlab -blocks 300
 

@@ -202,19 +202,20 @@ func TestCorrelatorMinTwoRule(t *testing.T) {
 	}
 }
 
-// TestCorrelatorSketchPath exercises the sketch-based distances.
+// TestCorrelatorSketchPath counts a distance between NearDistance and
+// FarDistance exactly (a saturating sketch once stood in there).
 func TestCorrelatorSketchPath(t *testing.T) {
 	c := NewCorrelator(trace.OpRead)
-	// d=1 uses the sketch. Stream A _ B pattern repeated: A z B z A z B...
+	// Stream A z B repeated four times: A z B A z B A z B A z B.
 	for i := 0; i < 4; i++ {
 		c.Observe(mkOp(trace.OpRead, rawdb.ClassTrieNodeAccount, "A"))
 		c.Observe(mkOp(trace.OpRead, rawdb.ClassCode, "z"))
 		c.Observe(mkOp(trace.OpRead, rawdb.ClassTrieNodeStorage, "B"))
 	}
 	pair := MakeClassPair(rawdb.ClassTrieNodeAccount, rawdb.ClassTrieNodeStorage)
-	// (A at i, B at i+2): separation d=1 (one op between).
-	if got := c.Counts(1, pair); got < 3 {
-		t.Fatalf("sketch-path d=1 count = %d, want >=3", got)
+	// (A, B) one op apart: once per repetition, four occurrences >= 2.
+	if got := c.Counts(1, pair); got != 4 {
+		t.Fatalf("d=1 count = %d, want 4", got)
 	}
 }
 
@@ -397,14 +398,16 @@ func TestCollectFromTraceFile(t *testing.T) {
 	}
 }
 
-// TestSketchMatchesExactOnSmallStream: for streams far below sketch
-// collision territory, the sketched count at d=1 must equal an exact
-// min-2 count over the same stream.
+// TestSketchMatchesExactOnSmallStream: at every distance the correlator's
+// count must equal a brute-force min-2 count over the same stream (a
+// saturating sketch once stood in between NearDistance and FarDistance).
 func TestSketchMatchesExactOnSmallStream(t *testing.T) {
 	classes := []rawdb.Class{rawdb.ClassCode, rawdb.ClassTrieNodeAccount, rawdb.ClassTrieNodeStorage}
 	var ops []trace.Op
-	for round := 0; round < 20; round++ {
-		for i := 0; i < 10+round%3; i++ {
+	// Rounds of 10-13 keys: the stream repeats every 46 ops, a period no
+	// distance+1 divides, so every distance sees distinct key pairs.
+	for round := 0; round < 100; round++ {
+		for i := 0; i < 10+round%4; i++ {
 			ops = append(ops, mkOp(trace.OpRead, classes[i%3], fmt.Sprintf("k%d", i)))
 		}
 	}
@@ -412,37 +415,44 @@ func TestSketchMatchesExactOnSmallStream(t *testing.T) {
 	for _, op := range ops {
 		c.Observe(op)
 	}
-	// Brute force: occurrences of each unordered key pair two positions
-	// apart (one op between), then the min-2 rule per class pair.
 	type keyPair struct{ lo, hi string }
-	occur := map[keyPair]uint64{}
-	classOf := map[keyPair]ClassPair{}
-	for i := 2; i < len(ops); i++ {
-		a, b := string(ops[i-2].Key), string(ops[i].Key)
-		if a == b {
-			continue
+	for _, d := range Distances() {
+		// Brute force: occurrences of each unordered key pair d ops apart,
+		// then the min-2 rule per class pair.
+		occur := map[keyPair]uint64{}
+		classOf := map[keyPair]ClassPair{}
+		for i := d + 1; i < len(ops); i++ {
+			a, b := string(ops[i-d-1].Key), string(ops[i].Key)
+			if a == b {
+				continue
+			}
+			kp := keyPair{a, b}
+			if a > b {
+				kp = keyPair{b, a}
+			}
+			occur[kp]++
+			classOf[kp] = MakeClassPair(ops[i-d-1].Class, ops[i].Class)
 		}
-		kp := keyPair{a, b}
-		if a > b {
-			kp = keyPair{b, a}
+		want := map[ClassPair]uint64{}
+		maxFreq := map[ClassPair]uint64{}
+		for kp, n := range occur {
+			if n >= 2 {
+				want[classOf[kp]] += n
+				maxFreq[classOf[kp]] = max(maxFreq[classOf[kp]], n)
+			}
 		}
-		occur[kp]++
-		classOf[kp] = MakeClassPair(ops[i-2].Class, ops[i].Class)
-	}
-	want := map[ClassPair]uint64{}
-	for kp, n := range occur {
-		if n >= 2 {
-			want[classOf[kp]] += n
+		if len(want) == 0 {
+			t.Fatalf("stream has no correlated pairs at d=%d", d)
 		}
-	}
-	if len(want) == 0 {
-		t.Fatal("stream has no correlated pairs at d=1")
-	}
-	for _, a := range classes {
-		for _, b := range classes {
-			cp := MakeClassPair(a, b)
-			if got := c.Counts(1, cp); got != want[cp] {
-				t.Fatalf("sketched d=1 count for %v = %d, want %d", cp, got, want[cp])
+		for _, a := range classes {
+			for _, b := range classes {
+				cp := MakeClassPair(a, b)
+				if got := c.Counts(d, cp); got != want[cp] {
+					t.Fatalf("d=%d count for %v = %d, want %d", d, cp, got, want[cp])
+				}
+				if got := c.MaxPairFrequency(d, cp); got != maxFreq[cp] {
+					t.Fatalf("d=%d max pair frequency for %v = %d, want %d", d, cp, got, maxFreq[cp])
+				}
 			}
 		}
 	}
@@ -498,11 +508,11 @@ func TestTopPairsEdgeCases(t *testing.T) {
 	if got := c.TopPairs(0, 5, false); len(got) != 0 {
 		t.Fatalf("TopPairs on empty correlator = %v", got)
 	}
-	// FrequencyDistribution at an untracked distance returns nil.
-	if got := c.FrequencyDistribution(8, MakeClassPair(rawdb.ClassCode, rawdb.ClassCode)); got != nil {
+	// A distance outside Distances() is untracked: nil and 0.
+	if got := c.FrequencyDistribution(3, MakeClassPair(rawdb.ClassCode, rawdb.ClassCode)); got != nil {
 		t.Fatalf("untracked distance returned %v", got)
 	}
-	if got := c.MaxPairFrequency(8, MakeClassPair(rawdb.ClassCode, rawdb.ClassCode)); got != 0 {
+	if got := c.MaxPairFrequency(3, MakeClassPair(rawdb.ClassCode, rawdb.ClassCode)); got != 0 {
 		t.Fatalf("untracked MaxPairFrequency = %d", got)
 	}
 }

@@ -39,8 +39,7 @@ func (p ClassPair) String() string {
 
 // NearDistance and FarDistance are the ends of the paper's distance range:
 // adjacent ops and the farthest separation counted. They are the two
-// distances whose per-key-pair frequencies Figures 5 and 7 histogram, so
-// the correlator keeps exact per-pair counts there.
+// distances whose per-key-pair frequencies Figures 5 and 7 histogram.
 const (
 	NearDistance = 0
 	FarDistance  = 1024
@@ -60,71 +59,52 @@ type Correlator struct {
 	// trace.OpUpdate for Figures 6-7.
 	op trace.OpType
 
-	// ring holds the last FarDistance+1 tracked ops as (keyHash, class).
+	// ids numbers the distinct keys (by 64-bit fingerprint) in order of
+	// first sight, so a key pair packs into one pairKey.
+	ids map[uint64]uint32
+	// ring holds the last FarDistance+1 tracked ops as (key id, class).
 	ring [FarDistance + 1]ringEntry
 	pos  uint64 // total tracked ops so far
 
 	// counts[i][pair] accumulates occurrences at distances[i] that passed
 	// the min-2 rule.
 	counts [len(distances)]map[ClassPair]uint64
-	// near and far hold exact per-key-pair occurrence counts at
-	// NearDistance and FarDistance.
-	near, far map[pairKey]*pairStat
-	// sketch approximates per-(pair,distance) occurrence counts for the
-	// min-2 rule at every other distance with bounded memory.
-	sketch []uint8
+	// pairs[i] holds the exact per-key-pair occurrence counts at
+	// distances[i].
+	pairs [len(distances)]map[pairKey]pairStat
 }
 
 // ringEntry is one remembered op.
 type ringEntry struct {
-	keyHash uint64
-	class   rawdb.Class
+	key   uint32
+	class rawdb.Class
 }
 
-// pairKey identifies an unordered key pair by two 64-bit key hashes.
-type pairKey struct {
-	lo, hi uint64
-}
+// pairKey identifies an unordered key pair: the lower key id in the high
+// half, the higher in the low half.
+type pairKey uint64
 
-// pairStat tracks one key pair's occurrences and classes.
+// pairStat tracks one key pair's occurrences and classes in 8 bytes (the
+// classes fit a byte each: rawdb has 29).
 type pairStat struct {
-	count uint64
-	pair  ClassPair
+	count uint32
+	a, b  uint8 // the ClassPair's A and B
 }
 
-// sketchBits sizes the counting sketch (2^24 counters = 16 MiB).
-const sketchBits = 24
-
-// sketchIndex hashes (pair, distance) into the counting sketch.
-func sketchIndex(pk pairKey, d int) uint64 {
-	return (pk.lo*0x9e3779b97f4a7c15 + pk.hi*0xc2b2ae3d27d4eb4f + uint64(d)*0x165667b19e3779f9) & (1<<sketchBits - 1)
+// pair returns the class pair the stat was recorded under.
+func (s pairStat) pair() ClassPair {
+	return ClassPair{rawdb.Class(s.a), rawdb.Class(s.b)}
 }
 
 // NewCorrelator builds a correlator over the ops of one type (cache hits
 // excluded).
 func NewCorrelator(op trace.OpType) *Correlator {
-	c := &Correlator{
-		op:     op,
-		near:   make(map[pairKey]*pairStat),
-		far:    make(map[pairKey]*pairStat),
-		sketch: make([]uint8, 1<<sketchBits),
-	}
+	c := &Correlator{op: op, ids: make(map[uint64]uint32)}
 	for i := range c.counts {
 		c.counts[i] = make(map[ClassPair]uint64)
+		c.pairs[i] = make(map[pairKey]pairStat)
 	}
 	return c
-}
-
-// pairStats returns the exact per-key-pair counts kept at distance d, or
-// nil where the sketch stands in.
-func (c *Correlator) pairStats(d int) map[pairKey]*pairStat {
-	switch d {
-	case NearDistance:
-		return c.near
-	case FarDistance:
-		return c.far
-	}
-	return nil
 }
 
 // tracks reports whether the op belongs to the tracked stream.
@@ -141,18 +121,23 @@ func (c *Correlator) Observe(op trace.Op) {
 		return
 	}
 	h := hashKey(op.Key)
+	id, ok := c.ids[h]
+	if !ok {
+		id = uint32(len(c.ids))
+		c.ids[h] = id
+	}
 	class := op.Class
 	for i, d := range distances {
 		if uint64(d+1) > c.pos {
 			break // not enough history yet
 		}
 		partner := c.ring[(c.pos-uint64(d)-1)%uint64(len(c.ring))]
-		if partner.keyHash == h {
+		if partner.key == id {
 			continue // same key is not a pair
 		}
-		c.apply(i, d, makePairKey(h, partner.keyHash), MakeClassPair(class, partner.class))
+		c.apply(i, makePairKey(id, partner.key), MakeClassPair(class, partner.class))
 	}
-	c.ring[c.pos%uint64(len(c.ring))] = ringEntry{keyHash: h, class: class}
+	c.ring[c.pos%uint64(len(c.ring))] = ringEntry{key: id, class: class}
 	c.pos++
 }
 
@@ -163,28 +148,16 @@ func (c *Correlator) observeBatch(ops []trace.Op) {
 	}
 }
 
-// apply folds one correlated-pair observation into the counters. i is the
-// distance index, d the distance value (the sketch hash keys on it).
-func (c *Correlator) apply(i, d int, pk pairKey, cp ClassPair) {
-	var n uint64
-	if stats := c.pairStats(d); stats != nil {
-		s := stats[pk]
-		if s == nil {
-			s = &pairStat{pair: cp}
-			stats[pk] = s
-		}
-		s.count++
-		n = s.count
-	} else {
-		// Sketch path: a saturating (at 255) approximate occurrence count
-		// for the min-2 rule.
-		idx := sketchIndex(pk, d)
-		if c.sketch[idx] < 255 {
-			c.sketch[idx]++
-		}
-		n = uint64(c.sketch[idx])
+// apply folds one correlated-pair observation at distance index i into the
+// counters.
+func (c *Correlator) apply(i int, pk pairKey, cp ClassPair) {
+	s, ok := c.pairs[i][pk]
+	if !ok {
+		s = pairStat{a: uint8(cp.A), b: uint8(cp.B)}
 	}
-	switch n {
+	s.count++
+	c.pairs[i][pk] = s
+	switch s.count {
 	case 1:
 		// Not yet correlated (needs at least two occurrences).
 	case 2:
@@ -201,12 +174,12 @@ func hashKey(key []byte) uint64 {
 		uint64(h[4])<<32 | uint64(h[5])<<40 | uint64(h[6])<<48 | uint64(h[7])<<56
 }
 
-// makePairKey orders the two key hashes.
-func makePairKey(a, b uint64) pairKey {
+// makePairKey orders the two key ids.
+func makePairKey(a, b uint32) pairKey {
 	if a > b {
 		a, b = b, a
 	}
-	return pairKey{a, b}
+	return pairKey(a)<<32 | pairKey(b)
 }
 
 // distIndex maps a distance value to its index, or -1.
@@ -277,17 +250,17 @@ func (c *Correlator) TopPairs(d, n int, intra bool) []PairSeries {
 }
 
 // FrequencyDistribution histograms per-key-pair occurrence counts for one
-// class pair at NearDistance or FarDistance: Figure 5 / Figure 7 panels. Only pairs
-// meeting the at-least-twice rule appear.
+// class pair at distance d: at NearDistance and FarDistance, the Figure 5 /
+// Figure 7 panels. Only pairs meeting the at-least-twice rule appear.
 func (c *Correlator) FrequencyDistribution(d int, pair ClassPair) []FreqPoint {
-	stats := c.pairStats(d)
-	if stats == nil {
+	i := c.distIndex(d)
+	if i < 0 {
 		return nil
 	}
 	hist := make(map[uint32]uint64)
-	for _, st := range stats {
-		if st.pair == pair && st.count >= 2 {
-			hist[uint32(st.count)]++
+	for _, st := range c.pairs[i] {
+		if st.count >= 2 && st.pair() == pair {
+			hist[st.count]++
 		}
 	}
 	points := make([]FreqPoint, 0, len(hist))
@@ -299,19 +272,19 @@ func (c *Correlator) FrequencyDistribution(d int, pair ClassPair) []FreqPoint {
 }
 
 // MaxPairFrequency returns the highest per-key-pair occurrence count for a
-// class pair at NearDistance or FarDistance.
+// class pair at distance d.
 func (c *Correlator) MaxPairFrequency(d int, pair ClassPair) uint64 {
-	stats := c.pairStats(d)
-	if stats == nil {
+	i := c.distIndex(d)
+	if i < 0 {
 		return 0
 	}
-	var max uint64
-	for _, st := range stats {
-		if st.pair == pair && st.count >= 2 && st.count > max {
+	var max uint32
+	for _, st := range c.pairs[i] {
+		if st.count >= 2 && st.count > max && st.pair() == pair {
 			max = st.count
 		}
 	}
-	return max
+	return uint64(max)
 }
 
 // TrackedOps reports how many ops entered the correlation stream.

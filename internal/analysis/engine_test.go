@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"bytes"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -80,9 +79,9 @@ func requireSameOpDist(t *testing.T, want, got *OpDist) {
 	}
 }
 
-// requireSameCorrelator asserts byte-identical correlation state: the
-// aggregate counts, the exact per-pair counters, the ring, and the full
-// 16 MiB sketch.
+// requireSameCorrelator asserts identical correlation state: the aggregate
+// counts, the key ids, the exact per-pair counters at every distance, and
+// the ring.
 func requireSameCorrelator(t *testing.T, want, got *Correlator) {
 	t.Helper()
 	if want.pos != got.pos {
@@ -94,11 +93,8 @@ func requireSameCorrelator(t *testing.T, want, got *Correlator) {
 	if !reflect.DeepEqual(want.counts, got.counts) {
 		t.Fatalf("counts diverged:\nwant %v\ngot  %v", want.counts, got.counts)
 	}
-	if !reflect.DeepEqual(want.near, got.near) || !reflect.DeepEqual(want.far, got.far) {
-		t.Fatal("exact pair counts diverged")
-	}
-	if !bytes.Equal(want.sketch, got.sketch) {
-		t.Fatal("sketch diverged")
+	if !reflect.DeepEqual(want.ids, got.ids) || !reflect.DeepEqual(want.pairs, got.pairs) {
+		t.Fatal("key ids or exact pair counts diverged")
 	}
 	// Spot-check the public accessors the reports consume.
 	for _, d := range distances {
@@ -108,10 +104,10 @@ func requireSameCorrelator(t *testing.T, want, got *Correlator) {
 			}
 		}
 	}
-	for _, d := range []int{NearDistance, FarDistance} {
+	for i, d := range distances {
 		classPairs := map[ClassPair]bool{}
-		for _, st := range want.pairStats(d) {
-			classPairs[st.pair] = true
+		for _, st := range want.pairs[i] {
+			classPairs[st.pair()] = true
 		}
 		for cp := range classPairs {
 			if !reflect.DeepEqual(want.FrequencyDistribution(d, cp), got.FrequencyDistribution(d, cp)) {

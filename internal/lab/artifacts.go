@@ -94,7 +94,8 @@ func WriteArtifacts(dir string, store *analysis.SizeDist, ops *analysis.OpDist, 
 				return err
 			}
 		}
-		// Per-pair frequency distributions at the two exact distances.
+		// Per-pair frequency distributions at the two distances Figures 5
+		// and 7 plot.
 		for _, d := range []int{analysis.NearDistance, analysis.FarDistance} {
 			for _, intra := range []bool{true, false} {
 				for _, series := range corr.TopPairs(d, 3, intra) {
