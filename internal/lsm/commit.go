@@ -198,7 +198,7 @@ func (db *DB) waitForRoomLocked() error {
 	// point-read fan-out bounded). Skipped while draining — shutdown
 	// suppresses the very compactions that would clear the stall.
 	l0Full := func() bool {
-		return len(db.levels[0]) >= l0StallFactor*db.opts.L0CompactionTrigger && !db.draining
+		return len(db.current[0]) >= l0StallFactor*db.opts.L0CompactionTrigger && !db.draining
 	}
 	for _, cause := range [...]struct {
 		stalled func() bool
@@ -282,13 +282,17 @@ func (db *DB) settle() error {
 }
 
 // settleLocked waits for the scheduler to drain every flush, every
-// in-flight job, and all due compaction work. A job stays in flight until
+// in-flight job, and all due compaction work: the scheduler starts whatever
+// is due, and with nothing in flight a due level always has a plan, so once
+// nothing is queued or in flight nothing is due. A job stays in flight until
 // the manifest recording its install is durable, so a settled store's
 // on-disk state matches its in-memory version. Called with db.mu held.
 func (db *DB) settleLocked() error {
-	for db.degradedErr == nil &&
-		(len(db.imm) > 0 || db.flushing || len(db.jobs) > 0 || db.hasCompactionWorkLocked()) {
+	for db.degradedErr == nil {
 		db.maybeScheduleLocked()
+		if len(db.imm) == 0 && !db.flushing && len(db.jobs) == 0 {
+			break
+		}
 		db.cond.Wait()
 	}
 	if db.degradedErr != nil {

@@ -425,8 +425,7 @@ func putSpanning(db *DB, key string, value []byte) error {
 
 // l0Tables reports how many tables L0 holds.
 func l0Tables(db *DB) int {
-	n, _ := db.levelShape(0)
-	return n
+	return db.LevelSizes()[0].Tables
 }
 
 // TestDrainReleasesL0Stall: a writer parked in the L0 write stop holds the

@@ -128,9 +128,7 @@ func TestSubCompactionEquivalence(t *testing.T) {
 		db.mu.Unlock()
 		t.Fatal(err)
 	}
-	db.forceCompact = true
-	plan, ok := db.planNextCompactionLocked()
-	db.forceCompact = false
+	plan, ok := pickCompaction(db.current, db.jobs, true, db.opts)
 	bounds := db.subCompactionBounds(plan)
 	db.mu.Unlock()
 	if !ok {
@@ -243,18 +241,10 @@ func TestConcurrentCompactionsOverlap(t *testing.T) {
 // run of unclaimed tables, so a run that reaches a table another job has
 // claimed ends there instead of jumping over it.
 func TestLevelRunStopsAtClaimedTable(t *testing.T) {
-	db := openTestDB(t, schedOpts(4))
-	table := func(num uint64, lo, hi string) tableMeta {
-		return tableMeta{num: num, level: 1, size: 1 << 10,
-			smallest: []byte(lo), largest: []byte(hi), h: new(tableHandle)}
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.levels[1] = []tableMeta{table(101, "a", "b"), table(102, "c", "d"), table(103, "e", "f"), table(104, "g", "h")}
-	db.claimed[103] = struct{}{}
-	plan, ok := db.tryPlanLevelLocked(1)
-	db.levels[1] = nil
-	delete(db.claimed, 103)
+	var v version
+	v[1] = []tableMeta{planTable(1, 101, "a", "b"), planTable(1, 102, "c", "d"), planTable(1, 103, "e", "f"), planTable(1, 104, "g", "h")}
+	inflight := map[int]compactionPlan{1: {level: 1, dst: 2, srcMetas: v[1][2:3], lo: []byte("e"), hi: []byte("f")}}
+	plan, ok := pickCompaction(v, inflight, false, planOpts)
 	if !ok {
 		t.Fatal("no plan for an unclaimed run")
 	}
@@ -362,7 +352,7 @@ func anchorBottom(t *testing.T, db *DB, model map[string]string) {
 func runPlanned(t *testing.T, db *DB, level int) compactionPlan {
 	t.Helper()
 	db.mu.Lock()
-	plan, ok := db.tryPlanLevelLocked(level)
+	plan, ok := planLevel(db.current, level, db.jobs, claimsOf(db.jobs), db.opts)
 	if ok {
 		db.startCompactionLocked(plan)
 	}
@@ -379,7 +369,7 @@ func levelNums(db *DB, level int) []uint64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var nums []uint64
-	for _, m := range db.levels[level] {
+	for _, m := range db.current[level] {
 		nums = append(nums, m.num)
 	}
 	return nums
@@ -552,7 +542,7 @@ func TestTrivialMoveCompactAllDropsTombstones(t *testing.T) {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	for level, metas := range db.levels {
+	for level, metas := range db.current {
 		for i := range metas {
 			tr, err := db.table(&metas[i])
 			if err != nil {

@@ -30,6 +30,14 @@ func smallOpts() Options {
 	}
 }
 
+// activeWALPath returns the path of the log currently receiving records;
+// crash-recovery tests truncate it to simulate torn writes.
+func (db *DB) activeWALPath() string {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.walFile(db.walSeq)
+}
+
 func openTestDB(t *testing.T, opts Options) *DB {
 	t.Helper()
 	db, err := Open(t.TempDir(), opts)

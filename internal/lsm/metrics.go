@@ -23,19 +23,18 @@ func (db *DB) RegisterMetrics(r *obs.Registry, labels ...string) {
 	kv.RegisterStatsMetrics(r, db, labels...)
 
 	for level := 0; level < numLevels; level++ {
-		level := level
 		ll := append([]string{"level", fmt.Sprintf("%d", level)}, labels...)
 		r.GaugeFunc(obs.Name("ethkv_lsm_level_tables", ll...), func() float64 {
-			tables, _ := db.levelShape(level)
-			return float64(tables)
+			return float64(db.LevelSizes()[level].Tables)
 		})
 		r.GaugeFunc(obs.Name("ethkv_lsm_level_bytes", ll...), func() float64 {
-			_, bytes := db.levelShape(level)
-			return float64(bytes)
+			return float64(db.LevelSizes()[level].Bytes)
 		})
 	}
 	r.GaugeFunc(obs.Name("ethkv_lsm_compaction_debt_bytes", labels...), func() float64 {
-		return float64(db.compactionDebt())
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		return float64(compactionDebt(db.current, db.opts))
 	})
 	r.GaugeFunc(obs.Name("ethkv_lsm_flush_queue_depth", labels...), func() float64 {
 		db.mu.RLock()
@@ -63,7 +62,7 @@ func (db *DB) openTables() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	n := 0
-	for _, metas := range db.levels {
+	for _, metas := range db.current {
 		for _, m := range metas {
 			if m.h.r.Load() != nil {
 				n++
@@ -71,52 +70,4 @@ func (db *DB) openTables() int {
 		}
 	}
 	return n
-}
-
-// levelShape returns the table count and total bytes of one level.
-func (db *DB) levelShape(level int) (tables int, bytes int64) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if level >= len(db.levels) {
-		return 0, 0
-	}
-	for _, m := range db.levels[level] {
-		bytes += m.size
-	}
-	return len(db.levels[level]), bytes
-}
-
-// compactionDebt estimates the bytes the background worker still owes: L0
-// bytes once the table count passes the compaction trigger, plus each deeper
-// level's overshoot past its size target. Zero means the tree is in shape.
-func (db *DB) compactionDebt() int64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.compactionDebtLocked()
-}
-
-// compactionDebtLocked is compactionDebt for callers already holding db.mu
-// (either mode); the scheduler uses it as the pool's priority key.
-func (db *DB) compactionDebtLocked() int64 {
-	var debt int64
-	if len(db.levels) == 0 {
-		return 0
-	}
-	if len(db.levels[0]) >= db.opts.L0CompactionTrigger {
-		for _, m := range db.levels[0] {
-			debt += m.size
-		}
-	}
-	target := db.opts.LevelBaseBytes
-	for level := 1; level < len(db.levels)-1; level++ {
-		var size int64
-		for _, m := range db.levels[level] {
-			size += m.size
-		}
-		if size > target {
-			debt += size - target
-		}
-		target *= levelMultiplier
-	}
-	return debt
 }

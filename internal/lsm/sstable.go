@@ -75,9 +75,9 @@ type tableMeta struct {
 // finds one without a shared map or its lock.
 //
 // Lifetime. The handle owns one reference to the reader it opened and drops
-// it in release — called after the table has left db.levels (a compaction
+// it in release — called after the table has left the version (a compaction
 // retiring its inputs) or after the DB is marked closed. Both of those take
-// db.mu exclusively first, so a caller that found the table in db.levels
+// db.mu exclusively first, so a caller that found the table in db.current
 // and still holds db.mu shared — Get, Has — uses the reader with no
 // reference of its own. Callers that outlive the lock (iterators,
 // compactions) take one with acquire, and the last unref, theirs or the
@@ -88,7 +88,7 @@ type tableHandle struct {
 }
 
 // table returns m's reader, opening it on first use. The caller holds db.mu
-// with m in db.levels, or owns m through a compaction claim.
+// with m in db.current, or owns m through a compaction claim.
 func (db *DB) table(m *tableMeta) (*tableReader, error) {
 	if t := m.h.r.Load(); t != nil {
 		return t, nil
