@@ -79,8 +79,10 @@ func (p *Pool) Workers() int {
 
 // Submit schedules run, starting it immediately when a slot is free and
 // queueing it behind higher-debt work otherwise. debt is the submitter's
-// compaction-debt estimate at submit time; flushes should pass a large
-// value so rotation never queues behind merges. Submit never blocks.
+// compaction-debt estimate at submit time. Flushes pass a large value so
+// that they run before every queued merge; the debt only orders the queue,
+// so a flush submitted while every slot runs a merge still waits for one of
+// those merges to finish. Submit never blocks.
 func (p *Pool) Submit(debt uint64, run Job) {
 	p.mu.Lock()
 	if p.running >= p.budget {

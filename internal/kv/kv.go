@@ -5,7 +5,6 @@
 package kv
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"sort"
@@ -274,15 +273,29 @@ func (s Stats) BlockCacheHitRate() float64 {
 // MemStore is a sorted in-memory Store used as the reference implementation
 // in tests and as the backing for small metadata databases. It is safe for
 // concurrent use.
+//
+// The keys live in one map per first byte (every rawdb key starts with its
+// class byte), so a prefix scan visits only its own class's keys. The empty
+// key has a partition of its own ahead of the 0x00 one: walking the
+// partitions in index order meets the keys in order of their first byte.
 type MemStore struct {
 	mu     sync.RWMutex
-	data   map[string][]byte
+	parts  [257]map[string][]byte // indexed by part; nil until a write needs it
 	closed bool
+}
+
+// part returns key's partition index: 0 for the empty key, 1+key[0] for
+// any other.
+func part[K string | []byte](key K) int {
+	if len(key) == 0 {
+		return 0
+	}
+	return 1 + int(key[0])
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{data: make(map[string][]byte)}
+	return &MemStore{}
 }
 
 // Has implements Reader.
@@ -292,7 +305,7 @@ func (m *MemStore) Has(key []byte) (bool, error) {
 	if m.closed {
 		return false, ErrClosed
 	}
-	_, ok := m.data[string(key)]
+	_, ok := m.parts[part(key)][string(key)]
 	return ok, nil
 }
 
@@ -303,7 +316,7 @@ func (m *MemStore) Get(key []byte) ([]byte, error) {
 	if m.closed {
 		return nil, ErrClosed
 	}
-	v, ok := m.data[string(key)]
+	v, ok := m.parts[part(key)][string(key)]
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -321,7 +334,7 @@ func (m *MemStore) Put(key, value []byte) error {
 	}
 	v := make([]byte, len(value))
 	copy(v, value)
-	m.data[string(key)] = v
+	m.put(key, v)
 	return nil
 }
 
@@ -332,15 +345,30 @@ func (m *MemStore) Delete(key []byte) error {
 	if m.closed {
 		return ErrClosed
 	}
-	delete(m.data, string(key))
+	delete(m.parts[part(key)], string(key))
 	return nil
+}
+
+// put stores v, which the store then owns, under key, creating key's
+// partition on first use. The caller holds mu for writing: the read paths
+// only ever read a partition, and a nil one reads as empty.
+func (m *MemStore) put(key, v []byte) {
+	p := &m.parts[part(key)]
+	if *p == nil {
+		*p = make(map[string][]byte)
+	}
+	(*p)[string(key)] = v
 }
 
 // Len returns the number of stored keys.
 func (m *MemStore) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.data)
+	n := 0
+	for _, p := range m.parts {
+		n += len(p)
+	}
+	return n
 }
 
 // NewIterator implements Iterable. The iterator operates on a snapshot of
@@ -351,22 +379,26 @@ func (m *MemStore) NewIterator(prefix, start []byte) Iterator {
 	if m.closed {
 		return ErrIterator(ErrClosed)
 	}
-	lower := append(append([]byte{}, prefix...), start...)
+	pre := string(prefix)
+	lower := pre + string(start)
+	// No key below lower's partition reaches lower, and a prefix confines
+	// the scan to its own partition.
+	lo, hi := part(lower), len(m.parts)
+	if pre != "" {
+		hi = lo + 1
+	}
 	var keys []string
-	for k := range m.data {
-		// Reject on the first byte before the full prefix compare: most
-		// scans are narrow prefixes over a store of unrelated keys.
-		if len(prefix) > 0 && (len(k) == 0 || k[0] != prefix[0]) {
-			continue
-		}
-		if bytes.HasPrefix([]byte(k), prefix) && bytes.Compare([]byte(k), lower) >= 0 {
-			keys = append(keys, k)
+	for _, p := range m.parts[lo:hi] {
+		for k := range p {
+			if strings.HasPrefix(k, pre) && k >= lower {
+				keys = append(keys, k)
+			}
 		}
 	}
 	sort.Strings(keys)
 	values := make([][]byte, len(keys))
 	for i, k := range keys {
-		v := m.data[k]
+		v := m.parts[part(k)][k]
 		values[i] = make([]byte, len(v))
 		copy(values[i], v)
 	}
@@ -503,9 +535,9 @@ func (b *memBatch) Write() error {
 	}
 	for _, op := range b.Ops {
 		if op.Delete {
-			delete(b.store.data, string(op.Key))
+			delete(b.store.parts[part(op.Key)], string(op.Key))
 		} else {
-			b.store.data[string(op.Key)] = op.Value
+			b.store.put(op.Key, op.Value)
 		}
 	}
 	return nil
