@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"ethkv/internal/backends"
 	"ethkv/internal/chain"
 	"ethkv/internal/hybrid"
 	"ethkv/internal/lab"
@@ -46,12 +47,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(tmp)
-	lsmOpts := lsm.Options{
-		DisableWAL:          true,
-		MemtableBytes:       256 << 10,
-		L0CompactionTrigger: 4,
-		LevelBaseBytes:      1 << 20,
-	}
+	lsmOpts := backends.LSMOptions()
 
 	// Baseline: every write goes straight into the LSM.
 	direct, err := lsm.Open(filepath.Join(tmp, "direct"), lsmOpts)

@@ -8,6 +8,7 @@
 package analysis
 
 import (
+	"errors"
 	"math"
 	"sort"
 
@@ -110,19 +111,36 @@ func (d *SizeDist) Observe(key, value []byte) {
 
 // CollectSizeDist scans every pair in the store into a census — the
 // equivalent of running countKVSizeDistribution over the post-sync
-// database. A scan that fails part-way returns its error, not a short
-// census.
-func CollectSizeDist(store kv.Iterable) (*SizeDist, error) {
+// database. It reads the empty key, then scans one first byte at a time,
+// meeting the pairs in the order of one full scan: a store that answers a
+// scan with a snapshot (kv.MemStore) copies one class at a time, not the
+// whole state. A read or scan that fails part-way returns its error, not
+// a short census.
+func CollectSizeDist(store interface {
+	kv.Reader
+	kv.Iterable
+}) (*SizeDist, error) {
 	dist := &SizeDist{}
-	it := store.NewIterator(nil, nil)
+	if v, err := store.Get(nil); err == nil {
+		dist.Observe(nil, v)
+	} else if !errors.Is(err, kv.ErrNotFound) {
+		return nil, err
+	}
+	for b := 0; b < 256; b++ {
+		if err := observeScan(dist, store.NewIterator([]byte{byte(b)}, nil)); err != nil {
+			return nil, err
+		}
+	}
+	return dist, nil
+}
+
+// observeScan folds every pair it yields into dist and releases it.
+func observeScan(dist *SizeDist, it kv.Iterator) error {
 	defer it.Release()
 	for it.Next() {
 		dist.Observe(it.Key(), it.Value())
 	}
-	if err := it.Error(); err != nil {
-		return nil, err
-	}
-	return dist, nil
+	return it.Error()
 }
 
 // Share returns a class's fraction of all pairs.

@@ -209,20 +209,29 @@ func openPolicyStore(dir string, p *policy.Policy, leaf func(kind, dir string) (
 	return s, nil
 }
 
+// LSMOptions is the shape of every LSM the factory opens: no WAL, 1 MiB
+// memtables, compaction at 4 L0 tables and an L1 target of 4 MiB, which
+// is what those 4 flushes hold. The factory sets the block cache and the
+// compaction pool on top of it.
+func LSMOptions() lsm.Options {
+	return lsm.Options{
+		DisableWAL:          true,
+		MemtableBytes:       1 << 20,
+		L0CompactionTrigger: 4,
+		LevelBaseBytes:      4 << 20,
+	}
+}
+
 // openRoute opens one backend of kind at dir — the one place a kind name
 // becomes a store. (hybrid is a factory kind only, composed around this: a
 // policy cannot nest.)
 func openRoute(kind, dir string, opts Options, pool *compaction.Pool) (kv.Store, error) {
 	switch kind {
 	case "lsm":
-		return lsm.Open(dir, lsm.Options{
-			DisableWAL:          true,
-			MemtableBytes:       256 << 10,
-			L0CompactionTrigger: 4,
-			LevelBaseBytes:      1 << 20,
-			BlockCacheBytes:     opts.BlockCacheBytes,
-			Pool:                pool,
-		})
+		o := LSMOptions()
+		o.BlockCacheBytes = opts.BlockCacheBytes
+		o.Pool = pool
+		return lsm.Open(dir, o)
 	case "flat":
 		return flatstore.Open(dir, flatstore.Options{})
 	case "mem":

@@ -1,6 +1,7 @@
 package backends_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -260,5 +261,44 @@ func TestShardedStoreExportsStoreMetrics(t *testing.T) {
 	}
 	if want := raw.(kv.StatsProvider).Stats().Gets; sum != float64(want) || want != 3*64 {
 		t.Fatalf("per-leaf ethkv_store_gets sum to %v, the router counts %d, want both %d", sum, want, 3*64)
+	}
+}
+
+// TestFactoryLSMShape pins the factory LSM's flush unit: ~3 MiB of distinct
+// keys written in 100 KiB batches leave the store in at most 4 flushes
+// (1 MiB memtables; 256 KiB ones took ~12), and the exported shape keeps
+// L1's target at what the L0 trigger's worth of flushes holds.
+func TestFactoryLSMShape(t *testing.T) {
+	o := backends.LSMOptions()
+	if want := int64(o.L0CompactionTrigger) * int64(o.MemtableBytes); o.LevelBaseBytes != want {
+		t.Fatalf("LevelBaseBytes = %d, want L0CompactionTrigger × MemtableBytes = %d", o.LevelBaseBytes, want)
+	}
+	s, err := backends.Open("lsm", t.TempDir(), backends.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	value := make([]byte, 100)
+	b := s.NewBatch()
+	for i := 0; i < 3<<20/(100+8); i++ {
+		key := []byte(fmt.Sprintf("k%07d", i))
+		if err := b.Put(key, value); err != nil {
+			t.Fatal(err)
+		}
+		if b.ValueSize() >= 100<<10 {
+			if err := b.Write(); err != nil {
+				t.Fatal(err)
+			}
+			b.Reset()
+		}
+	}
+	if err := b.Write(); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Flush(s); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.(kv.StatsProvider).Stats().FlushCount; n == 0 || n > 4 {
+		t.Fatalf("FlushCount = %d after ~3 MiB, want 1..4", n)
 	}
 }

@@ -117,10 +117,10 @@ func BenchmarkTableWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkCompactRange merges four overlapping 256 KiB L0 tables into an
+// BenchmarkCompactRange merges four overlapping 1 MiB L0 tables into an
 // L1 run — the factory geometry's commonest job — and writes the result.
 func BenchmarkCompactRange(b *testing.B) {
-	m, metas, total := benchTables(b, 4, 2600, 0)
+	m, metas, total := benchTables(b, 4, 10400, 0)
 	db := &DB{dir: "d", fs: m, opts: Options{FS: m}.withDefaults()}
 	db.next.Store(100)
 	plan := compactionPlan{level: 0, dst: 1, srcMetas: metas}
@@ -143,7 +143,7 @@ func BenchmarkCompactRange(b *testing.B) {
 // BenchmarkGetCached times DB.Get from every P at once on a store whose
 // blocks are all cached — the state readscan_stack_local runs in — so what is
 // left is the path itself: locks, counters, filter probes, block search. The
-// store has the factory geometry (256 KiB memtables, 1 MiB L1) and is read
+// store has the factory geometry (1 MiB memtables, 4 MiB L1) and is read
 // as the preload left it, L0 tables included, so a Get probes more than one
 // table. hit draws present keys; absent draws keys that sort between present
 // ones, which reach the filters of every overlapping table. The difference
@@ -153,7 +153,7 @@ func BenchmarkGetCached(b *testing.B) {
 	m := faultfs.NewMemFS()
 	db, err := Open("db", Options{
 		FS: m, DisableWAL: true,
-		MemtableBytes: 256 << 10, LevelBaseBytes: 1 << 20,
+		MemtableBytes: 1 << 20, LevelBaseBytes: 4 << 20,
 	})
 	if err != nil {
 		b.Fatal(err)
