@@ -78,14 +78,16 @@ bench-kernels:
 	$(GO) test -run NONE -bench '$(KERNELS)' -cpu 1,2 -benchmem ./internal/lsm
 
 # The same, one iteration each, plus the fan-out core's merged scan, the
-# analysis engine's single pass and the in-memory store's prefix scan (the
+# analysis engine's single pass, the in-memory store's prefix scan (the
 # freezer migration's per-block scan, beside 0 and 200k keys of other
-# classes): keeps them compiling and running.
+# classes) and one table's round trip through MemFS: keeps them compiling
+# and running.
 bench-kernels-once:
 	$(GO) test -run NONE -bench '$(KERNELS)' -benchtime 1x ./internal/lsm
 	$(GO) test -run NONE -bench FanoutMerge -benchtime 1x ./internal/fanout
 	$(GO) test -run NONE -bench EngineSinglePass -benchtime 1x ./internal/analysis
 	$(GO) test -run NONE -bench MemStorePrefixScan -benchtime 1x ./internal/kv
+	$(GO) test -run NONE -bench MemFSTableRoundTrip -benchtime 1x ./internal/faultfs
 
 # One run of one repo-benchmark workload, as the driver runs it:
 #   make bench-repo WORKLOAD=blockbatch_wal_lsm SEED=1 [TRACE=1]

@@ -77,11 +77,7 @@ func BenchmarkAblationHybridStore(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer st.Close()
-		res, err := hybrid.Replay(st, bare.Ops)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res.Stats
+		return replayAblation(b, st, bare.Ops)
 	}
 	b.ResetTimer()
 	var baseStats, hybStats struct {
@@ -102,6 +98,47 @@ func BenchmarkAblationHybridStore(b *testing.B) {
 	})
 	b.ReportMetric(float64(baseStats.physWrite)/(1<<20), "lsm-write-MiB")
 	b.ReportMetric(float64(hybStats.physWrite)/(1<<20), "hybrid-write-MiB")
+}
+
+// replayAblation replays ops into st and returns its settled counters: the
+// run's total physical I/O, unflushed memtables included.
+func replayAblation(tb testing.TB, st kv.Store, ops []trace.Op) kv.Stats {
+	tb.Helper()
+	res, err := hybrid.Replay(st, ops)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := res.Settle(st); err != nil {
+		tb.Fatal(err)
+	}
+	return res.Stats
+}
+
+// TestAblationHybridStoreTotalIsSettled pins E12's LSM-only total to the
+// settled store's: a further flush must find nothing left to write.
+func TestAblationHybridStoreTotalIsSettled(t *testing.T) {
+	workload := chain.DefaultWorkload()
+	workload.Accounts = 1500
+	workload.Contracts = 150
+	workload.TxPerBlock = 40
+	res, err := lab.Run(lab.Config{Mode: lab.Bare, Blocks: 20, Workload: workload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := backends.Open("lsm", t.TempDir(), backends.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	total := replayAblation(t, st, res.Ops)
+	if err := kv.Flush(st); err != nil {
+		t.Fatal(err)
+	}
+	settled := st.(kv.StatsProvider).Stats()
+	if total.PhysicalBytesWrite != settled.PhysicalBytesWrite {
+		t.Fatalf("E12 LSM-only total = %d physical bytes written, settled store = %d",
+			total.PhysicalBytesWrite, settled.PhysicalBytesWrite)
+	}
 }
 
 // BenchmarkAblationCorrelationCache replays the measured read stream

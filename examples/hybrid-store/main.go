@@ -47,6 +47,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		if err := r.Settle(st); err != nil {
+			log.Fatal(err)
+		}
 		return r
 	}
 	// Baseline: everything on one LSM store (Geth's configuration).

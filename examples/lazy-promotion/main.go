@@ -58,6 +58,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if err := directRes.Settle(direct); err != nil {
+		log.Fatal(err)
+	}
 	direct.Close()
 
 	// Lazy: writes stage in a log; only read keys reach the LSM.
@@ -68,6 +71,9 @@ func main() {
 	lazy := hybrid.NewLazyStore(indexed)
 	lazyRes, err := hybrid.Replay(lazy, ops)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := lazyRes.Settle(lazy); err != nil {
 		log.Fatal(err)
 	}
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"io/fs"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -394,5 +396,224 @@ func TestInjectedTruncateIsWritePathOp(t *testing.T) {
 	raw, _ = m.ReadFile("x.log")
 	if string(raw) != "0123" {
 		t.Fatalf("truncate after clearing fault: %q", raw)
+	}
+}
+
+// TestMemFSReadHandleIsSnapshot pins the invariant that lets a read handle
+// share the file's buffer instead of copying it: bytes below the file's
+// length are never rewritten, so a handle opened before any later change
+// keeps reading its original bytes.
+func TestMemFSReadHandleIsSnapshot(t *testing.T) {
+	readAll := func(t *testing.T, f File) string {
+		t.Helper()
+		buf := make([]byte, 64)
+		n, err := f.ReadAt(buf, 0)
+		if err != nil && !errors.Is(err, io.EOF) {
+			t.Fatal(err)
+		}
+		if sz, _ := f.Size(); sz != int64(n) {
+			t.Fatalf("Size = %d, read %d bytes", sz, n)
+		}
+		return string(buf[:n])
+	}
+	open := func(t *testing.T, m *MemFS, path string) File {
+		t.Helper()
+		r, err := m.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	t.Run("Write", func(t *testing.T) {
+		m := NewMemFS()
+		f, _ := m.OpenAppend("w")
+		f.Write([]byte("abc"))
+		f.Sync()
+		r := open(t, m, "w")
+		f.Write([]byte("def"))
+		f.Sync()
+		if got := readAll(t, r); got != "abc" {
+			t.Fatalf("snapshot = %q, want abc", got)
+		}
+	})
+
+	t.Run("TruncateThenWrite", func(t *testing.T) {
+		m := NewMemFS()
+		f, _ := m.OpenAppend("w")
+		f.Write([]byte("abcdef"))
+		r := open(t, m, "w")
+		if err := f.Truncate(2); err != nil {
+			t.Fatal(err)
+		}
+		f.Write([]byte("XYZW")) // over offsets 2..5, which r still reads
+		if got := readAll(t, r); got != "abcdef" {
+			t.Fatalf("snapshot = %q, want abcdef", got)
+		}
+		if raw, _ := m.ReadFile("w"); string(raw) != "abXYZW" {
+			t.Fatalf("file = %q, want abXYZW", raw)
+		}
+	})
+
+	t.Run("RenameThenAppendBoth", func(t *testing.T) {
+		m := NewMemFS()
+		old, _ := m.Create("a.tmp")
+		old.Write([]byte("payload"))
+		r := open(t, m, "a.tmp")
+		if err := m.Rename("a.tmp", "a"); err != nil {
+			t.Fatal(err)
+		}
+		renamed := open(t, m, "a")
+		old.Write([]byte("-old")) // the unlinked file the old handle still holds
+		f, _ := m.OpenAppend("a")
+		f.Write([]byte("-new"))
+		if got := readAll(t, r); got != "payload" {
+			t.Fatalf("pre-rename snapshot = %q, want payload", got)
+		}
+		if got := readAll(t, renamed); got != "payload" {
+			t.Fatalf("post-rename snapshot = %q, want payload", got)
+		}
+		buf := make([]byte, 11)
+		if n, _ := old.ReadAt(buf, 0); string(buf[:n]) != "payload-old" {
+			t.Fatalf("old handle = %q, want payload-old", buf[:n])
+		}
+		if raw, _ := m.ReadFile("a"); string(raw) != "payload-new" {
+			t.Fatalf("renamed file = %q, want payload-new", raw)
+		}
+	})
+
+	t.Run("CrashTornTail", func(t *testing.T) {
+		m := NewMemFS()
+		f, _ := m.OpenAppend("w")
+		f.Write([]byte("AB"))
+		f.Sync()
+		f.Write([]byte("CDEFGH"))
+		r := open(t, m, "w")
+		m.Crash(func(path string, volatile []byte) []byte {
+			kept := append([]byte(nil), volatile[:3]...)
+			kept[1] ^= 0x41 // a damaged sector, written over the old tail
+			return kept
+		})
+		f.Write([]byte("!!"))
+		if got := readAll(t, r); got != "ABCDEFGH" {
+			t.Fatalf("snapshot = %q, want ABCDEFGH", got)
+		}
+		want := "ABC" + string(rune('D'^0x41)) + "E!!"
+		if raw, _ := m.ReadFile("w"); string(raw) != want {
+			t.Fatalf("file = %q, want %q", raw, want)
+		}
+	})
+}
+
+// TestMemFSSnapshotsUnderConcurrentAppends reads snapshots on two goroutines
+// while a third appends, syncs and truncates the file. Byte j is always
+// written as byte(j), so a snapshot reads the same pattern whatever its
+// length, and under -race a rewrite of bytes a snapshot holds is reported.
+func TestMemFSSnapshotsUnderConcurrentAppends(t *testing.T) {
+	m := NewMemFS()
+	f, _ := m.OpenAppend("w")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 512)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r, err := m.Open("w")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				n, _ := r.ReadAt(buf, 0)
+				for j, b := range buf[:n] {
+					if b != byte(j) {
+						t.Errorf("snapshot byte %d = %d", j, b)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 2000; i++ {
+		size, _ := f.Size()
+		if size >= 256 {
+			f.Truncate(size / 3)
+			size /= 3
+		}
+		f.Write([]byte{byte(size), byte(size + 1), byte(size + 2)})
+		if i%7 == 0 {
+			f.Sync()
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestMemFSSyncAndOpenDoNotCopy checks that syncing 1 MiB of written bytes
+// and opening a 1 MiB file allocate a handle at most, not a copy of the file.
+func TestMemFSSyncAndOpenDoNotCopy(t *testing.T) {
+	const size = 1 << 20
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	m := NewMemFS()
+	f, _ := m.Create("t.sst")
+	f.Write(make([]byte, size))
+	if n := allocated(func() { f.Sync() }); n > size/64 {
+		t.Fatalf("Sync of %d bytes allocated %d bytes", size, n)
+	}
+	f.Close()
+	const opens = 20
+	n := allocated(func() {
+		for i := 0; i < opens; i++ {
+			r, err := m.Open("t.sst")
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Close()
+		}
+	})
+	if n/opens > size/64 {
+		t.Fatalf("Open of a %d-byte file allocated %d bytes", size, n/opens)
+	}
+}
+
+// BenchmarkMemFSTableRoundTrip is one SSTable's life on MemFS: create,
+// write 1 MiB, sync, close, open, read one block.
+func BenchmarkMemFSTableRoundTrip(b *testing.B) {
+	const size, block = 1 << 20, 4 << 10
+	m := NewMemFS()
+	img := make([]byte, size)
+	buf := make([]byte, block)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f, err := m.Create("t.sst")
+		if err != nil {
+			b.Fatal(err)
+		}
+		f.Write(img)
+		if err := f.Sync(); err != nil {
+			b.Fatal(err)
+		}
+		f.Close()
+		r, err := m.Open("t.sst")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.ReadAt(buf, size/2); err != nil {
+			b.Fatal(err)
+		}
+		r.Close()
 	}
 }

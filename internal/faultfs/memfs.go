@@ -16,21 +16,35 @@ import (
 // cache. Metadata operations (create, rename, remove) are modelled as
 // immediately durable, the guarantee journaling filesystems provide.
 //
+// Each file is one append-only buffer, and no byte below its length is
+// ever rewritten: a shrink caps the buffer's capacity, so the next append
+// reallocates instead of writing over bytes an open read handle still
+// sees. A read handle and a renamed file are therefore capacity-capped
+// views of the same buffer, and Sync, Open and Rename copy nothing.
+//
 // MemFS is safe for concurrent use.
 type MemFS struct {
 	mu    sync.Mutex
 	files map[string]*memFile
 }
 
+// memFile is data[:durable] synced (or installed by Rename) and
+// data[durable:] the volatile tail.
 type memFile struct {
-	durable  []byte
-	volatile []byte
+	data    []byte
+	durable int
 }
 
-func (f *memFile) contents() []byte {
-	out := make([]byte, 0, len(f.durable)+len(f.volatile))
-	out = append(out, f.durable...)
-	return append(out, f.volatile...)
+// view returns the file's current bytes with the capacity capped at their
+// length: whoever holds the view reallocates on append instead of writing
+// into spare capacity the file itself may still fill.
+func (f *memFile) view() []byte { return f.data[:len(f.data):len(f.data)] }
+
+// shrink cuts the file to n bytes; capping the capacity keeps the cut bytes
+// intact for any view that still holds them.
+func (f *memFile) shrink(n int) {
+	f.data = f.data[:n:n]
+	f.durable = min(f.durable, n)
 }
 
 // NewMemFS returns an empty in-memory filesystem.
@@ -63,7 +77,8 @@ func (m *MemFS) OpenAppend(path string) (File, error) {
 }
 
 // Open implements FS: the returned handle reads a point-in-time snapshot
-// of the file (durable + volatile bytes, the live view a process sees).
+// of the file (durable + volatile bytes, the live view a process sees). The
+// snapshot is an immutable view of the file's buffer, not a copy.
 func (m *MemFS) Open(path string) (File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -71,10 +86,11 @@ func (m *MemFS) Open(path string) (File, error) {
 	if !ok {
 		return nil, notExist("open", path)
 	}
-	return &memReadFile{data: f.contents()}, nil
+	return &memReadFile{data: f.view()}, nil
 }
 
-// ReadFile implements FS.
+// ReadFile implements FS. The caller owns the returned copy, as with
+// os.ReadFile.
 func (m *MemFS) ReadFile(path string) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -82,7 +98,7 @@ func (m *MemFS) ReadFile(path string) ([]byte, error) {
 	if !ok {
 		return nil, notExist("read", path)
 	}
-	return f.contents(), nil
+	return append([]byte(nil), f.data...), nil
 }
 
 // Rename implements FS. The move is atomic and durable; any volatile tail
@@ -96,7 +112,8 @@ func (m *MemFS) Rename(oldpath, newpath string) error {
 		return notExist("rename", oldpath)
 	}
 	delete(m.files, oldpath)
-	m.files[newpath] = &memFile{durable: f.contents()}
+	data := f.view()
+	m.files[newpath] = &memFile{data: data, durable: len(data)}
 	return nil
 }
 
@@ -133,7 +150,8 @@ func (m *MemFS) Glob(pattern string) ([]string, error) {
 // keep, when non-nil, is consulted per file (in sorted path order, so
 // seeded keep functions are deterministic) and returns the torn prefix of
 // the volatile tail that "made it to the platter" — nil or empty drops the
-// tail entirely. The kept bytes become durable.
+// tail entirely. The kept bytes become durable. keep must not modify the
+// tail it is given: open read handles may still be reading it.
 func (m *MemFS) Crash(keep func(path string, volatile []byte) []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -144,15 +162,16 @@ func (m *MemFS) Crash(keep func(path string, volatile []byte) []byte) {
 	sort.Strings(paths)
 	for _, p := range paths {
 		f := m.files[p]
-		if len(f.volatile) == 0 {
+		if f.durable == len(f.data) {
 			continue
 		}
 		var kept []byte
 		if keep != nil {
-			kept = keep(p, f.volatile)
+			kept = keep(p, f.view()[f.durable:])
 		}
-		f.durable = append(f.durable, kept...)
-		f.volatile = nil
+		f.shrink(f.durable)
+		f.data = append(f.data, kept...)
+		f.durable = len(f.data)
 	}
 }
 
@@ -175,7 +194,7 @@ func (m *MemFS) UnsyncedBytes() int64 {
 	defer m.mu.Unlock()
 	var n int64
 	for _, f := range m.files {
-		n += int64(len(f.volatile))
+		n += int64(len(f.data) - f.durable)
 	}
 	return n
 }
@@ -202,7 +221,7 @@ func (w *memWriteFile) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, errors.New("faultfs: write on closed file")
 	}
-	w.f.volatile = append(w.f.volatile, p...)
+	w.f.data = append(w.f.data, p...)
 	return len(p), nil
 }
 
@@ -212,8 +231,7 @@ func (w *memWriteFile) Sync() error {
 	if w.closed {
 		return errors.New("faultfs: sync on closed file")
 	}
-	w.f.durable = append(w.f.durable, w.f.volatile...)
-	w.f.volatile = nil
+	w.f.durable = len(w.f.data)
 	return nil
 }
 
@@ -227,35 +245,14 @@ func (w *memWriteFile) Close() error {
 func (w *memWriteFile) Read(p []byte) (int, error) { return 0, errWriteOnlyHandle }
 
 // ReadAt reads the live contents — durable prefix plus volatile tail — the
-// view a process sees through its own open handle. Semantics match
-// io.ReaderAt: a read ending past the file returns what exists and io.EOF.
+// view a process sees through its own open handle.
 func (w *memWriteFile) ReadAt(p []byte, off int64) (int, error) {
 	w.fs.mu.Lock()
 	defer w.fs.mu.Unlock()
 	if w.closed {
 		return 0, errors.New("faultfs: read on closed file")
 	}
-	if off < 0 {
-		return 0, errors.New("faultfs: negative ReadAt offset")
-	}
-	size := int64(len(w.f.durable) + len(w.f.volatile))
-	if off >= size {
-		return 0, io.EOF
-	}
-	n := 0
-	if off < int64(len(w.f.durable)) {
-		n = copy(p, w.f.durable[off:])
-	}
-	if n < len(p) {
-		volOff := off + int64(n) - int64(len(w.f.durable))
-		if volOff >= 0 && volOff < int64(len(w.f.volatile)) {
-			n += copy(p[n:], w.f.volatile[volOff:])
-		}
-	}
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
+	return readAt(w.f.data, p, off)
 }
 
 // Truncate cuts the live file to size. The new length is immediately
@@ -270,23 +267,17 @@ func (w *memWriteFile) Truncate(size int64) error {
 	if size < 0 {
 		return errors.New("faultfs: negative truncate size")
 	}
-	cur := int64(len(w.f.durable) + len(w.f.volatile))
-	if size >= cur {
+	if size >= int64(len(w.f.data)) {
 		return nil // grow-to-size is not modelled; callers only shrink
 	}
-	if size <= int64(len(w.f.durable)) {
-		w.f.durable = w.f.durable[:size]
-		w.f.volatile = nil
-		return nil
-	}
-	w.f.volatile = w.f.volatile[:size-int64(len(w.f.durable))]
+	w.f.shrink(int(size))
 	return nil
 }
 
 func (w *memWriteFile) Size() (int64, error) {
 	w.fs.mu.Lock()
 	defer w.fs.mu.Unlock()
-	return int64(len(w.f.durable) + len(w.f.volatile)), nil
+	return int64(len(w.f.data)), nil
 }
 
 // memReadFile streams a snapshot taken at Open.
@@ -305,16 +296,21 @@ func (r *memReadFile) Read(p []byte) (int, error) {
 }
 
 // ReadAt reads from the snapshot without touching the handle's cursor, so
-// concurrent positional readers never race. Semantics match io.ReaderAt:
-// a read ending past the snapshot returns the bytes available and io.EOF.
+// concurrent positional readers never race.
 func (r *memReadFile) ReadAt(p []byte, off int64) (int, error) {
+	return readAt(r.data, p, off)
+}
+
+// readAt is io.ReaderAt over data: a read ending past it returns the bytes
+// available and io.EOF.
+func readAt(data, p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, errors.New("faultfs: negative ReadAt offset")
 	}
-	if off >= int64(len(r.data)) {
+	if off >= int64(len(data)) {
 		return 0, io.EOF
 	}
-	n := copy(p, r.data[off:])
+	n := copy(p, data[off:])
 	if n < len(p) {
 		return n, io.EOF
 	}

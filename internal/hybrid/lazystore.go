@@ -163,6 +163,10 @@ func (s *LazyStore) Stats() kv.Stats {
 	return out
 }
 
+// Flush settles the indexed tier; staged writes stay staged, since never
+// reaching the indexed store is the point of staging them.
+func (s *LazyStore) Flush() error { return kv.Flush(s.indexed) }
+
 // Drain winds down the indexed tier's background work (staging is memory).
 func (s *LazyStore) Drain() error { return kv.Drain(s.indexed) }
 

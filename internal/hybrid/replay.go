@@ -15,6 +15,21 @@ type ReplayResult struct {
 	Stats   kv.Stats // the store's I/O counters after replay
 }
 
+// Settle flushes what store still buffers (kv.Flush) and re-reads its
+// counters into r.Stats, so they total the whole run's physical I/O —
+// without it an LSM's unflushed memtables are missing from the writes.
+// Replay does not settle: replaybench replays in chunks, and a flush per
+// chunk would change what it measures.
+func (r *ReplayResult) Settle(store kv.Store) error {
+	if err := kv.Flush(store); err != nil {
+		return err
+	}
+	if sp, ok := store.(kv.StatsProvider); ok {
+		r.Stats = sp.Stats()
+	}
+	return nil
+}
+
 // Replay drives the recorded operation stream against a store, using each
 // op's recorded value size to synthesize payloads. This is how the
 // ablations compare backend designs on the *measured* workload rather than

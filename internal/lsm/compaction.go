@@ -505,7 +505,7 @@ func (db *DB) installCompactionLocked(plan compactionPlan, newMetas []tableMeta,
 // own references, so the last unref — not this call — closes the file and
 // purges the table's cached blocks. Deleting the file under a live reader is
 // safe: the OS keeps unlinked files readable through open descriptors, and
-// MemFS read handles snapshot.
+// a MemFS read handle holds an immutable view of the file, not a copy.
 func (db *DB) retireTables(obsolete []tableMeta, unlink bool) {
 	for _, m := range obsolete {
 		m.h.release()

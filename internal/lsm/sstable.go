@@ -152,9 +152,9 @@ type indexEntry struct {
 // reference; iterators and compactions, which outlive db.mu, take their own
 // (tableHandle has the rule for point reads, which take none), so a
 // compaction deleting the file under a live scan is safe: the OS keeps
-// unlinked files readable through open descriptors (MemFS handles hold a
-// snapshot), and the last unref closes the file and purges the table's
-// cached blocks.
+// unlinked files readable through open descriptors (a MemFS handle holds an
+// immutable view of the file, not a copy), and the last unref closes the
+// file and purges the table's cached blocks.
 type tableReader struct {
 	meta   tableMeta
 	src    io.ReaderAt
