@@ -40,11 +40,13 @@ check: build fmtcheck vet race crashtest determinism bench-rig bench-kernels-onc
 crashtest:
 	ETHKV_CRASHTEST_SEEDS=200 $(GO) test -race -run TestCrashRecovery ./internal/lsm/crashtest/
 
-# The suites that pin what scheduling may never change — sub-compaction and
-# worker-width byte identity, trivial moves (whether a move is admitted
-# beside concurrent jobs, and that its files survive its retire and a
-# crash), crash fingerprints (internal/lsm/crashtest's
-# replays of storetest's crash ending), the commit pipeline's
+# The suites that pin what scheduling may never change — worker-width byte
+# identity (TestSubCompactionEquivalence keeps its name: one merge per
+# compaction writes the same tables at any pool width), trivial moves
+# (whether a move is admitted beside concurrent jobs, and that its files
+# survive its retire and a crash), crash fingerprints
+# (internal/lsm/crashtest's replays of storetest's crash ending), the
+# commit pipeline's
 # apply-order-is-log-order and barrier-watermark rules, kvnet's
 # connection-death suite (every op completes exactly once when a
 # connection dies), and the analysis engine's equivalence suite (one

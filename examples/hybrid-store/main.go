@@ -72,6 +72,11 @@ func main() {
 	printRow("LSM-only", baseline)
 	printRow("hybrid", hyb)
 
-	save := 1 - float64(hyb.Stats.PhysicalBytesWrite)/float64(baseline.Stats.PhysicalBytesWrite)
-	fmt.Printf("\nhybrid writes %.1f%% fewer physical bytes\n", save*100)
+	fmt.Printf("\n%s\n", writeRatio(hyb.Stats.PhysicalBytesWrite, baseline.Stats.PhysicalBytesWrite))
+}
+
+// writeRatio is the closing sentence: the hybrid's physical write bytes as a
+// multiple of the LSM-only baseline's, which reads right whichever is larger.
+func writeRatio(hyb, base uint64) string {
+	return fmt.Sprintf("hybrid writes %.2f× the LSM's physical bytes", float64(hyb)/float64(base))
 }

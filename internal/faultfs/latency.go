@@ -6,10 +6,9 @@ import "time"
 // delegating, modeling the device-side cost of a durability barrier
 // (fsync on disks is tens of microseconds to milliseconds; on the
 // in-memory MemFS it is free). Scheduler benchmarks use it to make I/O
-// wait explicit and hardware-independent: whether overlapping flushes,
-// compactions, and sub-compactions hides the barrier latency then shows
-// up in wall-clock, even on a single-core host where pure CPU work
-// cannot be parallelized.
+// wait explicit and hardware-independent: whether overlapping flushes and
+// compactions hides the barrier latency then shows up in wall-clock, even
+// on a single-core host where pure CPU work cannot be parallelized.
 func WithSyncLatency(fsys FS, d time.Duration) FS {
 	if d <= 0 {
 		return fsys

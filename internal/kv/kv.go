@@ -188,7 +188,7 @@ type Stats struct {
 	DeadDataBytes      uint64 `stat:"dead_data_bytes"`     // bytes of dead records awaiting compaction (compaction debt)
 	CompactionRewrites uint64 `stat:"compaction_rewrites"` // live records rewritten into a fresh generation by compaction
 
-	SubCompactions          uint64 `stat:"sub_compactions"`           // key-range sub-compaction units run by split merges
+	SubCompactions          uint64 `stat:"sub_compactions"`           // retired, always 0; kept while the benchmark rig reads it
 	CompactionParallelNanos uint64 `stat:"compaction_parallel_nanos"` // wall nanoseconds with >= 2 compactions in flight
 	// High-water marks (merged by max across stores, not summed: the
 	// aggregate "most concurrent compactions" of a shard set is the worst

@@ -1,11 +1,8 @@
 package lsm
 
 import (
-	"bytes"
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 	"time"
 )
 
@@ -190,16 +187,8 @@ func (db *DB) compactAndInstall(plan compactionPlan) (obsolete []tableMeta, err 
 // runCompaction merges the planned tables into new non-overlapping tables
 // on the destination level. Runs WITHOUT db.mu: reads and writes proceed
 // concurrently with the merge I/O. Compacting into the bottom level drops
-// tombstones.
-//
-// Large inputs split into key-range sub-compactions. The split boundaries
-// are a pure function of the plan (subCompactionBounds), and every range
-// merge is independent and deterministic, so the concatenated outputs are
-// byte-for-byte identical whether the ranges run on one goroutine or many —
-// only the file numbers (assigned at write time) differ. The ranges fan out
-// across at most db.workers (the pool's size) goroutines.
-//
-// A move returns the source metas relabelled to dst and touches no file.
+// tombstones. A move returns the source metas relabelled to dst and touches
+// no file.
 func (db *DB) runCompaction(plan compactionPlan, hook func()) (newMetas []tableMeta, readBytes int64, err error) {
 	if hook != nil {
 		hook()
@@ -211,106 +200,12 @@ func (db *DB) runCompaction(plan compactionPlan, hook func()) (newMetas []tableM
 		}
 		return newMetas, 0, nil
 	}
-	bounds := db.subCompactionBounds(plan)
-	if len(bounds) == 0 {
-		return db.compactRange(plan, nil, nil)
-	}
-	ranges := len(bounds) + 1
-	db.stats.subCompactions.Add(uint64(ranges))
-	type rangeResult struct {
-		metas []tableMeta
-		read  int64
-		err   error
-	}
-	results := make([]rangeResult, ranges)
-	workers := db.workers
-	if workers > ranges {
-		workers = ranges
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < ranges; i++ {
-		var lo, hi []byte
-		if i > 0 {
-			lo = bounds[i-1]
-		}
-		if i < len(bounds) {
-			hi = bounds[i]
-		}
-		wg.Add(1)
-		go func(i int, lo, hi []byte) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			r := &results[i]
-			r.metas, r.read, r.err = db.compactRange(plan, lo, hi)
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	for _, r := range results {
-		if r.err != nil {
-			return nil, 0, r.err
-		}
-		newMetas = append(newMetas, r.metas...)
-		readBytes += r.read
-	}
-	return newMetas, readBytes, nil
+	return db.compactRange(plan)
 }
 
-// subCompactionBounds returns the interior key boundaries splitting plan
-// into sub-compaction ranges: range i covers [bounds[i-1], bounds[i])
-// (unbounded at the ends). Empty means run unsplit. Boundaries are drawn
-// from the input tables' smallest keys — deterministic plan metadata —
-// never from worker count or timing.
-func (db *DB) subCompactionBounds(plan compactionPlan) [][]byte {
-	const maxSubCompactions = 16
-	span := db.opts.SubCompactionBytes
-	if span <= 0 {
-		return nil
-	}
-	inputs := plan.inputs()
-	want := int(levelBytes(inputs) / span)
-	if want <= 1 {
-		return nil
-	}
-	if want > maxSubCompactions {
-		want = maxSubCompactions
-	}
-	// Candidate boundaries: distinct table start keys past the global
-	// minimum (a boundary at the minimum would make the first range empty).
-	starts := make([][]byte, 0, len(inputs))
-	for _, m := range inputs {
-		starts = append(starts, m.smallest)
-	}
-	sort.Slice(starts, func(i, j int) bool { return bytes.Compare(starts[i], starts[j]) < 0 })
-	var cands [][]byte
-	for i := 1; i < len(starts); i++ {
-		if !bytes.Equal(starts[i], starts[i-1]) {
-			cands = append(cands, starts[i])
-		}
-	}
-	if len(cands) == 0 {
-		return nil
-	}
-	if want > len(cands)+1 {
-		want = len(cands) + 1
-	}
-	// want ranges need want-1 boundaries, spaced evenly over the candidates.
-	var bounds [][]byte
-	for i := 1; i < want; i++ {
-		b := cands[i*len(cands)/want]
-		if len(bounds) > 0 && bytes.Equal(bounds[len(bounds)-1], b) {
-			continue
-		}
-		bounds = append(bounds, append([]byte(nil), b...))
-	}
-	return bounds
-}
-
-// compactRange merges the plan's inputs restricted to keys in [lo, hi) —
-// nil bounds are unbounded. Output tables cut at CompactionTableBytes and,
-// by construction, at the range boundary.
-func (db *DB) compactRange(plan compactionPlan, lo, hi []byte) (newMetas []tableMeta, readBytes int64, err error) {
+// compactRange merges all of the plan's inputs in one pass. Output tables cut
+// at CompactionTableBytes.
+func (db *DB) compactRange(plan compactionPlan) (newMetas []tableMeta, readBytes int64, err error) {
 	// Build merge sources newest-first: L0 files are newest-last on disk and
 	// may overlap, so each is a source of its own, in reverse; a deeper
 	// level's run is key-disjoint and makes one runSource; destination
@@ -335,11 +230,6 @@ func (db *DB) compactRange(plan compactionPlan, lo, hi []byte) (newMetas []table
 	addRun := func(metas []tableMeta) error {
 		var run []*tableReader
 		for _, m := range metas {
-			// Skip tables entirely outside the range: every key of a skipped
-			// table belongs to (and is read by) some other range's merge.
-			if (hi != nil && bytes.Compare(m.smallest, hi) >= 0) || (lo != nil && bytes.Compare(m.largest, lo) < 0) {
-				continue
-			}
 			t, err := db.acquire(&m)
 			if err != nil {
 				return err
@@ -348,7 +238,7 @@ func (db *DB) compactRange(plan compactionPlan, lo, hi []byte) (newMetas []table
 			run = append(run, t)
 		}
 		if len(run) > 0 {
-			s := &runSource{tables: run, start: lo}
+			s := &runSource{tables: run}
 			s.fill()
 			runs, sources = append(runs, s), append(sources, s)
 		}
@@ -390,9 +280,6 @@ func (db *DB) compactRange(plan compactionPlan, lo, hi []byte) (newMetas []table
 	}
 	for merged.next() {
 		e := merged.entry()
-		if hi != nil && bytes.Compare(e.key, hi) >= 0 {
-			break
-		}
 		if e.tombstone && plan.dropTombstones {
 			// Saturating decrement: compaction may drop tombstones
 			// recovered from disk that this process never counted.
@@ -433,7 +320,6 @@ func (db *DB) compactRange(plan compactionPlan, lo, hi []byte) (newMetas []table
 // holds one table's readahead per run however many tables the run has.
 type runSource struct {
 	tables []*tableReader // tables still to walk
-	start  []byte
 	cur    *tableSource
 	done   []*tableSource // exhausted, closed on the next advance
 	read   int            // bytes consumed by closed walks
@@ -446,7 +332,7 @@ func (s *runSource) fill() {
 		if s.cur != nil {
 			s.done = append(s.done, s.cur)
 		}
-		s.cur, s.tables = newTableSourceBypass(s.tables[0], s.start), s.tables[1:]
+		s.cur, s.tables = newTableSourceBypass(s.tables[0]), s.tables[1:]
 	}
 }
 

@@ -15,14 +15,13 @@ import (
 )
 
 // schedOpts shrinks every threshold so small workloads produce multi-level
-// trees, multi-table runs, and split merges.
+// trees and multi-table runs.
 func schedOpts(workers int) Options {
 	return Options{
 		MemtableBytes:        4 << 10,
 		L0CompactionTrigger:  2,
 		LevelBaseBytes:       8 << 10,
 		CompactionTableBytes: 4 << 10,
-		SubCompactionBytes:   8 << 10,
 		Pool:                 compaction.NewPool(workers),
 	}
 }
@@ -103,81 +102,102 @@ func TestCompactionWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestSubCompactionEquivalence proves the tentpole's merge property
-// directly: one planned compaction, run with its key-range sub-compactions
-// fanned across 1, 2, and 4 goroutines, must produce byte-identical output
-// tables in the same order. The split boundaries come from the plan alone,
-// so only file numbers — assigned at write time, not stored in the table
-// format — may differ between runs.
+// TestSubCompactionEquivalence pins that a compaction is one merge over its
+// whole plan, whatever the pool's width. It forces the 22-table L0 plan that
+// key-range sub-compactions used to split, on stores with pools of 1, 2 and 4
+// slots. Every width must write byte-identical tables in the same order (only
+// file numbers, assigned at write time and not stored in the table format,
+// may differ), and every output table but the last must hold at least
+// CompactionTableBytes of entries: a table cut short before the end can only
+// have been cut at a range boundary.
 func TestSubCompactionEquivalence(t *testing.T) {
-	db := openTestDB(t, schedOpts(1))
-	// Latch draining first: flushes still run but no background compaction
-	// does, so the forced plan below is the same L0 merge on every run
-	// rather than whatever the scheduler happened to leave behind.
-	if err := db.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	applySchedWorkload(t, db)
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Quiesce, then force-plan one merge without installing it.
-	db.mu.Lock()
-	if err := db.settleLocked(); err != nil {
-		db.mu.Unlock()
-		t.Fatal(err)
-	}
-	plan, ok := pickCompaction(db.current, db.jobs, true, db.opts)
-	bounds := db.subCompactionBounds(plan)
-	db.mu.Unlock()
-	if !ok {
-		t.Fatal("no compaction plannable after settle")
-	}
-	if len(bounds) == 0 {
-		t.Fatalf("plan of %d+%d tables produced no sub-compaction split",
-			len(plan.srcMetas), len(plan.dstIn))
-	}
-
 	var want [][]byte
 	for _, workers := range []int{1, 2, 4} {
+		db := openTestDB(t, schedOpts(workers))
+		// Latch draining first: flushes still run but no background
+		// compaction does, so the forced plan below is the same L0 merge at
+		// every width rather than whatever the scheduler happened to leave.
+		if err := db.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		applySchedWorkload(t, db)
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		db.mu.Lock()
-		db.workers = workers
+		if err := db.settleLocked(); err != nil {
+			db.mu.Unlock()
+			t.Fatal(err)
+		}
+		plan, ok := pickCompaction(db.current, db.jobs, true, db.opts)
 		db.mu.Unlock()
+		// The retired split fanned out any plan over 4 × CompactionTableBytes.
+		if !ok || plan.level != 0 || levelBytes(plan.inputs()) <= 4*int64(db.opts.CompactionTableBytes) {
+			t.Fatalf("workers=%d: forced plan %v is not an L0 merge large enough to have split", workers, ok)
+		}
+
 		metas, _, err := db.runCompaction(plan, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: runCompaction: %v", workers, err)
 		}
 		var files [][]byte
-		for _, m := range metas {
-			b, err := os.ReadFile(tablePath(db.dir, m.num))
+		for i := range metas {
+			b, err := os.ReadFile(tablePath(db.dir, metas[i].num))
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
 			files = append(files, b)
+			if i == len(metas)-1 {
+				continue
+			}
+			if n := tableEntryBytes(t, db, &metas[i]); n < db.opts.CompactionTableBytes {
+				t.Fatalf("workers=%d: output table %d of %d holds %d entry bytes, short of CompactionTableBytes (%d)",
+					workers, i, len(metas), n, db.opts.CompactionTableBytes)
+			}
 		}
 		if want == nil {
 			want = files
 			continue
 		}
 		if len(files) != len(want) {
-			t.Fatalf("workers=%d: %d output tables, serial merge wrote %d",
+			t.Fatalf("workers=%d: %d output tables, serial pool wrote %d",
 				workers, len(files), len(want))
 		}
 		for i := range files {
 			if !bytes.Equal(files[i], want[i]) {
-				t.Fatalf("workers=%d: output table %d differs from serial merge", workers, i)
+				t.Fatalf("workers=%d: output table %d differs from serial pool's", workers, i)
 			}
 		}
 	}
 }
 
+// tableEntryBytes sums the key and value bytes a table holds, the measure
+// compactRange cuts its output tables by.
+func tableEntryBytes(t *testing.T, db *DB, m *tableMeta) int {
+	t.Helper()
+	tr, err := db.table(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.h.release()
+	n := 0
+	it := tr.iteratorOpts(nil, false)
+	for it.next() {
+		n += len(it.cur.key) + len(it.cur.value)
+	}
+	it.close()
+	if it.err != nil {
+		t.Fatal(it.err)
+	}
+	return n
+}
+
 // TestConcurrentCompactionsOverlap drives a workload wide enough that the
 // scheduler runs range-disjoint merges simultaneously, and checks the new
-// concurrency counters observe it: a peak of >= 2 compactions in flight,
-// wall time attributed to the overlap, and split merges fanning into
-// sub-compactions. A slow compaction hook widens each merge window so the
-// overlap is reliably observable rather than a timing accident.
+// concurrency counters observe it: a peak of >= 2 compactions in flight and
+// wall time attributed to the overlap. A slow compaction hook widens each
+// merge window so the overlap is reliably observable rather than a timing
+// accident.
 func TestConcurrentCompactionsOverlap(t *testing.T) {
 	db := openTestDB(t, schedOpts(4))
 	db.mu.Lock()
@@ -220,9 +240,6 @@ func TestConcurrentCompactionsOverlap(t *testing.T) {
 	}
 	if s.CompactionParallelNanos == 0 {
 		t.Fatal("CompactionParallelNanos = 0 despite overlapping compactions")
-	}
-	if s.SubCompactions == 0 {
-		t.Fatal("SubCompactions = 0: no merge split into ranges")
 	}
 	// Concurrency must not have corrupted the data: spot-check the model.
 	checked := 0

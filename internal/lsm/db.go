@@ -30,8 +30,8 @@
 // Background work runs on a compaction scheduler (see maybeScheduleLocked):
 // flushes and compactions occupy separate jobs so a long merge never blocks
 // memtable rotation, range- and level-disjoint compactions run concurrently
-// with per-table claims, large merges split into key-range sub-compactions,
-// and all jobs draw goroutines from a compaction.Pool that may be shared
+// with per-table claims, each compaction is one merge over its whole plan,
+// and every job runs on a goroutine of a compaction.Pool that may be shared
 // across DB instances for a process-wide concurrency budget.
 //
 // Both kinds of job write tables through one streaming path: a flush walks
@@ -132,17 +132,9 @@ type Options struct {
 	// to the filesystem). Index and bloom sections are pinned per open
 	// table outside this budget.
 	BlockCacheBytes int64
-	// SubCompactionBytes is the input-size threshold past which one
-	// compaction splits into key-range sub-compactions (one range per
-	// SubCompactionBytes of input, capped). 0 selects 4x
-	// CompactionTableBytes. The split boundaries depend only on the
-	// planned inputs — never on worker count — so the concatenated
-	// outputs are byte-identical no matter how many goroutines ran.
-	SubCompactionBytes int64
 	// Pool is the background budget: all flushes and compactions of every
 	// DB on the pool compete for its slots, highest compaction debt first,
-	// and its size is also this DB's cap on concurrent compactions and the
-	// number of goroutines a split merge fans its sub-compactions across.
+	// and its size is also this DB's cap on concurrent compactions.
 	// A pool of 1 is the fully serial mode: one background job at a time,
 	// flushes before compactions, which the crash tests rely on for a
 	// deterministic filesystem write order. From 2 up, one flush job runs
@@ -181,9 +173,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BlockCacheBytes == 0 {
 		o.BlockCacheBytes = 32 << 20
-	}
-	if o.SubCompactionBytes == 0 {
-		o.SubCompactionBytes = 4 * int64(o.CompactionTableBytes)
 	}
 	return o
 }
@@ -252,7 +241,7 @@ type DB struct {
 	// (degradedErr); writers surface it.
 	pool *compaction.Pool
 	// workers is pool's size, read once at Open: the cap on concurrent
-	// compactions and on a split merge's goroutines; 1 is the serial mode.
+	// compactions; 1 is the serial mode.
 	workers  int
 	bgWG     sync.WaitGroup // tracks every submitted job to its very end
 	flushing bool           // a flush job is submitted or running
@@ -310,7 +299,6 @@ type dbStats struct {
 	walSyncs, walSyncNanos          atomic.Uint64
 	walSharedCommits                atomic.Uint64 // batches durable on another writer's barrier
 	manifestWrites                  atomic.Uint64
-	subCompactions                  atomic.Uint64
 	compactionParallelNanos         atomic.Uint64
 	maxConcurrentCompactions        atomic.Uint64
 	compactionDebtPeak              atomic.Uint64
@@ -686,7 +674,6 @@ func (db *DB) Stats() kv.Stats {
 		WALSharedCommits:    db.stats.walSharedCommits.Load(),
 		ManifestWrites:      db.stats.manifestWrites.Load(),
 		Degraded:            db.stats.degraded.Load(),
-		SubCompactions:      db.stats.subCompactions.Load(),
 
 		CompactionParallelNanos:  db.stats.compactionParallelNanos.Load(),
 		MaxConcurrentCompactions: db.stats.maxConcurrentCompactions.Load(),

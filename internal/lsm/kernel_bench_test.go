@@ -86,7 +86,7 @@ func BenchmarkMergeIterator(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sources := make([]source, k)
 				for j, r := range readers {
-					sources[j] = newTableSourceBypass(r, nil)
+					sources[j] = newTableSourceBypass(r)
 				}
 				merged := newMergeIterator(sources)
 				n := 0
@@ -128,7 +128,7 @@ func BenchmarkCompactRange(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, err := db.compactRange(plan, nil, nil)
+		out, _, err := db.compactRange(plan)
 		if err != nil || len(out) == 0 {
 			b.Fatalf("compactRange: %d tables, err %v", len(out), err)
 		}

@@ -77,8 +77,8 @@ func newTableSource(t *tableReader, start []byte) *tableSource {
 // newTableSourceBypass is the compaction variant: the walk streams through
 // private readahead only, never consulting or populating the shared block
 // cache, so a background merge cannot evict the hot point-read set.
-func newTableSourceBypass(t *tableReader, start []byte) *tableSource {
-	s := &tableSource{it: t.iteratorOpts(start, false)}
+func newTableSourceBypass(t *tableReader) *tableSource {
+	s := &tableSource{it: t.iteratorOpts(nil, false)}
 	s.advance()
 	return s
 }

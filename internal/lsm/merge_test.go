@@ -202,7 +202,7 @@ func TestReadaheadReuseKeepsEntryValid(t *testing.T) {
 	}
 	defer r.unref()
 
-	s := newTableSourceBypass(r, nil)
+	s := newTableSourceBypass(r)
 	var prev entry
 	spans, lastFirst := 0, -1
 	for i := 0; ; i++ {

@@ -303,9 +303,6 @@ func openLeaf(kind string, cfg Config, fsys faultfs.FS) (kv.Store, error) {
 			RetryBackoff:        time.Microsecond,
 			BlockCacheBytes:     cfg.BlockCacheBytes,
 			Pool:                compaction.NewPool(max(cfg.CompactionWorkers, 1)),
-			// A tiny split threshold, so even this workload's compactions
-			// fan into range sub-compactions.
-			SubCompactionBytes: 4 << 10,
 		})
 	}
 	return nil, fmt.Errorf("storetest: no crash leaf of kind %q", kind)
