@@ -42,19 +42,19 @@ crashtest:
 
 # The suites that pin what scheduling may never change — worker-width byte
 # identity (TestSubCompactionEquivalence keeps its name: one merge per
-# compaction writes the same tables at any pool width), trivial moves
-# (whether a move is admitted beside concurrent jobs, and that its files
-# survive its retire and a crash), crash fingerprints
-# (internal/lsm/crashtest's replays of storetest's crash ending), the
-# commit pipeline's
-# apply-order-is-log-order and barrier-watermark rules, kvnet's
-# connection-death suite (every op completes exactly once when a
-# connection dies), and the analysis engine's equivalence suite (one
-# goroutine per collector must equal the sequential Observe loop) —
-# repeated under the race detector: a scheduling-dependent divergence shows
-# up in one run of twenty, not in one.
+# compaction writes the same tables at any pool width), one compaction per
+# store however wide the pool (TestConcurrentCompactionsOverlap: never two
+# merges in flight in one store, still side by side across stores), trivial
+# moves (a move beside flushes, and that its files survive its retire and a
+# crash), crash fingerprints (internal/lsm/crashtest's replays of
+# storetest's crash ending), the commit pipeline's apply-order-is-log-order
+# and barrier-watermark rules, kvnet's connection-death suite (every op
+# completes exactly once when a connection dies), and the analysis engine's
+# equivalence suite (one goroutine per collector must equal the sequential
+# Observe loop) — repeated under the race detector: a scheduling-dependent
+# divergence shows up in one run of twenty, not in one.
 determinism:
-	$(GO) test -race -count=20 -run 'TestSubCompactionEquivalence|TestCompactionWorkerInvariance|TestTrivialMove|TestCrashRecovery.*Deterministic|TestApplyOrderIsLogOrder|TestBarrierSharedByWatermark' ./internal/lsm/...
+	$(GO) test -race -count=20 -run 'TestSubCompactionEquivalence|TestCompactionWorkerInvariance|TestConcurrentCompactionsOverlap|TestTrivialMove|TestCrashRecovery.*Deterministic|TestApplyOrderIsLogOrder|TestBarrierSharedByWatermark' ./internal/lsm/...
 	$(GO) test -race -count=20 -run 'TestClientFailStopExactlyOnce|TestClientSurfaces|TestClientRejectsShortBatchResponse|TestScanSurfacesServerIteratorError' ./internal/kvnet/
 	$(GO) test -race -count=20 -run 'TestEngineEquivalenceSlice|TestEngineEquivalenceReader|TestEngineFindingsEquivalence|TestCollectWrappersMatchSequential' ./internal/analysis/
 

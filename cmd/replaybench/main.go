@@ -181,9 +181,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		wallShare(st.WriteStallQueueNanos), wallShare(st.WriteStallL0Nanos),
 		wallShare(st.FlushTableNanos), wallShare(st.ManifestNanos),
 		float64(st.CompactionDebtPeak)/(1<<20))
-	fmt.Fprintf(stdout, "compaction concurrency: max %d in flight, %.2fs with >=2 overlapped\n",
-		st.MaxConcurrentCompactions,
-		time.Duration(st.CompactionParallelNanos).Seconds())
 	// The durable write path's device cost; all zero with the WAL off.
 	fmt.Fprintf(stdout, "wal syncs: %d (%.1f%% of wall time inside the barrier; %d commits shared another's)   manifest writes: %d\n",
 		st.WALSyncs, wallShare(st.WALSyncNanos), st.WALSharedCommits, st.ManifestWrites)

@@ -50,8 +50,8 @@ type Options struct {
 	// call creates — all shards and all policy routes — so `-shards 8`
 	// contends for these workers instead of spawning 8 uncoordinated sets;
 	// the pool prefers the instance with the highest compaction debt. Each
-	// instance takes the pool's size as its own concurrency cap, so 1 is
-	// the serial mode.
+	// instance runs one compaction at a time, so more workers than
+	// instances buys only a flush beside each merge; 1 is the serial mode.
 	CompactionWorkers int
 }
 

@@ -26,7 +26,7 @@ func RegisterFlags(fs *flag.FlagSet, defaultBackend string) *Flags {
 	fs.StringVar(&f.Policy, "policy", "", "per-class storage policy JSON for the hybrid backend (implies -backend hybrid)")
 	fs.IntVar(&f.BlockCacheMB, "block-cache-mb", 0, "LSM block cache budget in MiB (0 = store default, negative disables)")
 	fs.IntVar(&f.Shards, "shards", 1, "partition the keyspace by key hash across this many child stores (1 = unsharded)")
-	fs.IntVar(&f.CompactionWorkers, "compaction-workers", 0, "process-wide background compaction worker budget shared by every LSM instance, and each instance's concurrency cap (0 = store default, 1 = serial)")
+	fs.IntVar(&f.CompactionWorkers, "compaction-workers", 0, "process-wide background worker budget shared by every LSM instance, each running one compaction at a time (0 = store default, 1 = serial)")
 	return f
 }
 

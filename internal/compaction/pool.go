@@ -111,10 +111,3 @@ func (p *Pool) work(job Job) {
 		p.mu.Unlock()
 	}
 }
-
-// Stats reports the pool's instantaneous occupancy.
-func (p *Pool) Stats() (running, queued int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.running, len(p.pending)
-}

@@ -72,10 +72,12 @@ func TestPoolDebtPriority(t *testing.T) {
 	}
 }
 
-// TestPoolIdleNoGoroutines checks the pool releases its slot when the queue
-// empties: a fresh submission after idling still runs.
+// TestPoolIdleNoGoroutines checks the pool releases its slots when the
+// queue empties: after each drained round, a full budget of fresh jobs runs
+// all at once, which the jobs themselves observe by waiting for each other.
 func TestPoolIdleNoGoroutines(t *testing.T) {
-	p := NewPool(2)
+	const budget = 2
+	p := NewPool(budget)
 	for round := 0; round < 3; round++ {
 		var wg sync.WaitGroup
 		wg.Add(4)
@@ -83,18 +85,23 @@ func TestPoolIdleNoGoroutines(t *testing.T) {
 			p.Submit(1, wg.Done)
 		}
 		wg.Wait()
-		// The slot releases just after the last job returns; poll briefly.
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			running, queued := p.Stats()
-			if running == 0 && queued == 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d: running=%d queued=%d after drain", round, running, queued)
-			}
-			time.Sleep(time.Millisecond)
+		var arrived atomic.Int32
+		all, release := make(chan struct{}), make(chan struct{})
+		for i := 0; i < budget; i++ {
+			p.Submit(1, func() {
+				if arrived.Add(1) == budget {
+					close(all)
+				}
+				<-release
+			})
 		}
+		select {
+		case <-all:
+		case <-time.After(5 * time.Second):
+			close(release)
+			t.Fatalf("round %d: %d of %d jobs running after a drain", round, arrived.Load(), budget)
+		}
+		close(release)
 	}
 	if p.Workers() != 2 {
 		t.Fatalf("Workers() = %d, want 2", p.Workers())

@@ -188,13 +188,14 @@ type Stats struct {
 	DeadDataBytes      uint64 `stat:"dead_data_bytes"`     // bytes of dead records awaiting compaction (compaction debt)
 	CompactionRewrites uint64 `stat:"compaction_rewrites"` // live records rewritten into a fresh generation by compaction
 
-	SubCompactions          uint64 `stat:"sub_compactions"`           // retired, always 0; kept while the benchmark rig reads it
-	CompactionParallelNanos uint64 `stat:"compaction_parallel_nanos"` // wall nanoseconds with >= 2 compactions in flight
-	// High-water marks (merged by max across stores, not summed: the
-	// aggregate "most concurrent compactions" of a shard set is the worst
-	// single store, and a process-wide pool makes sums meaningless).
-	MaxConcurrentCompactions uint64 `stat:"max_concurrent_compactions,peak"` // peak compactions in flight at once
-	CompactionDebtPeak       uint64 `stat:"compaction_debt_peak_bytes,peak"` // peak compaction debt bytes observed
+	// Retired, always 0; kept while the benchmark rig reads them. A
+	// compaction is one merge (no sub-compactions), and a store runs one
+	// compaction at a time, so none overlap.
+	SubCompactions           uint64 `stat:"sub_compactions"`
+	CompactionParallelNanos  uint64 `stat:"compaction_parallel_nanos"`
+	MaxConcurrentCompactions uint64 `stat:"max_concurrent_compactions,peak"`
+	// A high-water mark, merged by max across stores, not summed.
+	CompactionDebtPeak uint64 `stat:"compaction_debt_peak_bytes,peak"` // peak compaction debt bytes observed
 }
 
 // statField is one Stats counter as its `stat` tag declares it.

@@ -281,16 +281,16 @@ func (db *DB) settle() error {
 	return db.settleLocked()
 }
 
-// settleLocked waits for the scheduler to drain every flush, every
-// in-flight job, and all due compaction work: the scheduler starts whatever
-// is due, and with nothing in flight a due level always has a plan, so once
-// nothing is queued or in flight nothing is due. A job stays in flight until
-// the manifest recording its install is durable, so a settled store's
-// on-disk state matches its in-memory version. Called with db.mu held.
+// settleLocked waits for the scheduler to drain every flush, the in-flight
+// compaction, and all due compaction work: the scheduler starts whatever is
+// due, and a due level always has a plan, so once nothing is queued or in
+// flight nothing is due. A job stays in flight until the manifest recording
+// its install is durable, so a settled store's on-disk state matches its
+// in-memory version. Called with db.mu held.
 func (db *DB) settleLocked() error {
 	for db.degradedErr == nil {
 		db.maybeScheduleLocked()
-		if len(db.imm) == 0 && !db.flushing && len(db.jobs) == 0 {
+		if len(db.imm) == 0 && !db.flushing && !db.compacting {
 			break
 		}
 		db.cond.Wait()

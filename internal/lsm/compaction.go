@@ -23,9 +23,9 @@ const flushPriority = math.MaxUint64
 //
 // Scheduling rules:
 //   - at most one flush job, looping until the immutable queue empties;
-//   - up to db.workers (the pool's size) concurrent compactions, each
-//     planned by pickCompaction under the disjointness rule;
-//   - with a pool of 1 the flush job and compactions additionally
+//   - at most one compaction, planned by pickCompaction from the version
+//     alone;
+//   - with a pool of 1 the flush job and the compaction additionally
 //     exclude each other, restoring the serial single-worker write order
 //     (flushes first) that deterministic crash tests depend on.
 func (db *DB) maybeScheduleLocked() {
@@ -34,19 +34,15 @@ func (db *DB) maybeScheduleLocked() {
 	}
 	db.noteDebtLocked()
 	serial := db.workers == 1
-	if !db.flushing && len(db.imm) > 0 && !(serial && len(db.jobs) > 0) {
+	if !db.flushing && len(db.imm) > 0 && !(serial && db.compacting) {
 		db.flushing = true
 		db.bgWG.Add(1)
 		db.pool.Submit(flushPriority, db.runFlushJob)
 	}
-	if db.draining && !db.forceCompact {
+	if db.compacting || serial && db.flushing || db.draining && !db.forceCompact {
 		return
 	}
-	for len(db.jobs) < db.workers && !(serial && db.flushing) {
-		plan, ok := pickCompaction(db.current, db.jobs, db.forceCompact, db.opts)
-		if !ok {
-			return
-		}
+	if plan, ok := pickCompaction(db.current, db.forceCompact, db.opts); ok {
 		db.startCompactionLocked(plan)
 	}
 }
@@ -117,37 +113,24 @@ func (db *DB) runFlushJob() {
 	db.mu.Unlock()
 }
 
-// startCompactionLocked registers plan as an in-flight job — which claims
-// its tables and its key span for the planner's admission checks — and
-// submits it to the worker pool at the store's current debt priority.
+// startCompactionLocked marks plan as the store's one in-flight compaction
+// and submits it to the worker pool at the store's current debt priority.
 func (db *DB) startCompactionLocked(plan compactionPlan) {
-	db.jobSeq++
-	id := db.jobSeq
-	db.jobs[id] = plan
-	if n := uint64(len(db.jobs)); n > db.stats.maxConcurrentCompactions.Load() {
-		db.stats.maxConcurrentCompactions.Store(n)
-	}
-	if len(db.jobs) == 2 {
-		db.parallelSince = time.Now()
-	}
+	db.compacting = true
 	debt := db.noteDebtLocked()
 	db.bgWG.Add(1)
-	db.pool.Submit(debt, func() { db.runCompactionJob(id, plan) })
+	db.pool.Submit(debt, func() { db.runCompactionJob(plan) })
 }
 
-// runCompactionJob runs one planned compaction on a pool goroutine, then
-// ends the job: it leaves db.jobs, which releases its claims, and only then
-// are its inputs deleted. The job stays in flight until the manifest
-// recording its install is durable, so a crash before that point reopens on
-// a manifest that still names the inputs.
-func (db *DB) runCompactionJob(id int, plan compactionPlan) {
+// runCompactionJob runs the planned compaction on a pool goroutine, then
+// ends the job, and only then are its inputs deleted. The job stays in
+// flight until the manifest recording its install is durable, so a crash
+// before that point reopens on a manifest that still names the inputs.
+func (db *DB) runCompactionJob(plan compactionPlan) {
 	defer db.bgWG.Done()
 	obsolete, err := db.compactAndInstall(plan)
 	db.mu.Lock()
-	delete(db.jobs, id)
-	if len(db.jobs) == 1 {
-		db.stats.compactionParallelNanos.Add(uint64(time.Since(db.parallelSince)))
-	}
+	db.compacting = false
 	if err != nil {
 		db.setDegradedLocked(err)
 	} else {
@@ -365,9 +348,9 @@ func (s *runSource) close() {
 
 // installCompactionLocked applies the plan's edit to the version and
 // returns the tables made obsolete. Called with db.mu held. Exactly the job's
-// inputs leave and its outputs enter, so the installs of concurrent
-// range-disjoint jobs commute (version.apply). A move's inputs are its
-// outputs, so it makes nothing obsolete and retireTables never unlinks them.
+// inputs leave and its outputs enter, so the install commutes with a flush
+// that lands beside it (version.apply). A move's inputs are its outputs, so
+// it makes nothing obsolete and retireTables never unlinks them.
 func (db *DB) installCompactionLocked(plan compactionPlan, newMetas []tableMeta, readBytes int64) []tableMeta {
 	db.stats.reads.addPhysical(uint64(readBytes))
 	if plan.move {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,7 +130,7 @@ func TestSubCompactionEquivalence(t *testing.T) {
 			db.mu.Unlock()
 			t.Fatal(err)
 		}
-		plan, ok := pickCompaction(db.current, db.jobs, true, db.opts)
+		plan, ok := pickCompaction(db.current, true, db.opts)
 		db.mu.Unlock()
 		// The retired split fanned out any plan over 4 × CompactionTableBytes.
 		if !ok || plan.level != 0 || levelBytes(plan.inputs()) <= 4*int64(db.opts.CompactionTableBytes) {
@@ -192,56 +193,49 @@ func tableEntryBytes(t *testing.T, db *DB, m *tableMeta) int {
 	return n
 }
 
-// TestConcurrentCompactionsOverlap drives a workload wide enough that the
-// scheduler runs range-disjoint merges simultaneously, and checks the new
-// concurrency counters observe it: a peak of >= 2 compactions in flight and
-// wall time attributed to the overlap. A slow compaction hook widens each
-// merge window so the overlap is reliably observable rather than a timing
-// accident.
-func TestConcurrentCompactionsOverlap(t *testing.T) {
-	db := openTestDB(t, schedOpts(4))
-	db.mu.Lock()
-	db.compactionHook = func() { time.Sleep(2 * time.Millisecond) }
-	db.mu.Unlock()
+// overlapMeter counts the compactions inside a slow compaction hook at once,
+// and its high-water mark.
+type overlapMeter struct{ cur, peak, total atomic.Int64 }
 
-	rng := rand.New(rand.NewSource(7))
-	model := make(map[string]string)
-	deadline := time.Now().Add(30 * time.Second)
-	for round := 0; db.Stats().MaxConcurrentCompactions < 2; round++ {
-		if time.Now().After(deadline) {
-			t.Fatalf("no concurrent compactions after %d rounds (peak=%d)",
-				round, db.Stats().MaxConcurrentCompactions)
-		}
-		for i := 0; i < 400; i++ {
-			key := fmt.Sprintf("key-%06d", rng.Intn(30000))
-			val := fmt.Sprintf("r%04d-%06d", round, i)
-			if err := db.Put([]byte(key), []byte(val)); err != nil {
-				t.Fatal(err)
-			}
-			model[key] = val
-		}
-		// A running writer keeps L0 due, and L0 merges (which span the
-		// whole keyspace) go first, so L1 piles up behind them. A settle
-		// point every twenty rounds lets L1's backlog drain as range-disjoint
-		// L1→L2 merges side by side.
-		if round%20 == 19 {
-			if err := db.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
+func (m *overlapMeter) enter() {
+	n := m.cur.Add(1)
+	for p := m.peak.Load(); n > p && !m.peak.CompareAndSwap(p, n); p = m.peak.Load() {
 	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	m.total.Add(1)
+}
 
-	s := db.Stats()
-	if s.MaxConcurrentCompactions < 2 {
-		t.Fatalf("MaxConcurrentCompactions = %d, want >= 2", s.MaxConcurrentCompactions)
+func (m *overlapMeter) exit() { m.cur.Add(-1) }
+
+// slowHook returns a compaction hook that holds each merge in the meters for
+// d, so two merges in flight at once overlap there rather than by accident.
+func slowHook(d time.Duration, meters ...*overlapMeter) func() {
+	return func() {
+		for _, m := range meters {
+			m.enter()
+		}
+		time.Sleep(d)
+		for _, m := range meters {
+			m.exit()
+		}
 	}
-	if s.CompactionParallelNanos == 0 {
-		t.Fatal("CompactionParallelNanos = 0 despite overlapping compactions")
+}
+
+// putRound writes n random keys of a 30000-key space into db and model.
+func putRound(t *testing.T, db *DB, rng *rand.Rand, model map[string]string, round, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("key-%06d", rng.Intn(30000))
+		val := fmt.Sprintf("r%04d-%06d", round, i)
+		if err := db.Put([]byte(key), []byte(val)); err != nil {
+			t.Fatal(err)
+		}
+		model[key] = val
 	}
-	// Concurrency must not have corrupted the data: spot-check the model.
+}
+
+// spotCheck reads back up to 200 of model's keys.
+func spotCheck(t *testing.T, db *DB, model map[string]string) {
+	t.Helper()
 	checked := 0
 	for k, v := range model {
 		got, err := db.Get([]byte(k))
@@ -254,23 +248,98 @@ func TestConcurrentCompactionsOverlap(t *testing.T) {
 	}
 }
 
-// TestLevelRunStopsAtClaimedTable: an Ln job takes the first contiguous
-// run of unclaimed tables, so a run that reaches a table another job has
-// claimed ends there instead of jumping over it.
+// TestConcurrentCompactionsOverlap pins where compactions overlap: across
+// stores, never within one. A slow compaction hook holds every merge long
+// enough that two in flight at once are seen there. One store on a 4-slot
+// pool, driven through L0 merges and the L1 backlog a settle drains, never
+// has two in flight; two stores sharing a 2-slot pool still run theirs side
+// by side.
+func TestConcurrentCompactionsOverlap(t *testing.T) {
+	t.Run("one store", func(t *testing.T) {
+		db := openTestDB(t, schedOpts(4))
+		var m overlapMeter
+		db.mu.Lock()
+		db.compactionHook = slowHook(2*time.Millisecond, &m)
+		db.mu.Unlock()
+		rng := rand.New(rand.NewSource(7))
+		model := make(map[string]string)
+		for round := 0; round < 60; round++ {
+			putRound(t, db, rng, model, round, 400)
+			if round%20 == 19 {
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if m.total.Load() < 20 {
+			t.Fatalf("%d compactions ran, want a workload that keeps the scheduler busy", m.total.Load())
+		}
+		if p := m.peak.Load(); p != 1 {
+			t.Fatalf("one store had %d compactions in flight at once over %d, want 1", p, m.total.Load())
+		}
+		spotCheck(t, db, model)
+	})
+	t.Run("two stores on one pool", func(t *testing.T) {
+		opts := schedOpts(2)
+		a := openTestDB(t, opts)
+		b := openTestDB(t, opts)
+		var ma, mb, both overlapMeter
+		for _, s := range []struct {
+			db *DB
+			m  *overlapMeter
+		}{{a, &ma}, {b, &mb}} {
+			s.db.mu.Lock()
+			s.db.compactionHook = slowHook(2*time.Millisecond, s.m, &both)
+			s.db.mu.Unlock()
+		}
+		rng := rand.New(rand.NewSource(7))
+		modelA, modelB := make(map[string]string), make(map[string]string)
+		deadline := time.Now().Add(30 * time.Second)
+		for round := 0; both.peak.Load() < 2; round++ {
+			if time.Now().After(deadline) {
+				t.Fatalf("two stores never overlapped their compactions in %d rounds", round)
+			}
+			putRound(t, a, rng, modelA, round, 400)
+			putRound(t, b, rng, modelB, round, 400)
+		}
+		for _, db := range []*DB{a, b} {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if pa, pb := ma.peak.Load(), mb.peak.Load(); pa != 1 || pb != 1 {
+			t.Fatalf("per-store peaks %d and %d compactions in flight, want 1 each", pa, pb)
+		}
+		spotCheck(t, a, modelA)
+		spotCheck(t, b, modelB)
+	})
+}
+
+// TestLevelRunStopsAtClaimedTable pins the cap on an Ln merge's source run:
+// it takes the level's tables from the first until they make
+// maxCompactionSrcTables output tables' worth, and stops there; a level
+// under the cap is taken whole.
 func TestLevelRunStopsAtClaimedTable(t *testing.T) {
+	capTables := int(int64(planOpts.CompactionTableBytes) * maxCompactionSrcTables / (1 << 10)) // planTable is 1 KiB
 	var v version
-	v[1] = []tableMeta{planTable(1, 101, "a", "b"), planTable(1, 102, "c", "d"), planTable(1, 103, "e", "f"), planTable(1, 104, "g", "h")}
-	inflight := map[int]compactionPlan{1: {level: 1, dst: 2, srcMetas: v[1][2:3], lo: []byte("e"), hi: []byte("f")}}
-	plan, ok := pickCompaction(v, inflight, false, planOpts)
-	if !ok {
-		t.Fatal("no plan for an unclaimed run")
+	for i := 0; i < capTables+8; i++ {
+		k := fmt.Sprintf("k%03d", i)
+		v[1] = append(v[1], planTable(1, uint64(100+i), k, k+"z"))
 	}
-	var nums []uint64
-	for _, m := range plan.srcMetas {
-		nums = append(nums, m.num)
-	}
-	if fmt.Sprint(nums) != "[101 102]" || string(plan.lo) != "a" || string(plan.hi) != "d" {
-		t.Fatalf("plan took tables %v spanning [%s, %s], want [101 102] spanning [a, d]", nums, plan.lo, plan.hi)
+	for _, n := range []int{capTables + 8, capTables - 3} {
+		v := v
+		v[1] = v[1][:n]
+		plan, ok := pickCompaction(v, false, planOpts)
+		if !ok || plan.level != 1 {
+			t.Fatalf("%d L1 tables: plan %v on L%d, want an L1 merge", n, ok, plan.level)
+		}
+		want := nums(v[1][:min(n, capTables)])
+		if got := nums(plan.srcMetas); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%d L1 tables: plan took %v, want %v", n, got, want)
+		}
 	}
 }
 
@@ -284,10 +353,10 @@ func TestDrainStopsCompactions(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.mu.Lock()
-	if db.flushing || len(db.jobs) != 0 || len(db.imm) > 0 {
+	if db.flushing || db.compacting || len(db.imm) > 0 {
 		db.mu.Unlock()
-		t.Fatalf("after Drain: flushing=%v compactions in flight=%d imm=%d",
-			db.flushing, len(db.jobs), len(db.imm))
+		t.Fatalf("after Drain: flushing=%v compacting=%v imm=%d",
+			db.flushing, db.compacting, len(db.imm))
 	}
 	if !db.draining {
 		db.mu.Unlock()
@@ -364,19 +433,18 @@ func anchorBottom(t *testing.T, db *DB, model map[string]string) {
 }
 
 // runPlanned plans a compaction of level and runs it through the job path —
-// claims, pool, install, manifest, retire — waiting for all of it. Callers
-// latch draining first, so no other job starts.
+// pool, install, manifest, retire — waiting for all of it. Callers latch
+// draining first, so no other job starts.
 func runPlanned(t *testing.T, db *DB, level int) compactionPlan {
 	t.Helper()
 	db.mu.Lock()
-	plan, ok := planLevel(db.current, level, db.jobs, claimsOf(db.jobs), db.opts)
-	if ok {
-		db.startCompactionLocked(plan)
-	}
-	db.mu.Unlock()
-	if !ok {
+	if len(db.current[level]) == 0 {
+		db.mu.Unlock()
 		t.Fatalf("no compaction plannable on L%d", level)
 	}
+	plan := planLevel(db.current, level, db.opts)
+	db.startCompactionLocked(plan)
+	db.mu.Unlock()
 	db.bgWG.Wait()
 	return plan
 }
@@ -652,11 +720,11 @@ func TestTrivialMoveCrash(t *testing.T) {
 	}
 }
 
-// TestTrivialMoveBesideConcurrentJobs runs moves and merges side by side on a
-// 4-slot pool: ascending fresh ranges flush as disjoint tables that move,
-// while a hot range rewritten at random keeps merges in flight. Whether a
-// move is admitted next to a running job is up to scheduling; the census,
-// live and after a reopen, must be the model's either way.
+// TestTrivialMoveBesideConcurrentJobs mixes moves and merges on a 4-slot
+// pool, each beside flushes: ascending fresh ranges flush as disjoint tables
+// that move, while a hot range rewritten at random keeps merges due. Which
+// job runs beside which flush is up to scheduling; the census, live and
+// after a reopen, must be the model's either way.
 func TestTrivialMoveBesideConcurrentJobs(t *testing.T) {
 	opts := schedOpts(4)
 	dir := t.TempDir()

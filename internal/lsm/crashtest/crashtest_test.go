@@ -120,7 +120,7 @@ func TestCrashRecoveryWideBatches(t *testing.T) {
 
 // TestCrashRecoveryConcurrentCompactions pins the widest compaction
 // scheduler under transient write faults, so the crash routinely lands while
-// flushes and several range-disjoint compactions race.
+// a flush races the store's compaction.
 func TestCrashRecoveryConcurrentCompactions(t *testing.T) {
 	sweep(t, 1101, seeds(t, 20), func(int64) (string, storetest.Config) {
 		return "lsm/4-workers", storetest.Config{Writers: 2, Units: 60, TransientProb: 0.05}

@@ -29,10 +29,10 @@
 //
 // Background work runs on a compaction scheduler (see maybeScheduleLocked):
 // flushes and compactions occupy separate jobs so a long merge never blocks
-// memtable rotation, range- and level-disjoint compactions run concurrently
-// with per-table claims, each compaction is one merge over its whole plan,
-// and every job runs on a goroutine of a compaction.Pool that may be shared
-// across DB instances for a process-wide concurrency budget.
+// memtable rotation, a store runs one compaction at a time, planned from the
+// version alone, as one merge over its whole plan, and every job runs on a
+// goroutine of a compaction.Pool that may be shared across DB instances for
+// a process-wide concurrency budget.
 //
 // Both kinds of job write tables through one streaming path: a flush walks
 // the frozen memtable's skiplist, a compaction pulls from a heap-ordered
@@ -133,14 +133,14 @@ type Options struct {
 	// table outside this budget.
 	BlockCacheBytes int64
 	// Pool is the background budget: all flushes and compactions of every
-	// DB on the pool compete for its slots, highest compaction debt first,
-	// and its size is also this DB's cap on concurrent compactions.
-	// A pool of 1 is the fully serial mode: one background job at a time,
-	// flushes before compactions, which the crash tests rely on for a
-	// deterministic filesystem write order. From 2 up, one flush job runs
-	// alongside the compactions so memtable rotation never waits behind a
-	// long merge. Nil gives the DB a private pool of
-	// compaction.DefaultWorkers slots.
+	// DB on the pool compete for its slots, highest compaction debt first.
+	// A DB runs at most one compaction at a time, so a wider pool runs
+	// different DBs' compactions side by side. A pool of 1 is the fully
+	// serial mode: one background job at a time, flushes before
+	// compactions, which the crash tests rely on for a deterministic
+	// filesystem write order. From 2 up, one flush job runs alongside the
+	// compaction so memtable rotation never waits behind a long merge. Nil
+	// gives the DB a private pool of compaction.DefaultWorkers slots.
 	Pool *compaction.Pool
 }
 
@@ -240,22 +240,15 @@ type DB struct {
 	// cond when it installs. A background failure degrades the store
 	// (degradedErr); writers surface it.
 	pool *compaction.Pool
-	// workers is pool's size, read once at Open: the cap on concurrent
-	// compactions; 1 is the serial mode.
-	workers  int
-	bgWG     sync.WaitGroup // tracks every submitted job to its very end
-	flushing bool           // a flush job is submitted or running
-	// jobs holds the plan of every in-flight compaction, keyed by job id; its
-	// length is the number of compactions in flight. A table is claimed while
-	// a plan here lists it. With flushing it is everything settleLocked waits
-	// for.
-	jobs   map[int]compactionPlan
-	jobSeq int
-	// parallelSince is the instant len(jobs) last rose to 2; the
-	// elapsed span lands in CompactionParallelNanos when it drops back.
-	parallelSince time.Time
+	// workers is pool's size, read once at Open; 1 is the serial mode.
+	workers int
+	bgWG    sync.WaitGroup // tracks every submitted job to its very end
+	// flushing and compacting are set while a flush job or the compaction
+	// job is submitted or running, until its manifest is durable: everything
+	// settleLocked waits for.
+	flushing, compacting bool
 	// draining suppresses new compaction scheduling (Drain/shutdown);
-	// flushes and already-running compactions still complete.
+	// flushes and the already-running compaction still complete.
 	draining bool
 	// degradedErr latches the first permanent storage failure; once set
 	// the store is read-only: writes return kv.ErrDegraded, reads keep
@@ -299,8 +292,6 @@ type dbStats struct {
 	walSyncs, walSyncNanos          atomic.Uint64
 	walSharedCommits                atomic.Uint64 // batches durable on another writer's barrier
 	manifestWrites                  atomic.Uint64
-	compactionParallelNanos         atomic.Uint64
-	maxConcurrentCompactions        atomic.Uint64
 	compactionDebtPeak              atomic.Uint64
 }
 
@@ -353,7 +344,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		fs:      opts.FS,
 		mem:     newMemtable(memtableSeed),
 		cache:   newBlockCache(opts.BlockCacheBytes),
-		jobs:    make(map[int]compactionPlan),
 		pool:    opts.Pool,
 		workers: opts.Pool.Workers(),
 	}
@@ -546,9 +536,9 @@ func (db *DB) walFile(seq uint64) string {
 func (db *DB) manifestPath() string { return filepath.Join(db.dir, "MANIFEST") }
 
 // Drain latches the store into draining mode — no new compactions are
-// scheduled (flushes still run) — and waits for the flush queue and every
+// scheduled (flushes still run) — and waits for the flush queue and the
 // in-flight compaction to finish. Servers call this before Close so
-// shutdown is bounded by the merges already running, not by the full
+// shutdown is bounded by the merge already running, not by the full
 // compaction debt. The latch persists: a subsequent Close settles promptly
 // and the next Open picks the remaining debt back up.
 //
@@ -675,13 +665,11 @@ func (db *DB) Stats() kv.Stats {
 		ManifestWrites:      db.stats.manifestWrites.Load(),
 		Degraded:            db.stats.degraded.Load(),
 
-		CompactionParallelNanos:  db.stats.compactionParallelNanos.Load(),
-		MaxConcurrentCompactions: db.stats.maxConcurrentCompactions.Load(),
-		CompactionDebtPeak:       db.stats.compactionDebtPeak.Load(),
-		WriteStallQueueNanos:     db.stats.writeStallQueueNanos.Load(),
-		WriteStallL0Nanos:        db.stats.writeStallL0Nanos.Load(),
-		FlushTableNanos:          db.stats.flushTableNanos.Load(),
-		ManifestNanos:            db.stats.manifestNanos.Load(),
+		CompactionDebtPeak:   db.stats.compactionDebtPeak.Load(),
+		WriteStallQueueNanos: db.stats.writeStallQueueNanos.Load(),
+		WriteStallL0Nanos:    db.stats.writeStallL0Nanos.Load(),
+		FlushTableNanos:      db.stats.flushTableNanos.Load(),
+		ManifestNanos:        db.stats.manifestNanos.Load(),
 	}
 	s.WriteStallNanos = s.WriteStallQueueNanos + s.WriteStallL0Nanos
 	for i := range db.stats.reads {

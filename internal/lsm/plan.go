@@ -6,15 +6,13 @@ import (
 )
 
 // compactionPlan is one merge of (part of) level into dst, fixed when it is
-// planned so the merge can run with db.mu released. While its job is in
-// flight — from start until the manifest recording its install is durable —
-// the plan is in db.jobs, and the tables it lists are claimed: no other plan
-// reads or rewrites them.
+// planned so the merge can run with db.mu released. A store runs one plan at
+// a time (db.compacting), from start until the manifest recording its install
+// is durable.
 type compactionPlan struct {
 	level, dst     int
 	srcMetas       []tableMeta // source-level tables joining the merge
 	dstIn          []tableMeta // destination tables joining the merge
-	lo, hi         []byte      // key span of srcMetas + dstIn (admission range)
 	dropTombstones bool
 	// move relinks srcMetas to dst as they are: a version edit, no I/O.
 	move bool
@@ -31,22 +29,10 @@ func (p compactionPlan) edit(newMetas []tableMeta) versionEdit {
 	return versionEdit{removed: p.inputs(), added: newMetas}
 }
 
-// maxCompactionSrcTables bounds one Ln job's source run, as a multiple of
-// CompactionTableBytes, so an overflowing level drains in several
-// range-disjoint jobs that can proceed in parallel rather than one
-// monolithic merge.
+// maxCompactionSrcTables bounds one merge's Ln source run, as a multiple of
+// CompactionTableBytes, so an overflowing level drains in several bounded
+// merges rather than one monolithic one.
 const maxCompactionSrcTables = 8
-
-// claimsOf is the set of tables the in-flight plans read, by file number.
-func claimsOf(inflight map[int]compactionPlan) map[uint64]bool {
-	claimed := make(map[uint64]bool)
-	for _, p := range inflight {
-		for _, m := range p.inputs() {
-			claimed[m.num] = true
-		}
-	}
-	return claimed
-}
 
 // levelTarget is the byte size level (1 or deeper) may hold before it is
 // due: LevelBaseBytes for L1, levelMultiplier times more per level below.
@@ -60,8 +46,8 @@ func levelTarget(opts Options, level int) int64 {
 
 // compactionDebt estimates the bytes the background work still owes: L0
 // bytes once its table count reaches the compaction trigger, plus each
-// deeper level's overshoot past its target. Claimed tables count — they are
-// owed until their job installs. Zero means the tree is in shape.
+// deeper level's overshoot past its target. The running merge's inputs
+// count — they are owed until it installs. Zero means the tree is in shape.
 func compactionDebt(v version, opts Options) int64 {
 	var debt int64
 	if len(v[0]) >= opts.L0CompactionTrigger {
@@ -75,95 +61,55 @@ func compactionDebt(v version, opts Options) int64 {
 	return debt
 }
 
-// needsCompaction reports whether level's unclaimed tables put it over its
-// invariant. Claimed tables are excluded on both sides: they are already
-// being compacted away, so counting them would schedule jobs that cannot
-// pick any input.
-func needsCompaction(v version, level int, claimed map[uint64]bool, force bool, opts Options) bool {
-	unclaimed := 0
-	var size int64
-	for _, m := range v[level] {
-		if !claimed[m.num] {
-			unclaimed++
-			size += m.size
-		}
-	}
+// needsCompaction reports whether level is over its invariant; force makes
+// any level with a table due.
+func needsCompaction(v version, level int, force bool, opts Options) bool {
 	switch {
 	case force:
-		return unclaimed > 0
+		return len(v[level]) > 0
 	case level == 0:
-		return unclaimed >= opts.L0CompactionTrigger
+		return len(v[0]) >= opts.L0CompactionTrigger
 	default:
-		return size > levelTarget(opts, level)
+		return levelBytes(v[level]) > levelTarget(opts, level)
 	}
 }
 
-// pickCompaction is the compaction planner: it finds the next admissible
-// compaction, scanning levels most-urgent-first (L0, then shallow to deep);
-// force (CompactAll) makes every level with an unclaimed table due. With
-// nothing in flight, nothing is claimed and no span conflicts, so a due level
-// always yields a plan. It reads no DB field, so a rule runs on a hand-built
-// version without a store, goroutines or a pool (TestPickCompaction).
-func pickCompaction(v version, inflight map[int]compactionPlan, force bool, opts Options) (compactionPlan, bool) {
-	claimed := claimsOf(inflight)
+// pickCompaction is the compaction planner: it plans the first due level,
+// scanning most-urgent-first (L0, then shallow to deep); force (CompactAll)
+// makes every level with a table due. It reads no DB field, so a rule runs
+// on a hand-built version without a store, goroutines or a pool
+// (TestPickCompaction).
+func pickCompaction(v version, force bool, opts Options) (compactionPlan, bool) {
 	for level := 0; level < numLevels-1; level++ {
-		if !needsCompaction(v, level, claimed, force, opts) {
-			continue
-		}
-		if plan, ok := planLevel(v, level, inflight, claimed, opts); ok {
-			return plan, true
+		if needsCompaction(v, level, force, opts) {
+			return planLevel(v, level, opts), true
 		}
 	}
 	return compactionPlan{}, false
 }
 
-// planLevel prepares a merge of (part of) level, above the bottom, into
-// level+1, subject to the concurrency admission rules:
-//
-//   - Source tables must be unclaimed. L0 jobs take every unclaimed L0
-//     table (keeping recency order); Ln jobs take the first contiguous run
-//     of unclaimed tables, capped at maxCompactionSrcTables times the
-//     output table size.
-//   - Every destination table overlapping the source span must be
-//     unclaimed; they join the merge (dstIn).
-//   - Disjointness rule: the job's key span (sources + dstIn) must not
-//     overlap the span of any in-flight job that shares a level with it.
-//     Jobs on disjoint level pairs may overlap in keyspace; jobs touching a
-//     common level must be range-disjoint, which keeps installs commutative
-//     and prevents a deeper merge from re-exposing keys whose tombstones a
-//     shallower merge is concurrently dropping.
+// planLevel prepares a merge of (part of) level, above the bottom and
+// holding at least one table, into level+1. An L0 merge takes every L0
+// table (keeping recency order); an Ln merge takes the level's first run of
+// tables, capped at maxCompactionSrcTables times the output table size.
+// Every destination table overlapping the sources' key span joins the merge
+// (dstIn).
 //
 // A plan with no dstIn becomes a trivial move unless it may drop tombstones
 // (a bottom-most merge must still rewrite to purge them) or its L0 sources
 // overlap each other (only a merge can order their versions of a key).
-func planLevel(v version, level int, inflight map[int]compactionPlan, claimed map[uint64]bool, opts Options) (compactionPlan, bool) {
+func planLevel(v version, level int, opts Options) compactionPlan {
 	dst := level + 1
-	var src []tableMeta
-	if level == 0 {
-		for _, m := range v[0] {
-			if !claimed[m.num] {
-				src = append(src, m)
-			}
-		}
-	} else {
+	src := v[level]
+	if level > 0 {
 		maxBytes := int64(opts.CompactionTableBytes) * maxCompactionSrcTables
 		var runBytes int64
-		for _, m := range v[level] {
-			if claimed[m.num] {
-				if len(src) > 0 {
-					break
-				}
-				continue
-			}
-			src = append(src, m)
-			runBytes += m.size
-			if runBytes >= maxBytes {
+		for i, m := range src {
+			if runBytes += m.size; runBytes >= maxBytes {
+				src = src[:i+1]
 				break
 			}
 		}
-	}
-	if len(src) == 0 {
-		return compactionPlan{}, false
 	}
 	// Key span of the sources, widened by each destination table joining.
 	lo, hi := src[0].smallest, src[0].largest
@@ -178,24 +124,11 @@ func planLevel(v version, level int, inflight map[int]compactionPlan, claimed ma
 	for _, m := range src[1:] {
 		widen(m)
 	}
-	// Destination tables overlapping the source span join the merge; a
-	// claimed one means another job owns part of our key range on dst.
 	var dstIn []tableMeta
 	for _, m := range v[dst] {
-		if bytes.Compare(m.largest, lo) < 0 || bytes.Compare(m.smallest, hi) > 0 {
-			continue
-		}
-		if claimed[m.num] {
-			return compactionPlan{}, false
-		}
-		dstIn = append(dstIn, m)
-		widen(m)
-	}
-	// Disjointness against every in-flight job sharing a level.
-	for _, j := range inflight {
-		sharesLevel := j.level == level || j.level == dst || j.dst == level || j.dst == dst
-		if sharesLevel && bytes.Compare(j.lo, hi) <= 0 && bytes.Compare(lo, j.hi) <= 0 {
-			return compactionPlan{}, false
+		if bytes.Compare(m.largest, lo) >= 0 && bytes.Compare(m.smallest, hi) <= 0 {
+			dstIn = append(dstIn, m)
+			widen(m)
 		}
 	}
 	drop := bottomMost(v, dst, lo, hi)
@@ -204,11 +137,9 @@ func planLevel(v version, level int, inflight map[int]compactionPlan, claimed ma
 		dst:            dst,
 		srcMetas:       src,
 		dstIn:          dstIn,
-		lo:             append([]byte(nil), lo...),
-		hi:             append([]byte(nil), hi...),
 		dropTombstones: drop,
 		move:           len(dstIn) == 0 && !drop && (level > 0 || keyDisjoint(src)),
-	}, true
+	}
 }
 
 // bottomMost reports whether no level below dst holds keys in [lo, hi]; if

@@ -43,8 +43,8 @@ func nums(metas []tableMeta) []uint64 {
 }
 
 // TestPickCompaction runs the planner on hand-built versions: which level is
-// due, which tables a plan takes, what in-flight plans forbid, and whether
-// the plan moves or rewrites.
+// due, which tables a plan takes, and whether the plan moves or rewrites. The
+// answer is a function of the version alone: nothing in flight enters it.
 func TestPickCompaction(t *testing.T) {
 	l1run := func(from uint64, n int) []tableMeta {
 		var run []tableMeta
@@ -55,11 +55,10 @@ func TestPickCompaction(t *testing.T) {
 		return run
 	}
 	for _, tc := range []struct {
-		name     string
-		v        version
-		inflight []compactionPlan
-		force    bool
-		want     string // "none", or level->dst src dstIn move|rewrite [drop]
+		name  string
+		v     version
+		force bool
+		want  string // "none", or level->dst src dstIn move|rewrite [drop]
 	}{
 		{
 			name: "L0 below its trigger",
@@ -88,11 +87,13 @@ func TestPickCompaction(t *testing.T) {
 			v:    version{1: {planTable(1, 1, "a", "b")}},
 			want: "none",
 		},
+		// The next four rows once carried an in-flight plan that claimed
+		// tables or a key span; the planner reads none now, so each pins
+		// what it answers on the version alone.
 		{
-			name:     "a run skips the claimed tables it starts at",
-			v:        version{1: l1run(1, 4)},
-			inflight: []compactionPlan{{level: 1, dst: 2, srcMetas: l1run(1, 1), lo: []byte("k01"), hi: []byte("k01z")}},
-			want:     "1->2 src [2 3 4] dstIn [] rewrite drop",
+			name: "a run skips the claimed tables it starts at",
+			v:    version{1: l1run(1, 4)},
+			want: "1->2 src [1 2 3 4] dstIn [] rewrite drop",
 		},
 		{
 			name: "a claimed destination table blocks the plan",
@@ -100,8 +101,7 @@ func TestPickCompaction(t *testing.T) {
 				1: {planTable(1, 1, "a", "b"), planTable(1, 2, "c", "d")},
 				2: {planTable(2, 3, "b", "c")},
 			},
-			inflight: []compactionPlan{{level: 2, dst: 3, srcMetas: []tableMeta{planTable(2, 3, "b", "c")}, lo: []byte("b"), hi: []byte("c")}},
-			want:     "none",
+			want: "1->2 src [1 2] dstIn [3] rewrite drop",
 		},
 		{
 			name: "disjointness: an in-flight plan sharing a level and a span blocks the plan",
@@ -109,8 +109,7 @@ func TestPickCompaction(t *testing.T) {
 				1: {planTable(1, 1, "a", "b"), planTable(1, 2, "c", "d")},
 				3: {planTable(3, 9, "a", "z")},
 			},
-			inflight: []compactionPlan{{level: 2, dst: 3, lo: []byte("d"), hi: []byte("m")}},
-			want:     "none",
+			want: "1->2 src [1 2] dstIn [] move",
 		},
 		{
 			name: "disjointness: an in-flight plan on other levels does not block the plan",
@@ -118,8 +117,7 @@ func TestPickCompaction(t *testing.T) {
 				1: {planTable(1, 1, "a", "b"), planTable(1, 2, "c", "d")},
 				3: {planTable(3, 9, "a", "z")},
 			},
-			inflight: []compactionPlan{{level: 3, dst: 4, lo: []byte("a"), hi: []byte("z")}},
-			want:     "1->2 src [1 2] dstIn [] move",
+			want: "1->2 src [1 2] dstIn [] move",
 		},
 		{
 			name: "move: no destination overlap and keys below",
@@ -178,13 +176,9 @@ func TestPickCompaction(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			inflight := make(map[int]compactionPlan)
-			for i, p := range tc.inflight {
-				inflight[i] = p
-			}
 			before := versionString(tc.v)
 			got := "none"
-			if p, ok := pickCompaction(tc.v, inflight, tc.force, planOpts); ok {
+			if p, ok := pickCompaction(tc.v, tc.force, planOpts); ok {
 				kind := "rewrite"
 				if p.move {
 					kind = "move"
@@ -204,28 +198,33 @@ func TestPickCompaction(t *testing.T) {
 	}
 }
 
-// TestVersionEditsCommute: the installs of two range-disjoint compactions
-// give the same version in either order, and apply leaves its receiver as it
-// was.
+// TestVersionEditsCommute pins the one interleaving the scheduler leaves: a
+// store runs one compaction at a time, and flushes land beside it. An L0
+// merge consumes the older L0 tables while two flushes add newer ones; every
+// order of the three edits gives the same version, the flushed tables keep
+// their recency order, and apply leaves its receiver as it was.
 func TestVersionEditsCommute(t *testing.T) {
 	base := version{
-		0: {planTable(0, 1, "a", "m"), planTable(0, 2, "n", "z")},
-		1: {planTable(1, 3, "a", "c"), planTable(1, 4, "d", "f"), planTable(1, 5, "p", "r"), planTable(1, 6, "s", "u")},
-		2: {planTable(2, 7, "a", "e"), planTable(2, 8, "q", "t")},
+		0: {planTable(0, 1, "a", "m"), planTable(0, 2, "k", "z")},
+		1: {planTable(1, 3, "a", "c"), planTable(1, 4, "p", "r")},
+		2: {planTable(2, 5, "a", "z")},
 	}
-	lower := compactionPlan{level: 1, dst: 2, srcMetas: base[1][:2], dstIn: base[2][:1]}.
-		edit([]tableMeta{planTable(2, 10, "a", "b"), planTable(2, 11, "c", "f")})
-	upper := compactionPlan{level: 1, dst: 2, srcMetas: base[1][2:], dstIn: base[2][1:]}.
-		edit([]tableMeta{planTable(2, 12, "p", "u")})
-	move := versionEdit{removed: base[0][1:], added: []tableMeta{planTable(3, 2, "n", "z")}}
+	merge := compactionPlan{level: 0, dst: 1, srcMetas: base[0], dstIn: base[1]}.
+		edit([]tableMeta{planTable(1, 8, "a", "k"), planTable(1, 9, "l", "z")})
+	flush1 := versionEdit{added: []tableMeta{planTable(0, 6, "b", "y")}}
+	flush2 := versionEdit{added: []tableMeta{planTable(0, 7, "c", "d")}}
 	before := versionString(base)
 
-	ab := base.apply(lower).apply(upper).apply(move)
-	ba := base.apply(move).apply(upper).apply(lower)
-	if versionString(ab) != versionString(ba) {
-		t.Fatalf("edits do not commute:\n%s\nvs\n%s", versionString(ab), versionString(ba))
+	want := base.apply(merge).apply(flush1).apply(flush2)
+	for name, v := range map[string]version{
+		"flush, merge, flush": base.apply(flush1).apply(merge).apply(flush2),
+		"flush, flush, merge": base.apply(flush1).apply(flush2).apply(merge),
+	} {
+		if versionString(v) != versionString(want) {
+			t.Fatalf("%s gives\n%s\nwant\n%s", name, versionString(v), versionString(want))
+		}
 	}
-	if got := fmt.Sprint(nums(ab[0]), nums(ab[1]), nums(ab[2]), nums(ab[3])); got != "[1] [] [10 11 12] [2]" {
+	if got := fmt.Sprint(nums(want[0]), nums(want[1]), nums(want[2])); got != "[6 7] [8 9] [5]" {
 		t.Fatalf("applied version holds %s", got)
 	}
 	if versionString(base) != before {

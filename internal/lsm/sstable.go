@@ -88,7 +88,7 @@ type tableHandle struct {
 }
 
 // table returns m's reader, opening it on first use. The caller holds db.mu
-// with m in db.current, or owns m through a compaction claim.
+// with m in db.current, or is the compaction whose plan lists m.
 func (db *DB) table(m *tableMeta) (*tableReader, error) {
 	if t := m.h.r.Load(); t != nil {
 		return t, nil
@@ -109,7 +109,7 @@ func (db *DB) table(m *tableMeta) (*tableReader, error) {
 }
 
 // acquire is table plus a reference for a caller that keeps the reader past
-// the lock or claim it was found under; the caller must unref.
+// the lock or plan it was found under; the caller must unref.
 func (db *DB) acquire(m *tableMeta) (*tableReader, error) {
 	t, err := db.table(m)
 	if err != nil {

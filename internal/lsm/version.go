@@ -35,8 +35,8 @@ type versionEdit struct {
 // apply returns v with e applied; v itself is left as it was. Only the levels
 // e touches get new slices. Removal keeps a level's order; L0 takes its added
 // tables at the newest end, and a deeper level is re-sorted by smallest key.
-// So two edits over disjoint tables that add nothing to L0 commute — which is
-// what lets range-disjoint compactions install in either order.
+// So two edits over disjoint tables of which at most one adds to L0 commute —
+// which is what lets a flush install before or after the compaction beside it.
 func (v version) apply(e versionEdit) version {
 	gone := make(map[uint64]bool, len(e.removed))
 	var touched [numLevels]bool
