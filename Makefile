@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-kernels bench-kernels-once bench-rig bench-repo check crashtest determinism fuzz vet fmt fmtcheck repro artifacts clean
+.PHONY: all build test race bench bench-kernels bench-kernels-once bench-rig bench-repo check coverage-drive crashtest determinism fuzz vet fmt fmtcheck repro artifacts clean
 
 all: build test
 
@@ -99,6 +99,40 @@ SEED ?= 1
 TRACE ?= 0
 bench-repo:
 	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 10 --trace $(TRACE)
+
+# Dead-code drive: builds the three CLIs, the five examples and the
+# benchmark rig with coverage into a temporary directory, drives every
+# subcommand and store composition, and prints the functions no run reached
+# (0.0%). A name only tests reach is a deletion candidate; keep test hooks,
+# decoders that check a writer, error paths and what bench_test.go uses.
+# Everything it writes stays in the temporary directory; not part of check.
+EXAMPLES = quickstart workload-analysis hybrid-store correlation-cache lazy-promotion
+coverage-drive:
+	@set -e; S=$$(mktemp -d); srv=; trap '[ -n "$$srv" ] && kill $$srv 2>/dev/null; rm -rf $$S' EXIT; \
+	mkdir -p $$S/bin $$S/data; export GOCOVERDIR=$$S/data; \
+	for c in ethkvlab replaybench kvserver; do $(GO) build -cover -coverpkg=./... -o $$S/bin/$$c ./cmd/$$c; done; \
+	for e in $(EXAMPLES); do $(GO) build -cover -coverpkg=./... -o $$S/bin/$$e ./examples/$$e; done; \
+	(cd benchmark && $(GO) build -cover -coverpkg=ethkv/... -o $$S/bin/rig .); \
+	run() { echo "+ $$*"; "$$@" > $$S/last.log 2>&1 || { cat $$S/last.log; exit 1; }; }; \
+	run $$S/bin/ethkvlab -blocks 40 -out $$S/art; \
+	run $$S/bin/ethkvlab gen -dir $$S/g -blocks 40 -mode both -backend lsm; \
+	B=$$S/g/BareTrace/BareTrace.bin; C=$$S/g/CacheTrace/CacheTrace.bin; \
+	run $$S/bin/ethkvlab opdist -trace $$C; \
+	run $$S/bin/ethkvlab corr -trace $$B -op read; \
+	run $$S/bin/ethkvlab corr -trace $$B -op update; \
+	run $$S/bin/ethkvlab stat -trace $$C; \
+	run $$S/bin/ethkvlab sizedist -backend lsm -db $$S/g/CacheTrace/store; \
+	for b in lsm flat hybrid; do run $$S/bin/replaybench -trace $$B -backend $$b -census $$S/census-$$b.json; done; \
+	run $$S/bin/replaybench -trace $$B -policy auto -policy-out $$S/policy.json -shards 3 -metrics-addr 127.0.0.1:0; \
+	$$S/bin/kvserver -addr 127.0.0.1:0 -shards 2 -dir $$S/kvs > $$S/kvserver.log 2>&1 & srv=$$!; \
+	for i in $$(seq 50); do grep -q ' on 127' $$S/kvserver.log && break; sleep 0.1; done; \
+	addr=$$(sed -n 's/.* on \(127[0-9.:]*\)$$/\1/p' $$S/kvserver.log); \
+	run $$S/bin/replaybench -trace $$B -serve $$addr -clients 4 -duration 2s; \
+	kill -INT $$srv; wait $$srv; srv=; \
+	for e in $(EXAMPLES); do run $$S/bin/$$e; done; \
+	for w in mixed_lsm_local mixed_stack_served readscan_stack_local blockbatch_wal_lsm; do \
+	  run $$S/bin/rig -dir $$S/rig -spec $(CURDIR)/BENCHMARK.json -workload $$w -seed 1 -seconds 2; done; \
+	$(GO) tool covdata func -i=$$S/data | awk '$$NF=="0.0%"'
 
 # Short fuzz passes over the binary decoders, the policy file parser and
 # the unrolled Keccak permutation (against its loop-form reference).

@@ -93,7 +93,7 @@ func TestLRUHitRate(t *testing.T) {
 }
 
 func TestManagerClassIsolation(t *testing.T) {
-	m := NewManager(1<<20, nil)
+	m := NewManager(1 << 20)
 	m.Add(rawdb.ClassTrieNodeAccount, []byte("k"), []byte("account"))
 	m.Add(rawdb.ClassTrieNodeStorage, []byte("k"), []byte("storage"))
 	v, ok := m.Get(rawdb.ClassTrieNodeAccount, []byte("k"))
@@ -114,23 +114,34 @@ func TestManagerClassIsolation(t *testing.T) {
 }
 
 func TestManagerResidual(t *testing.T) {
-	m := NewManager(1<<20, nil)
+	m := NewManager(1 << 20)
 	// TxLookup has no dedicated share: lands in the residual cache.
 	m.Add(rawdb.ClassTxLookup, []byte("tx"), []byte("1"))
 	if _, ok := m.Get(rawdb.ClassTxLookup, []byte("tx")); !ok {
 		t.Fatal("residual cache lost entry")
 	}
 	stats := m.Stats()
-	if len(stats) != len(DefaultShares)+1 {
+	if len(stats) != len(shares)+1 {
 		t.Fatalf("Stats rows = %d", len(stats))
 	}
 }
 
+// TestManagerCustomShares: each class's cache holds its share of the budget,
+// so an entry that fits one class's share can be too large for another's.
 func TestManagerCustomShares(t *testing.T) {
-	m := NewManager(1000, map[rawdb.Class]float64{rawdb.ClassCode: 0.5})
+	m := NewManager(10000) // code: 5% = 500 bytes; storage trie: 30% = 3000
 	m.Add(rawdb.ClassCode, []byte("c"), bytes.Repeat([]byte{1}, 400))
 	if _, ok := m.Get(rawdb.ClassCode, []byte("c")); !ok {
-		t.Fatal("custom share cache missing entry")
+		t.Fatal("code cache refused an entry within its share")
+	}
+	big := bytes.Repeat([]byte{2}, 600)
+	m.Add(rawdb.ClassCode, []byte("d"), big)
+	if _, ok := m.Get(rawdb.ClassCode, []byte("d")); ok {
+		t.Fatal("code cache admitted an entry larger than its share")
+	}
+	m.Add(rawdb.ClassTrieNodeStorage, []byte("d"), big)
+	if _, ok := m.Get(rawdb.ClassTrieNodeStorage, []byte("d")); !ok {
+		t.Fatal("storage-trie cache refused an entry within its share")
 	}
 }
 

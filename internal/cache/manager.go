@@ -14,9 +14,9 @@ type Manager struct {
 	residual *LRU
 }
 
-// DefaultShares approximates Geth's budget split: the world-state caches
-// take most of the space, block data takes the rest.
-var DefaultShares = map[rawdb.Class]float64{
+// shares approximates Geth's budget split: the world-state caches take
+// most of the space, block data takes the rest.
+var shares = map[rawdb.Class]float64{
 	rawdb.ClassTrieNodeAccount: 0.25,
 	rawdb.ClassTrieNodeStorage: 0.30,
 	rawdb.ClassSnapshotAccount: 0.10,
@@ -27,12 +27,9 @@ var DefaultShares = map[rawdb.Class]float64{
 	rawdb.ClassBlockReceipts:   0.03,
 }
 
-// NewManager builds per-class caches from the given byte budget and share
-// table. Pass nil shares for DefaultShares.
-func NewManager(totalBytes int, shares map[rawdb.Class]float64) *Manager {
-	if shares == nil {
-		shares = DefaultShares
-	}
+// NewManager builds per-class caches from the given byte budget, split by
+// shares.
+func NewManager(totalBytes int) *Manager {
 	m := &Manager{caches: make(map[rawdb.Class]*LRU)}
 	used := 0.0
 	for class, share := range shares {

@@ -40,14 +40,7 @@ func buildPipeline(t *testing.T, cached bool) (*Processor, *trace.SliceSink) {
 	}
 	t.Cleanup(func() { freezer.Close() })
 
-	pcfg := DefaultProcessorConfig(cached)
-	pcfg.FreezerThreshold = 8
-	pcfg.TxIndexLimit = 16
-	pcfg.BloomSectionSize = 16
-	pcfg.TrieFlushInterval = 4
-	pcfg.SnapshotLayers = 8
-	pcfg.StateHistory = 8
-	proc, err := NewProcessor(traced, freezer, genesis, NewWorkload(cfg), pcfg)
+	proc, err := NewProcessor(traced, freezer, genesis, NewWorkload(cfg), DefaultProcessorConfig(cached))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,16 +200,21 @@ func TestImportBlocksBare(t *testing.T) {
 
 func TestImportBlocksCached(t *testing.T) {
 	proc, sink := buildPipeline(t, true)
-	if err := proc.ImportBlocks(20); err != nil {
+	// 40 blocks overflow the snapshotLayers (32) diff layers.
+	if err := proc.ImportBlocks(40); err != nil {
 		t.Fatal(err)
 	}
+	imported := len(sink.Ops)
 	if err := proc.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	// Snapshot reads must appear; trie node reads should be much rarer
 	// than in bare mode.
 	counts := map[rawdb.Class]map[trace.OpType]int{}
-	for _, op := range sink.Ops {
+	for i, op := range sink.Ops {
+		if i == imported {
+			break // the journal pass below counts the shutdown's ops
+		}
 		if counts[op.Class] == nil {
 			counts[op.Class] = map[trace.OpType]int{}
 		}
@@ -236,8 +234,11 @@ func TestImportBlocksCached(t *testing.T) {
 		t.Fatal("cached mode never flattened snapshot layers")
 	}
 	// TrieJournal must have been written at shutdown.
-	if counts[rawdb.ClassTrieJournal][trace.OpWrite]+
-		counts[rawdb.ClassTrieJournal][trace.OpUpdate] == 0 {
+	journaled := false
+	for _, op := range sink.Ops[imported:] {
+		journaled = journaled || op.Class == rawdb.ClassTrieJournal
+	}
+	if !journaled {
 		t.Fatal("shutdown did not journal the trie buffer")
 	}
 }
@@ -274,9 +275,11 @@ func TestFreezerMigration(t *testing.T) {
 	if err := proc.ImportBlocks(30); err != nil {
 		t.Fatal(err)
 	}
+	// The freezer starts at genesis and keeps the last freezerThreshold
+	// (16) blocks in the KV store.
 	st := proc.Stats()
-	if st.Frozen == 0 {
-		t.Fatal("no blocks migrated to the freezer")
+	if st.Frozen <= GenesisNumber {
+		t.Fatalf("no blocks migrated to the freezer (frozen up to %d)", st.Frozen)
 	}
 	// Deletions of headers/bodies/receipts must appear in the trace.
 	var headerDeletes, bodyDeletes, scans int
@@ -303,8 +306,12 @@ func TestFreezerMigration(t *testing.T) {
 
 func TestTxLookupLifecycle(t *testing.T) {
 	proc, sink := buildPipeline(t, false)
+	// 40 blocks run past txIndexLimit (24), so the oldest are unindexed.
 	if err := proc.ImportBlocks(40); err != nil {
 		t.Fatal(err)
+	}
+	if tail := proc.Stats().TxIndexTail; tail <= GenesisNumber {
+		t.Fatalf("tx index never pruned (tail %d)", tail)
 	}
 	var writes, deletes, reads int
 	for _, op := range sink.Ops {
@@ -335,7 +342,8 @@ func TestTxLookupLifecycle(t *testing.T) {
 
 func TestStateIDChurn(t *testing.T) {
 	proc, sink := buildPipeline(t, false)
-	if err := proc.ImportBlocks(30); err != nil {
+	// 40 blocks run past stateHistory (32), so the oldest ids are deleted.
+	if err := proc.ImportBlocks(40); err != nil {
 		t.Fatal(err)
 	}
 	var writes, deletes int
@@ -386,16 +394,16 @@ func importOps(t *testing.T, cached bool, n int) ([]trace.Op, [32]byte) {
 
 // TestImportResume: import is resumable — a second ImportBlocks call over
 // the same processor continues the chain exactly where one run of the
-// combined length would be, op for op. 30 blocks crosses bloom-section,
-// freezer, tx-index and trie-flush boundaries.
+// combined length would be, op for op. 66 blocks crosses freezer, tx-index,
+// state-history, bloom-section, snapshot-layer and trie-flush boundaries.
 func TestImportResume(t *testing.T) {
-	wantOps, wantHead := importOps(t, true, 30)
+	wantOps, wantHead := importOps(t, true, 66)
 
 	proc, sink := buildPipeline(t, true)
 	if err := proc.ImportBlocks(18); err != nil {
 		t.Fatal(err)
 	}
-	if err := proc.ImportBlocks(12); err != nil {
+	if err := proc.ImportBlocks(48); err != nil {
 		t.Fatal(err)
 	}
 	if err := proc.Shutdown(); err != nil {
@@ -414,6 +422,18 @@ func TestImportResume(t *testing.T) {
 			t.Fatalf("op %d diverged after resume:\ngot  %+v\nwant %+v", i, got, want)
 		}
 	}
+}
+
+// trieNodeWrites counts the trie-node writes in ops. In cached mode only a
+// flush of the dirty buffer writes trie nodes.
+func trieNodeWrites(ops []trace.Op) (n int) {
+	for _, op := range ops {
+		if (op.Type == trace.OpWrite || op.Type == trace.OpUpdate) &&
+			(op.Class == rawdb.ClassTrieNodeAccount || op.Class == rawdb.ClassTrieNodeStorage) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestMetaSingletonsUpdateEveryBlock(t *testing.T) {
@@ -576,7 +596,7 @@ func TestBareShutdownNoSnapshotOps(t *testing.T) {
 
 func TestBloomIndexerEmitsSections(t *testing.T) {
 	proc, sink := buildPipeline(t, false)
-	// BloomSectionSize is 16 in the test pipeline; 35 blocks = 2 sections.
+	// Sections are bloomSectionSize (32) blocks; 35 blocks = 1 section.
 	if err := proc.ImportBlocks(35); err != nil {
 		t.Fatal(err)
 	}
@@ -589,8 +609,8 @@ func TestBloomIndexerEmitsSections(t *testing.T) {
 			indexReads++
 		}
 	}
-	if bloomWrites == 0 {
-		t.Fatal("no BloomBits writes")
+	if bloomWrites != bloomBitsPerSection {
+		t.Fatalf("BloomBits writes = %d, want one section's %d rows", bloomWrites, bloomBitsPerSection)
 	}
 	if indexReads < 35 {
 		t.Fatalf("indexer progress reads = %d, want >= blocks", indexReads)
@@ -618,14 +638,18 @@ func TestSnapshotTrieConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { freezer.Close() })
-	pcfg := DefaultProcessorConfig(true)
-	pcfg.TrieFlushInterval = 4
-	proc, err := NewProcessor(inner, freezer, genesis, NewWorkload(cfg), pcfg)
+	sink := &trace.SliceSink{}
+	proc, err := NewProcessor(trace.WrapStore(inner, sink), freezer, genesis, NewWorkload(cfg), DefaultProcessorConfig(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := proc.ImportBlocks(25); err != nil {
+	// 70 blocks run past one trieFlushInterval (64), so the comparison
+	// covers state that reached the store through a periodic flush.
+	if err := proc.ImportBlocks(70); err != nil {
 		t.Fatal(err)
+	}
+	if trieNodeWrites(sink.Ops) == 0 {
+		t.Fatal("no periodic trie flush in 70 blocks")
 	}
 	// Flush everything: trie dirty buffer and snapshot diff layers.
 	if err := proc.flushDirtyNodes(); err != nil {
@@ -726,7 +750,7 @@ func TestWorkloadPopulationGrowth(t *testing.T) {
 	if grown == 0 {
 		t.Fatal("population never grew")
 	}
-	// Roughly transfers * ratio new accounts (tx mix ~55% transfers).
+	// Roughly transfers * ratio new accounts (tx mix ~57% transfers).
 	txs := 20 * cfg.TxPerBlock
 	if float64(grown) < float64(txs)*0.1 {
 		t.Fatalf("grew only %d accounts over %d txs", grown, txs)
@@ -763,14 +787,18 @@ func TestAdmitOnWriteRefreshesCleanCache(t *testing.T) {
 		}
 		defer freezer.Close()
 		pcfg := DefaultProcessorConfig(true)
-		pcfg.TrieFlushInterval = 2
 		pcfg.AdmitOnWrite = admit
 		proc, err := NewProcessor(traced, freezer, genesis, NewWorkload(cfg), pcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := proc.ImportBlocks(12); err != nil {
+		// 140 blocks hold two trie flushes (every trieFlushInterval = 64
+		// blocks), so reads after each one resolve freshly flushed nodes.
+		if err := proc.ImportBlocks(140); err != nil {
 			t.Fatal(err)
+		}
+		if trieNodeWrites(sink.Ops) == 0 {
+			t.Fatal("no trie flush in 140 blocks")
 		}
 		for _, op := range sink.Ops {
 			if op.Type == trace.OpRead &&

@@ -55,7 +55,7 @@ func (g *Genesis) Commit(db kv.Store) (*Block, error) {
 	// Seed contracts with code and storage.
 	for i := 0; i < g.Config.Contracts; i++ {
 		addr := contractAddress(uint64(i))
-		size := g.Config.CodeSizeMean/4 + rng.Intn(g.Config.CodeSizeMean*3/2)
+		size := codeSizeMean/4 + rng.Intn(codeSizeMean*3/2)
 		code := make([]byte, size)
 		rng.Read(code)
 		hash := sdb.SetCode(addr, code)

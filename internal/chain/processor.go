@@ -16,9 +16,6 @@ import (
 )
 
 // ProcessorConfig tunes the block-import pipeline's storage mechanisms.
-// The scale knobs are shrunk proportionally from Geth's (finality 90k
-// blocks, tx index 2.35M blocks, bloom sections of 4096) so that the
-// lifecycle effects appear within laptop-scale runs.
 type ProcessorConfig struct {
 	// CachingEnabled turns on the per-class caches AND snapshot
 	// acceleration (coupled in Geth, §III-A): the CacheTrace setup.
@@ -26,41 +23,40 @@ type ProcessorConfig struct {
 	CachingEnabled bool
 	// CacheBytes is the shared cache budget (Geth default 1 GiB, scaled).
 	CacheBytes int
-	// FreezerThreshold is how many recent blocks stay in the KV store
-	// before migrating to the freezer.
-	FreezerThreshold uint64
-	// TxIndexLimit is how many recent blocks keep their tx lookups.
-	TxIndexLimit uint64
-	// BloomSectionSize is the block count per bloom-bits section.
-	BloomSectionSize uint64
-	// BloomBitsPerSection is how many bit rows each section writes
-	// (Geth writes 2048; scaled down).
-	BloomBitsPerSection int
-	// SnapshotLayers is the in-memory diff layer capacity.
-	SnapshotLayers int
-	// TrieFlushInterval is how many blocks of trie dirt accumulate in
-	// memory before flushing (cached mode only; Geth's dirty cache).
-	TrieFlushInterval uint64
-	// StateHistory is how many recent StateID entries are retained.
-	StateHistory uint64
 	// AdmitOnWrite admits flushed trie nodes into the clean cache (Geth's
 	// behaviour). Finding 6 suggests never-read pairs should not be
 	// admitted on the write path; the ablation flips this.
 	AdmitOnWrite bool
 }
 
+// The lifecycle scales, shrunk proportionally from Geth's (finality 90k
+// blocks, tx index 2.35M blocks, bloom sections of 4096) so that the
+// lifecycle effects appear within laptop-scale runs.
+const (
+	// freezerThreshold is how many recent blocks stay in the KV store
+	// before migrating to the freezer.
+	freezerThreshold = 16
+	// txIndexLimit is how many recent blocks keep their tx lookups.
+	txIndexLimit = 24
+	// bloomSectionSize is the block count per bloom-bits section.
+	bloomSectionSize = 32
+	// bloomBitsPerSection is how many bit rows each section writes (Geth
+	// writes 2048; scaled down).
+	bloomBitsPerSection = 16
+	// snapshotLayers is the in-memory diff layer capacity.
+	snapshotLayers = 32
+	// trieFlushInterval is how many blocks of trie dirt accumulate in
+	// memory before flushing (cached mode only; Geth's dirty cache).
+	trieFlushInterval = 64
+	// stateHistory is how many recent StateID entries are retained.
+	stateHistory = 32
+)
+
 // DefaultProcessorConfig returns the scaled defaults.
 func DefaultProcessorConfig(cached bool) ProcessorConfig {
 	return ProcessorConfig{
-		CachingEnabled:      cached,
-		CacheBytes:          8 << 20,
-		FreezerThreshold:    16,
-		TxIndexLimit:        24,
-		BloomSectionSize:    32,
-		BloomBitsPerSection: 16,
-		SnapshotLayers:      32,
-		TrieFlushInterval:   64,
-		StateHistory:        32,
+		CachingEnabled: cached,
+		CacheBytes:     8 << 20,
 	}
 }
 
@@ -84,7 +80,6 @@ func (b *nodeBuffer) GetNode(key []byte) (blob []byte, found bool) {
 
 // Processor imports blocks through the full Geth-shaped storage stack.
 type Processor struct {
-	cfg      ProcessorConfig
 	db       kv.Store
 	freezer  *rawdb.Freezer
 	workload *Workload
@@ -110,15 +105,14 @@ type Processor struct {
 func NewProcessor(db kv.Store, freezer *rawdb.Freezer, genesis *Block,
 	w *Workload, cfg ProcessorConfig) (*Processor, error) {
 	p := &Processor{
-		cfg:      cfg,
 		db:       db,
 		freezer:  freezer,
 		workload: w,
 		head:     genesis,
 	}
 	if cfg.CachingEnabled {
-		p.caches = cache.NewManager(cfg.CacheBytes, nil)
-		p.snaps = snapshot.NewTree(db, cfg.SnapshotLayers)
+		p.caches = cache.NewManager(cfg.CacheBytes)
+		p.snaps = snapshot.NewTree(db, snapshotLayers)
 		p.snaps.SetDiskCache(p.caches)
 		p.dirty = newNodeBuffer()
 	}
@@ -305,7 +299,7 @@ func (p *Processor) importOne() error {
 		return err
 	}
 	p.recentRoots = append(p.recentRoots, commit.Root)
-	if uint64(len(p.recentRoots)) > p.cfg.StateHistory {
+	if len(p.recentRoots) > stateHistory {
 		old := p.recentRoots[0]
 		p.recentRoots = p.recentRoots[1:]
 		if err := rawdb.DeleteStateID(batch, old); err != nil {
@@ -416,14 +410,13 @@ func (p *Processor) applyTx(sdb *state.StateDB, tx *Transaction) (*Receipt, erro
 				return nil, err
 			}
 		}
-		cfg := p.workload.Config()
-		for i := 0; i < cfg.SlotReadsPerCall; i++ {
+		for i := 0; i < slotReadsPerCall; i++ {
 			slot := ContractSlot(p.workload.SlotIndexFor())
 			if _, err := sdb.GetState(tx.To, slot); err != nil {
 				return nil, err
 			}
 		}
-		for i := 0; i < cfg.SlotWritesPerCall; i++ {
+		for i := 0; i < slotWritesPerCall; i++ {
 			slot := ContractSlot(p.workload.SlotIndexFor())
 			var val rawdb.Hash
 			p.workload.RNG().Read(val[16:])
@@ -491,7 +484,7 @@ func (p *Processor) readHeader(number uint64, hash rawdb.Hash) ([]byte, error) {
 
 // persistState writes a block's trie/code delta. In bare mode everything
 // lands immediately; in cached mode trie nodes coalesce in the dirty buffer
-// and flush every TrieFlushInterval blocks.
+// and flush every trieFlushInterval blocks.
 func (p *Processor) persistState(commit *state.Commit) error {
 	if p.dirty == nil {
 		if err := writeStateCommit(p.db, commit); err != nil {
@@ -521,7 +514,7 @@ func (p *Processor) persistState(commit *state.Commit) error {
 			return err
 		}
 	}
-	if p.blocksImported%p.cfg.TrieFlushInterval == p.cfg.TrieFlushInterval-1 {
+	if p.blocksImported%trieFlushInterval == trieFlushInterval-1 {
 		return p.flushDirtyNodes()
 	}
 	return nil
@@ -580,7 +573,7 @@ func (p *Processor) flushDirtyNodes() error {
 // of BlockHeader/Body/Receipts deletions (Finding 5) and of the rare
 // BlockHeader scans (Finding 4, pruning iterates the h-prefix).
 func (p *Processor) freezeOldBlocks(head uint64) error {
-	for head-p.frozen > p.cfg.FreezerThreshold {
+	for head-p.frozen > freezerThreshold {
 		number := p.frozen
 		hash, err := rawdb.ReadCanonicalHash(p.db, number)
 		if errors.Is(err, kv.ErrNotFound) {
@@ -650,14 +643,14 @@ func headerScanPrefix(number uint64) []byte {
 	return key[:9]
 }
 
-// pruneTxIndex unindexes transactions of blocks older than TxIndexLimit:
+// pruneTxIndex unindexes transactions of blocks older than txIndexLimit:
 // the body is read from the freezer (no KV read) and every lookup entry is
 // deleted — why TxLookup shows 48% deletes and zero reads (Tables II/III).
 func (p *Processor) pruneTxIndex(head uint64) error {
-	if head <= p.cfg.TxIndexLimit {
+	if head <= txIndexLimit {
 		return nil
 	}
-	target := head - p.cfg.TxIndexLimit
+	target := head - txIndexLimit
 	for p.txIndexTail < target {
 		number := p.txIndexTail
 		blob, err := p.freezer.Ancient(rawdb.FreezerBodies, number)
@@ -696,13 +689,13 @@ func (p *Processor) maybeIndexBlooms(head uint64, headHash rawdb.Hash) error {
 	if _, err := p.db.Get(progressKey); err != nil && !errors.Is(err, kv.ErrNotFound) {
 		return err
 	}
-	if head%p.cfg.BloomSectionSize != 0 {
+	if head%bloomSectionSize != 0 {
 		return nil
 	}
-	section := head / p.cfg.BloomSectionSize
+	section := head / bloomSectionSize
 	batch := p.db.NewBatch()
-	for bit := 0; bit < p.cfg.BloomBitsPerSection; bit++ {
-		row := make([]byte, 8+int(p.cfg.BloomSectionSize/2))
+	for bit := 0; bit < bloomBitsPerSection; bit++ {
+		row := make([]byte, 8+bloomSectionSize/2)
 		p.workload.RNG().Read(row)
 		if err := rawdb.WriteBloomBits(batch, uint16(bit), section, headHash, row); err != nil {
 			return err

@@ -10,8 +10,8 @@ import (
 )
 
 // WorkloadConfig tunes the synthetic transaction generator. The defaults
-// approximate mainnet's mix at a laptop-runnable scale; all the knobs the
-// experiments sweep are here.
+// approximate mainnet's mix at a laptop-runnable scale; the fields are what
+// the CLIs, the benchmark rig, the root sweeps and the tests set.
 type WorkloadConfig struct {
 	// Seed drives the deterministic RNG, so traces are reproducible.
 	Seed int64
@@ -25,14 +25,6 @@ type WorkloadConfig struct {
 	TxPerBlock int
 	// ZipfS is the skew of account popularity (>1; higher = hotter heads).
 	ZipfS float64
-	// TransferRatio, CallRatio, DeployRatio are the tx mix; they should sum
-	// to <= 1 (the remainder becomes transfers).
-	TransferRatio float64
-	CallRatio     float64
-	DeployRatio   float64
-	// SlotReadsPerCall / SlotWritesPerCall bound contract-slot activity.
-	SlotReadsPerCall  int
-	SlotWritesPerCall int
 	// DestructChance is the per-block probability of one contract
 	// self-destructing (drives account/slot deletions).
 	DestructChance float64
@@ -41,9 +33,19 @@ type WorkloadConfig struct {
 	// does (~100k new accounts/day). Without growth, long runs saturate
 	// the key space and the never-read majority of Finding 3 vanishes.
 	FreshRecipientRatio float64
-	// CodeSizeMean approximates mainnet's ~6.6 KiB average bytecode.
-	CodeSizeMean int
 }
+
+// The transaction mix and per-transaction shape. Deploys and calls take
+// these shares of a block; the remainder (0.57) are transfers.
+const (
+	callRatio   = 0.42
+	deployRatio = 0.01
+	// slotReadsPerCall / slotWritesPerCall bound contract-slot activity.
+	slotReadsPerCall  = 3
+	slotWritesPerCall = 2
+	// codeSizeMean approximates mainnet's ~6.6 KiB average bytecode.
+	codeSizeMean = 6600
+)
 
 // DefaultWorkload returns the configuration used by the paper-reproduction
 // experiments.
@@ -55,14 +57,8 @@ func DefaultWorkload() WorkloadConfig {
 		SlotsPerContract:    40,
 		TxPerBlock:          150,
 		ZipfS:               1.2,
-		TransferRatio:       0.55,
-		CallRatio:           0.42,
-		DeployRatio:         0.01,
-		SlotReadsPerCall:    3,
-		SlotWritesPerCall:   2,
 		DestructChance:      0.02,
 		FreshRecipientRatio: 0.15,
-		CodeSizeMean:        6600,
 	}
 }
 
@@ -145,9 +141,9 @@ func (w *Workload) GenerateBlockTxs() []*Transaction {
 	for i := 0; i < w.cfg.TxPerBlock; i++ {
 		roll := w.rng.Float64()
 		switch {
-		case roll < w.cfg.DeployRatio:
+		case roll < deployRatio:
 			txs = append(txs, w.deployTx())
-		case roll < w.cfg.DeployRatio+w.cfg.CallRatio:
+		case roll < deployRatio+callRatio:
 			txs = append(txs, w.callTx())
 		default:
 			txs = append(txs, w.transferTx())
@@ -203,7 +199,7 @@ func (w *Workload) callTx() *Transaction {
 func (w *Workload) deployTx() *Transaction {
 	from := w.pickEOA()
 	// Code sizes: rough log-normal-ish spread around the mean.
-	size := w.cfg.CodeSizeMean/4 + w.rng.Intn(w.cfg.CodeSizeMean*3/2)
+	size := codeSizeMean/4 + w.rng.Intn(codeSizeMean*3/2)
 	data := make([]byte, size)
 	w.rng.Read(data)
 	idx := uint64(len(w.contracts))

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -196,6 +197,53 @@ func TestPlanPermanentFailureKeepsReadsAlive(t *testing.T) {
 	raw, err := fsys.ReadFile("keep")
 	if err != nil || string(raw) != "ok" {
 		t.Fatalf("read during write failure = %q, %v", raw, err)
+	}
+}
+
+// TestRetry pins the one retry policy: up to 10 attempts of a transient
+// fault, counting each retry; anything else returns at once.
+func TestRetry(t *testing.T) {
+	transient := &FaultError{Op: "write", Path: "f", Transient: true}
+	// failing returns an op that fails with err on its first n calls.
+	failing := func(n int, err error) (op func() error, calls *int) {
+		calls = new(int)
+		return func() error {
+			*calls++
+			if *calls <= n {
+				return err
+			}
+			return nil
+		}, calls
+	}
+	for k := 1; k <= 10; k++ {
+		var retries atomic.Uint64
+		op, calls := failing(k-1, transient)
+		if err := Retry(&retries, op); err != nil {
+			t.Fatalf("fault clearing on attempt %d: %v", k, err)
+		}
+		if *calls != k || retries.Load() != uint64(k-1) {
+			t.Fatalf("fault clearing on attempt %d: %d calls, %d retries", k, *calls, retries.Load())
+		}
+	}
+
+	var retries atomic.Uint64
+	op, calls := failing(10, transient)
+	if err := Retry(&retries, op); !errors.Is(err, transient) {
+		t.Fatalf("10th transient fault: got %v, want it surfaced", err)
+	}
+	if *calls != 10 || retries.Load() != 9 {
+		t.Fatalf("exhausted budget: %d calls, %d retries", *calls, retries.Load())
+	}
+
+	for _, err := range []error{&FaultError{Op: "write", Path: "f"}, ErrCrashed} {
+		var retries atomic.Uint64
+		op, calls := failing(1, err)
+		if got := Retry(&retries, op); got != err {
+			t.Fatalf("Retry(%v) = %v, want it returned as is", err, got)
+		}
+		if *calls != 1 || retries.Load() != 0 {
+			t.Fatalf("%v: %d calls, %d retries, want 1 and 0", err, *calls, retries.Load())
+		}
 	}
 }
 

@@ -38,15 +38,24 @@ func IsTransient(err error) bool {
 	return errors.As(err, &fe) && fe.Transient
 }
 
+// The retry policy. IsTransient is true only for injected faults, so the
+// budget serves the fault harness alone: enough attempts to ride out its
+// transient schedules, with sleeps short enough not to slow a sweep.
+const (
+	retryAttempts = 10
+	retryBackoff  = time.Microsecond
+)
+
 // Retry runs one I/O operation under a bounded retry-with-backoff policy:
 // a transient fault (IsTransient) is retried with doubling sleeps from
-// backoff, counted in retries, until op has been called attempts times; any
-// other error — and the transient fault that exhausts the budget — returns
-// to the caller, which treats it as permanent.
-func Retry(attempts int, backoff time.Duration, retries *atomic.Uint64, op func() error) error {
+// retryBackoff, counted in retries, until op has been called retryAttempts
+// times; any other error — and the transient fault that exhausts the
+// budget — returns to the caller, which treats it as permanent.
+func Retry(retries *atomic.Uint64, op func() error) error {
+	backoff := retryBackoff
 	for attempt := 1; ; attempt++ {
 		err := op()
-		if err == nil || !IsTransient(err) || attempt >= attempts {
+		if err == nil || !IsTransient(err) || attempt >= retryAttempts {
 			return err
 		}
 		retries.Add(1)

@@ -44,7 +44,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ethkv/internal/faultfs"
 	"ethkv/internal/kv"
@@ -64,16 +63,10 @@ const crcLen = 4
 var errCorrupt = errors.New("flatstore: corrupt record")
 
 // Options configures a Store. The zero value selects the real filesystem
-// and the repository's default retry and compaction policies.
+// and the repository's default compaction policy.
 type Options struct {
 	// FS is the filesystem seam; nil selects faultfs.OS.
 	FS faultfs.FS
-	// RetryAttempts bounds the retry-with-backoff loop for transient I/O
-	// faults. Zero selects the default (4).
-	RetryAttempts int
-	// RetryBackoff is the first retry's sleep; each subsequent retry
-	// doubles it. Zero selects the default (200µs).
-	RetryBackoff time.Duration
 	// CompactAfterDeadBytes arms automatic compaction once the dead bytes
 	// (overwritten records, deleted records, tombstones, group framing) in
 	// the entry file reach it AND dead bytes exceed compactDeadFraction of
@@ -89,12 +82,6 @@ const compactDeadFraction = 0.5
 func (o Options) withDefaults() Options {
 	if o.FS == nil {
 		o.FS = faultfs.OS
-	}
-	if o.RetryAttempts == 0 {
-		o.RetryAttempts = 4
-	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = 200 * time.Microsecond
 	}
 	if o.CompactAfterDeadBytes == 0 {
 		o.CompactAfterDeadBytes = 4 << 20
@@ -312,10 +299,10 @@ func (s *Store) readFileRetrying(path string) ([]byte, error) {
 	return data, err
 }
 
-// retryIO runs one I/O operation under faultfs.Retry with the store's
-// RetryAttempts/RetryBackoff, counting retries in IORetries.
+// retryIO runs one I/O operation under faultfs.Retry, counting retries in
+// IORetries.
 func (s *Store) retryIO(op func() error) error {
-	return faultfs.Retry(s.opts.RetryAttempts, s.opts.RetryBackoff, &s.stats.ioRetries, op)
+	return faultfs.Retry(&s.stats.ioRetries, op)
 }
 
 // setDegradedLocked latches read-only degraded mode after a permanent

@@ -155,11 +155,11 @@ func (s *instrumentedStore) Flush() error { return Flush(s.store) }
 // backend-specific APIs).
 func (s *instrumentedStore) Unwrap() Store { return s.store }
 
-// RegisterStatsMetrics exports every kv.Stats counter of sp as a callback
-// gauge named ethkv_store_<stat tag>{...labels}, plus the write, read and
-// block-cache ratios, evaluated at scrape/snapshot time. Stats()
-// implementations take their own locks, so the callbacks are safe from any
-// goroutine.
+// RegisterStatsMetrics exports every kv.Stats counter of sp whose stat tag
+// names a gauge as a callback gauge named ethkv_store_<stat tag>{...labels},
+// plus the write, read and block-cache ratios, evaluated at scrape/snapshot
+// time. Stats() implementations take their own locks, so the callbacks are
+// safe from any goroutine.
 func RegisterStatsMetrics(r *obs.Registry, sp StatsProvider, labels ...string) {
 	if r == nil || sp == nil {
 		return
@@ -170,6 +170,9 @@ func RegisterStatsMetrics(r *obs.Registry, sp StatsProvider, labels ...string) {
 		})
 	}
 	for i, f := range statFields {
+		if f.metric == "-" {
+			continue
+		}
 		gauge(f.metric, func(s Stats) float64 { return float64(reflect.ValueOf(s).Field(i).Uint()) })
 	}
 	gauge("write_amplification", Stats.WriteAmplification)

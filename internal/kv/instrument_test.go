@@ -141,11 +141,8 @@ func TestRegisterStatsMetrics(t *testing.T) {
 		"bloom_negatives": "BloomNegatives", "bloom_false_positives": "BloomFalsePositives",
 		"physical_read_ops": "PhysicalReadOps",
 		"live_data_bytes":   "LiveDataBytes", "dead_data_bytes": "DeadDataBytes",
-		"compaction_rewrites": "CompactionRewrites", "sub_compactions": "SubCompactions",
-		"compaction_parallel_nanos":  "CompactionParallelNanos",
-		"max_concurrent_compactions": "MaxConcurrentCompactions",
-		"compaction_debt_peak_bytes": "CompactionDebtPeak",
-		"trivial_moves":              "TrivialMoves", "trivial_move_bytes": "TrivialMoveBytes",
+		"compaction_rewrites": "CompactionRewrites", "compaction_debt_peak_bytes": "CompactionDebtPeak",
+		"trivial_moves": "TrivialMoves", "trivial_move_bytes": "TrivialMoveBytes",
 	}
 	var all Stats
 	av := reflect.ValueOf(&all).Elem()
@@ -160,8 +157,8 @@ func TestRegisterStatsMetrics(t *testing.T) {
 	for name, field := range counters {
 		want[name] = float64(av.FieldByName(field).Uint())
 	}
-	if len(want) != 42 {
-		t.Fatalf("expected set has %d names, want 42", len(want))
+	if len(want) != 39 {
+		t.Fatalf("expected set has %d names, want 39", len(want))
 	}
 	r = obs.NewRegistry()
 	RegisterStatsMetrics(r, fakeStats{all}, "store", "all")

@@ -131,9 +131,10 @@ func Flush(s Store) error {
 // amplification.
 //
 // Each counter is declared once, here: its `stat` tag names its
-// ethkv_store_<name> gauge (RegisterStatsMetrics) and, after a comma, its
-// merge rule — "logical" for the client-side counters MergePhysical leaves
-// alone, "peak" for high-water marks merged by max; the rest are summed.
+// ethkv_store_<name> gauge (RegisterStatsMetrics; "-" exports none) and,
+// after a comma, its merge rule — "logical" for the client-side counters
+// MergePhysical leaves alone, "peak" for high-water marks merged by max; the
+// rest are summed.
 type Stats struct {
 	Gets    uint64 `stat:"gets,logical"`    // point lookups served
 	Puts    uint64 `stat:"puts,logical"`    // keys written
@@ -188,19 +189,19 @@ type Stats struct {
 	DeadDataBytes      uint64 `stat:"dead_data_bytes"`     // bytes of dead records awaiting compaction (compaction debt)
 	CompactionRewrites uint64 `stat:"compaction_rewrites"` // live records rewritten into a fresh generation by compaction
 
-	// Retired, always 0; kept while the benchmark rig reads them. A
-	// compaction is one merge (no sub-compactions), and a store runs one
-	// compaction at a time, so none overlap.
-	SubCompactions           uint64 `stat:"sub_compactions"`
-	CompactionParallelNanos  uint64 `stat:"compaction_parallel_nanos"`
-	MaxConcurrentCompactions uint64 `stat:"max_concurrent_compactions,peak"`
+	// Retired, always 0, and exported as no gauge; kept while the benchmark
+	// rig reads them. A compaction is one merge (no sub-compactions), and a
+	// store runs one compaction at a time, so none overlap.
+	SubCompactions           uint64 `stat:"-"`
+	CompactionParallelNanos  uint64 `stat:"-"`
+	MaxConcurrentCompactions uint64 `stat:"-,peak"`
 	// A high-water mark, merged by max across stores, not summed.
 	CompactionDebtPeak uint64 `stat:"compaction_debt_peak_bytes,peak"` // peak compaction debt bytes observed
 }
 
 // statField is one Stats counter as its `stat` tag declares it.
 type statField struct {
-	metric string // gauge name after the ethkv_store_ prefix
+	metric string // gauge name after the ethkv_store_ prefix; "-" for none
 	rule   string // "logical", "peak", or "" (summed)
 }
 

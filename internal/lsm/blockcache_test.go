@@ -394,8 +394,6 @@ func TestReadTransientFaultsRetried(t *testing.T) {
 	opts := smallOpts()
 	opts.FS = faultfs.Inject(mem, plan)
 	opts.DisableWAL = true
-	opts.RetryAttempts = 8
-	opts.RetryBackoff = 10 * time.Microsecond
 	opts.BlockCacheBytes = -1 // no cache: every read touches the faulty FS
 	db, err := Open("db", opts)
 	if err != nil {

@@ -385,7 +385,6 @@ func moveOpts(fsys faultfs.FS) Options {
 		LevelBaseBytes:       1 << 20,
 		CompactionTableBytes: 4 << 10,
 		Pool:                 compaction.NewPool(1),
-		RetryBackoff:         time.Microsecond,
 	}
 }
 

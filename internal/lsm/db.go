@@ -69,7 +69,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ethkv/internal/compaction"
 	"ethkv/internal/faultfs"
@@ -115,13 +114,6 @@ type Options struct {
 	// the real OS filesystem; tests substitute faultfs.MemFS (with fault
 	// injection) to exercise crash recovery deterministically.
 	FS faultfs.FS
-	// RetryAttempts bounds the retry-with-backoff loop for transient I/O
-	// faults (faultfs.IsTransient); the attempt that exhausts the budget
-	// surfaces the error and degrades the store.
-	RetryAttempts int
-	// RetryBackoff is the first retry's sleep; each subsequent retry
-	// doubles it.
-	RetryBackoff time.Duration
 	// CompactionTableBytes caps the size of tables a compaction writes on
 	// L1+. Smaller caps mean more, finer-grained tables per level — tests
 	// shrink it to exercise multi-table levels cheaply.
@@ -160,12 +152,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Pool == nil {
 		o.Pool = compaction.NewPool(0)
-	}
-	if o.RetryAttempts == 0 {
-		o.RetryAttempts = 4
-	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = 200 * time.Microsecond
 	}
 	if o.CompactionTableBytes == 0 {
 		// Target ~2 MiB output tables so L1+ stays granular.
@@ -383,10 +369,11 @@ func Open(dir string, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// retryIO runs one I/O operation under faultfs.Retry with the store's
-// Options.RetryAttempts/RetryBackoff, counting retries in IORetries.
+// retryIO runs one I/O operation under faultfs.Retry, counting retries in
+// IORetries; the transient fault that exhausts the budget surfaces the error
+// and degrades the store.
 func (db *DB) retryIO(op func() error) error {
-	return faultfs.Retry(db.opts.RetryAttempts, db.opts.RetryBackoff, &db.stats.ioRetries, op)
+	return faultfs.Retry(&db.stats.ioRetries, op)
 }
 
 // setDegradedLocked latches the store into read-only degraded mode after a

@@ -11,19 +11,15 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"ethkv/internal/faultfs"
 	"ethkv/internal/kv"
 )
 
-// faultOpts returns small-store options wired to fsys with a fast retry
-// policy so failure tests do not sleep for real.
+// faultOpts returns small-store options wired to fsys.
 func faultOpts(fsys faultfs.FS) Options {
 	o := smallOpts()
 	o.FS = fsys
-	o.RetryAttempts = 8
-	o.RetryBackoff = time.Microsecond
 	return o
 }
 

@@ -102,7 +102,7 @@ func cachedBackend(t *testing.T) *Backend {
 	return &Backend{
 		DB:     db,
 		Snaps:  snapshot.NewTree(db, 8),
-		Caches: cache.NewManager(1<<20, nil),
+		Caches: cache.NewManager(1 << 20),
 	}
 }
 

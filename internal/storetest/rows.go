@@ -291,7 +291,7 @@ func openLeaf(kind string, cfg Config, fsys faultfs.FS) (kv.Store, error) {
 	switch kind {
 	case "flat":
 		return flatstore.Open("db", flatstore.Options{
-			FS: fsys, RetryAttempts: 10, RetryBackoff: time.Microsecond, CompactAfterDeadBytes: 2 << 10,
+			FS: fsys, CompactAfterDeadBytes: 2 << 10,
 		})
 	case "lsm":
 		return lsm.Open("db", lsm.Options{
@@ -299,8 +299,6 @@ func openLeaf(kind string, cfg Config, fsys faultfs.FS) (kv.Store, error) {
 			L0CompactionTrigger: 2,
 			LevelBaseBytes:      8 << 10,
 			FS:                  fsys,
-			RetryAttempts:       10,
-			RetryBackoff:        time.Microsecond,
 			BlockCacheBytes:     cfg.BlockCacheBytes,
 			Pool:                compaction.NewPool(max(cfg.CompactionWorkers, 1)),
 		})
