@@ -145,6 +145,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzSSTableOpen -fuzztime=10s ./internal/lsm/
 	$(GO) test -run=NONE -fuzz=FuzzSSTableScan -fuzztime=10s ./internal/lsm/
 	$(GO) test -run=NONE -fuzz=FuzzBlockRead -fuzztime=10s ./internal/lsm/
+	$(GO) test -run=NONE -fuzz=FuzzBlobHandles -fuzztime=10s ./internal/lsm/
 	$(GO) test -run=NONE -fuzz=FuzzFlatEntryReplay -fuzztime=10s ./internal/flatstore/
 	$(GO) test -run=NONE -fuzz=FuzzServerRequestDecode -fuzztime=10s ./internal/kvnet/
 	$(GO) test -run=NONE -fuzz=FuzzShardRouting -fuzztime=10s ./internal/shard/

@@ -40,6 +40,7 @@ import (
 	"ethkv/internal/hybrid"
 	"ethkv/internal/kv"
 	"ethkv/internal/kvnet"
+	"ethkv/internal/lsm"
 	"ethkv/internal/obs"
 	"ethkv/internal/policy"
 	"ethkv/internal/report"
@@ -194,6 +195,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				name, rs.Gets, rs.Puts, rs.Deletes,
 				float64(rs.PhysicalBytesWrite)/(1<<20), float64(rs.PhysicalBytesRead)/(1<<20))
 		}
+	}
+	if bs, ok := blobStats(raw); ok {
+		fmt.Fprintf(stdout, "blob files: %d   live: %.1f MiB   dead: %.1f MiB   written: %.1f MiB\n",
+			bs.Files, float64(bs.LiveBytes)/(1<<20), float64(bs.DeadBytes)/(1<<20), float64(bs.WrittenBytes)/(1<<20))
 	}
 	if st.BlockCacheHits+st.BlockCacheMisses > 0 {
 		fmt.Fprintf(stdout, "block cache: %d hits, %d misses (%.1f%% hit rate), %d evictions, %.1f KiB pinned\n",
@@ -421,4 +426,27 @@ func loadOps(path string) ([]trace.Op, error) {
 			return nil, err
 		}
 	}
+}
+
+// blobStats sums the blob files of every LSM in s, walking down shard and
+// hybrid fan-outs; ok is false when s holds no LSM.
+func blobStats(s kv.Store) (sum lsm.BlobStats, ok bool) {
+	switch s := s.(type) {
+	case *lsm.DB:
+		return s.BlobStats(), true
+	case interface {
+		Len() int
+		Child(int) kv.Store
+	}:
+		for i := 0; i < s.Len(); i++ {
+			if bs, leaf := blobStats(s.Child(i)); leaf {
+				sum.Files += bs.Files
+				sum.LiveBytes += bs.LiveBytes
+				sum.DeadBytes += bs.DeadBytes
+				sum.WrittenBytes += bs.WrittenBytes
+				ok = true
+			}
+		}
+	}
+	return sum, ok
 }

@@ -15,3 +15,17 @@ func TestUnpromotedShare(t *testing.T) {
 		}
 	}
 }
+
+func TestWriteRatio(t *testing.T) {
+	for _, c := range []struct {
+		lazy, direct uint64
+		want         string
+	}{
+		{93, 18, "lazy promotion writes 5.17× the direct LSM's physical bytes"},
+		{50, 100, "lazy promotion writes 0.50× the direct LSM's physical bytes"},
+	} {
+		if got := writeRatio(c.lazy, c.direct); got != c.want {
+			t.Errorf("writeRatio(%d, %d) = %q, want %q", c.lazy, c.direct, got, c.want)
+		}
+	}
+}

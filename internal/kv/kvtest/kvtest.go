@@ -44,6 +44,7 @@ func Run(t *testing.T, factory Factory, opts Options) {
 	t.Run("BatchReset", func(t *testing.T) { testBatchReset(t, factory) })
 	t.Run("IteratorPrefix", func(t *testing.T) { testIteratorPrefix(t, factory) })
 	t.Run("EmptyValueRoundTrip", func(t *testing.T) { testEmptyValueRoundTrip(t, factory) })
+	t.Run("LargeValues", func(t *testing.T) { testLargeValues(t, factory) })
 	t.Run("ConcurrentReaders", func(t *testing.T) { testConcurrentReaders(t, factory) })
 	t.Run("UseAfterClose", func(t *testing.T) { testUseAfterClose(t, factory) })
 	if opts.CorruptScan != nil {
@@ -95,6 +96,66 @@ func testEmptyAndAbsent(t *testing.T, factory Factory) {
 	if ok, _ := s.Has([]byte("empty")); !ok {
 		t.Fatal("empty value reported absent")
 	}
+}
+
+// testLargeValues: values of 1–8 KiB — the sizes an LSM separates into blob
+// files — round-trip through puts, a batch of overwrites and deletes, Get
+// and a scan, before and after a flush, in numbers that fill the write
+// buffer of small configurations.
+func testLargeValues(t *testing.T, factory Factory) {
+	s := factory(t)
+	value := func(i, gen int) []byte {
+		v := bytes.Repeat([]byte{byte('a' + (i+gen)%26)}, 1<<10+(i*523)%(7<<10))
+		copy(v, fmt.Sprintf("%d/%d/", gen, i))
+		return v
+	}
+	key := func(i int) []byte { return []byte(fmt.Sprintf("big-%03d", i)) }
+	want := map[string][]byte{}
+	for i := 0; i < 64; i++ {
+		if err := s.Put(key(i), value(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+		want[string(key(i))] = value(i, 0)
+	}
+	b := s.NewBatch()
+	for i := 0; i < 64; i += 2 {
+		b.Put(key(i), value(i, 1))
+		want[string(key(i))] = value(i, 1)
+	}
+	for i := 1; i < 64; i += 8 {
+		b.Delete(key(i))
+		delete(want, string(key(i)))
+	}
+	if err := b.Write(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		for i := 0; i < 64; i++ {
+			v, err := s.Get(key(i))
+			w, ok := want[string(key(i))]
+			if ok && (err != nil || !bytes.Equal(v, w)) || !ok && !errors.Is(err, kv.ErrNotFound) {
+				t.Fatalf("%s: Get(%s) = %d bytes, %v; want %d bytes (present %v)", when, key(i), len(v), err, len(w), ok)
+			}
+		}
+		it := s.NewIterator([]byte("big-"), nil)
+		defer it.Release()
+		n := 0
+		for it.Next() {
+			if w, ok := want[string(it.Key())]; !ok || !bytes.Equal(it.Value(), w) {
+				t.Fatalf("%s: scan %s = %d bytes, want %d (present %v)", when, it.Key(), len(it.Value()), len(w), ok)
+			}
+			n++
+		}
+		if err := it.Error(); err != nil || n != len(want) {
+			t.Fatalf("%s: scan %d of %d pairs, err %v", when, n, len(want), err)
+		}
+	}
+	check("live")
+	if err := kv.Flush(s); err != nil {
+		t.Fatal(err)
+	}
+	check("flushed")
 }
 
 func testOverwrite(t *testing.T, factory Factory) {

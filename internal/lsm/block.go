@@ -68,9 +68,9 @@ func (b *block) keyAt(i int) (key []byte, end int) {
 	return b.data[pos : pos+klen], pos + klen
 }
 
-// search binary-searches the block for key. The value is a view of the
-// block's payload.
-func (b *block) search(key []byte) (value []byte, found, tombstone bool) {
+// search binary-searches the block for key and returns the entry's value —
+// a view of the block's payload — and flags.
+func (b *block) search(key []byte) (value []byte, found bool, flags byte) {
 	lo, hi := 0, len(b.offsets)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -83,8 +83,8 @@ func (b *block) search(key []byte) (value []byte, found, tombstone bool) {
 		default:
 			vlen, n := uvarint(b.data[end:])
 			end += n
-			return b.data[end : end+vlen], true, b.data[b.offsets[mid]]&1 != 0
+			return b.data[end : end+vlen], true, b.data[b.offsets[mid]]
 		}
 	}
-	return nil, false, false
+	return nil, false, 0
 }

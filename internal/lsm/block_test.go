@@ -112,7 +112,8 @@ func checkBlockAgainstLinear(t *testing.T, blk *block, probes [][]byte) {
 	}
 	for _, key := range probes {
 		wantV, wantFound, wantTomb, _ := linearSearch(blk.data, key)
-		v, found, tomb := blk.search(key)
+		v, found, flags := blk.search(key)
+		tomb := flags&flagTombstone != 0
 		if found != wantFound || tomb != wantTomb || !bytes.Equal(v, wantV) {
 			t.Fatalf("search(%q) = (%d bytes, found=%v, tombstone=%v), linear walk says (%d bytes, %v, %v)",
 				key, len(v), found, tomb, len(wantV), wantFound, wantTomb)

@@ -128,7 +128,7 @@ func (db *DB) startCompactionLocked(plan compactionPlan) {
 // before that point reopens on a manifest that still names the inputs.
 func (db *DB) runCompactionJob(plan compactionPlan) {
 	defer db.bgWG.Done()
-	obsolete, err := db.compactAndInstall(plan)
+	obsolete, dead, err := db.compactAndInstall(plan)
 	db.mu.Lock()
 	db.compacting = false
 	if err != nil {
@@ -138,33 +138,35 @@ func (db *DB) runCompactionJob(plan compactionPlan) {
 	}
 	db.cond.Broadcast()
 	db.mu.Unlock()
-	// The inputs left the version at the install either way; their files go
-	// only once a manifest without them is durable.
-	db.retireTables(obsolete, err == nil)
+	// The inputs left the version at the install either way; their files —
+	// and the blob files no remaining table names — go only once a manifest
+	// without them is durable.
+	db.retireTables(obsolete, dead, err == nil)
 }
 
 // compactAndInstall merges with db.mu released, installs the result under
 // it, and saves the manifest with the lock released again. It returns the
-// tables the install made obsolete, or nothing when the store was degraded
-// or closed before the merge began.
-func (db *DB) compactAndInstall(plan compactionPlan) (obsolete []tableMeta, err error) {
+// tables the install made obsolete and the blob files it left unreferenced,
+// or nothing when the store was degraded or closed before the merge began.
+func (db *DB) compactAndInstall(plan compactionPlan) (obsolete []tableMeta, dead []uint64, err error) {
 	db.mu.Lock()
 	if db.degradedErr != nil || db.closed {
 		db.mu.Unlock()
-		return nil, nil
+		return nil, nil, nil
 	}
 	hook := db.compactionHook
 	db.mu.Unlock()
 	newMetas, readBytes, err := db.runCompaction(plan, hook)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	db.mu.Lock()
 	obsolete = db.installCompactionLocked(plan, newMetas, readBytes)
+	v := db.current
 	snap := db.snapshotManifestLocked()
 	db.cond.Broadcast() // L0 shrank: release writers stalled on it
 	db.mu.Unlock()
-	return obsolete, db.commitManifest(snap)
+	return obsolete, deadBlobs(obsolete, v), db.commitManifest(snap)
 }
 
 // runCompaction merges the planned tables into new non-overlapping tables
@@ -242,11 +244,19 @@ func (db *DB) compactRange(plan compactionPlan) (newMetas []tableMeta, readBytes
 
 	// Merged entries go straight into the table writer, which copies each
 	// into its image at once — they are views of the sources' readahead
-	// buffers, gone after the next step of the merge.
+	// buffers, gone after the next step of the merge. Blob handles are
+	// copied like any value: a merge never reads or rewrites blob bytes.
 	merged := newMergeIterator(sources)
 	maxOut := db.opts.CompactionTableBytes
 	w := db.newTableWriter(plan.dst, maxOut)
 	defer w.release()
+	blobBytes := make(map[uint64]uint64)
+	for _, t := range readers {
+		for _, r := range t.blobRefs {
+			blobBytes[r.num] = r.fileBytes
+		}
+	}
+	w.blobBytes = func(num uint64) uint64 { return blobBytes[num] }
 	outBytes := 0
 	flushOut := func() error {
 		if w.entries() == 0 {
@@ -274,7 +284,7 @@ func (db *DB) compactRange(plan compactionPlan) (newMetas []tableMeta, readBytes
 			}
 			continue
 		}
-		w.add(e.key, e.value, e.tombstone)
+		w.addEntry(e)
 		outBytes += len(e.key) + len(e.value)
 		if outBytes >= maxOut {
 			if err := flushOut(); err != nil {
@@ -368,20 +378,28 @@ func (db *DB) installCompactionLocked(plan compactionPlan, newMetas []tableMeta,
 }
 
 // retireTables drops the version's reader references for tables a compaction
-// replaced and, when unlink is set, deletes their files. Runs without db.mu,
-// after the install that took them out of the version: point reads that began
-// before it have finished, scans and merges still on these tables hold their
-// own references, so the last unref — not this call — closes the file and
-// purges the table's cached blocks. Deleting the file under a live reader is
-// safe: the OS keeps unlinked files readable through open descriptors, and
-// a MemFS read handle holds an immutable view of the file, not a copy.
-func (db *DB) retireTables(obsolete []tableMeta, unlink bool) {
+// replaced and, when unlink is set, deletes their files and the blob files
+// the install left unreferenced (dead). Runs without db.mu, after the install
+// that took them out of the version: point reads that began before it have
+// finished, scans and merges still on these tables hold their own references
+// — on the tables and, through them, on their blob files — so the last unref,
+// not this call, closes a file and purges the table's cached blocks. Deleting
+// a file under a live reader is safe: the OS keeps unlinked files readable
+// through open descriptors, and a MemFS read handle holds an immutable view
+// of the file, not a copy.
+func (db *DB) retireTables(obsolete []tableMeta, dead []uint64, unlink bool) {
 	for _, m := range obsolete {
 		m.h.release()
 		if unlink {
 			// Best-effort: an orphaned table is dead weight, not a hazard — the
 			// manifest no longer references it, so recovery never reads it.
 			db.fs.Remove(tablePath(db.dir, m.num))
+		}
+	}
+	if unlink {
+		for _, num := range dead {
+			// Best-effort too: Open removes a blob file no table names.
+			db.fs.Remove(blobPath(db.dir, num))
 		}
 	}
 }

@@ -104,15 +104,17 @@ func TestCompactionWorkerInvariance(t *testing.T) {
 }
 
 // TestSubCompactionEquivalence pins that a compaction is one merge over its
-// whole plan, whatever the pool's width. It forces the 22-table L0 plan that
-// key-range sub-compactions used to split, on stores with pools of 1, 2 and 4
-// slots. Every width must write byte-identical tables in the same order (only
-// file numbers, assigned at write time and not stored in the table format,
-// may differ), and every output table but the last must hold at least
-// CompactionTableBytes of entries: a table cut short before the end can only
-// have been cut at a range boundary.
+// whole plan, whatever the pool's width. It forces the L0 plan that key-range
+// sub-compactions used to split, on stores with pools of 1, 2 and 4 slots,
+// over a workload with some values large enough for blob files. Every width
+// must write byte-identical tables in the same order (only file numbers,
+// assigned at write time and not stored in the table format, may differ; the
+// blob numbers inside handles are the flushes', which run in one order) over
+// byte-identical blob files, and every output table but the last must hold at
+// least CompactionTableBytes of entries: a table cut short before the end can
+// only have been cut at a range boundary.
 func TestSubCompactionEquivalence(t *testing.T) {
-	var want [][]byte
+	var want, wantBlobs [][]byte
 	for _, workers := range []int{1, 2, 4} {
 		db := openTestDB(t, schedOpts(workers))
 		// Latch draining first: flushes still run but no background
@@ -122,6 +124,11 @@ func TestSubCompactionEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		applySchedWorkload(t, db)
+		for i := 0; i < 400; i += 7 {
+			if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), bytes.Repeat([]byte{byte(i)}, blobValueThreshold+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -156,9 +163,28 @@ func TestSubCompactionEquivalence(t *testing.T) {
 					workers, i, len(metas), n, db.opts.CompactionTableBytes)
 			}
 		}
+		var blobs [][]byte
+		for _, num := range blobFilesOnDisk(t, db.fs, db.dir) {
+			b, err := os.ReadFile(blobPath(db.dir, num))
+			if err != nil {
+				t.Fatal(err)
+			}
+			blobs = append(blobs, b)
+		}
+		if len(blobs) == 0 {
+			t.Fatalf("workers=%d: no blob files", workers)
+		}
 		if want == nil {
-			want = files
+			want, wantBlobs = files, blobs
 			continue
+		}
+		if len(blobs) != len(wantBlobs) {
+			t.Fatalf("workers=%d: %d blob files, serial pool wrote %d", workers, len(blobs), len(wantBlobs))
+		}
+		for i := range blobs {
+			if !bytes.Equal(blobs[i], wantBlobs[i]) {
+				t.Fatalf("workers=%d: blob file %d differs from serial pool's", workers, i)
+			}
 		}
 		if len(files) != len(want) {
 			t.Fatalf("workers=%d: %d output tables, serial pool wrote %d",

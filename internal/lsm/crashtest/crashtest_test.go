@@ -114,6 +114,18 @@ func TestCrashRecoverySyncLatencySeeds(t *testing.T) {
 	sweep(t, 1301, seeds(t, 60)/5, rotating("lsm/sync-latency"))
 }
 
+// TestCrashRecoveryLargeValueSeeds is the rotation with a quarter of the
+// values at 1–8 KiB, so flushes separate them into blob files and merges
+// retire those files while the crash can land between a blob file's sync,
+// its table's manifest, and its unlink.
+func TestCrashRecoveryLargeValueSeeds(t *testing.T) {
+	sweep(t, 1501, seeds(t, 60), func(seed int64) (string, storetest.Config) {
+		cfg := rotate(seed)
+		cfg.LargeValues = true
+		return "lsm", cfg
+	})
+}
+
 func TestCrashRecoveryWideBatches(t *testing.T) {
 	sweep(t, 501, seeds(t, 20), wide("lsm"))
 }

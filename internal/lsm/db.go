@@ -217,8 +217,11 @@ type DB struct {
 	current version
 	// cache is the DB-wide sharded block cache all demand-paged table
 	// reads go through; nil when Options.BlockCacheBytes is negative.
-	cache  *blockCache
-	next   atomic.Uint64 // next file number
+	cache *blockCache
+	// blobs holds the open blob files, shared by the table readers naming
+	// them.
+	blobs  *blobSet
+	next   atomic.Uint64 // next file number, tables and blob files alike
 	closed bool
 
 	// Background scheduler state, guarded by mu. maybeScheduleLocked
@@ -279,6 +282,7 @@ type dbStats struct {
 	walSharedCommits                atomic.Uint64 // batches durable on another writer's barrier
 	manifestWrites                  atomic.Uint64
 	compactionDebtPeak              atomic.Uint64
+	blobBytesWritten                atomic.Uint64
 }
 
 // readStats holds the counters point reads feed, striped so that concurrent
@@ -336,6 +340,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := db.retryIO(func() error { return db.fs.MkdirAll(dir) }); err != nil {
 		return nil, err
 	}
+	db.blobs = newBlobSet(db.fs, dir, db.retryIO)
 	db.cond = sync.NewCond(&db.mu)
 	db.turn.cond.L = &db.turn.mu
 	db.next.Store(1)
@@ -343,13 +348,20 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	// Readers open on first use, but every table's footer is read now: a
-	// table of a retired format fails Open, not the first read reaching it.
+	// table of a retired format fails Open, not the first read reaching it,
+	// and the blob files each table names enter the version.
 	for _, metas := range db.current {
-		for _, m := range metas {
-			if err := checkTableFooter(db.fs, db.dir, m, db.retryIO); err != nil {
+		for i := range metas {
+			m := &metas[i]
+			blobs, err := checkTableFooter(db.fs, db.dir, *m, db.retryIO)
+			if err != nil {
 				return nil, fmt.Errorf("%s: %w", tablePath(db.dir, m.num), err)
 			}
+			m.blobs = blobs
 		}
+	}
+	if err := db.removeOrphanBlobs(); err != nil {
+		return nil, err
 	}
 	if !opts.DisableWAL {
 		if err := db.recoverWALs(); err != nil {
@@ -415,11 +427,23 @@ func (db *DB) newTableWriter(level, dataBytes int) *tableWriter {
 }
 
 // flushMemtable writes every entry of mem, tombstones included, as L0 table
-// num. mem must no longer take writes.
+// num, its large values separated into a blob file of their own. mem must no
+// longer take writes.
 func (db *DB) flushMemtable(num uint64, mem *memtable) (tableMeta, error) {
 	w := db.newTableWriter(0, mem.size())
 	defer w.release()
-	mem.writeTo(w)
+	blobs := blobWriter{newNum: func() uint64 { return db.next.Add(1) - 1 }}
+	defer blobs.release()
+	mem.writeTo(w, &blobs)
+	// The blob file is durable before the table naming it is written, so no
+	// manifest can name a table whose values a crash could tear.
+	n, err := blobs.finish(db.fs, db.dir, db.retryIO)
+	if err != nil {
+		return tableMeta{}, err
+	}
+	db.stats.blobBytesWritten.Add(uint64(n))
+	db.stats.physicalBytesWrite.Add(uint64(n))
+	w.blobBytes = func(uint64) uint64 { return uint64(n) }
 	return w.finish(num)
 }
 
@@ -561,16 +585,12 @@ func (db *DB) Delete(key []byte) error {
 
 // Get implements kv.Reader.
 func (db *DB) Get(key []byte) ([]byte, error) {
-	v, err := db.lookup(key)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), v...), nil
+	return db.lookup(key, true)
 }
 
 // Has implements kv.Reader: Get's lookup without the copy of the value.
 func (db *DB) Has(key []byte) (bool, error) {
-	_, err := db.lookup(key)
+	_, err := db.lookup(key, false)
 	if errors.Is(err, kv.ErrNotFound) {
 		return false, nil
 	}

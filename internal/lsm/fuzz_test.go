@@ -303,3 +303,129 @@ func FuzzBlockRead(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBlobHandles pins value separation's read guarantee: flip one byte of
+// a v3 table's handles or blob-ref list — with the section checksum resealed
+// over the damage, or not — or of its blob file, and every access path
+// returns the right value or errTableCorrupt. A damaged handle or blob-ref
+// list never resolves to wrong data; with its checksum intact it is always
+// errTableCorrupt.
+func FuzzBlobHandles(f *testing.F) {
+	blob := blobWriter{newNum: func() uint64 { return 5 }}
+	m := faultfs.NewMemFS()
+	w := newTableWriter(m, "d", passRetry, 0, 0)
+	want := map[string]string{}
+	var handles [][]byte
+	for i := 0; i < 60; i++ {
+		k := fmt.Sprintf("h-%03d", i)
+		v := fmt.Sprintf("small-%03d", i)
+		if i%3 == 0 {
+			v = fmt.Sprintf("%03d%s", i, bytes.Repeat([]byte{byte('a' + i%26)}, blobValueThreshold+i*7))
+			h := blob.add(nil, []byte(v))
+			handles = append(handles, h)
+			w.addEntry(entry{key: []byte(k), value: h, handle: true})
+		} else {
+			w.add([]byte(k), []byte(v), false)
+		}
+		want[k] = v
+	}
+	blobBytes, err := blob.finish(m, "d", passRetry)
+	if err != nil {
+		f.Fatal(err)
+	}
+	w.blobBytes = func(uint64) uint64 { return uint64(blobBytes) }
+	meta, err := w.finish(9)
+	w.release()
+	if err != nil {
+		f.Fatal(err)
+	}
+	table, _ := m.ReadFile(tablePath("d", 9))
+	blobImg, _ := m.ReadFile(blobPath("d", 5))
+	clean, err := newTableReader(table, meta)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The damage targets: every handle byte, the blob-ref section, the blob.
+	var targets []int
+	for _, h := range handles {
+		at := bytes.Index(table, h)
+		for i := range h {
+			targets = append(targets, at+i)
+		}
+	}
+	bloomEnd := int(binary.LittleEndian.Uint64(table[len(table)-footerSize+16:]) +
+		binary.LittleEndian.Uint64(table[len(table)-footerSize+24:]))
+	for i := bloomEnd; i < len(table)-footerSize; i++ {
+		targets = append(targets, i)
+	}
+	f.Add(uint32(0), byte(1), false)
+	f.Add(uint32(len(handles)), byte(0x80), true)
+	f.Add(uint32(len(targets)-1), byte(0x01), true)
+	f.Add(uint32(len(targets)+100), byte(0x10), false)
+
+	f.Fuzz(func(t *testing.T, pos uint32, xor byte, reseal bool) {
+		if xor == 0 {
+			xor = 0xA5
+		}
+		tbl, bl := append([]byte(nil), table...), append([]byte(nil), blobImg...)
+		p := int(pos) % (len(targets) + len(bl))
+		if p < len(targets) {
+			at := targets[p]
+			tbl[at] ^= xor
+			if reseal {
+				if at >= bloomEnd {
+					resealSection(tbl, uint64(bloomEnd), uint64(len(tbl)-footerSize-bloomEnd))
+				}
+				for _, e := range clean.index {
+					if uint64(at) >= e.offset && uint64(at) < e.offset+e.length {
+						resealSection(tbl, e.offset, e.length)
+					}
+				}
+			}
+		} else {
+			bl[p-len(targets)] ^= xor
+		}
+		fs := faultfs.NewMemFS()
+		faultfs.WriteFileSync(fs, tablePath("d", 9), tbl)
+		faultfs.WriteFileSync(fs, blobPath("d", 5), bl)
+		r, err := openTable(fs, "d", meta, nil, passRetry)
+		if err != nil {
+			if p < len(targets) && !reseal && !errors.Is(err, errTableCorrupt) {
+				t.Fatalf("open of a table with a torn checksum: %v", err)
+			}
+			return // a resealed blob-ref list may name a missing file
+		}
+		defer r.unref()
+		check := func(key, value []byte, handle bool, err error) {
+			if err == nil && handle {
+				value, err = r.readBlob(nil, value)
+			}
+			if err != nil {
+				if !errors.Is(err, errTableCorrupt) {
+					t.Fatalf("%s: unexpected error %v", key, err)
+				}
+				return
+			}
+			if string(value) != want[string(key)] {
+				t.Fatalf("%s: wrong data (%d bytes) from a damaged table or blob", key, len(value))
+			}
+		}
+		for k := range want {
+			v, flags, found, err := r.get([]byte(k), bloomHash([]byte(k)), &readCounts{})
+			if err == nil && !found {
+				t.Fatalf("%s: lost", k)
+			}
+			check([]byte(k), v, flags&flagBlob != 0, err)
+		}
+		for _, checkCache := range []bool{true, false} {
+			it := r.iteratorOpts(nil, checkCache)
+			for it.next() {
+				check(it.cur.key, it.cur.value, it.cur.handle, nil)
+			}
+			if it.err != nil && !errors.Is(it.err, errTableCorrupt) {
+				t.Fatalf("walk: %v", it.err)
+			}
+			it.close()
+		}
+	})
+}

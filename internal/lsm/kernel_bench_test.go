@@ -140,6 +140,63 @@ func BenchmarkCompactRange(b *testing.B) {
 	}
 }
 
+// BenchmarkCompactRangeCode is BenchmarkCompactRange with a quarter of the
+// values 6 KiB — the trace's Code share — separated into one blob file per
+// input table as a flush writes them. It reports the bytes a merge writes
+// per op: handles instead of values.
+func BenchmarkCompactRangeCode(b *testing.B) {
+	const k, perTable = 4, 640
+	m := faultfs.NewMemFS()
+	rng := rand.New(rand.NewSource(k))
+	var metas []tableMeta
+	total := 0
+	for i := 0; i < k; i++ {
+		ents, _ := benchEntries(rng, perTable, k, i)
+		blobs := blobWriter{newNum: func() uint64 { return uint64(50 + i) }}
+		w := newTableWriter(m, "d", passRetry, 0, 0)
+		for j, e := range ents {
+			if j%4 == 0 {
+				e.value = make([]byte, 6<<10)
+				rng.Read(e.value)
+			}
+			total += len(e.key) + len(e.value)
+			if len(e.value) >= blobValueThreshold {
+				e = entry{key: e.key, value: blobs.add(nil, e.value), handle: true}
+			}
+			w.addEntry(e)
+		}
+		n, err := blobs.finish(m, "d", passRetry)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w.blobBytes = func(uint64) uint64 { return uint64(n) }
+		meta, err := w.finish(uint64(i + 1))
+		w.release()
+		if err != nil {
+			b.Fatal(err)
+		}
+		metas = append(metas, meta)
+	}
+	db := &DB{dir: "d", fs: m, opts: Options{FS: m}.withDefaults(), blobs: newBlobSet(m, "d", passRetry)}
+	db.next.Store(100)
+	plan := compactionPlan{level: 0, dst: 1, srcMetas: metas}
+	b.SetBytes(int64(total))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, _, err := db.compactRange(plan)
+		if err != nil || len(out) == 0 {
+			b.Fatalf("compactRange: %d tables, err %v", len(out), err)
+		}
+		for _, meta := range out {
+			if err := m.Remove(tablePath("d", meta.num)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(db.stats.physicalBytesWrite.Load())/float64(b.N), "written-B/op")
+}
+
 // BenchmarkGetCached times DB.Get from every P at once on a store whose
 // blocks are all cached — the state readscan_stack_local runs in — so what is
 // left is the path itself: locks, counters, filter probes, block search. The

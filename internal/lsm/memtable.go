@@ -83,12 +83,20 @@ func (m *memtable) size() int {
 func (m *memtable) count() int { return int(m.n.Load()) }
 
 // writeTo adds every entry, tombstones included, to w in key order —
-// straight off the skiplist, whose keys and values w copies into its image.
-// The lock is shared with readers; a memtable being flushed takes no writes.
-func (m *memtable) writeTo(w *tableWriter) {
+// straight off the skiplist, whose keys and values w copies into its image —
+// except that a live value of blobValueThreshold bytes or more goes to blobs
+// and w gets its handle. The lock is shared with readers; a memtable being
+// flushed takes no writes.
+func (m *memtable) writeTo(w *tableWriter, blobs *blobWriter) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	var handle []byte
 	for it := m.list.iterator(); it.next(); {
+		if v := it.value(); !it.tombstone() && len(v) >= blobValueThreshold {
+			handle = blobs.add(handle[:0], v)
+			w.addEntry(entry{key: it.key(), value: handle, handle: true})
+			continue
+		}
 		w.add(it.key(), it.value(), it.tombstone())
 	}
 }
@@ -98,4 +106,5 @@ type entry struct {
 	key       []byte
 	value     []byte
 	tombstone bool
+	handle    bool // value is a blob handle (table entries only)
 }

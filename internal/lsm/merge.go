@@ -117,7 +117,10 @@ type mergeIterator struct {
 	heads   []entry // heads[i] is source i's current entry while i is in heap
 	heap    []int   // live source indexes, min (key, index) at heap[0]
 	cur     entry
-	failed  error
+	// curSource is the source cur came from: the table a blob handle in it
+	// points through.
+	curSource int
+	failed    error
 }
 
 func newMergeIterator(sources []source) *mergeIterator {
@@ -201,7 +204,8 @@ func (m *mergeIterator) next() bool {
 	// The top is the newest source holding the smallest key. Consume it and
 	// every older duplicate of that key; equal keys surface in source order,
 	// so the first failure latched is the lowest-indexed source's.
-	m.cur = m.heads[m.heap[0]]
+	m.curSource = m.heap[0]
+	m.cur = m.heads[m.curSource]
 	m.advanceTop()
 	for len(m.heap) > 0 && bytes.Equal(m.heads[m.heap[0]].key, m.cur.key) {
 		m.advanceTop()

@@ -11,7 +11,8 @@ import (
 // evaluated at scrape/snapshot time. Alongside the kv.Stats counters this
 // surfaces what only the LSM itself knows: per-level table counts and bytes,
 // compaction debt (bytes over each level's target — how far behind the
-// background worker is running), flush-queue depth, and the degraded latch.
+// background worker is running), flush-queue depth, the blob files, and the
+// degraded latch.
 // labels are appended to every series (e.g. store="lsm").
 //
 // The callbacks take db.mu.RLock; obs.Registry.Snapshot evaluates them
@@ -51,6 +52,18 @@ func (db *DB) RegisterMetrics(r *obs.Registry, labels ...string) {
 	})
 	r.GaugeFunc(obs.Name("ethkv_lsm_open_tables", labels...), func() float64 {
 		return float64(db.openTables())
+	})
+	// Blob files (value separation): how many the version references, the
+	// bytes its handles cover, and the bytes of those files no table
+	// references any more.
+	r.GaugeFunc(obs.Name("ethkv_lsm_blob_files", labels...), func() float64 {
+		return float64(db.BlobStats().Files)
+	})
+	r.GaugeFunc(obs.Name("ethkv_lsm_blob_live_bytes", labels...), func() float64 {
+		return float64(db.BlobStats().LiveBytes)
+	})
+	r.GaugeFunc(obs.Name("ethkv_lsm_blob_dead_bytes", labels...), func() float64 {
+		return float64(db.BlobStats().DeadBytes)
 	})
 	r.GaugeFunc(obs.Name("ethkv_lsm_block_cache_bytes", labels...), func() float64 {
 		return float64(db.cache.usedBytes())

@@ -8,16 +8,19 @@ import (
 )
 
 // lookup is the point-read path shared by Get and Has: find the newest entry
-// for key, account the read, and return the live value — a read-only view of
-// memtable or block-cache memory, valid for as long as the caller holds it —
-// or kv.ErrNotFound.
+// for key, account the read, and return the live value or kv.ErrNotFound.
+// With copyOut (Get) the value is the caller's own copy; without (Has) it is
+// a read-only view of memtable or block-cache memory, or nil when the entry
+// is a blob handle: Has answers from the handle alone, and Get reads a
+// separated value once, straight into the copy it returns, with db.mu still
+// held — which is what keeps the table and its blob files open.
 //
 // A read of cached data writes shared memory a fixed number of times however
 // many tables it probes: db.mu's reader count (in and out), one block-cache
 // shard lock per block searched, and its stripe of the read counters. The
 // memtables cost nothing while empty or frozen, and the tables' readers come
 // with the version (DESIGN.md §20).
-func (db *DB) lookup(key []byte) ([]byte, error) {
+func (db *DB) lookup(key []byte, copyOut bool) ([]byte, error) {
 	hash := bloomHash(key)
 	var rc readCounts
 	db.mu.RLock()
@@ -25,33 +28,54 @@ func (db *DB) lookup(key []byte) ([]byte, error) {
 		db.mu.RUnlock()
 		return nil, kv.ErrClosed
 	}
-	v, found, deleted, err := db.searchLocked(key, hash, &rc)
+	v, blob, found, deleted, err := db.searchLocked(key, hash, &rc)
+	size, owned := len(v), false
+	if err == nil && found && !deleted && blob != nil {
+		var h blobHandle
+		if h, err = decodeHandle(v); err == nil {
+			size = int(h.length)
+		}
+		if err == nil && copyOut {
+			v, err = blob.readBlob(nil, v)
+			rc.physicalBytes += size
+		} else {
+			v = nil
+		}
+		owned = true
+	}
 	db.mu.RUnlock()
 	if err == nil && (!found || deleted) {
-		v, err = nil, kv.ErrNotFound
+		v, size, err = nil, 0, kv.ErrNotFound
 	}
-	db.stats.reads.publish(hash, len(v), &rc)
-	return v, err
+	db.stats.reads.publish(hash, size, &rc)
+	if err != nil {
+		return nil, err
+	}
+	if copyOut && !owned {
+		v = append([]byte(nil), v...)
+	}
+	return v, nil
 }
 
 // searchLocked consults the memtable, the frozen memtables newest-first, L0
 // newest-first (its files may overlap), then the one candidate table of each
 // deeper level, and stops at the first entry for key, live or tombstone.
-// Called with db.mu held shared — which is also what keeps every table of
-// db.current, and so its reader, from being retired underneath it.
-func (db *DB) searchLocked(key []byte, hash uint64, rc *readCounts) (v []byte, found, deleted bool, err error) {
+// When the entry is a blob handle, blob is the table holding it. Called with
+// db.mu held shared — which is also what keeps every table of db.current, and
+// so its reader, from being retired underneath it.
+func (db *DB) searchLocked(key []byte, hash uint64, rc *readCounts) (v []byte, blob *tableReader, found, deleted bool, err error) {
 	if v, found, deleted = db.mem.get(key); found {
-		return v, found, deleted, nil
+		return v, nil, found, deleted, nil
 	}
 	for i := len(db.imm) - 1; i >= 0; i-- {
 		if v, found, deleted = db.imm[i].mem.getFrozen(key); found {
-			return v, found, deleted, nil
+			return v, nil, found, deleted, nil
 		}
 	}
 	l0 := db.current[0]
 	for i := len(l0) - 1; i >= 0; i-- {
-		if v, found, deleted, err = db.tableGet(&l0[i], key, hash, rc); found || err != nil {
-			return v, found, deleted, err
+		if v, blob, found, deleted, err = db.tableGet(&l0[i], key, hash, rc); found || err != nil {
+			return v, blob, found, deleted, err
 		}
 	}
 	for _, metas := range db.current[1:] {
@@ -61,20 +85,24 @@ func (db *DB) searchLocked(key []byte, hash uint64, rc *readCounts) (v []byte, f
 		if i == len(metas) || bytes.Compare(metas[i].smallest, key) > 0 {
 			continue
 		}
-		if v, found, deleted, err = db.tableGet(&metas[i], key, hash, rc); found || err != nil {
-			return v, found, deleted, err
+		if v, blob, found, deleted, err = db.tableGet(&metas[i], key, hash, rc); found || err != nil {
+			return v, blob, found, deleted, err
 		}
 	}
-	return nil, false, false, nil
+	return nil, nil, false, false, nil
 }
 
 // tableGet probes one table of the version. Called with db.mu held.
-func (db *DB) tableGet(m *tableMeta, key []byte, hash uint64, rc *readCounts) (v []byte, found, deleted bool, err error) {
+func (db *DB) tableGet(m *tableMeta, key []byte, hash uint64, rc *readCounts) (v []byte, blob *tableReader, found, deleted bool, err error) {
 	t, err := db.table(m)
 	if err != nil {
-		return nil, false, false, err
+		return nil, nil, false, false, err
 	}
-	return t.get(key, hash, rc)
+	v, flags, found, err := t.get(key, hash, rc)
+	if flags&flagBlob != 0 {
+		blob = t
+	}
+	return v, blob, found, flags&flagTombstone != 0, err
 }
 
 // prefixSuccessor returns the smallest key greater than every key with the
@@ -155,8 +183,10 @@ func (db *DB) NewIterator(prefix, start []byte) kv.Iterator {
 	}
 }
 
-// dbIterator adapts mergeIterator to kv.Iterator, hiding tombstones and
-// enforcing the prefix bound.
+// dbIterator adapts mergeIterator to kv.Iterator, hiding tombstones,
+// enforcing the prefix bound and resolving blob handles: a separated value
+// is read with one ReadAt into the iterator's value buffer, through the
+// blob files its table reader holds open.
 type dbIterator struct {
 	db       *DB
 	merged   *mergeIterator
@@ -166,6 +196,8 @@ type dbIterator struct {
 	done     bool
 	released bool
 	readers  []*tableReader // table references released at Release
+	blobRead int            // blob bytes read, published at Release
+	err      error          // a handle that failed to resolve
 }
 
 func (it *dbIterator) Next() bool {
@@ -182,7 +214,18 @@ func (it *dbIterator) Next() bool {
 			continue
 		}
 		it.key = append(it.key[:0], e.key...)
-		it.value = append(it.value[:0], e.value...)
+		if !e.handle {
+			it.value = append(it.value[:0], e.value...)
+			return true
+		}
+		t := it.merged.sources[it.merged.curSource].(*tableSource).it.t
+		v, err := t.readBlob(it.value, e.value)
+		if err != nil {
+			it.err = err
+			break
+		}
+		it.value = v
+		it.blobRead += len(v)
 		return true
 	}
 	it.done = true
@@ -207,7 +250,7 @@ func (it *dbIterator) Release() {
 				ts.close()
 			}
 		}
-		it.db.stats.reads.addPhysical(read)
+		it.db.stats.reads.addPhysical(read + uint64(it.blobRead))
 	}
 	for _, t := range it.readers {
 		t.unref()
@@ -218,4 +261,9 @@ func (it *dbIterator) Release() {
 // Error surfaces corruption detected mid-scan. A scan that stopped early
 // because a table's block framing was broken reports it here rather than
 // masquerading as a clean short result.
-func (it *dbIterator) Error() error { return it.merged.err() }
+func (it *dbIterator) Error() error {
+	if it.err != nil {
+		return it.err
+	}
+	return it.merged.err()
+}

@@ -22,12 +22,17 @@ import (
 // crc32(payload) trailer appended to the payload; index and footer extents
 // cover payload+trailer. A bit flip anywhere in a block is detected by the
 // checksum at read time, not just by entry-framing luck. This is format v2,
-// named by the footer magic. Format v1 (no section checksums, Keccak-256
-// bloom probes) is retired: a table carrying its magic is refused as corrupt.
+// named by the footer magic. Format v3 is v2 plus a checksummed blob-ref
+// section between the bloom block and the footer (blob.go): a table is
+// written as v3 exactly when it holds a blob handle, so a table without one
+// is byte for byte what it was before value separation. Format v1 (no
+// section checksums, Keccak-256 bloom probes) is retired: a table carrying
+// its magic is refused as corrupt, as is any other version.
 //
 // Each data block holds consecutive entries:
 //
-//	flags byte (bit0 = tombstone) | keyLen uvarint | key | valueLen uvarint | value
+//	flags byte (bit0 = tombstone, bit1 = blob handle) | keyLen uvarint | key |
+//	valueLen uvarint | value
 //
 // The index block records, per data block: lastKeyLen uvarint | lastKey |
 // offset uvarint | length uvarint (length spans the stored extent,
@@ -43,6 +48,7 @@ import (
 const (
 	footerSize   = 8*5 + 4 + 4 + 8
 	tableMagic   = 0x657468_6b760002 // "ethkv" + format version 2 in the low 16 bits
+	tableMagicV3 = tableMagic + 1    // v2 plus the blob-ref section
 	targetBlock  = 4 << 10           // 4 KiB data blocks
 	blockCRCSize = 4                 // crc32 trailer appended to each section
 
@@ -64,6 +70,10 @@ type tableMeta struct {
 	smallest []byte
 	largest  []byte
 	entries  uint64
+	// blobs lists the blob files the table's handles point into, ascending;
+	// nil for a v2 table. Set by the table writer, and at Open from the
+	// table's own blob-ref section.
+	blobs []blobRef
 	// h is the table's reader handle, shared by every copy of the meta (the
 	// version's level entry, compaction plans, obsolete lists). Set by the
 	// table writer and the manifest loader.
@@ -100,7 +110,7 @@ func (db *DB) table(m *tableMeta) (*tableReader, error) {
 	}
 	// openTable applies retryIO to each individual read itself, so
 	// transient faults are absorbed without reopening from scratch.
-	t, err := openTable(db.fs, db.dir, *m, db.cache, db.retryIO)
+	t, err := openTableIn(db.fs, db.dir, *m, db.cache, db.retryIO, db.blobs)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +164,8 @@ type indexEntry struct {
 // compaction deleting the file under a live scan is safe: the OS keeps
 // unlinked files readable through open descriptors (a MemFS handle holds an
 // immutable view of the file, not a copy), and the last unref closes the
-// file and purges the table's cached blocks.
+// file and purges the table's cached blocks. A reader holds a reference on
+// every blob file its handles point into, for the same lifetime.
 type tableReader struct {
 	meta   tableMeta
 	src    io.ReaderAt
@@ -166,6 +177,12 @@ type tableReader struct {
 	retry  retryFn
 	pinned int64 // index+bloom bytes accounted against the cache
 	refs   atomic.Int32
+	// blobRefs lists the blob files the table's handles point into, and
+	// blobs holds them open, index for index (nil for a byte-backed
+	// reader, which cannot resolve handles).
+	blobRefs []blobRef
+	blobs    []*blobFile
+	blobSet  *blobSet
 }
 
 // passRetry is the identity retry policy for readers outside a DB (fuzz
@@ -184,18 +201,26 @@ func (t *tableReader) unref() {
 	if t.closer != nil {
 		t.closer()
 	}
+	t.releaseBlobs()
 	t.cache.dropTable(t.meta.num)
 	t.cache.addPinned(-t.pinned)
 }
 
-// openTable opens the SSTable file for meta and validates its footer,
-// index, and bloom sections (the only parts read eagerly). Individual
-// reads go through retry so transient faults are absorbed by the store's
-// backoff policy.
+// openTable opens the SSTable file for meta on its own, its blob files
+// included, outside any DB.
 func openTable(fsys faultfs.FS, dir string, meta tableMeta, cache *blockCache, retry retryFn) (*tableReader, error) {
 	if retry == nil {
 		retry = passRetry
 	}
+	return openTableIn(fsys, dir, meta, cache, retry, newBlobSet(fsys, dir, retry))
+}
+
+// openTableIn opens the SSTable file for meta and validates its footer,
+// index, bloom and blob-ref sections (the only parts read eagerly), then
+// takes a reference from blobs on every blob file it names. Individual
+// reads go through retry so transient faults are absorbed by the store's
+// backoff policy.
+func openTableIn(fsys faultfs.FS, dir string, meta tableMeta, cache *blockCache, retry retryFn, blobs *blobSet) (*tableReader, error) {
 	f, size, err := openTableFile(fsys, dir, meta, retry)
 	if err != nil {
 		return nil, err
@@ -205,20 +230,41 @@ func openTable(fsys faultfs.FS, dir string, meta tableMeta, cache *blockCache, r
 		f.Close()
 		return nil, err
 	}
+	t.blobSet = blobs
+	for _, r := range t.blobRefs {
+		b, err := blobs.acquire(r.num)
+		if err != nil {
+			t.unref()
+			return nil, err
+		}
+		t.blobs = append(t.blobs, b)
+	}
 	return t, nil
 }
 
-// checkTableFooter reads and validates only the footer of meta's file: its
-// format version and checksum.
-func checkTableFooter(fsys faultfs.FS, dir string, meta tableMeta, retry retryFn) error {
+// releaseBlobs drops the reader's blob file references.
+func (t *tableReader) releaseBlobs() {
+	for i, b := range t.blobs {
+		t.blobSet.release(t.blobRefs[i].num, b)
+	}
+	t.blobs = nil
+}
+
+// checkTableFooter reads and validates the footer of meta's file — its
+// format version and checksum — and returns the blob files a v3 table
+// references.
+func checkTableFooter(fsys faultfs.FS, dir string, meta tableMeta, retry retryFn) ([]blobRef, error) {
 	f, size, err := openTableFile(fsys, dir, meta, retry)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
 	t := &tableReader{meta: meta, src: f, size: size, retry: retry}
-	_, err = t.readFooter()
-	return err
+	footer, err := t.readFooter()
+	if err != nil {
+		return nil, err
+	}
+	return t.readBlobRefs(footer)
 }
 
 // openTableFile opens meta's file and reports its size.
@@ -294,6 +340,9 @@ func openTableReader(src io.ReaderAt, closer func() error, size int64, meta tabl
 		return nil, err
 	}
 	t.bloom = bloomFromBytes(bloomBits, bloomK)
+	if t.blobRefs, err = t.readBlobRefs(footer); err != nil {
+		return nil, err
+	}
 	// Index and bloom stay pinned for the reader's lifetime; account them
 	// so observability reports the true memory footprint.
 	t.pinned = int64(indexLen + bloomLen)
@@ -310,12 +359,16 @@ func (t *tableReader) readFooter() (footer [footerSize]byte, err error) {
 	if err := t.readAt(footer[:], t.size-footerSize); err != nil {
 		return footer, err
 	}
-	if magic := binary.LittleEndian.Uint64(footer[48:]); magic != tableMagic {
+	if magic := binary.LittleEndian.Uint64(footer[48:]); magic != tableMagic && magic != tableMagicV3 {
 		if magic>>16 == tableMagic>>16 {
 			// An ethkv table of another format version: v1 tables, written
 			// before section checksums existed, are refused, not migrated.
-			return footer, fmt.Errorf("%w: retired table format v%d (this store reads v%d only)",
-				errTableCorrupt, magic&0xffff, tableMagic&0xffff)
+			what := "unknown"
+			if magic&0xffff < 2 {
+				what = "retired"
+			}
+			return footer, fmt.Errorf("%w: %s table format v%d (this store reads v2 and v3 only)",
+				errTableCorrupt, what, magic&0xffff)
 		}
 		return footer, fmt.Errorf("%w: bad magic", errTableCorrupt)
 	}
@@ -325,19 +378,41 @@ func (t *tableReader) readFooter() (footer [footerSize]byte, err error) {
 	return footer, nil
 }
 
+// readBlobRefs returns the blob-ref section of a v3 table, which spans from
+// the end of the bloom section to the footer; a v2 table references none.
+func (t *tableReader) readBlobRefs(footer [footerSize]byte) ([]blobRef, error) {
+	if binary.LittleEndian.Uint64(footer[48:]) != tableMagicV3 {
+		return nil, nil
+	}
+	bloomOff := binary.LittleEndian.Uint64(footer[16:])
+	bloomLen := binary.LittleEndian.Uint64(footer[24:])
+	end := uint64(t.size - footerSize)
+	if bloomOff > end || bloomLen > end-bloomOff {
+		return nil, fmt.Errorf("%w: section out of range", errTableCorrupt)
+	}
+	raw, err := t.readSection(bloomOff+bloomLen, end-bloomOff-bloomLen, "blob-ref")
+	if err != nil {
+		return nil, err
+	}
+	return parseBlobRefs(raw)
+}
+
 // readAt fills p from offset off, retrying transient faults. A short read
 // (a truncated file) surfaces as errTableCorrupt.
 func (t *tableReader) readAt(p []byte, off int64) error {
-	return t.retry(func() error {
-		n, err := t.src.ReadAt(p, off)
-		if n == len(p) {
-			return nil
-		}
-		if err == nil || errors.Is(err, io.EOF) {
-			return fmt.Errorf("%w: short read (%d of %d bytes at %d)", errTableCorrupt, n, len(p), off)
-		}
-		return err
-	})
+	return t.retry(func() error { return readFull(t.src, p, off) })
+}
+
+// readFull fills p from src at off; a short read is errTableCorrupt.
+func readFull(src io.ReaderAt, p []byte, off int64) error {
+	n, err := src.ReadAt(p, off)
+	if n == len(p) {
+		return nil
+	}
+	if err == nil || errors.Is(err, io.EOF) {
+		return fmt.Errorf("%w: short read (%d of %d bytes at %d)", errTableCorrupt, n, len(p), off)
+	}
+	return err
 }
 
 // readSection fetches one pinned section (index or bloom), verifies its
@@ -456,11 +531,12 @@ type readCounts struct {
 // rc takes the disk bytes fetched and the bloom filter's effectiveness:
 // negatives that skip the table entirely, false positives where the filter
 // passed but the block held no match. The value is a view of the block,
-// shared and read-only.
-func (t *tableReader) get(key []byte, hash uint64, rc *readCounts) (value []byte, found, deleted bool, err error) {
+// shared and read-only; under flagBlob it is a handle, already checked to
+// name a blob file the table references.
+func (t *tableReader) get(key []byte, hash uint64, rc *readCounts) (value []byte, flags byte, found bool, err error) {
 	if !t.bloom.mayContainHash(hash) {
 		rc.bloomNegatives++
-		return nil, false, false, nil
+		return nil, 0, false, nil
 	}
 	// Binary search the first block whose last key >= key.
 	i := sort.Search(len(t.index), func(i int) bool {
@@ -468,18 +544,22 @@ func (t *tableReader) get(key []byte, hash uint64, rc *readCounts) (value []byte
 	})
 	if i == len(t.index) {
 		rc.bloomFalsePositives++
-		return nil, false, false, nil
+		return nil, 0, false, nil
 	}
 	blk, diskBytes, err := t.block(i)
 	rc.physicalBytes += diskBytes
 	if err != nil {
-		return nil, false, false, err
+		return nil, 0, false, err
 	}
-	value, found, deleted = blk.search(key)
+	value, found, flags = blk.search(key)
 	if !found {
 		rc.bloomFalsePositives++
+	} else if flags&flagBlob != 0 {
+		if _, _, err := t.handleRef(value); err != nil {
+			return nil, 0, false, err
+		}
 	}
-	return value, found, deleted, nil
+	return value, flags, found, nil
 }
 
 // tableIterator walks the full table in key order, including tombstones.
@@ -612,7 +692,14 @@ func (it *tableIterator) next() bool {
 		it.block = it.block[n:]
 		value := it.block[:vlen]
 		it.block = it.block[vlen:]
-		it.cur = entry{key: key, value: value, tombstone: flags&1 != 0}
+		if flags&flagBlob != 0 {
+			// A handle a merge copies must name a blob file this table
+			// references, or the output's blob-ref list would be wrong.
+			if _, _, err := it.t.handleRef(value); err != nil {
+				return it.failErr(err)
+			}
+		}
+		it.cur = entry{key: key, value: value, tombstone: flags&flagTombstone != 0, handle: flags&flagBlob != 0}
 		it.valid = true
 		return true
 	}

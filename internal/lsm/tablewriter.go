@@ -1,9 +1,11 @@
 package lsm
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"slices"
 	"sync"
 
 	"ethkv/internal/faultfs"
@@ -21,6 +23,10 @@ import (
 // the table is cut, so add only records each key's 64-bit probe hash and
 // finish builds the filter — directly inside the image.
 //
+// A blob handle's file and length are tallied as it is added; a table with
+// any is finished as format v3, its blob-ref list taking each file's size
+// from blobBytes.
+//
 // One writer produces any number of tables in sequence (finish resets it);
 // its buffers come from a process-wide pool and go back on release.
 type tableWriter struct {
@@ -28,6 +34,8 @@ type tableWriter struct {
 	dir   string
 	retry retryFn
 	level int
+	// blobBytes reports the size of a blob file the added handles name.
+	blobBytes func(num uint64) uint64
 
 	*tableBuffers
 	blockOff   int // image offset where the open data block starts
@@ -38,9 +46,10 @@ type tableWriter struct {
 
 // tableBuffers is the reusable memory of a tableWriter.
 type tableBuffers struct {
-	img    []byte   // table image: finished blocks plus the open one
-	index  []byte   // index block payload
-	hashes []uint64 // bloom probe hash of every entry so far
+	img    []byte            // table image: finished blocks plus the open one
+	index  []byte            // index block payload
+	hashes []uint64          // bloom probe hash of every entry so far
+	refs   map[uint64]uint64 // blob file -> bytes the open table's handles cover
 }
 
 var tableBufferPool = sync.Pool{New: func() any { return new(tableBuffers) }}
@@ -73,6 +82,7 @@ func (w *tableWriter) release() {
 func (w *tableWriter) reset() {
 	w.img, w.index, w.hashes = w.img[:0], w.index[:0], w.hashes[:0]
 	w.blockOff, w.smallest = 0, nil
+	clear(w.refs)
 }
 
 // entries reports how many entries the open table holds.
@@ -81,12 +91,28 @@ func (w *tableWriter) entries() int { return len(w.hashes) }
 // add appends one entry. Keys must arrive strictly ascending. The writer
 // keeps no reference to key or value.
 func (w *tableWriter) add(key, value []byte, tombstone bool) {
+	w.addEntry(entry{key: key, value: value, tombstone: tombstone})
+}
+
+// addEntry is add for an entry that may carry a blob handle, which it
+// tallies against the handle's blob file; the handle must decode (table
+// iterators and the flush hand over only handles that do).
+func (w *tableWriter) addEntry(e entry) {
+	key, value := e.key, e.value
 	if len(w.hashes) == 0 {
 		w.smallest = append([]byte(nil), key...)
 	}
 	var flags byte
-	if tombstone {
-		flags = 1
+	if e.tombstone {
+		flags |= flagTombstone
+	}
+	if e.handle {
+		flags |= flagBlob
+		h, _ := decodeHandle(value)
+		if w.refs == nil {
+			w.refs = make(map[uint64]uint64)
+		}
+		w.refs[h.num] += h.length
 	}
 	img := append(w.img, flags)
 	img = binary.AppendUvarint(img, uint64(len(key)))
@@ -150,6 +176,19 @@ func (w *tableWriter) finish(num uint64) (tableMeta, error) {
 	}
 	bloomLen := w.closeSection(bloomOff)
 
+	magic := uint64(tableMagic)
+	var blobs []blobRef
+	if len(w.refs) > 0 {
+		magic = tableMagicV3
+		for num, n := range w.refs {
+			blobs = append(blobs, blobRef{num: num, fileBytes: w.blobBytes(num), refBytes: n})
+		}
+		slices.SortFunc(blobs, func(a, b blobRef) int { return cmp.Compare(a.num, b.num) })
+		refOff := len(w.img)
+		w.img = appendBlobRefs(w.img, blobs)
+		w.closeSection(refOff)
+	}
+
 	var footer [footerSize]byte
 	binary.LittleEndian.PutUint64(footer[0:], uint64(indexOff))
 	binary.LittleEndian.PutUint64(footer[8:], indexLen)
@@ -158,7 +197,7 @@ func (w *tableWriter) finish(num uint64) (tableMeta, error) {
 	binary.LittleEndian.PutUint32(footer[32:], bloomProbes)
 	binary.LittleEndian.PutUint64(footer[36:], uint64(n))
 	binary.LittleEndian.PutUint32(footer[44:], crc32.ChecksumIEEE(footer[:44]))
-	binary.LittleEndian.PutUint64(footer[48:], tableMagic)
+	binary.LittleEndian.PutUint64(footer[48:], magic)
 	w.img = append(w.img, footer[:]...)
 
 	meta := tableMeta{
@@ -168,6 +207,7 @@ func (w *tableWriter) finish(num uint64) (tableMeta, error) {
 		smallest: w.smallest,
 		largest:  append([]byte(nil), w.img[w.lastKeyOff:w.lastKeyOff+w.lastKeyLen]...),
 		entries:  uint64(n),
+		blobs:    blobs,
 		h:        new(tableHandle),
 	}
 	path := tablePath(w.dir, num)

@@ -49,8 +49,8 @@ func resealFooter(img []byte) {
 // that drive a reader directly; bytesRead is what it fetched from the file.
 func (t *tableReader) probe(key []byte) (value []byte, found, deleted bool, bytesRead int, err error) {
 	var rc readCounts
-	value, found, deleted, err = t.get(key, bloomHash(key), &rc)
-	return value, found, deleted, rc.physicalBytes, err
+	value, flags, found, err := t.get(key, bloomHash(key), &rc)
+	return value, found, flags&flagTombstone != 0, rc.physicalBytes, err
 }
 
 // mayContain hashes key and probes it.

@@ -59,6 +59,9 @@ type Config struct {
 	// SyncLatency makes every durability barrier this slow, holding open the
 	// windows where the LSM syncs with no lock held for a crash to land in.
 	SyncLatency time.Duration
+	// LargeValues makes a quarter of the put values 1–8 KiB, the sizes the
+	// LSM separates into blob files.
+	LargeValues bool
 }
 
 // Result is what a crash cycle observed.
@@ -72,7 +75,9 @@ type Result struct {
 // Run runs the named row's test: kvtest's contract checks, then each ending
 // the row supports under the name of the kvtest check it replaced — live as
 // RandomizedModel (one writer) and ScanAfterMixedOps (four), reopen as
-// ReopenPersistence — and crash, over three seeds, as Crash.
+// ReopenPersistence — and crash, over three seeds, as Crash. LargeValues
+// runs the reopen ending (live where the row does not reopen) with values
+// of 1–8 KiB.
 func Run(t *testing.T, name string) {
 	row := Find(t, name)
 	var dir string
@@ -104,6 +109,17 @@ func Run(t *testing.T, name string) {
 			})
 		})
 	}
+	t.Run("LargeValues", func(t *testing.T) {
+		exact(t, open(t), Config{Seed: 4, Writers: 2, Units: 60, LargeValues: true}, func(s kv.Store) kv.Store {
+			if !row.Reopens {
+				return s
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			return row.open(t, dir)
+		})
+	})
 	if row.Crash != nil {
 		t.Run("Crash", func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
@@ -282,13 +298,13 @@ func runWriter(s kv.Store, cfg Config, w int, fail func(string, ...any)) (*write
 		if rng.Intn(10) < 6 {
 			b := s.NewBatch()
 			for j, n := 0, 1+rng.Intn(6); j < n; j++ {
-				u.ops = append(u.ops, genOp(rng, w, i*10+j))
+				u.ops = append(u.ops, genOp(rng, w, i*10+j, cfg.LargeValues))
 				u.ops[j].apply(b)
 			}
 			err = b.Write()
 			u.acked = err == nil
 		} else {
-			u.ops = []op{genOp(rng, w, i*10)}
+			u.ops = []op{genOp(rng, w, i*10, cfg.LargeValues)}
 			err = u.ops[0].apply(s)
 		}
 		l.units = append(l.units, u)
@@ -320,8 +336,9 @@ func runWriter(s kv.Store, cfg Config, w int, fail func(string, ...any)) (*write
 
 // genOp draws one op on writer w's keyspace: a quarter deletes (of present
 // and absent keys alike), an eighth empty values, the rest values naming
-// (writer, step), so every overwrite changes the state.
-func genOp(rng *rand.Rand, w, step int) op {
+// (writer, step), so every overwrite changes the state. With large, a
+// quarter of those values are padded to 1–8 KiB.
+func genOp(rng *rand.Rand, w, step int, large bool) op {
 	key := keyOf(w, rng.Intn(keysPerWriter))
 	switch rng.Intn(8) {
 	case 0, 1:
@@ -329,7 +346,11 @@ func genOp(rng *rand.Rand, w, step int) op {
 	case 2:
 		return op{key: key}
 	}
-	return op{key: key, value: fmt.Sprintf("v-%d-%d-%s", w, step, strings.Repeat("x", rng.Intn(48)))}
+	pad := rng.Intn(48)
+	if large && rng.Intn(4) == 0 {
+		pad = 1<<10 + rng.Intn(7<<10)
+	}
+	return op{key: key, value: fmt.Sprintf("v-%d-%d-%s", w, step, strings.Repeat("x", pad))}
 }
 
 // keysPerWriter keeps keyspaces small, so units overwrite and delete what
