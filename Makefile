@@ -75,7 +75,7 @@ bench-rig:
 # commit path's barrier sharing under 1, 2 and 8 writers over 200 µs syncs.
 # -cpu 1,2 because what the read kernels measure is largely what two readers
 # cost each other.
-KERNELS = MergeIterator|TableWrite|CompactRange|GetCached|BlockSearch|CommitParallel
+KERNELS = MergeIterator|TableWrite|CompactRange|GetCached|BlockSearch|BlockParse|CommitParallel
 bench-kernels:
 	$(GO) test -run NONE -bench '$(KERNELS)' -cpu 1,2 -benchmem ./internal/lsm
 

@@ -3,6 +3,12 @@
 // compare store designs (§V) on measured rather than synthetic access
 // patterns.
 //
+// After the replay the store is settled (its buffered writes flushed) and
+// scanned once, and the report ends with the bytes its directory holds per
+// file kind once closed, and their ratio to the live key and value bytes
+// the scan read: the store's space amplification. -census writes that
+// scan's census too.
+//
 // With -metrics-addr the run exposes live Prometheus metrics (per-op latency
 // histograms, store internals) and the net/http/pprof surface, and the final
 // report includes per-op latency percentiles.
@@ -157,6 +163,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if err := res.Settle(store); err != nil {
+		return err
+	}
 	elapsed := time.Since(start)
 
 	fmt.Fprintf(stdout, "ops: %d (reads %d, writes %d, deletes %d, scans %d) in %.2fs (%.0f ops/s)\n",
@@ -207,10 +216,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "bloom: %d negatives short-circuited, %d false positives\n",
 			st.BloomNegatives, st.BloomFalsePositives)
 	}
+	live, err := writeCensus(store, *censusPath)
+	if err != nil {
+		return fmt.Errorf("census: %w", err)
+	}
 	if *censusPath != "" {
-		if err := writeCensus(store, *censusPath); err != nil {
-			return fmt.Errorf("census: %w", err)
-		}
 		fmt.Fprintf(stdout, "census written to %s\n", *censusPath)
 	}
 	if registry != nil {
@@ -223,6 +233,16 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			}
 		}
 	}
+	// Closing waits out the background jobs' file removals, so the
+	// directory holds exactly the settled store.
+	if err := store.Close(); err != nil {
+		return err
+	}
+	space, err := measureSpace(workDir)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "%s\n", space.report(live))
 	return nil
 }
 
@@ -392,17 +412,114 @@ func printLatencySummary(w io.Writer, registry *obs.Registry, backend string) {
 	}
 }
 
-// writeCensus writes the post-replay census (report.WriteCensus) to path.
-func writeCensus(store kv.Store, path string) error {
+// writeCensus scans the settled store once for its census
+// (report.WriteCensus), written to path unless path is empty, and returns
+// the live key and value bytes the scan read.
+func writeCensus(store kv.Store, path string) (uint64, error) {
+	scan := &countingIterable{Iterable: store}
+	if path == "" {
+		err := report.WriteCensus(io.Discard, scan)
+		return scan.bytes, err
+	}
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer f.Close()
-	if err := report.WriteCensus(f, store); err != nil {
-		return err
+	if err := report.WriteCensus(f, scan); err != nil {
+		return 0, err
 	}
-	return f.Close()
+	return scan.bytes, f.Close()
+}
+
+// countingIterable sums the key and value bytes its iterators step over.
+type countingIterable struct {
+	kv.Iterable
+	bytes uint64
+}
+
+func (c *countingIterable) NewIterator(prefix, start []byte) kv.Iterator {
+	return &countingIterator{Iterator: c.Iterable.NewIterator(prefix, start), bytes: &c.bytes}
+}
+
+type countingIterator struct {
+	kv.Iterator
+	bytes *uint64
+}
+
+func (it *countingIterator) Next() bool {
+	if !it.Iterator.Next() {
+		return false
+	}
+	*it.bytes += uint64(len(it.Key()) + len(it.Value()))
+	return true
+}
+
+// spaceKinds names the kinds of file a store directory holds, in report
+// order, and kindOf sorts a file name into one: LSM tables, blob files,
+// write-ahead logs and MANIFEST, flat store segments, and the rest (the
+// flat store's CURRENT, the factory's LAYOUT.json).
+var spaceKinds = []string{"sst", "blob", "wal", "manifest", "flat", "other"}
+
+func kindOf(name string) string {
+	switch {
+	case strings.HasSuffix(name, ".sst"):
+		return "sst"
+	case strings.HasSuffix(name, ".blob"):
+		return "blob"
+	case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
+		return "wal"
+	case strings.HasPrefix(name, "MANIFEST"):
+		return "manifest"
+	case strings.HasPrefix(name, "flat-") && strings.HasSuffix(name, ".log"):
+		return "flat"
+	}
+	return "other"
+}
+
+// spaceUsage is the bytes of the files under a store directory, by kind.
+type spaceUsage map[string]int64
+
+// measureSpace sums the sizes of the regular files under dir, shard and
+// route subdirectories included, by kind.
+func measureSpace(dir string) (spaceUsage, error) {
+	use := spaceUsage{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.Type().IsRegular() {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		use[kindOf(d.Name())] += info.Size()
+		return nil
+	})
+	return use, err
+}
+
+func (u spaceUsage) total() (n int64) {
+	for _, b := range u {
+		n += b
+	}
+	return n
+}
+
+// report renders u and its ratio to live, the store's live key and value
+// bytes.
+func (u spaceUsage) report(live uint64) string {
+	const mib = 1 << 20
+	var b strings.Builder
+	fmt.Fprintf(&b, "space: %.1f MiB on disk (", float64(u.total())/mib)
+	for i, kind := range spaceKinds {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s %.1f", kind, float64(u[kind])/mib)
+	}
+	fmt.Fprintf(&b, " MiB) for %.1f MiB of live keys and values: space amplification %.2f",
+		float64(live)/mib, float64(u.total())/float64(max(live, 1)))
+	return b.String()
 }
 
 // loadOps reads the whole trace into memory via the batched reader path

@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -128,6 +129,65 @@ func TestReplayRefusesOtherLayout(t *testing.T) {
 		err := run(context.Background(), append(args, tc.second...), &out)
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Fatalf("%v after %v on one -dir: %v, want a refusal naming %s", tc.second, tc.first, err, tc.field)
+		}
+	}
+}
+
+// TestReplaySpaceByKind: the space line sorts every byte of the store
+// directory into a file kind — the kinds sum to the directory's size, and
+// only the bookkeeping files fall under "other" — and states the ratio to
+// the live key and value bytes of the census scan, for an LSM and for a
+// sharded hybrid store.
+func TestReplaySpaceByKind(t *testing.T) {
+	path := testTrace(t)
+	for _, tc := range []struct {
+		args  []string
+		kinds []string // kinds the store must hold bytes of
+	}{
+		{[]string{"-backend", "lsm"}, []string{"sst", "blob", "manifest", "other"}},
+		{[]string{"-policy", "auto", "-policy-out", filepath.Join(t.TempDir(), "policy.json"), "-shards", "2"},
+			[]string{"sst", "manifest", "flat", "other"}},
+	} {
+		dir := t.TempDir()
+		var out bytes.Buffer
+		args := append([]string{"-trace", path, "-dir", dir, "-census", filepath.Join(t.TempDir(), "census.txt")}, tc.args...)
+		if err := run(context.Background(), args, &out); err != nil {
+			t.Fatalf("%v: %v\n%s", tc.args, err, out.String())
+		}
+		use, err := measureSpace(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var size int64
+		err = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+			if err != nil || !info.Mode().IsRegular() {
+				return err
+			}
+			size += info.Size()
+			if name := info.Name(); kindOf(name) == "other" && name != "LAYOUT.json" && name != "CURRENT" {
+				t.Errorf("%v: %s counted as other", tc.args, path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if use.total() != size {
+			t.Fatalf("%v: kinds sum to %d bytes, the directory holds %d: %v", tc.args, use.total(), size, use)
+		}
+		for _, kind := range tc.kinds {
+			if use[kind] == 0 {
+				t.Errorf("%v: no %s bytes: %v", tc.args, kind, use)
+			}
+		}
+		// The line describes the directory as the closed store left it.
+		onDisk, _, _ := strings.Cut(use.report(0), " for ")
+		m := regexp.MustCompile(`for (\S+) MiB of live keys and values: space amplification (\S+)`).FindStringSubmatch(out.String())
+		if !strings.Contains(out.String(), onDisk) || m == nil {
+			t.Fatalf("%v: no space line %q...:\n%s", tc.args, onDisk, out.String())
+		}
+		if live, _ := strconv.ParseFloat(m[1], 64); live <= 0 {
+			t.Fatalf("%v: %s", tc.args, m[0])
 		}
 	}
 }

@@ -175,7 +175,7 @@ func TestImportBlocksBare(t *testing.T) {
 		t.Fatal("no ops traced")
 	}
 	// Bare mode must not use snapshot or caches.
-	if proc.Snapshots() != nil || proc.Caches() != nil {
+	if proc.snaps != nil || proc.Caches() != nil {
 		t.Fatal("bare mode has acceleration structures")
 	}
 	// The trace must contain reads of account trie nodes (MPT traversals).
@@ -369,7 +369,7 @@ func TestChainContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each imported head must link to its parent.
-	head := proc.Head()
+	head := proc.head
 	if head.Number() != GenesisNumber+5 {
 		t.Fatalf("head at %d", head.Number())
 	}
@@ -389,7 +389,7 @@ func importOps(t *testing.T, cached bool, n int) ([]trace.Op, [32]byte) {
 	if err := proc.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	return sink.Ops, proc.Head().Hash()
+	return sink.Ops, proc.head.Hash()
 }
 
 // TestImportResume: import is resumable — a second ImportBlocks call over
@@ -409,8 +409,8 @@ func TestImportResume(t *testing.T) {
 	if err := proc.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	if proc.Head().Hash() != wantHead {
-		t.Fatalf("resumed head %x != one-run head %x", proc.Head().Hash(), wantHead)
+	if proc.head.Hash() != wantHead {
+		t.Fatalf("resumed head %x != one-run head %x", proc.head.Hash(), wantHead)
 	}
 	if len(sink.Ops) != len(wantOps) {
 		t.Fatalf("resumed import %d ops != one-run %d", len(sink.Ops), len(wantOps))
@@ -560,7 +560,7 @@ func TestFailedTxRevertsState(t *testing.T) {
 		if err := proc.ImportBlocks(1); err != nil {
 			t.Fatal(err)
 		}
-		head := proc.Head()
+		head := proc.head
 		txs := head.Body.Transactions
 		touched := make(map[state.Address]int)
 		for _, tx := range txs {
@@ -699,7 +699,7 @@ func TestSnapshotTrieConsistency(t *testing.T) {
 	if err := proc.flushDirtyNodes(); err != nil {
 		t.Fatal(err)
 	}
-	if err := proc.Snapshots().FlattenAll(); err != nil {
+	if err := proc.snaps.FlattenAll(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -764,7 +764,7 @@ func TestHeaderCacheHitPath(t *testing.T) {
 	// store-missing (uncached) reads appear in the trace; the count must
 	// be well below one per block... parents differ per block, so each is
 	// a first-touch miss. Instead verify a direct double read hits.
-	head := proc.Head()
+	head := proc.head
 	first := len(sink.Ops)
 	if _, err := proc.readHeader(head.Number(), head.Hash()); err != nil {
 		t.Fatal(err)

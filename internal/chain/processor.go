@@ -147,14 +147,8 @@ func NewProcessor(db kv.Store, freezer *rawdb.Freezer, genesis *Block,
 	return p, nil
 }
 
-// Head returns the current chain head block.
-func (p *Processor) Head() *Block { return p.head }
-
 // Caches exposes the cache manager (nil in bare mode).
 func (p *Processor) Caches() *cache.Manager { return p.caches }
-
-// Snapshots exposes the snapshot tree (nil in bare mode).
-func (p *Processor) Snapshots() *snapshot.Tree { return p.snaps }
 
 // ImportBlocks runs full synchronization for n blocks: generate, execute,
 // verify, persist — the loop whose KV operations the trace captures.

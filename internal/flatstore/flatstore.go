@@ -634,17 +634,6 @@ func (s *Store) maybeCompactLocked() {
 	_ = s.compactLocked()
 }
 
-// Compact rewrites the live records into a fresh generation immediately,
-// regardless of thresholds.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.writeGateLocked(); err != nil {
-		return err
-	}
-	return s.compactLocked()
-}
-
 // compactLocked copies every live record extent, in sorted key order (map
 // order would make the injected-fault write schedule non-deterministic),
 // into generation gen+1, syncs it, commits the swap through CURRENT, and

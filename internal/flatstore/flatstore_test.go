@@ -268,8 +268,11 @@ func TestCompactionReclaimsAndPreservesData(t *testing.T) {
 	// keep reading cleanly after the swap deletes the old file.
 	it := s.NewIterator(nil, nil)
 
-	if err := s.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
+	s.mu.Lock()
+	err := s.compactLocked()
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatalf("compaction: %v", err)
 	}
 	post := s.Stats()
 	if post.DeadDataBytes != 0 {

@@ -185,8 +185,8 @@ type Stats struct {
 
 	PhysicalReadOps uint64 `stat:"physical_read_ops"` // discrete storage-layer read operations (ReadAt calls / block fetches)
 
-	LiveDataBytes      uint64 `stat:"live_data_bytes"`     // bytes of live records resident in value-log backends
-	DeadDataBytes      uint64 `stat:"dead_data_bytes"`     // bytes of dead records awaiting compaction (compaction debt)
+	LiveDataBytes      uint64 `stat:"live_data_bytes"`     // bytes of live records in value logs: flat store segments, LSM blob files
+	DeadDataBytes      uint64 `stat:"dead_data_bytes"`     // bytes of dead records in those logs, awaiting compaction or file deletion
 	CompactionRewrites uint64 `stat:"compaction_rewrites"` // live records rewritten into a fresh generation by compaction
 
 	// Retired, always 0, and exported as no gauge; kept while the benchmark

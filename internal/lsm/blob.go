@@ -22,9 +22,10 @@ import (
 //
 //	blobNum uvarint | offset uvarint | length uvarint | crc32(value) u32
 //
-// stored as the entry's value under flagBlob. A table holding handles is
-// format v3: between its bloom section and its footer it carries the blob
-// files it references, ascending by number,
+// stored as the entry's value under flagBlob. Between its bloom section and
+// its footer a table carries the blob files its handles reference,
+// ascending by number (format v3 carried the list only when there were
+// handles; a v4 table's list is empty when there are none),
 //
 //	count uvarint | per file: num uvarint | fileBytes uvarint | refBytes uvarint
 //
@@ -90,16 +91,23 @@ func appendBlobRefs(dst []byte, refs []blobRef) []byte {
 	return dst
 }
 
-// parseBlobRefs decodes a v3 table's blob-ref section (checksum stripped).
-// The list must be non-empty, strictly ascending, and no table may cover
-// more of a file than the file holds.
-func parseBlobRefs(raw []byte) ([]blobRef, error) {
+// parseBlobRefs decodes a table's blob-ref section (checksum stripped). The
+// list must be strictly ascending, and no table may cover more of a file
+// than the file holds; it may be empty only in a v4 table (mayBeEmpty), as
+// v3 was written only for tables holding a handle.
+func parseBlobRefs(raw []byte, mayBeEmpty bool) ([]blobRef, error) {
 	bad := fmt.Errorf("%w: blob-ref list", errTableCorrupt)
 	count, n := binary.Uvarint(raw)
-	if n <= 0 || count == 0 || count > uint64(len(raw)) {
+	if n <= 0 || count == 0 && !mayBeEmpty || count > uint64(len(raw)) {
 		return nil, bad
 	}
 	raw = raw[n:]
+	if count == 0 {
+		if len(raw) != 0 {
+			return nil, bad
+		}
+		return nil, nil
+	}
 	refs := make([]blobRef, count)
 	for i := range refs {
 		for _, f := range []*uint64{&refs[i].num, &refs[i].fileBytes, &refs[i].refBytes} {

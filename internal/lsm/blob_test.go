@@ -2,9 +2,7 @@ package lsm
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -373,13 +371,21 @@ func TestBlobDamageIsCorruption(t *testing.T) {
 	it.Release()
 }
 
-// TestBlobMetrics: RegisterMetrics exports the blob gauges BlobStats reads.
+// TestBlobMetrics: what BlobStats reads is exported — the file count as a
+// gauge of its own, the live and dead bytes as the store's value-log data
+// bytes (kv.Stats.LiveDataBytes and DeadDataBytes), as the flat store
+// reports its segments'.
 func TestBlobMetrics(t *testing.T) {
 	db := openTestDB(t, blobOpts())
-	for i := 0; i < 90; i++ {
-		db.Put(blobKey(i), blobValue(i, 0))
+	for gen := 0; gen < 2; gen++ {
+		for i := 0; i < 90; i += 1 + gen {
+			db.Put(blobKey(i), blobValue(i, gen))
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := db.Flush(); err != nil {
+	if err := db.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
 	r := obs.NewRegistry()
@@ -387,16 +393,19 @@ func TestBlobMetrics(t *testing.T) {
 	g := r.Snapshot().Gauges
 	bs := db.BlobStats()
 	for name, want := range map[string]float64{
-		"ethkv_lsm_blob_files":      float64(bs.Files),
-		"ethkv_lsm_blob_live_bytes": float64(bs.LiveBytes),
-		"ethkv_lsm_blob_dead_bytes": float64(bs.DeadBytes),
+		"ethkv_lsm_blob_files":        float64(bs.Files),
+		"ethkv_store_live_data_bytes": float64(bs.LiveBytes),
+		"ethkv_store_dead_data_bytes": float64(bs.DeadBytes),
 	} {
 		if got, ok := g[obs.Name(name, "store", "lsm")]; !ok || got != want {
 			t.Fatalf("%s = %v (exported %v), want %v", name, got, ok, want)
 		}
 	}
-	if bs.Files == 0 || bs.LiveBytes == 0 {
-		t.Fatalf("no blob files to export: %+v", bs)
+	if st := db.Stats(); st.LiveDataBytes != bs.LiveBytes || st.DeadDataBytes != bs.DeadBytes {
+		t.Fatalf("Stats reports %d live, %d dead data bytes; BlobStats %+v", st.LiveDataBytes, st.DeadDataBytes, bs)
+	}
+	if bs.Files == 0 || bs.LiveBytes == 0 || bs.DeadBytes == 0 {
+		t.Fatalf("no live and dead blob bytes to export: %+v", bs)
 	}
 }
 
@@ -417,11 +426,16 @@ func goldenV3(t *testing.T, w *tableWriter) (tableMeta, error) {
 	return w.finish(9)
 }
 
-// TestTableWriterGoldenV3 pins the v3 image — entries under the blob flag,
-// the blob-ref list between bloom and footer, the v3 magic — and what the
-// reader and Open's footer check decode from it.
+// TestTableWriterGoldenV3 pins the v4 image of a table holding handles —
+// entries under the blob flag, the blob-ref list between bloom and footer —
+// and what the reader and Open's footer check decode from it, and requires
+// the same from the v3 image of the table (testdata/golden), the format
+// that held handles before v4.
 func TestTableWriterGoldenV3(t *testing.T) {
-	const want = "8b78d1631d6b7e4a7c46de89b58052870bc2a14c570c7077fd7133a3e6effcb6"
+	const (
+		wantV3 = "8b78d1631d6b7e4a7c46de89b58052870bc2a14c570c7077fd7133a3e6effcb6"
+		wantV4 = "41a3e4d38ea28c8d612db4b2935eab98c798be5937bd8071b050d3169ee062b7"
+	)
 	m := faultfs.NewMemFS()
 	w := newTableWriter(m, "d", passRetry, 1, 0)
 	defer w.release()
@@ -433,41 +447,53 @@ func TestTableWriterGoldenV3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(img)
-	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Errorf("v3 image sha256 %s, want %s", got, want)
+	if got := sha256Hex(img); got != wantV4 {
+		t.Errorf("v4 image sha256 %s, want %s", got, wantV4)
 	}
-	if magic := binary.LittleEndian.Uint64(img[len(img)-8:]); magic != tableMagicV3 {
-		t.Fatalf("magic %x, want v3", magic)
-	}
+	v3 := goldenFixture(t, "blob-handles.v3.sst", wantV3)
 	refs := []blobRef{{num: 5, fileBytes: 2524, refBytes: 2524}, {num: 7, fileBytes: 2000, refBytes: 2000}}
 	if !reflect.DeepEqual(meta.blobs, refs) {
 		t.Fatalf("meta blob refs %+v, want %+v", meta.blobs, refs)
 	}
-	got, err := checkTableFooter(m, "d", meta, passRetry)
-	if err != nil || !reflect.DeepEqual(got, refs) {
-		t.Fatalf("footer check: %+v, %v; want %+v", got, err, refs)
+	var walks [][]entry
+	for _, c := range []struct {
+		name  string
+		img   []byte
+		magic uint64
+	}{{"v4", img, tableMagicV4}, {"v3", v3, tableMagicV3}} {
+		if magic := binary.LittleEndian.Uint64(c.img[len(c.img)-8:]); magic != c.magic {
+			t.Fatalf("%s: magic %x, want %x", c.name, magic, c.magic)
+		}
+		if err := faultfs.WriteFileSync(m, tablePath("d", 9), c.img); err != nil {
+			t.Fatal(err)
+		}
+		got, err := checkTableFooter(m, "d", meta, passRetry)
+		if err != nil || !reflect.DeepEqual(got, refs) {
+			t.Fatalf("%s: footer check: %+v, %v; want %+v", c.name, got, err, refs)
+		}
+		ents := tableContents(t, c.name, c.img, meta)
+		var flags []string
+		for _, e := range ents {
+			flags = append(flags, fmt.Sprintf("%s:%v/%v", e.key, e.tombstone, e.handle))
+		}
+		if strings.Join(flags, " ") != "a:false/false b:false/true c:true/false d:false/true e:false/true" {
+			t.Fatalf("%s: walk %v", c.name, flags)
+		}
+		walks = append(walks, ents)
+		r, err := newTableReader(c.img, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The byte-backed reader has no blob files: a handle cannot resolve.
+		if _, err := r.readBlob(nil, appendHandle(nil, blobHandle{num: 5, length: 10})); !errors.Is(err, errTableCorrupt) {
+			t.Fatalf("%s: readBlob without blob files: %v", c.name, err)
+		}
 	}
-	r, err := newTableReader(img, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flags []string
-	it := r.iterator(nil)
-	for it.next() {
-		flags = append(flags, fmt.Sprintf("%s:%v/%v", it.cur.key, it.cur.tombstone, it.cur.handle))
-	}
-	if it.err != nil || strings.Join(flags, " ") != "a:false/false b:false/true c:true/false d:false/true e:false/true" {
-		t.Fatalf("walk %v, err %v", flags, it.err)
-	}
-	// The byte-backed reader has no blob files: a handle cannot resolve.
-	if _, err := r.readBlob(nil, appendHandle(nil, blobHandle{num: 5, length: 10})); !errors.Is(err, errTableCorrupt) {
-		t.Fatalf("readBlob without blob files: %v", err)
-	}
+	requireEntries(t, "v4 against v3", walks[0], walks[1])
 }
 
-// TestTableFormatVersions: readFooter accepts v2 and v3 and refuses every
-// other version of the ethkv magic as corrupt.
+// TestTableFormatVersions: readFooter accepts v2, v3 and v4 and refuses
+// every other version of the ethkv magic as corrupt.
 func TestTableFormatVersions(t *testing.T) {
 	m := faultfs.NewMemFS()
 	meta, err := writeTable(m, "d", 1, 0, []entry{{key: []byte("k"), value: []byte("v")}})
@@ -484,15 +510,15 @@ func TestTableFormatVersions(t *testing.T) {
 		resealFooter(img)
 		r := &tableReader{meta: meta, src: bytes.NewReader(img), size: int64(len(img)), retry: passRetry}
 		_, err := r.readFooter()
-		if ok := version == 2 || version == 3; ok != (err == nil) || err != nil && !errors.Is(err, errTableCorrupt) {
+		if ok := version >= 2 && version <= 4; ok != (err == nil) || err != nil && !errors.Is(err, errTableCorrupt) {
 			t.Fatalf("format v%d: readFooter err %v", version, err)
 		}
 	}
 }
 
-// TestHandleNamingUnreferencedBlobIsCorrupt: a v2 table carrying the blob
-// flag, or a v3 table whose handle names a file it does not reference,
-// fails point reads and walks with errTableCorrupt.
+// TestHandleNamingUnreferencedBlobIsCorrupt: a table carrying the blob flag
+// on a handle that names a file its blob-ref list does not — here an empty
+// list — fails point reads and walks with errTableCorrupt.
 func TestHandleNamingUnreferencedBlobIsCorrupt(t *testing.T) {
 	m := faultfs.NewMemFS()
 	w := newTableWriter(m, "d", passRetry, 0, 0)
@@ -504,7 +530,7 @@ func TestHandleNamingUnreferencedBlobIsCorrupt(t *testing.T) {
 	}
 	img, _ := m.ReadFile(tablePath("d", 1))
 	img = append([]byte(nil), img...)
-	img[0] |= flagBlob // the entry's flags byte: a handle in a v2 table
+	img[0] |= flagBlob // the entry's flags byte: a handle no ref covers
 	r, err := newTableReader(img, meta)
 	if err != nil {
 		t.Fatal(err)
@@ -514,13 +540,13 @@ func TestHandleNamingUnreferencedBlobIsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, _, _, _, err := r.probe([]byte("k")); !errors.Is(err, errTableCorrupt) {
-		t.Fatalf("point read of a handle in a v2 table: %v", err)
+		t.Fatalf("point read of an unreferenced handle: %v", err)
 	}
 	it := r.iterator(nil)
 	for it.next() {
 	}
 	if !errors.Is(it.err, errTableCorrupt) {
-		t.Fatalf("walk over a handle in a v2 table: %v", it.err)
+		t.Fatalf("walk over an unreferenced handle: %v", it.err)
 	}
 }
 

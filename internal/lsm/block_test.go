@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"ethkv/internal/faultfs"
@@ -238,7 +240,7 @@ func TestParseBlockValidatesFraming(t *testing.T) {
 	}
 }
 
-// TestDamagedFrameReportedAtFill: a table whose first block has a broken
+// TestDamagedFrameReportedAtFill: a table whose second block has a broken
 // frame behind the key being read, under a checksum recomputed over the
 // damage so the read gets past it. The linear probe stopped at the key and
 // served it; the indexed read validates the whole block when it fills it, so
@@ -262,15 +264,16 @@ func TestDamagedFrameReportedAtFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(clean.index) < 2 {
+	if len(clean.index) < 3 {
 		t.Fatalf("table has %d blocks, want several", len(clean.index))
 	}
-	// The last entry of block 0 is flags | klen | key(8) | vlen | value(50):
-	// its value length byte sits 51 bytes before the payload's end, which
-	// the checksum trailer follows. Inflate it and re-seal the block.
+	// The last entry of block 1 is flags | shared | unshared | key suffix |
+	// vlen | value(50): its value length byte sits 51 bytes before the
+	// payload's end, which the checksum trailer follows. Inflate it and
+	// re-seal the block.
 	mut := append([]byte(nil), raw...)
-	ext := clean.index[0]
-	mut[ext.length-blockCRCSize-51] = 0x7f
+	ext := clean.index[1]
+	mut[ext.offset+ext.length-blockCRCSize-51] = 0x7f
 	resealSection(mut, ext.offset, ext.length)
 	if err := faultfs.WriteFileSync(m, tablePath("d", 1), mut); err != nil {
 		t.Fatal(err)
@@ -281,7 +284,8 @@ func TestDamagedFrameReportedAtFill(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.unref()
-	if _, _, _, _, err := r.probe(ents[0].key); !errors.Is(err, errTableCorrupt) {
+	inBlock0 := sort.Search(len(ents), func(i int) bool { return bytes.Compare(ents[i].key, clean.index[0].lastKey) > 0 })
+	if _, _, _, _, err := r.probe(ents[inBlock0].key); !errors.Is(err, errTableCorrupt) {
 		t.Fatalf("probe of a key in front of the damaged frame: err=%v, want errTableCorrupt", err)
 	}
 	if used := cache.usedBytes(); used != 0 {
@@ -291,14 +295,198 @@ func TestDamagedFrameReportedAtFill(t *testing.T) {
 	if v, found, _, _, err := r.probe(last.key); err != nil || !found || !bytes.Equal(v, last.value) {
 		t.Fatalf("probe in an undamaged block: found=%v err=%v", found, err)
 	}
-	// A scan frames entries itself: it stops at the damage with the error
-	// latched, after the intact entries in front of it.
+	// A scan checks each block whole as it expands it: it stops at the
+	// damaged block with the error latched, after the intact block in front
+	// of it.
 	it := r.iterator(nil)
 	n := 0
 	for it.next() {
 		n++
 	}
-	if !errors.Is(it.err, errTableCorrupt) || n == 0 || n >= len(ents) {
-		t.Fatalf("scan over the damaged frame: %d entries, err=%v; want a clean prefix and errTableCorrupt", n, it.err)
+	if !errors.Is(it.err, errTableCorrupt) || n != inBlock0 {
+		t.Fatalf("scan over the damaged frame: %d entries, err=%v; want the %d of block 0 and errTableCorrupt", n, it.err, inBlock0)
+	}
+}
+
+// encodePrefixedBlock frames ents as one v4 data block payload, the way the
+// table writer does.
+func encodePrefixedBlock(ents []entry) []byte {
+	var b, prev []byte
+	for i, e := range ents {
+		flags := byte(0)
+		if e.tombstone {
+			flags = 1
+		}
+		shared := 0
+		if i > 0 {
+			shared = sharedPrefixLen(prev, e.key)
+		}
+		b = append(b, flags)
+		b = binary.AppendUvarint(b, uint64(shared))
+		b = binary.AppendUvarint(b, uint64(len(e.key)-shared))
+		b = append(b, e.key[shared:]...)
+		b = binary.AppendUvarint(b, uint64(len(e.value)))
+		b = append(b, e.value...)
+		prev = e.key
+	}
+	return b
+}
+
+// TestExpandBlockModel checks v4 expansion against the plain layout: a
+// prefix-encoded block expands to exactly the plain encoding of its entries,
+// with the offsets parseBlock derives from that; and damaged payloads —
+// every truncation point, then seeded byte flips — either fail with
+// errTableCorrupt or expand to a block whose framing parseBlock accepts.
+func TestExpandBlockModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for round := 0; round < 60; round++ {
+		ents := modelEntries(rng, []int{0, 1, 2, 1 + rng.Intn(40)}[round%4], round%8 == 3)
+		payload := encodePrefixedBlock(ents)
+		data, offs, err := expandBlock(nil, nil, payload)
+		if err != nil {
+			t.Fatalf("round %d: expandBlock: %v", round, err)
+		}
+		plain := encodeBlock(ents)
+		want, err := parseBlock(plain)
+		if err != nil || !bytes.Equal(data, plain) || !slices.Equal(offs, want.offsets) {
+			t.Fatalf("round %d: expanded %d bytes, %d offsets; plain layout has %d, %d (err %v)",
+				round, len(data), len(offs), len(plain), len(want.offsets), err)
+		}
+		blk, err := parsePrefixedBlock(payload)
+		if err != nil || !bytes.Equal(blk.data, plain) || !slices.Equal(blk.offsets, want.offsets) {
+			t.Fatalf("round %d: parsePrefixedBlock disagrees with the plain layout (err %v)", round, err)
+		}
+		checkBlockAgainstLinear(t, blk, probeKeys(ents))
+		if len(payload) == 0 {
+			continue
+		}
+		check := func(what string, mut []byte) {
+			t.Helper()
+			data, _, err := expandBlock(nil, nil, mut)
+			if err != nil {
+				if !errors.Is(err, errTableCorrupt) {
+					t.Fatalf("round %d, %s: %v, want errTableCorrupt", round, what, err)
+				}
+				return
+			}
+			if _, err := parseBlock(data); err != nil {
+				t.Fatalf("round %d, %s: expansion accepted, its plain framing is not: %v", round, what, err)
+			}
+		}
+		for cut := 0; cut < len(payload); cut++ {
+			check(fmt.Sprintf("truncated at %d", cut), payload[:cut:cut])
+		}
+		for flip := 0; flip < 100; flip++ {
+			mut := append([]byte(nil), payload...)
+			pos := rng.Intn(len(mut))
+			mut[pos] ^= byte(1 << rng.Intn(8))
+			check(fmt.Sprintf("bit flip at %d", pos), mut)
+		}
+	}
+}
+
+// prefixFields returns the image offsets of the shared and unshared length
+// fields of every entry in the first block of the v4 table image img, whose
+// entries must all have one-byte length fields, and the block's extent.
+func prefixFields(tb testing.TB, img []byte) (shared, unshared []int, ext indexEntry) {
+	tb.Helper()
+	r, err := newTableReader(img, tableMeta{num: 1})
+	if err != nil || !r.prefixed {
+		tb.Fatalf("not a v4 table: %v", err)
+	}
+	ext = r.index[0]
+	payload := img[ext.offset : ext.offset+ext.length-blockCRCSize]
+	for pos := 0; pos < len(payload); {
+		at := int(ext.offset) + pos
+		shared, unshared = append(shared, at+1), append(unshared, at+2)
+		pos += 3 + int(payload[pos+2])
+		pos += 1 + int(payload[pos])
+	}
+	if len(shared) < 2 {
+		tb.Fatalf("first block holds %d entries, want several", len(shared))
+	}
+	return shared, unshared, ext
+}
+
+// prefixDamage returns copies of the v4 table image img, each with one kind
+// of prefix-framing damage in its first block under a resealed checksum: a
+// first entry with shared != 0, a shared length beyond the previous key's,
+// and an unshared length that runs past the payload. The block's keys must
+// be shorter than 0x7f bytes, as must its last entry.
+func prefixDamage(tb testing.TB, img []byte) map[string][]byte {
+	tb.Helper()
+	shared, unshared, ext := prefixFields(tb, img)
+	last := unshared[len(unshared)-1]
+	if end := int(ext.offset + ext.length - blockCRCSize); end-last > 0x7f {
+		tb.Fatalf("last entry has %d bytes behind its unshared length", end-last)
+	}
+	damaged := map[string][]byte{}
+	for what, at := range map[string]int{"first shared": shared[0], "shared past previous key": shared[1], "unshared past payload": last} {
+		mut := append([]byte(nil), img...)
+		mut[at] = 0x7f
+		if what == "first shared" {
+			mut[at] = 1
+		}
+		resealSection(mut, ext.offset, ext.length)
+		damaged[what] = mut
+	}
+	return damaged
+}
+
+// TestPrefixFramingCorrupt: prefix-framing damage under a valid checksum —
+// what FuzzSSTableOpen and FuzzSSTableScan are seeded with — opens (the
+// index and footer are intact) but fails every read of the block with
+// errTableCorrupt: a point read, caching nothing, and both scans, yielding
+// nothing. The other blocks stay readable.
+func TestPrefixFramingCorrupt(t *testing.T) {
+	var ents []entry
+	for i := 0; i < 200; i++ {
+		ents = append(ents, entry{key: []byte(fmt.Sprintf("key-%04d", i)), value: bytes.Repeat([]byte{byte(i)}, 50)})
+	}
+	m := faultfs.NewMemFS()
+	meta, err := writeTable(m, "d", 1, 0, ents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := m.ReadFile(tablePath("d", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reason := map[string]string{
+		"first shared":             "entry key prefix",
+		"shared past previous key": "entry key prefix",
+		"unshared past payload":    "entry key framing",
+	}
+	for what, img := range prefixDamage(t, raw) {
+		cache := newBlockCache(1 << 20)
+		if err := faultfs.WriteFileSync(m, tablePath("d", 1), img); err != nil {
+			t.Fatal(err)
+		}
+		r, err := openTable(m, "d", meta, cache, noRetry)
+		if err != nil {
+			t.Fatalf("%s: open: %v", what, err)
+		}
+		if _, _, _, _, err := r.probe(ents[0].key); !errors.Is(err, errTableCorrupt) || !strings.Contains(err.Error(), reason[what]) {
+			t.Fatalf("%s: probe: err=%v, want errTableCorrupt (%s)", what, err, reason[what])
+		}
+		if used := cache.usedBytes(); used != 0 {
+			t.Fatalf("%s: %d bytes of a damaged block were cached", what, used)
+		}
+		last := ents[len(ents)-1]
+		if v, found, _, _, err := r.probe(last.key); err != nil || !found || !bytes.Equal(v, last.value) {
+			t.Fatalf("%s: probe in an undamaged block: found=%v err=%v", what, found, err)
+		}
+		for _, checkCache := range []bool{true, false} {
+			it := r.iteratorOpts(nil, checkCache)
+			n := 0
+			for it.next() {
+				n++
+			}
+			if n != 0 || !errors.Is(it.err, errTableCorrupt) {
+				t.Fatalf("%s: scan (checkCache=%v) yielded %d entries, err=%v; want none and errTableCorrupt", what, checkCache, n, it.err)
+			}
+			it.close()
+		}
+		r.unref()
 	}
 }

@@ -679,6 +679,8 @@ func (db *DB) Stats() kv.Stats {
 		ManifestNanos:        db.stats.manifestNanos.Load(),
 	}
 	s.WriteStallNanos = s.WriteStallQueueNanos + s.WriteStallL0Nanos
+	blobs := db.BlobStats()
+	s.LiveDataBytes, s.DeadDataBytes = blobs.LiveBytes, blobs.DeadBytes
 	for i := range db.stats.reads {
 		r := &db.stats.reads[i]
 		s.Gets += r.gets.Load()

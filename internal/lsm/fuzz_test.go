@@ -11,6 +11,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"ethkv/internal/faultfs"
@@ -101,6 +103,17 @@ func FuzzSSTableOpen(f *testing.F) {
 		mut[len(mut)-1-off] ^= 0x55
 		f.Add(mut)
 	}
+	for _, mut := range prefixDamage(f, raw) {
+		f.Add(mut)
+	}
+	// The formats v4 replaced, which stay readable.
+	for _, file := range []string{"tombstones.v2.sst", "blob-handles.v3.sst"} {
+		img, err := os.ReadFile(filepath.Join("testdata", "golden", file))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img)
+	}
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -186,6 +199,9 @@ func FuzzSSTableScan(f *testing.F) {
 		f.Add(run)
 		f.Add(resealed(run))
 	}
+	for _, mut := range prefixDamage(f, raw) {
+		f.Add(mut)
+	}
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -224,7 +240,7 @@ func FuzzSSTableScan(f *testing.F) {
 	})
 }
 
-// FuzzBlockRead pins down the v2 per-block checksum guarantee: flip any
+// FuzzBlockRead pins down the per-block checksum guarantee: flip any
 // byte inside the data region of a checksummed table and every access path
 // — point read, cache-aware scan, compaction bypass scan — must either
 // return correct data (blocks the flip missed) or errTableCorrupt. Wrong
@@ -256,6 +272,12 @@ func FuzzBlockRead(f *testing.F) {
 	f.Add(uint32(0), byte(0x01))
 	f.Add(uint32(targetBlock/2), byte(0xFF))
 	f.Add(uint32(dataLimit-1), byte(0x80))
+	// The prefix fields: a first entry with shared != 0, a shared length
+	// beyond the previous key's, an unshared length past the payload.
+	shared, unshared, _ := prefixFields(f, raw)
+	f.Add(uint32(shared[0]), byte(0x01))
+	f.Add(uint32(shared[1]), byte(0x78))
+	f.Add(uint32(unshared[len(unshared)-1]), byte(0x7e))
 
 	f.Fuzz(func(t *testing.T, pos uint32, xor byte) {
 		if xor == 0 {

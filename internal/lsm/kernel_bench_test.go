@@ -1,8 +1,10 @@
 package lsm
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -300,6 +302,67 @@ func BenchmarkBlockSearch(b *testing.B) {
 		}
 	})
 	_ = sink
+}
+
+// BenchmarkBlockParse times what a block cache miss costs past the device
+// read: taking one 4 KiB block of trace-shaped pairs from the read into a
+// searchable block. The keys are TrieNodeStorage's, 'O' | owner hash (32 B)
+// | a short trie path, of three owners, and the values trie-node-sized.
+// plain is a v2 or v3 miss: the block is read into a fresh buffer, which
+// the cache keeps, and indexed. prefixed is a v4 miss: the block is read
+// into reused scratch, then expanded and indexed (the v4 encoding of the
+// same entries; both report their stored size).
+func BenchmarkBlockParse(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	owners := make([][]byte, 3)
+	for i := range owners {
+		owners[i] = make([]byte, 32)
+		rng.Read(owners[i])
+	}
+	seen := map[string]bool{}
+	var ents []entry
+	for len(ents) < 200 {
+		path := make([]byte, 1+rng.Intn(6))
+		rng.Read(path)
+		key := append(append([]byte{'O'}, owners[rng.Intn(len(owners))]...), path...)
+		if seen[string(key)] {
+			continue
+		}
+		seen[string(key)] = true
+		value := make([]byte, 40+rng.Intn(70))
+		rng.Read(value)
+		ents = append(ents, entry{key: key, value: value})
+	}
+	sort.Slice(ents, func(i, j int) bool { return bytes.Compare(ents[i].key, ents[j].key) < 0 })
+	n := 0
+	for size := 0; size < targetBlock; n++ { // the writer's cut rule
+		size += len(encodeBlock(ents[n : n+1]))
+	}
+	plain, prefixed := encodeBlock(ents[:n]), encodePrefixedBlock(ents[:n])
+	scratch := make([]byte, len(prefixed))
+	for _, c := range []struct {
+		name   string
+		stored []byte
+		miss   func() (*block, error)
+	}{
+		{"plain", plain, func() (*block, error) { return parseBlock(append([]byte(nil), plain...)) }},
+		{"prefixed", prefixed, func() (*block, error) {
+			copy(scratch, prefixed)
+			return parsePrefixedBlock(scratch)
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(plain)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				blk, err := c.miss()
+				if err != nil || len(blk.offsets) != n {
+					b.Fatalf("%d entries of %d, err %v", len(blk.offsets), n, err)
+				}
+			}
+			b.ReportMetric(float64(len(c.stored)), "stored-B")
+		})
+	}
 }
 
 // BenchmarkCommitParallel commits ~100 KiB batches (100 pairs of 1 KiB, so

@@ -53,17 +53,11 @@ func (db *DB) RegisterMetrics(r *obs.Registry, labels ...string) {
 	r.GaugeFunc(obs.Name("ethkv_lsm_open_tables", labels...), func() float64 {
 		return float64(db.openTables())
 	})
-	// Blob files (value separation): how many the version references, the
-	// bytes its handles cover, and the bytes of those files no table
-	// references any more.
+	// Blob files (value separation): how many the version references. The
+	// bytes their handles cover, and the rest, are the store gauges
+	// ethkv_store_live_data_bytes and ethkv_store_dead_data_bytes.
 	r.GaugeFunc(obs.Name("ethkv_lsm_blob_files", labels...), func() float64 {
 		return float64(db.BlobStats().Files)
-	})
-	r.GaugeFunc(obs.Name("ethkv_lsm_blob_live_bytes", labels...), func() float64 {
-		return float64(db.BlobStats().LiveBytes)
-	})
-	r.GaugeFunc(obs.Name("ethkv_lsm_blob_dead_bytes", labels...), func() float64 {
-		return float64(db.BlobStats().DeadBytes)
 	})
 	r.GaugeFunc(obs.Name("ethkv_lsm_block_cache_bytes", labels...), func() float64 {
 		return float64(db.cache.usedBytes())

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,30 +17,42 @@ import (
 
 // SSTable file layout (all integers little-endian):
 //
-//	data block 0 | data block 1 | ... | index block | bloom block | footer
+//	data block 0 | data block 1 | ... | index block | bloom block |
+//	blob-ref section | footer
 //
-// Every data block, the index block, and the bloom block carry a
-// crc32(payload) trailer appended to the payload; index and footer extents
-// cover payload+trailer. A bit flip anywhere in a block is detected by the
-// checksum at read time, not just by entry-framing luck. This is format v2,
-// named by the footer magic. Format v3 is v2 plus a checksummed blob-ref
-// section between the bloom block and the footer (blob.go): a table is
-// written as v3 exactly when it holds a blob handle, so a table without one
-// is byte for byte what it was before value separation. Format v1 (no
-// section checksums, Keccak-256 bloom probes) is retired: a table carrying
-// its magic is refused as corrupt, as is any other version.
+// Every data block, the index block, the bloom block and the blob-ref
+// section carry a crc32(payload) trailer appended to the payload; index and
+// footer extents cover payload+trailer. A bit flip anywhere in a block is
+// detected by the checksum at read time, not just by entry-framing luck. The
+// format version is named by the footer magic, and every table is written as
+// v4. Two older versions stay readable: v2 stores keys whole and has no
+// blob-ref section, and v3 is v2 plus the section, written when the table
+// held a blob handle. Format v1 (no section checksums, Keccak-256 bloom
+// probes) is retired: a table carrying its magic is refused as corrupt, as
+// is any other version.
 //
-// Each data block holds consecutive entries:
+// A v4 data block holds consecutive entries whose keys share a prefix with
+// the key before them in the same block:
 //
-//	flags byte (bit0 = tombstone, bit1 = blob handle) | keyLen uvarint | key |
-//	valueLen uvarint | value
+//	flags byte (bit0 = tombstone, bit1 = blob handle) | shared uvarint |
+//	unshared uvarint | key[shared:] | valueLen uvarint | value
+//
+// A block's first entry has shared = 0, and there are no restart points: a
+// reader decodes a block from its start, after checking its checksum, into
+// the plain layout v2 and v3 blocks are stored in,
+//
+//	flags byte | keyLen uvarint | key | valueLen uvarint | value
+//
+// which is the layout every lookup and scan reads (block.go).
 //
 // The index block records, per data block: lastKeyLen uvarint | lastKey |
 // offset uvarint | length uvarint (length spans the stored extent,
 // including the checksum trailer). Point lookups binary-search the
 // index by last key, fetch one data block — through the shared block cache
 // — and binary-search that too, over entry offsets derived when the block
-// was read (block.go); the offsets are memory only, never written.
+// was read (block.go); the offsets are memory only, never written. The
+// blob-ref section lists the blob files the table's handles point into
+// (blob.go); in v4 it is present, and empty, when there are none.
 //
 // The footer is fixed-size:
 //
@@ -49,6 +62,7 @@ const (
 	footerSize   = 8*5 + 4 + 4 + 8
 	tableMagic   = 0x657468_6b760002 // "ethkv" + format version 2 in the low 16 bits
 	tableMagicV3 = tableMagic + 1    // v2 plus the blob-ref section
+	tableMagicV4 = tableMagic + 2    // v3 with prefix-compressed data blocks
 	targetBlock  = 4 << 10           // 4 KiB data blocks
 	blockCRCSize = 4                 // crc32 trailer appended to each section
 
@@ -71,8 +85,8 @@ type tableMeta struct {
 	largest  []byte
 	entries  uint64
 	// blobs lists the blob files the table's handles point into, ascending;
-	// nil for a v2 table. Set by the table writer, and at Open from the
-	// table's own blob-ref section.
+	// nil for a table without handles. Set by the table writer, and at Open
+	// from the table's own blob-ref section.
 	blobs []blobRef
 	// h is the table's reader handle, shared by every copy of the meta (the
 	// version's level entry, compaction plans, obsolete lists). Set by the
@@ -177,6 +191,9 @@ type tableReader struct {
 	retry  retryFn
 	pinned int64 // index+bloom bytes accounted against the cache
 	refs   atomic.Int32
+	// prefixed is set for a v4 table: its data blocks are expanded when
+	// read (parsePrefixedBlock, tableIterator.loadBlock).
+	prefixed bool
 	// blobRefs lists the blob files the table's handles point into, and
 	// blobs holds them open, index for index (nil for a byte-backed
 	// reader, which cannot resolve handles).
@@ -251,7 +268,7 @@ func (t *tableReader) releaseBlobs() {
 }
 
 // checkTableFooter reads and validates the footer of meta's file — its
-// format version and checksum — and returns the blob files a v3 table
+// format version and checksum — and returns the blob files the table
 // references.
 func checkTableFooter(fsys faultfs.FS, dir string, meta tableMeta, retry retryFn) ([]blobRef, error) {
 	f, size, err := openTableFile(fsys, dir, meta, retry)
@@ -310,6 +327,7 @@ func openTableReader(src io.ReaderAt, closer func() error, size int64, meta tabl
 	if err != nil {
 		return nil, err
 	}
+	t.prefixed = binary.LittleEndian.Uint64(footer[48:]) == tableMagicV4
 	indexOff := binary.LittleEndian.Uint64(footer[0:])
 	indexLen := binary.LittleEndian.Uint64(footer[8:])
 	bloomOff := binary.LittleEndian.Uint64(footer[16:])
@@ -359,7 +377,7 @@ func (t *tableReader) readFooter() (footer [footerSize]byte, err error) {
 	if err := t.readAt(footer[:], t.size-footerSize); err != nil {
 		return footer, err
 	}
-	if magic := binary.LittleEndian.Uint64(footer[48:]); magic != tableMagic && magic != tableMagicV3 {
+	if magic := binary.LittleEndian.Uint64(footer[48:]); magic != tableMagic && magic != tableMagicV3 && magic != tableMagicV4 {
 		if magic>>16 == tableMagic>>16 {
 			// An ethkv table of another format version: v1 tables, written
 			// before section checksums existed, are refused, not migrated.
@@ -367,7 +385,7 @@ func (t *tableReader) readFooter() (footer [footerSize]byte, err error) {
 			if magic&0xffff < 2 {
 				what = "retired"
 			}
-			return footer, fmt.Errorf("%w: %s table format v%d (this store reads v2 and v3 only)",
+			return footer, fmt.Errorf("%w: %s table format v%d (this store reads v2, v3 and v4 only)",
 				errTableCorrupt, what, magic&0xffff)
 		}
 		return footer, fmt.Errorf("%w: bad magic", errTableCorrupt)
@@ -378,10 +396,12 @@ func (t *tableReader) readFooter() (footer [footerSize]byte, err error) {
 	return footer, nil
 }
 
-// readBlobRefs returns the blob-ref section of a v3 table, which spans from
-// the end of the bloom section to the footer; a v2 table references none.
+// readBlobRefs returns the blob-ref section of a v3 or v4 table, which
+// spans from the end of the bloom section to the footer; a v2 table
+// references none.
 func (t *tableReader) readBlobRefs(footer [footerSize]byte) ([]blobRef, error) {
-	if binary.LittleEndian.Uint64(footer[48:]) != tableMagicV3 {
+	magic := binary.LittleEndian.Uint64(footer[48:])
+	if magic == tableMagic {
 		return nil, nil
 	}
 	bloomOff := binary.LittleEndian.Uint64(footer[16:])
@@ -394,7 +414,7 @@ func (t *tableReader) readBlobRefs(footer [footerSize]byte) ([]blobRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parseBlobRefs(raw)
+	return parseBlobRefs(raw, magic == tableMagicV4)
 }
 
 // readAt fills p from offset off, retrying transient faults. A short read
@@ -447,16 +467,25 @@ func (t *tableReader) blockPayload(extent []byte, blockIdx int) ([]byte, error) 
 
 // block returns data block i ready for searching, through the shared cache:
 // a hit costs no I/O; a miss fetches the extent, verifies its checksum,
-// indexes its entries (parseBlock — damaged framing fails here, and nothing
-// damaged is ever cached) and inserts it. diskBytes reports the bytes
-// actually fetched from the file — 0 on a cache hit — so physical-read
-// accounting reflects true I/O, not logical block touches.
+// expands (v4) and indexes its entries (parseBlock, parsePrefixedBlock —
+// damaged framing fails here, and nothing damaged is ever cached) and
+// inserts it. diskBytes reports the bytes actually fetched from the file — 0
+// on a cache hit — so physical-read accounting reflects true I/O, not
+// logical block touches.
 func (t *tableReader) block(i int) (blk *block, diskBytes int, err error) {
 	if cached, ok := t.cache.get(t.meta.num, i); ok {
 		return cached, 0, nil
 	}
 	ext := t.index[i]
-	buf := make([]byte, ext.length)
+	var buf []byte
+	if t.prefixed { // only the expansion is kept: read into scratch
+		scratch := expandBufferPool.Get().(*[]byte)
+		defer expandBufferPool.Put(scratch)
+		*scratch = slices.Grow((*scratch)[:0], int(ext.length))
+		buf = (*scratch)[:ext.length]
+	} else {
+		buf = make([]byte, ext.length)
+	}
 	if err := t.readAt(buf, int64(ext.offset)); err != nil {
 		return nil, 0, err
 	}
@@ -464,7 +493,12 @@ func (t *tableReader) block(i int) (blk *block, diskBytes int, err error) {
 	if err != nil {
 		return nil, int(ext.length), err
 	}
-	if blk, err = parseBlock(payload); err != nil {
+	if t.prefixed {
+		blk, err = parsePrefixedBlock(payload)
+	} else {
+		blk, err = parseBlock(payload)
+	}
+	if err != nil {
 		return nil, int(ext.length), fmt.Errorf("%w: table %06d block at %d", err, t.meta.num, ext.offset)
 	}
 	t.cache.put(t.meta.num, i, blk)
@@ -570,14 +604,17 @@ func (t *tableReader) get(key []byte, hash uint64, rc *readCounts) (value []byte
 // (checkCache); the compaction bypass walk skips the cache entirely.
 //
 // Buffer lifetime: successive spans alternate between two buffers that the
-// iterator takes from a process-wide pool once and reuses, so an entry's key
-// and value (views into its span) stay intact across the next advance and
-// may be overwritten by the one after — long enough for a merge to hand out
-// a source's head while it already holds the following one. close hands the
+// iterator takes from a process-wide pool once and reuses, and so do the
+// blocks of a v4 table, each expanded into the other of two pooled buffers
+// than the block before it. So an entry's key and value (views into its span
+// or expanded block) stay intact across the next advance and may be
+// overwritten by the one after — long enough for a merge to hand out a
+// source's head while it already holds the following one. close hands the
 // buffers back; every entry the iterator yielded is dead from then on.
 // Damaged checksums or block framing latch err and end the walk: a scan
 // over a corrupt table yields a clean prefix and a non-nil error, never a
-// silently truncated result.
+// silently truncated result (a v4 block is checked whole as it is
+// expanded, so the prefix ends with the block before a damaged one).
 type tableIterator struct {
 	t          *tableReader
 	blockIdx   int    // next block index to load
@@ -594,6 +631,10 @@ type tableIterator struct {
 	raCount int        // extents held in ra
 	raBufs  [2]*[]byte // the two pooled span buffers; ra is a prefix of one
 	raNext  int        // which of raBufs the next span fills
+
+	exp     [2]*[]byte // v4: the pooled buffers blocks expand into, alternately
+	expNext int        // which of exp the next block fills
+	offs    []uint32   // expansion's entry offsets, unused by the walk
 }
 
 // spanBufferPool recycles readahead span buffers, readaheadBytes each,
@@ -611,6 +652,12 @@ func (it *tableIterator) close() {
 		if buf != nil {
 			spanBufferPool.Put(buf)
 			it.raBufs[i] = nil
+		}
+	}
+	for i, buf := range it.exp {
+		if buf != nil {
+			expandBufferPool.Put(buf)
+			it.exp[i] = nil
 		}
 	}
 	it.ra, it.raCount, it.block, it.valid = nil, 0, nil, false
@@ -705,9 +752,9 @@ func (it *tableIterator) next() bool {
 	}
 }
 
-// loadBlock returns block i's payload: from the shared cache when allowed,
-// else from the private readahead span, fetching the next span when the
-// current one is exhausted.
+// loadBlock returns block i's entries in the plain layout: from the shared
+// cache when allowed, else from the private readahead span, fetching the
+// next span when the current one is exhausted, and expanding a v4 block.
 func (it *tableIterator) loadBlock(i int) ([]byte, error) {
 	t := it.t
 	if it.checkCache {
@@ -723,7 +770,21 @@ func (it *tableIterator) loadBlock(i int) ([]byte, error) {
 	blk := t.index[i]
 	base := t.index[it.raFirst].offset
 	extent := it.ra[blk.offset-base : blk.offset-base+blk.length]
-	return t.blockPayload(extent, i)
+	payload, err := t.blockPayload(extent, i)
+	if err != nil || !t.prefixed {
+		return payload, err
+	}
+	buf := it.exp[it.expNext]
+	if buf == nil {
+		buf = expandBufferPool.Get().(*[]byte)
+		it.exp[it.expNext] = buf
+	}
+	*buf, it.offs, err = expandBlock((*buf)[:0], it.offs[:0], payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w (table %06d, block %d)", err, t.meta.num, i)
+	}
+	it.expNext ^= 1
+	return *buf, nil
 }
 
 // fetchSpan reads one readahead span of contiguous block extents starting

@@ -13,19 +13,25 @@ import (
 
 // tableWriter streams sorted entries into SSTable files (layout in
 // sstable.go). add encodes an entry once, straight into the table image;
-// finish closes the last block, appends index, bloom and footer, and writes
-// the file with one Create/Write/Sync/Close. Flush feeds it from the frozen
-// memtable's skiplist and compaction from the merge iterator, so no entry
-// slice, per-entry copy or intermediate block buffer sits between the source
-// and the image.
+// finish closes the last block, appends index, bloom, blob-ref list and
+// footer, and writes the file with one Create/Write/Sync/Close. Flush feeds
+// it from the frozen memtable's skiplist and compaction from the merge
+// iterator, so no entry slice, per-entry copy or intermediate block buffer
+// sits between the source and the image.
+//
+// Every table is format v4: each key is stored as the length of the prefix
+// it shares with the previous key of its block plus the rest, so the writer
+// keeps the previous key, which is also what the index and the table's
+// largest key record. A block is cut once its plain size (the layout readers
+// expand it to) reaches targetBlock, so it holds the entries a v2 block did.
 //
 // The bloom filter's size depends on the entry count, which is unknown until
 // the table is cut, so add only records each key's 64-bit probe hash and
 // finish builds the filter — directly inside the image.
 //
-// A blob handle's file and length are tallied as it is added; a table with
-// any is finished as format v3, its blob-ref list taking each file's size
-// from blobBytes.
+// A blob handle's file and length are tallied as it is added; finish writes
+// the blob-ref list, empty when the table holds no handle, taking each
+// file's size from blobBytes.
 //
 // One writer produces any number of tables in sequence (finish resets it);
 // its buffers come from a process-wide pool and go back on release.
@@ -39,17 +45,17 @@ type tableWriter struct {
 
 	*tableBuffers
 	blockOff   int // image offset where the open data block starts
-	lastKeyOff int // image offset of the newest entry's key
-	lastKeyLen int
+	blockPlain int // the open block's size in the plain layout
 	smallest   []byte
 }
 
 // tableBuffers is the reusable memory of a tableWriter.
 type tableBuffers struct {
-	img    []byte            // table image: finished blocks plus the open one
-	index  []byte            // index block payload
-	hashes []uint64          // bloom probe hash of every entry so far
-	refs   map[uint64]uint64 // blob file -> bytes the open table's handles cover
+	img     []byte            // table image: finished blocks plus the open one
+	index   []byte            // index block payload
+	prevKey []byte            // the newest entry's key
+	hashes  []uint64          // bloom probe hash of every entry so far
+	refs    map[uint64]uint64 // blob file -> bytes the open table's handles cover
 }
 
 var tableBufferPool = sync.Pool{New: func() any { return new(tableBuffers) }}
@@ -80,8 +86,8 @@ func (w *tableWriter) release() {
 }
 
 func (w *tableWriter) reset() {
-	w.img, w.index, w.hashes = w.img[:0], w.index[:0], w.hashes[:0]
-	w.blockOff, w.smallest = 0, nil
+	w.img, w.index, w.prevKey, w.hashes = w.img[:0], w.index[:0], w.prevKey[:0], w.hashes[:0]
+	w.blockOff, w.blockPlain, w.smallest = 0, 0, nil
 	clear(w.refs)
 }
 
@@ -114,14 +120,20 @@ func (w *tableWriter) addEntry(e entry) {
 		}
 		w.refs[h.num] += h.length
 	}
+	shared := 0
+	if len(w.img) > w.blockOff {
+		shared = sharedPrefixLen(w.prevKey, key)
+	}
 	img := append(w.img, flags)
-	img = binary.AppendUvarint(img, uint64(len(key)))
-	w.lastKeyOff, w.lastKeyLen = len(img), len(key)
-	img = append(img, key...)
+	img = binary.AppendUvarint(img, uint64(shared))
+	img = binary.AppendUvarint(img, uint64(len(key)-shared))
+	img = append(img, key[shared:]...)
 	img = binary.AppendUvarint(img, uint64(len(value)))
 	w.img = append(img, value...)
+	w.prevKey = append(w.prevKey[:0], key...)
 	w.hashes = append(w.hashes, bloomHash(key))
-	if len(w.img)-w.blockOff >= targetBlock {
+	w.blockPlain += 1 + uvarintLen(len(key)) + len(key) + uvarintLen(len(value)) + len(value)
+	if w.blockPlain >= targetBlock {
 		w.closeBlock()
 	}
 }
@@ -141,11 +153,11 @@ func (w *tableWriter) closeBlock() {
 	}
 	off := w.blockOff
 	extent := w.closeSection(off)
-	w.index = binary.AppendUvarint(w.index, uint64(w.lastKeyLen))
-	w.index = append(w.index, w.img[w.lastKeyOff:w.lastKeyOff+w.lastKeyLen]...)
+	w.index = binary.AppendUvarint(w.index, uint64(len(w.prevKey)))
+	w.index = append(w.index, w.prevKey...)
 	w.index = binary.AppendUvarint(w.index, uint64(off))
 	w.index = binary.AppendUvarint(w.index, extent)
-	w.blockOff = len(w.img)
+	w.blockOff, w.blockPlain = len(w.img), 0
 }
 
 // finish completes the open table as file number num, persists it and resets
@@ -176,18 +188,14 @@ func (w *tableWriter) finish(num uint64) (tableMeta, error) {
 	}
 	bloomLen := w.closeSection(bloomOff)
 
-	magic := uint64(tableMagic)
 	var blobs []blobRef
-	if len(w.refs) > 0 {
-		magic = tableMagicV3
-		for num, n := range w.refs {
-			blobs = append(blobs, blobRef{num: num, fileBytes: w.blobBytes(num), refBytes: n})
-		}
-		slices.SortFunc(blobs, func(a, b blobRef) int { return cmp.Compare(a.num, b.num) })
-		refOff := len(w.img)
-		w.img = appendBlobRefs(w.img, blobs)
-		w.closeSection(refOff)
+	for num, n := range w.refs {
+		blobs = append(blobs, blobRef{num: num, fileBytes: w.blobBytes(num), refBytes: n})
 	}
+	slices.SortFunc(blobs, func(a, b blobRef) int { return cmp.Compare(a.num, b.num) })
+	refOff := len(w.img)
+	w.img = appendBlobRefs(w.img, blobs)
+	w.closeSection(refOff)
 
 	var footer [footerSize]byte
 	binary.LittleEndian.PutUint64(footer[0:], uint64(indexOff))
@@ -197,7 +205,7 @@ func (w *tableWriter) finish(num uint64) (tableMeta, error) {
 	binary.LittleEndian.PutUint32(footer[32:], bloomProbes)
 	binary.LittleEndian.PutUint64(footer[36:], uint64(n))
 	binary.LittleEndian.PutUint32(footer[44:], crc32.ChecksumIEEE(footer[:44]))
-	binary.LittleEndian.PutUint64(footer[48:], magic)
+	binary.LittleEndian.PutUint64(footer[48:], tableMagicV4)
 	w.img = append(w.img, footer[:]...)
 
 	meta := tableMeta{
@@ -205,7 +213,7 @@ func (w *tableWriter) finish(num uint64) (tableMeta, error) {
 		level:    w.level,
 		size:     int64(len(w.img)),
 		smallest: w.smallest,
-		largest:  append([]byte(nil), w.img[w.lastKeyOff:w.lastKeyOff+w.lastKeyLen]...),
+		largest:  append([]byte(nil), w.prevKey...),
 		entries:  uint64(n),
 		blobs:    blobs,
 		h:        new(tableHandle),

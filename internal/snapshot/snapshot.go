@@ -34,10 +34,6 @@ type Tree struct {
 	// disk (Geth keeps 128).
 	capacity int
 
-	// diskReads counts reads that fell through the diff layers to the
-	// database — the SnapshotAccount/SnapshotStorage reads in the trace.
-	diskReads uint64
-
 	// cache, when set, fronts DISK-layer reads only. Diff layers always
 	// take precedence, so cached entries can never shadow newer state.
 	cache DiskCache
@@ -184,7 +180,6 @@ func (t *Tree) Account(acct rawdb.Hash) ([]byte, error) {
 			return v, nil
 		}
 	}
-	t.diskReads++
 	v, err := rawdb.ReadSnapshotAccount(t.db, acct)
 	if err == nil && t.cache != nil {
 		t.cache.Add(rawdb.ClassSnapshotAccount, key, v)
@@ -212,7 +207,6 @@ func (t *Tree) Storage(acct, slot rawdb.Hash) ([]byte, error) {
 			return v, nil
 		}
 	}
-	t.diskReads++
 	v, err := rawdb.ReadSnapshotStorage(t.db, acct, slot)
 	if err == nil && t.cache != nil {
 		t.cache.Add(rawdb.ClassSnapshotStorage, key, v)
@@ -368,20 +362,6 @@ func decodeLayer(raw []byte) (*diffLayer, error) {
 		layer.storage[acct][slot] = append([]byte(nil), data...)
 	}
 	return layer, nil
-}
-
-// Layers reports the resident diff-layer count.
-func (t *Tree) Layers() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.layers)
-}
-
-// DiskReads reports reads that reached the database.
-func (t *Tree) DiskReads() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.diskReads
 }
 
 // FlattenAll flushes every diff layer to disk (shutdown without journal).
