@@ -71,11 +71,12 @@ bench-rig:
 
 # The LSM's kernel micro-benchmarks (internal/lsm/kernel_bench_test.go): the
 # background write path's merge, table write and range compaction, the
-# point-read path's cached Get and block search, on MemFS, and the durable
+# point-read path's cached Get, block search and block parse, a full scan over
+# a multi-level tree, on MemFS, and the durable
 # commit path's barrier sharing under 1, 2 and 8 writers over 200 µs syncs.
 # -cpu 1,2 because what the read kernels measure is largely what two readers
 # cost each other.
-KERNELS = MergeIterator|TableWrite|CompactRange|GetCached|BlockSearch|BlockParse|CommitParallel
+KERNELS = MergeIterator|TableWrite|CompactRange|GetCached|BlockSearch|BlockParse|DBScan|CommitParallel
 bench-kernels:
 	$(GO) test -run NONE -bench '$(KERNELS)' -cpu 1,2 -benchmem ./internal/lsm
 
@@ -114,7 +115,7 @@ coverage-drive:
 	for e in $(EXAMPLES); do $(GO) build -cover -coverpkg=./... -o $$S/bin/$$e ./examples/$$e; done; \
 	(cd benchmark && $(GO) build -cover -coverpkg=ethkv/... -o $$S/bin/rig .); \
 	run() { echo "+ $$*"; "$$@" > $$S/last.log 2>&1 || { cat $$S/last.log; exit 1; }; }; \
-	run $$S/bin/ethkvlab -blocks 40 -out $$S/art; \
+	run $$S/bin/ethkvlab -blocks 40 -out $$S/art -metrics-addr 127.0.0.1:0; \
 	run $$S/bin/ethkvlab gen -dir $$S/g -blocks 40 -mode both -backend lsm; \
 	B=$$S/g/BareTrace/BareTrace.bin; C=$$S/g/CacheTrace/CacheTrace.bin; \
 	run $$S/bin/ethkvlab opdist -trace $$C; \

@@ -267,8 +267,8 @@ func TestCorrelationCacheNilLoader(t *testing.T) {
 	if v, ok := cc.Get([]byte("k")); !ok || string(v) != "v" {
 		t.Fatal("basic get through nil-loader cache failed")
 	}
-	if cc.Len() != 1 {
-		t.Fatal("Len")
+	if cc.lru.Len() != 1 {
+		t.Fatal("lru.Len")
 	}
 }
 

@@ -139,13 +139,7 @@ func (c *CorrelationCache) prefetchCompanions(ks string) {
 // HitRate returns the demand hit rate of the underlying cache.
 func (c *CorrelationCache) HitRate() float64 { return c.lru.HitRate() }
 
-// Counters returns demand hits and misses.
-func (c *CorrelationCache) Counters() (hits, misses uint64) { return c.lru.Counters() }
-
 // PrefetchStats returns issued prefetches and how many were later hit.
 func (c *CorrelationCache) PrefetchStats() (issued, hit uint64) {
 	return c.prefetches, c.prefetchHits
 }
-
-// Len returns resident entries.
-func (c *CorrelationCache) Len() int { return c.lru.Len() }

@@ -307,12 +307,6 @@ func (c *Client) Stats() kv.Stats {
 	return stats
 }
 
-// Ping round-trips an empty frame — a liveness check.
-func (c *Client) Ping() error {
-	_, err := c.doRequest(opPing, nil)
-	return err
-}
-
 // NetStats returns the client's transport counters.
 func (c *Client) NetStats() NetStats {
 	return NetStats{

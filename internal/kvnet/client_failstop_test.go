@@ -53,7 +53,7 @@ func TestClientFailStopExactlyOnce(t *testing.T) {
 	if err := c.Put([]byte("after"), []byte("v")); err == nil {
 		t.Fatal("client accepted an op after fail-stop latch")
 	}
-	if err := c.Ping(); err == nil {
+	if _, err := c.doRequest(opPing, nil); err == nil {
 		t.Fatal("ping succeeded on a latched client")
 	}
 	if d := time.Since(start); d > 2*time.Second {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -348,32 +347,4 @@ func (db *DB) BlobStats() BlobStats {
 		s.DeadBytes += u.fileBytes - u.liveBytes
 	}
 	return s
-}
-
-// removeOrphanBlobs deletes the blob files no table of the loaded version
-// references: those of a flush whose table never reached a durable
-// manifest, and those a crash caught between a merge's manifest and its
-// unlinks.
-func (db *DB) removeOrphanBlobs() error {
-	var paths []string
-	if err := db.retryIO(func() error {
-		var err error
-		paths, err = db.fs.Glob(filepath.Join(db.dir, "*.blob"))
-		return err
-	}); err != nil {
-		return err
-	}
-	live := db.current.blobUsage()
-	for _, p := range paths {
-		var num uint64
-		if _, err := fmt.Sscanf(filepath.Base(p), "%d.blob", &num); err != nil {
-			continue
-		}
-		if _, ok := live[num]; !ok {
-			if err := db.removeFile(p); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

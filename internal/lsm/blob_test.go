@@ -319,6 +319,51 @@ func TestScanOutlivesBlobUnlink(t *testing.T) {
 	}
 }
 
+// TestScanResolvesHandlesAcrossTableBoundary: a deeper level's tables are
+// one merge source, which is already walking the next table when the merge
+// hands out the previous table's last entry. Tables side by side in L1, each
+// with its own blob file and handles on both sides of every boundary, must
+// scan back every value: a handle resolves through the table it came from.
+func TestScanResolvesHandlesAcrossTableBoundary(t *testing.T) {
+	opts := blobOpts()
+	opts.L0CompactionTrigger = 100 // the flushes stay in L0 until moved below
+	db := openTestDB(t, opts)
+	want := make(map[string][]byte)
+	for i := 0; i < 30; i++ {
+		v := bytes.Repeat([]byte{byte('a' + i%26)}, blobValueThreshold+i)
+		if err := db.Put(blobKey(i), v); err != nil {
+			t.Fatal(err)
+		}
+		want[string(blobKey(i))] = v
+		if i%10 == 9 {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The flushes wrote ascending, key-disjoint tables: relabel them L1.
+	db.mu.Lock()
+	l0 := db.current[0]
+	var moved []tableMeta
+	for _, m := range l0 {
+		m.level = 1
+		moved = append(moved, m)
+	}
+	db.current = db.current.apply(versionEdit{removed: l0, added: moved})
+	l1 := db.current[1]
+	db.mu.Unlock()
+	if len(l1) < 3 {
+		t.Fatalf("L1 holds %d tables, want 3", len(l1))
+	}
+	for i := 1; i < len(l1); i++ {
+		if len(l1[i-1].blobs) != 1 || len(l1[i].blobs) != 1 || l1[i-1].blobs[0].num == l1[i].blobs[0].num {
+			t.Fatalf("tables %06d and %06d do not each hold their own blob file: %v, %v",
+				l1[i-1].num, l1[i].num, l1[i-1].blobs, l1[i].blobs)
+		}
+	}
+	checkContents(t, db, want)
+}
+
 // TestBlobDamageIsCorruption: a flipped byte in a blob file fails the
 // point read and the scan that reach it with errTableCorrupt; every other
 // value still reads.
@@ -542,7 +587,7 @@ func TestHandleNamingUnreferencedBlobIsCorrupt(t *testing.T) {
 	if _, _, _, _, err := r.probe([]byte("k")); !errors.Is(err, errTableCorrupt) {
 		t.Fatalf("point read of an unreferenced handle: %v", err)
 	}
-	it := r.iterator(nil)
+	it := r.iterator(nil, true)
 	for it.next() {
 	}
 	if !errors.Is(it.err, errTableCorrupt) {

@@ -132,9 +132,9 @@ func TestBlockSearchModel(t *testing.T) {
 	for round := 0; round < 60; round++ {
 		n := []int{0, 1, 2, 1 + rng.Intn(40)}[round%4]
 		ents := modelEntries(rng, n, false)
-		blk, err := parseBlock(encodeBlock(ents))
+		blk, err := decodeBlock(encodeBlock(ents), false)
 		if err != nil {
-			t.Fatalf("round %d: parseBlock: %v", round, err)
+			t.Fatalf("round %d: decodeBlock: %v", round, err)
 		}
 		if len(blk.offsets) != len(ents) {
 			t.Fatalf("round %d: %d offsets for %d entries", round, len(blk.offsets), len(ents))
@@ -188,11 +188,12 @@ func TestBlockSearchModel(t *testing.T) {
 	}
 }
 
-// TestParseBlockValidatesFraming damages block payloads — every truncation
-// point, then seeded byte flips — and requires parseBlock to reject exactly
-// the payloads a full linear walk rejects, with errTableCorrupt, and to
-// index the rest the way the walk frames them: the check that used to happen
-// entry by entry during a probe happens once, when the block is filled.
+// TestParseBlockValidatesFraming damages plain-layout (v2, v3) block payloads
+// — every truncation point, then seeded byte flips — and requires the
+// decoder to reject exactly the payloads a full linear walk rejects, with
+// errTableCorrupt, and to keep the rest byte for byte, indexed the way the
+// walk frames them: the check that used to happen entry by entry during a
+// probe happens once, when the block is filled.
 func TestParseBlockValidatesFraming(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	check := func(what string, payload []byte) {
@@ -207,15 +208,18 @@ func TestParseBlockValidatesFraming(t *testing.T) {
 			next = len(payload) - cap(e.value) + len(e.value)
 			return true
 		})
-		blk, err := parseBlock(payload)
+		blk, err := decodeBlock(payload, false)
 		if (err != nil) != (walkErr != nil) {
-			t.Fatalf("%s: parseBlock err=%v, linear walk err=%v", what, err, walkErr)
+			t.Fatalf("%s: decodeBlock err=%v, linear walk err=%v", what, err, walkErr)
 		}
 		if err != nil {
 			if !errors.Is(err, errTableCorrupt) {
-				t.Fatalf("%s: parseBlock failed with %v, want errTableCorrupt", what, err)
+				t.Fatalf("%s: decodeBlock failed with %v, want errTableCorrupt", what, err)
 			}
 			return
+		}
+		if !bytes.Equal(blk.data, payload) {
+			t.Fatalf("%s: decoded %d bytes differ from the %d-byte payload", what, len(blk.data), len(payload))
 		}
 		if len(blk.offsets) != len(starts) {
 			t.Fatalf("%s: %d offsets, linear walk frames %d entries", what, len(blk.offsets), len(starts))
@@ -298,7 +302,7 @@ func TestDamagedFrameReportedAtFill(t *testing.T) {
 	// A scan checks each block whole as it expands it: it stops at the
 	// damaged block with the error latched, after the intact block in front
 	// of it.
-	it := r.iterator(nil)
+	it := r.iterator(nil, true)
 	n := 0
 	for it.next() {
 		n++
@@ -332,29 +336,26 @@ func encodePrefixedBlock(ents []entry) []byte {
 	return b
 }
 
-// TestExpandBlockModel checks v4 expansion against the plain layout: a
-// prefix-encoded block expands to exactly the plain encoding of its entries,
-// with the offsets parseBlock derives from that; and damaged payloads —
-// every truncation point, then seeded byte flips — either fail with
-// errTableCorrupt or expand to a block whose framing parseBlock accepts.
+// TestExpandBlockModel checks v4 decoding against the plain layout: a
+// prefix-encoded block decodes to exactly the plain encoding of its entries,
+// with each entry's offset in that encoding; and damaged payloads — every
+// truncation point, then seeded byte flips — either fail with
+// errTableCorrupt or decode to a block whose plain framing the linear walk
+// accepts, entry for entry.
 func TestExpandBlockModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	for round := 0; round < 60; round++ {
 		ents := modelEntries(rng, []int{0, 1, 2, 1 + rng.Intn(40)}[round%4], round%8 == 3)
 		payload := encodePrefixedBlock(ents)
-		data, offs, err := expandBlock(nil, nil, payload)
-		if err != nil {
-			t.Fatalf("round %d: expandBlock: %v", round, err)
-		}
 		plain := encodeBlock(ents)
-		want, err := parseBlock(plain)
-		if err != nil || !bytes.Equal(data, plain) || !slices.Equal(offs, want.offsets) {
-			t.Fatalf("round %d: expanded %d bytes, %d offsets; plain layout has %d, %d (err %v)",
-				round, len(data), len(offs), len(plain), len(want.offsets), err)
+		var offs []uint32
+		for i := range ents {
+			offs = append(offs, uint32(len(encodeBlock(ents[:i]))))
 		}
-		blk, err := parsePrefixedBlock(payload)
-		if err != nil || !bytes.Equal(blk.data, plain) || !slices.Equal(blk.offsets, want.offsets) {
-			t.Fatalf("round %d: parsePrefixedBlock disagrees with the plain layout (err %v)", round, err)
+		blk, err := decodeBlock(payload, true)
+		if err != nil || !bytes.Equal(blk.data, plain) || !slices.Equal(blk.offsets, offs) {
+			t.Fatalf("round %d: decoded to %d bytes, %d offsets; plain layout has %d, %d (err %v)",
+				round, len(blk.data), len(blk.offsets), len(plain), len(offs), err)
 		}
 		checkBlockAgainstLinear(t, blk, probeKeys(ents))
 		if len(payload) == 0 {
@@ -362,15 +363,17 @@ func TestExpandBlockModel(t *testing.T) {
 		}
 		check := func(what string, mut []byte) {
 			t.Helper()
-			data, _, err := expandBlock(nil, nil, mut)
+			blk, err := decodeBlock(mut, true)
 			if err != nil {
 				if !errors.Is(err, errTableCorrupt) {
 					t.Fatalf("round %d, %s: %v, want errTableCorrupt", round, what, err)
 				}
 				return
 			}
-			if _, err := parseBlock(data); err != nil {
-				t.Fatalf("round %d, %s: expansion accepted, its plain framing is not: %v", round, what, err)
+			n := 0
+			if err := walkBlock(blk.data, func(entry) bool { n++; return true }); err != nil || n != len(blk.offsets) {
+				t.Fatalf("round %d, %s: decoding accepted, its plain framing is not (%d entries of %d): %v",
+					round, what, n, len(blk.offsets), err)
 			}
 		}
 		for cut := 0; cut < len(payload); cut++ {
@@ -477,7 +480,7 @@ func TestPrefixFramingCorrupt(t *testing.T) {
 			t.Fatalf("%s: probe in an undamaged block: found=%v err=%v", what, found, err)
 		}
 		for _, checkCache := range []bool{true, false} {
-			it := r.iteratorOpts(nil, checkCache)
+			it := r.iterator(nil, checkCache)
 			n := 0
 			for it.next() {
 				n++

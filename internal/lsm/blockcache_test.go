@@ -224,11 +224,11 @@ func TestBlockCacheCountsOncePerLookup(t *testing.T) {
 	}
 	check("bloom negative")
 	// A cache-aware scan looks each block up once; the bypass walk never.
-	for it := r.iterator(nil); it.next(); {
+	for it := r.iterator(nil, true); it.next(); {
 	}
 	hits += 3
 	check("cached scan")
-	for it := r.iteratorOpts(nil, false); it.next(); {
+	for it := r.iterator(nil, false); it.next(); {
 	}
 	check("bypass scan")
 }
@@ -265,7 +265,7 @@ func TestTableFormatV1Compat(t *testing.T) {
 				t.Fatalf("get(%q) = %q found=%v deleted=%v err=%v", e.key, v, found, deleted, err)
 			}
 		}
-		it := r.iterator(nil)
+		it := r.iterator(nil, true)
 		n := 0
 		for it.next() {
 			if !bytes.Equal(it.cur.key, ents[n].key) {

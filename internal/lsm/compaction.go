@@ -192,13 +192,12 @@ func (db *DB) runCompaction(plan compactionPlan, hook func()) (newMetas []tableM
 // at CompactionTableBytes.
 func (db *DB) compactRange(plan compactionPlan) (newMetas []tableMeta, readBytes int64, err error) {
 	// Build merge sources newest-first: L0 files are newest-last on disk and
-	// may overlap, so each is a source of its own, in reverse; a deeper
-	// level's run is key-disjoint and makes one runSource; destination
-	// tables are oldest. Sources bypass the block cache
-	// (newTableSourceBypass): a merge streams every block of its inputs
-	// exactly once, and letting that walk touch the cache would wipe out the
-	// hot point-read set. References are held until the merge finishes so a
-	// concurrent retireTables cannot close files mid-read.
+	// may overlap, so each is a run of its own, in reverse; a deeper level's
+	// tables are key-disjoint and make one run; destination tables are
+	// oldest. Runs bypass the block cache: a merge streams every block of
+	// its inputs exactly once, and letting that walk touch the cache would
+	// wipe out the hot point-read set. References are held until the merge
+	// finishes so a concurrent retireTables cannot close files mid-read.
 	var (
 		sources []source
 		runs    []*runSource
@@ -213,21 +212,11 @@ func (db *DB) compactRange(plan compactionPlan) (newMetas []tableMeta, readBytes
 		}
 	}()
 	addRun := func(metas []tableMeta) error {
-		var run []*tableReader
-		for _, m := range metas {
-			t, err := db.acquire(&m)
-			if err != nil {
-				return err
-			}
-			readers = append(readers, t)
-			run = append(run, t)
-		}
-		if len(run) > 0 {
-			s := &runSource{tables: run}
-			s.fill()
+		s, err := db.openRun(metas, nil, nil, false, &readers)
+		if s != nil {
 			runs, sources = append(runs, s), append(sources, s)
 		}
-		return nil
+		return err
 	}
 	inputs := [][]tableMeta{plan.srcMetas}
 	if plan.level == 0 {
@@ -305,55 +294,6 @@ func (db *DB) compactRange(plan compactionPlan) (newMetas []tableMeta, readBytes
 		readBytes += int64(s.read)
 	}
 	return newMetas, readBytes, nil
-}
-
-// runSource walks a key-ordered run of disjoint tables as one merge source.
-// It starts each table's walk only when the previous one is exhausted and
-// closes that one an advance later (the source lifetime rule), so a merge
-// holds one table's readahead per run however many tables the run has.
-type runSource struct {
-	tables []*tableReader // tables still to walk
-	cur    *tableSource
-	done   []*tableSource // exhausted, closed on the next advance
-	read   int            // bytes consumed by closed walks
-}
-
-// fill starts walks until the current one has an entry or has failed, or
-// the run ends.
-func (s *runSource) fill() {
-	for len(s.tables) > 0 && (s.cur == nil || !s.cur.ok && s.cur.err() == nil) {
-		if s.cur != nil {
-			s.done = append(s.done, s.cur)
-		}
-		s.cur, s.tables = newTableSourceBypass(s.tables[0]), s.tables[1:]
-	}
-}
-
-func (s *runSource) peek() (entry, bool) { return s.cur.peek() }
-
-func (s *runSource) err() error { return s.cur.err() }
-
-func (s *runSource) advance() {
-	s.retire()
-	s.cur.advance()
-	s.fill()
-}
-
-// retire closes the exhausted walks.
-func (s *runSource) retire() {
-	for _, ts := range s.done {
-		s.read += ts.bytesConsumed()
-		ts.close()
-	}
-	s.done = s.done[:0]
-}
-
-// close ends the walk; it is idempotent.
-func (s *runSource) close() {
-	if s.cur != nil {
-		s.done, s.cur = append(s.done, s.cur), nil
-	}
-	s.retire()
 }
 
 // installCompactionLocked applies the plan's edit to the version and

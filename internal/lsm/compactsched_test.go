@@ -208,7 +208,7 @@ func tableEntryBytes(t *testing.T, db *DB, m *tableMeta) int {
 	}
 	defer m.h.release()
 	n := 0
-	it := tr.iteratorOpts(nil, false)
+	it := tr.iterator(nil, false)
 	for it.next() {
 		n += len(it.cur.key) + len(it.cur.value)
 	}
@@ -658,7 +658,7 @@ func TestTrivialMoveCompactAllDropsTombstones(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			it := tr.iteratorOpts(nil, false)
+			it := tr.iterator(nil, false)
 			for it.next() {
 				if it.cur.tombstone {
 					t.Fatalf("L%d table %06d keeps a tombstone for %q", level, metas[i].num, it.cur.key)

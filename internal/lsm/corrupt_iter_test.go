@@ -69,10 +69,10 @@ func TestTableIteratorCorruptBlock(t *testing.T) {
 	if err != nil {
 		t.Fatalf("footer is intact, open must succeed: %v", err)
 	}
-	it := r.iterator(nil)
+	it := r.iterator(nil, true)
 	n := 0
 	for {
-		if _, ok := it.nextEntry(); !ok {
+		if !it.next() {
 			break
 		}
 		n++
@@ -84,7 +84,7 @@ func TestTableIteratorCorruptBlock(t *testing.T) {
 		t.Fatalf("iterator err = %v, want errTableCorrupt", it.err)
 	}
 	// The latched error is sticky: further calls stay failed.
-	if _, ok := it.nextEntry(); ok {
+	if it.next() {
 		t.Fatal("iterator yielded entries after latching corruption")
 	}
 
@@ -120,7 +120,7 @@ func TestMergeIteratorSurfacesSourceError(t *testing.T) {
 	mt.put([]byte("zzz"), []byte("v"))
 	merged := newMergeIterator([]source{
 		newMemSource(mt, nil),
-		newTableSource(r, nil),
+		newRunSource([]*tableReader{r}, nil, true),
 	})
 	for merged.next() {
 	}

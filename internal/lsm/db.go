@@ -36,8 +36,8 @@
 //
 // Both kinds of job write tables through one streaming path: a flush walks
 // the frozen memtable's skiplist, a compaction pulls from a heap-ordered
-// mergeIterator over table sources reading through recycled readahead
-// buffers, and either feeds a tableWriter that encodes each entry once into
+// mergeIterator over table runs reading through recycled readahead and
+// decode buffers, and either feeds a tableWriter that encodes each entry once into
 // a pooled table image and writes it with a single create/write/sync/close.
 // Nothing materialises the entries in between — the background jobs share
 // the machine's cores with the writer, and every copy and allocation they
@@ -55,10 +55,13 @@
 // Files: db.go (options, open, WAL recovery, the public API), commit.go
 // (the write path: stages, turnstile, rotation, stalls, settle), read.go
 // (point reads and scans), version.go (the level layout, its edits, the
-// manifest), plan.go (the compaction planner), compaction.go (scheduler,
-// merge execution, install), tablewriter.go, sstable.go and block.go (table
-// format, writer, reader, iterator, block search), merge.go (sources and the
-// k-way merge), memtable.go/skiplist.go, wal.go, blockcache.go.
+// manifest, the sweep of files it does not name), plan.go (the compaction
+// planner), compaction.go (scheduler, merge execution, install),
+// tablewriter.go and sstable.go (table format, writer, reader, table
+// iterator), block.go (the one data-block decoder, entry accessor and
+// search), merge.go (the memtable and table-run sources scans and merges
+// share, and the k-way merge), blob.go (value separation),
+// memtable.go/skiplist.go, wal.go, blockcache.go.
 package lsm
 
 import (
@@ -360,7 +363,7 @@ func Open(dir string, opts Options) (*DB, error) {
 			m.blobs = blobs
 		}
 	}
-	if err := db.removeOrphanBlobs(); err != nil {
+	if err := db.removeOrphans(); err != nil {
 		return nil, err
 	}
 	if !opts.DisableWAL {

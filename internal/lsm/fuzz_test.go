@@ -126,10 +126,9 @@ func FuzzSSTableOpen(f *testing.F) {
 		// sections carry valid checksums over garbage framing is still one
 		// the reader must walk safely. FuzzBlockRead pins down that damage
 		// under the checksums is always detected, never misread.
-		it := r.iterator(nil)
+		it := r.iterator(nil, true)
 		for n := 0; ; n++ {
-			_, ok := it.nextEntry()
-			if !ok {
+			if !it.next() {
 				break
 			}
 			if n > len(data) {
@@ -209,10 +208,10 @@ func FuzzSSTableScan(f *testing.F) {
 		if err != nil {
 			return // rejected at open; nothing to scan
 		}
-		it := r.iterator(nil)
+		it := r.iterator(nil, true)
 		n := uint64(0)
 		for {
-			if _, ok := it.nextEntry(); !ok {
+			if !it.next() {
 				break
 			}
 			n++
@@ -226,14 +225,14 @@ func FuzzSSTableScan(f *testing.F) {
 		}
 		// A latched error must be sticky and the iterator must stay dead.
 		if it.err != nil {
-			if _, ok := it.nextEntry(); ok {
+			if it.next() {
 				t.Fatal("iterator revived after latching an error")
 			}
 		}
 		// Seek from an arbitrary position must be equally panic-free.
-		sit := r.iterator([]byte("scan-0200"))
+		sit := r.iterator([]byte("scan-0200"), true)
 		for {
-			if _, ok := sit.nextEntry(); !ok {
+			if !sit.next() {
 				break
 			}
 		}
@@ -306,7 +305,7 @@ func FuzzBlockRead(f *testing.F) {
 		// Both scan flavours: every yielded entry must be correct, and a
 		// short walk must carry errTableCorrupt.
 		for _, checkCache := range []bool{true, false} {
-			it := r.iteratorOpts(nil, checkCache)
+			it := r.iterator(nil, checkCache)
 			n := 0
 			for it.next() {
 				if got, ok := want[string(it.cur.key)]; !ok || string(it.cur.value) != got {
@@ -440,7 +439,7 @@ func FuzzBlobHandles(f *testing.F) {
 			check([]byte(k), v, flags&flagBlob != 0, err)
 		}
 		for _, checkCache := range []bool{true, false} {
-			it := r.iteratorOpts(nil, checkCache)
+			it := r.iterator(nil, checkCache)
 			for it.next() {
 				check(it.cur.key, it.cur.value, it.cur.handle, nil)
 			}

@@ -16,15 +16,17 @@ import (
 
 // Micro-benchmarks of the LSM's kernels on faultfs.MemFS, so they time CPU,
 // allocation and cache-line traffic, not a device: the background write
-// path's three (k-way merge, table encode+write, a whole range compaction)
-// and the point-read path's two (a Get on fully cached data, the search of
-// one block). BenchmarkCommitParallel is the exception: it times the durable
-// commit path against a modeled barrier, because what it measures is how many
-// commits one barrier carries. `make bench-kernels` runs them at -cpu 1,2;
-// `make check` runs each once so they cannot rot. The write-path ones use only
-// what the slice-based writer's tests used too, and BenchmarkGetCached and
-// BenchmarkCommitParallel only the store's exported calls, so the same
-// functions measure earlier commits; CHANGES.md records both sides.
+// path's three (k-way merge, table encode+write, a whole range compaction),
+// the point-read path's three (a Get on fully cached data, the search of one
+// block, the decoding of one on a cache miss) and the scan path's one (a full
+// sweep of a multi-level tree). BenchmarkCommitParallel is the exception: it
+// times the durable commit path against a modeled barrier, because what it
+// measures is how many commits one barrier carries. `make bench-kernels`
+// runs them at -cpu 1,2; `make check` runs each once so they cannot rot. The
+// write-path ones use only what the slice-based writer's tests used too, and
+// BenchmarkGetCached, BenchmarkDBScan and BenchmarkCommitParallel only the
+// store's exported calls, so the same functions measure earlier commits;
+// CHANGES.md records both sides.
 
 // benchEntries returns n ascending entries whose keys are drawn from
 // [0, n*stride) with the given stride offset, ~100 bytes each — the trace's
@@ -88,7 +90,7 @@ func BenchmarkMergeIterator(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sources := make([]source, k)
 				for j, r := range readers {
-					sources[j] = newTableSourceBypass(r)
+					sources[j] = newRunSource([]*tableReader{r}, nil, false)
 				}
 				merged := newMergeIterator(sources)
 				n := 0
@@ -99,7 +101,7 @@ func BenchmarkMergeIterator(b *testing.B) {
 					b.Fatalf("merge: %d key bytes, err %v", n, merged.err())
 				}
 				for _, s := range sources {
-					s.(*tableSource).close() // as compactRange does; no such call before §19
+					s.(*runSource).close() // as compactRange does
 				}
 			}
 		})
@@ -260,6 +262,70 @@ func BenchmarkGetCached(b *testing.B) {
 	}
 }
 
+// BenchmarkDBScan times one full NewIterator sweep, the path of the scan
+// classes, over a store holding three overlapping L0 tables above
+// multi-table L1 and L2 runs, with one value in eight of 1.5 KiB and so in a
+// blob file. Nothing fills the block cache, so the sweep reads and decodes
+// every block it walks: what it measures is the merge of the table walks
+// and the blob reads. It builds and sweeps the store through its exported
+// calls only (the version is read to check the shape), so the same function
+// measures earlier commits.
+func BenchmarkDBScan(b *testing.B) {
+	m := faultfs.NewMemFS()
+	db, err := Open("db", Options{
+		FS: m, DisableWAL: true,
+		MemtableBytes: 64 << 10, LevelBaseBytes: 1 << 20, CompactionTableBytes: 64 << 10,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	rng := rand.New(rand.NewSource(1))
+	keys := map[string]bool{}
+	total := 0
+	put := func(n int) {
+		for i := 0; i < n; i++ {
+			k := []byte(fmt.Sprintf("key-%016x", rng.Uint64()))
+			v := make([]byte, 40+rng.Intn(50))
+			if i%8 == 0 {
+				v = make([]byte, 1536)
+			}
+			rng.Read(v)
+			if err := db.Put(k, v); err != nil {
+				b.Fatal(err)
+			}
+			if !keys[string(k)] {
+				keys[string(k)] = true
+				total += len(k) + len(v)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	put(30000)
+	for i := 0; i < 8 && len(db.current[0]) < 3; i++ { // overlapping L0 tables, below the trigger
+		put(150)
+	}
+	if l := db.current; len(l[0]) != 3 || len(l[1]) < 2 || len(l[2]) < 2 {
+		b.Fatalf("tree shape: %d L0, %d L1, %d L2 tables", len(l[0]), len(l[1]), len(l[2]))
+	}
+	b.SetBytes(int64(total))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it := db.NewIterator(nil, nil)
+		n := 0
+		for it.Next() {
+			n++
+		}
+		if err := it.Error(); err != nil || n != len(keys) {
+			b.Fatalf("scan: %d of %d pairs, err %v", n, len(keys), err)
+		}
+		it.Release()
+	}
+}
+
 // BenchmarkBlockSearch times the lookup of one key in one 4 KiB block of
 // trace-sized pairs: binary is the indexed search point reads use
 // (block.search, index already built, as on a cache hit), linear the
@@ -276,9 +342,9 @@ func BenchmarkBlockSearch(b *testing.B) {
 	for i, j := range rng.Perm(n) { // not in block order: no help from the branch predictor
 		keys[i] = ents[j].key
 	}
-	blk, err := parseBlock(payload)
+	blk, err := decodeBlock(payload, false)
 	if err != nil || len(blk.offsets) != n {
-		b.Fatalf("parseBlock: %d entries of %d, err %v", len(blk.offsets), n, err)
+		b.Fatalf("decodeBlock: %d entries of %d, err %v", len(blk.offsets), n, err)
 	}
 	var sink int
 	b.Run("binary", func(b *testing.B) {
@@ -308,10 +374,10 @@ func BenchmarkBlockSearch(b *testing.B) {
 // read: taking one 4 KiB block of trace-shaped pairs from the read into a
 // searchable block. The keys are TrieNodeStorage's, 'O' | owner hash (32 B)
 // | a short trie path, of three owners, and the values trie-node-sized.
-// plain is a v2 or v3 miss: the block is read into a fresh buffer, which
-// the cache keeps, and indexed. prefixed is a v4 miss: the block is read
-// into reused scratch, then expanded and indexed (the v4 encoding of the
-// same entries; both report their stored size).
+// Either miss reads the block into reused scratch and decodes it into a
+// block of its own (decodeBlock): plain is a v2 or v3 block, copied as it
+// stands, prefixed a v4 block, expanded (the v4 encoding of the same
+// entries; both report their plain size).
 func BenchmarkBlockParse(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	owners := make([][]byte, 3)
@@ -339,17 +405,14 @@ func BenchmarkBlockParse(b *testing.B) {
 		size += len(encodeBlock(ents[n : n+1]))
 	}
 	plain, prefixed := encodeBlock(ents[:n]), encodePrefixedBlock(ents[:n])
-	scratch := make([]byte, len(prefixed))
+	scratch := make([]byte, len(plain))
 	for _, c := range []struct {
 		name   string
 		stored []byte
 		miss   func() (*block, error)
 	}{
-		{"plain", plain, func() (*block, error) { return parseBlock(append([]byte(nil), plain...)) }},
-		{"prefixed", prefixed, func() (*block, error) {
-			copy(scratch, prefixed)
-			return parsePrefixedBlock(scratch)
-		}},
+		{"plain", plain, func() (*block, error) { return decodeBlock(scratch[:copy(scratch, plain)], false) }},
+		{"prefixed", prefixed, func() (*block, error) { return decodeBlock(scratch[:copy(scratch, prefixed)], true) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(int64(len(plain)))

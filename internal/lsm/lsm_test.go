@@ -183,13 +183,13 @@ func TestSSTableRoundTrip(t *testing.T) {
 		t.Fatal("found absent key")
 	}
 	// Full iteration returns everything in order.
-	it := r.iterator(nil)
+	it := r.iterator(nil, true)
 	n := 0
 	for {
-		e, ok := it.nextEntry()
-		if !ok {
+		if !it.next() {
 			break
 		}
+		e := it.cur
 		if !bytes.Equal(e.key, ents[n].key) {
 			t.Fatalf("iter entry %d: key %q want %q", n, e.key, ents[n].key)
 		}
@@ -199,10 +199,9 @@ func TestSSTableRoundTrip(t *testing.T) {
 		t.Fatalf("iterated %d entries, want %d", n, len(ents))
 	}
 	// Seek positions correctly.
-	it = r.iterator([]byte("key-0100"))
-	e, ok := it.nextEntry()
-	if !ok || string(e.key) != "key-0100" {
-		t.Fatalf("seek landed on %q", e.key)
+	it = r.iterator([]byte("key-0100"), true)
+	if !it.next() || string(it.cur.key) != "key-0100" {
+		t.Fatalf("seek landed on %q", it.cur.key)
 	}
 }
 

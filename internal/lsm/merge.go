@@ -61,44 +61,101 @@ func (s *memSource) advance() {
 	s.mt.mu.RUnlock()
 }
 
-// tableSource adapts a tableIterator.
-type tableSource struct {
-	it  *tableIterator
-	cur entry
-	ok  bool
+// runSource walks a key-ordered run of disjoint tables as one merge source:
+// a level of L1 and deeper, or one L0 table. Each table's walk starts at the
+// run's start key and only once the walk before it is exhausted, so a run
+// holds one table's buffers however many tables it has. The walk that
+// produced the previous head stays open until the next advance (the source
+// lifetime rule), and it is the table that head came from: a blob handle the
+// merge handed out resolves through last.
+type runSource struct {
+	tables     []*tableReader // tables still to walk
+	start      []byte
+	checkCache bool
+	cur        *tableIterator // the walk holding the head
+	ok         bool           // cur holds a head
+	last       *tableIterator // the walk the previous head came from
+	read       int            // bytes fetched by ended walks
 }
 
-func newTableSource(t *tableReader, start []byte) *tableSource {
-	s := &tableSource{it: t.iterator(start)}
-	s.advance()
+// newRunSource returns a source over tables, which must be non-empty,
+// key-ordered and disjoint, positioned at the first entry with key >= start
+// (every entry when start is nil). checkCache is the walks' cache policy
+// (tableReader.iterator).
+func newRunSource(tables []*tableReader, start []byte, checkCache bool) *runSource {
+	s := &runSource{tables: tables[1:], start: start, checkCache: checkCache}
+	s.cur = tables[0].iterator(start, checkCache)
+	s.step()
 	return s
 }
 
-// newTableSourceBypass is the compaction variant: the walk streams through
-// private readahead only, never consulting or populating the shared block
-// cache, so a background merge cannot evict the hot point-read set.
-func newTableSourceBypass(t *tableReader) *tableSource {
-	s := &tableSource{it: t.iteratorOpts(nil, false)}
-	s.advance()
-	return s
+// openRun takes a reference on each table of metas that can hold keys in
+// [lower, upper) — nil bounds are open — adding its reader to readers for the
+// caller to unref, and returns them as one run from lower; nil when none
+// can. metas must be key-ordered and disjoint, or a single table.
+func (db *DB) openRun(metas []tableMeta, lower, upper []byte, checkCache bool, readers *[]*tableReader) (*runSource, error) {
+	var run []*tableReader
+	for i := range metas {
+		m := &metas[i]
+		if bytes.Compare(m.largest, lower) < 0 || upper != nil && bytes.Compare(m.smallest, upper) >= 0 {
+			continue
+		}
+		t, err := db.acquire(m)
+		if err != nil {
+			return nil, err
+		}
+		*readers = append(*readers, t)
+		run = append(run, t)
+	}
+	if len(run) == 0 {
+		return nil, nil
+	}
+	return newRunSource(run, lower, checkCache), nil
 }
 
-func (s *tableSource) peek() (entry, bool) { return s.cur, s.ok }
-
-// err surfaces block-framing corruption detected by the table iterator.
-func (s *tableSource) err() error { return s.it.err }
-
-func (s *tableSource) advance() {
-	s.cur, s.ok = s.it.nextEntry()
+// step moves the run to its next entry: on in the current walk, then into
+// each following table until a walk yields an entry or fails, or the run
+// ends.
+func (s *runSource) step() {
+	for {
+		if s.ok = s.cur.next(); s.ok || s.cur.err != nil || len(s.tables) == 0 {
+			return
+		}
+		if s.cur != s.last {
+			s.end(s.cur)
+		}
+		s.cur, s.tables = s.tables[0].iterator(s.start, s.checkCache), s.tables[1:]
+	}
 }
 
-// bytesConsumed reports block bytes this source has touched.
-func (s *tableSource) bytesConsumed() int { return s.it.read }
+func (s *runSource) peek() (entry, bool) { return s.cur.cur, s.ok }
 
-// close ends the walk and recycles its readahead buffers; entries obtained
-// from the source must no longer be read.
-func (s *tableSource) close() {
-	s.it.close()
+// err surfaces corruption or an I/O failure the current walk latched.
+func (s *runSource) err() error { return s.cur.err }
+
+func (s *runSource) advance() {
+	if s.last != s.cur {
+		s.end(s.last)
+	}
+	s.last = s.cur
+	s.step()
+}
+
+// end closes walk w, if any, and counts the bytes it fetched; it is
+// idempotent.
+func (s *runSource) end(w *tableIterator) {
+	if w != nil {
+		s.read += w.read
+		w.read = 0
+		w.close()
+	}
+}
+
+// close ends the run; entries obtained from it must no longer be read. It
+// is idempotent.
+func (s *runSource) close() {
+	s.end(s.last)
+	s.end(s.cur)
 	s.ok = false
 }
 
@@ -117,8 +174,8 @@ type mergeIterator struct {
 	heads   []entry // heads[i] is source i's current entry while i is in heap
 	heap    []int   // live source indexes, min (key, index) at heap[0]
 	cur     entry
-	// curSource is the source cur came from: the table a blob handle in it
-	// points through.
+	// curSource is the source cur came from, which resolves a blob handle
+	// in it (runSource.last).
 	curSource int
 	failed    error
 }

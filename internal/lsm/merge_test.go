@@ -180,8 +180,9 @@ func TestMergeIteratorModel(t *testing.T) {
 // TestReadaheadReuseKeepsEntryValid walks a table spanning several readahead
 // spans and checks the source contract the merge relies on: after each
 // advance the previous entry still reads as it did when it was current, even
-// across the span boundaries where the iterator switches (and from the third
-// span on, recycles) its buffers. Run under -race.
+// across the block boundaries where the iterator alternates between its two
+// decode buffers and the span boundaries where it refills its span buffer.
+// Run under -race.
 func TestReadaheadReuseKeepsEntryValid(t *testing.T) {
 	// ~1.1 MiB of entries: five 256 KiB spans.
 	var ents []entry
@@ -202,7 +203,7 @@ func TestReadaheadReuseKeepsEntryValid(t *testing.T) {
 	}
 	defer r.unref()
 
-	s := newTableSourceBypass(r)
+	s := newRunSource([]*tableReader{r}, nil, false)
 	var prev entry
 	spans, lastFirst := 0, -1
 	for i := 0; ; i++ {
@@ -219,8 +220,8 @@ func TestReadaheadReuseKeepsEntryValid(t *testing.T) {
 			}
 			break
 		}
-		if s.it.raFirst != lastFirst {
-			spans, lastFirst = spans+1, s.it.raFirst
+		if s.cur.raFirst != lastFirst {
+			spans, lastFirst = spans+1, s.cur.raFirst
 		}
 		prev = cur
 		s.advance()
@@ -228,19 +229,20 @@ func TestReadaheadReuseKeepsEntryValid(t *testing.T) {
 	if spans < 4 {
 		t.Fatalf("walk crossed %d span boundaries, want >= 3", spans-1)
 	}
-	if s.it.raBufs[0] == nil || s.it.raBufs[1] == nil {
-		t.Fatal("a multi-span walk should hold both span buffers")
+	if s.cur.span == nil || s.cur.bufs[0] == nil || s.cur.bufs[1] == nil {
+		t.Fatal("a multi-block walk should hold its span buffer and both decode buffers")
 	}
 	s.close()
-	if _, ok := s.peek(); ok || s.it.next() || s.it.raBufs[0] != nil || s.it.raBufs[1] != nil {
+	if _, ok := s.peek(); ok || s.cur.next() || s.cur.span != nil || s.cur.bufs[0] != nil || s.cur.bufs[1] != nil {
 		t.Fatal("closed source still yields entries or holds pooled buffers")
 	}
 }
 
 // TestRunSourceWalksOneTableAtATime: a run source yields its tables' entries
-// in order, starts a table's walk only when the walk reaches it, and keeps an
-// exhausted table's last entry intact across the advance that follows it
-// even while other walks churn the span-buffer pool.
+// in order, starts a table's walk only when the walk reaches it, names the
+// table each handed-out entry came from (last, which resolves blob handles)
+// and keeps an exhausted table's last entry intact across the advance that
+// follows it even while other walks churn the buffer pools.
 func TestRunSourceWalksOneTableAtATime(t *testing.T) {
 	m := faultfs.NewMemFS()
 	var (
@@ -266,8 +268,7 @@ func TestRunSourceWalksOneTableAtATime(t *testing.T) {
 		defer r.unref()
 		want, tables = append(want, ents...), append(tables, r)
 	}
-	s := &runSource{tables: tables}
-	s.fill()
+	s := newRunSource(tables, nil, false)
 	var prev entry
 	for i := 0; ; i++ {
 		if i > 0 && (!bytes.Equal(prev.key, want[i-1].key) || !bytes.Equal(prev.value, want[i-1].value)) {
@@ -280,27 +281,30 @@ func TestRunSourceWalksOneTableAtATime(t *testing.T) {
 			}
 			break
 		}
-		if left := len(tables) - 1 - i/50; len(s.tables) != left || len(s.done) > 1 {
-			t.Fatalf("at entry %d: %d tables unstarted, %d exhausted open; want %d and at most 1",
-				i, len(s.tables), len(s.done), left)
+		if left := len(tables) - 1 - i/50; len(s.tables) != left {
+			t.Fatalf("at entry %d: %d tables unstarted, want %d", i, len(s.tables), left)
 		}
 		prev = cur
 		s.advance()
-		// Another walk takes pooled span buffers and overwrites them.
-		a, b := spanBufferPool.Get().(*[]byte), spanBufferPool.Get().(*[]byte)
-		for _, buf := range []*[]byte{a, b} {
-			for j := range *buf {
-				(*buf)[j] = 0xAA
-			}
-			spanBufferPool.Put(buf)
+		if s.last.t != tables[i/50] {
+			t.Fatalf("entry %d handed out from table %06d, run names %06d", i, tables[i/50].meta.num, s.last.t.meta.num)
 		}
+		// Another walk takes pooled buffers and overwrites them.
+		span, blk := spanBufferPool.Get().(*[]byte), blockPool.Get().(*block)
+		for _, buf := range [][]byte{*span, blk.data[:cap(blk.data)]} {
+			for j := range buf {
+				buf[j] = 0xAA
+			}
+		}
+		spanBufferPool.Put(span)
+		blockPool.Put(blk)
 	}
 	s.close()
 	var read int
 	for _, r := range tables {
 		read += int(r.index[len(r.index)-1].offset + r.index[len(r.index)-1].length)
 	}
-	if s.read != read || s.cur != nil || len(s.done) != 0 {
-		t.Fatalf("closed run read %d bytes (want %d), cur %v, %d walks open", s.read, read, s.cur, len(s.done))
+	if s.read != read || s.cur.span != nil || s.last.span != nil {
+		t.Fatalf("closed run read %d bytes (want %d), or holds a span buffer", s.read, read)
 	}
 }

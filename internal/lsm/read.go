@@ -149,30 +149,24 @@ func (db *DB) NewIterator(prefix, start []byte) kv.Iterator {
 	for i := len(db.imm) - 1; i >= 0; i-- {
 		sources = append(sources, newMemSource(db.imm[i].mem, lower))
 	}
-	addTable := func(m *tableMeta) error {
-		if bytes.Compare(m.largest, lower) < 0 ||
-			(upper != nil && bytes.Compare(m.smallest, upper) >= 0) {
-			return nil
+	// One run per L0 table, newest first (they may overlap), and one per
+	// deeper level.
+	addRun := func(metas []tableMeta) error {
+		s, err := db.openRun(metas, lower, upper, true, &readers)
+		if s != nil {
+			sources = append(sources, s)
 		}
-		t, err := db.acquire(m)
-		if err != nil {
-			return err
-		}
-		readers = append(readers, t)
-		sources = append(sources, newTableSource(t, lower))
-		return nil
+		return err
 	}
 	l0 := db.current[0]
 	for i := len(l0) - 1; i >= 0; i-- {
-		if err := addTable(&l0[i]); err != nil {
+		if err := addRun(l0[i : i+1]); err != nil {
 			return fail(err)
 		}
 	}
-	for level := 1; level < numLevels; level++ {
-		for i := range db.current[level] {
-			if err := addTable(&db.current[level][i]); err != nil {
-				return fail(err)
-			}
+	for _, metas := range db.current[1:] {
+		if err := addRun(metas); err != nil {
+			return fail(err)
 		}
 	}
 	return &dbIterator{
@@ -218,7 +212,7 @@ func (it *dbIterator) Next() bool {
 			it.value = append(it.value[:0], e.value...)
 			return true
 		}
-		t := it.merged.sources[it.merged.curSource].(*tableSource).it.t
+		t := it.merged.sources[it.merged.curSource].(*runSource).last.t
 		v, err := t.readBlob(it.value, e.value)
 		if err != nil {
 			it.err = err
@@ -245,9 +239,9 @@ func (it *dbIterator) Release() {
 		it.released, it.done = true, true
 		var read uint64
 		for _, s := range it.merged.sources {
-			if ts, ok := s.(*tableSource); ok {
-				read += uint64(ts.bytesConsumed())
-				ts.close()
+			if rs, ok := s.(*runSource); ok {
+				rs.close()
+				read += uint64(rs.read)
 			}
 		}
 		it.db.stats.reads.addPhysical(read + uint64(it.blobRead))

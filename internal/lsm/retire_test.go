@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -227,5 +229,68 @@ func TestGetDuringTableRetirement(t *testing.T) {
 	}
 	if handles := fsys.open.Load(); handles != 0 {
 		t.Fatalf("%d table file handles outlive Close", handles)
+	}
+}
+
+// tableRemoveFailFS refuses to remove SSTable files.
+type tableRemoveFailFS struct{ faultfs.FS }
+
+func (f tableRemoveFailFS) Remove(path string) error {
+	if strings.HasSuffix(path, ".sst") {
+		return fmt.Errorf("remove %s: refused", path)
+	}
+	return f.FS.Remove(path)
+}
+
+// TestOpenRemovesOrphanTables: a table a merge retired but could not unlink
+// (retireTables' removal is best-effort) and a manifest write cut short
+// before its rename are gone after a reopen, which leaves exactly the
+// version's tables on disk.
+func TestOpenRemovesOrphanTables(t *testing.T) {
+	mem := faultfs.NewMemFS()
+	opts := Options{FS: tableRemoveFailFS{mem}, DisableWAL: true, MemtableBytes: 8 << 10}
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("key-%05d", i%700)), bytes.Repeat([]byte{byte(i)}, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tablesOnDisk := func() []string {
+		paths, err := mem.Glob("db/*.sst")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return paths
+	}
+	stale := len(tablesOnDisk())
+	if err := faultfs.WriteFileSync(mem, "db/MANIFEST.tmp", []byte("cut short")); err != nil {
+		t.Fatal(err)
+	}
+	opts.FS = mem
+	if db, err = Open("db", opts); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var want []string
+	for _, metas := range db.current {
+		for _, m := range metas {
+			want = append(want, tablePath("db", m.num))
+		}
+	}
+	sort.Strings(want)
+	if got := tablesOnDisk(); stale <= len(want) || !slices.Equal(got, want) {
+		t.Fatalf("after reopen: tables %v on disk, version names %v (%d before)", got, want, stale)
+	}
+	if _, err := mem.Open("db/MANIFEST.tmp"); err == nil {
+		t.Fatal("a stray MANIFEST.tmp survived the reopen")
 	}
 }

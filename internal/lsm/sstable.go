@@ -192,7 +192,7 @@ type tableReader struct {
 	pinned int64 // index+bloom bytes accounted against the cache
 	refs   atomic.Int32
 	// prefixed is set for a v4 table: its data blocks are expanded when
-	// read (parsePrefixedBlock, tableIterator.loadBlock).
+	// decoded (block.decode).
 	prefixed bool
 	// blobRefs lists the blob files the table's handles point into, and
 	// blobs holds them open, index for index (nil for a byte-backed
@@ -467,43 +467,39 @@ func (t *tableReader) blockPayload(extent []byte, blockIdx int) ([]byte, error) 
 
 // block returns data block i ready for searching, through the shared cache:
 // a hit costs no I/O; a miss fetches the extent, verifies its checksum,
-// expands (v4) and indexes its entries (parseBlock, parsePrefixedBlock —
-// damaged framing fails here, and nothing damaged is ever cached) and
-// inserts it. diskBytes reports the bytes actually fetched from the file — 0
-// on a cache hit — so physical-read accounting reflects true I/O, not
-// logical block touches.
+// decodes it (decodeBlock — damaged framing fails here, and nothing damaged
+// is ever cached) and inserts it. diskBytes reports the bytes actually
+// fetched from the file — 0 on a cache hit — so physical-read accounting
+// reflects true I/O, not logical block touches.
 func (t *tableReader) block(i int) (blk *block, diskBytes int, err error) {
 	if cached, ok := t.cache.get(t.meta.num, i); ok {
 		return cached, 0, nil
 	}
 	ext := t.index[i]
-	var buf []byte
-	if t.prefixed { // only the expansion is kept: read into scratch
-		scratch := expandBufferPool.Get().(*[]byte)
-		defer expandBufferPool.Put(scratch)
-		*scratch = slices.Grow((*scratch)[:0], int(ext.length))
-		buf = (*scratch)[:ext.length]
-	} else {
-		buf = make([]byte, ext.length)
-	}
-	if err := t.readAt(buf, int64(ext.offset)); err != nil {
+	buf := extentPool.Get().(*[]byte) // only the decoding is kept
+	defer extentPool.Put(buf)
+	*buf = slices.Grow((*buf)[:0], int(ext.length))
+	raw := (*buf)[:ext.length]
+	if err := t.readAt(raw, int64(ext.offset)); err != nil {
 		return nil, 0, err
 	}
-	payload, err := t.blockPayload(buf, i)
+	payload, err := t.blockPayload(raw, i)
 	if err != nil {
 		return nil, int(ext.length), err
 	}
-	if t.prefixed {
-		blk, err = parsePrefixedBlock(payload)
-	} else {
-		blk, err = parseBlock(payload)
-	}
-	if err != nil {
-		return nil, int(ext.length), fmt.Errorf("%w: table %06d block at %d", err, t.meta.num, ext.offset)
+	if blk, err = decodeBlock(payload, t.prefixed); err != nil {
+		return nil, int(ext.length), fmt.Errorf("%w (table %06d, block %d)", err, t.meta.num, i)
 	}
 	t.cache.put(t.meta.num, i, blk)
 	return blk, int(ext.length), nil
 }
+
+// extentPool recycles the buffers a cache miss reads a block's stored extent
+// into.
+var extentPool = sync.Pool{New: func() any {
+	buf := make([]byte, 0, 2*targetBlock)
+	return &buf
+}}
 
 // parseIndex decodes the index block. dataLimit is the exclusive upper
 // bound for block extents (the index's own offset): every referenced data
@@ -596,45 +592,41 @@ func (t *tableReader) get(key []byte, hash uint64, rc *readCounts) (value []byte
 	return value, flags, found, nil
 }
 
-// tableIterator walks the full table in key order, including tombstones.
-// Blocks stream through private readahead buffers — one ReadAt covers a
-// run of contiguous extents — which are never inserted into the shared
-// cache: a sequential scan must not evict the point-read working set
-// (scan resistance). Cached blocks are still used when present
-// (checkCache); the compaction bypass walk skips the cache entirely.
+// tableIterator walks the full table in key order, including tombstones,
+// over the entry offsets of one decoded block at a time. Blocks stream
+// through a private readahead span — one ReadAt covers a run of contiguous
+// extents — and are never inserted into the shared cache: a sequential scan
+// must not evict the point-read working set (scan resistance). A cached
+// block is walked in place when the iterator may consult the cache
+// (checkCache); a merge's walk skips the cache entirely.
 //
-// Buffer lifetime: successive spans alternate between two buffers that the
-// iterator takes from a process-wide pool once and reuses, and so do the
-// blocks of a v4 table, each expanded into the other of two pooled buffers
-// than the block before it. So an entry's key and value (views into its span
-// or expanded block) stay intact across the next advance and may be
-// overwritten by the one after — long enough for a merge to hand out a
-// source's head while it already holds the following one. close hands the
-// buffers back; every entry the iterator yielded is dead from then on.
-// Damaged checksums or block framing latch err and end the walk: a scan
-// over a corrupt table yields a clean prefix and a non-nil error, never a
-// silently truncated result (a v4 block is checked whole as it is
-// expanded, so the prefix ends with the block before a damaged one).
+// Buffer lifetime: a block read from the span is decoded into one of two
+// pooled blocks the iterator takes once and alternates between, so an
+// entry's key and value (views of its block) stay intact across the next
+// advance and may be overwritten by the one after — long enough for a merge
+// to hand out a source's head while it already holds the following one.
+// close hands the buffers back; every entry the iterator yielded is dead
+// from then on. A damaged checksum or block framing latches err and ends the
+// walk: a scan over a corrupt table yields a clean prefix and a non-nil
+// error, never a silently truncated result (a block is checked whole as it
+// is decoded, so the prefix ends with the block before a damaged one).
 type tableIterator struct {
 	t          *tableReader
+	checkCache bool
+	seek       []byte // the walk's start key, until its first block is loaded
 	blockIdx   int    // next block index to load
-	block      []byte // remaining payload of the current block
+	blk        *block // the block being walked: cached, or one of bufs
+	pos        int    // next entry of blk
 	cur        entry
-	valid      bool
-	pending    bool  // cur holds a seek result not yet surfaced by nextEntry
 	read       int   // bytes fetched from disk so far (cache hits cost 0)
 	err        error // first corruption or I/O failure encountered
-	checkCache bool
 
-	ra      []byte     // current readahead span of raw contiguous extents
-	raFirst int        // block index of the first extent in ra
-	raCount int        // extents held in ra
-	raBufs  [2]*[]byte // the two pooled span buffers; ra is a prefix of one
-	raNext  int        // which of raBufs the next span fills
-
-	exp     [2]*[]byte // v4: the pooled buffers blocks expand into, alternately
-	expNext int        // which of exp the next block fills
-	offs    []uint32   // expansion's entry offsets, unused by the walk
+	span    *[]byte // pooled readahead buffer; ra is a prefix of it
+	ra      []byte  // current span of raw contiguous extents
+	raFirst int     // block index of the first extent in ra
+	raCount int     // extents held in ra
+	bufs    [2]*block
+	bufNext int // which of bufs the next block decodes into
 }
 
 // spanBufferPool recycles readahead span buffers, readaheadBytes each,
@@ -645,121 +637,73 @@ var spanBufferPool = sync.Pool{New: func() any {
 	return &buf
 }}
 
-// close returns the span buffers to the pool and ends the walk. Optional —
-// an iterator dropped without it just leaves its buffers to the collector.
-func (it *tableIterator) close() {
-	for i, buf := range it.raBufs {
-		if buf != nil {
-			spanBufferPool.Put(buf)
-			it.raBufs[i] = nil
-		}
-	}
-	for i, buf := range it.exp {
-		if buf != nil {
-			expandBufferPool.Put(buf)
-			it.exp[i] = nil
-		}
-	}
-	it.ra, it.raCount, it.block, it.valid = nil, 0, nil, false
-	it.blockIdx = len(it.t.index)
-}
-
-// iterator returns a fresh cache-aware iterator positioned before the
-// first entry, or at the first entry with key >= start when start is
-// non-nil.
-func (t *tableReader) iterator(start []byte) *tableIterator {
-	return t.iteratorOpts(start, true)
-}
-
-// iteratorOpts selects the cache policy: checkCache=false is the
-// compaction bypass — the walk neither consults nor populates the shared
-// cache, so a background merge cannot disturb the hot read set.
-func (t *tableReader) iteratorOpts(start []byte, checkCache bool) *tableIterator {
-	it := &tableIterator{t: t, checkCache: checkCache}
+// iterator returns a walk positioned before the first entry, or before the
+// first entry with key >= start when start is non-nil. checkCache=false is
+// a merge's walk: it neither consults nor populates the shared cache, so a
+// background merge cannot disturb the hot read set.
+func (t *tableReader) iterator(start []byte, checkCache bool) *tableIterator {
+	it := &tableIterator{t: t, checkCache: checkCache, seek: start}
 	if start != nil {
 		it.blockIdx = sort.Search(len(t.index), func(i int) bool {
 			return bytes.Compare(t.index[i].lastKey, start) >= 0
 		})
-		// Advance within the block to the first key >= start.
-		for it.next() {
-			if bytes.Compare(it.cur.key, start) >= 0 {
-				it.pending = true
-				break
-			}
-		}
 	}
 	return it
 }
 
-// pending marks that next() already holds the entry to surface first (set
-// by seek positioning).
-func (it *tableIterator) nextEntry() (entry, bool) {
-	if it.pending {
-		it.pending = false
-		return it.cur, it.valid
+// close returns the pooled buffers and ends the walk. Optional — an
+// iterator dropped without it just leaves its buffers to the collector.
+func (it *tableIterator) close() {
+	if it.span != nil {
+		spanBufferPool.Put(it.span)
 	}
-	ok := it.next()
-	return it.cur, ok
+	for _, b := range it.bufs {
+		if b != nil {
+			blockPool.Put(b)
+		}
+	}
+	it.span, it.ra, it.raCount, it.bufs, it.blk = nil, nil, 0, [2]*block{}, nil
+	it.blockIdx = len(it.t.index)
 }
 
-// next advances the raw cursor one entry. Bad framing latches it.err and
-// terminates the walk.
+// next advances to the next entry, loading blocks as the walk reaches them;
+// false at the end of the table or once err is latched.
 func (it *tableIterator) next() bool {
-	if it.err != nil {
-		it.valid = false
-		return false
+	for it.err == nil {
+		if it.blk != nil && it.pos < len(it.blk.offsets) {
+			flags, key, value := it.blk.at(it.pos)
+			it.pos++
+			if flags&flagBlob != 0 {
+				// A handle a merge copies must name a blob file this table
+				// references, or the output's blob-ref list would be wrong.
+				if _, _, it.err = it.t.handleRef(value); it.err != nil {
+					break
+				}
+			}
+			it.cur = entry{key: key, value: value, tombstone: flags&flagTombstone != 0, handle: flags&flagBlob != 0}
+			return true
+		}
+		if it.blockIdx >= len(it.t.index) {
+			break
+		}
+		it.blk, it.err = it.loadBlock(it.blockIdx)
+		it.blockIdx, it.pos = it.blockIdx+1, 0
+		if it.seek != nil && it.blk != nil {
+			it.pos, _ = it.blk.lowerBound(it.seek)
+			it.seek = nil
+		}
 	}
-	for {
-		if len(it.block) == 0 {
-			if it.blockIdx >= len(it.t.index) {
-				it.valid = false
-				return false
-			}
-			block, err := it.loadBlock(it.blockIdx)
-			if err != nil {
-				return it.failErr(err)
-			}
-			it.block = block
-			it.blockIdx++
-			continue
-		}
-		flags := it.block[0]
-		it.block = it.block[1:]
-		klen, n := binary.Uvarint(it.block)
-		if n <= 0 || uint64(len(it.block)-n) < klen {
-			return it.fail("entry key framing")
-		}
-		it.block = it.block[n:]
-		key := it.block[:klen]
-		it.block = it.block[klen:]
-		vlen, n := binary.Uvarint(it.block)
-		if n <= 0 || uint64(len(it.block)-n) < vlen {
-			return it.fail("entry value framing")
-		}
-		it.block = it.block[n:]
-		value := it.block[:vlen]
-		it.block = it.block[vlen:]
-		if flags&flagBlob != 0 {
-			// A handle a merge copies must name a blob file this table
-			// references, or the output's blob-ref list would be wrong.
-			if _, _, err := it.t.handleRef(value); err != nil {
-				return it.failErr(err)
-			}
-		}
-		it.cur = entry{key: key, value: value, tombstone: flags&flagTombstone != 0, handle: flags&flagBlob != 0}
-		it.valid = true
-		return true
-	}
+	return false
 }
 
-// loadBlock returns block i's entries in the plain layout: from the shared
-// cache when allowed, else from the private readahead span, fetching the
-// next span when the current one is exhausted, and expanding a v4 block.
-func (it *tableIterator) loadBlock(i int) ([]byte, error) {
+// loadBlock returns block i: from the shared cache when allowed, else
+// decoded from the readahead span, fetching the next span when the current
+// one is exhausted.
+func (it *tableIterator) loadBlock(i int) (*block, error) {
 	t := it.t
 	if it.checkCache {
 		if b, ok := t.cache.get(t.meta.num, i); ok {
-			return b.data, nil
+			return b, nil
 		}
 	}
 	if i < it.raFirst || i >= it.raFirst+it.raCount {
@@ -767,29 +711,26 @@ func (it *tableIterator) loadBlock(i int) ([]byte, error) {
 			return nil, err
 		}
 	}
-	blk := t.index[i]
+	ext := t.index[i]
 	base := t.index[it.raFirst].offset
-	extent := it.ra[blk.offset-base : blk.offset-base+blk.length]
-	payload, err := t.blockPayload(extent, i)
-	if err != nil || !t.prefixed {
-		return payload, err
-	}
-	buf := it.exp[it.expNext]
-	if buf == nil {
-		buf = expandBufferPool.Get().(*[]byte)
-		it.exp[it.expNext] = buf
-	}
-	*buf, it.offs, err = expandBlock((*buf)[:0], it.offs[:0], payload)
+	payload, err := t.blockPayload(it.ra[ext.offset-base:ext.offset-base+ext.length], i)
 	if err != nil {
+		return nil, err
+	}
+	b := it.bufs[it.bufNext]
+	if b == nil {
+		b = blockPool.Get().(*block)
+		it.bufs[it.bufNext] = b
+	}
+	if err := b.decode(payload, t.prefixed); err != nil {
 		return nil, fmt.Errorf("%w (table %06d, block %d)", err, t.meta.num, i)
 	}
-	it.expNext ^= 1
-	return *buf, nil
+	it.bufNext ^= 1
+	return b, nil
 }
 
 // fetchSpan reads one readahead span of contiguous block extents starting
-// at block i into the span buffer not holding the current span: one
-// positional read serves many subsequent blocks.
+// at block i: one positional read serves many subsequent blocks.
 func (it *tableIterator) fetchSpan(i int) error {
 	t := it.t
 	start := t.index[i].offset
@@ -804,31 +745,15 @@ func (it *tableIterator) fetchSpan(i int) error {
 	if total > readaheadBytes {
 		buf = make([]byte, total) // one block larger than a whole span
 	} else {
-		if it.raBufs[it.raNext] == nil {
-			it.raBufs[it.raNext] = spanBufferPool.Get().(*[]byte)
+		if it.span == nil {
+			it.span = spanBufferPool.Get().(*[]byte)
 		}
-		buf = (*it.raBufs[it.raNext])[:total]
+		buf = (*it.span)[:total]
 	}
 	if err := t.readAt(buf, int64(start)); err != nil {
 		return err
 	}
-	it.raNext ^= 1
 	it.ra, it.raFirst, it.raCount = buf, i, end-i
 	it.read += int(total)
 	return nil
-}
-
-// fail latches a framing-corruption error and invalidates the cursor.
-func (it *tableIterator) fail(what string) bool {
-	return it.failErr(fmt.Errorf("%w: %s (table %06d, block %d)",
-		errTableCorrupt, what, it.t.meta.num, it.blockIdx-1))
-}
-
-// failErr latches err (corruption or I/O failure) and invalidates the
-// cursor; the latch is sticky.
-func (it *tableIterator) failErr(err error) bool {
-	it.err = err
-	it.valid = false
-	it.block = nil
-	return false
 }

@@ -224,7 +224,7 @@ func tableContents(t *testing.T, what string, img []byte, meta tableMeta) []entr
 		t.Fatalf("%s: open: %v", what, err)
 	}
 	var ents []entry
-	it := r.iterator(nil)
+	it := r.iterator(nil, true)
 	for it.next() {
 		e := it.cur
 		ents = append(ents, entry{key: bytes.Clone(e.key), value: bytes.Clone(e.value), tombstone: e.tombstone, handle: e.handle})

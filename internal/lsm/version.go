@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 
 	"ethkv/internal/faultfs"
 )
@@ -218,5 +221,49 @@ func (db *DB) loadManifest() error {
 	}
 	db.next.Store(next)
 	db.current = v
+	return nil
+}
+
+// removeOrphans deletes the files of the store's directory that the loaded
+// version does not name: the tables and blob files of a flush whose manifest
+// never became durable, and of a merge that a crash caught between its
+// manifest and its unlinks or whose best-effort unlinks failed
+// (retireTables), plus a manifest write a crash cut short before its rename.
+func (db *DB) removeOrphans() error {
+	var paths []string
+	if err := db.retryIO(func() error {
+		var err error
+		paths, err = db.fs.Glob(filepath.Join(db.dir, "*"))
+		return err
+	}); err != nil {
+		return err
+	}
+	tables := make(map[uint64]bool)
+	for _, metas := range db.current {
+		for _, m := range metas {
+			tables[m.num] = true
+		}
+	}
+	blobs := db.current.blobUsage()
+	for _, p := range paths {
+		name := filepath.Base(p)
+		ext := filepath.Ext(name)
+		orphan := false
+		switch num, err := strconv.ParseUint(strings.TrimSuffix(name, ext), 10, 64); {
+		case name == "MANIFEST.tmp":
+			orphan = true
+		case err != nil:
+		case ext == ".sst":
+			orphan = !tables[num]
+		case ext == ".blob":
+			_, live := blobs[num]
+			orphan = !live
+		}
+		if orphan {
+			if err := db.removeFile(p); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }

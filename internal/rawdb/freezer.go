@@ -179,17 +179,6 @@ func (f *Freezer) Ancients() uint64 {
 	return t.first + t.items
 }
 
-// Tail returns the first retained item number of the headers table.
-func (f *Freezer) Tail() uint64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	t := f.tables[FreezerHeaders]
-	if t == nil {
-		return 0
-	}
-	return t.first
-}
-
 // Close releases the table files.
 func (f *Freezer) Close() error {
 	f.mu.Lock()

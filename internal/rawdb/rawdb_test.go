@@ -293,8 +293,8 @@ func TestFreezerOutOfOrder(t *testing.T) {
 	if err := f.Append(FreezerHeaders, 6, []byte("six")); err != nil {
 		t.Fatalf("contiguous append rejected: %v", err)
 	}
-	if f.Tail() != 5 {
-		t.Fatalf("Tail = %d, want 5", f.Tail())
+	if tail := f.tables[FreezerHeaders].first; tail != 5 {
+		t.Fatalf("tail = %d, want 5", tail)
 	}
 }
 
@@ -315,8 +315,8 @@ func TestFreezerReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f2.Close()
-	if f2.Ancients() != 20 || f2.Tail() != 10 {
-		t.Fatalf("Ancients = %d, Tail = %d", f2.Ancients(), f2.Tail())
+	if tail := f2.tables[FreezerHeaders].first; f2.Ancients() != 20 || tail != 10 {
+		t.Fatalf("Ancients = %d, tail = %d", f2.Ancients(), tail)
 	}
 	blob, err := f2.Ancient(FreezerBodies, 15)
 	if err != nil || string(blob) != "body-15" {

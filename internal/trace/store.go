@@ -213,16 +213,6 @@ func (s *Store) Stats() kv.Stats {
 	return kv.Stats{}
 }
 
-// Inner returns the wrapped store.
-func (s *Store) Inner() kv.Store { return s.inner }
-
-// Seq returns the number of ops traced so far.
-func (s *Store) Seq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
-
 // tracedBatch defers tracing to commit time.
 type tracedBatch struct {
 	kv.OpBatch

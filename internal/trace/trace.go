@@ -107,9 +107,6 @@ func (w *Writer) Append(op Op) error {
 	return nil
 }
 
-// Count returns the number of ops appended so far.
-func (w *Writer) Count() uint64 { return w.count }
-
 // Close flushes buffered records and closes the underlying file if owned.
 func (w *Writer) Close() error {
 	if err := w.w.Flush(); err != nil {

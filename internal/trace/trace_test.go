@@ -30,8 +30,8 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.Count() != uint64(len(ops)) {
-		t.Fatalf("Count = %d", w.Count())
+	if w.count != uint64(len(ops)) {
+		t.Fatalf("count = %d", w.count)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -227,8 +227,8 @@ func TestSeqMonotonic(t *testing.T) {
 			t.Fatalf("seq %d at index %d", op.Seq, i)
 		}
 	}
-	if ts.Seq() != 100 {
-		t.Fatalf("Seq = %d", ts.Seq())
+	if ts.seq != 100 {
+		t.Fatalf("seq = %d", ts.seq)
 	}
 }
 
@@ -259,8 +259,8 @@ func TestTracedStoreHasAndStats(t *testing.T) {
 	if last.Type != OpRead || last.ValueSize != 0 {
 		t.Fatalf("Has op: %+v", last)
 	}
-	if ts.Inner() != inner {
-		t.Fatal("Inner")
+	if ts.inner != inner {
+		t.Fatal("inner")
 	}
 	// MemStore does not provide stats: zero value returned.
 	if st := ts.Stats(); st.Puts != 0 {
