@@ -72,11 +72,12 @@ bench-rig:
 # The LSM's kernel micro-benchmarks (internal/lsm/kernel_bench_test.go): the
 # background write path's merge, table write and range compaction, the
 # point-read path's cached Get, block search and block parse, a full scan over
-# a multi-level tree, on MemFS, and the durable
-# commit path's barrier sharing under 1, 2 and 8 writers over 200 µs syncs.
+# a multi-level tree, single-op Puts into the memtable, on MemFS, and the
+# durable commit path's barrier sharing under 1, 2 and 8 writers over 200 µs
+# syncs.
 # -cpu 1,2 because what the read kernels measure is largely what two readers
 # cost each other.
-KERNELS = MergeIterator|TableWrite|CompactRange|GetCached|BlockSearch|BlockParse|DBScan|CommitParallel
+KERNELS = MergeIterator|TableWrite|CompactRange|GetCached|BlockSearch|BlockParse|DBScan|MemtablePut|CommitParallel
 bench-kernels:
 	$(GO) test -run NONE -bench '$(KERNELS)' -cpu 1,2 -benchmem ./internal/lsm
 

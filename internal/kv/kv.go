@@ -149,7 +149,7 @@ type Stats struct {
 	CompactionCount  uint64 `stat:"compactions"`        // background compactions run (merges that rewrite their inputs)
 	TrivialMoves     uint64 `stat:"trivial_moves"`      // compactions that relinked their inputs one level down without rewriting them
 	TrivialMoveBytes uint64 `stat:"trivial_move_bytes"` // table bytes those moves relinked
-	TombstonesLive   uint64 `stat:"tombstones_live"`    // tombstones not yet purged by compaction
+	TombstonesLive   uint64 `stat:"tombstones_live"`    // tombstones in the store's files, not yet purged
 
 	FlushCount      uint64 `stat:"flushes"`           // memtable flushes to the storage layer
 	WriteStalls     uint64 `stat:"write_stalls"`      // writes that blocked on backpressure (full flush queue or L0 stop, one count per cause)

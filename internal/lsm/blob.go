@@ -160,12 +160,12 @@ func (b *blobWriter) add(dst, value []byte) []byte {
 
 // finish writes and syncs the blob file, if the flush had a large value, and
 // returns its size. It must return before the table naming it is written.
-func (b *blobWriter) finish(fsys faultfs.FS, dir string, retry retryFn) (int64, error) {
+func (b *blobWriter) finish(fsys faultfs.FS, dir string, retry retryPolicy) (int64, error) {
 	if b.buf == nil {
 		return 0, nil
 	}
 	path := blobPath(dir, b.num)
-	return int64(len(b.buf)), retry(func() error { return faultfs.WriteFileSync(fsys, path, b.buf) })
+	return int64(len(b.buf)), retry.do(func() error { return faultfs.WriteFileSync(fsys, path, b.buf) })
 }
 
 // release returns the value buffer to the pool.
@@ -184,7 +184,7 @@ func (b *blobWriter) release() {
 type blobSet struct {
 	fs    faultfs.FS
 	dir   string
-	retry retryFn
+	retry retryPolicy
 	mu    sync.Mutex
 	open  map[uint64]*blobFile
 }
@@ -197,7 +197,7 @@ type blobFile struct {
 	refs int
 }
 
-func newBlobSet(fsys faultfs.FS, dir string, retry retryFn) *blobSet {
+func newBlobSet(fsys faultfs.FS, dir string, retry retryPolicy) *blobSet {
 	return &blobSet{fs: fsys, dir: dir, retry: retry, open: make(map[uint64]*blobFile)}
 }
 
@@ -211,7 +211,7 @@ func (s *blobSet) acquire(num uint64) (*blobFile, error) {
 		return b, nil
 	}
 	var f faultfs.File
-	if err := s.retry(func() error {
+	if err := s.retry.do(func() error {
 		var err error
 		f, err = s.fs.Open(blobPath(s.dir, num))
 		return err
@@ -219,7 +219,7 @@ func (s *blobSet) acquire(num uint64) (*blobFile, error) {
 		return nil, err
 	}
 	var size int64
-	if err := s.retry(func() error {
+	if err := s.retry.do(func() error {
 		var err error
 		size, err = f.Size()
 		return err
@@ -254,9 +254,12 @@ func (t *tableReader) readBlob(dst, handle []byte) ([]byte, error) {
 	if t.blobs == nil || h.off > t.blobs[i].size || h.length > t.blobs[i].size-h.off {
 		return nil, fmt.Errorf("%w: blob handle out of range (table %06d, blob %06d)", errTableCorrupt, t.meta.num, h.num)
 	}
-	dst = append(dst[:0], make([]byte, h.length)...)
+	if uint64(cap(dst)) < h.length {
+		dst = make([]byte, h.length)
+	}
+	dst = dst[:h.length]
 	f := t.blobs[i].f
-	if err := t.retry(func() error { return readFull(f, dst, int64(h.off)) }); err != nil {
+	if err := t.retry.do(func() error { return readFull(f, dst, int64(h.off)) }); err != nil {
 		return nil, err
 	}
 	if crc32.ChecksumIEEE(dst) != h.crc {

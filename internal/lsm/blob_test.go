@@ -482,7 +482,7 @@ func TestTableWriterGoldenV3(t *testing.T) {
 		wantV4 = "41a3e4d38ea28c8d612db4b2935eab98c798be5937bd8071b050d3169ee062b7"
 	)
 	m := faultfs.NewMemFS()
-	w := newTableWriter(m, "d", passRetry, 1, 0)
+	w := newTableWriter(m, "d", retryPolicy{}, 1, 0)
 	defer w.release()
 	meta, err := goldenV3(t, w)
 	if err != nil {
@@ -512,7 +512,7 @@ func TestTableWriterGoldenV3(t *testing.T) {
 		if err := faultfs.WriteFileSync(m, tablePath("d", 9), c.img); err != nil {
 			t.Fatal(err)
 		}
-		got, err := checkTableFooter(m, "d", meta, passRetry)
+		got, err := checkTableFooter(m, "d", meta, retryPolicy{})
 		if err != nil || !reflect.DeepEqual(got, refs) {
 			t.Fatalf("%s: footer check: %+v, %v; want %+v", c.name, got, err, refs)
 		}
@@ -553,7 +553,7 @@ func TestTableFormatVersions(t *testing.T) {
 		img := append([]byte(nil), clean...)
 		binary.LittleEndian.PutUint64(img[len(img)-8:], tableMagic&^0xffff|version)
 		resealFooter(img)
-		r := &tableReader{meta: meta, src: bytes.NewReader(img), size: int64(len(img)), retry: passRetry}
+		r := &tableReader{meta: meta, src: bytes.NewReader(img), size: int64(len(img)), retry: retryPolicy{}}
 		_, err := r.readFooter()
 		if ok := version >= 2 && version <= 4; ok != (err == nil) || err != nil && !errors.Is(err, errTableCorrupt) {
 			t.Fatalf("format v%d: readFooter err %v", version, err)
@@ -566,7 +566,7 @@ func TestTableFormatVersions(t *testing.T) {
 // list — fails point reads and walks with errTableCorrupt.
 func TestHandleNamingUnreferencedBlobIsCorrupt(t *testing.T) {
 	m := faultfs.NewMemFS()
-	w := newTableWriter(m, "d", passRetry, 0, 0)
+	w := newTableWriter(m, "d", retryPolicy{}, 0, 0)
 	defer w.release()
 	w.add([]byte("k"), appendHandle(nil, blobHandle{num: 3, length: 1 << 10}), false)
 	meta, err := w.finish(1)
@@ -625,6 +625,26 @@ func TestHasOnHandleReadsNoBlob(t *testing.T) {
 	}
 }
 
+// TestGetSeparatedValueAllocatesOnlyTheValue: a Get that resolves a blob
+// handle over cached blocks allocates the value it returns and nothing else
+// — the blob read's retry wrapper costs no closure on the heap.
+func TestGetSeparatedValueAllocatesOnlyTheValue(t *testing.T) {
+	db := openTestDB(t, blobOpts())
+	key, v := []byte("big"), bytes.Repeat([]byte("x"), 4<<10)
+	db.Put(key, v)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if got, err := db.Get(key); err != nil || len(got) != len(v) {
+			t.Fatalf("Get: %d bytes, %v", len(got), err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Get of a separated value: %.1f allocations, want 1 (the value)", allocs)
+	}
+}
+
 // unlinkAuditFS checks, at every blob file removal, that the durable
 // MANIFEST names no table referencing the file.
 type unlinkAuditFS struct {
@@ -647,7 +667,7 @@ func (f *unlinkAuditFS) Remove(path string) error {
 				for _, m := range metas {
 					// A table gone already was retired by a manifest newer
 					// than the one read here.
-					refs, err := checkTableFooter(f.FS, f.dir, m, passRetry)
+					refs, err := checkTableFooter(f.FS, f.dir, m, retryPolicy{})
 					if err == nil && findRef(refs, num) >= 0 {
 						f.violations.Add(1)
 					}

@@ -153,7 +153,7 @@ func TestBlockSearchModel(t *testing.T) {
 		// With a cache (the second pass searches cached blocks) and
 		// without: one lookup routine either way.
 		for _, cache := range []*blockCache{newBlockCache(1 << 20), nil} {
-			r, err := openTable(m, "d", meta, cache, noRetry)
+			r, err := openTable(m, "d", meta, cache, retryPolicy{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,7 +283,7 @@ func TestDamagedFrameReportedAtFill(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := newBlockCache(1 << 20)
-	r, err := openTable(m, "d", meta, cache, noRetry)
+	r, err := openTable(m, "d", meta, cache, retryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func TestPrefixFramingCorrupt(t *testing.T) {
 		if err := faultfs.WriteFileSync(m, tablePath("d", 1), img); err != nil {
 			t.Fatal(err)
 		}
-		r, err := openTable(m, "d", meta, cache, noRetry)
+		r, err := openTable(m, "d", meta, cache, retryPolicy{})
 		if err != nil {
 			t.Fatalf("%s: open: %v", what, err)
 		}

@@ -200,7 +200,7 @@ func TestBlockCacheCountsOncePerLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := openTable(m, "d", meta, c, noRetry)
+	r, err := openTable(m, "d", meta, c, retryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestTableFormatV1Compat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := openTable(faultfs.OS, dir, meta, nil, noRetry)
+		r, err := openTable(faultfs.OS, dir, meta, nil, retryPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +303,7 @@ func TestTableFormatV1Compat(t *testing.T) {
 			t.Fatal(err)
 		}
 		toV1(m, tablePath("d", 1))
-		_, err = openTable(m, "d", meta, nil, noRetry)
+		_, err = openTable(m, "d", meta, nil, retryPolicy{})
 		refused("openTable", err)
 
 		// A store whose every table is v1.

@@ -153,7 +153,6 @@ func (db *DB) commit(ops []kv.Op, batch bool) error {
 		}
 		db.stats.puts.Add(puts)
 		db.stats.deletes.Add(deletes)
-		db.stats.tombstonesLive.Add(deletes)
 		db.stats.logicalBytesWritten.Add(logical)
 	}
 	db.turn.retire(ticket)

@@ -263,14 +263,6 @@ func (db *DB) compactRange(plan compactionPlan) (newMetas []tableMeta, readBytes
 	for merged.next() {
 		e := merged.entry()
 		if e.tombstone && plan.dropTombstones {
-			// Saturating decrement: compaction may drop tombstones
-			// recovered from disk that this process never counted.
-			for {
-				cur := db.stats.tombstonesLive.Load()
-				if cur == 0 || db.stats.tombstonesLive.CompareAndSwap(cur, cur-1) {
-					break
-				}
-			}
 			continue
 		}
 		w.addEntry(e)

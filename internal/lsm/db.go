@@ -269,23 +269,23 @@ type DB struct {
 
 // dbStats mirrors kv.Stats with atomic fields.
 type dbStats struct {
-	reads                           readStats
-	puts, deletes, scans            atomic.Uint64
-	logicalBytesWritten             atomic.Uint64
-	physicalBytesWrite              atomic.Uint64
-	compactionCount, tombstonesLive atomic.Uint64
-	trivialMoves, trivialMoveBytes  atomic.Uint64
-	flushCount                      atomic.Uint64
-	writeStalls                     atomic.Uint64
-	writeStallQueueNanos            atomic.Uint64 // stalled on a full flush queue
-	writeStallL0Nanos               atomic.Uint64 // stalled on the L0 stop trigger
-	flushTableNanos, manifestNanos  atomic.Uint64 // flush job: table write, manifest commit
-	ioRetries, degraded             atomic.Uint64
-	walSyncs, walSyncNanos          atomic.Uint64
-	walSharedCommits                atomic.Uint64 // batches durable on another writer's barrier
-	manifestWrites                  atomic.Uint64
-	compactionDebtPeak              atomic.Uint64
-	blobBytesWritten                atomic.Uint64
+	reads                          readStats
+	puts, deletes, scans           atomic.Uint64
+	logicalBytesWritten            atomic.Uint64
+	physicalBytesWrite             atomic.Uint64
+	compactionCount                atomic.Uint64
+	trivialMoves, trivialMoveBytes atomic.Uint64
+	flushCount                     atomic.Uint64
+	writeStalls                    atomic.Uint64
+	writeStallQueueNanos           atomic.Uint64 // stalled on a full flush queue
+	writeStallL0Nanos              atomic.Uint64 // stalled on the L0 stop trigger
+	flushTableNanos, manifestNanos atomic.Uint64 // flush job: table write, manifest commit
+	ioRetries, degraded            atomic.Uint64
+	walSyncs, walSyncNanos         atomic.Uint64
+	walSharedCommits               atomic.Uint64 // batches durable on another writer's barrier
+	manifestWrites                 atomic.Uint64
+	compactionDebtPeak             atomic.Uint64
+	blobBytesWritten               atomic.Uint64
 }
 
 // readStats holds the counters point reads feed, striped so that concurrent
@@ -343,7 +343,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := db.retryIO(func() error { return db.fs.MkdirAll(dir) }); err != nil {
 		return nil, err
 	}
-	db.blobs = newBlobSet(db.fs, dir, db.retryIO)
+	db.blobs = newBlobSet(db.fs, dir, db.retryPolicy())
 	db.cond = sync.NewCond(&db.mu)
 	db.turn.cond.L = &db.turn.mu
 	db.next.Store(1)
@@ -356,7 +356,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	for _, metas := range db.current {
 		for i := range metas {
 			m := &metas[i]
-			blobs, err := checkTableFooter(db.fs, db.dir, *m, db.retryIO)
+			blobs, err := checkTableFooter(db.fs, db.dir, *m, db.retryPolicy())
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", tablePath(db.dir, m.num), err)
 			}
@@ -388,8 +388,12 @@ func Open(dir string, opts Options) (*DB, error) {
 // IORetries; the transient fault that exhausts the budget surfaces the error
 // and degrades the store.
 func (db *DB) retryIO(op func() error) error {
-	return faultfs.Retry(&db.stats.ioRetries, op)
+	return db.retryPolicy().do(op)
 }
+
+// retryPolicy is retryIO as a value, for the readers and writers the store
+// builds.
+func (db *DB) retryPolicy() retryPolicy { return retryPolicy{&db.stats.ioRetries} }
 
 // setDegradedLocked latches the store into read-only degraded mode after a
 // permanent storage failure. Called with db.mu held. Sticky: the first
@@ -426,7 +430,7 @@ func (db *DB) writeGateLocked() error {
 // newTableWriter returns a writer for tables on level, wired to the store's
 // filesystem and retry policy. dataBytes pre-sizes the image.
 func (db *DB) newTableWriter(level, dataBytes int) *tableWriter {
-	return newTableWriter(db.fs, db.dir, db.retryIO, level, dataBytes)
+	return newTableWriter(db.fs, db.dir, db.retryPolicy(), level, dataBytes)
 }
 
 // flushMemtable writes every entry of mem, tombstones included, as L0 table
@@ -440,7 +444,7 @@ func (db *DB) flushMemtable(num uint64, mem *memtable) (tableMeta, error) {
 	mem.writeTo(w, &blobs)
 	// The blob file is durable before the table naming it is written, so no
 	// manifest can name a table whose values a crash could tear.
-	n, err := blobs.finish(db.fs, db.dir, db.retryIO)
+	n, err := blobs.finish(db.fs, db.dir, db.retryPolicy())
 	if err != nil {
 		return tableMeta{}, err
 	}
@@ -453,7 +457,7 @@ func (db *DB) flushMemtable(num uint64, mem *memtable) (tableMeta, error) {
 // openWALGen opens generation seq of the log for appending, wired to the
 // store's retry policy and barrier counters.
 func (db *DB) openWALGen(seq uint64) (*wal, error) {
-	w, err := openWAL(db.fs, db.walFile(seq), db.retryIO)
+	w, err := openWAL(db.fs, db.walFile(seq), db.retryPolicy())
 	if err != nil {
 		return nil, err
 	}
@@ -574,9 +578,14 @@ func (db *DB) Drain() error {
 	return db.settle()
 }
 
-// Put implements kv.Writer.
+// Put implements kv.Writer. The memtable keeps what it is handed, so key and
+// value are copied — into one buffer, of which the op's key and value are
+// capped views.
 func (db *DB) Put(key, value []byte) error {
-	op := [1]kv.Op{{Key: append([]byte(nil), key...), Value: append([]byte(nil), value...)}}
+	buf := make([]byte, len(key)+len(value))
+	n := copy(buf, key)
+	copy(buf[n:], value)
+	op := [1]kv.Op{{Key: buf[:n:n], Value: buf[n:]}}
 	return db.commit(op[:], false)
 }
 
@@ -665,7 +674,6 @@ func (db *DB) Stats() kv.Stats {
 		CompactionCount:     db.stats.compactionCount.Load(),
 		TrivialMoves:        db.stats.trivialMoves.Load(),
 		TrivialMoveBytes:    db.stats.trivialMoveBytes.Load(),
-		TombstonesLive:      db.stats.tombstonesLive.Load(),
 		FlushCount:          db.stats.flushCount.Load(),
 		WriteStalls:         db.stats.writeStalls.Load(),
 		IORetries:           db.stats.ioRetries.Load(),
@@ -682,6 +690,9 @@ func (db *DB) Stats() kv.Stats {
 		ManifestNanos:        db.stats.manifestNanos.Load(),
 	}
 	s.WriteStallNanos = s.WriteStallQueueNanos + s.WriteStallL0Nanos
+	db.mu.RLock()
+	s.TombstonesLive = db.current.tombstones()
+	db.mu.RUnlock()
 	blobs := db.BlobStats()
 	s.LiveDataBytes, s.DeadDataBytes = blobs.LiveBytes, blobs.DeadBytes
 	for i := range db.stats.reads {

@@ -32,7 +32,7 @@ func faultOpts(fsys faultfs.FS) Options {
 // prefix.
 func TestWALCloseSyncsBufferedRecords(t *testing.T) {
 	m := faultfs.NewMemFS()
-	w, err := openWAL(m, "wal.log", noRetry)
+	w, err := openWAL(m, "wal.log", retryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 func walBytes(f *testing.F, build func(w *wal)) []byte {
 	f.Helper()
 	m := faultfs.NewMemFS()
-	w, err := openWAL(m, "w", noRetry)
+	w, err := openWAL(m, "w", retryPolicy{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func FuzzBlockRead(f *testing.F) {
 func FuzzBlobHandles(f *testing.F) {
 	blob := blobWriter{newNum: func() uint64 { return 5 }}
 	m := faultfs.NewMemFS()
-	w := newTableWriter(m, "d", passRetry, 0, 0)
+	w := newTableWriter(m, "d", retryPolicy{}, 0, 0)
 	want := map[string]string{}
 	var handles [][]byte
 	for i := 0; i < 60; i++ {
@@ -350,7 +350,7 @@ func FuzzBlobHandles(f *testing.F) {
 		}
 		want[k] = v
 	}
-	blobBytes, err := blob.finish(m, "d", passRetry)
+	blobBytes, err := blob.finish(m, "d", retryPolicy{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func FuzzBlobHandles(f *testing.F) {
 		fs := faultfs.NewMemFS()
 		faultfs.WriteFileSync(fs, tablePath("d", 9), tbl)
 		faultfs.WriteFileSync(fs, blobPath("d", 5), bl)
-		r, err := openTable(fs, "d", meta, nil, passRetry)
+		r, err := openTable(fs, "d", meta, nil, retryPolicy{})
 		if err != nil {
 			if p < len(targets) && !reseal && !errors.Is(err, errTableCorrupt) {
 				t.Fatalf("open of a table with a torn checksum: %v", err)

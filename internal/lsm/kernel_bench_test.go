@@ -18,15 +18,16 @@ import (
 // allocation and cache-line traffic, not a device: the background write
 // path's three (k-way merge, table encode+write, a whole range compaction),
 // the point-read path's three (a Get on fully cached data, the search of one
-// block, the decoding of one on a cache miss) and the scan path's one (a full
-// sweep of a multi-level tree). BenchmarkCommitParallel is the exception: it
+// block, the decoding of one on a cache miss), the scan path's one (a full
+// sweep of a multi-level tree) and the single-op write path's one (a Put
+// through the memtable). BenchmarkCommitParallel is the exception: it
 // times the durable commit path against a modeled barrier, because what it
 // measures is how many commits one barrier carries. `make bench-kernels`
 // runs them at -cpu 1,2; `make check` runs each once so they cannot rot. The
 // write-path ones use only what the slice-based writer's tests used too, and
-// BenchmarkGetCached, BenchmarkDBScan and BenchmarkCommitParallel only the
-// store's exported calls, so the same functions measure earlier commits;
-// CHANGES.md records both sides.
+// BenchmarkGetCached, BenchmarkDBScan, BenchmarkMemtablePut and
+// BenchmarkCommitParallel only the store's exported calls, so the same
+// functions measure earlier commits; CHANGES.md records both sides.
 
 // benchEntries returns n ascending entries whose keys are drawn from
 // [0, n*stride) with the given stride offset, ~100 bytes each — the trace's
@@ -77,7 +78,7 @@ func BenchmarkMergeIterator(b *testing.B) {
 			m, metas, total := benchTables(b, k, 40000/k, 0)
 			readers := make([]*tableReader, k)
 			for i, meta := range metas {
-				r, err := openTable(m, "d", meta, nil, noRetry)
+				r, err := openTable(m, "d", meta, nil, retryPolicy{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -157,7 +158,7 @@ func BenchmarkCompactRangeCode(b *testing.B) {
 	for i := 0; i < k; i++ {
 		ents, _ := benchEntries(rng, perTable, k, i)
 		blobs := blobWriter{newNum: func() uint64 { return uint64(50 + i) }}
-		w := newTableWriter(m, "d", passRetry, 0, 0)
+		w := newTableWriter(m, "d", retryPolicy{}, 0, 0)
 		for j, e := range ents {
 			if j%4 == 0 {
 				e.value = make([]byte, 6<<10)
@@ -169,7 +170,7 @@ func BenchmarkCompactRangeCode(b *testing.B) {
 			}
 			w.addEntry(e)
 		}
-		n, err := blobs.finish(m, "d", passRetry)
+		n, err := blobs.finish(m, "d", retryPolicy{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -181,7 +182,7 @@ func BenchmarkCompactRangeCode(b *testing.B) {
 		}
 		metas = append(metas, meta)
 	}
-	db := &DB{dir: "d", fs: m, opts: Options{FS: m}.withDefaults(), blobs: newBlobSet(m, "d", passRetry)}
+	db := &DB{dir: "d", fs: m, opts: Options{FS: m}.withDefaults(), blobs: newBlobSet(m, "d", retryPolicy{})}
 	db.next.Store(100)
 	plan := compactionPlan{level: 0, dst: 1, srcMetas: metas}
 	b.SetBytes(int64(total))
@@ -425,6 +426,57 @@ func BenchmarkBlockParse(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(c.stored)), "stored-B")
 		})
+	}
+}
+
+// BenchmarkMemtablePut times single-op Puts into a WAL-off store, the call
+// two-thirds of mixed_lsm_local's ops are. Keys are shaped like the trace's
+// storage-trie keys — a class byte, an owner hash from a set of 64, then a
+// 1–8 byte path — and come in a fixed random order, so a memtable's keys
+// share their first byte and tie on their first 8 only within one owner.
+// Every memtableKeys Puts (~1.2 MiB, a factory memtable's worth) the timer
+// stops while Flush rotates the memtable and drains the flush and merges it
+// causes, so what is timed is the commit path into a memtable that grows
+// from empty — not background work, which a Put-only loop would otherwise
+// queue behind. allocs/op is what a Put costs the collector.
+func BenchmarkMemtablePut(b *testing.B) {
+	const memtableKeys = 1 << 14
+	db, err := Open("db", Options{
+		FS: faultfs.NewMemFS(), DisableWAL: true,
+		MemtableBytes: 2 << 20, LevelBaseBytes: 4 << 20,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	rng := rand.New(rand.NewSource(1))
+	owners := make([][]byte, 64)
+	for i := range owners {
+		owners[i] = make([]byte, 32)
+		rng.Read(owners[i])
+	}
+	keys := make([][]byte, 1<<18)
+	for i := range keys {
+		key := append([]byte{'O'}, owners[rng.Intn(len(owners))]...)
+		path := make([]byte, 1+rng.Intn(8))
+		rng.Read(path)
+		keys[i] = append(key, path...)
+	}
+	value := make([]byte, 32)
+	rng.Read(value)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%memtableKeys == 0 && i > 0 {
+			b.StopTimer()
+			if err := db.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if err := db.Put(keys[i&(len(keys)-1)], value); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -7,18 +7,17 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"ethkv/internal/faultfs"
 	"ethkv/internal/kv"
 )
-
-// noRetry is a pass-through retryFn for unit tests that construct WAL and
-// table objects directly.
-func noRetry(op func() error) error { return op() }
 
 // smallOpts forces frequent flushes and compactions so small tests exercise
 // the full machinery.
@@ -124,6 +123,100 @@ func TestSkiplistModelProperty(t *testing.T) {
 	}
 }
 
+// TestSkiplistKeyHeadOrdering holds the skiplist — which orders nodes on an
+// 8-byte key head before it compares whole keys — to a sort-based reference
+// for get, seek and iteration, on keys made to tie heads: keys that share 8
+// or more bytes, keys that are prefixes of one another, keys that differ only
+// by trailing 0x00 bytes, and keys of 0 to 9 bytes.
+func TestSkiplistKeyHeadOrdering(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	alphabet := []byte{0x00, 0x01, 0x7f, 0xff}
+	// Three families: 0-9 bytes from the alphabet; 8 shared bytes and 0-4
+	// more; 7 shared bytes (so the head ends on the tail's first byte) and
+	// 0-2 more.
+	randKey := func() []byte {
+		var k []byte
+		tail := 10
+		switch rng.Intn(3) {
+		case 1:
+			k, tail = []byte("Oabcdefg"), 5
+		case 2:
+			k, tail = []byte("O\x00\x00\x00\x00\x00\x00"), 3
+		}
+		for n := rng.Intn(tail); n > 0; n-- {
+			k = append(k, alphabet[rng.Intn(len(alphabet))])
+		}
+		return k
+	}
+	for round := 0; round < 30; round++ {
+		s := newSkiplist(int64(round))
+		type rec struct {
+			value     string
+			tombstone bool
+		}
+		model := map[string]rec{}
+		for i := 0; i < 400; i++ {
+			k := randKey()
+			r := rec{value: fmt.Sprint(i), tombstone: rng.Intn(4) == 0}
+			if r.tombstone {
+				s.set(k, nil, true)
+				r.value = ""
+			} else {
+				s.set(k, []byte(r.value), false)
+			}
+			model[string(k)] = r
+		}
+		keys := make([]string, 0, len(model))
+		for k := range model {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		var got []string
+		for it := s.iterator(); it.next(); {
+			r := model[string(it.key())]
+			if string(it.value()) != r.value || it.tombstone() != r.tombstone {
+				t.Fatalf("round %d: %x holds %q/%v, want %q/%v", round, it.key(), it.value(), it.tombstone(), r.value, r.tombstone)
+			}
+			got = append(got, string(it.key()))
+		}
+		if !reflect.DeepEqual(got, keys) || s.length != len(keys) {
+			t.Fatalf("round %d: iteration gives %d keys in order %v, want %d", round, len(got), reflect.DeepEqual(got, keys), len(keys))
+		}
+		for i := 0; i < 400; i++ {
+			probe := randKey()
+			r, want := model[string(probe)]
+			if v, found, del := s.get(probe); found != want || del != r.tombstone || string(v) != r.value {
+				t.Fatalf("round %d: get(%x) = %q/%v/%v, want %q/%v/%v", round, probe, v, found, del, r.value, want, r.tombstone)
+			}
+			j := sort.SearchStrings(keys, string(probe))
+			n := s.seek(probe)
+			if (n == nil) != (j == len(keys)) || n != nil && string(n.key) != keys[j] {
+				t.Fatalf("round %d: seek(%x) landed on %v, want index %d of %d", round, probe, n, j, len(keys))
+			}
+		}
+	}
+}
+
+// TestSkiplistOverwriteTakesNewKey: an overwrite points the node at the new
+// key slice, not only the new value, so a node never pins the buffer of an
+// older write.
+func TestSkiplistOverwriteTakesNewKey(t *testing.T) {
+	s := newSkiplist(1)
+	older := []byte("key-0001value-1")
+	s.set(older[:8:8], older[8:], false)
+	newer := []byte("key-0001value-2")
+	s.set(newer[:8:8], newer[8:], false)
+	n := s.seek(older[:8])
+	if &n.key[0] != &newer[0] || &n.value[0] != &newer[8] || s.length != 1 {
+		t.Fatal("overwrite kept an older key slice")
+	}
+	tomb := []byte("key-0001")
+	s.set(tomb, nil, true)
+	if &n.key[0] != &tomb[0] || !n.tombstone || s.length != 1 {
+		t.Fatal("tombstone overwrite kept an older key slice")
+	}
+}
+
 func TestBloomFilter(t *testing.T) {
 	f := bloomFromBytes(make([]byte, bloomBytes(1000)), bloomProbes)
 	for i := 0; i < 1000; i++ {
@@ -162,7 +255,7 @@ func TestSSTableRoundTrip(t *testing.T) {
 	if string(meta.smallest) != "key-0000" || string(meta.largest) != "key-0499" {
 		t.Fatalf("bounds %q..%q", meta.smallest, meta.largest)
 	}
-	r, err := openTable(faultfs.OS, dir, meta, nil, noRetry)
+	r, err := openTable(faultfs.OS, dir, meta, nil, retryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +308,7 @@ func TestSSTableCorruption(t *testing.T) {
 	raw, _ := os.ReadFile(path)
 	raw[len(raw)-1] ^= 0xff // corrupt magic
 	os.WriteFile(path, raw, 0o644)
-	if _, err := openTable(faultfs.OS, dir, meta, nil, noRetry); !errors.Is(err, errTableCorrupt) {
+	if _, err := openTable(faultfs.OS, dir, meta, nil, retryPolicy{}); !errors.Is(err, errTableCorrupt) {
 		t.Fatalf("want corrupt error, got %v", err)
 	}
 }
@@ -550,6 +643,60 @@ func TestDBTombstoneDropAtBottom(t *testing.T) {
 	}
 }
 
+// TestTombstonesLiveCountsTableTombstones: the live-tombstone gauge counts
+// the tombstones the version's tables hold, not Delete calls. A tombstone a
+// later write replaced in the memtable, or that a second Delete of the same
+// key replaced, never reaches a table; one a bottom-most merge drops leaves
+// with its input table.
+func TestTombstonesLiveCountsTableTombstones(t *testing.T) {
+	db := openTestDB(t, Options{DisableWAL: true})
+	k, o := []byte("k"), []byte("o")
+	db.Put(k, []byte("v1"))
+	db.Delete(k)
+	db.Put(k, []byte("v2"))
+	db.Delete(o)
+	db.Delete(o)
+	if got := db.Stats().TombstonesLive; got != 0 {
+		t.Fatalf("TombstonesLive = %d before any flush, want 0", got)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Stats().TombstonesLive; got != 1 {
+		t.Fatalf("TombstonesLive = %d after the flush, want 1 (o's)", got)
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Stats().TombstonesLive; got != 0 {
+		t.Fatalf("TombstonesLive = %d after CompactAll, want 0", got)
+	}
+	if v, err := db.Get(k); err != nil || string(v) != "v2" {
+		t.Fatalf("Get(k) = %q, %v", v, err)
+	}
+}
+
+// TestPutAllocatesOnce: a Put copies key and value into one buffer — the op's
+// key and value are adjacent views of it — and allocates nothing else on the
+// way into the memtable; an overwrite leaves the node on the newest buffer.
+func TestPutAllocatesOnce(t *testing.T) {
+	db := openTestDB(t, Options{DisableWAL: true})
+	key, value := []byte("key-0001"), []byte("value")
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := db.Put(key, value); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Put: %.1f allocations, want 1", allocs)
+	}
+	node := db.mem.list.seek(key)
+	if &node.key[0] == &key[0] || cap(node.key) != len(key) ||
+		uintptr(unsafe.Pointer(&node.value[0])) != uintptr(unsafe.Pointer(&node.key[0]))+uintptr(len(key)) {
+		t.Fatal("the node's key and value are not one private buffer")
+	}
+}
+
 func TestDBClosed(t *testing.T) {
 	db := openTestDB(t, smallOpts())
 	for i := 0; i < 200; i++ { // enough to leave tables behind
@@ -592,7 +739,7 @@ func TestDBDisableWAL(t *testing.T) {
 func TestWALRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "test.wal")
-	w, err := openWAL(faultfs.OS, path, noRetry)
+	w, err := openWAL(faultfs.OS, path, retryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,10 @@ import (
 type memtable struct {
 	mu   sync.RWMutex
 	list *skiplist
-	// n mirrors list.length, stored under mu by every mutation before it
-	// unlocks, so a reader can rule out an empty memtable without the lock.
-	n atomic.Int64
+	// n and bytes mirror list.length and list.bytes, stored under mu by every
+	// mutation before it unlocks, so a reader can rule out an empty memtable
+	// and the commit path can check for a full one without the lock.
+	n, bytes atomic.Int64
 }
 
 func newMemtable(seed int64) *memtable {
@@ -28,7 +29,7 @@ func newMemtable(seed int64) *memtable {
 func (m *memtable) put(key, value []byte) {
 	m.mu.Lock()
 	m.list.set(key, value, false)
-	m.n.Store(int64(m.list.length))
+	m.publish()
 	m.mu.Unlock()
 }
 
@@ -36,7 +37,7 @@ func (m *memtable) put(key, value []byte) {
 func (m *memtable) del(key []byte) {
 	m.mu.Lock()
 	m.list.set(key, nil, true)
-	m.n.Store(int64(m.list.length))
+	m.publish()
 	m.mu.Unlock()
 }
 
@@ -48,8 +49,15 @@ func (m *memtable) apply(ops []kv.Op) {
 	for _, op := range ops {
 		m.list.set(op.Key, op.Value, op.Delete)
 	}
-	m.n.Store(int64(m.list.length))
+	m.publish()
 	m.mu.Unlock()
+}
+
+// publish stores the list's count and footprint for lock-free readers.
+// Called with mu held exclusively.
+func (m *memtable) publish() {
+	m.n.Store(int64(m.list.length))
+	m.bytes.Store(int64(m.list.bytes))
 }
 
 // get looks up key. found reports any entry (live or tombstone). An empty
@@ -73,11 +81,7 @@ func (m *memtable) getFrozen(key []byte) (value []byte, found, deleted bool) {
 }
 
 // size returns the approximate byte footprint.
-func (m *memtable) size() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.list.bytes
-}
+func (m *memtable) size() int { return int(m.bytes.Load()) }
 
 // count returns the number of entries (including tombstones).
 func (m *memtable) count() int { return int(m.n.Load()) }

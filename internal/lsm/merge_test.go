@@ -197,7 +197,7 @@ func TestReadaheadReuseKeepsEntryValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := openTable(m, "d", meta, nil, noRetry)
+	r, err := openTable(m, "d", meta, nil, retryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestRunSourceWalksOneTableAtATime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := openTable(m, "d", meta, nil, noRetry)
+		r, err := openTable(m, "d", meta, nil, retryPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}

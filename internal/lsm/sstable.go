@@ -84,6 +84,9 @@ type tableMeta struct {
 	smallest []byte
 	largest  []byte
 	entries  uint64
+	// tombstones counts the table's tombstones. Set by the table writer and
+	// kept in memory only: a table recovered at Open counts none.
+	tombstones uint64
 	// blobs lists the blob files the table's handles point into, ascending;
 	// nil for a table without handles. Set by the table writer, and at Open
 	// from the table's own blob-ref section.
@@ -124,7 +127,7 @@ func (db *DB) table(m *tableMeta) (*tableReader, error) {
 	}
 	// openTable applies retryIO to each individual read itself, so
 	// transient faults are absorbed without reopening from scratch.
-	t, err := openTableIn(db.fs, db.dir, *m, db.cache, db.retryIO, db.blobs)
+	t, err := openTableIn(db.fs, db.dir, *m, db.cache, db.retryPolicy(), db.blobs)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +191,7 @@ type tableReader struct {
 	index  []indexEntry
 	bloom  *bloomFilter
 	cache  *blockCache
-	retry  retryFn
+	retry  retryPolicy
 	pinned int64 // index+bloom bytes accounted against the cache
 	refs   atomic.Int32
 	// prefixed is set for a v4 table: its data blocks are expanded when
@@ -201,10 +204,6 @@ type tableReader struct {
 	blobs    []*blobFile
 	blobSet  *blobSet
 }
-
-// passRetry is the identity retry policy for readers outside a DB (fuzz
-// and unit constructions).
-func passRetry(op func() error) error { return op() }
 
 // ref takes one reference.
 func (t *tableReader) ref() { t.refs.Add(1) }
@@ -225,10 +224,7 @@ func (t *tableReader) unref() {
 
 // openTable opens the SSTable file for meta on its own, its blob files
 // included, outside any DB.
-func openTable(fsys faultfs.FS, dir string, meta tableMeta, cache *blockCache, retry retryFn) (*tableReader, error) {
-	if retry == nil {
-		retry = passRetry
-	}
+func openTable(fsys faultfs.FS, dir string, meta tableMeta, cache *blockCache, retry retryPolicy) (*tableReader, error) {
 	return openTableIn(fsys, dir, meta, cache, retry, newBlobSet(fsys, dir, retry))
 }
 
@@ -237,7 +233,7 @@ func openTable(fsys faultfs.FS, dir string, meta tableMeta, cache *blockCache, r
 // takes a reference from blobs on every blob file it names. Individual
 // reads go through retry so transient faults are absorbed by the store's
 // backoff policy.
-func openTableIn(fsys faultfs.FS, dir string, meta tableMeta, cache *blockCache, retry retryFn, blobs *blobSet) (*tableReader, error) {
+func openTableIn(fsys faultfs.FS, dir string, meta tableMeta, cache *blockCache, retry retryPolicy, blobs *blobSet) (*tableReader, error) {
 	f, size, err := openTableFile(fsys, dir, meta, retry)
 	if err != nil {
 		return nil, err
@@ -270,7 +266,7 @@ func (t *tableReader) releaseBlobs() {
 // checkTableFooter reads and validates the footer of meta's file — its
 // format version and checksum — and returns the blob files the table
 // references.
-func checkTableFooter(fsys faultfs.FS, dir string, meta tableMeta, retry retryFn) ([]blobRef, error) {
+func checkTableFooter(fsys faultfs.FS, dir string, meta tableMeta, retry retryPolicy) ([]blobRef, error) {
 	f, size, err := openTableFile(fsys, dir, meta, retry)
 	if err != nil {
 		return nil, err
@@ -285,10 +281,10 @@ func checkTableFooter(fsys faultfs.FS, dir string, meta tableMeta, retry retryFn
 }
 
 // openTableFile opens meta's file and reports its size.
-func openTableFile(fsys faultfs.FS, dir string, meta tableMeta, retry retryFn) (faultfs.File, int64, error) {
+func openTableFile(fsys faultfs.FS, dir string, meta tableMeta, retry retryPolicy) (faultfs.File, int64, error) {
 	path := tablePath(dir, meta.num)
 	var f faultfs.File
-	if err := retry(func() error {
+	if err := retry.do(func() error {
 		var err error
 		f, err = fsys.Open(path)
 		return err
@@ -296,7 +292,7 @@ func openTableFile(fsys faultfs.FS, dir string, meta tableMeta, retry retryFn) (
 		return nil, 0, err
 	}
 	var size int64
-	if err := retry(func() error {
+	if err := retry.do(func() error {
 		var err error
 		size, err = f.Size()
 		return err
@@ -311,14 +307,14 @@ func openTableFile(fsys faultfs.FS, dir string, meta tableMeta, retry retryFn) (
 // byte-backed constructor fuzz targets and corruption tests use. No cache,
 // no retry policy.
 func newTableReader(data []byte, meta tableMeta) (*tableReader, error) {
-	return openTableReader(bytes.NewReader(data), nil, int64(len(data)), meta, nil, passRetry)
+	return openTableReader(bytes.NewReader(data), nil, int64(len(data)), meta, nil, retryPolicy{})
 }
 
 // openTableReader validates an SSTable through its positional-read source
 // and builds a reader. Every structural field is bounds-checked before
 // use: arbitrary (fuzzed, torn, bit-flipped) input must produce
 // errTableCorrupt, never a panic or an out-of-range access.
-func openTableReader(src io.ReaderAt, closer func() error, size int64, meta tableMeta, cache *blockCache, retry retryFn) (*tableReader, error) {
+func openTableReader(src io.ReaderAt, closer func() error, size int64, meta tableMeta, cache *blockCache, retry retryPolicy) (*tableReader, error) {
 	t := &tableReader{
 		meta: meta, src: src, closer: closer, size: size,
 		cache: cache, retry: retry,
@@ -420,7 +416,7 @@ func (t *tableReader) readBlobRefs(footer [footerSize]byte) ([]blobRef, error) {
 // readAt fills p from offset off, retrying transient faults. A short read
 // (a truncated file) surfaces as errTableCorrupt.
 func (t *tableReader) readAt(p []byte, off int64) error {
-	return t.retry(func() error { return readFull(t.src, p, off) })
+	return t.retry.do(func() error { return readFull(t.src, p, off) })
 }
 
 // readFull fills p from src at off; a short read is errTableCorrupt.

@@ -38,7 +38,7 @@ import (
 type tableWriter struct {
 	fsys  faultfs.FS
 	dir   string
-	retry retryFn
+	retry retryPolicy
 	level int
 	// blobBytes reports the size of a blob file the added handles name.
 	blobBytes func(num uint64) uint64
@@ -47,6 +47,7 @@ type tableWriter struct {
 	blockOff   int // image offset where the open data block starts
 	blockPlain int // the open block's size in the plain layout
 	smallest   []byte
+	tombstones uint64 // tombstones in the open table
 }
 
 // tableBuffers is the reusable memory of a tableWriter.
@@ -64,7 +65,7 @@ var tableBufferPool = sync.Pool{New: func() any { return new(tableBuffers) }}
 // caller's estimate of one table's key+value bytes; the image is pre-sized
 // from it so a table is encoded without regrowth. retry wraps the file I/O
 // of finish and nothing else.
-func newTableWriter(fsys faultfs.FS, dir string, retry retryFn, level, dataBytes int) *tableWriter {
+func newTableWriter(fsys faultfs.FS, dir string, retry retryPolicy, level, dataBytes int) *tableWriter {
 	w := &tableWriter{
 		fsys: fsys, dir: dir, retry: retry, level: level,
 		tableBuffers: tableBufferPool.Get().(*tableBuffers),
@@ -87,7 +88,7 @@ func (w *tableWriter) release() {
 
 func (w *tableWriter) reset() {
 	w.img, w.index, w.prevKey, w.hashes = w.img[:0], w.index[:0], w.prevKey[:0], w.hashes[:0]
-	w.blockOff, w.blockPlain, w.smallest = 0, 0, nil
+	w.blockOff, w.blockPlain, w.smallest, w.tombstones = 0, 0, nil, 0
 	clear(w.refs)
 }
 
@@ -111,6 +112,7 @@ func (w *tableWriter) addEntry(e entry) {
 	var flags byte
 	if e.tombstone {
 		flags |= flagTombstone
+		w.tombstones++
 	}
 	if e.handle {
 		flags |= flagBlob
@@ -209,17 +211,18 @@ func (w *tableWriter) finish(num uint64) (tableMeta, error) {
 	w.img = append(w.img, footer[:]...)
 
 	meta := tableMeta{
-		num:      num,
-		level:    w.level,
-		size:     int64(len(w.img)),
-		smallest: w.smallest,
-		largest:  append([]byte(nil), w.prevKey...),
-		entries:  uint64(n),
-		blobs:    blobs,
-		h:        new(tableHandle),
+		num:        num,
+		level:      w.level,
+		size:       int64(len(w.img)),
+		smallest:   w.smallest,
+		largest:    append([]byte(nil), w.prevKey...),
+		entries:    uint64(n),
+		tombstones: w.tombstones,
+		blobs:      blobs,
+		h:          new(tableHandle),
 	}
 	path := tablePath(w.dir, num)
-	err := w.retry(func() error { return faultfs.WriteFileSync(w.fsys, path, w.img) })
+	err := w.retry.do(func() error { return faultfs.WriteFileSync(w.fsys, path, w.img) })
 	w.reset()
 	if err != nil {
 		return tableMeta{}, err

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ethkv/internal/faultfs"
@@ -25,7 +26,7 @@ func writeTable(fsys faultfs.FS, dir string, num uint64, level int, ents []entry
 	for _, e := range ents {
 		size += len(e.key) + len(e.value)
 	}
-	w := newTableWriter(fsys, dir, passRetry, level, size)
+	w := newTableWriter(fsys, dir, retryPolicy{}, level, size)
 	defer w.release()
 	for _, e := range ents {
 		w.add(e.key, e.value, e.tombstone)
@@ -269,7 +270,7 @@ func TestTableWriterGoldenBytes(t *testing.T) {
 	corpus := goldenCorpus()
 	sort.SliceStable(corpus, func(i, j int) bool { return len(corpus[i].ents) > len(corpus[j].ents) })
 	m := faultfs.NewMemFS()
-	w := newTableWriter(m, "d", passRetry, 2, 0)
+	w := newTableWriter(m, "d", retryPolicy{}, 2, 0)
 	defer w.release()
 	for _, c := range corpus {
 		name := c.name + "/v4"
@@ -365,17 +366,8 @@ func (f *opLogFile) Close() error {
 func TestTableWriterRetriesOnlyIO(t *testing.T) {
 	c := goldenCorpus()[3] // tombstones
 	fsys := &opLogFS{FS: faultfs.NewMemFS(), failSyncs: 1}
-	retries := 0
-	retry := func(op func() error) error {
-		for {
-			err := op()
-			if err == nil || !faultfs.IsTransient(err) {
-				return err
-			}
-			retries++
-		}
-	}
-	w := newTableWriter(fsys, "d", retry, 1, 0)
+	var retries atomic.Uint64
+	w := newTableWriter(fsys, "d", retryPolicy{&retries}, 1, 0)
 	defer w.release()
 	for _, e := range c.ents {
 		w.add(e.key, e.value, e.tombstone)
@@ -384,8 +376,8 @@ func TestTableWriterRetriesOnlyIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := "create write sync close create write sync close"
-	if got := strings.Join(fsys.ops, " "); got != want || retries != 1 {
-		t.Fatalf("filesystem ops %q with %d retries, want %q with 1", got, retries, want)
+	if got := strings.Join(fsys.ops, " "); got != want || retries.Load() != 1 {
+		t.Fatalf("filesystem ops %q with %d retries, want %q with 1", got, retries.Load(), want)
 	}
 	img, err := fsys.ReadFile(tablePath("d", 9))
 	if err != nil {

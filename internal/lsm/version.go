@@ -72,6 +72,18 @@ func (v version) apply(e versionEdit) version {
 	return v
 }
 
+// tombstones is the number of tombstones in v's tables, as their writers
+// counted them: a table's count leaves with the table.
+func (v version) tombstones() uint64 {
+	var n uint64
+	for _, metas := range v {
+		for _, m := range metas {
+			n += m.tombstones
+		}
+	}
+	return n
+}
+
 // levelBytes is the total size of a level's tables.
 func levelBytes(metas []tableMeta) int64 {
 	var n int64

@@ -9,6 +9,7 @@ import (
 	"io"
 	"io/fs"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ethkv/internal/faultfs"
@@ -48,9 +49,21 @@ const (
 // the end of the durable prefix.
 var errWALCorrupt = errors.New("lsm: corrupt wal record")
 
-// retryFn wraps one I/O operation with the store's bounded
-// retry-with-backoff policy for transient faults.
-type retryFn func(op func() error) error
+// retryPolicy wraps one I/O operation with the store's bounded
+// retry-with-backoff policy for transient faults (faultfs.Retry), counting
+// retries in retries. The zero policy makes one attempt: readers and writers
+// built outside a DB (fuzz and unit constructions) use it. It is a value
+// with a method rather than a func so that the closure a caller hands do
+// stays on the caller's stack — through a func value it would escape, and
+// every block fetch and blob read would allocate it.
+type retryPolicy struct{ retries *atomic.Uint64 }
+
+func (r retryPolicy) do(op func() error) error {
+	if r.retries == nil {
+		return op()
+	}
+	return faultfs.Retry(r.retries, op)
+}
 
 // wal is an append-only write-ahead log, shared by the stages of the commit
 // pipeline (commit.go): appends come one at a time, in log order, from
@@ -71,7 +84,7 @@ type retryFn func(op func() error) error
 // completed barrier covers is durable without a device round trip of its own.
 type wal struct {
 	f     faultfs.File
-	retry retryFn
+	retry retryPolicy
 	// stats receives the barrier counters (WALSyncs/WALSyncNanos); nil in
 	// unit tests that build a bare log.
 	stats *dbStats
@@ -93,9 +106,9 @@ type wal struct {
 }
 
 // openWAL opens (creating if needed) the log at path for appending.
-func openWAL(fsys faultfs.FS, path string, retry retryFn) (*wal, error) {
+func openWAL(fsys faultfs.FS, path string, retry retryPolicy) (*wal, error) {
 	var f faultfs.File
-	if err := retry(func() error {
+	if err := retry.do(func() error {
 		var err error
 		f, err = fsys.OpenAppend(path)
 		return err
@@ -181,7 +194,7 @@ func (l *wal) flushBufLocked() error {
 	if len(l.buf) == 0 {
 		return nil
 	}
-	if err := l.retry(func() error {
+	if err := l.retry.do(func() error {
 		_, err := l.f.Write(l.buf)
 		return err
 	}); err != nil {
@@ -222,7 +235,7 @@ func (l *wal) syncTo(lsn int64) (shared bool, err error) {
 	l.mu.Unlock()
 	if err == nil {
 		start := time.Now()
-		err = l.retry(l.f.Sync)
+		err = l.retry.do(l.f.Sync)
 		if l.stats != nil {
 			l.stats.walSyncs.Add(1)
 			l.stats.walSyncNanos.Add(uint64(time.Since(start)))
