@@ -49,13 +49,14 @@ crashtest:
 # crash), crash fingerprints (internal/lsm/crashtest's replays of
 # storetest's crash ending), the commit pipeline's apply-order-is-log-order
 # and barrier-watermark rules, kvnet's connection-death suite (every op
-# completes exactly once when a connection dies), and the analysis engine's
+# completes exactly once when a connection dies) and its scan paged beside a
+# writer (ascending, no duplicates, every stable key), and the analysis engine's
 # equivalence suite (one goroutine per collector must equal the sequential
 # Observe loop) — repeated under the race detector: a scheduling-dependent
 # divergence shows up in one run of twenty, not in one.
 determinism:
 	$(GO) test -race -count=20 -run 'TestSubCompactionEquivalence|TestCompactionWorkerInvariance|TestConcurrentCompactionsOverlap|TestTrivialMove|TestCrashRecovery.*Deterministic|TestApplyOrderIsLogOrder|TestBarrierSharedByWatermark' ./internal/lsm/...
-	$(GO) test -race -count=20 -run 'TestClientFailStopExactlyOnce|TestClientSurfaces|TestClientRejectsShortBatchResponse|TestScanSurfacesServerIteratorError' ./internal/kvnet/
+	$(GO) test -race -count=20 -run 'TestClientFailStopExactlyOnce|TestClientSurfaces|TestClientRejectsShortBatchResponse|TestScanSurfacesServerIteratorError|TestScanPagesAcrossConcurrentWrites' ./internal/kvnet/
 	$(GO) test -race -count=20 -run 'TestEngineEquivalenceSlice|TestEngineEquivalenceReader|TestEngineFindingsEquivalence|TestCollectWrappersMatchSequential' ./internal/analysis/
 
 # The §V ablations (E12-E13 of DESIGN.md), the sweeps and the store-latency

@@ -31,11 +31,18 @@ func testTrace(t *testing.T) string {
 	return res.Path
 }
 
-// replay runs replaybench to completion and returns its stdout.
+// replay runs replaybench to completion in a fresh -dir and returns its
+// stdout.
 func replay(t *testing.T, args ...string) string {
 	t.Helper()
+	return replayIn(t, t.TempDir(), args...)
+}
+
+// replayIn runs replaybench to completion in dir and returns its stdout.
+func replayIn(t *testing.T, dir string, args ...string) string {
+	t.Helper()
 	var out bytes.Buffer
-	if err := run(context.Background(), append(args, "-dir", t.TempDir()), &out); err != nil {
+	if err := run(context.Background(), append(args, "-dir", dir), &out); err != nil {
 		t.Fatalf("replaybench %s: %v\n%s", strings.Join(args, " "), err, out.String())
 	}
 	return out.String()
@@ -91,10 +98,14 @@ func TestReplayServesMetrics(t *testing.T) {
 
 // TestReplayBlockCacheBudget: -block-cache-mb reaches the LSM. A 4 MiB
 // cache serves hits, on /metrics and in the report; a negative budget
-// disables the cache, so the report has no block cache line.
+// disables the cache, so the report has no block cache line. The cached
+// replay is the second into its -dir: the first settled every key into
+// tables, so reads reach the cache however the flushes of the second fall.
 func TestReplayBlockCacheBudget(t *testing.T) {
 	path := testTrace(t)
-	on := replay(t, "-trace", path, "-block-cache-mb", "4", "-metrics-addr", "127.0.0.1:0")
+	dir := t.TempDir()
+	replayIn(t, dir, "-trace", path)
+	on := replayIn(t, dir, "-trace", path, "-block-cache-mb", "4", "-metrics-addr", "127.0.0.1:0")
 	if sample(t, scrape(t, on, "/metrics"), `ethkv_store_block_cache_hits{store="lsm"}`) == 0 {
 		t.Fatalf("the 4 MiB block cache served no hits:\n%s", on)
 	}

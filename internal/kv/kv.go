@@ -139,7 +139,7 @@ type Stats struct {
 	Gets    uint64 `stat:"gets,logical"`    // point lookups served
 	Puts    uint64 `stat:"puts,logical"`    // keys written
 	Deletes uint64 `stat:"deletes,logical"` // keys deleted (tombstones for LSM backends)
-	Scans   uint64 `stat:"scans,logical"`   // iterators opened
+	Scans   uint64 `stat:"scans,logical"`   // iterators opened; over kvnet, one per page of a served scan
 
 	LogicalBytesRead    uint64 `stat:"logical_bytes_read,logical"`    // value bytes returned to clients
 	LogicalBytesWritten uint64 `stat:"logical_bytes_written,logical"` // key+value bytes accepted from clients

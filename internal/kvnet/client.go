@@ -49,12 +49,14 @@ const (
 	dialTimeout = 5 * time.Second
 	// batchMaxBytes caps the estimated payload of one coalesced frame.
 	batchMaxBytes = 1 << 20
-	// iterPageOps is how many entries one iterator page requests.
-	iterPageOps = 512
 	// opsFrameOverhead bounds an opOps frame's bytes before its ops:
 	// reqID, opcode and the op count.
 	opsFrameOverhead = 8 + 1 + binary.MaxVarintLen64
 )
+
+// iterPageOps is how many entries one scan page requests. A variable only so
+// tests can end pages on every key.
+var iterPageOps uint64 = 512
 
 // NetStats are client-side transport counters, for load generators that
 // want to report achieved coalescing.
@@ -340,23 +342,12 @@ func (c *Client) NewBatch() kv.Batch {
 	return &netBatch{client: c}
 }
 
-// NewIterator implements kv.Iterable via server-side iterator paging. An
-// open failure is reported through the iterator's Error, matching the
-// local backends' corrupt-open behaviour.
+// NewIterator implements kv.Iterable by paging: each page is one opScan
+// request, sent at the first Next and whenever a page runs out. An open or
+// page failure is reported through the iterator's Error, matching the local
+// backends' corrupt-scan behaviour.
 func (c *Client) NewIterator(prefix, start []byte) kv.Iterator {
-	var payload []byte
-	payload = appendBytes(payload, prefix)
-	payload = appendBytes(payload, start)
-	resp, err := c.doRequest(opIterOpen, payload)
-	if err != nil {
-		return &netIterator{err: err, done: true}
-	}
-	r := &payloadReader{b: resp}
-	id := r.U64()
-	if r.Err() != nil {
-		return &netIterator{err: fmt.Errorf("%w: iter open response", ErrBadPayload), done: true}
-	}
-	return &netIterator{client: c, id: id}
+	return &netIterator{client: c, prefix: bytes.Clone(prefix), start: bytes.Clone(start)}
 }
 
 // inflight is one request frame awaiting its response.
@@ -679,24 +670,23 @@ func (b *netBatch) Write() error {
 	return err
 }
 
-// netIterator pages a server-side iterator. A server-side iterator error
-// latches here exactly like a local corrupt-scan error: Next() goes false
-// and Error() reports it — never a clean-looking short scan.
+// netIterator pages a scan, one stateless request per page. A server-side
+// iterator error latches here exactly like a local corrupt-scan error: Next()
+// goes false and Error() reports it — never a clean-looking short scan.
 type netIterator struct {
-	client *Client
-	id     uint64
+	client        *Client
+	prefix, start []byte // the scan; start moves past each page
 
 	page     [][2][]byte // decoded (key, value) pairs of the current page
 	pos      int
-	done     bool // server exhausted (and released) the iterator
+	done     bool // the final page has arrived, or the scan failed or was released
 	err      error
 	key, val []byte
-	released bool
 }
 
 func (it *netIterator) Next() bool {
 	for it.pos >= len(it.page) {
-		if it.done || it.err != nil || it.released {
+		if it.done {
 			return false
 		}
 		it.fetch()
@@ -707,65 +697,63 @@ func (it *netIterator) Next() bool {
 	return true
 }
 
-// fetch pulls the next page into it.page (possibly empty on exhaustion).
+// fetch replaces it.page with the page that begins at it.start.
 func (it *netIterator) fetch() {
-	var payload []byte
-	payload = binary.LittleEndian.AppendUint64(payload, it.id)
+	it.page, it.pos = it.page[:0], 0
+	payload := appendBytes(nil, it.prefix)
+	payload = appendBytes(payload, it.start)
 	payload = appendUvarint(payload, iterPageOps)
-	resp, err := it.client.doRequest(opIterNext, payload)
-	if err != nil {
-		it.err = err
-		it.done = true
-		return
+	resp, err := it.client.doRequest(opScan, payload)
+	if err == nil {
+		err = it.decodePage(resp)
 	}
+	if err != nil {
+		it.page = it.page[:0]
+		it.err, it.done = err, true
+	}
+}
+
+// decodePage decodes one page into it.page and moves it.start past it. A
+// page that is not final must move the scan forward — hold at least one key
+// of the scan at or past start — or a broken server could make Next ask for
+// the same page forever. Entries before a server-side error are delivered.
+func (it *netIterator) decodePage(resp []byte) error {
 	r := &payloadReader{b: resp}
 	done := r.U8() == 1
-	hasErr := r.U8() == 1
-	var iterErr error
-	if hasErr {
-		msg := r.Bytes()
-		if r.Err() == nil {
-			iterErr = errors.New("kvnet: server iterator: " + string(msg))
+	if r.U8() == 1 {
+		if msg := r.Bytes(); r.Err() == nil {
+			it.err, done = errors.New("kvnet: server iterator: "+string(msg)), true
 		}
 	}
 	n := r.Uvarint()
-	if r.Err() != nil {
-		it.err = fmt.Errorf("%w: iter page", ErrBadPayload)
-		it.done = true
-		return
-	}
-	it.page = it.page[:0]
-	it.pos = 0
-	for i := uint64(0); i < n; i++ {
-		k := r.Bytes()
-		v := r.Bytes()
-		if r.Err() != nil {
-			it.err = fmt.Errorf("%w: iter entry", ErrBadPayload)
-			it.done = true
-			return
-		}
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		k, v := r.Bytes(), r.Bytes()
 		it.page = append(it.page, [2][]byte{k, v})
 	}
-	it.done = done
-	if iterErr != nil {
-		it.err = iterErr
+	if r.Err() != nil {
+		return fmt.Errorf("%w: scan page", ErrBadPayload)
 	}
+	it.done = done
+	if done {
+		return nil
+	}
+	if len(it.page) == 0 {
+		return fmt.Errorf("%w: empty scan page that is not the last", ErrBadPayload)
+	}
+	last := it.page[len(it.page)-1][0]
+	if !bytes.HasPrefix(last, it.prefix) || bytes.Compare(last[len(it.prefix):], it.start) < 0 {
+		return fmt.Errorf("%w: scan page ends at %q, before the page began", ErrBadPayload, last)
+	}
+	it.start = append(append(it.start[:0], last[len(it.prefix):]...), 0)
+	return nil
 }
 
 func (it *netIterator) Key() []byte   { return it.key }
 func (it *netIterator) Value() []byte { return it.val }
 func (it *netIterator) Error() error  { return it.err }
 
+// Release drops the current page. The server holds nothing for the scan,
+// so there is nothing to send.
 func (it *netIterator) Release() {
-	if it.released {
-		return
-	}
-	it.released = true
-	it.page = nil
-	if it.client == nil || it.done {
-		return // never opened, or already released server-side
-	}
-	var payload []byte
-	payload = binary.LittleEndian.AppendUint64(payload, it.id)
-	it.client.doRequest(opIterClose, payload)
+	it.page, it.pos, it.done = nil, 0, true
 }

@@ -53,8 +53,8 @@ func TestClientFailStopExactlyOnce(t *testing.T) {
 	if err := c.Put([]byte("after"), []byte("v")); err == nil {
 		t.Fatal("client accepted an op after fail-stop latch")
 	}
-	if _, err := c.doRequest(opPing, nil); err == nil {
-		t.Fatal("ping succeeded on a latched client")
+	if _, err := c.doRequest(opStats, nil); err == nil {
+		t.Fatal("stats request succeeded on a latched client")
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("latched client took %v to fail ops", d)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ethkv/internal/kv"
@@ -195,7 +196,7 @@ func TestScanSurfacesServerIteratorError(t *testing.T) {
 	for i := 0; i < keys; i++ {
 		inner.Put([]byte(fmt.Sprintf("e/%04d", i)), []byte("v"))
 	}
-	store := &faultyScanStore{Store: inner, failAfter: failAfter}
+	store := &faultyScanStore{Store: inner, failAt: []byte(fmt.Sprintf("e/%04d", failAfter))}
 	addr, _ := startServer(t, store, silentOpts())
 	c := dialT(t, addr, ClientOptions{})
 	defer c.Close()
@@ -214,33 +215,223 @@ func TestScanSurfacesServerIteratorError(t *testing.T) {
 	}
 }
 
-// faultyScanStore yields iterators that error out after failAfter entries.
+// faultyScanStore yields iterators that fail on reaching the key failAt.
+// Every page opens its own iterator, so the fault sits at a key, not after
+// a count of one iterator's entries.
 type faultyScanStore struct {
 	kv.Store
-	failAfter int
+	failAt []byte
 }
 
 func (f *faultyScanStore) NewIterator(prefix, start []byte) kv.Iterator {
-	return &faultyIterator{Iterator: f.Store.NewIterator(prefix, start), limit: f.failAfter}
+	return &faultyIterator{Iterator: f.Store.NewIterator(prefix, start), failAt: f.failAt}
 }
 
 type faultyIterator struct {
 	kv.Iterator
-	n     int
-	limit int
+	failAt []byte
+	failed bool
 }
 
 func (it *faultyIterator) Next() bool {
-	if it.n >= it.limit {
+	if it.failed || !it.Iterator.Next() {
 		return false
 	}
-	it.n++
-	return it.Iterator.Next()
+	it.failed = bytes.Compare(it.Key(), it.failAt) >= 0
+	return !it.failed
 }
 
 func (it *faultyIterator) Error() error {
-	if it.n >= it.limit {
+	if it.failed {
 		return errors.New("injected mid-scan corruption")
 	}
 	return it.Iterator.Error()
+}
+
+// countingStore counts the backend iterators open at once.
+type countingStore struct {
+	kv.Store
+	open atomic.Int64
+}
+
+func (s *countingStore) NewIterator(prefix, start []byte) kv.Iterator {
+	s.open.Add(1)
+	return &countedIterator{Iterator: s.Store.NewIterator(prefix, start), open: &s.open}
+}
+
+type countedIterator struct {
+	kv.Iterator
+	open     *atomic.Int64
+	released bool
+}
+
+func (it *countedIterator) Release() {
+	if !it.released {
+		it.released = true
+		it.open.Add(-1)
+	}
+	it.Iterator.Release()
+}
+
+// TestScanHoldsNoIteratorBetweenPages: a served scan pins no backend
+// iterator between its requests. A client that takes one key of a
+// many-page scan and never releases it leaves the store with none open.
+func TestScanHoldsNoIteratorBetweenPages(t *testing.T) {
+	store := &countingStore{Store: kv.NewMemStore()}
+	for i := 0; i < 3*int(iterPageOps); i++ {
+		store.Put([]byte(fmt.Sprintf("k/%05d", i)), []byte("v"))
+	}
+	addr, _ := startServer(t, store, silentOpts())
+	c := dialT(t, addr, ClientOptions{})
+	defer c.Close()
+
+	it := c.NewIterator(nil, nil)
+	if !it.Next() {
+		t.Fatalf("scan of a filled store is empty: %v", it.Error())
+	}
+	if n := store.open.Load(); n != 0 {
+		t.Fatalf("%d backend iterators open after one page of an unreleased scan, want 0", n)
+	}
+	it.Release()
+}
+
+// setPageOps makes the client's scan pages n entries long until the test
+// ends.
+func setPageOps(t *testing.T, n uint64) {
+	old := iterPageOps
+	iterPageOps = n
+	t.Cleanup(func() { iterPageOps = old })
+}
+
+// collect drains it, failing the test on a scan error.
+func collect(t *testing.T, it kv.Iterator) []string {
+	t.Helper()
+	defer it.Release()
+	var pairs []string
+	for it.Next() {
+		pairs = append(pairs, fmt.Sprintf("%q=%q", it.Key(), it.Value()))
+	}
+	if err := it.Error(); err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	return pairs
+}
+
+// TestScanPageBoundaries: a served scan resumes each page at the key right
+// after the last one, so it equals the local scan wherever its pages end.
+// Pages of 1, 2 and 3 entries end on every key of a store whose keys are
+// prefixes of one another and end in 0x00 or 0xFF — the keys a resume rule
+// built on a prefix successor or a truncated key would skip or repeat — in
+// memory and in an LSM with tables beneath its memtable.
+func TestScanPageBoundaries(t *testing.T) {
+	keys := []string{
+		"a", "a\x00", "a\x00\x00", "a\x00\xff", "a\x01", "a\xff", "a\xff\x00", "a\xff\xff",
+		"ab", "ab\xff", "b", "b\x00", "b\xff", "\xff", "\xff\x00", "\xff\xff", "\xff\xff\xff",
+	}
+	db, err := lsm.Open(filepath.Join(t.TempDir(), "lsm"), lsm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, store := range []kv.Store{kv.NewMemStore(), db} {
+		for i, k := range keys {
+			store.Put([]byte(k), []byte{byte(i)})
+			if i == len(keys)/2 {
+				if err := kv.Flush(store); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		addr, _ := startServer(t, store, silentOpts())
+		c := dialT(t, addr, ClientOptions{})
+		for _, scan := range []struct{ prefix, start string }{
+			{"", ""}, {"a", ""}, {"a", "\x00"}, {"a", "\xff"}, {"ab", ""}, {"\xff", "\xff"}, {"b", "\x00\x00"},
+		} {
+			want := collect(t, store.NewIterator([]byte(scan.prefix), []byte(scan.start)))
+			for _, pageOps := range []uint64{1, 2, 3} {
+				setPageOps(t, pageOps)
+				frames := c.NetStats().FramesSent
+				got := collect(t, c.NewIterator([]byte(scan.prefix), []byte(scan.start)))
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%T scan %q from %q in pages of %d:\n got %v\nwant %v", store, scan.prefix, scan.start, pageOps, got, want)
+				}
+				if pages := c.NetStats().FramesSent - frames; pages != uint64(len(want))/pageOps+1 {
+					t.Fatalf("%T scan %q from %q: %d pages of %d for %d keys", store, scan.prefix, scan.start, pages, pageOps, len(want))
+				}
+			}
+		}
+		c.Close()
+	}
+}
+
+// TestScanPagesAcrossConcurrentWrites: each page of a served scan is its own
+// view, and the resume rule keeps the views consistent. While a writer puts
+// and deletes keys between the stable ones, a many-page scan returns keys in
+// strictly ascending order, none twice, and every stable key.
+func TestScanPagesAcrossConcurrentWrites(t *testing.T) {
+	db, err := lsm.Open(filepath.Join(t.TempDir(), "lsm"), lsm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const stable = 400
+	for i := 0; i < stable; i++ {
+		db.Put([]byte(fmt.Sprintf("s/%04d", i)), []byte("stable"))
+	}
+	addr, _ := startServer(t, db, silentOpts())
+	c := dialT(t, addr, ClientOptions{})
+	defer c.Close()
+
+	stop, started := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			k := []byte(fmt.Sprintf("s/%04d-%d", i%stable, i%3))
+			if i%2 == 0 {
+				db.Put(k, []byte("churn"))
+			} else {
+				db.Delete(k)
+			}
+			select {
+			case <-stop:
+				return
+			case started <- struct{}{}:
+			default:
+			}
+		}
+	}()
+	<-started // the writer runs before the scan begins and until it ends
+	setPageOps(t, 7)
+	it := c.NewIterator([]byte("s/"), nil)
+	var got []string
+	for it.Next() {
+		got = append(got, string(it.Key()))
+	}
+	err = it.Error()
+	it.Release()
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pages := len(got) / 7; pages < 3 {
+		t.Fatalf("the scan took %d pages, want at least 3", pages)
+	}
+	seen := 0
+	for i, k := range got {
+		if i > 0 && k <= got[i-1] {
+			t.Fatalf("key %q after %q: not strictly ascending", k, got[i-1])
+		}
+		if len(k) == len("s/0000") {
+			if want := fmt.Sprintf("s/%04d", seen); k != want {
+				t.Fatalf("stable key %q where %q belongs", k, want)
+			}
+			seen++
+		}
+	}
+	if seen != stable {
+		t.Fatalf("scan returned %d of %d stable keys", seen, stable)
+	}
 }

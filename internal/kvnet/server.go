@@ -42,7 +42,7 @@ func (o *ServerOptions) withDefaults() ServerOptions {
 	return v
 }
 
-// iterPageBytes caps the payload of one iterator page.
+// iterPageBytes caps the payload of one scan page.
 const iterPageBytes = 1 << 20
 
 // serverMetrics is the hot-path metric handle bundle, resolved once.
@@ -54,7 +54,7 @@ type serverMetrics struct {
 	batchOps     *obs.Histogram // ops per opOps frame
 	conns        *obs.Gauge     // live connections
 	opLat        [4]*obs.Histogram
-	scanLat      *obs.Histogram // iterator page fetches
+	scanLat      *obs.Histogram // scan pages
 	atomicLat    *obs.Histogram // atomic batch commits
 }
 
@@ -90,15 +90,6 @@ type Server struct {
 	opts    ServerOptions
 	metrics *serverMetrics
 
-	// Iterators are registered server-wide, not per connection: a client
-	// multiplexing one logical store over several TCP connections may
-	// open an iterator through one connection and page it through
-	// another. Each handle remembers its owning connection so connection
-	// teardown still releases everything that connection opened.
-	itersMu sync.Mutex
-	iters   map[uint64]*iterHandle
-	iterSeq uint64
-
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
 	conns     map[net.Conn]struct{}
@@ -113,7 +104,6 @@ func NewServer(store kv.Store, opts ServerOptions) *Server {
 		store:     store,
 		opts:      o,
 		metrics:   newServerMetrics(o.Registry),
-		iters:     make(map[uint64]*iterHandle),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 	}
@@ -198,79 +188,6 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// iterHandle is one open server-side iterator. Pages for the same iterator
-// serialize on mu; distinct iterators proceed in parallel across workers.
-// released guards against a close racing a final page: whichever side wins
-// releases the backend iterator exactly once.
-type iterHandle struct {
-	mu       sync.Mutex
-	it       kv.Iterator
-	owner    *connState
-	released bool
-}
-
-// release releases the backend iterator exactly once.
-func (h *iterHandle) release() {
-	h.mu.Lock()
-	if !h.released {
-		h.released = true
-		h.it.Release()
-	}
-	h.mu.Unlock()
-}
-
-// registerIter assigns a server-wide ID to a fresh iterator and records st
-// as its owner for teardown.
-func (s *Server) registerIter(st *connState, it kv.Iterator) uint64 {
-	h := &iterHandle{it: it, owner: st}
-	s.itersMu.Lock()
-	s.iterSeq++
-	id := s.iterSeq
-	s.iters[id] = h
-	st.owned[id] = struct{}{}
-	s.itersMu.Unlock()
-	return id
-}
-
-// lookupIter returns the handle for id, or nil if unknown.
-func (s *Server) lookupIter(id uint64) *iterHandle {
-	s.itersMu.Lock()
-	h := s.iters[id]
-	s.itersMu.Unlock()
-	return h
-}
-
-// takeIter removes id from the registry and its owner's set, returning the
-// handle (nil if already gone). Exactly one caller wins a racing take.
-func (s *Server) takeIter(id uint64) *iterHandle {
-	s.itersMu.Lock()
-	h := s.iters[id]
-	if h != nil {
-		delete(s.iters, id)
-		delete(h.owner.owned, id)
-	}
-	s.itersMu.Unlock()
-	return h
-}
-
-// releaseConnIters releases every iterator st still owns. Called on
-// connection teardown so a dead client cannot strand backend iterators.
-func (s *Server) releaseConnIters(st *connState) {
-	s.itersMu.Lock()
-	hs := make([]*iterHandle, 0, len(st.owned))
-	for id := range st.owned {
-		if h := s.iters[id]; h != nil {
-			hs = append(hs, h)
-			delete(s.iters, id)
-		}
-		delete(st.owned, id)
-	}
-	s.itersMu.Unlock()
-	for _, h := range hs {
-		h.release()
-	}
-}
-
 // serveConn runs one connection to completion.
 func (s *Server) serveConn(c net.Conn) {
 	m := s.metrics
@@ -284,10 +201,6 @@ func (s *Server) serveConn(c net.Conn) {
 		return
 	}
 
-	st := &connState{owned: make(map[uint64]struct{})}
-	// Release any iterators still open when the connection dies.
-	defer s.releaseConnIters(st)
-
 	work := make(chan []byte, connWorkers*2)
 	out := make(chan []byte, connWorkers*4)
 
@@ -297,7 +210,7 @@ func (s *Server) serveConn(c net.Conn) {
 		go func() {
 			defer workers.Done()
 			for body := range work {
-				resp, err := s.handle(st, body)
+				resp, err := s.handle(body)
 				if err != nil {
 					// Protocol violation: the stream can't be
 					// trusted. Kill the connection; in-flight
@@ -370,16 +283,10 @@ func (s *Server) serveConn(c net.Conn) {
 	writer.Wait()
 }
 
-// connState is per-connection request-independent state: the set of
-// iterator IDs this connection opened, guarded by the server's itersMu.
-type connState struct {
-	owned map[uint64]struct{}
-}
-
 // handle executes one decoded request frame and returns the encoded
 // response body. A non-nil error is a protocol violation fatal to the
 // connection; store-level failures are encoded into the response instead.
-func (s *Server) handle(st *connState, body []byte) ([]byte, error) {
+func (s *Server) handle(body []byte) ([]byte, error) {
 	r := &payloadReader{b: body}
 	reqID := r.U64()
 	opcode := r.U8()
@@ -429,41 +336,14 @@ func (s *Server) handle(st *connState, body []byte) ([]byte, error) {
 		}
 		s.metrics.atomicLat.Observe(uint64(time.Since(start)))
 		return resp, nil
-	case opIterOpen:
+	case opScan:
 		prefix := r.Bytes()
 		startKey := r.Bytes()
-		if r.Err() != nil {
-			return nil, fmt.Errorf("%w: iter open", ErrBadPayload)
-		}
-		it := s.store.NewIterator(cloneBytes(prefix), cloneBytes(startKey))
-		id := s.registerIter(st, it)
-		return binary.LittleEndian.AppendUint64(resp, id), nil
-	case opIterNext:
-		id := r.U64()
 		max := r.Uvarint()
 		if r.Err() != nil {
-			return nil, fmt.Errorf("%w: iter next", ErrBadPayload)
+			return nil, fmt.Errorf("%w: scan", ErrBadPayload)
 		}
-		h := s.lookupIter(id)
-		if h == nil {
-			// Paging an iterator the server does not know is a broken
-			// client, not an empty scan: answering with a clean done
-			// page would be exactly the silent truncation the protocol
-			// exists to prevent.
-			return fail(fmt.Errorf("kvnet: unknown iterator %d", id)), nil
-		}
-		return s.handleIterNext(h, id, resp, int(max)), nil
-	case opIterClose:
-		id := r.U64()
-		if r.Err() != nil {
-			return nil, fmt.Errorf("%w: iter close", ErrBadPayload)
-		}
-		// Close is idempotent: the server may already have auto-released
-		// the iterator on exhaustion or error.
-		if h := s.takeIter(id); h != nil {
-			h.release()
-		}
-		return resp, nil
+		return s.handleScan(resp, prefix, startKey, max), nil
 	case opStats:
 		var stats kv.Stats
 		if sp, ok := s.store.(kv.StatsProvider); ok {
@@ -474,8 +354,6 @@ func (s *Server) handle(st *connState, body []byte) ([]byte, error) {
 			return fail(err), nil
 		}
 		return appendBytes(resp, buf.Bytes()), nil
-	case opPing:
-		return resp, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown opcode %d", ErrBadPayload, opcode)
 	}
@@ -554,67 +432,37 @@ func (s *Server) handleOps(r *payloadReader, resp []byte) ([]byte, error) {
 	return resp, nil
 }
 
-// handleIterNext pages one open iterator. A page ends at max entries, the
-// byte budget, or iterator exhaustion; exhaustion (or an iterator error)
-// releases the iterator server-side — the client's explicit close then
-// becomes a no-op.
-func (s *Server) handleIterNext(h *iterHandle, id uint64, resp []byte, max int) []byte {
-	start := time.Now()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.released {
-		// A concurrent close won the race for this handle; the backend
-		// iterator is gone, so report it as a scan error, not an empty page.
-		resp = append(resp, 1, 1) // done, error
-		resp = appendBytes(resp, []byte("kvnet: iterator released during page fetch"))
-		return appendUvarint(resp, 0)
-	}
-
-	if max <= 0 {
-		max = 1
-	}
-	// Reserve space for flags; entries appended after.
+// handleScan answers one page of a scan. It opens a backend iterator at
+// prefix+start, fills the page to max entries (at least one) or the byte
+// budget, and releases the iterator before answering: nothing a page leaves
+// behind outlives the request. An iterator error ends the scan.
+func (s *Server) handleScan(resp, prefix, start []byte, max uint64) []byte {
+	t0 := time.Now()
+	it := s.store.NewIterator(prefix, start)
 	entries := make([]byte, 0, 4<<10)
-	count := 0
+	count := uint64(0)
 	done := false
-	for count < max && len(entries) < iterPageBytes {
-		if !h.it.Next() {
+	for (count == 0 || count < max) && len(entries) < iterPageBytes {
+		if !it.Next() {
 			done = true
 			break
 		}
-		entries = appendBytes(entries, h.it.Key())
-		entries = appendBytes(entries, h.it.Value())
+		entries = appendBytes(entries, it.Key())
+		entries = appendBytes(entries, it.Value())
 		count++
 	}
-	var iterErr error
-	if done {
-		iterErr = h.it.Error()
-		h.released = true
-		h.it.Release()
-		s.takeIter(id)
-	}
-	s.metrics.scanLat.Observe(uint64(time.Since(start)))
+	err := it.Error()
+	it.Release()
+	s.metrics.scanLat.Observe(uint64(time.Since(t0)))
 
-	if done {
-		resp = append(resp, 1)
-	} else {
-		resp = append(resp, 0)
+	switch {
+	case err != nil:
+		resp = appendBytes(append(resp, 1, 1), []byte(err.Error())) // done, error
+	case done:
+		resp = append(resp, 1, 0)
+	default:
+		resp = append(resp, 0, 0)
 	}
-	if iterErr != nil {
-		resp = append(resp, 1)
-		resp = appendBytes(resp, []byte(iterErr.Error()))
-	} else {
-		resp = append(resp, 0)
-	}
-	resp = appendUvarint(resp, uint64(count))
+	resp = appendUvarint(resp, count)
 	return append(resp, entries...)
-}
-
-func cloneBytes(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
 }

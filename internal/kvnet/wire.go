@@ -30,6 +30,17 @@
 // connection starts with a 9-byte handshake (8 magic bytes + version) so a
 // stray client of some other protocol fails fast instead of feeding the
 // frame reader garbage.
+//
+// Scans are stateless. One opScan request (prefix | start | max) is answered
+// by one page (done | hasErr [msg] | count | entries): the server opens a
+// backend iterator, fills the page, reads its Error and releases it before
+// answering, so no iterator outlives a request and a peer can pin nothing
+// between requests. The client resumes a page that is not final at the key
+// right after its last one (last + 0x00). Each page is therefore its own
+// view of the store: a key present for the whole scan is returned exactly
+// once, in ascending order; a key written or deleted during the scan may or
+// may not appear — as in a local LSM scan, whose memtable walk sees live
+// writes too.
 package kvnet
 
 import (
@@ -45,7 +56,7 @@ import (
 var handshakeMagic = [8]byte{'e', 't', 'h', 'k', 'v', 'n', 'e', 't'}
 
 // protocolVersion is bumped on any incompatible wire change.
-const protocolVersion = 1
+const protocolVersion = 2
 
 // frameHeaderLen is bodyLen + crc.
 const frameHeaderLen = 8
@@ -57,13 +68,10 @@ const DefaultMaxFrameBytes = 64 << 20
 
 // Request opcodes.
 const (
-	opOps       = 1 // coalesced non-atomic get/has/put/delete batch
-	opAtomic    = 2 // atomic write batch (kv.Batch.Write)
-	opIterOpen  = 3 // open a server-side iterator
-	opIterNext  = 4 // fetch the next page of an open iterator
-	opIterClose = 5 // release a server-side iterator
-	opStats     = 6 // kv.Stats snapshot of the backing store
-	opPing      = 7 // liveness / handshake probe
+	opOps    = 1 // coalesced non-atomic get/has/put/delete batch
+	opAtomic = 2 // atomic write batch (kv.Batch.Write)
+	opScan   = 3 // one page of a scan
+	opStats  = 4 // kv.Stats snapshot of the backing store
 )
 
 // Sub-operation kinds inside opOps and opAtomic payloads.

@@ -102,6 +102,7 @@ func TestHandshakeRejected(t *testing.T) {
 	}{
 		{"http", []byte("GET / HTTP/1.1\r\n\r\n")},
 		{"bad-version", append(append([]byte{}, handshakeMagic[:]...), 99)},
+		{"version-1", append(append([]byte{}, handshakeMagic[:]...), 1)},
 		{"short", []byte("eth")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -334,22 +335,82 @@ func TestClientRejectsShortBatchResponse(t *testing.T) {
 	}
 }
 
+// makeScanBody builds an opScan request body.
+func makeScanBody(reqID uint64, prefix, start []byte, max uint64) []byte {
+	body := binary.LittleEndian.AppendUint64(nil, reqID)
+	body = append(body, opScan)
+	body = appendBytes(body, prefix)
+	body = appendBytes(body, start)
+	return appendUvarint(body, max)
+}
+
+// TestClientRejectsEmptyNonFinalPage has a fake server answer every scan
+// request with a page that holds no entries and is not the last. The scan
+// must fail with ErrBadPayload: taking the page as progress would make Next
+// ask for the same page forever.
+func TestClientRejectsEmptyNonFinalPage(t *testing.T) {
+	addr := fakeServer(t, func(t *testing.T, nc net.Conn) {
+		for {
+			req, err := readFrame(nc)
+			if err != nil {
+				return
+			}
+			resp := binary.LittleEndian.AppendUint64(nil, binary.LittleEndian.Uint64(req[:8]))
+			resp = append(resp, statusOK, 0, 0) // not done, no error
+			resp = appendUvarint(resp, 0)       // no entries
+			if writeFrame(nc, resp) != nil {
+				return
+			}
+		}
+	})
+	c := dialT(t, addr, ClientOptions{})
+	defer c.Close()
+
+	it := c.NewIterator([]byte("p/"), nil)
+	defer it.Release()
+	next := make(chan bool, 1)
+	go func() { next <- it.Next() }()
+	select {
+	case ok := <-next:
+		if ok {
+			t.Fatal("an empty page yielded a key")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Next kept asking for empty pages")
+	}
+	if err := it.Error(); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("scan over an empty non-final page: %v, want ErrBadPayload", err)
+	}
+}
+
 // FuzzServerRequestDecode throws arbitrary bodies at the server's request
 // handler: it must never panic, returning either a response or a protocol
 // error.
 func FuzzServerRequestDecode(f *testing.F) {
 	f.Add(makeOpsBody(1, kindPut, []byte("k"), []byte("v")))
 	f.Add(makeOpsBody(2, kindGet, []byte("k"), nil))
+	f.Add(makeScanBody(3, []byte("k"), nil, 512))            // a first page
+	f.Add(makeScanBody(4, []byte("k"), []byte("ey\x00"), 2)) // a resumed page
+	f.Add(makeScanBody(5, nil, nil, 0))                      // max 0
+	truncated := makeScanBody(6, []byte("k"), []byte("start"), 512)
+	f.Add(truncated[:len(truncated)-4]) // start cut short
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 40))
-	srv := NewServer(kv.NewMemStore(), silentOpts())
+	store := kv.NewMemStore()
+	store.Put([]byte("key"), []byte("v"))
+	store.Put([]byte("key\x00"), []byte("v"))
+	srv := NewServer(store, silentOpts())
 	f.Fuzz(func(t *testing.T, body []byte) {
-		st := &connState{owned: make(map[uint64]struct{})}
-		resp, err := srv.handle(st, body)
+		resp, err := srv.handle(body)
 		if err == nil && resp == nil {
 			t.Fatal("handle returned neither response nor error")
 		}
-		srv.releaseConnIters(st)
+		// A scan page the server answers is final or holds an entry.
+		if err == nil && body[8] == opScan && resp[8] == statusOK && resp[9] == 0 {
+			if n, _ := binary.Uvarint(resp[11:]); n == 0 {
+				t.Fatalf("empty non-final page for request %x", body)
+			}
+		}
 	})
 }
 
